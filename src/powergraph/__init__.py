@@ -18,6 +18,7 @@ from .graphs import (  # noqa: F401
     Graph,
     PartitionClasses,
     TwinClass,
+    TwinQuotient,
     build_power_graph,
     classify_partition,
     twin_classes,
@@ -27,7 +28,6 @@ from .matrices import (  # noqa: F401
     a_alpha,
     adjacency,
     degree_diag,
-    detour_matrix,
     distance_matrix,
     laplacian,
     rd_alpha,
@@ -35,6 +35,7 @@ from .matrices import (  # noqa: F401
     reciprocal_transmission,
     signless_laplacian,
 )
+from .detour import detour_matrix  # noqa: F401
 from .spectra import (  # noqa: F401
     BlockForm,
     Spectrum,

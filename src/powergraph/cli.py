@@ -15,10 +15,11 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import __version__, matrices, metric, report, sequences, spectra
-from .detour import DetourBudgetError, detour_matrix
-from .graphs import Graph, GraphFormatError, build_power_graph, classify_partition
+from . import __version__, matrices, report, sequences
+from .detour import DetourBudgetError
+from .graphs import Graph, GraphFormatError
 from .groups import GroupParams, ParameterError
+from .metric import MetricSearchError
 
 COMMANDS = ("build", "spectra", "metric", "detour", "dds", "report", "ingest")
 ENV_PREFIX = "POWERGRAPH_"
@@ -67,23 +68,13 @@ class RunConfig:
         if self.graph_format not in ("edge-list", "json"):
             raise UsageError("graph format must be edge-list or json")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "p": self.p,
-            "alphas": list(self.alphas),
-            "commands": list(self.commands),
-            "format": self.fmt,
-            "detour_budget_s": self.detour_budget_s,
-            "detour_oracle_max_n": self.detour_oracle_max_n,
-            "tol": self.tol,
-            "seed": self.seed,
-        }
-
 
 def ingest_graph(path: str | Path, fmt: str = "edge-list") -> Graph:
     """Load an external graph as edge-list text or canonical JSON."""
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot read graph file: {exc}") from None
     if fmt == "edge-list":
         return Graph.from_edge_list(text)
     if fmt == "json":
@@ -113,28 +104,34 @@ def _env_overrides() -> dict[str, str]:
     return out
 
 
+# config-file and environment keys: RunConfig field and value parser
+_KEYS = {
+    "k": ("k", int),
+    "p": ("p", int),
+    "alpha": ("alphas", lambda v: tuple(float(x) for x in v.split(",") if x)),
+    "format": ("fmt", str),
+    "out": ("out_dir", Path),
+    "detour_budget": ("detour_budget_s", float),
+    "detour_time_budget_s": ("detour_budget_s", float),
+    "detour_oracle_max_n": ("detour_oracle_max_n", int),
+    "tol": ("tol", float),
+    "seed": ("seed", int),
+}
+
+# flags whose argparse name differs from their RunConfig field
+_FLAG_FIELDS = {
+    "alpha": "alphas",
+    "out": "out_dir",
+    "detour_budget": "detour_budget_s",
+    "graph": "graph_path",
+}
+
+
 def _apply_kv(config: RunConfig, values: dict[str, str]) -> None:
     try:
-        if "k" in values:
-            config.k = int(values["k"])
-        if "p" in values:
-            config.p = int(values["p"])
-        if "alpha" in values:
-            config.alphas = tuple(float(x) for x in values["alpha"].split(",") if x)
-        if "format" in values:
-            config.fmt = values["format"]
-        if "out" in values:
-            config.out_dir = Path(values["out"])
-        if "detour_budget" in values:
-            config.detour_budget_s = float(values["detour_budget"])
-        if "detour_time_budget_s" in values:
-            config.detour_budget_s = float(values["detour_time_budget_s"])
-        if "detour_oracle_max_n" in values:
-            config.detour_oracle_max_n = int(values["detour_oracle_max_n"])
-        if "tol" in values:
-            config.tol = float(values["tol"])
-        if "seed" in values:
-            config.seed = int(values["seed"])
+        for key, (name, parse) in _KEYS.items():
+            if key in values:
+                setattr(config, name, parse(values[key]))
     except ValueError as exc:
         raise UsageError(f"bad config value: {exc}") from None
 
@@ -166,29 +163,11 @@ def parse_args(argv: list[str]) -> RunConfig:
             raise UsageError(f"config file not found: {args.config}")
         _apply_kv(config, _read_config_file(args.config))
     _apply_kv(config, _env_overrides())
-    if args.k is not None:
-        config.k = args.k
-    if args.p is not None:
-        config.p = args.p
-    if args.alpha:
-        config.alphas = tuple(args.alpha)
-    if args.fmt:
-        config.fmt = args.fmt
-    if args.out is not None:
-        config.out_dir = args.out
-    if args.detour_budget is not None:
-        config.detour_budget_s = args.detour_budget
-    if args.detour_oracle_max_n is not None:
-        config.detour_oracle_max_n = args.detour_oracle_max_n
-    if args.tol is not None:
-        config.tol = args.tol
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.graph is not None:
-        config.graph_path = args.graph
-    if args.graph_format is not None:
-        config.graph_format = args.graph_format
-    config.commands = tuple(args.commands)
+    # flags override both; list-valued flags (commands, --alpha) become tuples
+    for name, value in vars(args).items():
+        if value is not None and name != "config":
+            value = tuple(value) if isinstance(value, list) else value
+            setattr(config, _FLAG_FIELDS.get(name, name), value)
     config.validate()
     return config
 
@@ -234,13 +213,13 @@ def run(config: RunConfig, writer: _Writer | None = None, out=None) -> int:
             writer.emit("ingested-graph.edges.txt", graph.to_edge_list())
         print(f"ingested graph: n={graph.n}, edges={graph.edge_count()}", file=out)
 
-    needs_family = any(c in config.commands for c in ("build", "spectra", "metric", "detour", "dds", "report"))
-    if not needs_family:
+    if not set(config.commands) - {"ingest"}:
         return 0
 
-    params = GroupParams(config.k, config.p)
-    graph = build_power_graph(params)
-    classes = classify_partition(graph, params)
+    inst = report.Instance(
+        GroupParams(config.k, config.p), config.detour_budget_s, config.detour_oracle_max_n
+    )
+    graph, classes = inst.graph, inst.partition
 
     if "build" in config.commands:
         payload = graph.to_json_dict()
@@ -258,27 +237,20 @@ def run(config: RunConfig, writer: _Writer | None = None, out=None) -> int:
         print(f"built power graph: n={graph.n}, edges={graph.edge_count()}", file=out)
 
     if "spectra" in config.commands:
+        adjacency = []
         for alpha in config.alphas:
-            closed = spectra.a_alpha_closed_form(params, alpha)
-            numeric = spectra.sym_eigenvalues(matrices.a_alpha(graph, alpha))
-            payload = report.spectrum_payload(params, alpha, closed, numeric)
-            writer.emit(f"{stem}-alpha{alpha!r}-adjacency-spectrum.json", _dump(payload))
-            closed_rd = spectra.rd_alpha_closed_form(params, alpha)
-            numeric_rd = spectra.sym_eigenvalues(matrices.rd_alpha(graph, alpha))
-            payload_rd = report.spectrum_payload(params, alpha, closed_rd, numeric_rd)
-            writer.emit(f"{stem}-alpha{alpha!r}-reciprocal-spectrum.json", _dump(payload_rd))
+            for kind in report.SPECTRUM_KINDS:
+                payload = report.spectrum_payload(inst.params, alpha, *inst.spectrum(kind, alpha))
+                writer.emit(f"{stem}-alpha{alpha!r}-{kind}-spectrum.json", _dump(payload))
+                if kind == "adjacency":
+                    adjacency.append(payload)
         if config.fmt == "csv":
-            payloads = [
-                json.loads(writer.artifacts[f"{stem}-alpha{alpha!r}-adjacency-spectrum.json"])
-                for alpha in config.alphas
-            ]
-            writer.emit(f"{stem}-adjacency-spectra.csv", _spectra_csv(payloads))
+            writer.emit(f"{stem}-adjacency-spectra.csv", _spectra_csv(adjacency))
         print(f"spectra computed for alphas {list(config.alphas)}", file=out)
 
     if "metric" in config.commands:
-        psi_report = metric.metric_dimension(graph)
-        gsr = metric.mmd_graph(graph)
-        cover_size, cover = metric.min_vertex_cover(gsr)
+        psi_report = inst.resolving
+        cover_size, cover = inst.cover
         payload = {
             "psi": {
                 "bound": psi_report.lower_bound,
@@ -287,14 +259,14 @@ def run(config: RunConfig, writer: _Writer | None = None, out=None) -> int:
                 "value": psi_report.psi,
             },
             "sdim": {"value": cover_size, "cover_witness": list(cover)},
-            "gsr_edges": [[i, j] for i, j in gsr.edges()],
+            "gsr_edges": [[i, j] for i, j in inst.gsr.edges()],
         }
         writer.emit(f"{stem}-metric.json", _dump(payload))
         print(f"metric dimension {psi_report.psi}, strong metric dimension {cover_size}", file=out)
 
     if "detour" in config.commands:
-        if graph.n <= config.detour_oracle_max_n:
-            mat = detour_matrix(graph, time_budget_s=config.detour_budget_s)
+        mat = inst.detour
+        if mat is not None:
             ecc, radius, diameter = sequences.detour_profile(mat)
             payload = {
                 "oracle_verified": True,
@@ -308,26 +280,25 @@ def run(config: RunConfig, writer: _Writer | None = None, out=None) -> int:
             payload = {
                 "oracle_verified": False,
                 "note": "closed-form prediction only; instance above the oracle size cap",
-                "predicted": sequences.family_detour_eccentricities(params),
+                "predicted": sequences.family_detour_eccentricities(inst.params),
             }
         writer.emit(f"{stem}-detour.json", _dump(payload))
         print(f"detour profile: {payload}", file=out)
 
     if "dds" in config.commands:
-        dist = matrices.distance_matrix(graph)
-        table = sequences.dds(graph, dist)
+        table = inst.dds
         payload = {
             "dds": table.to_json_dict(),
             "printed_comparison": sequences.compare_groupings(
-                table.groups, sequences.family_dds_groups(params)
+                table.groups, sequences.family_dds_groups(inst.params)
             ),
         }
-        if graph.n <= config.detour_oracle_max_n:
-            detour = detour_matrix(graph, time_budget_s=config.detour_budget_s)
+        detour = inst.detour
+        if detour is not None:
             dtable = sequences.dds_detour(detour)
             payload["dds_detour"] = dtable.to_json_dict()
             payload["printed_detour_comparison"] = sequences.compare_groupings(
-                dtable.groups, sequences.family_dds_detour_groups(params)
+                dtable.groups, sequences.family_dds_detour_groups(inst.params)
             )
         writer.emit(f"{stem}-dds.json", _dump(payload))
         if config.fmt == "text":
@@ -337,15 +308,8 @@ def run(config: RunConfig, writer: _Writer | None = None, out=None) -> int:
         print("distance degree sequences computed", file=out)
 
     if "report" in config.commands:
-        payload = report.build_report(
-            config.k,
-            config.p,
-            config.alphas,
-            tol=config.tol,
-            seed=config.seed,
-            detour_budget_s=config.detour_budget_s,
-            detour_oracle_max_n=config.detour_oracle_max_n,
-            version=__version__,
+        payload = report.report_payload(
+            inst, config.alphas, tol=config.tol, seed=config.seed, version=__version__
         )
         payload["config"].update({"format": config.fmt})
         writer.emit(f"{stem}-report.json", _dump(payload))
@@ -371,7 +335,7 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, ParameterError, GraphFormatError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except DetourBudgetError as exc:
+    except (DetourBudgetError, MetricSearchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

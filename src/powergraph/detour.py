@@ -16,38 +16,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .graphs import Graph, twin_classes
+from .graphs import Graph, TwinQuotient
 
 
 class DetourBudgetError(RuntimeError):
     """Exact search exceeded its time budget; no approximation is substituted."""
 
 
-class _ClassQuotient:
-    """Twin-class view of a graph: per-class sizes and class adjacency."""
-
-    def __init__(self, graph: Graph):
-        classes = twin_classes(graph)
-        self.members = [sorted(c.vertices) for c in classes]
-        self.sizes = [len(m) for m in self.members]
-        self.closed = [c.closed for c in classes]
-        self.class_of = [0] * graph.n
-        for idx, mem in enumerate(self.members):
-            for v in mem:
-                self.class_of[v] = idx
-        k = len(self.members)
-        self.adj = [[False] * k for _ in range(k)]
-        for a in range(k):
-            ra = self.members[a][0]
-            for b in range(k):
-                if a == b:
-                    self.adj[a][b] = self.closed[a] and self.sizes[a] > 1
-                else:
-                    self.adj[a][b] = graph.has_edge(ra, self.members[b][0])
-
-
 def _longest_path_classes(
-    quotient: _ClassQuotient,
+    quotient: TwinQuotient,
     source_class: int,
     target_class: int,
     counts: tuple[int, ...],
@@ -102,17 +79,21 @@ def _reachable(adj: list[list[bool]], start: int, usable: list[bool]) -> list[bo
     return seen
 
 
-def detour_matrix(graph: Graph, time_budget_s: float = 60.0) -> np.ndarray:
+def detour_matrix(
+    graph: Graph, time_budget_s: float = 60.0, quotient: TwinQuotient | None = None
+) -> np.ndarray:
     """All-pairs longest simple path lengths (int64); exact, never approximated.
 
     Raises DetourBudgetError when the quotient search cannot finish within
-    `time_budget_s` seconds.
+    `time_budget_s` seconds.  `quotient` is the graph's TwinQuotient when the
+    caller already holds it.
     """
     n = graph.n
     if n and not graph.is_connected():
         raise ValueError("graph is disconnected; detour distances are undefined")
     deadline = time.monotonic() + time_budget_s
-    quotient = _ClassQuotient(graph)
+    if quotient is None:
+        quotient = TwinQuotient(graph)
     k = len(quotient.members)
     base = tuple(quotient.sizes)
     # one search per ordered class pair; endpoints leave their classes

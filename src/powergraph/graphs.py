@@ -181,35 +181,32 @@ def build_power_graph(params: GroupParams) -> Graph:
     r^3 are powers of r but not of each other.)
     """
     verts = family_vertex_order(params)
-    index = {g: idx for idx, g in enumerate(verts)}
-    graph = Graph(len(verts), labels=verts)
-    for g in verts:
-        members = [index[h] for h in cyclic_subgroup(g, params)]
-        for a_pos, a in enumerate(members):
-            for b in members[a_pos + 1 :]:
-                graph.adj[a, b] = True
-                graph.adj[b, a] = True
-    np.fill_diagonal(graph.adj, False)
-    return graph
+    return _union_of_cliques(verts, (cyclic_subgroup(g, params) for g in verts))
 
 
 def build_power_graph_from_table(table) -> Graph:
     """Same construction driven by a CayleyTable oracle instead of multiply()."""
-    verts = family_vertex_order(table.params)
-    index = {g: idx for idx, g in enumerate(verts)}
-    graph = Graph(len(verts), labels=verts)
-    for g in verts:
-        members = {g}
-        current = table.mul(g, g)
-        while current != GroupElement(0, 0):
+    identity = GroupElement(0, 0)
+
+    def generated(g: GroupElement) -> set[GroupElement]:
+        members, current = {identity}, g
+        while current != identity:
             members.add(current)
             current = table.mul(current, g)
-        members.add(GroupElement(0, 0))
-        idxs = sorted(index[h] for h in members)
-        for a_pos, a in enumerate(idxs):
-            for b in idxs[a_pos + 1 :]:
-                graph.adj[a, b] = True
-                graph.adj[b, a] = True
+        return members
+
+    verts = family_vertex_order(table.params)
+    return _union_of_cliques(verts, map(generated, verts))
+
+
+def _union_of_cliques(verts: list[GroupElement], groups) -> Graph:
+    """Graph on `verts` with a clique on each set of elements in `groups`."""
+    index = {g: idx for idx, g in enumerate(verts)}
+    graph = Graph(len(verts), labels=verts)
+    for group in groups:
+        idxs = [index[h] for h in group]
+        graph.adj[np.ix_(idxs, idxs)] = True
+    np.fill_diagonal(graph.adj, False)
     return graph
 
 
@@ -227,6 +224,11 @@ class PartitionClasses:
     @property
     def rotation_indices(self) -> frozenset[int]:
         return self.h0 | self.h1
+
+    def named(self) -> dict[str, frozenset[int]]:
+        """Vertex sets by class name: e, u, h1, h2, h3."""
+        singles = {"e": frozenset((self.e,)), "u": frozenset((self.u,))}
+        return {**singles, "h1": self.h1, "h2": self.h2, "h3": self.h3}
 
 
 def classify_partition(graph: Graph, params: GroupParams) -> PartitionClasses:
@@ -300,6 +302,30 @@ def twin_classes(graph: Graph) -> list[TwinClass]:
             classes.append(TwinClass(frozenset([v]), closed=False))
     classes.sort(key=lambda c: min(c.vertices))
     return classes
+
+
+class TwinQuotient:
+    """Twin-class quotient of a graph: members, sizes, closedness and class adjacency.
+
+    Classes keep the order of `twin_classes` (by smallest member).  Twin
+    classes are modules, so for a != b `adj[a][b]` is the adjacency between
+    any member of a and any member of b; `adj[a][a]` says whether two members
+    of a are adjacent (a closed class of size > 1).
+    """
+
+    def __init__(self, graph: Graph):
+        classes = twin_classes(graph)
+        self.members = [sorted(c.vertices) for c in classes]
+        self.sizes = [len(m) for m in self.members]
+        self.closed = [c.closed for c in classes]
+        self.class_of = [0] * graph.n
+        for idx, mem in enumerate(self.members):
+            for v in mem:
+                self.class_of[v] = idx
+        reps = [m[0] for m in self.members]
+        adj = graph.adj[np.ix_(reps, reps)]
+        np.fill_diagonal(adj, [c and s > 1 for c, s in zip(self.closed, self.sizes)])
+        self.adj: list[list[bool]] = adj.tolist()
 
 
 @dataclass

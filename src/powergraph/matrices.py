@@ -1,7 +1,8 @@
 """Matrix representations of a graph: adjacency family, distance and reciprocal-distance family.
 
 All matrices are dense float64 (int64 for distances) numpy arrays and exactly
-symmetric by construction; graphs at desk scale stay well under n = 200.
+symmetric by construction.  Each one is n x n, so a float64 matrix costs
+8 n^2 bytes: 0.8 MB at n = 320, 100 MB at n = 3584.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ import io
 
 import numpy as np
 
-from .detour import detour_matrix  # noqa: F401  (re-exported; computed in .detour)
 from .graphs import Graph
 
 

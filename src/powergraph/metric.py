@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, twin_classes
+from .graphs import Graph, TwinQuotient
 from .matrices import distance_matrix
 
 
@@ -26,20 +26,24 @@ def resolve_check(graph: Graph, subset, dist: np.ndarray | None = None) -> bool:
     return len(np.unique(vectors, axis=0)) == graph.n
 
 
-def twin_lower_bound(graph: Graph) -> int:
+def twin_lower_bound(graph: Graph, quotient: TwinQuotient | None = None) -> int:
     """Sum of (size - 1) over twin classes; a resolving set keeps all but one twin."""
-    return sum(cls.size - 1 for cls in twin_classes(graph))
+    if quotient is None:
+        quotient = TwinQuotient(graph)
+    return sum(size - 1 for size in quotient.sizes)
 
 
-def twin_witness(graph: Graph) -> tuple[int, ...]:
+def twin_witness(graph: Graph, quotient: TwinQuotient | None = None) -> tuple[int, ...]:
     """All-but-one vertex from every twin class (the largest index is dropped).
 
     Twins are interchangeable, so when this set resolves the graph its size
     equals the twin lower bound and the metric dimension is certified.
     """
+    if quotient is None:
+        quotient = TwinQuotient(graph)
     keep: list[int] = []
-    for cls in twin_classes(graph):
-        keep.extend(sorted(cls.vertices)[:-1])
+    for members in quotient.members:
+        keep.extend(members[:-1])
     return tuple(sorted(keep))
 
 
@@ -50,16 +54,13 @@ class ResolvingReport:
     resolved: bool
     psi: int | None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "lower_bound": self.lower_bound,
-            "witness": list(self.witness),
-            "resolved": self.resolved,
-            "psi": self.psi,
-        }
 
-
-def metric_dimension(graph: Graph, exhaustive_cap: int = 12) -> ResolvingReport:
+def metric_dimension(
+    graph: Graph,
+    exhaustive_cap: int = 12,
+    dist: np.ndarray | None = None,
+    quotient: TwinQuotient | None = None,
+) -> ResolvingReport:
     """Exact metric dimension with a certificate.
 
     First tries the twin witness: if it resolves, bound and witness size agree
@@ -69,9 +70,12 @@ def metric_dimension(graph: Graph, exhaustive_cap: int = 12) -> ResolvingReport:
     """
     if graph.n <= 1:
         return ResolvingReport(0, (), True, 0)
-    dist = distance_matrix(graph)
-    bound = twin_lower_bound(graph)
-    witness = twin_witness(graph)
+    if dist is None:
+        dist = distance_matrix(graph)
+    if quotient is None:
+        quotient = TwinQuotient(graph)
+    bound = twin_lower_bound(graph, quotient)
+    witness = twin_witness(graph, quotient)
     if witness and resolve_check(graph, witness, dist):
         return ResolvingReport(bound, witness, True, bound)
     if graph.n > exhaustive_cap:
@@ -79,7 +83,7 @@ def metric_dimension(graph: Graph, exhaustive_cap: int = 12) -> ResolvingReport:
             f"twin witness does not resolve and n={graph.n} exceeds the "
             f"exhaustive cap {exhaustive_cap}"
         )
-    classes = [sorted(cls.vertices) for cls in twin_classes(graph) if cls.size > 1]
+    classes = [members for members in quotient.members if len(members) > 1]
     for size in range(max(bound, 1), graph.n + 1):
         for combo in itertools.combinations(range(graph.n), size):
             chosen = set(combo)
@@ -90,13 +94,14 @@ def metric_dimension(graph: Graph, exhaustive_cap: int = 12) -> ResolvingReport:
     return ResolvingReport(bound, tuple(range(graph.n)), True, graph.n)
 
 
-def mmd_graph(graph: Graph) -> Graph:
+def mmd_graph(graph: Graph, dist: np.ndarray | None = None) -> Graph:
     """Strong resolving graph: edges are the mutually maximally distant pairs.
 
     u is maximally distant from v when no neighbor of u is farther from v
     than u itself.
     """
-    dist = distance_matrix(graph)
+    if dist is None:
+        dist = distance_matrix(graph)
     n = graph.n
     md = np.zeros((n, n), dtype=bool)
     for u in range(n):

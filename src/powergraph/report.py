@@ -1,12 +1,17 @@
 """Claim-by-claim verification: every closed-form result checked against oracles.
 
-Each check returns a name, a pass flag and enough detail to diagnose a
-failure.  Transcription checks (published polynomial / published quotient
-matrix) never fail the run: a mismatch emits a diagnostic and the numeric
-spectrum stays the arbiter.
+An `Instance` holds one (k, p) instance and every object derived from it;
+each check reads what it needs from there, so one report builds the graph,
+twin quotient, distance matrix and detour matrix once.  Each check returns a
+name, a pass flag and enough detail to diagnose a failure.  Transcription
+checks (published polynomial / published quotient matrix) never fail the
+run: a mismatch emits a diagnostic and the numeric spectrum stays the arbiter.
 """
 
 from __future__ import annotations
+
+from collections import Counter
+from functools import cached_property
 
 import numpy as np
 
@@ -14,6 +19,8 @@ from . import matrices, metric, sequences, spectra
 from .detour import DetourBudgetError, detour_matrix
 from .graphs import (
     Graph,
+    PartitionClasses,
+    TwinQuotient,
     build_power_graph,
     classify_partition,
     family_degree_multiset,
@@ -21,9 +28,100 @@ from .graphs import (
 )
 from .groups import GroupParams
 
+SPECTRUM_KINDS = ("adjacency", "reciprocal")
+
+
+class Instance:
+    """The power graph of one G(k, p) and the objects derived from it, each built at most once.
+
+    `params`, `graph` and `partition` are built on construction; everything
+    else on first use.  Per-alpha matrices are dropped once their eigenvalues
+    are known, so the n x n arrays kept are the graph's adjacency, the
+    distance matrix and, when the oracle runs, the detour matrix.  Nothing is
+    cached across instances: the object lives as long as its caller keeps it.
+    """
+
+    def __init__(
+        self, params: GroupParams, detour_budget_s: float = 60.0, detour_oracle_max_n: int = 24
+    ):
+        self.params = params
+        self.detour_budget_s = detour_budget_s
+        self.detour_oracle_max_n = detour_oracle_max_n
+        self.graph = build_power_graph(params)
+        self.partition = classify_partition(self.graph, params)
+        self._spectra: dict[tuple[str, float], tuple[spectra.Spectrum, np.ndarray]] = {}
+
+    @cached_property
+    def quotient(self) -> TwinQuotient:
+        return TwinQuotient(self.graph)
+
+    @cached_property
+    def dist(self) -> np.ndarray:
+        return matrices.distance_matrix(self.graph)
+
+    def spectrum(self, kind: str, alpha: float) -> tuple[spectra.Spectrum, np.ndarray]:
+        """(closed form, numeric eigenvalues descending) of A_alpha or RD_alpha."""
+        key = (kind, alpha)
+        if key not in self._spectra:
+            if kind == "adjacency":
+                closed = spectra.a_alpha_closed_form(self.params, alpha)
+                full = matrices.a_alpha(self.graph, alpha)
+            else:
+                closed = spectra.rd_alpha_closed_form(self.params, alpha)
+                full = matrices.rd_alpha(self.graph, alpha, self.dist)
+            self._spectra[key] = closed, spectra.sym_eigenvalues(full)
+        return self._spectra[key]
+
+    @cached_property
+    def resolving(self) -> metric.ResolvingReport:
+        return metric.metric_dimension(self.graph, dist=self.dist, quotient=self.quotient)
+
+    @cached_property
+    def gsr(self) -> Graph:
+        """Strong resolving (MMD) graph."""
+        return metric.mmd_graph(self.graph, self.dist)
+
+    @cached_property
+    def cover(self) -> tuple[int, tuple[int, ...]]:
+        """Minimum vertex cover of the MMD graph; MetricSearchError past the search cap."""
+        return metric.min_vertex_cover(self.gsr)
+
+    @cached_property
+    def dds(self) -> sequences.DegreeSequenceTable:
+        return sequences.dds(self.graph, self.dist)
+
+    @cached_property
+    def detour_search(self) -> tuple[np.ndarray | None, DetourBudgetError | None]:
+        """(detour matrix, budget error) of the exact search.
+
+        The matrix is None when n exceeds `detour_oracle_max_n` (the search is
+        not run) or when the search ran out of `detour_budget_s` (the error is
+        returned, so no later reader runs it again).
+        """
+        if self.graph.n > self.detour_oracle_max_n:
+            return None, None
+        try:
+            return detour_matrix(self.graph, self.detour_budget_s, self.quotient), None
+        except DetourBudgetError as exc:
+            return None, exc.with_traceback(None)  # keep no search frames alive
+
+    @property
+    def detour(self) -> np.ndarray | None:
+        """Detour matrix, None above the oracle cap; raises the search's DetourBudgetError."""
+        matrix, error = self.detour_search
+        if error is not None:
+            raise error
+        return matrix
+
 
 def _check(name: str, passed: bool, **details) -> dict:
     return {"name": name, "passed": bool(passed), "details": details}
+
+
+def _classes_match(values, classes: PartitionClasses, predicted: dict) -> bool:
+    """values[v] == predicted[c] for every vertex v of every class c that predicted names."""
+    members = classes.named()
+    return all(values[v] == predicted[c] for c in members.keys() & predicted for v in members[c])
 
 
 def _cluster_tol(values: np.ndarray) -> float:
@@ -45,9 +143,6 @@ def spectrum_payload(
     params: GroupParams, alpha: float, closed: spectra.Spectrum, numeric: np.ndarray
 ) -> dict:
     """JSON payload for one (k, p, alpha) spectrum comparison."""
-    match = spectra.compare_spectra(
-        closed, spectra.Spectrum.from_lines([(float(v), 1, "numeric") for v in numeric]), 1e-8
-    )
     return {
         "params": {"k": params.k, "p": params.p, "alpha": alpha},
         "families": [
@@ -55,23 +150,18 @@ def spectrum_payload(
             for ln in closed.lines
         ],
         "numeric": [float(v) for v in numeric],
-        "max_deviation": match.max_deviation,
+        "max_deviation": float(np.abs(closed.values() - numeric).max()),
     }
 
 
-def check_structure(graph: Graph, classes, params: GroupParams) -> list[dict]:
+def check_structure(inst: Instance) -> list[dict]:
+    graph, classes, params = inst.graph, inst.partition, inst.params
     decomposition = verify_decomposition(graph, classes, params)
-    counts = {}
-    for d in graph.degrees():
-        counts[int(d)] = counts.get(int(d), 0) + 1
+    counts = dict(Counter(graph.degrees().tolist()))
     predicted = family_degree_multiset(params)
     n = params.rotation_order
-    sizes_ok = (
-        len(classes.h0),
-        len(classes.h1),
-        len(classes.h2),
-        len(classes.h3),
-    ) == (2, n - 2, n // 2, n // 2)
+    sizes = tuple(len(c) for c in (classes.h0, classes.h1, classes.h2, classes.h3))
+    sizes_ok = sizes == (2, n - 2, n // 2, n // 2)
     return [
         _check(
             "structure_decomposition",
@@ -85,13 +175,13 @@ def check_structure(graph: Graph, classes, params: GroupParams) -> list[dict]:
     ]
 
 
-def check_twin_eigenvalues(graph: Graph, alphas, tol: float) -> dict:
+def check_twin_eigenvalues(inst: Instance, alphas, tol: float) -> dict:
     per_alpha = {}
     ok = True
     for alpha in alphas:
-        numeric = spectra.sym_eigenvalues(matrices.a_alpha(graph, alpha))
+        _, numeric = inst.spectrum("adjacency", alpha)
         present = True
-        for line in spectra.twin_eigenvalues(graph, alpha).lines:
+        for line in spectra.twin_eigenvalues(inst.graph, alpha, inst.quotient).lines:
             hits = int(np.sum(np.abs(numeric - line.value) <= max(tol, 1e-9)))
             if hits < line.multiplicity:
                 present = False
@@ -101,26 +191,15 @@ def check_twin_eigenvalues(graph: Graph, alphas, tol: float) -> dict:
 
 
 def check_spectrum_family(
-    graph: Graph,
-    params: GroupParams,
-    alphas,
-    tol: float,
-    kind: str,
+    inst: Instance, alphas, tol: float, kind: str
 ) -> tuple[dict, list[dict]]:
     """Closed form vs numeric spectrum for A_alpha or RD_alpha over an alpha sweep."""
-    assert kind in ("adjacency", "reciprocal")
+    assert kind in SPECTRUM_KINDS
     payloads = []
     per_alpha = {}
     ok = True
-    dist = matrices.distance_matrix(graph) if kind == "reciprocal" else None
     for alpha in alphas:
-        if kind == "adjacency":
-            closed = spectra.a_alpha_closed_form(params, alpha)
-            full = matrices.a_alpha(graph, alpha)
-        else:
-            closed = spectra.rd_alpha_closed_form(params, alpha)
-            full = matrices.rd_alpha(graph, alpha, dist)
-        numeric = spectra.sym_eigenvalues(full)
+        closed, numeric = inst.spectrum(kind, alpha)
         deviation = float(np.abs(closed.values() - numeric).max())
         ctol = _cluster_tol(numeric)
         mult_ok = _multisets_agree(
@@ -134,11 +213,11 @@ def check_spectrum_family(
             "multiplicities_recovered": mult_ok,
         }
         ok = ok and entry_ok
-        payloads.append(spectrum_payload(params, alpha, closed, numeric))
+        payloads.append(spectrum_payload(inst.params, alpha, closed, numeric))
     details = {"per_alpha": per_alpha}
     if kind == "reciprocal":
-        rt = np.sort(matrices.reciprocal_distance(graph, dist).sum(axis=1))[::-1]
-        at_one = spectra.rd_alpha_closed_form(params, 1.0).values()
+        rt = np.sort(matrices.reciprocal_distance(inst.graph, inst.dist).sum(axis=1))[::-1]
+        at_one = spectra.rd_alpha_closed_form(inst.params, 1.0).values()
         rt_deviation = float(np.abs(at_one - rt).max())
         details["alpha_one_equals_transmissions"] = rt_deviation == 0.0
         ok = ok and rt_deviation == 0.0
@@ -147,20 +226,16 @@ def check_spectrum_family(
 
 
 def check_transcriptions(params: GroupParams, alphas) -> list[dict]:
-    quintic = {}
-    quotient = {}
-    for alpha in alphas:
-        quintic[repr(alpha)] = spectra.quintic_transcription_check(params, alpha).to_json_dict()
-        quotient[repr(alpha)] = spectra.rd_quotient_transcription_check(
-            params, alpha
-        ).to_json_dict()
-    # a mismatch is reported, never fatal: the diagnostic must be present
-    quintic_ok = all(v["matches"] or v["diagnostic"] for v in quintic.values())
-    quotient_ok = all(v["matches"] or v["diagnostic"] for v in quotient.values())
-    return [
-        _check("quintic_transcription", quintic_ok, per_alpha=quintic),
-        _check("reciprocal_quotient_transcription", quotient_ok, per_alpha=quotient),
-    ]
+    checks = []
+    for name, transcription_check in (
+        ("quintic_transcription", spectra.quintic_transcription_check),
+        ("reciprocal_quotient_transcription", spectra.rd_quotient_transcription_check),
+    ):
+        per_alpha = {repr(a): transcription_check(params, a).to_json_dict() for a in alphas}
+        # a mismatch is reported, never fatal: the diagnostic must be present
+        ok = all(v["matches"] or v["diagnostic"] for v in per_alpha.values())
+        checks.append(_check(name, ok, per_alpha=per_alpha))
+    return checks
 
 
 def check_block_reduction(seed: int, cases: int = 100, tol: float = 1e-9) -> dict:
@@ -184,11 +259,11 @@ def check_block_reduction(seed: int, cases: int = 100, tol: float = 1e-9) -> dic
     return _check("block_reduction_random", worst <= tol, cases=cases, max_deviation=worst)
 
 
-def check_metric(graph: Graph, params: GroupParams) -> list[dict]:
-    quarter = params.rotation_order // 4
+def check_metric(inst: Instance) -> list[dict]:
+    quarter = inst.params.rotation_order // 4
     expected_psi = 7 * quarter - 4
-    psi_report = metric.metric_dimension(graph)
-    expected_sdim = params.order - 3
+    psi_report = inst.resolving
+    expected_sdim = inst.params.order - 3
     checks = [
         _check(
             "metric_dimension",
@@ -199,9 +274,8 @@ def check_metric(graph: Graph, params: GroupParams) -> list[dict]:
             witness_size=len(psi_report.witness),
         )
     ]
-    gsr = metric.mmd_graph(graph)
     try:
-        cover_size, cover = metric.min_vertex_cover(gsr)
+        cover_size, cover = inst.cover
     except metric.MetricSearchError as exc:
         checks.append(
             _check("strong_metric_dimension", False, expected=expected_sdim, error=str(exc))
@@ -213,79 +287,49 @@ def check_metric(graph: Graph, params: GroupParams) -> list[dict]:
             cover_size == expected_sdim,
             sdim=cover_size,
             expected=expected_sdim,
-            gsr_edge_count=gsr.edge_count(),
+            gsr_edge_count=inst.gsr.edge_count(),
             cover_witness_size=len(cover),
         )
     )
     return checks
 
 
-def check_detour(
-    graph: Graph,
-    classes,
-    params: GroupParams,
-    budget_s: float,
-    oracle_max_n: int,
-) -> tuple[list[dict], np.ndarray | None]:
-    predicted_ecc = sequences.family_detour_eccentricities(params)
-    if graph.n > oracle_max_n:
-        return (
-            [
-                _check(
-                    "detour_eccentricities",
-                    True,
-                    oracle_verified=False,
-                    note="closed-form prediction only; instance above the oracle size cap",
-                    predicted=predicted_ecc,
-                )
-            ],
-            None,
+def check_detour(inst: Instance) -> dict:
+    classes = inst.partition
+    predicted_ecc = sequences.family_detour_eccentricities(inst.params)
+    computed, error = inst.detour_search
+    if error is not None:
+        return _check("detour_eccentricities", False, oracle_verified=False, error=str(error))
+    if computed is None:
+        return _check(
+            "detour_eccentricities",
+            True,
+            oracle_verified=False,
+            note="closed-form prediction only; instance above the oracle size cap",
+            predicted=predicted_ecc,
         )
-    try:
-        computed = detour_matrix(graph, time_budget_s=budget_s)
-    except DetourBudgetError as exc:
-        return [_check("detour_eccentricities", False, oracle_verified=False, error=str(exc))], None
-    predicted = sequences.family_detour_matrix(graph, classes, params)
+    predicted = sequences.family_detour_matrix(inst.graph, classes, inst.params)
     matrix_ok = bool(np.array_equal(computed, predicted))
     ecc, radius, diameter = sequences.detour_profile(computed)
     profile_ok = radius == predicted_ecc["radius"] and diameter == predicted_ecc["diameter"]
-    per_class_ok = (
-        int(ecc[classes.e]) == predicted_ecc["e"]
-        and int(ecc[classes.u]) == predicted_ecc["u"]
-        and all(int(ecc[v]) == predicted_ecc["h1"] for v in classes.h1)
-        and all(int(ecc[v]) == predicted_ecc["h2"] for v in classes.h2)
-        and all(int(ecc[v]) == predicted_ecc["h3"] for v in classes.h3)
-    )
-    return (
-        [
-            _check(
-                "detour_eccentricities",
-                matrix_ok and profile_ok and per_class_ok,
-                oracle_verified=True,
-                matrix_matches_closed_form=matrix_ok,
-                radius=radius,
-                diameter=diameter,
-                predicted=predicted_ecc,
-            )
-        ],
-        computed,
+    per_class_ok = _classes_match(ecc, classes, predicted_ecc)
+    return _check(
+        "detour_eccentricities",
+        matrix_ok and profile_ok and per_class_ok,
+        oracle_verified=True,
+        matrix_matches_closed_form=matrix_ok,
+        radius=radius,
+        diameter=diameter,
+        predicted=predicted_ecc,
     )
 
 
-def check_degree_sequences(
-    graph: Graph,
-    classes,
-    params: GroupParams,
-    detour: np.ndarray | None,
-) -> list[dict]:
-    table = sequences.dds(graph)
+def check_degree_sequences(inst: Instance) -> list[dict]:
+    classes, params = inst.partition, inst.params
+    table = inst.dds
     rows = sequences.family_dds_rows(params)
     h1_rep = min(classes.h1)
-    rows_ok = (
-        table.rows[classes.e] == rows["e"]
-        and table.rows[classes.u] == rows["u"]
-        and all(table.rows[v] == rows["h1"] for v in classes.h1)
-    )
+    rows_ok = _classes_match(table.rows, classes, rows)
     multiset_diff = sequences.compare_groupings(table.groups, sequences.family_dds_groups(params))
     checks = [
         _check(
@@ -297,16 +341,11 @@ def check_degree_sequences(
             printed_multiset_comparison=multiset_diff,
         )
     ]
+    detour, _ = inst.detour_search
     if detour is not None:
         dtable = sequences.dds_detour(detour)
         drows = sequences.family_dds_detour_rows(params)
-        shape_ok = (
-            dtable.rows[classes.e] == drows["e"]
-            and dtable.rows[classes.u] == drows["u"]
-            and all(dtable.rows[v] == drows["h1"] for v in classes.h1)
-            and all(dtable.rows[v] == drows["h2"] for v in classes.h2)
-            and all(dtable.rows[v] == drows["h3"] for v in classes.h3)
-        )
+        shape_ok = _classes_match(dtable.rows, classes, drows)
         grouping_ok = sequences.compare_groupings(
             dtable.groups, sequences.family_dds_detour_groups(params)
         )["matches"]
@@ -331,6 +370,40 @@ def check_degree_sequences(
     return checks
 
 
+def report_payload(
+    inst: Instance, alphas, tol: float = 1e-8, seed: int = 0, version: str = "0"
+) -> dict:
+    """Run every verification on one instance and collect PASS/FAIL."""
+    checks: list[dict] = []
+    checks.extend(check_structure(inst))
+    checks.append(check_twin_eigenvalues(inst, alphas, tol))
+    payloads = {}
+    for kind in SPECTRUM_KINDS:
+        check, payloads[kind] = check_spectrum_family(inst, alphas, tol, kind)
+        checks.append(check)
+    checks.extend(check_transcriptions(inst.params, alphas))
+    checks.append(check_block_reduction(seed))
+    checks.extend(check_metric(inst))
+    checks.append(check_detour(inst))
+    checks.extend(check_degree_sequences(inst))
+    return {
+        "version": version,
+        "config": {
+            "k": inst.params.k,
+            "p": inst.params.p,
+            "alphas": list(alphas),
+            "tol": tol,
+            "seed": seed,
+            "detour_budget_s": inst.detour_budget_s,
+            "detour_oracle_max_n": inst.detour_oracle_max_n,
+        },
+        "order": inst.params.order,
+        "checks": checks,
+        "passed": all(c["passed"] for c in checks),
+        "spectra": payloads,
+    }
+
+
 def build_report(
     k: int,
     p: int,
@@ -342,41 +415,5 @@ def build_report(
     version: str = "0",
 ) -> dict:
     """Run every verification for one (k, p) instance and collect PASS/FAIL."""
-    params = GroupParams(k, p)
-    graph = build_power_graph(params)
-    classes = classify_partition(graph, params)
-    checks: list[dict] = []
-    checks.extend(check_structure(graph, classes, params))
-    checks.append(check_twin_eigenvalues(graph, alphas, tol))
-    adjacency_check, adjacency_payloads = check_spectrum_family(
-        graph, params, alphas, tol, "adjacency"
-    )
-    checks.append(adjacency_check)
-    reciprocal_check, reciprocal_payloads = check_spectrum_family(
-        graph, params, alphas, tol, "reciprocal"
-    )
-    checks.append(reciprocal_check)
-    checks.extend(check_transcriptions(params, alphas))
-    checks.append(check_block_reduction(seed))
-    checks.extend(check_metric(graph, params))
-    detour_checks, detour_mat = check_detour(
-        graph, classes, params, detour_budget_s, detour_oracle_max_n
-    )
-    checks.extend(detour_checks)
-    checks.extend(check_degree_sequences(graph, classes, params, detour_mat))
-    return {
-        "version": version,
-        "config": {
-            "k": k,
-            "p": p,
-            "alphas": list(alphas),
-            "tol": tol,
-            "seed": seed,
-            "detour_budget_s": detour_budget_s,
-            "detour_oracle_max_n": detour_oracle_max_n,
-        },
-        "order": params.order,
-        "checks": checks,
-        "passed": all(c["passed"] for c in checks),
-        "spectra": {"adjacency": adjacency_payloads, "reciprocal": reciprocal_payloads},
-    }
+    inst = Instance(GroupParams(k, p), detour_budget_s, detour_oracle_max_n)
+    return report_payload(inst, alphas, tol, seed, version)

@@ -99,15 +99,7 @@ def family_detour_matrix(graph: Graph, classes: PartitionClasses, params: GroupP
     n = params.rotation_order
     half = n // 2
 
-    def kind(idx: int) -> str:
-        if idx == classes.e:
-            return "e"
-        if idx == classes.u:
-            return "u"
-        if idx in classes.h1:
-            return "h1"
-        return "h2" if idx in classes.h2 else "h3"
-
+    kind = {v: name for name, members in classes.named().items() for v in members}
     pair_values = {
         frozenset(("e", "u")): n - 1,
         frozenset(("e", "h1")): n + 1,
@@ -126,7 +118,7 @@ def family_detour_matrix(graph: Graph, classes: PartitionClasses, params: GroupP
     labels = graph.labels
     for i in range(graph.n):
         for j in range(i + 1, graph.n):
-            ki, kj = kind(i), kind(j)
+            ki, kj = kind[i], kind[j]
             if ki == "h3" and kj == "h3":
                 partner = (labels[i].i + half) % n == labels[j].i
                 value = n + 1 if partner else n + 3

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, twin_classes
+from .graphs import Graph, TwinQuotient
 from .groups import GroupParams
 
 
@@ -112,23 +112,6 @@ class Spectrum:
         kept = tuple(SpectralLine(float(v), int(m), s) for v, m, s in lines if m > 0)
         return cls(tuple(sorted(kept, key=lambda ln: -ln.value)))
 
-    @classmethod
-    def from_numeric(cls, values: np.ndarray, cluster_tol: float | None = None) -> "Spectrum":
-        """Cluster raw eigenvalues into (value, multiplicity) lines.
-
-        Default clustering width is 1e-6 * max(1, spectral radius); family
-        values are well separated at desk scale away from collision alphas.
-        """
-        values = np.sort(np.asarray(values, dtype=np.float64))[::-1]
-        if cluster_tol is None:
-            radius = float(np.abs(values).max()) if values.size else 0.0
-            cluster_tol = 1e-6 * max(1.0, radius)
-        lines = [
-            SpectralLine(value, mult, "numeric")
-            for value, mult in cluster_values(values, cluster_tol)
-        ]
-        return cls(tuple(lines))
-
 
 def cluster_values(values: np.ndarray, tol: float) -> list[tuple[float, int]]:
     """Group a descending value list into clusters separated by gaps > tol."""
@@ -166,22 +149,26 @@ def compare_spectra(a: Spectrum, b: Spectrum, tol: float) -> SpectrumMatch:
     return SpectrumMatch(True, deviation, ok, message)
 
 
-def twin_eigenvalues(graph: Graph, alpha: float) -> Spectrum:
+def twin_eigenvalues(
+    graph: Graph, alpha: float, quotient: TwinQuotient | None = None
+) -> Spectrum:
     """Eigenvalues forced by twin classes.
 
     An open class of size l+1 contributes alpha*deg with multiplicity l; a
     closed class contributes alpha*(deg+1) - 1 with multiplicity l.
     """
+    if quotient is None:
+        quotient = TwinQuotient(graph)
     merged: dict[tuple[float, str], int] = {}
-    for cls in twin_classes(graph):
-        if cls.size < 2:
+    for members, closed in zip(quotient.members, quotient.closed):
+        if len(members) < 2:
             continue
-        deg = graph.degree(min(cls.vertices))
-        if cls.closed:
+        deg = graph.degree(members[0])
+        if closed:
             key = (alpha * (deg + 1) - 1.0, "twin-closed")
         else:
             key = (alpha * deg, "twin-open")
-        merged[key] = merged.get(key, 0) + cls.size - 1
+        merged[key] = merged.get(key, 0) + len(members) - 1
     return Spectrum.from_lines([(v, m, s) for (v, s), m in merged.items()])
 
 

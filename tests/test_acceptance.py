@@ -9,8 +9,9 @@ import numpy as np
 
 from powergraph import report as report_mod
 from powergraph.cli import RunConfig, _Writer, run
+from powergraph.detour import detour_matrix
 from powergraph.graphs import complete_graph, cycle_graph, path_graph, star_graph
-from powergraph.matrices import a_alpha, detour_matrix, rd_alpha, reciprocal_transmission
+from powergraph.matrices import a_alpha, rd_alpha, reciprocal_transmission
 from powergraph.metric import metric_dimension, min_vertex_cover, mmd_graph
 from powergraph.sequences import (
     compare_groupings,

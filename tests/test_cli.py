@@ -196,3 +196,18 @@ def test_config_file_errors(tmp_path):
         parse_args(["report", "--config", str(cfg)])
     with pytest.raises(UsageError, match="not found"):
         parse_args(["report", "--config", str(tmp_path / "missing.cfg")])
+
+
+def test_metric_past_the_cover_cap_is_an_error_not_a_traceback(capsys):
+    # (3, 5) has n = 80, above the exact vertex-cover search cap of 64
+    assert main(["metric", "--k", "3", "--p", "5"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "capped at 64" in err
+
+
+def test_ingest_missing_graph_file_is_a_usage_error(tmp_path, capsys):
+    assert main(["ingest", "--graph", str(tmp_path / "missing.txt")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "missing.txt" in err
+    with pytest.raises(UsageError):
+        run(RunConfig(commands=("ingest",), graph_path=tmp_path / "missing.txt"))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from powergraph.graphs import Graph, complete_graph, cycle_graph, star_graph
-from powergraph.matrices import detour_matrix
+from powergraph.detour import detour_matrix
 from powergraph.metric import strong_metric_dimension
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from powergraph.graphs import (
     Graph,
     GraphFormatError,
+    TwinQuotient,
     build_power_graph,
     build_power_graph_from_table,
     complete_graph,
@@ -202,3 +203,23 @@ def test_twin_classes_partition_random_graphs(seed, n):
                     na = set(g.neighbors(a))
                     nb = set(g.neighbors(b))
                 assert na == nb
+
+
+@given(st.integers(0, 2**31 - 1), st.integers(2, 10))
+@settings(max_examples=40, deadline=None)
+def test_twin_quotient_is_the_graph_on_classes(seed, n):
+    rng = np.random.default_rng(seed)
+    g = Graph(n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.5:
+                g.add_edge(i, j)
+    quotient = TwinQuotient(g)
+    assert quotient.members == [sorted(cls.vertices) for cls in twin_classes(g)]
+    assert quotient.sizes == [len(m) for m in quotient.members]
+    for a in range(n):
+        for b in range(n):
+            ca, cb = quotient.class_of[a], quotient.class_of[b]
+            assert a in quotient.members[ca]
+            if a != b:
+                assert quotient.adj[ca][cb] == g.has_edge(a, b)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from powergraph.detour import DetourBudgetError
+from powergraph.detour import DetourBudgetError, detour_matrix
 from powergraph.graphs import Graph, complete_graph, path_graph
 from powergraph.matrices import (
     AlphaRangeError,
@@ -13,7 +13,6 @@ from powergraph.matrices import (
     a_alpha,
     adjacency,
     degree_diag,
-    detour_matrix,
     distance_matrix,
     laplacian,
     rd_alpha,

@@ -3,12 +3,14 @@ import pytest
 
 from powergraph.graphs import (
     Graph,
+    TwinQuotient,
     complete_graph,
     cycle_graph,
     path_graph,
     star_graph,
     twin_classes,
 )
+from powergraph.matrices import distance_matrix
 from powergraph.metric import (
     MetricSearchError,
     max_independent_set,
@@ -175,3 +177,13 @@ def test_twin_witness_matches_proof_shape(family):
     per_pair = [cls for cls in twin_classes(graph) if cls.size == 2]
     for pair in per_pair:
         assert len(witness & pair.vertices) == 1
+
+
+def test_shared_distances_and_quotient_give_the_same_answers(family):
+    _, graph, _ = family(2, 3)
+    dist = distance_matrix(graph)
+    quotient = TwinQuotient(graph)
+    assert metric_dimension(graph, dist=dist, quotient=quotient) == metric_dimension(graph)
+    assert np.array_equal(mmd_graph(graph, dist).adj, mmd_graph(graph).adj)
+    assert twin_lower_bound(graph, quotient) == twin_lower_bound(graph)
+    assert twin_witness(graph, quotient) == twin_witness(graph)

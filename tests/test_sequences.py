@@ -1,7 +1,8 @@
 import numpy as np
 
+from powergraph.detour import detour_matrix
 from powergraph.graphs import complete_graph, path_graph
-from powergraph.matrices import detour_matrix, distance_matrix
+from powergraph.matrices import distance_matrix
 from powergraph.sequences import (
     compare_groupings,
     dds,
