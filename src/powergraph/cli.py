@@ -95,15 +95,6 @@ def _read_config_file(path: Path) -> dict[str, str]:
     return values
 
 
-def _env_overrides() -> dict[str, str]:
-    out = {}
-    for key in ("k", "p", "alpha", "format", "out", "detour_budget", "tol", "seed"):
-        value = os.environ.get(ENV_PREFIX + key.upper())
-        if value is not None:
-            out[key] = value
-    return out
-
-
 # config-file and environment keys: RunConfig field and value parser
 _KEYS = {
     "k": ("k", int),
@@ -117,6 +108,13 @@ _KEYS = {
     "tol": ("tol", float),
     "seed": ("seed", int),
 }
+
+
+def _env_overrides() -> dict[str, str]:
+    """The config keys set as POWERGRAPH_<KEY> environment variables."""
+    env = {key: os.environ.get(ENV_PREFIX + key.upper()) for key in _KEYS}
+    return {key: value for key, value in env.items() if value is not None}
+
 
 # flags whose argparse name differs from their RunConfig field
 _FLAG_FIELDS = {

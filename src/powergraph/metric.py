@@ -179,8 +179,22 @@ def max_independent_set(graph: Graph, cap: int = 64) -> tuple[int, ...]:
 
 
 def min_vertex_cover(graph: Graph, cap: int = 64) -> tuple[int, tuple[int, ...]]:
-    """Exact vertex cover number with a witness (complement of a maximum independent set)."""
-    independent = set(max_independent_set(graph, cap))
+    """Exact vertex cover number with a witness (complement of a maximum independent set).
+
+    A closed twin class is a clique with one shared neighbourhood, so an
+    independent set holds at most one of its members and any one will do.  The
+    search runs on the subgraph that keeps the first member of each closed
+    class; `cap` bounds that subgraph, not the graph.
+    """
+    quotient = TwinQuotient(graph)
+    keep = sorted(
+        v
+        for members, closed in zip(quotient.members, quotient.closed)
+        for v in (members[:1] if closed else members)
+    )
+    collapsed = Graph(len(keep))
+    collapsed.adj = graph.adj[np.ix_(keep, keep)]
+    independent = {keep[v] for v in max_independent_set(collapsed, cap)}
     cover = tuple(v for v in range(graph.n) if v not in independent)
     return len(cover), cover
 

@@ -31,15 +31,13 @@ def _require_symmetric(matrix: np.ndarray) -> np.ndarray:
     return matrix
 
 
-def sym_eigenvalues(matrix: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def sym_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     """Eigenvalues of a symmetric matrix, sorted descending.
 
     Backed by LAPACK's orthogonal-similarity diagonalization (numpy eigvalsh);
     non-convergence surfaces as EigensolverError.
     """
     matrix = _require_symmetric(matrix)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     try:
         values = np.linalg.eigvalsh(matrix)
     except np.linalg.LinAlgError as exc:

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from powergraph.cli import RunConfig, UsageError, ingest_graph, main, parse_args, run, _Writer
+from powergraph.metric import MetricSearchError
 
 
 def run_collect(config):
@@ -153,6 +154,14 @@ def test_config_file_and_env_precedence(tmp_path, monkeypatch):
     assert config.p == 3  # flag beats env
 
 
+def test_env_accepts_every_config_key(monkeypatch):
+    monkeypatch.setenv("POWERGRAPH_DETOUR_ORACLE_MAX_N", "48")
+    monkeypatch.setenv("POWERGRAPH_DETOUR_TIME_BUDGET_S", "12.5")
+    config = parse_args(["report"])
+    assert config.detour_oracle_max_n == 48
+    assert config.detour_budget_s == 12.5
+
+
 def test_report_detour_budget_exhaustion_fails_cleanly():
     from powergraph.report import build_report
 
@@ -198,8 +207,15 @@ def test_config_file_errors(tmp_path):
         parse_args(["report", "--config", str(tmp_path / "missing.cfg")])
 
 
-def test_metric_past_the_cover_cap_is_an_error_not_a_traceback(capsys):
-    # (3, 5) has n = 80, above the exact vertex-cover search cap of 64
+def test_metric_past_the_cover_cap_is_an_error_not_a_traceback(capsys, monkeypatch):
+    # (3, 5) has n = 80 > 64; its strong resolving graph collapses to 4 vertices
+    assert main(["metric", "--k", "3", "--p", "5"]) == 0
+    assert "strong metric dimension 77" in capsys.readouterr().out
+
+    def refuse(graph, cap=64):
+        raise MetricSearchError(f"independent-set search capped at {cap} vertices")
+
+    monkeypatch.setattr("powergraph.metric.min_vertex_cover", refuse)
     assert main(["metric", "--k", "3", "--p", "5"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "capped at 64" in err

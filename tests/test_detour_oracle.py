@@ -5,6 +5,7 @@ import pytest
 
 from powergraph.graphs import Graph, complete_graph, cycle_graph, star_graph
 from powergraph.detour import detour_matrix
+from powergraph.sequences import family_detour_matrix
 from powergraph.metric import strong_metric_dimension
 
 
@@ -61,6 +62,35 @@ def test_detour_matches_naive_on_twin_heavy_graphs():
                     g.add_edge(a, b)
             offset += size
         assert np.array_equal(detour_matrix(g), naive_detour(g))
+
+
+def test_detour_matches_naive_on_open_twin_graphs():
+    # complete bipartite graphs and stars of stars: open classes, pairs inside one class
+    graphs = []
+    for a in range(1, 4):
+        for b in range(a, 5):
+            g = Graph(a + b)
+            for i in range(a):
+                for j in range(a, a + b):
+                    g.add_edge(i, j)
+            graphs.append(g)
+    for leaves in ([1, 2], [2, 2], [3, 1, 2], [2, 3, 3]):
+        g = Graph(1 + len(leaves) + sum(leaves))
+        nxt = 1 + len(leaves)
+        for centre, count in enumerate(leaves, start=1):
+            g.add_edge(0, centre)
+            for leaf in range(nxt, nxt + count):
+                g.add_edge(centre, leaf)
+            nxt += count
+        graphs.append(g)
+    for g in graphs:
+        assert np.array_equal(detour_matrix(g), naive_detour(g)), g.edges()
+
+
+def test_detour_matches_the_family_closed_form_at_n56(family):
+    params, graph, classes = family(2, 7)
+    predicted = family_detour_matrix(graph, classes, params)
+    assert np.array_equal(detour_matrix(graph), predicted)
 
 
 def test_detour_small_named_graphs():

@@ -187,3 +187,32 @@ def test_shared_distances_and_quotient_give_the_same_answers(family):
     assert np.array_equal(mmd_graph(graph, dist).adj, mmd_graph(graph).adj)
     assert twin_lower_bound(graph, quotient) == twin_lower_bound(graph)
     assert twin_witness(graph, quotient) == twin_witness(graph)
+
+
+def test_collapsed_cover_matches_the_plain_search_on_random_graphs():
+    # closed twins are added on purpose, so the collapse has classes to merge
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        base = int(rng.integers(1, 9))
+        g = Graph(int(rng.integers(base, 13)))
+        prob = rng.uniform(0.1, 0.9)
+        for i in range(base):
+            for j in range(i + 1, base):
+                if rng.random() < prob:
+                    g.add_edge(i, j)
+        for v in range(base, g.n):
+            twin = int(rng.integers(0, v))
+            g.adj[v, :v] = g.adj[:v, v] = g.adj[twin, :v]
+            if rng.random() < 0.7:
+                g.add_edge(v, twin)
+        size, cover = min_vertex_cover(g)
+        assert size == len(cover) == g.n - len(max_independent_set(g))
+        rest = sorted(set(range(g.n)) - set(cover))
+        assert not g.adj[np.ix_(rest, rest)].any()
+
+
+@pytest.mark.parametrize("k,p", [(3, 5), (4, 5)])
+def test_strong_metric_dimension_past_the_search_cap(family, k, p):
+    params, graph, _ = family(k, p)
+    assert graph.n > 64
+    assert strong_metric_dimension(graph) == params.order - 3

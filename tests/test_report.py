@@ -47,14 +47,14 @@ def test_cli_commands_share_one_computation(calls):
     assert calls["build_power_graph"] == 1
     assert calls["distance_matrix"] == 1
     assert calls["detour_matrix"] == 1
-    assert calls["twin_classes"] == 1
+    assert calls["twin_classes"] == 2  # the power graph and its MMD graph
 
 
 def test_report_builds_each_object_once(calls):
     payload = build_report(2, 3, (0.0, 0.25, 0.5, 0.75, 1.0))
     assert payload["passed"]
     assert calls["distance_matrix"] == 1
-    assert calls["twin_classes"] == 1
+    assert calls["twin_classes"] == 2  # the power graph and its MMD graph
     assert calls["detour_matrix"] == 1
 
 
