@@ -78,7 +78,11 @@ def ingest_graph(path: str | Path, fmt: str = "edge-list") -> Graph:
     if fmt == "edge-list":
         return Graph.from_edge_list(text)
     if fmt == "json":
-        return Graph.from_json_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise GraphFormatError(f"bad graph JSON: {exc}") from None
+        return Graph.from_json_dict(data)
     raise UsageError(f"unknown graph format {fmt!r}")
 
 

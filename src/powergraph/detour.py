@@ -17,28 +17,24 @@ from functools import lru_cache
 
 import numpy as np
 
-from .graphs import Graph, TwinQuotient
+from .graphs import Graph
 
 
 class DetourBudgetError(RuntimeError):
     """Exact search exceeded its time budget; no approximation is substituted."""
 
 
-def detour_matrix(
-    graph: Graph, time_budget_s: float = 60.0, quotient: TwinQuotient | None = None
-) -> np.ndarray:
+def detour_matrix(graph: Graph, time_budget_s: float = 60.0) -> np.ndarray:
     """All-pairs longest simple path lengths (int64); exact, never approximated.
 
     Raises DetourBudgetError when the quotient search cannot finish within
-    `time_budget_s` seconds.  `quotient` is the graph's TwinQuotient when the
-    caller already holds it.
+    `time_budget_s` seconds.
     """
     n = graph.n
     if n and not graph.is_connected():
         raise ValueError("graph is disconnected; detour distances are undefined")
     deadline = time.monotonic() + time_budget_s
-    if quotient is None:
-        quotient = TwinQuotient(graph)
+    quotient = graph.quotient
     adj, sizes = quotient.adj, quotient.sizes
     k = len(sizes)
     value = np.zeros((k, k), dtype=np.int64)

@@ -8,11 +8,14 @@ elements s r^(odd) by exponent.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .groups import GroupElement, GroupParams, cyclic_subgroup, elements
+from .matrices import distance_matrix
 
 
 class GraphFormatError(ValueError):
@@ -24,20 +27,55 @@ class ClassificationError(ValueError):
 
 
 class Graph:
-    """Simple undirected graph with opaque or group-element vertex labels."""
+    """Simple undirected graph with opaque or group-element vertex labels.
 
-    def __init__(self, n: int, labels: list | None = None):
-        self.n = n
-        self.labels = list(labels) if labels is not None else [str(i) for i in range(n)]
-        if len(self.labels) != n:
-            raise ValueError("label count does not match vertex count")
-        self.adj = np.zeros((n, n), dtype=bool)
+    A graph is a value: it is built once from a finished adjacency matrix,
+    which it copies and keeps read-only.  Its distance matrix and twin
+    quotient are computed on first use and then shared by every analysis.
+    """
 
-    def add_edge(self, i: int, j: int) -> None:
-        if i == j:
+    def __init__(self, adj, labels: list | None = None):
+        adj = np.array(adj, dtype=bool)
+        if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
+            raise ValueError(f"adjacency must be a square matrix, got shape {adj.shape}")
+        if not np.array_equal(adj, adj.T):
+            raise ValueError("adjacency must be symmetric")
+        if adj.diagonal().any():
             raise ValueError("self-loops are not allowed")
-        self.adj[i, j] = True
-        self.adj[j, i] = True
+        adj.setflags(write=False)
+        self.adj = adj
+        self.n = adj.shape[0]
+        self.labels = list(labels) if labels is not None else [str(i) for i in range(self.n)]
+        if len(self.labels) != self.n:
+            raise ValueError("label count does not match vertex count")
+
+    @classmethod
+    def from_edges(cls, n: int, edges, labels: list | None = None) -> "Graph":
+        """Graph on vertices 0 .. n-1 with the given (i, j) edges.
+
+        Raises GraphFormatError for a vertex id outside [0, n) or a self-loop,
+        and TypeError for an id that is not an integer.
+        """
+        adj = np.zeros((n, n), dtype=bool)
+        for i, j in edges:
+            i, j = operator.index(i), operator.index(j)
+            if not (0 <= i < n and 0 <= j < n):
+                raise GraphFormatError(f"edge ({i}, {j}) has a vertex id outside [0, {n})")
+            if i == j:
+                raise GraphFormatError(f"self-loop {i}")
+            adj[i, j] = adj[j, i] = True
+        return cls(adj, labels)
+
+    @cached_property
+    def dist(self) -> np.ndarray:
+        """Shortest-path distances (read-only); DisconnectedGraphError when disconnected."""
+        dist = distance_matrix(self)
+        dist.setflags(write=False)
+        return dist
+
+    @cached_property
+    def quotient(self) -> "TwinQuotient":
+        return TwinQuotient(self)
 
     def has_edge(self, i: int, j: int) -> bool:
         return bool(self.adj[i, j])
@@ -87,8 +125,8 @@ class Graph:
 
     @classmethod
     def from_edge_list(cls, text: str) -> "Graph":
+        """Parse one "i j" pair per line; the vertex count is the largest id plus one."""
         pairs = []
-        max_vertex = -1
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -97,65 +135,37 @@ class Graph:
             if len(parts) != 2:
                 raise GraphFormatError(f"line {lineno}: expected two vertex ids, got {raw!r}")
             try:
-                i, j = int(parts[0]), int(parts[1])
+                pairs.append((int(parts[0]), int(parts[1])))
             except ValueError:
                 raise GraphFormatError(f"line {lineno}: non-integer vertex id in {raw!r}") from None
-            if i < 0 or j < 0:
-                raise GraphFormatError(f"line {lineno}: negative vertex id in {raw!r}")
-            if i == j:
-                raise GraphFormatError(f"line {lineno}: self-loop {i}")
-            pairs.append((i, j))
-            max_vertex = max(max_vertex, i, j)
-        g = cls(max_vertex + 1)
-        for i, j in pairs:
-            g.add_edge(i, j)
-        return g
+        return cls.from_edges(max((max(pair) for pair in pairs), default=-1) + 1, pairs)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Graph":
         try:
-            n = int(data["n"])
-            edges = data["edges"]
+            return cls.from_edges(operator.index(data["n"]), data["edges"], data.get("labels"))
         except (KeyError, TypeError, ValueError) as exc:
             raise GraphFormatError(f"bad graph JSON: {exc}") from None
-        g = cls(n, labels=data.get("labels"))
-        for pair in edges:
-            if len(pair) != 2:
-                raise GraphFormatError(f"bad edge entry {pair!r}")
-            g.add_edge(int(pair[0]), int(pair[1]))
-        return g
 
 
 # small constructors used by the oracle corpora ------------------------
 
 
 def path_graph(n: int) -> Graph:
-    g = Graph(n)
-    for i in range(n - 1):
-        g.add_edge(i, i + 1)
-    return g
+    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle_graph(n: int) -> Graph:
-    g = path_graph(n)
-    if n > 2:
-        g.add_edge(n - 1, 0)
-    return g
+    closing = [(n - 1, 0)] if n > 2 else []
+    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)] + closing)
 
 
 def complete_graph(n: int) -> Graph:
-    g = Graph(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            g.add_edge(i, j)
-    return g
+    return Graph(~np.eye(n, dtype=bool))
 
 
 def star_graph(leaves: int) -> Graph:
-    g = Graph(leaves + 1)
-    for i in range(1, leaves + 1):
-        g.add_edge(0, i)
-    return g
+    return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
 # power graph of the family --------------------------------------------
@@ -202,12 +212,12 @@ def build_power_graph_from_table(table) -> Graph:
 def _union_of_cliques(verts: list[GroupElement], groups) -> Graph:
     """Graph on `verts` with a clique on each set of elements in `groups`."""
     index = {g: idx for idx, g in enumerate(verts)}
-    graph = Graph(len(verts), labels=verts)
+    adj = np.zeros((len(verts), len(verts)), dtype=bool)
     for group in groups:
         idxs = [index[h] for h in group]
-        graph.adj[np.ix_(idxs, idxs)] = True
-    np.fill_diagonal(graph.adj, False)
-    return graph
+        adj[np.ix_(idxs, idxs)] = True
+    np.fill_diagonal(adj, False)
+    return Graph(adj, labels=verts)
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,12 @@ symmetric by construction.  Each one is n x n, so a float64 matrix costs
 from __future__ import annotations
 
 import io
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .graphs import Graph
+if TYPE_CHECKING:
+    from .graphs import Graph
 
 
 class AlphaRangeError(ValueError):
@@ -73,25 +75,24 @@ def distance_matrix(graph: Graph) -> np.ndarray:
     return dist
 
 
-def reciprocal_distance(graph: Graph, dist: np.ndarray | None = None) -> np.ndarray:
+def reciprocal_distance(graph: Graph) -> np.ndarray:
     """Entrywise 1/d(u, v) off the diagonal, 0 on it."""
-    if dist is None:
-        dist = distance_matrix(graph)
+    dist = graph.dist
     rd = np.zeros(dist.shape, dtype=np.float64)
     off = dist > 0
     rd[off] = 1.0 / dist[off]
     return rd
 
 
-def reciprocal_transmission(graph: Graph, dist: np.ndarray | None = None) -> np.ndarray:
+def reciprocal_transmission(graph: Graph) -> np.ndarray:
     """Diagonal matrix of the reciprocal-distance row sums."""
-    return np.diag(reciprocal_distance(graph, dist).sum(axis=1))
+    return np.diag(reciprocal_distance(graph).sum(axis=1))
 
 
-def rd_alpha(graph: Graph, alpha: float, dist: np.ndarray | None = None) -> np.ndarray:
+def rd_alpha(graph: Graph, alpha: float) -> np.ndarray:
     """alpha * RT + (1 - alpha) * RD."""
     alpha = _check_alpha(alpha)
-    rd = reciprocal_distance(graph, dist)
+    rd = reciprocal_distance(graph)
     rt = np.diag(rd.sum(axis=1))
     return alpha * rt + (1.0 - alpha) * rd
 

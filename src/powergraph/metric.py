@@ -7,42 +7,40 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, TwinQuotient
-from .matrices import distance_matrix
+from .graphs import Graph
+
+# largest graph the exhaustive metric-dimension search runs on
+EXHAUSTIVE_CAP = 12
+# largest (collapsed) graph the independent-set branch and bound runs on
+SEARCH_CAP = 64
 
 
 class MetricSearchError(RuntimeError):
     """Exact search refused: instance too large and no certificate available."""
 
 
-def resolve_check(graph: Graph, subset, dist: np.ndarray | None = None) -> bool:
+def resolve_check(graph: Graph, subset) -> bool:
     """True when the distance vectors to `subset` distinguish every vertex pair."""
-    if dist is None:
-        dist = distance_matrix(graph)
     cols = sorted(subset)
     if not cols:
         return graph.n <= 1
-    vectors = dist[:, cols]
+    vectors = graph.dist[:, cols]
     return len(np.unique(vectors, axis=0)) == graph.n
 
 
-def twin_lower_bound(graph: Graph, quotient: TwinQuotient | None = None) -> int:
+def twin_lower_bound(graph: Graph) -> int:
     """Sum of (size - 1) over twin classes; a resolving set keeps all but one twin."""
-    if quotient is None:
-        quotient = TwinQuotient(graph)
-    return sum(size - 1 for size in quotient.sizes)
+    return sum(size - 1 for size in graph.quotient.sizes)
 
 
-def twin_witness(graph: Graph, quotient: TwinQuotient | None = None) -> tuple[int, ...]:
+def twin_witness(graph: Graph) -> tuple[int, ...]:
     """All-but-one vertex from every twin class (the largest index is dropped).
 
     Twins are interchangeable, so when this set resolves the graph its size
     equals the twin lower bound and the metric dimension is certified.
     """
-    if quotient is None:
-        quotient = TwinQuotient(graph)
     keep: list[int] = []
-    for members in quotient.members:
+    for members in graph.quotient.members:
         keep.extend(members[:-1])
     return tuple(sorted(keep))
 
@@ -55,12 +53,7 @@ class ResolvingReport:
     psi: int | None
 
 
-def metric_dimension(
-    graph: Graph,
-    exhaustive_cap: int = 12,
-    dist: np.ndarray | None = None,
-    quotient: TwinQuotient | None = None,
-) -> ResolvingReport:
+def metric_dimension(graph: Graph) -> ResolvingReport:
     """Exact metric dimension with a certificate.
 
     First tries the twin witness: if it resolves, bound and witness size agree
@@ -70,38 +63,33 @@ def metric_dimension(
     """
     if graph.n <= 1:
         return ResolvingReport(0, (), True, 0)
-    if dist is None:
-        dist = distance_matrix(graph)
-    if quotient is None:
-        quotient = TwinQuotient(graph)
-    bound = twin_lower_bound(graph, quotient)
-    witness = twin_witness(graph, quotient)
-    if witness and resolve_check(graph, witness, dist):
+    bound = twin_lower_bound(graph)
+    witness = twin_witness(graph)
+    if witness and resolve_check(graph, witness):
         return ResolvingReport(bound, witness, True, bound)
-    if graph.n > exhaustive_cap:
+    if graph.n > EXHAUSTIVE_CAP:
         raise MetricSearchError(
             f"twin witness does not resolve and n={graph.n} exceeds the "
-            f"exhaustive cap {exhaustive_cap}"
+            f"exhaustive cap {EXHAUSTIVE_CAP}"
         )
-    classes = [members for members in quotient.members if len(members) > 1]
+    classes = [members for members in graph.quotient.members if len(members) > 1]
     for size in range(max(bound, 1), graph.n + 1):
         for combo in itertools.combinations(range(graph.n), size):
             chosen = set(combo)
             if any(len(chosen.intersection(members)) < len(members) - 1 for members in classes):
                 continue
-            if resolve_check(graph, combo, dist):
+            if resolve_check(graph, combo):
                 return ResolvingReport(bound, combo, True, size)
     return ResolvingReport(bound, tuple(range(graph.n)), True, graph.n)
 
 
-def mmd_graph(graph: Graph, dist: np.ndarray | None = None) -> Graph:
+def mmd_graph(graph: Graph) -> Graph:
     """Strong resolving graph: edges are the mutually maximally distant pairs.
 
     u is maximally distant from v when no neighbor of u is farther from v
     than u itself.
     """
-    if dist is None:
-        dist = distance_matrix(graph)
+    dist = graph.dist
     n = graph.n
     md = np.zeros((n, n), dtype=bool)
     for u in range(n):
@@ -112,21 +100,20 @@ def mmd_graph(graph: Graph, dist: np.ndarray | None = None) -> Graph:
             # max_x in N(u) of d(v, x), as a vector over v
             farthest = dist[:, nbrs].max(axis=1)
             md[u] = farthest <= dist[u]
-    out = Graph(n, labels=graph.labels)
-    out.adj = md & md.T
-    np.fill_diagonal(out.adj, False)
-    return out
+    adj = md & md.T
+    np.fill_diagonal(adj, False)
+    return Graph(adj, labels=graph.labels)
 
 
-def max_independent_set(graph: Graph, cap: int = 64) -> tuple[int, ...]:
+def max_independent_set(graph: Graph) -> tuple[int, ...]:
     """Exact maximum independent set by branch and bound on bitsets.
 
     Runs the classic clique search on the complement with a greedy-coloring
     bound; vertex order is fixed so the witness is reproducible.
     """
     n = graph.n
-    if n > cap:
-        raise MetricSearchError(f"independent-set search capped at {cap} vertices, got {n}")
+    if n > SEARCH_CAP:
+        raise MetricSearchError(f"independent-set search capped at {SEARCH_CAP} vertices, got {n}")
     if n == 0:
         return ()
     full = (1 << n) - 1
@@ -178,28 +165,27 @@ def max_independent_set(graph: Graph, cap: int = 64) -> tuple[int, ...]:
     return tuple(sorted(best))
 
 
-def min_vertex_cover(graph: Graph, cap: int = 64) -> tuple[int, tuple[int, ...]]:
+def min_vertex_cover(graph: Graph) -> tuple[int, tuple[int, ...]]:
     """Exact vertex cover number with a witness (complement of a maximum independent set).
 
     A closed twin class is a clique with one shared neighbourhood, so an
     independent set holds at most one of its members and any one will do.  The
     search runs on the subgraph that keeps the first member of each closed
-    class; `cap` bounds that subgraph, not the graph.
+    class; `SEARCH_CAP` bounds that subgraph, not the graph.
     """
-    quotient = TwinQuotient(graph)
+    quotient = graph.quotient
     keep = sorted(
         v
         for members, closed in zip(quotient.members, quotient.closed)
         for v in (members[:1] if closed else members)
     )
-    collapsed = Graph(len(keep))
-    collapsed.adj = graph.adj[np.ix_(keep, keep)]
-    independent = {keep[v] for v in max_independent_set(collapsed, cap)}
+    collapsed = Graph(graph.adj[np.ix_(keep, keep)])
+    independent = {keep[v] for v in max_independent_set(collapsed)}
     cover = tuple(v for v in range(graph.n) if v not in independent)
     return len(cover), cover
 
 
-def strong_metric_dimension(graph: Graph, cap: int = 64) -> int:
+def strong_metric_dimension(graph: Graph) -> int:
     """Vertex cover number of the strong resolving graph."""
-    size, _ = min_vertex_cover(mmd_graph(graph), cap)
+    size, _ = min_vertex_cover(mmd_graph(graph))
     return size

@@ -20,7 +20,6 @@ from .detour import DetourBudgetError, detour_matrix
 from .graphs import (
     Graph,
     PartitionClasses,
-    TwinQuotient,
     build_power_graph,
     classify_partition,
     family_degree_multiset,
@@ -35,9 +34,10 @@ class Instance:
     """The power graph of one G(k, p) and the objects derived from it, each built at most once.
 
     `params`, `graph` and `partition` are built on construction; everything
-    else on first use.  Per-alpha matrices are dropped once their eigenvalues
-    are known, so the n x n arrays kept are the graph's adjacency, the
-    distance matrix and, when the oracle runs, the detour matrix.  Nothing is
+    else on first use.  The graph holds its own distance matrix and twin
+    quotient.  Per-alpha matrices are dropped once their eigenvalues are
+    known, so the n x n arrays kept are the graph's adjacency and distances
+    and, when the oracle runs, the detour matrix.  Nothing is
     cached across instances: the object lives as long as its caller keeps it.
     """
 
@@ -51,14 +51,6 @@ class Instance:
         self.partition = classify_partition(self.graph, params)
         self._spectra: dict[tuple[str, float], tuple[spectra.Spectrum, np.ndarray]] = {}
 
-    @cached_property
-    def quotient(self) -> TwinQuotient:
-        return TwinQuotient(self.graph)
-
-    @cached_property
-    def dist(self) -> np.ndarray:
-        return matrices.distance_matrix(self.graph)
-
     def spectrum(self, kind: str, alpha: float) -> tuple[spectra.Spectrum, np.ndarray]:
         """(closed form, numeric eigenvalues descending) of A_alpha or RD_alpha."""
         key = (kind, alpha)
@@ -68,18 +60,18 @@ class Instance:
                 full = matrices.a_alpha(self.graph, alpha)
             else:
                 closed = spectra.rd_alpha_closed_form(self.params, alpha)
-                full = matrices.rd_alpha(self.graph, alpha, self.dist)
+                full = matrices.rd_alpha(self.graph, alpha)
             self._spectra[key] = closed, spectra.sym_eigenvalues(full)
         return self._spectra[key]
 
     @cached_property
     def resolving(self) -> metric.ResolvingReport:
-        return metric.metric_dimension(self.graph, dist=self.dist, quotient=self.quotient)
+        return metric.metric_dimension(self.graph)
 
     @cached_property
     def gsr(self) -> Graph:
         """Strong resolving (MMD) graph."""
-        return metric.mmd_graph(self.graph, self.dist)
+        return metric.mmd_graph(self.graph)
 
     @cached_property
     def cover(self) -> tuple[int, tuple[int, ...]]:
@@ -88,7 +80,7 @@ class Instance:
 
     @cached_property
     def dds(self) -> sequences.DegreeSequenceTable:
-        return sequences.dds(self.graph, self.dist)
+        return sequences.dds(self.graph)
 
     @cached_property
     def detour_search(self) -> tuple[np.ndarray | None, DetourBudgetError | None]:
@@ -101,7 +93,7 @@ class Instance:
         if self.graph.n > self.detour_oracle_max_n:
             return None, None
         try:
-            return detour_matrix(self.graph, self.detour_budget_s, self.quotient), None
+            return detour_matrix(self.graph, self.detour_budget_s), None
         except DetourBudgetError as exc:
             return None, exc.with_traceback(None)  # keep no search frames alive
 
@@ -181,7 +173,7 @@ def check_twin_eigenvalues(inst: Instance, alphas, tol: float) -> dict:
     for alpha in alphas:
         _, numeric = inst.spectrum("adjacency", alpha)
         present = True
-        for line in spectra.twin_eigenvalues(inst.graph, alpha, inst.quotient).lines:
+        for line in spectra.twin_eigenvalues(inst.graph, alpha).lines:
             hits = int(np.sum(np.abs(numeric - line.value) <= max(tol, 1e-9)))
             if hits < line.multiplicity:
                 present = False
@@ -216,7 +208,7 @@ def check_spectrum_family(
         payloads.append(spectrum_payload(inst.params, alpha, closed, numeric))
     details = {"per_alpha": per_alpha}
     if kind == "reciprocal":
-        rt = np.sort(matrices.reciprocal_distance(inst.graph, inst.dist).sum(axis=1))[::-1]
+        rt = np.sort(matrices.reciprocal_distance(inst.graph).sum(axis=1))[::-1]
         at_one = spectra.rd_alpha_closed_form(inst.params, 1.0).values()
         rt_deviation = float(np.abs(at_one - rt).max())
         details["alpha_one_equals_transmissions"] = rt_deviation == 0.0

@@ -13,16 +13,11 @@ import numpy as np
 
 from .graphs import Graph, PartitionClasses
 from .groups import GroupParams
-from .matrices import distance_matrix
 
 
-def eccentricity_profile(
-    graph: Graph, dist: np.ndarray | None = None
-) -> tuple[np.ndarray, int, int]:
+def eccentricity_profile(graph: Graph) -> tuple[np.ndarray, int, int]:
     """(per-vertex eccentricity, radius, diameter) from shortest-path distances."""
-    if dist is None:
-        dist = distance_matrix(graph)
-    ecc = dist.max(axis=1)
+    ecc = graph.dist.max(axis=1)
     return ecc, int(ecc.min()), int(ecc.max())
 
 
@@ -65,11 +60,9 @@ class DegreeSequenceTable:
         return cls(tuple(rows), groups)
 
 
-def dds(graph: Graph, dist: np.ndarray | None = None) -> DegreeSequenceTable:
+def dds(graph: Graph) -> DegreeSequenceTable:
     """Distance degree sequences; every row sums to n and starts with 1."""
-    if dist is None:
-        dist = distance_matrix(graph)
-    return DegreeSequenceTable.from_distances(dist)
+    return DegreeSequenceTable.from_distances(graph.dist)
 
 
 def dds_detour(detour: np.ndarray) -> DegreeSequenceTable:

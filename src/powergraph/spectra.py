@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, TwinQuotient
+from .graphs import Graph
 from .groups import GroupParams
 
 
@@ -147,18 +147,14 @@ def compare_spectra(a: Spectrum, b: Spectrum, tol: float) -> SpectrumMatch:
     return SpectrumMatch(True, deviation, ok, message)
 
 
-def twin_eigenvalues(
-    graph: Graph, alpha: float, quotient: TwinQuotient | None = None
-) -> Spectrum:
+def twin_eigenvalues(graph: Graph, alpha: float) -> Spectrum:
     """Eigenvalues forced by twin classes.
 
     An open class of size l+1 contributes alpha*deg with multiplicity l; a
     closed class contributes alpha*(deg+1) - 1 with multiplicity l.
     """
-    if quotient is None:
-        quotient = TwinQuotient(graph)
     merged: dict[tuple[float, str], int] = {}
-    for members, closed in zip(quotient.members, quotient.closed):
+    for members, closed in zip(graph.quotient.members, graph.quotient.closed):
         if len(members) < 2:
             continue
         deg = graph.degree(members[0])

@@ -141,6 +141,28 @@ def test_ingest_command_and_errors(tmp_path, capsys):
     assert main(["ingest"]) == 2  # --graph required
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n": 3, "edges": [[0, 0]]}',
+        '{"n": 3, "edges": [[0, 9]]}',
+        '{"n": 3, "edges": [[-1, 0]]}',
+        '{"n": 3, "edges": [[0.5, 2]]}',
+        '{"n": 3, "labels": ["a", "b"], "edges": [[0, 1]]}',
+        "not json",
+    ],
+    ids=["self-loop", "id-out-of-range", "negative-id", "non-integer-id", "label-count", "not-json"],
+)
+def test_malformed_json_graph_is_a_usage_error(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["ingest", "--graph", str(path), "--graph-format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
 def test_config_file_and_env_precedence(tmp_path, monkeypatch):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("k=3\np=3\nalpha=0.25,0.75\nseed=9\n", encoding="utf-8")
@@ -212,8 +234,8 @@ def test_metric_past_the_cover_cap_is_an_error_not_a_traceback(capsys, monkeypat
     assert main(["metric", "--k", "3", "--p", "5"]) == 0
     assert "strong metric dimension 77" in capsys.readouterr().out
 
-    def refuse(graph, cap=64):
-        raise MetricSearchError(f"independent-set search capped at {cap} vertices")
+    def refuse(graph):
+        raise MetricSearchError("independent-set search capped at 64 vertices")
 
     monkeypatch.setattr("powergraph.metric.min_vertex_cover", refuse)
     assert main(["metric", "--k", "3", "--p", "5"]) == 1

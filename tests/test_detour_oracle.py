@@ -29,12 +29,9 @@ def naive_detour(graph: Graph) -> np.ndarray:
 
 def random_connected_graph(rng: np.random.Generator, n: int) -> Graph:
     while True:
-        g = Graph(n)
         prob = rng.uniform(0.25, 0.8)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rng.random() < prob:
-                    g.add_edge(i, j)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        g = Graph.from_edges(n, [pair for pair in pairs if rng.random() < prob])
         if g.is_connected():
             return g
 
@@ -52,15 +49,15 @@ def test_detour_matches_naive_on_twin_heavy_graphs():
     rng = np.random.default_rng(7)
     for _ in range(10):
         sizes = [int(rng.integers(1, 4)) for _ in range(3)]
-        g = Graph(1 + sum(sizes))
+        edges = []
         offset = 1
         for size in sizes:
             block = list(range(offset, offset + size))
             for a_pos, a in enumerate(block):
-                g.add_edge(0, a)
-                for b in block[a_pos + 1 :]:
-                    g.add_edge(a, b)
+                edges.append((0, a))
+                edges.extend((a, b) for b in block[a_pos + 1 :])
             offset += size
+        g = Graph.from_edges(1 + sum(sizes), edges)
         assert np.array_equal(detour_matrix(g), naive_detour(g))
 
 
@@ -69,20 +66,16 @@ def test_detour_matches_naive_on_open_twin_graphs():
     graphs = []
     for a in range(1, 4):
         for b in range(a, 5):
-            g = Graph(a + b)
-            for i in range(a):
-                for j in range(a, a + b):
-                    g.add_edge(i, j)
-            graphs.append(g)
+            edges = [(i, j) for i in range(a) for j in range(a, a + b)]
+            graphs.append(Graph.from_edges(a + b, edges))
     for leaves in ([1, 2], [2, 2], [3, 1, 2], [2, 3, 3]):
-        g = Graph(1 + len(leaves) + sum(leaves))
+        edges = []
         nxt = 1 + len(leaves)
         for centre, count in enumerate(leaves, start=1):
-            g.add_edge(0, centre)
-            for leaf in range(nxt, nxt + count):
-                g.add_edge(centre, leaf)
+            edges.append((0, centre))
+            edges.extend((centre, leaf) for leaf in range(nxt, nxt + count))
             nxt += count
-        graphs.append(g)
+        graphs.append(Graph.from_edges(nxt, edges))
     for g in graphs:
         assert np.array_equal(detour_matrix(g), naive_detour(g)), g.edges()
 

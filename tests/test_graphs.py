@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,7 +19,13 @@ from powergraph.graphs import (
     twin_classes,
     verify_decomposition,
 )
-from powergraph.groups import CayleyTable, GroupElement
+from powergraph import graphs
+from powergraph.detour import detour_matrix
+from powergraph.groups import CayleyTable, GroupElement, GroupParams
+from powergraph.matrices import rd_alpha
+from powergraph.metric import metric_dimension, mmd_graph
+from powergraph.sequences import dds
+from powergraph.spectra import twin_eigenvalues
 
 
 def test_degrees_at_2_3(family):
@@ -100,10 +107,8 @@ def test_decomposition_verifies(family):
 
 def test_decomposition_reports_violations(family):
     params, graph, classes = family(2, 3)
-    broken = build_power_graph(params)
-    some_edge = broken.edges()[0]
-    broken.adj[some_edge[0], some_edge[1]] = False
-    broken.adj[some_edge[1], some_edge[0]] = False
+    some_edge = graph.edges()[0]
+    broken = Graph.from_edges(graph.n, graph.edges()[1:], labels=graph.labels)
     report = verify_decomposition(broken, classes, params)
     assert not report.ok
     assert report.missing_edges == [some_edge]
@@ -172,6 +177,67 @@ def test_edge_list_parse_errors():
         Graph.from_edge_list("2 2\n")
 
 
+def test_graph_computes_distances_and_quotient_once(monkeypatch):
+    params = GroupParams(2, 3)
+    graph = build_power_graph(params)
+    calls = Counter()
+    for name in ("distance_matrix", "twin_classes"):
+        original = getattr(graphs, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(graphs, name, counted)
+    metric_dimension(graph)
+    mmd_graph(graph)
+    dds(graph)
+    rd_alpha(graph, 0.5)
+    twin_eigenvalues(graph, 0.5)
+    detour_matrix(graph)
+    assert graph.dist is graph.dist and graph.quotient is graph.quotient
+    assert calls == {"distance_matrix": 1, "twin_classes": 1}
+
+
+def test_graph_arrays_are_read_only(family):
+    _, graph, _ = family(2, 3)
+    with pytest.raises(ValueError, match="read-only"):
+        graph.adj[0, 1] = False
+    with pytest.raises(ValueError, match="read-only"):
+        graph.dist[0, 1] = 5
+    assert graph.has_edge(0, 1)
+
+
+def test_constructor_copies_the_adjacency():
+    adj = np.zeros((2, 2), dtype=bool)
+    graph = Graph(adj)
+    adj[0, 1] = adj[1, 0] = True
+    assert graph.edge_count() == 0
+
+
+@pytest.mark.parametrize(
+    "adj, message",
+    [
+        (np.zeros((2, 3)), "square"),
+        (np.zeros(4), "square"),
+        ([[0, 1], [0, 0]], "symmetric"),
+        ([[1, 0], [0, 0]], "self-loop"),
+    ],
+)
+def test_constructor_rejects_bad_adjacency(adj, message):
+    with pytest.raises(ValueError, match=message):
+        Graph(adj)
+
+
+@pytest.mark.parametrize(
+    "n, edges, message",
+    [(3, [(0, 3)], "outside"), (3, [(-1, 0)], "outside"), (3, [(1, 1)], "self-loop")],
+)
+def test_from_edges_rejects_bad_edges(n, edges, message):
+    with pytest.raises(GraphFormatError, match=message):
+        Graph.from_edges(n, edges)
+
+
 def test_small_constructors():
     assert complete_graph(4).edge_count() == 6
     assert star_graph(5).degree(0) == 5
@@ -182,11 +248,8 @@ def test_small_constructors():
 @settings(max_examples=40, deadline=None)
 def test_twin_classes_partition_random_graphs(seed, n):
     rng = np.random.default_rng(seed)
-    g = Graph(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < 0.5:
-                g.add_edge(i, j)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    g = Graph.from_edges(n, [pair for pair in pairs if rng.random() < 0.5])
     classes = twin_classes(g)
     # a partition of V into pure open/closed classes
     assert sum(cls.size for cls in classes) == n
@@ -209,11 +272,8 @@ def test_twin_classes_partition_random_graphs(seed, n):
 @settings(max_examples=40, deadline=None)
 def test_twin_quotient_is_the_graph_on_classes(seed, n):
     rng = np.random.default_rng(seed)
-    g = Graph(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < 0.5:
-                g.add_edge(i, j)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    g = Graph.from_edges(n, [pair for pair in pairs if rng.random() < 0.5])
     quotient = TwinQuotient(g)
     assert quotient.members == [sorted(cls.vertices) for cls in twin_classes(g)]
     assert quotient.sizes == [len(m) for m in quotient.members]

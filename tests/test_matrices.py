@@ -33,7 +33,7 @@ def test_k2_basics():
 
 
 def test_single_vertex():
-    g = Graph(1)
+    g = Graph(np.zeros((1, 1)))
     assert np.array_equal(adjacency(g), [[0.0]])
 
 
@@ -112,8 +112,7 @@ def test_triangle_inequality_exhaustive(family):
 
 
 def test_disconnected_rejected():
-    g = Graph(3)
-    g.add_edge(0, 1)
+    g = Graph.from_edges(3, [(0, 1)])
     with pytest.raises(DisconnectedGraphError):
         distance_matrix(g)
 
@@ -203,9 +202,6 @@ def test_matrix_exports():
 def test_detour_budget_error():
     # twinless circulant: the quotient search degenerates to plain DFS
     n = 40
-    g = Graph(n)
-    for i in range(n):
-        for step in (1, 3, 7):
-            g.add_edge(i, (i + step) % n)
+    g = Graph.from_edges(n, [(i, (i + step) % n) for i in range(n) for step in (1, 3, 7)])
     with pytest.raises(DetourBudgetError):
         detour_matrix(g, time_budget_s=0.05)

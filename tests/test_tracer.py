@@ -1,0 +1,24 @@
+"""The benchmark's per-layer tracer still finds every function it wraps."""
+
+import importlib
+
+import pytest
+
+from perfbench.spans import TRACED, Tracer
+from powergraph import cli, graphs, report  # noqa: F401  (the tracer needs every traced module)
+from powergraph.groups import GroupParams
+
+
+@pytest.mark.parametrize(
+    "module, name", [(module, name) for module, names in TRACED.items() for name in names]
+)
+def test_traced_function_exists(module, name):
+    assert callable(getattr(importlib.import_module(f"powergraph.{module}"), name, None))
+
+
+def test_tracer_sees_the_graphs_own_distances_and_quotient():
+    with Tracer() as tracer:
+        graph = graphs.build_power_graph(GroupParams(2, 3))
+        graph.dist, graph.quotient
+    names = [span.name for span in tracer.spans]
+    assert names == ["graphs.build_power_graph", "matrices.distance_matrix", "graphs.twin_classes"]
