@@ -14,8 +14,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .groups import GroupElement, GroupParams, cyclic_subgroup, elements
+from .groups import GroupElement, GroupParams, cyclic_subgroup
 from .matrices import distance_matrix
+
+# largest vertex count an ingested graph (edge list or JSON) may declare: its
+# adjacency and distances are dense n x n arrays, allocated after this check
+MAX_VERTICES = 8192
 
 
 class GraphFormatError(ValueError):
@@ -53,9 +57,12 @@ class Graph:
     def from_edges(cls, n: int, edges, labels: list | None = None) -> "Graph":
         """Graph on vertices 0 .. n-1 with the given (i, j) edges.
 
-        Raises GraphFormatError for a vertex id outside [0, n) or a self-loop,
-        and TypeError for an id that is not an integer.
+        Raises GraphFormatError for n above MAX_VERTICES (before anything is
+        allocated), a vertex id outside [0, n) or a self-loop, and TypeError
+        for an id that is not an integer.
         """
+        if n > MAX_VERTICES:
+            raise GraphFormatError(f"{n} vertices exceed the limit of {MAX_VERTICES}")
         adj = np.zeros((n, n), dtype=bool)
         for i, j in edges:
             i, j = operator.index(i), operator.index(j)
@@ -191,7 +198,13 @@ def build_power_graph(params: GroupParams) -> Graph:
     r^3 are powers of r but not of each other.)
     """
     verts = family_vertex_order(params)
-    return _union_of_cliques(verts, (cyclic_subgroup(g, params) for g in verts))
+    # every power of a rotation is a rotation, so <r> holds the cyclic subgroup
+    # of every rotation; each reflection adds its own (order 2 or 4) subgroup,
+    # which an order-4 element shares with its inverse x^3
+    reflections = verts[params.rotation_order :]
+    groups = {cyclic_subgroup(g, params) for g in reflections}
+    groups.add(cyclic_subgroup(GroupElement(0, 1), params))
+    return _union_of_cliques(verts, groups)
 
 
 def build_power_graph_from_table(table) -> Graph:

@@ -87,19 +87,19 @@ def mmd_graph(graph: Graph) -> Graph:
     """Strong resolving graph: edges are the mutually maximally distant pairs.
 
     u is maximally distant from v when no neighbor of u is farther from v
-    than u itself.
+    than u itself (so an isolated u is maximally distant from every v).  With
+    F_t = (dist >= t), the neighbors of u at distance >= t from v number
+    `(adj @ F_t)[u, v]`, so one n x n product per distance level t = d(u, v) + 1
+    finds every pair with a farther neighbor.
     """
     dist = graph.dist
     n = graph.n
-    md = np.zeros((n, n), dtype=bool)
-    for u in range(n):
-        nbrs = np.nonzero(graph.adj[u])[0]
-        if nbrs.size == 0:
-            md[u, :] = True
-        else:
-            # max_x in N(u) of d(v, x), as a vector over v
-            farthest = dist[:, nbrs].max(axis=1)
-            md[u] = farthest <= dist[u]
+    nbrs = graph.adj.astype(np.float32)
+    farther = np.zeros((n, n), dtype=bool)
+    for t in range(1, int(dist.max(initial=0)) + 1):
+        level = dist == t - 1
+        farther[level] = (nbrs @ (dist >= t).astype(np.float32) > 0)[level]
+    md = ~farther
     adj = md & md.T
     np.fill_diagonal(adj, False)
     return Graph(adj, labels=graph.labels)

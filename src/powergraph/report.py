@@ -254,18 +254,22 @@ def check_block_reduction(seed: int, cases: int = 100, tol: float = 1e-9) -> dic
 def check_metric(inst: Instance) -> list[dict]:
     quarter = inst.params.rotation_order // 4
     expected_psi = 7 * quarter - 4
-    psi_report = inst.resolving
     expected_sdim = inst.params.order - 3
-    checks = [
-        _check(
-            "metric_dimension",
-            psi_report.resolved and psi_report.psi == expected_psi,
-            psi=psi_report.psi,
-            expected=expected_psi,
-            lower_bound=psi_report.lower_bound,
-            witness_size=len(psi_report.witness),
-        )
-    ]
+    try:
+        psi_report = inst.resolving
+    except metric.MetricSearchError as exc:
+        checks = [_check("metric_dimension", False, expected=expected_psi, error=str(exc))]
+    else:
+        checks = [
+            _check(
+                "metric_dimension",
+                psi_report.resolved and psi_report.psi == expected_psi,
+                psi=psi_report.psi,
+                expected=expected_psi,
+                lower_bound=psi_report.lower_bound,
+                witness_size=len(psi_report.witness),
+            )
+        ]
     try:
         cover_size, cover = inst.cover
     except metric.MetricSearchError as exc:

@@ -1,10 +1,15 @@
 import io
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import powergraph
 from powergraph.cli import RunConfig, UsageError, ingest_graph, main, parse_args, run, _Writer
 from powergraph.metric import MetricSearchError
+from powergraph.report import build_report
 
 
 def run_collect(config):
@@ -150,8 +155,17 @@ def test_ingest_command_and_errors(tmp_path, capsys):
         '{"n": 3, "edges": [[0.5, 2]]}',
         '{"n": 3, "labels": ["a", "b"], "edges": [[0, 1]]}',
         "not json",
+        '{"n": 100000, "edges": [[0, 1]]}',
     ],
-    ids=["self-loop", "id-out-of-range", "negative-id", "non-integer-id", "label-count", "not-json"],
+    ids=[
+        "self-loop",
+        "id-out-of-range",
+        "negative-id",
+        "non-integer-id",
+        "label-count",
+        "not-json",
+        "too-many-vertices",
+    ],
 )
 def test_malformed_json_graph_is_a_usage_error(tmp_path, capsys, text):
     path = tmp_path / "bad.json"
@@ -161,6 +175,38 @@ def test_malformed_json_graph_is_a_usage_error(tmp_path, capsys, text):
     assert captured.out == ""
     assert captured.err.startswith("usage error: ") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+_INGEST_PEAK_RSS = (
+    "import resource, sys\n"
+    "from powergraph.cli import main\n"
+    "code = main(['ingest', '--graph', sys.argv[1]])\n"
+    "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+)
+
+
+def test_oversized_edge_list_is_refused_before_allocating(tmp_path):
+    src = str(Path(powergraph.__file__).resolve().parents[1])
+
+    def ingest(text):
+        path = tmp_path / "graph.txt"
+        path.write_text(text, encoding="utf-8")
+        done = subprocess.run(
+            [sys.executable, "-c", _INGEST_PEAK_RSS, str(path)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+        )
+        code, peak_kib = map(int, done.stdout.split()[-2:])
+        return code, peak_kib, done.stderr
+
+    small_code, small_peak, _ = ingest("0 1\n")
+    code, peak, err = ingest("0 100000\n")
+    assert small_code == 0 and code == 2
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert "Traceback" not in err and "8192" in err
+    assert peak - small_peak < 4 * 1024  # ru_maxrss is in KiB on Linux
 
 
 def test_config_file_and_env_precedence(tmp_path, monkeypatch):
@@ -241,6 +287,21 @@ def test_metric_past_the_cover_cap_is_an_error_not_a_traceback(capsys, monkeypat
     assert main(["metric", "--k", "3", "--p", "5"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "capped at 64" in err
+
+
+def test_metric_dimension_search_error_is_a_fail_not_a_traceback(capsys, monkeypatch):
+    def refuse(graph):
+        raise MetricSearchError("twin witness does not resolve and n=24 exceeds the exhaustive cap 12")
+
+    monkeypatch.setattr("powergraph.metric.metric_dimension", refuse)
+    payload = build_report(2, 3, (0.5,))
+    check = next(c for c in payload["checks"] if c["name"] == "metric_dimension")
+    assert not check["passed"] and "exhaustive cap" in check["details"]["error"]
+    assert not payload["passed"]
+    assert main(["report", "--k", "2", "--p", "3", "--alpha", "0.5"]) == 1
+    captured = capsys.readouterr()
+    assert "FAIL metric_dimension" in captured.out
+    assert "Traceback" not in captured.err
 
 
 def test_ingest_missing_graph_file_is_a_usage_error(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import RewritingProducts
 from powergraph.graphs import (
     Graph,
     GraphFormatError,
@@ -151,6 +152,14 @@ def test_cayley_table_construction_agrees(family):
     table = CayleyTable(params)
     other = build_power_graph_from_table(table)
     assert np.array_equal(graph.adj, other.adj)
+
+
+@pytest.mark.parametrize("k,p", [(2, 3), (2, 5), (3, 3), (4, 5), (4, 7), (5, 5)])
+def test_build_matches_the_word_rewriting_reference(family, k, p):
+    params, graph, _ = family(k, p)
+    other = build_power_graph_from_table(RewritingProducts(params))
+    assert np.array_equal(graph.adj, other.adj)
+    assert graph.labels == other.labels
 
 
 def test_edge_list_round_trip():

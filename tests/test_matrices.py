@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import bfs_distance_matrix, random_graphs
 from powergraph.detour import DetourBudgetError, detour_matrix
-from powergraph.graphs import Graph, complete_graph, path_graph
+from powergraph.graphs import Graph, complete_graph, cycle_graph, path_graph
 from powergraph.matrices import (
     AlphaRangeError,
     DisconnectedGraphError,
@@ -115,6 +116,38 @@ def test_disconnected_rejected():
     g = Graph.from_edges(3, [(0, 1)])
     with pytest.raises(DisconnectedGraphError):
         distance_matrix(g)
+
+
+def test_distance_matrix_matches_the_bfs_oracle_on_random_graphs():
+    disconnected = 0
+    for graph in random_graphs(seed=6, count=300):
+        try:
+            expected = bfs_distance_matrix(graph)
+        except DisconnectedGraphError:
+            disconnected += 1
+            with pytest.raises(DisconnectedGraphError, match="graph is disconnected"):
+                distance_matrix(graph)
+            continue
+        dist = distance_matrix(graph)
+        assert dist.dtype == np.int64
+        assert np.array_equal(dist, expected)
+    assert 50 < disconnected < 250  # the corpus has both kinds
+
+
+@pytest.mark.parametrize("k,p", [(2, 3), (3, 3), (2, 5), (4, 5), (5, 5)])
+def test_distance_matrix_matches_the_bfs_oracle_on_the_family(family, k, p):
+    _, graph, _ = family(k, p)
+    dist = distance_matrix(graph)
+    assert dist.dtype == np.int64
+    assert np.array_equal(dist, bfs_distance_matrix(graph))
+
+
+@pytest.mark.parametrize("make", [path_graph, cycle_graph])
+def test_distance_matrix_on_long_diameters(make):
+    graph = make(50)
+    dist = distance_matrix(graph)
+    assert dist.max() == (49 if make is path_graph else 25)
+    assert np.array_equal(dist, bfs_distance_matrix(graph))
 
 
 def test_reciprocal_transmissions_at_2_3(family):

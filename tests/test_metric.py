@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import mmd_graph_loop, random_graphs
 from powergraph.graphs import (
     Graph,
     complete_graph,
@@ -88,6 +89,21 @@ def test_mmd_complete():
 def test_mmd_path():
     gsr = mmd_graph(path_graph(3))
     assert gsr.edges() == [(0, 2)]
+
+
+def test_mmd_graph_matches_the_loop_oracle_on_random_graphs():
+    connected = [graph for graph in random_graphs(seed=7, count=300) if graph.is_connected()]
+    assert len(connected) > 100
+    for graph in connected:
+        assert np.array_equal(mmd_graph(graph).adj, mmd_graph_loop(graph).adj)
+
+
+@pytest.mark.parametrize("k,p", [(2, 3), (3, 3), (2, 5), (4, 5), (5, 5)])
+def test_mmd_graph_matches_the_loop_oracle_on_the_family(family, k, p):
+    _, graph, _ = family(k, p)
+    gsr = mmd_graph(graph)
+    assert np.array_equal(gsr.adj, mmd_graph_loop(graph).adj)
+    assert gsr.labels == graph.labels
 
 
 def test_mmd_family_structure(family):
