@@ -73,7 +73,7 @@ def ingest_graph(path: str | Path, fmt: str = "edge-list") -> Graph:
     """Load an external graph as edge-list text or canonical JSON."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read graph file: {exc}") from None
     if fmt == "edge-list":
         return Graph.from_edge_list(text)
@@ -87,15 +87,22 @@ def ingest_graph(path: str | Path, fmt: str = "edge-list") -> Graph:
 
 
 def _read_config_file(path: Path) -> dict[str, str]:
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read config file: {exc}") from None
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in _KEYS:
+            raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+        values[key] = value.strip()
     return values
 
 
@@ -184,8 +191,11 @@ class _Writer:
     def emit(self, name: str, content: str) -> None:
         self.artifacts[name] = content
         if self.out_dir is not None:
-            self.out_dir.mkdir(parents=True, exist_ok=True)
-            (self.out_dir / name).write_text(content, encoding="utf-8")
+            try:
+                self.out_dir.mkdir(parents=True, exist_ok=True)
+                (self.out_dir / name).write_text(content, encoding="utf-8")
+            except OSError as exc:
+                raise UsageError(f"cannot write output: {exc}") from None
 
 
 def _dump(payload: dict) -> str:
@@ -297,7 +307,7 @@ def run(config: RunConfig, writer: _Writer | None = None, out=None) -> int:
         }
         detour = inst.detour
         if detour is not None:
-            dtable = sequences.dds_detour(detour)
+            dtable = sequences.DegreeSequenceTable.from_distances(detour)
             payload["dds_detour"] = dtable.to_json_dict()
             payload["printed_detour_comparison"] = sequences.compare_groupings(
                 dtable.groups, sequences.family_dds_detour_groups(inst.params)

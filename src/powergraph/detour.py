@@ -28,11 +28,9 @@ def detour_matrix(graph: Graph, time_budget_s: float = 60.0) -> np.ndarray:
     """All-pairs longest simple path lengths (int64); exact, never approximated.
 
     Raises DetourBudgetError when the quotient search cannot finish within
-    `time_budget_s` seconds.
+    `time_budget_s` seconds, and ValueError when some pair has no path (the
+    search marks it -1).
     """
-    n = graph.n
-    if n and not graph.is_connected():
-        raise ValueError("graph is disconnected; detour distances are undefined")
     deadline = time.monotonic() + time_budget_s
     quotient = graph.quotient
     adj, sizes = quotient.adj, quotient.sizes
@@ -66,4 +64,6 @@ def detour_matrix(graph: Graph, time_budget_s: float = 60.0) -> np.ndarray:
                 value[source, target] = best(source, tuple(counts))
     out = value[np.ix_(quotient.class_of, quotient.class_of)]
     np.fill_diagonal(out, 0)
+    if (out < 0).any():
+        raise ValueError("graph is disconnected; detour distances are undefined")
     return out

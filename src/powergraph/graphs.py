@@ -9,7 +9,7 @@ elements s r^(odd) by exponent.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -104,19 +104,6 @@ class Graph:
     def neighbors(self, i: int) -> list[int]:
         return np.nonzero(self.adj[i])[0].tolist()
 
-    def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
-        seen = np.zeros(self.n, dtype=bool)
-        stack = [0]
-        seen[0] = True
-        while stack:
-            v = stack.pop()
-            for w in np.nonzero(self.adj[v] & ~seen)[0]:
-                seen[w] = True
-                stack.append(int(w))
-        return bool(seen.all())
-
     # serialization ----------------------------------------------------
 
     def to_edge_list(self) -> str:
@@ -155,26 +142,6 @@ class Graph:
             raise GraphFormatError(f"bad graph JSON: {exc}") from None
 
 
-# small constructors used by the oracle corpora ------------------------
-
-
-def path_graph(n: int) -> Graph:
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def cycle_graph(n: int) -> Graph:
-    closing = [(n - 1, 0)] if n > 2 else []
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)] + closing)
-
-
-def complete_graph(n: int) -> Graph:
-    return Graph(~np.eye(n, dtype=bool))
-
-
-def star_graph(leaves: int) -> Graph:
-    return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
-
-
 # power graph of the family --------------------------------------------
 
 
@@ -205,21 +172,6 @@ def build_power_graph(params: GroupParams) -> Graph:
     groups = {cyclic_subgroup(g, params) for g in reflections}
     groups.add(cyclic_subgroup(GroupElement(0, 1), params))
     return _union_of_cliques(verts, groups)
-
-
-def build_power_graph_from_table(table) -> Graph:
-    """Same construction driven by a CayleyTable oracle instead of multiply()."""
-    identity = GroupElement(0, 0)
-
-    def generated(g: GroupElement) -> set[GroupElement]:
-        members, current = {identity}, g
-        while current != identity:
-            members.add(current)
-            current = table.mul(current, g)
-        return members
-
-    verts = family_vertex_order(table.params)
-    return _union_of_cliques(verts, map(generated, verts))
 
 
 def _union_of_cliques(verts: list[GroupElement], groups) -> Graph:
@@ -283,25 +235,14 @@ def classify_partition(graph: Graph, params: GroupParams) -> PartitionClasses:
     )
 
 
-@dataclass(frozen=True)
-class TwinClass:
-    """Maximal set of mutually twin vertices; closed twins are pairwise adjacent."""
-
-    vertices: frozenset[int]
-    closed: bool
-
-    @property
-    def size(self) -> int:
-        return len(self.vertices)
-
-
-def twin_classes(graph: Graph) -> list[TwinClass]:
+def twin_classes(graph: Graph) -> list[tuple[list[int], bool]]:
     """Partition V into maximal twin classes (singletons included).
 
     Vertices are twins when N(u) = N(v) (open, necessarily non-adjacent) or
     N[u] = N[v] (closed, necessarily adjacent).  A class cannot mix the two
     kinds, so grouping by the open and closed neighborhood fingerprints
-    separately yields the partition.
+    separately yields the partition.  Returns (sorted members, closed) pairs
+    ordered by smallest member; a singleton counts as open.
     """
     open_groups: dict[bytes, list[int]] = {}
     closed_groups: dict[bytes, list[int]] = {}
@@ -310,20 +251,11 @@ def twin_classes(graph: Graph) -> list[TwinClass]:
         open_groups.setdefault(row.tobytes(), []).append(v)
         row[v] = True
         closed_groups.setdefault(row.tobytes(), []).append(v)
-    classes: list[TwinClass] = []
-    placed = set()
-    for members in open_groups.values():
-        if len(members) > 1:
-            classes.append(TwinClass(frozenset(members), closed=False))
-            placed.update(members)
-    for members in closed_groups.values():
-        if len(members) > 1:
-            classes.append(TwinClass(frozenset(members), closed=True))
-            placed.update(members)
-    for v in range(graph.n):
-        if v not in placed:
-            classes.append(TwinClass(frozenset([v]), closed=False))
-    classes.sort(key=lambda c: min(c.vertices))
+    classes = [(members, False) for members in open_groups.values() if len(members) > 1]
+    classes += [(members, True) for members in closed_groups.values() if len(members) > 1]
+    placed = {v for members, _ in classes for v in members}
+    classes += [([v], False) for v in range(graph.n) if v not in placed]
+    classes.sort(key=lambda c: c[0][0])
     return classes
 
 
@@ -338,9 +270,9 @@ class TwinQuotient:
 
     def __init__(self, graph: Graph):
         classes = twin_classes(graph)
-        self.members = [sorted(c.vertices) for c in classes]
+        self.members = [members for members, _ in classes]
         self.sizes = [len(m) for m in self.members]
-        self.closed = [c.closed for c in classes]
+        self.closed = [closed for _, closed in classes]
         self.class_of = [0] * graph.n
         for idx, mem in enumerate(self.members):
             for v in mem:
@@ -351,22 +283,10 @@ class TwinQuotient:
         self.adj: list[list[bool]] = adj.tolist()
 
 
-@dataclass
-class DecompositionReport:
-    """Outcome of checking the three-piece edge-union structure."""
-
-    ok: bool
-    missing_edges: list[tuple[int, int]] = field(default_factory=list)
-    extra_edges: list[tuple[int, int]] = field(default_factory=list)
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
 def verify_decomposition(
     graph: Graph, classes: PartitionClasses, params: GroupParams
-) -> DecompositionReport:
-    """Check that the edge set is exactly clique(<r>) + pendant edges + K4 blades.
+) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """(missing edges, extra edges) against clique(<r>) + pendant edges + K4 blades.
 
     The three pieces share the vertices e and u, so the union is taken over
     edge sets.  The blades pair s r^(2j+1) with s r^(2j+1 + 2^(k-1)p).
@@ -395,11 +315,7 @@ def verify_decomposition(
     extra = np.triu(graph.adj & ~expected)
     missing_edges = sorted(zip(*(idx.tolist() for idx in np.nonzero(missing))))
     extra_edges = sorted(zip(*(idx.tolist() for idx in np.nonzero(extra))))
-    return DecompositionReport(
-        ok=not missing_edges and not extra_edges,
-        missing_edges=missing_edges,
-        extra_edges=extra_edges,
-    )
+    return missing_edges, extra_edges
 
 
 def family_degree_multiset(params: GroupParams) -> dict[int, int]:

@@ -8,7 +8,6 @@ for O(1) multiplication.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 
@@ -71,21 +70,6 @@ class GroupElement:
 IDENTITY = GroupElement(0, 0)
 
 
-def element(eps: int, i: int, params: GroupParams) -> GroupElement:
-    """Build a normal-form element, reducing i mod 2^k p."""
-    if eps not in (0, 1):
-        raise ParameterError(f"eps must be 0 or 1, got {eps}")
-    return GroupElement(eps, i % params.rotation_order)
-
-
-def parse_element(text: str, params: GroupParams) -> GroupElement:
-    """Parse the "s^e r^i" serialization produced by str()."""
-    parts = text.split()
-    if len(parts) != 2 or not parts[0].startswith("s^") or not parts[1].startswith("r^"):
-        raise ValueError(f"cannot parse group element from {text!r}")
-    return element(int(parts[0][2:]), int(parts[1][2:]), params)
-
-
 def multiply(a: GroupElement, b: GroupElement, params: GroupParams) -> GroupElement:
     """Product in normal form: (e1,i)(e2,j) = (e1 xor e2, i*m^e2 + j)."""
     n = params.rotation_order
@@ -95,143 +79,11 @@ def multiply(a: GroupElement, b: GroupElement, params: GroupParams) -> GroupElem
     return GroupElement(a.eps ^ b.eps, (i + b.i) % n)
 
 
-def inverse(a: GroupElement, params: GroupParams) -> GroupElement:
-    """Two-sided inverse; (1,i)^-1 = (1, -i*m) since m is self-inverse."""
-    n = params.rotation_order
-    if a.eps:
-        return GroupElement(1, (-a.i * params.multiplier) % n)
-    return GroupElement(0, (-a.i) % n)
-
-
-def power(a: GroupElement, t: int, params: GroupParams) -> GroupElement:
-    """a^t for t >= 0 by square-and-multiply; a^0 is the identity."""
-    if t < 0:
-        raise ValueError("exponent must be non-negative")
-    result = IDENTITY
-    base = a
-    while t:
-        if t & 1:
-            result = multiply(result, base, params)
-        base = multiply(base, base, params)
-        t >>= 1
-    return result
-
-
-def order(a: GroupElement, params: GroupParams) -> int:
-    """Smallest t >= 1 with a^t = e; always divides the group order."""
-    current = a
-    t = 1
-    while current != IDENTITY:
-        current = multiply(current, a, params)
-        t += 1
-    return t
-
-
 def cyclic_subgroup(a: GroupElement, params: GroupParams) -> frozenset[GroupElement]:
-    """All powers {a^t : t >= 0}; has exactly order(a) elements."""
+    """All powers {a^t : t >= 0}; its size is the order of a."""
     seen = {IDENTITY}
     current = a
     while current != IDENTITY:
         seen.add(current)
         current = multiply(current, a, params)
     return frozenset(seen)
-
-
-def elements(params: GroupParams) -> list[GroupElement]:
-    """All 2^(k+1) p elements: rotations first, then the reflections."""
-    n = params.rotation_order
-    return [GroupElement(eps, i) for eps in (0, 1) for i in range(n)]
-
-
-class CayleyTable:
-    """Independent multiplication oracle built by stepwise word rewriting.
-
-    Products are computed on token lists over {s, r} by repeatedly applying
-    the rewriting rules r s -> s r^m, s s -> (empty), r^(2^k p) -> (empty),
-    never through the closed-form multiply().  The constructor checks the
-    Latin-square property; `verify` adds identity, inverses, associativity
-    and agreement with multiply().
-    """
-
-    def __init__(self, params: GroupParams, max_order: int = 120):
-        if params.order > max_order:
-            raise ParameterError(
-                f"group order {params.order} exceeds the Cayley oracle cap {max_order}"
-            )
-        self.params = params
-        self.elements = elements(params)
-        self.index = {g: idx for idx, g in enumerate(self.elements)}
-        n = len(self.elements)
-        self.table = [
-            [self.index[self._reduce_word(a, b)] for b in self.elements]
-            for a in self.elements
-        ]
-        for row in self.table:
-            if len(set(row)) != n:
-                raise AssertionError("Cayley table row is not a permutation")
-        for col in range(n):
-            if len({self.table[r][col] for r in range(n)}) != n:
-                raise AssertionError("Cayley table column is not a permutation")
-
-    def _reduce_word(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        n = self.params.rotation_order
-        m = self.params.multiplier
-        word = ["s"] * a.eps + ["r"] * a.i + ["s"] * b.eps + ["r"] * b.i
-        changed = True
-        while changed:
-            changed = False
-            # push every s to the front one swap at a time: r s -> s r^m
-            for pos in range(len(word) - 1):
-                if word[pos] == "r" and word[pos + 1] == "s":
-                    word[pos : pos + 2] = ["s"] + ["r"] * m
-                    changed = True
-                    break
-            if changed:
-                continue
-            # collapse s^2 and r^(2^k p)
-            s_count = sum(1 for c in word if c == "s")
-            r_count = len(word) - s_count
-            if s_count >= 2 or r_count >= n:
-                word = ["s"] * (s_count % 2) + ["r"] * (r_count % n)
-                changed = True
-        s_count = sum(1 for c in word if c == "s")
-        return GroupElement(s_count, len(word) - s_count)
-
-    def mul(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        return self.elements[self.table[self.index[a]][self.index[b]]]
-
-    def verify(
-        self, assoc_samples: int = 10_000, seed: int = 0, exhaustive_limit: int = 48
-    ) -> None:
-        """Check group axioms and agreement with the closed-form product.
-
-        Associativity is checked on all n^3 triples for n <= exhaustive_limit
-        and on `assoc_samples` seeded random triples above that.
-        """
-        import random
-
-        n = len(self.elements)
-        e_idx = self.index[IDENTITY]
-        for g in range(n):
-            if self.table[e_idx][g] != g or self.table[g][e_idx] != g:
-                raise AssertionError("identity fails in Cayley table")
-        for g in range(n):
-            if e_idx not in self.table[g]:
-                raise AssertionError("missing inverse in Cayley table")
-        if n <= exhaustive_limit:
-            triples = itertools.product(range(n), repeat=3)
-        else:
-            rng = random.Random(seed)
-            triples = (
-                (rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                for _ in range(assoc_samples)
-            )
-        for x, y, z in triples:
-            if self.table[self.table[x][y]][z] != self.table[x][self.table[y][z]]:
-                raise AssertionError("associativity fails in Cayley table")
-        for a in self.elements:
-            for b in self.elements:
-                if self.mul(a, b) != multiply(a, b, self.params):
-                    raise AssertionError(
-                        f"Cayley oracle disagrees with multiply on {a} * {b}"
-                    )

@@ -46,15 +46,6 @@ def a_alpha(graph: Graph, alpha: float) -> np.ndarray:
     return alpha * degree_diag(graph) + (1.0 - alpha) * adjacency(graph)
 
 
-def laplacian(graph: Graph) -> np.ndarray:
-    """D - A (positive-semidefinite sign, so a_alpha - a_beta = (beta - alpha) L)."""
-    return degree_diag(graph) - adjacency(graph)
-
-
-def signless_laplacian(graph: Graph) -> np.ndarray:
-    return degree_diag(graph) + adjacency(graph)
-
-
 def distance_matrix(graph: Graph) -> np.ndarray:
     """Shortest-path distances (int64) by one breadth-first search from every vertex at once.
 
@@ -111,6 +102,3 @@ def matrix_to_csv(matrix: np.ndarray) -> str:
         buf.write("\n")
     return buf.getvalue()
 
-
-def matrix_to_json_dict(matrix: np.ndarray) -> dict:
-    return {"n": int(matrix.shape[0]), "rows": [[float(x) for x in row] for row in matrix]}

@@ -148,7 +148,7 @@ def spectrum_payload(
 
 def check_structure(inst: Instance) -> list[dict]:
     graph, classes, params = inst.graph, inst.partition, inst.params
-    decomposition = verify_decomposition(graph, classes, params)
+    missing, extra = verify_decomposition(graph, classes, params)
     counts = dict(Counter(graph.degrees().tolist()))
     predicted = family_degree_multiset(params)
     n = params.rotation_order
@@ -157,10 +157,10 @@ def check_structure(inst: Instance) -> list[dict]:
     return [
         _check(
             "structure_decomposition",
-            decomposition.ok,
+            not missing and not extra,
             edge_count=graph.edge_count(),
-            missing=decomposition.missing_edges[:10],
-            extra=decomposition.extra_edges[:10],
+            missing=missing[:10],
+            extra=extra[:10],
         ),
         _check("degree_multiset", counts == predicted, computed=counts, predicted=predicted),
         _check("partition_sizes", sizes_ok),
@@ -339,7 +339,7 @@ def check_degree_sequences(inst: Instance) -> list[dict]:
     ]
     detour, _ = inst.detour_search
     if detour is not None:
-        dtable = sequences.dds_detour(detour)
+        dtable = sequences.DegreeSequenceTable.from_distances(detour)
         drows = sequences.family_dds_detour_rows(params)
         shape_ok = _classes_match(dtable.rows, classes, drows)
         grouping_ok = sequences.compare_groupings(

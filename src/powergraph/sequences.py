@@ -15,12 +15,6 @@ from .graphs import Graph, PartitionClasses
 from .groups import GroupParams
 
 
-def eccentricity_profile(graph: Graph) -> tuple[np.ndarray, int, int]:
-    """(per-vertex eccentricity, radius, diameter) from shortest-path distances."""
-    ecc = graph.dist.max(axis=1)
-    return ecc, int(ecc.min()), int(ecc.max())
-
-
 def detour_profile(detour: np.ndarray) -> tuple[np.ndarray, int, int]:
     """(per-vertex detour eccentricity, detour radius, detour diameter)."""
     ecc = detour.max(axis=1)
@@ -63,11 +57,6 @@ class DegreeSequenceTable:
 def dds(graph: Graph) -> DegreeSequenceTable:
     """Distance degree sequences; every row sums to n and starts with 1."""
     return DegreeSequenceTable.from_distances(graph.dist)
-
-
-def dds_detour(detour: np.ndarray) -> DegreeSequenceTable:
-    """Detour distance degree sequences over a precomputed detour matrix."""
-    return DegreeSequenceTable.from_distances(detour)
 
 
 # family predictions -----------------------------------------------------

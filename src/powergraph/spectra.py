@@ -45,29 +45,6 @@ def sym_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     return values[::-1].copy()
 
 
-def sym_eigh(matrix: np.ndarray, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and eigenvectors, with a reconstruction check.
-
-    The factorization must satisfy ||M - V diag(w) V^T||_F <= tol * ||M||_F.
-    """
-    matrix = _require_symmetric(matrix)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    try:
-        values, vectors = np.linalg.eigh(matrix)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"eigensolver did not converge: {exc}") from exc
-    values = values[::-1].copy()
-    vectors = vectors[:, ::-1].copy()
-    residual = np.linalg.norm(matrix - vectors @ np.diag(values) @ vectors.T)
-    norm = np.linalg.norm(matrix)
-    if residual > tol * max(norm, 1.0):
-        raise EigensolverError(
-            f"reconstruction residual {residual:.3e} exceeds {tol:.1e} * ||M||"
-        )
-    return values, vectors
-
-
 @dataclass(frozen=True)
 class SpectralLine:
     value: float
@@ -96,15 +73,6 @@ class Spectrum:
         """(value, multiplicity) clusters after merging values closer than tol."""
         return cluster_values(self.values(), tol)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "lines": [
-                {"value": line.value, "multiplicity": line.multiplicity, "source": line.source}
-                for line in self.lines
-            ],
-        }
-
     @classmethod
     def from_lines(cls, lines: list[tuple[float, int, str]]) -> "Spectrum":
         kept = tuple(SpectralLine(float(v), int(m), s) for v, m, s in lines if m > 0)
@@ -122,29 +90,6 @@ def cluster_values(values: np.ndarray, tol: float) -> list[tuple[float, int]]:
             clusters.append((float(chunk.mean()), len(chunk)))
             start = stop
     return clusters
-
-
-@dataclass(frozen=True)
-class SpectrumMatch:
-    structural_ok: bool
-    max_deviation: float
-    ok: bool
-    message: str
-
-
-def compare_spectra(a: Spectrum, b: Spectrum, tol: float) -> SpectrumMatch:
-    """Pair the sorted value lists and report the largest absolute deviation."""
-    if a.total != b.total:
-        return SpectrumMatch(
-            structural_ok=False,
-            max_deviation=math.inf,
-            ok=False,
-            message=f"totals differ: {a.total} vs {b.total}",
-        )
-    deviation = float(np.abs(a.values() - b.values()).max()) if a.total else 0.0
-    ok = deviation <= tol
-    message = "match" if ok else f"max deviation {deviation:.3e} exceeds {tol:.1e}"
-    return SpectrumMatch(True, deviation, ok, message)
 
 
 def twin_eigenvalues(graph: Graph, alpha: float) -> Spectrum:
@@ -259,21 +204,6 @@ def quintic_coefficients(params: GroupParams, alpha: float) -> np.ndarray:
         + K * P
     )
     return np.array([1.0, -c4, -c3, -c2, -c1, c0])
-
-
-@dataclass(frozen=True)
-class QuinticRoots:
-    roots: np.ndarray
-    max_imag: float
-    real_flagged: bool
-
-
-def quintic_roots(params: GroupParams, alpha: float, imag_tol: float = 1e-8) -> QuinticRoots:
-    """Numeric roots of the printed quintic via its companion matrix."""
-    raw = np.roots(quintic_coefficients(params, alpha))
-    max_imag = float(np.abs(raw.imag).max())
-    roots = np.sort(raw.real)[::-1].copy()
-    return QuinticRoots(roots, max_imag, max_imag > imag_tol)
 
 
 @dataclass(frozen=True)

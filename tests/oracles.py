@@ -1,10 +1,164 @@
-"""Slow reference implementations that the fast library routines are checked against."""
+"""Slow reference implementations the library routines are checked against, and small named graphs."""
+
+import itertools
+import random
 
 import numpy as np
 
-from powergraph.graphs import Graph
-from powergraph.groups import CayleyTable
+from powergraph.graphs import Graph, family_vertex_order
+from powergraph.groups import IDENTITY, GroupElement, GroupParams, ParameterError, multiply
 from powergraph.matrices import DisconnectedGraphError
+
+
+# small graphs ------------------------------------------------------------
+
+
+def path_graph(n: int) -> Graph:
+    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def cycle_graph(n: int) -> Graph:
+    closing = [(n - 1, 0)] if n > 2 else []
+    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)] + closing)
+
+
+def complete_graph(n: int) -> Graph:
+    return Graph(~np.eye(n, dtype=bool))
+
+
+def star_graph(leaves: int) -> Graph:
+    return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+
+
+def is_connected(graph: Graph) -> bool:
+    """Whether a search from vertex 0 reaches every vertex (true for no vertices)."""
+    seen = {0} if graph.n else set()
+    stack = list(seen)
+    while stack:
+        for w in np.nonzero(graph.adj[stack.pop()])[0].tolist():
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == graph.n
+
+
+# group and power graph -----------------------------------------------------
+
+
+def elements(params: GroupParams) -> list[GroupElement]:
+    """All 2^(k+1) p elements: rotations first, then the reflections."""
+    n = params.rotation_order
+    return [GroupElement(eps, i) for eps in (0, 1) for i in range(n)]
+
+
+class CayleyTable:
+    """Independent multiplication oracle built by stepwise word rewriting.
+
+    Products are computed on token lists over {s, r} by repeatedly applying
+    the rewriting rules r s -> s r^m, s s -> (empty), r^(2^k p) -> (empty),
+    never through the closed-form multiply().  The constructor checks the
+    Latin-square property; `verify` adds identity, inverses, associativity
+    and agreement with multiply().
+    """
+
+    def __init__(self, params: GroupParams, max_order: int = 120):
+        if params.order > max_order:
+            raise ParameterError(
+                f"group order {params.order} exceeds the Cayley oracle cap {max_order}"
+            )
+        self.params = params
+        self.elements = elements(params)
+        self.index = {g: idx for idx, g in enumerate(self.elements)}
+        n = len(self.elements)
+        self.table = [
+            [self.index[self._reduce_word(a, b)] for b in self.elements]
+            for a in self.elements
+        ]
+        for row in self.table:
+            if len(set(row)) != n:
+                raise AssertionError("Cayley table row is not a permutation")
+        for col in range(n):
+            if len({self.table[r][col] for r in range(n)}) != n:
+                raise AssertionError("Cayley table column is not a permutation")
+
+    def _reduce_word(self, a: GroupElement, b: GroupElement) -> GroupElement:
+        n = self.params.rotation_order
+        m = self.params.multiplier
+        word = ["s"] * a.eps + ["r"] * a.i + ["s"] * b.eps + ["r"] * b.i
+        changed = True
+        while changed:
+            changed = False
+            # push every s to the front one swap at a time: r s -> s r^m
+            for pos in range(len(word) - 1):
+                if word[pos] == "r" and word[pos + 1] == "s":
+                    word[pos : pos + 2] = ["s"] + ["r"] * m
+                    changed = True
+                    break
+            if changed:
+                continue
+            # collapse s^2 and r^(2^k p)
+            s_count = sum(1 for c in word if c == "s")
+            r_count = len(word) - s_count
+            if s_count >= 2 or r_count >= n:
+                word = ["s"] * (s_count % 2) + ["r"] * (r_count % n)
+                changed = True
+        s_count = sum(1 for c in word if c == "s")
+        return GroupElement(s_count, len(word) - s_count)
+
+    def mul(self, a: GroupElement, b: GroupElement) -> GroupElement:
+        return self.elements[self.table[self.index[a]][self.index[b]]]
+
+    def verify(
+        self, assoc_samples: int = 10_000, seed: int = 0, exhaustive_limit: int = 48
+    ) -> None:
+        """Check group axioms and agreement with the closed-form product.
+
+        Associativity is checked on all n^3 triples for n <= exhaustive_limit
+        and on `assoc_samples` seeded random triples above that.
+        """
+        n = len(self.elements)
+        e_idx = self.index[IDENTITY]
+        for g in range(n):
+            if self.table[e_idx][g] != g or self.table[g][e_idx] != g:
+                raise AssertionError("identity fails in Cayley table")
+        for g in range(n):
+            if e_idx not in self.table[g]:
+                raise AssertionError("missing inverse in Cayley table")
+        if n <= exhaustive_limit:
+            triples = itertools.product(range(n), repeat=3)
+        else:
+            rng = random.Random(seed)
+            triples = (
+                (rng.randrange(n), rng.randrange(n), rng.randrange(n))
+                for _ in range(assoc_samples)
+            )
+        for x, y, z in triples:
+            if self.table[self.table[x][y]][z] != self.table[x][self.table[y][z]]:
+                raise AssertionError("associativity fails in Cayley table")
+        for a in self.elements:
+            for b in self.elements:
+                if self.mul(a, b) != multiply(a, b, self.params):
+                    raise AssertionError(
+                        f"Cayley oracle disagrees with multiply on {a} * {b}"
+                    )
+
+
+def build_power_graph_from_table(table) -> Graph:
+    """The family power graph built from a Cayley-table oracle's products instead of `multiply`."""
+    verts = family_vertex_order(table.params)
+    index = {g: idx for idx, g in enumerate(verts)}
+    adj = np.zeros((len(verts), len(verts)), dtype=bool)
+    for g in verts:
+        members, current = [index[IDENTITY]], g
+        while current != IDENTITY:
+            members.append(index[current])
+            current = table.mul(current, g)
+        adj[np.ix_(members, members)] = True
+    np.fill_diagonal(adj, False)
+    return Graph(adj, labels=verts)
+
+
+# distances and the strong resolving graph ---------------------------------
 
 
 def bfs_distance_matrix(graph: Graph) -> np.ndarray:

@@ -275,6 +275,36 @@ def test_config_file_errors(tmp_path):
         parse_args(["report", "--config", str(tmp_path / "missing.cfg")])
 
 
+@pytest.mark.parametrize("line", ["alpah=0.3", "graph=g.txt", "graph_format=json"])
+def test_unknown_config_key_is_a_usage_error(tmp_path, capsys, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"k=2\n{line}\n", encoding="utf-8")
+    assert main(["report", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ") and captured.err.count("\n") == 1
+    key = line.partition("=")[0]
+    assert f"{cfg}:2: unknown config key {key!r}" in captured.err
+
+
+@pytest.mark.parametrize("case", ["config-is-a-directory", "config-not-utf8", "out-is-a-file"])
+def test_unreadable_input_or_unwritable_output_is_a_usage_error(tmp_path, capsys, case):
+    target = tmp_path / "target"
+    if case == "config-is-a-directory":
+        target.mkdir()
+        argv = ["build", "--config", str(target)]
+    elif case == "config-not-utf8":
+        target.write_bytes(b"k=2\n\xff\xfe\n")
+        argv = ["build", "--config", str(target)]
+    else:
+        target.write_text("", encoding="utf-8")
+        argv = ["build", "--out", str(target)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_metric_past_the_cover_cap_is_an_error_not_a_traceback(capsys, monkeypatch):
     # (3, 5) has n = 80 > 64; its strong resolving graph collapses to 4 vertices
     assert main(["metric", "--k", "3", "--p", "5"]) == 0

@@ -6,23 +6,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import RewritingProducts
+from oracles import (
+    CayleyTable,
+    RewritingProducts,
+    build_power_graph_from_table,
+    complete_graph,
+    path_graph,
+    star_graph,
+)
 from powergraph.graphs import (
     Graph,
     GraphFormatError,
     TwinQuotient,
     build_power_graph,
-    build_power_graph_from_table,
-    complete_graph,
     family_degree_multiset,
-    path_graph,
-    star_graph,
     twin_classes,
     verify_decomposition,
 )
 from powergraph import graphs
 from powergraph.detour import detour_matrix
-from powergraph.groups import CayleyTable, GroupElement, GroupParams
+from powergraph.groups import GroupElement, GroupParams
 from powergraph.matrices import rd_alpha
 from powergraph.metric import metric_dimension, mmd_graph
 from powergraph.sequences import dds
@@ -66,32 +69,32 @@ def test_twin_classes_family(family):
     _, graph, classes = family(2, 3)
     found = twin_classes(graph)
     by_size = {}
-    for cls in found:
-        by_size.setdefault((cls.size, cls.closed), []).append(cls)
+    for members, closed in found:
+        by_size.setdefault((len(members), closed), []).append(members)
     assert len(by_size[(6, False)]) == 1  # involutions: open twins, all N = {e}
-    assert by_size[(6, False)][0].vertices == classes.h2
+    assert by_size[(6, False)][0] == sorted(classes.h2)
     assert len(by_size[(10, True)]) == 1  # rotation clique minus {e, u}
-    assert by_size[(10, True)][0].vertices == classes.h1
+    assert by_size[(10, True)][0] == sorted(classes.h1)
     assert len(by_size[(2, True)]) == 3  # the order-4 pairs
-    singletons = [cls for cls in found if cls.size == 1]
-    assert {min(cls.vertices) for cls in singletons} == {classes.e, classes.u}
+    singletons = [members for members, _ in found if len(members) == 1]
+    assert {members[0] for members in singletons} == {classes.e, classes.u}
 
 
 def test_twin_classes_are_maximal(family):
     _, graph, _ = family(2, 3)
-    classes = twin_classes(graph)
-    assert sum(cls.size for cls in classes) == graph.n
+    classes = [set(members) for members, _ in twin_classes(graph)]
+    assert sum(len(cls) for cls in classes) == graph.n
     seen = set()
     for cls in classes:
-        assert not (cls.vertices & seen)
-        seen |= cls.vertices
+        assert not (cls & seen)
+        seen |= cls
     # no vertex outside a multi-class is a twin of a member
     for cls in classes:
-        if cls.size < 2:
+        if len(cls) < 2:
             continue
-        member = min(cls.vertices)
+        member = min(cls)
         for other in range(graph.n):
-            if other in cls.vertices:
+            if other in cls:
                 continue
             open_eq = graph.neighbors(member) == graph.neighbors(other)
             closed_eq = sorted(graph.neighbors(member) + [member]) == sorted(
@@ -103,16 +106,16 @@ def test_twin_classes_are_maximal(family):
 def test_decomposition_verifies(family):
     for k, p in [(2, 3), (2, 5), (3, 3)]:
         params, graph, classes = family(k, p)
-        assert verify_decomposition(graph, classes, params).ok
+        assert verify_decomposition(graph, classes, params) == ([], [])
 
 
 def test_decomposition_reports_violations(family):
     params, graph, classes = family(2, 3)
     some_edge = graph.edges()[0]
     broken = Graph.from_edges(graph.n, graph.edges()[1:], labels=graph.labels)
-    report = verify_decomposition(broken, classes, params)
-    assert not report.ok
-    assert report.missing_edges == [some_edge]
+    missing, extra = verify_decomposition(broken, classes, params)
+    assert missing == [some_edge]
+    assert extra == []
 
 
 def test_blade_is_k4(family):
@@ -261,12 +264,12 @@ def test_twin_classes_partition_random_graphs(seed, n):
     g = Graph.from_edges(n, [pair for pair in pairs if rng.random() < 0.5])
     classes = twin_classes(g)
     # a partition of V into pure open/closed classes
-    assert sum(cls.size for cls in classes) == n
-    for cls in classes:
-        members = sorted(cls.vertices)
+    assert sum(len(members) for members, _ in classes) == n
+    for members, closed in classes:
+        assert members == sorted(members)
         for a_pos, a in enumerate(members):
             for b in members[a_pos + 1 :]:
-                if cls.closed:
+                if closed:
                     assert g.has_edge(a, b)
                     na = set(g.neighbors(a)) | {a}
                     nb = set(g.neighbors(b)) | {b}
@@ -284,7 +287,7 @@ def test_twin_quotient_is_the_graph_on_classes(seed, n):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     g = Graph.from_edges(n, [pair for pair in pairs if rng.random() < 0.5])
     quotient = TwinQuotient(g)
-    assert quotient.members == [sorted(cls.vertices) for cls in twin_classes(g)]
+    assert quotient.members == [members for members, _ in twin_classes(g)]
     assert quotient.sizes == [len(m) for m in quotient.members]
     for a in range(n):
         for b in range(n):

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import bfs_distance_matrix, random_graphs
+from oracles import bfs_distance_matrix, complete_graph, cycle_graph, path_graph, random_graphs
 from powergraph.detour import DetourBudgetError, detour_matrix
-from powergraph.graphs import Graph, complete_graph, cycle_graph, path_graph
+from powergraph.graphs import Graph
 from powergraph.matrices import (
     AlphaRangeError,
     DisconnectedGraphError,
@@ -15,11 +15,9 @@ from powergraph.matrices import (
     adjacency,
     degree_diag,
     distance_matrix,
-    laplacian,
     rd_alpha,
     reciprocal_distance,
     reciprocal_transmission,
-    signless_laplacian,
 )
 from powergraph.sequences import family_detour_matrix
 
@@ -28,7 +26,6 @@ def test_k2_basics():
     g = complete_graph(2)
     assert np.array_equal(adjacency(g), [[0, 1], [1, 0]])
     assert np.array_equal(degree_diag(g), np.eye(2))
-    assert np.array_equal(laplacian(g), [[1, -1], [-1, 1]])
     assert np.array_equal(reciprocal_distance(g), [[0, 1], [1, 0]])
     assert np.array_equal(reciprocal_transmission(g), np.eye(2))
 
@@ -47,7 +44,7 @@ def test_a_alpha_endpoints(family):
     _, graph, _ = family(2, 3)
     assert np.array_equal(a_alpha(graph, 0.0), adjacency(graph))
     assert np.array_equal(a_alpha(graph, 1.0), degree_diag(graph))
-    q = signless_laplacian(graph)
+    q = degree_diag(graph) + adjacency(graph)  # signless Laplacian
     assert np.allclose(a_alpha(graph, 0.5), q / 2.0)
 
 
@@ -56,7 +53,8 @@ def test_a_alpha_laplacian_identity(alpha, beta):
     # with the PSD sign L = D - A the interpolation identity reads (alpha - beta) L
     g = path_graph(5)
     lhs = a_alpha(g, alpha) - a_alpha(g, beta)
-    assert np.allclose(lhs, (alpha - beta) * laplacian(g), atol=1e-12)
+    laplacian = degree_diag(g) - adjacency(g)
+    assert np.allclose(lhs, (alpha - beta) * laplacian, atol=1e-12)
 
 
 def test_alpha_range_errors(family):
@@ -69,13 +67,14 @@ def test_alpha_range_errors(family):
 
 def test_laplacian_row_sums(family):
     _, graph, _ = family(2, 3)
-    assert np.allclose(laplacian(graph).sum(axis=1), 0.0)
+    # D - A has zero row sums exactly when D holds the adjacency row sums
+    assert np.allclose((degree_diag(graph) - adjacency(graph)).sum(axis=1), 0.0)
 
 
 def test_laplacian_kernel_dimension(family):
     # connected graph: eigenvalue 0 with multiplicity exactly 1
     _, graph, _ = family(2, 3)
-    values = np.linalg.eigvalsh(laplacian(graph))
+    values = np.linalg.eigvalsh(degree_diag(graph) - adjacency(graph))
     assert int(np.sum(np.abs(values) < 1e-9)) == 1
     assert values.min() > -1e-9
 
@@ -85,8 +84,6 @@ def test_matrices_exactly_symmetric(family):
     for m in (
         adjacency(graph),
         a_alpha(graph, 0.3),
-        laplacian(graph),
-        signless_laplacian(graph),
         distance_matrix(graph),
         reciprocal_distance(graph),
         rd_alpha(graph, 0.7),
@@ -224,12 +221,20 @@ def test_detour_c4_crossing_pairs():
 
 
 def test_matrix_exports():
-    from powergraph.matrices import matrix_to_csv, matrix_to_json_dict
+    from powergraph.matrices import matrix_to_csv
 
     g = complete_graph(2)
     assert matrix_to_csv(adjacency(g)) == "0.0,1.0\n1.0,0.0\n"
-    payload = matrix_to_json_dict(adjacency(g))
-    assert payload == {"n": 2, "rows": [[0.0, 1.0], [1.0, 0.0]]}
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [Graph.from_edges(4, [(0, 1), (2, 3)]), Graph.from_edges(2, [])],
+    ids=["two-disjoint-edges", "two-isolated-vertices"],
+)
+def test_detour_rejects_a_disconnected_graph(graph):
+    with pytest.raises(ValueError, match="disconnected"):
+        detour_matrix(graph)
 
 
 def test_detour_budget_error():

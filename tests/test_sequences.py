@@ -1,14 +1,13 @@
 import numpy as np
 
+from oracles import complete_graph, path_graph
 from powergraph.detour import detour_matrix
-from powergraph.graphs import complete_graph, path_graph
 from powergraph.matrices import distance_matrix
 from powergraph.sequences import (
+    DegreeSequenceTable,
     compare_groupings,
     dds,
-    dds_detour,
     detour_profile,
-    eccentricity_profile,
     family_dds_detour_groups,
     family_dds_detour_rows,
     family_dds_groups,
@@ -19,16 +18,16 @@ from powergraph.sequences import (
 
 def test_eccentricities_family(family):
     _, graph, classes = family(2, 3)
-    ecc, radius, diameter = eccentricity_profile(graph)
+    ecc, radius, diameter = detour_profile(graph.dist)  # any distance matrix
     assert ecc[classes.e] == 1
     assert all(ecc[v] == 2 for v in range(graph.n) if v != classes.e)
     assert (radius, diameter) == (1, 2)
 
 
 def test_eccentricities_small():
-    ecc, radius, diameter = eccentricity_profile(complete_graph(4))
+    ecc, radius, diameter = detour_profile(complete_graph(4).dist)
     assert set(ecc) == {1}
-    ecc, radius, diameter = eccentricity_profile(path_graph(3))
+    ecc, radius, diameter = detour_profile(path_graph(3).dist)
     assert (radius, diameter) == (1, 2)
 
 
@@ -81,7 +80,7 @@ def test_dds_multiset_discrepancy_reported(family):
 
 def test_dds_detour_rows_family(family):
     params, graph, classes = family(2, 3)
-    table = dds_detour(detour_matrix(graph))
+    table = DegreeSequenceTable.from_distances(detour_matrix(graph))
     rows = family_dds_detour_rows(params)
     assert table.rows[classes.e] == rows["e"] == (1, 6) + (0,) * 9 + (1, 0, 16)
     assert table.rows[classes.u] == rows["u"]
@@ -92,7 +91,7 @@ def test_dds_detour_rows_family(family):
 
 def test_dds_detour_grouping_matches(family):
     params, graph, _ = family(2, 3)
-    table = dds_detour(detour_matrix(graph))
+    table = DegreeSequenceTable.from_distances(detour_matrix(graph))
     comparison = compare_groupings(table.groups, family_dds_detour_groups(params))
     assert comparison["matches"]
 
@@ -100,7 +99,7 @@ def test_dds_detour_grouping_matches(family):
 def test_dds_detour_last_nonzero_is_eccentricity(family):
     _, graph, _ = family(2, 3)
     detour = detour_matrix(graph)
-    table = dds_detour(detour)
+    table = DegreeSequenceTable.from_distances(detour)
     ecc, _, _ = detour_profile(detour)
     for v, row in enumerate(table.rows):
         last = max(i for i, x in enumerate(row) if x)
@@ -110,7 +109,7 @@ def test_dds_detour_last_nonzero_is_eccentricity(family):
 def test_twins_share_sequences(family):
     _, graph, classes = family(2, 3)
     table = dds(graph)
-    dtable = dds_detour(detour_matrix(graph))
+    dtable = DegreeSequenceTable.from_distances(detour_matrix(graph))
     for group in (classes.h1, classes.h2, classes.h3):
         rows = {table.rows[v] for v in group}
         drows = {dtable.rows[v] for v in group}
@@ -121,7 +120,7 @@ def test_twins_share_sequences(family):
 
 def test_radius_diameter_metric_bound(family):
     _, graph, _ = family(2, 3)
-    _, radius, diameter = eccentricity_profile(graph)
+    _, radius, diameter = detour_profile(graph.dist)
     assert radius <= diameter <= 2 * radius
 
 

@@ -1,11 +1,14 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powergraph.graphs import complete_graph
+from oracles import complete_graph
 from powergraph.groups import GroupParams
 from powergraph.matrices import a_alpha, adjacency, rd_alpha, reciprocal_transmission
+from powergraph.report import _multisets_agree, spectrum_payload
 from powergraph.spectra import (
     BlockForm,
     BlockFormError,
@@ -17,13 +20,11 @@ from powergraph.spectra import (
     assemble_block_matrix,
     block_reduce,
     cluster_values,
-    compare_spectra,
-    quintic_roots,
+    quintic_coefficients,
     quintic_transcription_check,
     rd_alpha_closed_form,
     rd_quotient_transcription_check,
     sym_eigenvalues,
-    sym_eigh,
     twin_eigenvalues,
 )
 
@@ -38,15 +39,6 @@ def test_sym_eigenvalues_basics():
 def test_sym_eigenvalues_rejects_asymmetric():
     with pytest.raises(EigensolverError):
         sym_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_sym_eigh_reconstruction():
-    rng = np.random.default_rng(7)
-    m = rng.standard_normal((12, 12))
-    m = (m + m.T) / 2
-    values, vectors = sym_eigh(m, tol=1e-10)
-    assert np.all(np.diff(values) <= 0)
-    assert np.allclose(vectors @ np.diag(values) @ vectors.T, m, atol=1e-10)
 
 
 def test_spectral_radius_bounds(family):
@@ -127,12 +119,13 @@ def test_quintic_transcription_flags_published_typo():
 
 def test_quintic_roots_real_on_grid():
     for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
-        assert not quintic_roots(P23, alpha).real_flagged
+        roots = np.roots(quintic_coefficients(P23, alpha))
+        assert np.abs(roots.imag).max() <= 1e-8
 
 
 def test_quintic_roots_agree_with_quotient_where_transcription_holds():
     # at alpha = 0 the published polynomial is exact, so the two routes coincide
-    roots = quintic_roots(P23, 0.0).roots
+    roots = np.sort(np.roots(quintic_coefficients(P23, 0.0)).real)[::-1]
     quotient = sym_eigenvalues(a_alpha_quotient_matrix(P23, 0.0))
     assert np.abs(roots - quotient).max() <= 1e-6
 
@@ -226,14 +219,13 @@ def test_rd_quotient_transcription_flags_published_diagonal():
     assert "diagonal" in check.diagnostic
 
 
-# spectrum plumbing ----------------------------------------------------------
+# spectrum comparison and payload, as the report makes them -----------------
 
 
 def test_compare_spectra_identical(family):
     params, _, _ = family(2, 3)
     s = a_alpha_closed_form(params, 0.25)
-    match = compare_spectra(s, s, tol=0.0)
-    assert match.ok and match.max_deviation == 0.0
+    assert _multisets_agree(s.merged(1e-6), s.merged(1e-6), value_tol=0.0)
 
 
 def test_compare_spectra_detects_perturbation(family):
@@ -242,16 +234,15 @@ def test_compare_spectra_detects_perturbation(family):
     lines = [(ln.value, ln.multiplicity, ln.source) for ln in s.lines]
     lines[0] = (lines[0][0] + 1e-3, lines[0][1], lines[0][2])
     perturbed = Spectrum.from_lines(lines)
-    match = compare_spectra(s, perturbed, tol=1e-8)
-    assert not match.ok and match.max_deviation >= 1e-3 - 1e-12
+    assert np.abs(s.values() - perturbed.values()).max() >= 1e-3 - 1e-12
+    assert not _multisets_agree(s.merged(1e-6), perturbed.merged(1e-6), value_tol=1e-8)
 
 
 def test_compare_spectra_total_mismatch(family):
     params, _, _ = family(2, 3)
     s = a_alpha_closed_form(params, 0.25)
     short = Spectrum.from_lines([(1.0, 3, "numeric")])
-    match = compare_spectra(s, short, tol=1e-8)
-    assert not match.structural_ok
+    assert not _multisets_agree(s.merged(1e-6), short.merged(1e-6), value_tol=1e-8)
 
 
 def test_clustering_recovers_multiplicities(family):
@@ -265,7 +256,10 @@ def test_clustering_recovers_multiplicities(family):
 
 
 def test_spectrum_json_round_trip(family):
-    params, _, _ = family(2, 3)
-    payload = a_alpha_closed_form(params, 0.5).to_json_dict()
-    assert payload["total"] == 24
-    assert sum(line["multiplicity"] for line in payload["lines"]) == 24
+    params, graph, _ = family(2, 3)
+    closed = a_alpha_closed_form(params, 0.5)
+    numeric = sym_eigenvalues(a_alpha(graph, 0.5))
+    payload = json.loads(json.dumps(spectrum_payload(params, 0.5, closed, numeric)))
+    assert closed.total == 24
+    assert sum(fam["mult"] for fam in payload["families"]) == 24
+    assert payload["numeric"] == numeric.tolist()

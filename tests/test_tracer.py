@@ -1,6 +1,9 @@
 """The benchmark's per-layer tracer still finds every function it wraps."""
 
 import importlib
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,3 +25,17 @@ def test_tracer_sees_the_graphs_own_distances_and_quotient():
         graph.dist, graph.quotient
     names = [span.name for span in tracer.spans]
     assert names == ["graphs.build_power_graph", "matrices.distance_matrix", "graphs.twin_classes"]
+
+
+def test_benchmark_selftest_passes():
+    # a subprocess: the self-test rewrites os.environ and workloads.WORKLOADS
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "perfbench/selftest.py"],
+        cwd=root,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.splitlines()[-1] == "selftest: ok"
