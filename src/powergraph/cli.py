@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -38,7 +39,7 @@ class RunConfig:
     fmt: str = "json"
     out_dir: Path | None = None
     detour_budget_s: float = 60.0
-    detour_oracle_max_n: int = 24
+    detour_oracle_max_n: int = 320
     tol: float = 1e-8
     seed: int = 0
     graph_path: Path | None = None
@@ -59,10 +60,12 @@ class RunConfig:
                 raise UsageError(f"unknown command {command!r}; choose from {COMMANDS}")
         if self.fmt not in ("json", "csv", "text"):
             raise UsageError(f"format must be json, csv or text, got {self.fmt!r}")
-        if self.tol <= 0:
-            raise UsageError("tol must be positive")
-        if self.detour_budget_s <= 0:
-            raise UsageError("detour time budget must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise UsageError(f"tol must be finite and > 0, got {self.tol}")
+        if not (math.isfinite(self.detour_budget_s) and self.detour_budget_s > 0):
+            raise UsageError(f"detour budget must be finite and > 0, got {self.detour_budget_s}")
+        if self.detour_oracle_max_n < 0:
+            raise UsageError(f"detour oracle cap must be >= 0, got {self.detour_oracle_max_n}")
         if "ingest" in self.commands and self.graph_path is None:
             raise UsageError("ingest requires --graph PATH")
         if self.graph_format not in ("edge-list", "json"):

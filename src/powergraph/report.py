@@ -42,7 +42,7 @@ class Instance:
     """
 
     def __init__(
-        self, params: GroupParams, detour_budget_s: float = 60.0, detour_oracle_max_n: int = 24
+        self, params: GroupParams, detour_budget_s: float = 60.0, detour_oracle_max_n: int = 320
     ):
         self.params = params
         self.detour_budget_s = detour_budget_s
@@ -407,7 +407,7 @@ def build_report(
     tol: float = 1e-8,
     seed: int = 0,
     detour_budget_s: float = 60.0,
-    detour_oracle_max_n: int = 24,
+    detour_oracle_max_n: int = 320,
     version: str = "0",
 ) -> dict:
     """Run every verification for one (k, p) instance and collect PASS/FAIL."""

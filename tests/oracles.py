@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from functools import lru_cache
 
 import numpy as np
 
@@ -238,3 +239,97 @@ def random_graphs(seed: int, count: int, max_n: int = 30):
             adj[v, :v] = adj[:v, v] = adj[twin, :v]
             adj[v, twin] = adj[twin, v] = rng.random() < 0.5
         yield Graph(adj)
+
+
+# detour ------------------------------------------------------------------
+
+
+def naive_detour(graph: Graph) -> np.ndarray:
+    """Longest simple paths by exhaustive DFS; exponential, for tiny oracles only."""
+    n = graph.n
+    best = [[0] * n for _ in range(n)]
+    adj = [graph.neighbors(v) for v in range(n)]
+
+    def dfs(start: int, v: int, visited: int, length: int) -> None:
+        for w in adj[v]:
+            if not (visited >> w) & 1:
+                if length + 1 > best[start][w]:
+                    best[start][w] = length + 1
+                dfs(start, w, visited | (1 << w), length + 1)
+
+    for s in range(n):
+        dfs(s, s, 1 << s, 0)
+    return np.array(best, dtype=np.int64).reshape(n, n)
+
+
+def detour_matrix_unreduced(graph: Graph) -> np.ndarray:
+    """Longest simple paths by a twin-class search with one memoised search per target class.
+
+    States are (current class, remaining count per class), with no use of the
+    quotient's own automorphisms; disconnected pairs are marked -1.
+    """
+    quotient = graph.quotient
+    adj, sizes = quotient.adj, quotient.sizes
+    k = len(sizes)
+    value = np.zeros((k, k), dtype=np.int64)
+    for target in range(k):
+
+        @lru_cache(maxsize=None)
+        def best(cls: int, remaining: tuple[int, ...]) -> int:
+            top = 1 if adj[cls][target] else -1
+            for nxt in range(k):
+                if remaining[nxt] and adj[cls][nxt]:
+                    rest = best(nxt, remaining[:nxt] + (remaining[nxt] - 1,) + remaining[nxt + 1 :])
+                    if rest >= 0 and rest + 1 > top:
+                        top = rest + 1
+            return top
+
+        for source in range(k):
+            counts = list(sizes)
+            counts[source] -= 1
+            counts[target] -= 1
+            if counts[source] >= 0:
+                value[source, target] = best(source, tuple(counts))
+    out = value[np.ix_(quotient.class_of, quotient.class_of)]
+    np.fill_diagonal(out, 0)
+    return out
+
+
+def blown_up_graphs(seed: int, count: int, max_n: int = 9):
+    """Seeded corpus of `count` connected graphs on at most `max_n` vertices with quotient symmetry.
+
+    A random base graph on 2 .. 5 vertices gains twins of some of its
+    vertices; then each base vertex becomes a clique or an independent set of
+    1 .. 3 vertices, joined completely to the blocks of its base neighbours.
+    Half the time every block has one shared size (2 or 3) and kind, so base
+    twins become interchangeable twin classes.
+    """
+    rng = np.random.default_rng(seed)
+    made = 0
+    while made < count:
+        base = int(rng.integers(2, 6))
+        adj = np.triu(rng.random((base, base)) < rng.uniform(0.2, 0.8), 1)
+        adj = adj | adj.T
+        for _ in range(int(rng.integers(1, 4))):
+            twin, v = int(rng.integers(0, len(adj))), len(adj)
+            adj = np.pad(adj, ((0, 1), (0, 1)))
+            adj[v, :v] = adj[:v, v] = adj[twin, :v]
+            adj[v, twin] = adj[twin, v] = rng.random() < 0.5
+        m = len(adj)
+        if rng.random() < 0.5:
+            sizes = [int(rng.integers(2, 4))] * m
+            cliques = [bool(rng.random() < 0.5)] * m
+        else:
+            sizes = rng.integers(1, 4, size=m).tolist()
+            cliques = (rng.random(m) < 0.5).tolist()
+        if sum(sizes) > max_n:
+            continue
+        block = np.repeat(np.arange(m), sizes)
+        big = adj[np.ix_(block, block)] | (
+            (block[:, None] == block[None, :]) & np.array(cliques)[block][:, None]
+        )
+        np.fill_diagonal(big, False)
+        graph = Graph(big)
+        if is_connected(graph):
+            made += 1
+            yield graph

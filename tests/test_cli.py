@@ -38,6 +38,33 @@ def test_usage_errors_exit_2(capsys):
     assert main(["frobnicate"]) == 2
 
 
+@pytest.mark.parametrize("source", ["flag", "config", "env"])
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("detour_budget", "nan"),
+        ("detour_budget", "inf"),
+        ("tol", "nan"),
+        ("detour_oracle_max_n", "-1"),
+    ],
+)
+def test_non_finite_or_negative_settings_are_usage_errors(
+    tmp_path, capsys, monkeypatch, source, key, value
+):
+    argv = ["report"]
+    if source == "flag":
+        argv += [f"--{key.replace('_', '-')}", value]
+    elif source == "config":
+        (tmp_path / "run.cfg").write_text(f"{key}={value}\n", encoding="utf-8")
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    else:
+        monkeypatch.setenv(f"POWERGRAPH_{key.upper()}", value)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ") and captured.err.count("\n") == 1
+
+
 def test_parse_rejects_bad_command():
     with pytest.raises(UsageError):
         parse_args(["explode", "--k", "2", "--p", "3"]).validate()

@@ -1,31 +1,22 @@
-"""Cross-check the twin-class detour search against a naive per-vertex DFS."""
+"""Cross-check the twin-class detour search against a naive per-vertex DFS,
+the search without quotient symmetry, and the family closed form."""
 
 import numpy as np
 import pytest
 
-from oracles import complete_graph, cycle_graph, is_connected, star_graph
+from oracles import (
+    blown_up_graphs,
+    complete_graph,
+    cycle_graph,
+    detour_matrix_unreduced,
+    is_connected,
+    naive_detour,
+    star_graph,
+)
 from powergraph.graphs import Graph
-from powergraph.detour import detour_matrix
+from powergraph.detour import detour_matrix, quotient_orbits
 from powergraph.sequences import family_detour_matrix
 from powergraph.metric import strong_metric_dimension
-
-
-def naive_detour(graph: Graph) -> np.ndarray:
-    """Longest simple paths by exhaustive DFS; exponential, for tiny oracles only."""
-    n = graph.n
-    best = np.zeros((n, n), dtype=np.int64)
-    adj = [graph.neighbors(v) for v in range(n)]
-
-    def dfs(start: int, v: int, visited: int, length: int) -> None:
-        for w in adj[v]:
-            if not (visited >> w) & 1:
-                if length + 1 > best[start][w]:
-                    best[start][w] = length + 1
-                dfs(start, w, visited | (1 << w), length + 1)
-
-    for s in range(n):
-        dfs(s, s, 1 << s, 0)
-    return best
 
 
 def random_connected_graph(rng: np.random.Generator, n: int) -> Graph:
@@ -85,6 +76,39 @@ def test_detour_matches_the_family_closed_form_at_n56(family):
     params, graph, classes = family(2, 7)
     predicted = family_detour_matrix(graph, classes, params)
     assert np.array_equal(detour_matrix(graph), predicted)
+
+
+@pytest.mark.parametrize("kp", [(2, 3), (3, 3), (2, 5), (2, 7), (3, 5)])
+def test_detour_equals_the_unreduced_search_on_the_family(family, kp):
+    _, graph, _ = family(*kp)
+    assert np.array_equal(detour_matrix(graph), detour_matrix_unreduced(graph))
+
+
+@pytest.mark.parametrize("kp", [(3, 7), (4, 5), (5, 5)])
+def test_detour_equals_the_family_closed_form_past_the_unreduced_search(family, kp):
+    params, graph, classes = family(*kp)
+    assert np.array_equal(detour_matrix(graph), family_detour_matrix(graph, classes, params))
+
+
+def test_family_orbits_are_the_blade_classes(family):
+    params, graph, classes = family(3, 5)
+    quotient = graph.quotient
+    orbits = [orbit for orbit in quotient_orbits(quotient) if len(orbit) > 1]
+    blades = sorted(frozenset(quotient.members[c]) for c in orbits[0])
+    expected = {frozenset((v, w)) for v in classes.h3 for w in classes.h3 if graph.has_edge(v, w)}
+    assert len(orbits) == 1 and len(orbits[0]) == params.rotation_order // 4
+    assert set(blades) == expected
+
+
+def test_detour_matches_naive_on_graphs_with_quotient_symmetry():
+    # blown-up twins: interchangeable twin classes, so the orbit reduction is exercised
+    symmetric = 0
+    for g in blown_up_graphs(8, 200):
+        detour = detour_matrix(g)
+        assert np.array_equal(detour, naive_detour(g)), g.edges()
+        assert np.array_equal(detour, detour_matrix_unreduced(g)), g.edges()
+        symmetric += any(len(orbit) > 1 for orbit in quotient_orbits(g.quotient))
+    assert symmetric >= 40
 
 
 def test_detour_small_named_graphs():

@@ -243,3 +243,9 @@ def test_detour_budget_error():
     g = Graph.from_edges(n, [(i, (i + step) % n) for i in range(n) for step in (1, 3, 7)])
     with pytest.raises(DetourBudgetError):
         detour_matrix(g, time_budget_s=0.05)
+
+
+def test_detour_budget_error_on_a_twin_heavy_graph(family):
+    _, graph, _ = family(5, 5)
+    with pytest.raises(DetourBudgetError):
+        detour_matrix(graph, time_budget_s=0.01)

@@ -72,6 +72,14 @@ def test_detour_oracle_cap_skips_the_search(calls):
     assert calls["detour_matrix"] == 0
 
 
+def test_default_detour_oracle_cap_covers_n160():
+    payload = build_report(4, 5, (0.5,))
+    checks = {c["name"]: c for c in payload["checks"]}
+    assert payload["config"]["detour_oracle_max_n"] == 320
+    assert checks["detour_eccentricities"]["passed"]
+    assert checks["detour_eccentricities"]["details"]["oracle_verified"] is True
+
+
 def test_spectra_command_matches_report_payload():
     alphas = (0.0, 0.25, 1.0)
     writer = _Writer(None)
