@@ -34,6 +34,7 @@ from .spectra import (  # noqa: F401
     a_alpha_closed_form,
     assemble_block_matrix,
     block_reduce,
+    quotient_spectrum,
     rd_alpha_closed_form,
     sym_eigenvalues,
     twin_eigenvalues,

@@ -30,6 +30,7 @@ generate every permutation of it.  Hence:
 
 from __future__ import annotations
 
+import sys
 import time
 from functools import lru_cache
 
@@ -40,6 +41,10 @@ from .graphs import Graph, TwinQuotient
 
 class DetourBudgetError(RuntimeError):
     """Exact search exceeded its time budget; no approximation is substituted."""
+
+
+class DetourDepthError(DetourBudgetError):
+    """Exact search needs a deeper recursion (one frame per path step) than Python allows."""
 
 
 def quotient_orbits(quotient: TwinQuotient) -> list[list[int]]:
@@ -71,8 +76,9 @@ def detour_matrix(graph: Graph, time_budget_s: float = 60.0) -> np.ndarray:
     """All-pairs longest simple path lengths (int64); exact, never approximated.
 
     Raises DetourBudgetError when the quotient search cannot finish within
-    `time_budget_s` seconds, and ValueError when some pair has no path (the
-    search marks it -1).
+    `time_budget_s` seconds, DetourDepthError when a path is longer than
+    Python's recursion limit allows (past about 1000 vertices on the family),
+    and ValueError when some pair has no path (the search marks it -1).
     """
     deadline = time.monotonic() + time_budget_s
     quotient = graph.quotient
@@ -133,7 +139,13 @@ def detour_matrix(graph: Graph, time_budget_s: float = 60.0) -> np.ndarray:
             counts[source] -= 1
             counts[target] -= 1
             if counts[source] >= 0:
-                value[source, target] = best(*canonical(source, counts))
+                try:
+                    value[source, target] = best(*canonical(source, counts))
+                except RecursionError:
+                    raise DetourDepthError(
+                        f"detour search on {graph.n} vertices exceeds Python's recursion "
+                        f"limit ({sys.getrecursionlimit()} frames, one per path step)"
+                    ) from None
         for other in orbit[1:]:
             swap = list(range(k))
             swap[target], swap[other] = other, target

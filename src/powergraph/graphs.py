@@ -300,17 +300,18 @@ def verify_decomposition(
             raise ClassificationError("graph is not labeled by group elements")
         position[(label.eps, label.i)] = idx
     rot = sorted(classes.rotation_indices)
-    for a_pos, a in enumerate(rot):
-        for b in rot[a_pos + 1 :]:
-            expected[a, b] = expected[b, a] = True
-    for h2 in classes.h2:
-        expected[classes.e, h2] = expected[h2, classes.e] = True
-    for j in range(half // 2):
-        exp = 2 * j + 1
-        blade = [classes.e, classes.u, position[(1, exp)], position[(1, exp + half)]]
-        for a_pos, a in enumerate(blade):
-            for b in blade[a_pos + 1 :]:
-                expected[a, b] = expected[b, a] = True
+    expected[np.ix_(rot, rot)] = True
+    pendant = sorted(classes.h2)
+    expected[classes.e, pendant] = expected[pendant, classes.e] = True
+    blades = np.array(
+        [
+            [classes.e, classes.u, position[(1, exp)], position[(1, exp + half)]]
+            for exp in range(1, half, 2)
+        ],
+        dtype=np.int64,
+    ).reshape(-1, 4)
+    expected[blades[:, :, None], blades[:, None, :]] = True
+    np.fill_diagonal(expected, False)
     missing = np.triu(expected & ~graph.adj)
     extra = np.triu(graph.adj & ~expected)
     missing_edges = sorted(zip(*(idx.tolist() for idx in np.nonzero(missing))))

@@ -5,6 +5,11 @@ symmetric by construction.  Each one is n x n, so a float64 matrix costs
 8 n^2 bytes: 0.8 MB at n = 320, 100 MB at n = 3584.  The distance matrix
 costs one n x n float32 product per distance level (BLAS, O(n^3) flops
 each), so three products on the family, whose diameter is at most 2.
+
+The report takes its spectra from the twin quotient (`spectra.quotient_spectrum`)
+and forms none of the n x n float matrices here; `a_alpha`, `rd_alpha`,
+`reciprocal_distance` and `reciprocal_transmission` are the dense references
+the tests solve with `spectra.sym_eigenvalues` and compare it against.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ class DisconnectedGraphError(ValueError):
     """Distance-based matrices require a connected graph."""
 
 
-def _check_alpha(alpha: float) -> float:
+def check_alpha(alpha: float) -> float:
     if not 0.0 <= alpha <= 1.0:
         raise AlphaRangeError(f"alpha must lie in [0, 1], got {alpha}")
     return float(alpha)
@@ -42,7 +47,7 @@ def degree_diag(graph: Graph) -> np.ndarray:
 
 def a_alpha(graph: Graph, alpha: float) -> np.ndarray:
     """alpha * D + (1 - alpha) * A; interpolates A (alpha=0) to D (alpha=1)."""
-    alpha = _check_alpha(alpha)
+    alpha = check_alpha(alpha)
     return alpha * degree_diag(graph) + (1.0 - alpha) * adjacency(graph)
 
 
@@ -89,7 +94,7 @@ def reciprocal_transmission(graph: Graph) -> np.ndarray:
 
 def rd_alpha(graph: Graph, alpha: float) -> np.ndarray:
     """alpha * RT + (1 - alpha) * RD."""
-    alpha = _check_alpha(alpha)
+    alpha = check_alpha(alpha)
     rd = reciprocal_distance(graph)
     rt = np.diag(rd.sum(axis=1))
     return alpha * rt + (1.0 - alpha) * rd

@@ -20,12 +20,15 @@ class MetricSearchError(RuntimeError):
 
 
 def resolve_check(graph: Graph, subset) -> bool:
-    """True when the distance vectors to `subset` distinguish every vertex pair."""
+    """True when the distance vectors to `subset` distinguish every vertex pair.
+
+    Rows are compared by their bytes in a hash set, with no sort of the rows.
+    """
     cols = sorted(subset)
     if not cols:
         return graph.n <= 1
     vectors = graph.dist[:, cols]
-    return len(np.unique(vectors, axis=0)) == graph.n
+    return len({row.tobytes() for row in vectors}) == graph.n
 
 
 def twin_lower_bound(graph: Graph) -> int:

@@ -10,12 +10,13 @@ run: a mismatch emits a diagnostic and the numeric spectrum stays the arbiter.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from functools import cached_property
 
 import numpy as np
 
-from . import matrices, metric, sequences, spectra
+from . import metric, sequences, spectra
 from .detour import DetourBudgetError, detour_matrix
 from .graphs import (
     Graph,
@@ -35,10 +36,11 @@ class Instance:
 
     `params`, `graph` and `partition` are built on construction; everything
     else on first use.  The graph holds its own distance matrix and twin
-    quotient.  Per-alpha matrices are dropped once their eigenvalues are
-    known, so the n x n arrays kept are the graph's adjacency and distances
-    and, when the oracle runs, the detour matrix.  Nothing is
-    cached across instances: the object lives as long as its caller keeps it.
+    quotient.  Spectra are solved on the twin quotient (`spectra.quotient_spectrum`),
+    so no per-alpha n x n matrix is formed: the n x n arrays kept are the
+    graph's adjacency and distances, the MMD graph's adjacency and, when the
+    oracle runs, the detour matrix.  Nothing is cached across instances: the
+    object lives as long as its caller keeps it.
     """
 
     def __init__(
@@ -52,16 +54,15 @@ class Instance:
         self._spectra: dict[tuple[str, float], tuple[spectra.Spectrum, np.ndarray]] = {}
 
     def spectrum(self, kind: str, alpha: float) -> tuple[spectra.Spectrum, np.ndarray]:
-        """(closed form, numeric eigenvalues descending) of A_alpha or RD_alpha."""
+        """(closed form, eigenvalues of the graph descending) of A_alpha or RD_alpha."""
         key = (kind, alpha)
         if key not in self._spectra:
             if kind == "adjacency":
                 closed = spectra.a_alpha_closed_form(self.params, alpha)
-                full = matrices.a_alpha(self.graph, alpha)
             else:
                 closed = spectra.rd_alpha_closed_form(self.params, alpha)
-                full = matrices.rd_alpha(self.graph, alpha)
-            self._spectra[key] = closed, spectra.sym_eigenvalues(full)
+            numeric = spectra.quotient_spectrum(self.graph, kind, alpha).values()
+            self._spectra[key] = closed, numeric
         return self._spectra[key]
 
     @cached_property
@@ -121,6 +122,13 @@ def _cluster_tol(values: np.ndarray) -> float:
     return 1e-6 * max(1.0, radius)
 
 
+def _max_deviation(predicted: np.ndarray, numeric: np.ndarray) -> float:
+    """Largest gap between two descending value lists; inf when their lengths differ."""
+    if predicted.shape != numeric.shape:
+        return math.inf
+    return float(np.abs(predicted - numeric).max(initial=0.0))
+
+
 def _multisets_agree(
     a: list[tuple[float, int]], b: list[tuple[float, int]], value_tol: float
 ) -> bool:
@@ -142,7 +150,7 @@ def spectrum_payload(
             for ln in closed.lines
         ],
         "numeric": [float(v) for v in numeric],
-        "max_deviation": float(np.abs(closed.values() - numeric).max()),
+        "max_deviation": _max_deviation(closed.values(), numeric),
     }
 
 
@@ -168,13 +176,15 @@ def check_structure(inst: Instance) -> list[dict]:
 
 
 def check_twin_eigenvalues(inst: Instance, alphas, tol: float) -> dict:
+    """The graph's twin lines of A_alpha are contained in the closed-form spectrum."""
     per_alpha = {}
     ok = True
     for alpha in alphas:
-        _, numeric = inst.spectrum("adjacency", alpha)
+        closed, _ = inst.spectrum("adjacency", alpha)
+        predicted = closed.values()
         present = True
-        for line in spectra.twin_eigenvalues(inst.graph, alpha).lines:
-            hits = int(np.sum(np.abs(numeric - line.value) <= max(tol, 1e-9)))
+        for line in spectra.twin_eigenvalues(inst.graph, "adjacency", alpha).lines:
+            hits = int(np.sum(np.abs(predicted - line.value) <= max(tol, 1e-9)))
             if hits < line.multiplicity:
                 present = False
         per_alpha[repr(alpha)] = present
@@ -192,7 +202,7 @@ def check_spectrum_family(
     ok = True
     for alpha in alphas:
         closed, numeric = inst.spectrum(kind, alpha)
-        deviation = float(np.abs(closed.values() - numeric).max())
+        deviation = _max_deviation(closed.values(), numeric)
         ctol = _cluster_tol(numeric)
         mult_ok = _multisets_agree(
             closed.merged(ctol),
@@ -208,9 +218,10 @@ def check_spectrum_family(
         payloads.append(spectrum_payload(inst.params, alpha, closed, numeric))
     details = {"per_alpha": per_alpha}
     if kind == "reciprocal":
-        rt = np.sort(matrices.reciprocal_distance(inst.graph).sum(axis=1))[::-1]
+        _, _, transmissions = spectra.class_reciprocals(inst.graph)
+        rt = np.sort(transmissions[inst.graph.quotient.class_of])[::-1]
         at_one = spectra.rd_alpha_closed_form(inst.params, 1.0).values()
-        rt_deviation = float(np.abs(at_one - rt).max())
+        rt_deviation = _max_deviation(at_one, rt)
         details["alpha_one_equals_transmissions"] = rt_deviation == 0.0
         ok = ok and rt_deviation == 0.0
     name = f"{kind}_alpha_spectrum"

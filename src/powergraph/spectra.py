@@ -1,10 +1,12 @@
-"""Symmetric eigensolving, closed-form spectra for the family, and block reduction.
+"""Symmetric eigensolving, spectra from the twin quotient, family closed forms, block reduction.
 
-The closed forms follow the two-stage pattern used throughout: twin classes
+Spectra follow the two-stage pattern used throughout: twin classes
 contribute eigenvalue families with known multiplicities, and the remaining
-eigenvalues come from a small quotient matrix over the vertex classes.  Both
-quotients (5x5 in each case) are assembled in symmetrized form, with class-size
-weights sqrt(n_i), so a plain symmetric eigensolver applies.
+eigenvalues come from a small quotient matrix over the vertex classes,
+assembled in symmetrized form with class-size weights sqrt(n_i) so a plain
+symmetric eigensolver applies.  `quotient_spectrum` does this for any graph
+on its twin classes (k x k, about n/8 on the family); the closed forms do it
+for the family on its 5 vertex classes.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 
 from .graphs import Graph
 from .groups import GroupParams
+from .matrices import check_alpha
 
 
 class EigensolverError(RuntimeError):
@@ -92,23 +95,89 @@ def cluster_values(values: np.ndarray, tol: float) -> list[tuple[float, int]]:
     return clusters
 
 
-def twin_eigenvalues(graph: Graph, alpha: float) -> Spectrum:
-    """Eigenvalues forced by twin classes.
+def class_reciprocals(graph: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(1/d between twin classes, 1/d inside each class, reciprocal transmission per class).
 
-    An open class of size l+1 contributes alpha*deg with multiplicity l; a
-    closed class contributes alpha*(deg+1) - 1 with multiplicity l.
+    Twins are equidistant from every other vertex, so `graph.dist` is read
+    only at class representatives, plus one within-class distance per class
+    of size > 1.  The k x k first array has a zero diagonal; a singleton
+    class has no within-class distance and gets 0 there.
+    """
+    quotient = graph.quotient
+    reps = np.array([members[0] for members in quotient.members], dtype=np.int64)
+    dist = graph.dist[np.ix_(reps, reps)].astype(np.float64)
+    np.fill_diagonal(dist, np.inf)
+    between = 1.0 / dist
+    within = np.array(
+        [1.0 / graph.dist[m[0], m[1]] if len(m) > 1 else 0.0 for m in quotient.members]
+    )
+    sizes = np.array(quotient.sizes, dtype=np.float64)
+    return between, within, between @ sizes + (sizes - 1.0) * within
+
+
+def _class_entries(graph: Graph, kind: str, alpha: float) -> tuple[np.ndarray, ...]:
+    """(diagonal, within-class, between-class k x k) entries of A_alpha or RD_alpha.
+
+    Twin classes are modules, so each entry depends on the classes of its row
+    and column only: `between[a, b]` is the entry for any member of a and any
+    member of b != a, `within[a]` the entry for two members of a.
+    """
+    alpha = check_alpha(alpha)
+    quotient = graph.quotient
+    if kind == "adjacency":
+        reps = [members[0] for members in quotient.members]
+        adj = np.array(quotient.adj, dtype=np.float64).reshape(len(reps), len(reps))
+        within = (1.0 - alpha) * np.diag(adj)
+        np.fill_diagonal(adj, 0.0)
+        return alpha * graph.degrees()[reps], within, (1.0 - alpha) * adj
+    if kind == "reciprocal":
+        between, within, transmissions = class_reciprocals(graph)
+        return alpha * transmissions, (1.0 - alpha) * within, (1.0 - alpha) * between
+    raise ValueError(f"unknown spectrum kind {kind!r}; choose adjacency or reciprocal")
+
+
+def _twin_lines(graph: Graph, diagonal, within) -> list[tuple[float, int, str]]:
+    """A class of size s contributes diagonal - within with multiplicity s - 1.
+
+    The eigenvectors are the vectors on the class that sum to zero; equal
+    values of one twin kind are merged into one line.
     """
     merged: dict[tuple[float, str], int] = {}
-    for members, closed in zip(graph.quotient.members, graph.quotient.closed):
-        if len(members) < 2:
-            continue
-        deg = graph.degree(members[0])
-        if closed:
-            key = (alpha * (deg + 1) - 1.0, "twin-closed")
-        else:
-            key = (alpha * deg, "twin-open")
-        merged[key] = merged.get(key, 0) + len(members) - 1
-    return Spectrum.from_lines([(v, m, s) for (v, s), m in merged.items()])
+    quotient = graph.quotient
+    for size, closed, d, w in zip(quotient.sizes, quotient.closed, diagonal, within):
+        if size > 1:
+            key = (float(d - w), "twin-closed" if closed else "twin-open")
+            merged[key] = merged.get(key, 0) + size - 1
+    return [(v, m, s) for (v, s), m in merged.items()]
+
+
+def twin_eigenvalues(graph: Graph, kind: str, alpha: float) -> Spectrum:
+    """Eigenvalues of A_alpha or RD_alpha (`kind` as in `quotient_spectrum`) forced by twin classes.
+
+    For A_alpha an open class of size l+1 contributes alpha*deg with
+    multiplicity l, a closed class alpha*deg - (1 - alpha).
+    """
+    diagonal, within, _ = _class_entries(graph, kind, alpha)
+    return Spectrum.from_lines(_twin_lines(graph, diagonal, within))
+
+
+def quotient_spectrum(graph: Graph, kind: str, alpha: float) -> Spectrum:
+    """Full A_alpha or RD_alpha spectrum of a graph from its twin quotient.
+
+    The twin partition is equitable (twin classes are modules), so the n
+    eigenvalues are the twin lines plus the k eigenvalues of the quotient
+    matrix B[a, b] = s_b * between[a, b], B[a, a] = diagonal[a] + (s_a - 1) *
+    within[a], solved in the symmetric form sqrt(s_a) B[a, b] / sqrt(s_b).
+    No n x n float matrix is formed; RD_alpha needs a connected graph.
+    """
+    diagonal, within, between = _class_entries(graph, kind, alpha)
+    sizes = np.array(graph.quotient.sizes, dtype=np.float64)
+    root = np.sqrt(sizes)
+    matrix = between * np.outer(root, root)
+    np.fill_diagonal(matrix, diagonal + (sizes - 1.0) * within)
+    lines = _twin_lines(graph, diagonal, within)
+    lines += [(float(v), 1, "quotient-root") for v in sym_eigenvalues(matrix)]
+    return Spectrum.from_lines(lines)
 
 
 # family closed forms ---------------------------------------------------
@@ -157,9 +226,7 @@ def a_alpha_closed_form(params: GroupParams, alpha: float) -> Spectrum:
     lines = a_alpha_families(params, alpha)
     for value in sym_eigenvalues(a_alpha_quotient_matrix(params, alpha)):
         lines.append((float(value), 1, "quotient-root"))
-    spectrum = Spectrum.from_lines(lines)
-    assert spectrum.total == params.order
-    return spectrum
+    return Spectrum.from_lines(lines)
 
 
 def quintic_coefficients(params: GroupParams, alpha: float) -> np.ndarray:
@@ -383,9 +450,7 @@ def rd_alpha_closed_form(params: GroupParams, alpha: float) -> Spectrum:
     lines = rd_alpha_families(params, alpha)
     for value in sym_eigenvalues(rd_alpha_quotient_matrix(params, alpha)):
         lines.append((float(value), 1, "quotient-root"))
-    spectrum = Spectrum.from_lines(lines)
-    assert spectrum.total == params.order
-    return spectrum
+    return Spectrum.from_lines(lines)
 
 
 def rd_quotient_transcription_check(

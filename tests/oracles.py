@@ -203,6 +203,14 @@ def mmd_graph_loop(graph: Graph) -> Graph:
     return Graph(adj, labels=graph.labels)
 
 
+def resolve_check_unique(graph: Graph, subset) -> bool:
+    """Whether the distance vectors to `subset` are pairwise distinct, by sorting the rows."""
+    cols = sorted(subset)
+    if not cols:
+        return graph.n <= 1
+    return len(np.unique(graph.dist[:, cols], axis=0)) == graph.n
+
+
 class RewritingProducts:
     """The products of `CayleyTable`'s word rewriting, each computed on demand.
 

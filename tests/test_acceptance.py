@@ -199,7 +199,7 @@ def test_criterion_9_structure(family):
         ok = ok and counts == family_degree_multiset(params)
         for alpha in GRID_ALPHA:
             numeric = sym_eigenvalues(a_alpha(graph, alpha))
-            for line in twin_eigenvalues(graph, alpha).lines:
+            for line in twin_eigenvalues(graph, "adjacency", alpha).lines:
                 hits = int(np.sum(np.abs(numeric - line.value) <= 1e-8))
                 ok = ok and hits >= line.multiplicity
     announce("9 structure decomposition, degrees and twin eigenvalues verified", ok)

@@ -236,6 +236,21 @@ def test_oversized_edge_list_is_refused_before_allocating(tmp_path):
     assert peak - small_peak < 4 * 1024  # ru_maxrss is in KiB on Linux
 
 
+def test_detour_past_the_recursion_limit_is_an_error_not_a_traceback():
+    src = str(Path(powergraph.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "powergraph", "detour", "--k", "7", "--p", "5",
+         "--detour-oracle-max-n", "2000"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert "recursion" in done.stderr and "Traceback" not in done.stderr
+
+
 def test_config_file_and_env_precedence(tmp_path, monkeypatch):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("k=3\np=3\nalpha=0.25,0.75\nseed=9\n", encoding="utf-8")

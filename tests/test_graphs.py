@@ -118,6 +118,14 @@ def test_decomposition_reports_violations(family):
     assert extra == []
 
 
+def test_decomposition_reports_an_extra_edge(family):
+    params, graph, classes = family(2, 3)
+    h2 = min(classes.h2)
+    extra_edge = (classes.u, h2) if classes.u < h2 else (h2, classes.u)
+    broken = Graph.from_edges(graph.n, graph.edges() + [extra_edge], labels=graph.labels)
+    assert verify_decomposition(broken, classes, params) == ([], [extra_edge])
+
+
 def test_blade_is_k4(family):
     params, graph, _ = family(2, 3)
     idx = {str(lbl): i for i, lbl in enumerate(graph.labels)}
@@ -205,7 +213,7 @@ def test_graph_computes_distances_and_quotient_once(monkeypatch):
     mmd_graph(graph)
     dds(graph)
     rd_alpha(graph, 0.5)
-    twin_eigenvalues(graph, 0.5)
+    twin_eigenvalues(graph, "reciprocal", 0.5)
     detour_matrix(graph)
     assert graph.dist is graph.dist and graph.quotient is graph.quotient
     assert calls == {"distance_matrix": 1, "twin_classes": 1}

@@ -8,6 +8,7 @@ from oracles import (
     mmd_graph_loop,
     path_graph,
     random_graphs,
+    resolve_check_unique,
     star_graph,
 )
 from powergraph.graphs import Graph, twin_classes
@@ -34,6 +35,20 @@ def test_full_vertex_set_always_resolves(family):
     assert resolve_check(graph, set(range(graph.n)))
     for g in (path_graph(5), cycle_graph(6), star_graph(4)):
         assert resolve_check(g, set(range(g.n)))
+
+
+def test_resolve_check_matches_the_sorting_oracle_on_random_graphs():
+    rng = np.random.default_rng(19)
+    connected = [graph for graph in random_graphs(seed=23, count=300) if is_connected(graph)]
+    verdicts = []
+    for graph in connected:
+        for _ in range(5):
+            size = int(rng.integers(0, graph.n + 1))
+            subset = rng.choice(graph.n, size=size, replace=False).tolist()
+            verdict = resolve_check(graph, subset)
+            assert verdict == resolve_check_unique(graph, subset)
+            verdicts.append(verdict)
+    assert len(connected) > 100 and 100 < sum(verdicts) < len(verdicts) - 100
 
 
 def test_twin_lower_bound_values(family):

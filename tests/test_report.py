@@ -8,9 +8,10 @@ from collections import Counter
 import pytest
 
 import powergraph
+from powergraph import spectra
 from powergraph.cli import RunConfig, _Writer, run
 from powergraph.groups import GroupParams
-from powergraph.report import Instance, build_report
+from powergraph.report import Instance, build_report, check_detour
 
 
 @pytest.fixture
@@ -90,3 +91,27 @@ def test_spectra_command_matches_report_payload():
         for alpha, entry in zip(alphas, report["spectra"][kind]):
             artifact = writer.artifacts[f"k2-p3-alpha{alpha!r}-{kind}-spectrum.json"]
             assert json.loads(artifact) == entry
+
+
+@pytest.mark.parametrize("dropped", [0, 1, 2])
+def test_twin_check_fails_when_the_closed_form_drops_a_family(monkeypatch, dropped):
+    families = spectra.a_alpha_families
+
+    def without_one(params, alpha):
+        lines = families(params, alpha)
+        return lines[:dropped] + lines[dropped + 1 :]
+
+    monkeypatch.setattr(spectra, "a_alpha_families", without_one)
+    payload = build_report(2, 3, (0.25, 0.5))
+    checks = {c["name"]: c for c in payload["checks"]}
+    assert not checks["twin_eigenvalues_in_spectrum"]["passed"]
+    assert not checks["adjacency_alpha_spectrum"]["passed"]
+    assert checks["reciprocal_alpha_spectrum"]["passed"]
+    assert not payload["passed"]
+
+
+def test_detour_past_the_recursion_limit_is_a_fail_with_an_error():
+    check = check_detour(Instance(GroupParams(7, 5), detour_oracle_max_n=2000))
+    assert not check["passed"]
+    assert not check["details"]["oracle_verified"]
+    assert "recursion" in check["details"]["error"]

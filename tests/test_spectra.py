@@ -5,9 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import complete_graph
+from oracles import blown_up_graphs, complete_graph, is_connected, random_graphs
 from powergraph.groups import GroupParams
-from powergraph.matrices import a_alpha, adjacency, rd_alpha, reciprocal_transmission
+from powergraph.matrices import (
+    AlphaRangeError,
+    a_alpha,
+    adjacency,
+    rd_alpha,
+    reciprocal_transmission,
+)
 from powergraph.report import _multisets_agree, spectrum_payload
 from powergraph.spectra import (
     BlockForm,
@@ -22,6 +28,7 @@ from powergraph.spectra import (
     cluster_values,
     quintic_coefficients,
     quintic_transcription_check,
+    quotient_spectrum,
     rd_alpha_closed_form,
     rd_quotient_transcription_check,
     sym_eigenvalues,
@@ -69,10 +76,53 @@ def test_rd_trace_identity(family):
 def test_twin_eigenvalue_lines(family):
     _, graph, _ = family(2, 3)
     alpha = 0.3
-    lines = {(round(ln.value, 12), ln.multiplicity) for ln in twin_eigenvalues(graph, alpha).lines}
+    twins = twin_eigenvalues(graph, "adjacency", alpha)
+    lines = {(round(ln.value, 12), ln.multiplicity) for ln in twins.lines}
     assert (round(alpha, 12), 5) in lines            # pendant class
     assert (round(12 * alpha - 1, 12), 9) in lines   # rotation clique class
     assert (round(4 * alpha - 1, 12), 3) in lines    # the order-4 pairs
+
+
+# spectra from the twin quotient, against the dense eigensolve -------------
+
+ALPHAS = (0.0, 0.25, 0.5, 0.75, 1.0)
+DENSE = {"adjacency": a_alpha, "reciprocal": rd_alpha}
+
+
+def assert_quotient_matches_dense(graph, kind):
+    for alpha in ALPHAS:
+        spectrum = quotient_spectrum(graph, kind, alpha)
+        dense = sym_eigenvalues(DENSE[kind](graph, alpha))
+        assert spectrum.total == graph.n
+        assert np.abs(spectrum.values() - dense).max(initial=0.0) <= 1e-8
+
+
+@pytest.mark.parametrize("kind", ["adjacency", "reciprocal"])
+def test_quotient_spectrum_matches_dense_on_random_graphs(kind):
+    corpus = [g for g in random_graphs(seed=13, count=200) if is_connected(g)]
+    corpus += list(blown_up_graphs(seed=17, count=100))
+    open_twins = closed_twins = 0
+    for graph in corpus:
+        assert_quotient_matches_dense(graph, kind)
+        sizes, closed = graph.quotient.sizes, graph.quotient.closed
+        open_twins += any(s > 1 and not c for s, c in zip(sizes, closed))
+        closed_twins += any(s > 1 and c for s, c in zip(sizes, closed))
+    assert len(corpus) > 150 and open_twins > 50 and closed_twins > 50
+
+
+@pytest.mark.parametrize("kind", ["adjacency", "reciprocal"])
+@pytest.mark.parametrize("k,p", [(2, 3), (3, 3), (2, 5), (2, 7), (3, 5), (4, 5), (5, 5)])
+def test_quotient_spectrum_matches_dense_on_the_family(family, k, p, kind):
+    _, graph, _ = family(k, p)
+    assert_quotient_matches_dense(graph, kind)
+
+
+def test_quotient_spectrum_rejects_bad_kind_or_alpha(family):
+    _, graph, _ = family(2, 3)
+    with pytest.raises(ValueError, match="kind"):
+        quotient_spectrum(graph, "laplacian", 0.5)
+    with pytest.raises(AlphaRangeError):
+        quotient_spectrum(graph, "reciprocal", 1.5)
 
 
 def test_minus_one_multiplicity_at_alpha_zero(family):
