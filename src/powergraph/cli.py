@@ -39,7 +39,7 @@ class RunConfig:
     fmt: str = "json"
     out_dir: Path | None = None
     detour_budget_s: float = 60.0
-    detour_oracle_max_n: int = 320
+    detour_oracle_max_n: int = report.DETOUR_ORACLE_MAX_N
     tol: float = 1e-8
     seed: int = 0
     graph_path: Path | None = None
@@ -66,6 +66,8 @@ class RunConfig:
             raise UsageError(f"detour budget must be finite and > 0, got {self.detour_budget_s}")
         if self.detour_oracle_max_n < 0:
             raise UsageError(f"detour oracle cap must be >= 0, got {self.detour_oracle_max_n}")
+        if self.seed < 0:
+            raise UsageError(f"seed must be >= 0, got {self.seed}")
         if "ingest" in self.commands and self.graph_path is None:
             raise UsageError("ingest requires --graph PATH")
         if self.graph_format not in ("edge-list", "json"):

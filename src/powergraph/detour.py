@@ -20,12 +20,25 @@ generate every permutation of it.  Hence:
 * `value[s, t'] = value[sigma(s), t]` for the transposition sigma = (t t'), so
   one search per orbit of target classes gives the whole detour matrix;
 * within the search for target t, every permutation of an orbit with t
-  removed fixes t and maps a state to one with the same longest way on.  Each
-  state is memoised under a canonical representative: in every such orbit,
-  the current class moves to the orbit's first member with its own count, and
-  the other members' counts are sorted.  Of several steps onto orbit members
-  with equal counts, which lead to equivalent states, only one is taken.
-  Nothing is pruned on a dominance argument, so the result stays exact.
+  removed fixes t and maps a state to one with the same longest way on.  Call
+  these orbits with t removed the groups, and t a group of its own.  A state
+  is memoised as (group of the current class, the current class's own
+  remaining count, one slot per group): a singleton group's slot is its
+  remaining count, a larger group's slot is the histogram of how many of its
+  classes other than the current one have 0, 1, ..., s vertices left (all
+  classes of an orbit have the same size s).  Two (class, remaining count per
+  class) states have the same histogram state exactly when permutations
+  inside the groups map one onto the other, so this is the canonical state
+  under those automorphisms (the current class first in its group, the other
+  counts sorted), kept without sorting anything.
+
+Interchangeable classes agree on every other class, and two classes of one
+orbit are all adjacent or all not, so adjacency is a function of the groups.
+A step onto a larger group takes one class with a given count, once per
+distinct count present; leaving a class returns its count to its group's
+histogram.  Each such step reaches exactly the states the per-class steps
+reach up to automorphism.  Nothing is pruned on a dominance argument, so the
+result stays exact.
 """
 
 from __future__ import annotations
@@ -85,62 +98,76 @@ def detour_matrix(graph: Graph, time_budget_s: float = 60.0) -> np.ndarray:
     adj, sizes = quotient.adj, quotient.sizes
     k = len(sizes)
     orbits = quotient_orbits(quotient)
-    steps = [[nxt for nxt in range(k) if adj[cls][nxt]] for cls in range(k)]
     value = np.zeros((k, k), dtype=np.int64)
     for orbit in orbits:
         target = orbit[0]
-        # the orbits of the automorphisms that fix the target
-        movable = [o for o in ([c for c in orb if c != target] for orb in orbits) if len(o) > 1]
-        earlier = [None] * k  # the preceding orbit member, whose count sorts next to this one
-        for o in movable:
-            for prev, c in zip(o, o[1:]):
-                earlier[c] = prev
-
-        def canonical(cls: int, counts: list[int]) -> tuple[int, tuple[int, ...]]:
-            """The representative of (cls, counts) under the orbit permutations; rewrites `counts`."""
-            for o in movable:
-                rest = o
-                if cls in o:
-                    counts[cls], counts[o[0]] = counts[o[0]], counts[cls]
-                    cls, rest = o[0], o[1:]
-                for c, v in zip(rest, sorted(counts[c] for c in rest)):
-                    counts[c] = v
-            return cls, tuple(counts)
+        # the orbits of the automorphisms that fix the target, the target first
+        groups = [[target]] + [o for o in ([c for c in orb if c != target] for orb in orbits) if o]
+        reps = [members[0] for members in groups]
+        single = [len(members) == 1 for members in groups]
+        size = [sizes[r] for r in reps]
+        base = [0] * len(groups)  # where each group's slot starts in the flat state
+        start: list[int] = []
+        for g, members in enumerate(groups):
+            base[g] = len(start)
+            start += [size[g]] if single[g] else [0] * size[g] + [len(members)]
+        ends = [adj[r][target] for r in reps]
+        # a step inside the current class keeps a larger group's state as it is
+        loops = [adj[r][r] and not single[g] for g, r in enumerate(reps)]
+        # every other step, as (group entered, slot taken from, count the entered class
+        # keeps or None for a singleton, whose slot is that count); members[-1] is a
+        # class other than r in r's own larger group, and r itself in a singleton
+        moves: list[list[tuple[int, int, int | None]]] = []
+        for r in reps:
+            out = []
+            for h, members in enumerate(groups):
+                if not adj[r][members[-1]]:
+                    continue
+                if single[h]:
+                    out.append((h, base[h], None))
+                else:
+                    out += [(h, base[h] + count, count - 1) for count in range(1, size[h] + 1)]
+            moves.append(out)
 
         @lru_cache(maxsize=None)
-        def best(cls: int, remaining: tuple[int, ...]) -> int:
-            """Longest path from a vertex of `cls` to the target; -1 when there is none.
+        def best(g: int, own: int, state: tuple[int, ...]) -> int:
+            """Longest path from the current class, in group `g`, to the target; -1 if none.
 
-            `remaining` counts the unvisited intermediate vertices per class
-            (endpoints excluded); stepping onto the target ends the path.  The
-            state is canonical, so orbit members with equal counts lead to
-            equivalent states and only the first of them is stepped onto.
+            `own` is the current class's count of unvisited intermediate
+            vertices (endpoints excluded); `state` holds a slot per group, the
+            remaining count of a singleton group or, for a larger group, how
+            many of its classes other than the current one have 0, 1, ...
+            vertices left.  Stepping onto the target ends the path.
             """
             if time.monotonic() > deadline:
                 raise DetourBudgetError("detour search exceeded its time budget")
-            top = 1 if adj[cls][target] else -1
-            for nxt in steps[cls]:
-                count = remaining[nxt]
-                if not count:
-                    continue
-                prev = earlier[nxt]
-                if prev is not None and prev != cls and remaining[prev] == count:
-                    continue
-                counts = list(remaining)
-                counts[nxt] = count - 1
-                rest = best(*canonical(nxt, counts))
+            top = 1 if ends[g] else -1
+            if own and loops[g]:
+                rest = best(g, own - 1, state)
                 if rest >= 0 and rest + 1 > top:
                     top = rest + 1
+            left = list(state)
+            if not single[g]:
+                left[base[g] + own] += 1  # the class the path leaves rejoins its group
+            for h, slot, keeps in moves[g]:
+                if state[slot]:  # one step per distinct count left in a larger group
+                    counts = left.copy()
+                    counts[slot] -= 1
+                    rest = best(h, counts[slot] if keeps is None else keeps, tuple(counts))
+                    if rest >= 0 and rest + 1 > top:
+                        top = rest + 1
             return top
 
         # endpoints leave their classes; a singleton class has no pair with itself
-        for source in range(k):
-            counts = list(sizes)
-            counts[source] -= 1
-            counts[target] -= 1
-            if counts[source] >= 0:
+        start[0] -= 1
+        for g, members in enumerate(groups):
+            counts = start.copy()
+            at = base[g] if single[g] else base[g] + size[g]
+            counts[at] -= 1
+            own = counts[at] if single[g] else size[g] - 1
+            if own >= 0:
                 try:
-                    value[source, target] = best(*canonical(source, counts))
+                    value[members, target] = best(g, own, tuple(counts))
                 except RecursionError:
                     raise DetourDepthError(
                         f"detour search on {graph.n} vertices exceeds Python's recursion "

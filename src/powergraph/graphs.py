@@ -17,8 +17,9 @@ import numpy as np
 from .groups import GroupElement, GroupParams, cyclic_subgroup
 from .matrices import distance_matrix
 
-# largest vertex count an ingested graph (edge list or JSON) may declare: its
-# adjacency and distances are dense n x n arrays, allocated after this check
+# largest vertex count an ingested graph (edge list or JSON) may declare, and the
+# largest family order a report builds: adjacency and distances are dense n x n
+# arrays, allocated after this check
 MAX_VERTICES = 8192
 
 

@@ -19,6 +19,7 @@ import numpy as np
 from . import metric, sequences, spectra
 from .detour import DetourBudgetError, detour_matrix
 from .graphs import (
+    MAX_VERTICES,
     Graph,
     PartitionClasses,
     build_power_graph,
@@ -26,26 +27,39 @@ from .graphs import (
     family_degree_multiset,
     verify_decomposition,
 )
-from .groups import GroupParams
+from .groups import GroupParams, ParameterError
 
 SPECTRUM_KINDS = ("adjacency", "reciprocal")
+# the largest n the exact detour search runs on by default: (6, 5), n = 640
+DETOUR_ORACLE_MAX_N = 640
 
 
 class Instance:
     """The power graph of one G(k, p) and the objects derived from it, each built at most once.
 
-    `params`, `graph` and `partition` are built on construction; everything
-    else on first use.  The graph holds its own distance matrix and twin
-    quotient.  Spectra are solved on the twin quotient (`spectra.quotient_spectrum`),
-    so no per-alpha n x n matrix is formed: the n x n arrays kept are the
-    graph's adjacency and distances, the MMD graph's adjacency and, when the
-    oracle runs, the detour matrix.  Nothing is cached across instances: the
-    object lives as long as its caller keeps it.
+    `params`, `graph` and `partition` are built on construction (an order
+    above `graphs.MAX_VERTICES` is a ParameterError before anything is
+    built); everything else on first use.  The graph holds its own distance
+    matrix and twin quotient.  Spectra are solved on the twin quotient
+    (`spectra.quotient_spectrum`), so no per-alpha n x n matrix is formed:
+    the n x n arrays kept are the graph's adjacency and distances, the MMD
+    graph's adjacency and, when the oracle runs, the detour matrix.  Nothing
+    is cached across instances: the object lives as long as its caller keeps
+    it.
     """
 
     def __init__(
-        self, params: GroupParams, detour_budget_s: float = 60.0, detour_oracle_max_n: int = 320
+        self,
+        params: GroupParams,
+        detour_budget_s: float = 60.0,
+        detour_oracle_max_n: int = DETOUR_ORACLE_MAX_N,
     ):
+        # k is compared first, so an absurd k is never expanded into 2^(k+1) p
+        if params.k >= MAX_VERTICES.bit_length() or params.order > MAX_VERTICES:
+            raise ParameterError(
+                f"G({params.k}, {params.p}) has 2^{params.k + 1} * {params.p} vertices, "
+                f"above the limit of {MAX_VERTICES}"
+            )
         self.params = params
         self.detour_budget_s = detour_budget_s
         self.detour_oracle_max_n = detour_oracle_max_n
@@ -418,7 +432,7 @@ def build_report(
     tol: float = 1e-8,
     seed: int = 0,
     detour_budget_s: float = 60.0,
-    detour_oracle_max_n: int = 320,
+    detour_oracle_max_n: int = DETOUR_ORACLE_MAX_N,
     version: str = "0",
 ) -> dict:
     """Run every verification for one (k, p) instance and collect PASS/FAIL."""

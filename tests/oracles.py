@@ -253,21 +253,37 @@ def random_graphs(seed: int, count: int, max_n: int = 30):
 
 
 def naive_detour(graph: Graph) -> np.ndarray:
-    """Longest simple paths by exhaustive DFS; exponential, for tiny oracles only."""
+    """Longest simple paths over every vertex set; exponential in n, for tiny oracles only.
+
+    `starts[mask][v]` is the set (a bitmask) of vertices s with a simple path
+    from s to v through exactly the vertices of `mask`.  Masks only grow, so
+    in increasing order each one is complete before it is extended.
+    Unreachable pairs read 0.
+    """
     n = graph.n
-    best = [[0] * n for _ in range(n)]
-    adj = [graph.neighbors(v) for v in range(n)]
-
-    def dfs(start: int, v: int, visited: int, length: int) -> None:
-        for w in adj[v]:
-            if not (visited >> w) & 1:
-                if length + 1 > best[start][w]:
-                    best[start][w] = length + 1
-                dfs(start, w, visited | (1 << w), length + 1)
-
-    for s in range(n):
-        dfs(s, s, 1 << s, 0)
-    return np.array(best, dtype=np.int64).reshape(n, n)
+    nbr = [sum(1 << w for w in graph.neighbors(v)) for v in range(n)]
+    starts = [[0] * n for _ in range(1 << n)]
+    for v in range(n):
+        starts[1 << v][v] = 1 << v
+    reached = [[0] * n for _ in range(n)]  # reached[length][v]: starts of a path that long to v
+    for mask in range(1, 1 << n):
+        length = mask.bit_count() - 1
+        for v, sources in enumerate(starts[mask]):
+            if sources:
+                reached[length][v] |= sources
+                free = nbr[v] & ~mask
+                while free:
+                    low = free & -free
+                    free ^= low
+                    starts[mask | low][low.bit_length() - 1] |= sources
+    best = np.zeros((n, n), dtype=np.int64)
+    for length in range(1, n):
+        for v, sources in enumerate(reached[length]):
+            while sources:
+                low = sources & -sources
+                sources ^= low
+                best[low.bit_length() - 1, v] = length
+    return best
 
 
 def detour_matrix_unreduced(graph: Graph) -> np.ndarray:

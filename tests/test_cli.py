@@ -46,6 +46,7 @@ def test_usage_errors_exit_2(capsys):
         ("detour_budget", "inf"),
         ("tol", "nan"),
         ("detour_oracle_max_n", "-1"),
+        ("seed", "-1"),
     ],
 )
 def test_non_finite_or_negative_settings_are_usage_errors(
@@ -204,29 +205,33 @@ def test_malformed_json_graph_is_a_usage_error(tmp_path, capsys, text):
     assert "Traceback" not in captured.err
 
 
-_INGEST_PEAK_RSS = (
-    "import resource, sys\n"
+def _main_in_subprocess(argv):
+    """(exit code, ru_maxrss in KiB, stderr) of `main(argv)` in a fresh interpreter."""
+    src = str(Path(powergraph.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", _MAIN_PEAK_RSS, json.dumps(argv)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    code, peak_kib = map(int, done.stdout.split()[-2:])
+    return code, peak_kib, done.stderr
+
+
+_MAIN_PEAK_RSS = (
+    "import json, resource, sys\n"
     "from powergraph.cli import main\n"
-    "code = main(['ingest', '--graph', sys.argv[1]])\n"
+    "code = main(json.loads(sys.argv[1]))\n"
     "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
 )
 
 
 def test_oversized_edge_list_is_refused_before_allocating(tmp_path):
-    src = str(Path(powergraph.__file__).resolve().parents[1])
-
     def ingest(text):
         path = tmp_path / "graph.txt"
         path.write_text(text, encoding="utf-8")
-        done = subprocess.run(
-            [sys.executable, "-c", _INGEST_PEAK_RSS, str(path)],
-            capture_output=True,
-            text=True,
-            timeout=120,
-            env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
-        )
-        code, peak_kib = map(int, done.stdout.split()[-2:])
-        return code, peak_kib, done.stderr
+        return _main_in_subprocess(["ingest", "--graph", str(path)])
 
     small_code, small_peak, _ = ingest("0 1\n")
     code, peak, err = ingest("0 100000\n")
@@ -234,6 +239,28 @@ def test_oversized_edge_list_is_refused_before_allocating(tmp_path):
     assert err.startswith("usage error: ") and err.count("\n") == 1
     assert "Traceback" not in err and "8192" in err
     assert peak - small_peak < 4 * 1024  # ru_maxrss is in KiB on Linux
+
+
+def test_negative_seed_is_a_usage_error_not_a_traceback():
+    code, _, err = _main_in_subprocess(["report", "--seed", "-1"])
+    assert code == 2
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert "seed" in err and "Traceback" not in err
+
+
+def test_family_order_above_the_vertex_cap_is_refused_before_building():
+    small_code, small_peak, _ = _main_in_subprocess(["build", "--k", "2", "--p", "3"])
+    assert small_code == 0
+    for argv in (
+        ["build", "--k", "20"],
+        ["report", "--k", "11", "--p", "5"],
+        ["report", "--k", "100000000"],  # 2^(k+1) alone would take 12 MB
+    ):
+        code, peak, err = _main_in_subprocess(argv)
+        assert code == 2, argv
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert "Traceback" not in err and "8192" in err
+        assert peak - small_peak < 4 * 1024  # ru_maxrss is in KiB on Linux
 
 
 def test_detour_past_the_recursion_limit_is_an_error_not_a_traceback():

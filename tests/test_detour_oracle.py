@@ -1,4 +1,4 @@
-"""Cross-check the twin-class detour search against a naive per-vertex DFS,
+"""Cross-check the histogram-state detour search against the per-vertex oracle,
 the search without quotient symmetry, and the family closed form."""
 
 import numpy as np
@@ -11,6 +11,7 @@ from oracles import (
     detour_matrix_unreduced,
     is_connected,
     naive_detour,
+    random_graphs,
     star_graph,
 )
 from powergraph.graphs import Graph
@@ -33,6 +34,14 @@ def test_detour_matches_naive_on_random_graphs():
     for _ in range(30):
         n = int(rng.integers(2, 9))
         g = random_connected_graph(rng, n)
+        assert np.array_equal(detour_matrix(g), naive_detour(g)), g.edges()
+
+
+def test_detour_matches_naive_on_the_random_corpus():
+    # up to 12 vertices, twins of every kind; disconnected graphs are left out
+    connected = [g for g in random_graphs(seed=7, count=300, max_n=12) if is_connected(g)]
+    assert len(connected) >= 140
+    for g in connected:
         assert np.array_equal(detour_matrix(g), naive_detour(g)), g.edges()
 
 
@@ -84,7 +93,7 @@ def test_detour_equals_the_unreduced_search_on_the_family(family, kp):
     assert np.array_equal(detour_matrix(graph), detour_matrix_unreduced(graph))
 
 
-@pytest.mark.parametrize("kp", [(3, 7), (4, 5), (5, 5)])
+@pytest.mark.parametrize("kp", [(3, 7), (4, 5), (5, 5), (6, 5)])
 def test_detour_equals_the_family_closed_form_past_the_unreduced_search(family, kp):
     params, graph, classes = family(*kp)
     assert np.array_equal(detour_matrix(graph), family_detour_matrix(graph, classes, params))

@@ -76,9 +76,18 @@ def test_detour_oracle_cap_skips_the_search(calls):
 def test_default_detour_oracle_cap_covers_n160():
     payload = build_report(4, 5, (0.5,))
     checks = {c["name"]: c for c in payload["checks"]}
-    assert payload["config"]["detour_oracle_max_n"] == 320
+    assert payload["config"]["detour_oracle_max_n"] == 640
     assert checks["detour_eccentricities"]["passed"]
     assert checks["detour_eccentricities"]["details"]["oracle_verified"] is True
+
+
+def test_default_detour_oracle_cap_covers_n640():
+    payload = build_report(6, 5, (0.5,))
+    checks = {c["name"]: c for c in payload["checks"]}
+    assert payload["passed"]
+    for name in ("detour_eccentricities", "detour_degree_sequences"):
+        assert checks[name]["passed"]
+        assert checks[name]["details"]["oracle_verified"] is True
 
 
 def test_spectra_command_matches_report_payload():
