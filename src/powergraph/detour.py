@@ -70,11 +70,10 @@ def quotient_orbits(quotient: TwinQuotient) -> list[list[int]]:
     adjacent pairs); no class is in a non-trivial group of both kinds.
     """
     k = len(quotient.sizes)
-    adj = np.array(quotient.adj, dtype=bool).reshape(k, k)
     groups: dict[tuple, list[int]] = {}
     for a, (size, closed) in enumerate(zip(quotient.sizes, quotient.closed)):
-        row = adj[a].copy()
-        label = (size, closed, quotient.adj[a][a])
+        row = quotient.adj[a].copy()
+        label = (size, closed, quotient.adj[a, a])
         for own in (False, True):
             row[a] = own
             groups.setdefault((label, own, row.tobytes()), []).append(a)
@@ -111,9 +110,9 @@ def detour_matrix(graph: Graph, time_budget_s: float = 60.0) -> np.ndarray:
         for g, members in enumerate(groups):
             base[g] = len(start)
             start += [size[g]] if single[g] else [0] * size[g] + [len(members)]
-        ends = [adj[r][target] for r in reps]
+        ends = [bool(adj[r, target]) for r in reps]
         # a step inside the current class keeps a larger group's state as it is
-        loops = [adj[r][r] and not single[g] for g, r in enumerate(reps)]
+        loops = [bool(adj[r, r]) and not single[g] for g, r in enumerate(reps)]
         # every other step, as (group entered, slot taken from, count the entered class
         # keeps or None for a singleton, whose slot is that count); members[-1] is a
         # class other than r in r's own larger group, and r itself in a singleton
@@ -121,7 +120,7 @@ def detour_matrix(graph: Graph, time_budget_s: float = 60.0) -> np.ndarray:
         for r in reps:
             out = []
             for h, members in enumerate(groups):
-                if not adj[r][members[-1]]:
+                if not adj[r, members[-1]]:
                     continue
                 if single[h]:
                     out.append((h, base[h], None))
@@ -177,7 +176,7 @@ def detour_matrix(graph: Graph, time_budget_s: float = 60.0) -> np.ndarray:
             swap = list(range(k))
             swap[target], swap[other] = other, target
             value[:, other] = value[swap, target]
-    out = value[np.ix_(quotient.class_of, quotient.class_of)]
+    out = quotient.lift(value)
     np.fill_diagonal(out, 0)
     if (out < 0).any():
         raise ValueError("graph is disconnected; detour distances are undefined")

@@ -14,13 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .groups import GroupElement, GroupParams, cyclic_subgroup
-from .matrices import distance_matrix
-
-# largest vertex count an ingested graph (edge list or JSON) may declare, and the
-# largest family order a report builds: adjacency and distances are dense n x n
-# arrays, allocated after this check
-MAX_VERTICES = 8192
+from .groups import MAX_VERTICES, GroupElement, GroupParams, cyclic_subgroup
+from .matrices import DisconnectedGraphError, distance_matrix
 
 
 class GraphFormatError(ValueError):
@@ -76,20 +71,15 @@ class Graph:
 
     @cached_property
     def dist(self) -> np.ndarray:
-        """Shortest-path distances (read-only); DisconnectedGraphError when disconnected."""
-        dist = distance_matrix(self)
+        """Shortest-path distances (read-only), lifted from the twin quotient's class distances."""
+        dist = self.quotient.lift(self.quotient.dist)
+        np.fill_diagonal(dist, 0)
         dist.setflags(write=False)
         return dist
 
     @cached_property
     def quotient(self) -> "TwinQuotient":
         return TwinQuotient(self)
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return bool(self.adj[i, j])
-
-    def degree(self, i: int) -> int:
-        return int(self.adj[i].sum())
 
     def degrees(self) -> np.ndarray:
         return self.adj.sum(axis=1).astype(np.int64)
@@ -101,9 +91,6 @@ class Graph:
 
     def edge_count(self) -> int:
         return int(np.triu(self.adj).sum())
-
-    def neighbors(self, i: int) -> list[int]:
-        return np.nonzero(self.adj[i])[0].tolist()
 
     # serialization ----------------------------------------------------
 
@@ -261,12 +248,13 @@ def twin_classes(graph: Graph) -> list[tuple[list[int], bool]]:
 
 
 class TwinQuotient:
-    """Twin-class quotient of a graph: members, sizes, closedness and class adjacency.
+    """Twin-class quotient of a graph: members, sizes, closedness, class adjacency and distances.
 
     Classes keep the order of `twin_classes` (by smallest member).  Twin
-    classes are modules, so for a != b `adj[a][b]` is the adjacency between
-    any member of a and any member of b; `adj[a][a]` says whether two members
-    of a are adjacent (a closed class of size > 1).
+    classes are modules, so for a != b `adj[a, b]` is the adjacency between
+    any member of a and any member of b; `adj[a, a]` says whether two members
+    of a are adjacent (a closed class of size > 1).  `dist` reads the same
+    way, and `lift` turns a k x k class matrix into the n x n vertex matrix.
     """
 
     def __init__(self, graph: Graph):
@@ -274,14 +262,35 @@ class TwinQuotient:
         self.members = [members for members, _ in classes]
         self.sizes = [len(m) for m in self.members]
         self.closed = [closed for _, closed in classes]
-        self.class_of = [0] * graph.n
+        self.class_of = np.zeros(graph.n, dtype=np.int64)
         for idx, mem in enumerate(self.members):
-            for v in mem:
-                self.class_of[v] = idx
+            self.class_of[mem] = idx
         reps = [m[0] for m in self.members]
         adj = graph.adj[np.ix_(reps, reps)]
         np.fill_diagonal(adj, [c and s > 1 for c, s in zip(self.closed, self.sizes)])
-        self.adj: list[list[bool]] = adj.tolist()
+        adj.setflags(write=False)
+        self.adj = adj
+
+    @cached_property
+    def dist(self) -> np.ndarray:
+        """k x k class distances (int64, read-only); DisconnectedGraphError when disconnected.
+
+        Off the diagonal these are the quotient graph's distances.  The diagonal
+        is the distance between two members of a class: 0 for a singleton, 1 for
+        a closed class, 2 for an open one (its members share a neighbour).
+        """
+        if len(self.sizes) == 1 and self.sizes[0] > 1 and not self.closed[0]:  # edgeless
+            raise DisconnectedGraphError("graph is disconnected; distances are undefined")
+        within = self.adj.diagonal()
+        # not the quotient graph's own `.dist`, which would recurse into its twin classes
+        dist = distance_matrix(Graph(self.adj & ~np.diag(within)))
+        np.fill_diagonal(dist, 2 * (np.array(self.sizes) > 1) - within)
+        dist.setflags(write=False)
+        return dist
+
+    def lift(self, matrix: np.ndarray) -> np.ndarray:
+        """The n x n matrix whose (u, v) entry is the k x k `matrix` at (class of u, class of v)."""
+        return matrix[np.ix_(self.class_of, self.class_of)]
 
 
 def verify_decomposition(

@@ -11,6 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
+# largest family order a report builds and vertex count an ingested graph may
+# declare: adjacency is a dense n x n array, allocated after this check
+MAX_VERTICES = 8192
+
+
 class ParameterError(ValueError):
     """Invalid or mismatched group parameters."""
 
@@ -37,6 +42,13 @@ class GroupParams:
     def __post_init__(self) -> None:
         if self.k < 2:
             raise ParameterError(f"k must be >= 2, got {self.k}")
+        # before the trial division, which a huge p would stall; k is compared
+        # first, so an absurd k is never expanded into 2^(k+1) p
+        if self.k >= MAX_VERTICES.bit_length() or self.order > MAX_VERTICES:
+            raise ParameterError(
+                f"G({self.k}, {self.p}) has 2^{self.k + 1} * {self.p} vertices, "
+                f"above the limit of {MAX_VERTICES}"
+            )
         if self.p == 2 or not is_prime(self.p):
             raise ParameterError(f"p must be an odd prime, got {self.p}")
 

@@ -1,13 +1,10 @@
 """Matrix representations of a graph: adjacency family, distance and reciprocal-distance family.
 
 All matrices are dense float64 (int64 for distances) numpy arrays and exactly
-symmetric by construction.  Each one is n x n, so a float64 matrix costs
-8 n^2 bytes: 0.8 MB at n = 320, 100 MB at n = 3584.  The distance matrix
-costs one n x n float32 product per distance level (BLAS, O(n^3) flops
-each), so three products on the family, whose diameter is at most 2.
-
-The report takes its spectra from the twin quotient (`spectra.quotient_spectrum`)
-and forms none of the n x n float matrices here; `a_alpha`, `rd_alpha`,
+symmetric by construction; an n x n float64 matrix costs 8 n^2 bytes.  The
+pipeline runs `distance_matrix` once per graph, on its k-vertex twin quotient
+(`graphs.TwinQuotient.dist`, k about n/8 on the family), and takes its spectra
+from the quotient too (`spectra.quotient_spectrum`).  `a_alpha`, `rd_alpha`,
 `reciprocal_distance` and `reciprocal_transmission` are the dense references
 the tests solve with `spectra.sym_eigenvalues` and compare it against.
 """

@@ -90,20 +90,24 @@ def mmd_graph(graph: Graph) -> Graph:
     """Strong resolving graph: edges are the mutually maximally distant pairs.
 
     u is maximally distant from v when no neighbor of u is farther from v
-    than u itself (so an isolated u is maximally distant from every v).  With
-    F_t = (dist >= t), the neighbors of u at distance >= t from v number
-    `(adj @ F_t)[u, v]`, so one n x n product per distance level t = d(u, v) + 1
-    finds every pair with a farther neighbor.
+    than u itself.  Twin classes are modules, so on the quotient with class
+    distances D this holds unless a class c adjacent to u's class a has
+    D[c, b] > D[a, b], b being v's class.  A neighbour in b lies at D[b, b]
+    from v; one in a lies at D[a, b] and is never farther, so a's own entry of
+    the quotient adjacency is dropped.  With F_t = (D >= t), one k x k product
+    `adj @ F_t` per level t = D[a, b] + 1 decides every class pair.
     """
-    dist = graph.dist
-    n = graph.n
-    nbrs = graph.adj.astype(np.float32)
-    farther = np.zeros((n, n), dtype=bool)
+    quotient = graph.quotient
+    dist = quotient.dist
+    k = len(quotient.sizes)
+    nbrs = quotient.adj.astype(np.float32)
+    np.fill_diagonal(nbrs, 0.0)
+    farther = np.zeros((k, k), dtype=bool)
     for t in range(1, int(dist.max(initial=0)) + 1):
         level = dist == t - 1
         farther[level] = (nbrs @ (dist >= t).astype(np.float32) > 0)[level]
     md = ~farther
-    adj = md & md.T
+    adj = quotient.lift(md & md.T)
     np.fill_diagonal(adj, False)
     return Graph(adj, labels=graph.labels)
 

@@ -19,7 +19,6 @@ import numpy as np
 from . import metric, sequences, spectra
 from .detour import DetourBudgetError, detour_matrix
 from .graphs import (
-    MAX_VERTICES,
     Graph,
     PartitionClasses,
     build_power_graph,
@@ -27,7 +26,7 @@ from .graphs import (
     family_degree_multiset,
     verify_decomposition,
 )
-from .groups import GroupParams, ParameterError
+from .groups import GroupParams
 
 SPECTRUM_KINDS = ("adjacency", "reciprocal")
 # the largest n the exact detour search runs on by default: (6, 5), n = 640
@@ -37,15 +36,15 @@ DETOUR_ORACLE_MAX_N = 640
 class Instance:
     """The power graph of one G(k, p) and the objects derived from it, each built at most once.
 
-    `params`, `graph` and `partition` are built on construction (an order
-    above `graphs.MAX_VERTICES` is a ParameterError before anything is
-    built); everything else on first use.  The graph holds its own distance
-    matrix and twin quotient.  Spectra are solved on the twin quotient
-    (`spectra.quotient_spectrum`), so no per-alpha n x n matrix is formed:
-    the n x n arrays kept are the graph's adjacency and distances, the MMD
-    graph's adjacency and, when the oracle runs, the detour matrix.  Nothing
-    is cached across instances: the object lives as long as its caller keeps
-    it.
+    `params`, `graph` and `partition` are built on construction (`GroupParams`
+    refuses an order above `groups.MAX_VERTICES`); everything else on first
+    use.  The graph holds its twin quotient, which holds the k x k class
+    distances.  Spectra and the MMD graph are computed on the quotient, so
+    no per-alpha n x n matrix and no n x n distance product is formed: the
+    n x n arrays kept are the graph's adjacency, its lifted distances (read
+    by the metric dimension witness and the distance degree sequences), the
+    MMD graph's adjacency and, when the oracle runs, the detour matrix.
+    Nothing is cached across instances.
     """
 
     def __init__(
@@ -54,12 +53,6 @@ class Instance:
         detour_budget_s: float = 60.0,
         detour_oracle_max_n: int = DETOUR_ORACLE_MAX_N,
     ):
-        # k is compared first, so an absurd k is never expanded into 2^(k+1) p
-        if params.k >= MAX_VERTICES.bit_length() or params.order > MAX_VERTICES:
-            raise ParameterError(
-                f"G({params.k}, {params.p}) has 2^{params.k + 1} * {params.p} vertices, "
-                f"above the limit of {MAX_VERTICES}"
-            )
         self.params = params
         self.detour_budget_s = detour_budget_s
         self.detour_oracle_max_n = detour_oracle_max_n

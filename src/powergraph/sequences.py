@@ -77,36 +77,27 @@ def family_detour_eccentricities(params: GroupParams) -> dict[str, int]:
 
 
 def family_detour_matrix(graph: Graph, classes: PartitionClasses, params: GroupParams) -> np.ndarray:
-    """Predicted detour matrix assembled from the per-class-pair closed forms."""
+    """Predicted detour matrix: the per-class-pair closed forms, indexed by each vertex's class.
+
+    A blade's two order-4 vertices s r^i and s r^(i + N/2) are at N + 1.
+    """
     n = params.rotation_order
     half = n // 2
-
-    kind = {v: name for name, members in classes.named().items() for v in members}
-    pair_values = {
-        frozenset(("e", "u")): n - 1,
-        frozenset(("e", "h1")): n + 1,
-        frozenset(("e", "h2")): 1,
-        frozenset(("e", "h3")): n + 1,
-        frozenset(("u", "h1")): n + 1,
-        frozenset(("u", "h2")): n,
-        frozenset(("u", "h3")): n + 1,
-        frozenset(("h1",)): n + 1,
-        frozenset(("h1", "h2")): n + 2,
-        frozenset(("h1", "h3")): n + 3,
-        frozenset(("h2",)): 2,
-        frozenset(("h2", "h3")): n + 2,
-    }
-    out = np.zeros((graph.n, graph.n), dtype=np.int64)
-    labels = graph.labels
-    for i in range(graph.n):
-        for j in range(i + 1, graph.n):
-            ki, kj = kind[i], kind[j]
-            if ki == "h3" and kj == "h3":
-                partner = (labels[i].i + half) % n == labels[j].i
-                value = n + 1 if partner else n + 3
-            else:
-                value = pair_values[frozenset((ki, kj))]
-            out[i, j] = out[j, i] = value
+    table = np.array([  # rows and columns e, u, h1, h2, h3
+        [0, n - 1, n + 1, 1, n + 1],
+        [n - 1, 0, n + 1, n, n + 1],
+        [n + 1, n + 1, n + 1, n + 2, n + 3],
+        [1, n, n + 2, 2, n + 2],
+        [n + 1, n + 1, n + 3, n + 2, n + 3],
+    ])
+    kind = np.zeros(graph.n, dtype=np.int64)
+    for idx, members in enumerate(classes.named().values()):
+        kind[list(members)] = idx
+    out = table[np.ix_(kind, kind)]
+    blades = sorted(classes.h3)
+    blade_of = {graph.labels[v].i: v for v in blades}
+    out[blades, [blade_of[(graph.labels[v].i + half) % n] for v in blades]] = n + 1
+    np.fill_diagonal(out, 0)
     return out
 
 

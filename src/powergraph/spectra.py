@@ -61,10 +61,6 @@ class Spectrum:
 
     lines: tuple[SpectralLine, ...]
 
-    @property
-    def total(self) -> int:
-        return sum(line.multiplicity for line in self.lines)
-
     def values(self) -> np.ndarray:
         """Expanded value list, sorted descending."""
         out: list[float] = []
@@ -98,20 +94,17 @@ def cluster_values(values: np.ndarray, tol: float) -> list[tuple[float, int]]:
 def class_reciprocals(graph: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(1/d between twin classes, 1/d inside each class, reciprocal transmission per class).
 
-    Twins are equidistant from every other vertex, so `graph.dist` is read
-    only at class representatives, plus one within-class distance per class
-    of size > 1.  The k x k first array has a zero diagonal; a singleton
-    class has no within-class distance and gets 0 there.
+    All three come from the twin quotient's k x k class distances: the off
+    diagonal gives the first array, whose own diagonal is zero, and the
+    diagonal gives the second, where a singleton class has no within-class
+    distance and gets 0.
     """
     quotient = graph.quotient
-    reps = np.array([members[0] for members in quotient.members], dtype=np.int64)
-    dist = graph.dist[np.ix_(reps, reps)].astype(np.float64)
+    dist = quotient.dist.astype(np.float64)
+    sizes = np.array(quotient.sizes, dtype=np.float64)
+    within = np.divide(1.0, dist.diagonal(), out=np.zeros_like(sizes), where=sizes > 1)
     np.fill_diagonal(dist, np.inf)
     between = 1.0 / dist
-    within = np.array(
-        [1.0 / graph.dist[m[0], m[1]] if len(m) > 1 else 0.0 for m in quotient.members]
-    )
-    sizes = np.array(quotient.sizes, dtype=np.float64)
     return between, within, between @ sizes + (sizes - 1.0) * within
 
 
@@ -126,7 +119,7 @@ def _class_entries(graph: Graph, kind: str, alpha: float) -> tuple[np.ndarray, .
     quotient = graph.quotient
     if kind == "adjacency":
         reps = [members[0] for members in quotient.members]
-        adj = np.array(quotient.adj, dtype=np.float64).reshape(len(reps), len(reps))
+        adj = quotient.adj.astype(np.float64)
         within = (1.0 - alpha) * np.diag(adj)
         np.fill_diagonal(adj, 0.0)
         return alpha * graph.degrees()[reps], within, (1.0 - alpha) * adj

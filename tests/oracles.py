@@ -187,7 +187,7 @@ def bfs_distance_matrix(graph: Graph) -> np.ndarray:
 def mmd_graph_loop(graph: Graph) -> Graph:
     """Strong resolving graph, one vertex u at a time: u is maximally distant
     from v when no neighbor of u is farther from v than u itself."""
-    dist = graph.dist
+    dist = bfs_distance_matrix(graph)
     n = graph.n
     md = np.zeros((n, n), dtype=bool)
     for u in range(n):
@@ -261,7 +261,7 @@ def naive_detour(graph: Graph) -> np.ndarray:
     Unreachable pairs read 0.
     """
     n = graph.n
-    nbr = [sum(1 << w for w in graph.neighbors(v)) for v in range(n)]
+    nbr = [sum(1 << int(w) for w in np.nonzero(graph.adj[v])[0]) for v in range(n)]
     starts = [[0] * n for _ in range(1 << n)]
     for v in range(n):
         starts[1 << v][v] = 1 << v
@@ -284,6 +284,39 @@ def naive_detour(graph: Graph) -> np.ndarray:
                 sources ^= low
                 best[low.bit_length() - 1, v] = length
     return best
+
+
+def family_detour_matrix_loop(graph: Graph, classes, params: GroupParams) -> np.ndarray:
+    """The predicted family detour matrix, one vertex pair at a time from the class-pair rules."""
+    n = params.rotation_order
+    half = n // 2
+    kind = {v: name for name, members in classes.named().items() for v in members}
+    pair_values = {
+        frozenset(("e", "u")): n - 1,
+        frozenset(("e", "h1")): n + 1,
+        frozenset(("e", "h2")): 1,
+        frozenset(("e", "h3")): n + 1,
+        frozenset(("u", "h1")): n + 1,
+        frozenset(("u", "h2")): n,
+        frozenset(("u", "h3")): n + 1,
+        frozenset(("h1",)): n + 1,
+        frozenset(("h1", "h2")): n + 2,
+        frozenset(("h1", "h3")): n + 3,
+        frozenset(("h2",)): 2,
+        frozenset(("h2", "h3")): n + 2,
+    }
+    out = np.zeros((graph.n, graph.n), dtype=np.int64)
+    labels = graph.labels
+    for i in range(graph.n):
+        for j in range(i + 1, graph.n):
+            ki, kj = kind[i], kind[j]
+            if ki == "h3" and kj == "h3":
+                partner = (labels[i].i + half) % n == labels[j].i
+                value = n + 1 if partner else n + 3
+            else:
+                value = pair_values[frozenset((ki, kj))]
+            out[i, j] = out[j, i] = value
+    return out
 
 
 def detour_matrix_unreduced(graph: Graph) -> np.ndarray:

@@ -263,6 +263,13 @@ def test_family_order_above_the_vertex_cap_is_refused_before_building():
         assert peak - small_peak < 4 * 1024  # ru_maxrss is in KiB on Linux
 
 
+def test_huge_prime_p_is_refused_before_the_primality_check():
+    # a prime near 10^19: trial division up to sqrt(p) would take minutes
+    code, _, err = _main_in_subprocess(["report", "--p", "10000000000000000051"])
+    assert code == 2
+    assert err.startswith("usage error: ") and "8192" in err
+
+
 def test_detour_past_the_recursion_limit_is_an_error_not_a_traceback():
     src = str(Path(powergraph.__file__).resolve().parents[1])
     done = subprocess.run(

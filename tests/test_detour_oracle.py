@@ -9,6 +9,7 @@ from oracles import (
     complete_graph,
     cycle_graph,
     detour_matrix_unreduced,
+    family_detour_matrix_loop,
     is_connected,
     naive_detour,
     random_graphs,
@@ -99,12 +100,19 @@ def test_detour_equals_the_family_closed_form_past_the_unreduced_search(family, 
     assert np.array_equal(detour_matrix(graph), family_detour_matrix(graph, classes, params))
 
 
+@pytest.mark.parametrize("kp", [(2, 3), (2, 5), (3, 3), (3, 5), (4, 5), (5, 5), (6, 5)])
+def test_family_detour_matrix_equals_the_pair_loop(family, kp):
+    params, graph, classes = family(*kp)
+    predicted = family_detour_matrix(graph, classes, params)
+    assert np.array_equal(predicted, family_detour_matrix_loop(graph, classes, params))
+
+
 def test_family_orbits_are_the_blade_classes(family):
     params, graph, classes = family(3, 5)
     quotient = graph.quotient
     orbits = [orbit for orbit in quotient_orbits(quotient) if len(orbit) > 1]
     blades = sorted(frozenset(quotient.members[c]) for c in orbits[0])
-    expected = {frozenset((v, w)) for v in classes.h3 for w in classes.h3 if graph.has_edge(v, w)}
+    expected = {frozenset((v, w)) for v in classes.h3 for w in classes.h3 if graph.adj[v, w]}
     assert len(orbits) == 1 and len(orbits[0]) == params.rotation_order // 4
     assert set(blades) == expected
 

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import bfs_distance_matrix, complete_graph, cycle_graph, path_graph, random_graphs
+from oracles import (
+    bfs_distance_matrix,
+    blown_up_graphs,
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    random_graphs,
+)
 from powergraph.detour import DetourBudgetError, detour_matrix
 from powergraph.graphs import Graph
 from powergraph.matrices import (
@@ -137,6 +144,37 @@ def test_distance_matrix_matches_the_bfs_oracle_on_the_family(family, k, p):
     dist = distance_matrix(graph)
     assert dist.dtype == np.int64
     assert np.array_equal(dist, bfs_distance_matrix(graph))
+
+
+def test_graph_dist_matches_the_bfs_oracle_on_the_random_corpora():
+    graphs = [*random_graphs(seed=6, count=300), *blown_up_graphs(seed=5, count=100)]
+    disconnected = 0
+    for graph in graphs:
+        try:
+            expected = bfs_distance_matrix(graph)
+        except DisconnectedGraphError:
+            disconnected += 1
+            with pytest.raises(DisconnectedGraphError, match="graph is disconnected"):
+                graph.dist
+            continue
+        assert graph.dist.dtype == np.int64
+        assert np.array_equal(graph.dist, expected)
+    assert 50 < disconnected < 250  # the corpus has both kinds
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_graph_dist_rejects_an_edgeless_graph(n):
+    # one open twin class and nothing else: the quotient is a single vertex
+    graph = Graph(np.zeros((n, n), dtype=bool))
+    assert graph.quotient.sizes == [n]
+    with pytest.raises(DisconnectedGraphError, match="graph is disconnected"):
+        graph.dist
+
+
+@pytest.mark.parametrize("k,p", [(2, 3), (3, 5), (5, 5), (6, 5), (7, 7)])
+def test_graph_dist_equals_the_dense_distances_on_the_family(family, k, p):
+    _, graph, _ = family(k, p)
+    assert np.array_equal(graph.dist, distance_matrix(graph))
 
 
 @pytest.mark.parametrize("make", [path_graph, cycle_graph])

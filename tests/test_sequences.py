@@ -67,7 +67,7 @@ def test_dds_row_invariants(family):
     for v, row in enumerate(table.rows):
         assert sum(row) == graph.n
         assert row[0] == 1
-        assert row[1] == graph.degree(v)
+        assert row[1] == graph.degrees()[v]
 
 
 def test_dds_multiset_discrepancy_reported(family):

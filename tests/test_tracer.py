@@ -24,7 +24,8 @@ def test_tracer_sees_the_graphs_own_distances_and_quotient():
         graph = graphs.build_power_graph(GroupParams(2, 3))
         graph.dist, graph.quotient
     names = [span.name for span in tracer.spans]
-    assert names == ["graphs.build_power_graph", "matrices.distance_matrix", "graphs.twin_classes"]
+    # the quotient is built first: the graph's distances are lifted from its classes
+    assert names == ["graphs.build_power_graph", "graphs.twin_classes", "matrices.distance_matrix"]
 
 
 def test_benchmark_selftest_passes():
