@@ -284,7 +284,7 @@ def run(config: RunConfig, writer: _Writer | None = None, out=None) -> int:
     if "detour" in config.commands:
         mat = inst.detour
         if mat is not None:
-            ecc, radius, diameter = sequences.detour_profile(mat)
+            ecc, radius, diameter = inst.detour_profile
             payload = {
                 "oracle_verified": True,
                 "radius": radius,
@@ -292,7 +292,8 @@ def run(config: RunConfig, writer: _Writer | None = None, out=None) -> int:
                 "eccentricities": [int(x) for x in ecc],
             }
             if config.fmt == "csv":
-                writer.emit(f"{stem}-detour-matrix.csv", matrices.matrix_to_csv(mat))
+                csv = matrices.matrix_to_csv(graph.quotient.lift(mat))
+                writer.emit(f"{stem}-detour-matrix.csv", csv)
         else:
             payload = {
                 "oracle_verified": False,
@@ -310,9 +311,8 @@ def run(config: RunConfig, writer: _Writer | None = None, out=None) -> int:
                 table.groups, sequences.family_dds_groups(inst.params)
             ),
         }
-        detour = inst.detour
-        if detour is not None:
-            dtable = sequences.DegreeSequenceTable.from_distances(detour)
+        if inst.detour is not None:
+            dtable = inst.detour_dds
             payload["dds_detour"] = dtable.to_json_dict()
             payload["printed_detour_comparison"] = sequences.compare_groupings(
                 dtable.groups, sequences.family_dds_detour_groups(inst.params)

@@ -5,9 +5,10 @@ one twin class are interchangeable (any transposition inside a class is a
 graph automorphism), so a path is determined up to automorphism by its
 sequence of twin classes, and the search runs over (current class, remaining
 count per class) states instead of individual vertices.  The same argument
-makes the detour distance a function of the endpoint classes only.  The
-longest way on from a state depends on the target class alone, so the states
-of one target's search are memoised once and shared by every source class.
+makes the detour distance a function of the endpoint classes only, so the
+result is a k x k class matrix.  The longest way on from a state depends on
+the target class alone, so the states of one target's search are memoised
+once and shared by every source class.
 
 The quotient has automorphisms of its own.  Call two classes a != b
 interchangeable when their size, closedness and `adj` diagonal are equal and
@@ -85,8 +86,11 @@ def quotient_orbits(quotient: TwinQuotient) -> list[list[int]]:
 
 
 def detour_matrix(graph: Graph, time_budget_s: float = 60.0) -> np.ndarray:
-    """All-pairs longest simple path lengths (int64); exact, never approximated.
+    """k x k class matrix of longest simple path lengths (int64); exact, never approximated.
 
+    Entry (a, b) is the detour distance between any member of twin class a
+    and any other member of class b; the diagonal is the within-class value,
+    0 for a singleton.  `graph.quotient.lift` gives the vertex matrix.
     Raises DetourBudgetError when the quotient search cannot finish within
     `time_budget_s` seconds, DetourDepthError when a path is longer than
     Python's recursion limit allows (past about 1000 vertices on the family),
@@ -176,8 +180,6 @@ def detour_matrix(graph: Graph, time_budget_s: float = 60.0) -> np.ndarray:
             swap = list(range(k))
             swap[target], swap[other] = other, target
             value[:, other] = value[swap, target]
-    out = quotient.lift(value)
-    np.fill_diagonal(out, 0)
-    if (out < 0).any():
+    if (value < 0).any():
         raise ValueError("graph is disconnected; detour distances are undefined")
-    return out
+    return value

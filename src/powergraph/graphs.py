@@ -30,8 +30,8 @@ class Graph:
     """Simple undirected graph with opaque or group-element vertex labels.
 
     A graph is a value: it is built once from a finished adjacency matrix,
-    which it copies and keeps read-only.  Its distance matrix and twin
-    quotient are computed on first use and then shared by every analysis.
+    which it copies and keeps read-only.  Its twin quotient, which holds the
+    class distances, is computed on first use and then shared by every analysis.
     """
 
     def __init__(self, adj, labels: list | None = None):
@@ -68,14 +68,6 @@ class Graph:
                 raise GraphFormatError(f"self-loop {i}")
             adj[i, j] = adj[j, i] = True
         return cls(adj, labels)
-
-    @cached_property
-    def dist(self) -> np.ndarray:
-        """Shortest-path distances (read-only), lifted from the twin quotient's class distances."""
-        dist = self.quotient.lift(self.quotient.dist)
-        np.fill_diagonal(dist, 0)
-        dist.setflags(write=False)
-        return dist
 
     @cached_property
     def quotient(self) -> "TwinQuotient":
@@ -254,7 +246,8 @@ class TwinQuotient:
     classes are modules, so for a != b `adj[a, b]` is the adjacency between
     any member of a and any member of b; `adj[a, a]` says whether two members
     of a are adjacent (a closed class of size > 1).  `dist` reads the same
-    way, and `lift` turns a k x k class matrix into the n x n vertex matrix.
+    way, as does the detour search's class matrix; `lift` turns such a k x k
+    class matrix into the n x n vertex matrix.
     """
 
     def __init__(self, graph: Graph):
@@ -282,15 +275,16 @@ class TwinQuotient:
         if len(self.sizes) == 1 and self.sizes[0] > 1 and not self.closed[0]:  # edgeless
             raise DisconnectedGraphError("graph is disconnected; distances are undefined")
         within = self.adj.diagonal()
-        # not the quotient graph's own `.dist`, which would recurse into its twin classes
         dist = distance_matrix(Graph(self.adj & ~np.diag(within)))
         np.fill_diagonal(dist, 2 * (np.array(self.sizes) > 1) - within)
         dist.setflags(write=False)
         return dist
 
     def lift(self, matrix: np.ndarray) -> np.ndarray:
-        """The n x n matrix whose (u, v) entry is the k x k `matrix` at (class of u, class of v)."""
-        return matrix[np.ix_(self.class_of, self.class_of)]
+        """The n x n matrix whose (u, v) entry is `matrix` at their classes; diagonal cleared."""
+        out = matrix[np.ix_(self.class_of, self.class_of)]
+        np.fill_diagonal(out, 0)
+        return out
 
 
 def verify_decomposition(

@@ -5,8 +5,8 @@ symmetric by construction; an n x n float64 matrix costs 8 n^2 bytes.  The
 pipeline runs `distance_matrix` once per graph, on its k-vertex twin quotient
 (`graphs.TwinQuotient.dist`, k about n/8 on the family), and takes its spectra
 from the quotient too (`spectra.quotient_spectrum`).  `a_alpha`, `rd_alpha`,
-`reciprocal_distance` and `reciprocal_transmission` are the dense references
-the tests solve with `spectra.sym_eigenvalues` and compare it against.
+`reciprocal_distance` and `reciprocal_transmission` are the dense n-vertex
+references the tests solve with `spectra.sym_eigenvalues` and compare it against.
 """
 
 from __future__ import annotations
@@ -76,8 +76,8 @@ def distance_matrix(graph: Graph) -> np.ndarray:
 
 
 def reciprocal_distance(graph: Graph) -> np.ndarray:
-    """Entrywise 1/d(u, v) off the diagonal, 0 on it."""
-    dist = graph.dist
+    """Entrywise 1/d(u, v) off the diagonal, 0 on it, from the dense n-vertex distances."""
+    dist = distance_matrix(graph)
     rd = np.zeros(dist.shape, dtype=np.float64)
     off = dist > 0
     rd[off] = 1.0 / dist[off]

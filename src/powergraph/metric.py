@@ -22,13 +22,21 @@ class MetricSearchError(RuntimeError):
 def resolve_check(graph: Graph, subset) -> bool:
     """True when the distance vectors to `subset` distinguish every vertex pair.
 
-    Rows are compared by their bytes in a hash set, with no sort of the rows.
+    Decided on twin classes.  Each subset vertex alone is at 0 from itself.
+    A vertex outside the subset, of class a, is at `dist[a, b]` from every
+    subset vertex of class b, so the outside vertices are told apart exactly
+    when their classes' rows on the classes the subset hits are distinct (two
+    outside vertices of one class share a row).  Rows are compared by their
+    bytes in a hash set.
     """
     cols = sorted(subset)
     if not cols:
         return graph.n <= 1
-    vectors = graph.dist[:, cols]
-    return len({row.tobytes() for row in vectors}) == graph.n
+    quotient = graph.quotient
+    rows = np.delete(quotient.class_of, cols)
+    hit = sorted(set(quotient.class_of[cols].tolist()))
+    vectors = quotient.dist[np.ix_(rows, hit)]
+    return len({row.tobytes() for row in vectors}) == len(rows)
 
 
 def twin_lower_bound(graph: Graph) -> int:
@@ -107,9 +115,7 @@ def mmd_graph(graph: Graph) -> Graph:
         level = dist == t - 1
         farther[level] = (nbrs @ (dist >= t).astype(np.float32) > 0)[level]
     md = ~farther
-    adj = quotient.lift(md & md.T)
-    np.fill_diagonal(adj, False)
-    return Graph(adj, labels=graph.labels)
+    return Graph(quotient.lift(md & md.T), labels=graph.labels)
 
 
 def max_independent_set(graph: Graph) -> tuple[int, ...]:

@@ -2,7 +2,7 @@
 
 An `Instance` holds one (k, p) instance and every object derived from it;
 each check reads what it needs from there, so one report builds the graph,
-twin quotient, distance matrix and detour matrix once.  Each check returns a
+twin quotient, class distances and class detour matrix once.  Each check returns a
 name, a pass flag and enough detail to diagnose a failure.  Transcription
 checks (published polynomial / published quotient matrix) never fail the
 run: a mismatch emits a diagnostic and the numeric spectrum stays the arbiter.
@@ -39,12 +39,11 @@ class Instance:
     `params`, `graph` and `partition` are built on construction (`GroupParams`
     refuses an order above `groups.MAX_VERTICES`); everything else on first
     use.  The graph holds its twin quotient, which holds the k x k class
-    distances.  Spectra and the MMD graph are computed on the quotient, so
-    no per-alpha n x n matrix and no n x n distance product is formed: the
-    n x n arrays kept are the graph's adjacency, its lifted distances (read
-    by the metric dimension witness and the distance degree sequences), the
-    MMD graph's adjacency and, when the oracle runs, the detour matrix.
-    Nothing is cached across instances.
+    distances; the detour search gives a k x k class matrix too.  Spectra,
+    the metric dimension witness, the MMD graph and both degree sequence
+    tables are computed from class matrices, so the only n x n arrays kept
+    are the graph's adjacency and the MMD graph's adjacency.  Nothing is
+    cached across instances.
     """
 
     def __init__(
@@ -92,7 +91,7 @@ class Instance:
 
     @cached_property
     def detour_search(self) -> tuple[np.ndarray | None, DetourBudgetError | None]:
-        """(detour matrix, budget error) of the exact search.
+        """(k x k class detour matrix, budget error) of the exact search.
 
         The matrix is None when n exceeds `detour_oracle_max_n` (the search is
         not run) or when the search ran out of `detour_budget_s` (the error is
@@ -107,11 +106,45 @@ class Instance:
 
     @property
     def detour(self) -> np.ndarray | None:
-        """Detour matrix, None above the oracle cap; raises the search's DetourBudgetError."""
+        """Class detour matrix, None above the oracle cap; raises the search's DetourBudgetError."""
         matrix, error = self.detour_search
         if error is not None:
             raise error
         return matrix
+
+    @cached_property
+    def detour_profile(self) -> tuple[np.ndarray, int, int] | None:
+        """(per-vertex detour eccentricity, radius, diameter); None without a detour matrix."""
+        matrix, _ = self.detour_search
+        if matrix is None:
+            return None
+        ecc, radius, diameter = sequences.detour_profile(matrix)
+        return ecc[self.graph.quotient.class_of], radius, diameter
+
+    @cached_property
+    def detour_dds(self) -> sequences.DegreeSequenceTable | None:
+        """Detour distance degree sequences; None without a detour matrix."""
+        matrix, _ = self.detour_search
+        if matrix is None:
+            return None
+        return sequences.DegreeSequenceTable.from_classes(self.graph.quotient, matrix)
+
+    @cached_property
+    def twins_as_predicted(self) -> bool:
+        """Whether the twin classes are the ones the closed forms assume, read from the labels.
+
+        {e} and {u} are singletons, h1 is one closed class, h2 one open class,
+        and each blade {s r^i, s r^(i + N/2)} is a closed pair.
+        """
+        classes, half = self.partition, self.params.rotation_order // 2
+        blades: dict[int, set[int]] = {}
+        for v in classes.h3:
+            blades.setdefault(self.graph.labels[v].i % half, set()).add(v)
+        predicted = {(frozenset((classes.e,)), False), (frozenset((classes.u,)), False)}
+        predicted |= {(classes.h1, True), (classes.h2, False)}
+        predicted |= {(frozenset(blade), True) for blade in blades.values()}
+        quotient = self.graph.quotient
+        return predicted == set(zip(map(frozenset, quotient.members), quotient.closed))
 
 
 def _check(name: str, passed: bool, **details) -> dict:
@@ -166,9 +199,6 @@ def check_structure(inst: Instance) -> list[dict]:
     missing, extra = verify_decomposition(graph, classes, params)
     counts = dict(Counter(graph.degrees().tolist()))
     predicted = family_degree_multiset(params)
-    n = params.rotation_order
-    sizes = tuple(len(c) for c in (classes.h0, classes.h1, classes.h2, classes.h3))
-    sizes_ok = sizes == (2, n - 2, n // 2, n // 2)
     return [
         _check(
             "structure_decomposition",
@@ -178,7 +208,7 @@ def check_structure(inst: Instance) -> list[dict]:
             extra=extra[:10],
         ),
         _check("degree_multiset", counts == predicted, computed=counts, predicted=predicted),
-        _check("partition_sizes", sizes_ok),
+        _check("partition_sizes", inst.twins_as_predicted),
     ]
 
 
@@ -322,9 +352,10 @@ def check_detour(inst: Instance) -> dict:
             note="closed-form prediction only; instance above the oracle size cap",
             predicted=predicted_ecc,
         )
+    # the class matrices are the vertex matrices exactly when the twin classes are as predicted
     predicted = sequences.family_detour_matrix(inst.graph, classes, inst.params)
-    matrix_ok = bool(np.array_equal(computed, predicted))
-    ecc, radius, diameter = sequences.detour_profile(computed)
+    matrix_ok = inst.twins_as_predicted and bool(np.array_equal(computed, predicted))
+    ecc, radius, diameter = inst.detour_profile
     profile_ok = radius == predicted_ecc["radius"] and diameter == predicted_ecc["diameter"]
     per_class_ok = _classes_match(ecc, classes, predicted_ecc)
     return _check(
@@ -355,9 +386,8 @@ def check_degree_sequences(inst: Instance) -> list[dict]:
             printed_multiset_comparison=multiset_diff,
         )
     ]
-    detour, _ = inst.detour_search
-    if detour is not None:
-        dtable = sequences.DegreeSequenceTable.from_distances(detour)
+    dtable = inst.detour_dds
+    if dtable is not None:
         drows = sequences.family_dds_detour_rows(params)
         shape_ok = _classes_match(dtable.rows, classes, drows)
         grouping_ok = sequences.compare_groupings(

@@ -1,8 +1,10 @@
 """Eccentricities, radius/diameter, and (detour) distance degree sequences.
 
-A distance degree sequence row stores the count of vertices at every distance
-0 .. ec(v), interior zeros included, because the detour sequences of these
-graphs are identified by their positional zero runs.
+Distances and detour distances are k x k matrices over the twin classes, with
+the within-class value on the diagonal (0 for a singleton), and every table is
+built from its k class rows.  A row stores the count of vertices at every
+distance 0 .. ec(v), interior zeros included, because the detour sequences of
+these graphs are identified by their positional zero runs.
 """
 
 from __future__ import annotations
@@ -11,12 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, PartitionClasses
+from .graphs import Graph, PartitionClasses, TwinQuotient
 from .groups import GroupParams
 
 
 def detour_profile(detour: np.ndarray) -> tuple[np.ndarray, int, int]:
-    """(per-vertex detour eccentricity, detour radius, detour diameter)."""
+    """(eccentricity of each row, radius, diameter); a class matrix's rows are its classes."""
     ecc = detour.max(axis=1)
     return ecc, int(ecc.min()), int(ecc.max())
 
@@ -42,21 +44,34 @@ class DegreeSequenceTable:
         return "".join(",".join(str(x) for x in row) + "\n" for row in self.rows)
 
     @classmethod
-    def from_distances(cls, dist: np.ndarray) -> "DegreeSequenceTable":
-        rows = []
-        for row in dist:
-            counts = np.bincount(row)
-            rows.append(tuple(int(c) for c in counts))
-        counter: dict[tuple[int, ...], int] = {}
-        for row in rows:
-            counter[row] = counter.get(row, 0) + 1
-        groups = tuple(sorted(counter.items(), key=lambda kv: (-kv[1], kv[0])))
-        return cls(tuple(rows), groups)
+    def from_classes(cls, quotient: TwinQuotient, matrix: np.ndarray) -> "DegreeSequenceTable":
+        """Table of a k x k class matrix of distances (or detour distances).
+
+        A vertex of class a sees `sizes[b]` vertices at `matrix[a, b]`, except
+        in its own class: itself at 0 and the other members at `matrix[a, a]`.
+        """
+        sizes = np.array(quotient.sizes)
+        class_rows = []
+        for a, row in enumerate(matrix):
+            counts = np.bincount(row, weights=sizes).astype(np.int64)
+            counts[row[a]] -= 1
+            counts[0] += 1
+            class_rows.append(tuple(int(c) for c in counts))
+        groups = _grouped(zip(class_rows, quotient.sizes))
+        return cls(tuple(class_rows[a] for a in quotient.class_of), groups)
+
+
+def _grouped(pairs) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(sequence, count) pairs summed per sequence, by descending count, then sequence."""
+    counter: dict[tuple[int, ...], int] = {}
+    for seq, count in pairs:
+        counter[seq] = counter.get(seq, 0) + count
+    return tuple(sorted(counter.items(), key=lambda kv: (-kv[1], kv[0])))
 
 
 def dds(graph: Graph) -> DegreeSequenceTable:
     """Distance degree sequences; every row sums to n and starts with 1."""
-    return DegreeSequenceTable.from_distances(graph.dist)
+    return DegreeSequenceTable.from_classes(graph.quotient, graph.quotient.dist)
 
 
 # family predictions -----------------------------------------------------
@@ -77,12 +92,14 @@ def family_detour_eccentricities(params: GroupParams) -> dict[str, int]:
 
 
 def family_detour_matrix(graph: Graph, classes: PartitionClasses, params: GroupParams) -> np.ndarray:
-    """Predicted detour matrix: the per-class-pair closed forms, indexed by each vertex's class.
+    """Predicted k x k class detour matrix over the graph's twin classes, read from labels only.
 
-    A blade's two order-4 vertices s r^i and s r^(i + N/2) are at N + 1.
+    Entries are the per-class-pair closed forms at the classes' first members,
+    the diagonal at a class's first and last members (0 for a singleton); a
+    blade's two order-4 vertices s r^i and s r^(i + N/2) are at N + 1.  Lifted,
+    it is the vertex prediction when each twin class lies in one vertex class.
     """
     n = params.rotation_order
-    half = n // 2
     table = np.array([  # rows and columns e, u, h1, h2, h3
         [0, n - 1, n + 1, 1, n + 1],
         [n - 1, 0, n + 1, n, n + 1],
@@ -93,11 +110,15 @@ def family_detour_matrix(graph: Graph, classes: PartitionClasses, params: GroupP
     kind = np.zeros(graph.n, dtype=np.int64)
     for idx, members in enumerate(classes.named().values()):
         kind[list(members)] = idx
-    out = table[np.ix_(kind, kind)]
-    blades = sorted(classes.h3)
-    blade_of = {graph.labels[v].i: v for v in blades}
-    out[blades, [blade_of[(graph.labels[v].i + half) % n] for v in blades]] = n + 1
-    np.fill_diagonal(out, 0)
+    exponent = np.array([label.i for label in graph.labels])
+
+    def predict(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        partners = (kind[u] == 4) & (kind[v] == 4) & ((exponent[u] + n // 2) % n == exponent[v])
+        return np.where(u == v, 0, np.where(partners, n + 1, table[kind[u], kind[v]]))
+
+    first, last = np.array([[members[0], members[-1]] for members in graph.quotient.members]).T
+    out = predict(first[:, None], first)
+    np.fill_diagonal(out, predict(first, last))
     return out
 
 
@@ -141,17 +162,8 @@ def family_dds_detour_groups(params: GroupParams) -> tuple[tuple[tuple[int, ...]
     n = params.rotation_order
     half = n // 2
     rows = family_dds_detour_rows(params)
-    pairs = [
-        (rows["e"], 1),
-        (rows["u"], 1),
-        (rows["h1"], n - 2),
-        (rows["h2"], half),
-        (rows["h3"], half),
-    ]
-    counter: dict[tuple[int, ...], int] = {}
-    for seq, count in pairs:
-        counter[seq] = counter.get(seq, 0) + count
-    return tuple(sorted(counter.items(), key=lambda kv: (-kv[1], kv[0])))
+    counts = {"e": 1, "u": 1, "h1": n - 2, "h2": half, "h3": half}
+    return _grouped((rows[name], count) for name, count in counts.items())
 
 
 def compare_groupings(

@@ -208,7 +208,12 @@ def resolve_check_unique(graph: Graph, subset) -> bool:
     cols = sorted(subset)
     if not cols:
         return graph.n <= 1
-    return len(np.unique(graph.dist[:, cols], axis=0)) == graph.n
+    return len(np.unique(bfs_distance_matrix(graph)[:, cols], axis=0)) == graph.n
+
+
+def dds_rows_bincount(graph: Graph) -> tuple[tuple[int, ...], ...]:
+    """Distance degree sequence rows: the count of each distance in every row of the BFS distances."""
+    return tuple(tuple(np.bincount(row).tolist()) for row in bfs_distance_matrix(graph))
 
 
 class RewritingProducts:

@@ -1,5 +1,8 @@
 """Cross-check the histogram-state detour search against the per-vertex oracle,
-the search without quotient symmetry, and the family closed form."""
+the search without quotient symmetry, and the family closed form.
+
+The search gives a k x k class matrix; `lifted` turns it into the vertex
+matrix the oracles give."""
 
 import numpy as np
 import pytest
@@ -17,8 +20,12 @@ from oracles import (
 )
 from powergraph.graphs import Graph
 from powergraph.detour import detour_matrix, quotient_orbits
-from powergraph.sequences import family_detour_matrix
+from powergraph.sequences import DegreeSequenceTable, family_detour_matrix
 from powergraph.metric import strong_metric_dimension
+
+
+def lifted(graph: Graph) -> np.ndarray:
+    return graph.quotient.lift(detour_matrix(graph))
 
 
 def random_connected_graph(rng: np.random.Generator, n: int) -> Graph:
@@ -35,7 +42,7 @@ def test_detour_matches_naive_on_random_graphs():
     for _ in range(30):
         n = int(rng.integers(2, 9))
         g = random_connected_graph(rng, n)
-        assert np.array_equal(detour_matrix(g), naive_detour(g)), g.edges()
+        assert np.array_equal(lifted(g), naive_detour(g)), g.edges()
 
 
 def test_detour_matches_naive_on_the_random_corpus():
@@ -43,7 +50,7 @@ def test_detour_matches_naive_on_the_random_corpus():
     connected = [g for g in random_graphs(seed=7, count=300, max_n=12) if is_connected(g)]
     assert len(connected) >= 140
     for g in connected:
-        assert np.array_equal(detour_matrix(g), naive_detour(g)), g.edges()
+        assert np.array_equal(lifted(g), naive_detour(g)), g.edges()
 
 
 def test_detour_matches_naive_on_twin_heavy_graphs():
@@ -60,7 +67,7 @@ def test_detour_matches_naive_on_twin_heavy_graphs():
                 edges.extend((a, b) for b in block[a_pos + 1 :])
             offset += size
         g = Graph.from_edges(1 + sum(sizes), edges)
-        assert np.array_equal(detour_matrix(g), naive_detour(g))
+        assert np.array_equal(lifted(g), naive_detour(g))
 
 
 def test_detour_matches_naive_on_open_twin_graphs():
@@ -79,31 +86,35 @@ def test_detour_matches_naive_on_open_twin_graphs():
             nxt += count
         graphs.append(Graph.from_edges(nxt, edges))
     for g in graphs:
-        assert np.array_equal(detour_matrix(g), naive_detour(g)), g.edges()
+        assert np.array_equal(lifted(g), naive_detour(g)), g.edges()
 
 
 def test_detour_matches_the_family_closed_form_at_n56(family):
     params, graph, classes = family(2, 7)
     predicted = family_detour_matrix(graph, classes, params)
     assert np.array_equal(detour_matrix(graph), predicted)
+    assert np.array_equal(lifted(graph), family_detour_matrix_loop(graph, classes, params))
 
 
 @pytest.mark.parametrize("kp", [(2, 3), (3, 3), (2, 5), (2, 7), (3, 5)])
 def test_detour_equals_the_unreduced_search_on_the_family(family, kp):
-    _, graph, _ = family(*kp)
-    assert np.array_equal(detour_matrix(graph), detour_matrix_unreduced(graph))
+    params, graph, classes = family(*kp)
+    detour = lifted(graph)
+    assert np.array_equal(detour, detour_matrix_unreduced(graph))
+    assert np.array_equal(detour, family_detour_matrix_loop(graph, classes, params))
 
 
 @pytest.mark.parametrize("kp", [(3, 7), (4, 5), (5, 5), (6, 5)])
 def test_detour_equals_the_family_closed_form_past_the_unreduced_search(family, kp):
     params, graph, classes = family(*kp)
     assert np.array_equal(detour_matrix(graph), family_detour_matrix(graph, classes, params))
+    assert np.array_equal(lifted(graph), family_detour_matrix_loop(graph, classes, params))
 
 
 @pytest.mark.parametrize("kp", [(2, 3), (2, 5), (3, 3), (3, 5), (4, 5), (5, 5), (6, 5)])
 def test_family_detour_matrix_equals_the_pair_loop(family, kp):
     params, graph, classes = family(*kp)
-    predicted = family_detour_matrix(graph, classes, params)
+    predicted = graph.quotient.lift(family_detour_matrix(graph, classes, params))
     assert np.array_equal(predicted, family_detour_matrix_loop(graph, classes, params))
 
 
@@ -121,9 +132,13 @@ def test_detour_matches_naive_on_graphs_with_quotient_symmetry():
     # blown-up twins: interchangeable twin classes, so the orbit reduction is exercised
     symmetric = 0
     for g in blown_up_graphs(8, 200):
-        detour = detour_matrix(g)
-        assert np.array_equal(detour, naive_detour(g)), g.edges()
+        classes, oracle = detour_matrix(g), naive_detour(g)
+        detour = g.quotient.lift(classes)
+        assert np.array_equal(detour, oracle), g.edges()
         assert np.array_equal(detour, detour_matrix_unreduced(g)), g.edges()
+        # the detour degree sequences from class rows equal the oracle's per-vertex counts
+        rows = tuple(tuple(np.bincount(row).tolist()) for row in oracle)
+        assert DegreeSequenceTable.from_classes(g.quotient, classes).rows == rows
         symmetric += any(len(orbit) > 1 for orbit in quotient_orbits(g.quotient))
     assert symmetric >= 40
 
@@ -136,7 +151,7 @@ def test_detour_small_named_graphs():
         cycle_graph(6),
         star_graph(4),
     ]:
-        assert np.array_equal(detour_matrix(g), naive_detour(g))
+        assert np.array_equal(lifted(g), naive_detour(g))
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])

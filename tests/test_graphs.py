@@ -216,7 +216,7 @@ def test_graph_computes_distances_and_quotient_once(monkeypatch):
     rd_alpha(graph, 0.5)
     twin_eigenvalues(graph, "reciprocal", 0.5)
     detour_matrix(graph)
-    assert graph.dist is graph.dist and graph.quotient is graph.quotient
+    assert graph.quotient is graph.quotient and graph.quotient.dist is graph.quotient.dist
     assert calls == {"distance_matrix": 1, "twin_classes": 1}
 
 
@@ -225,7 +225,7 @@ def test_graph_arrays_are_read_only(family):
     with pytest.raises(ValueError, match="read-only"):
         graph.adj[0, 1] = False
     with pytest.raises(ValueError, match="read-only"):
-        graph.dist[0, 1] = 5
+        graph.quotient.dist[0, 1] = 5
     with pytest.raises(ValueError, match="read-only"):
         graph.quotient.adj[0, 0] = True
     assert graph.adj[0, 1]

@@ -146,6 +146,11 @@ def test_distance_matrix_matches_the_bfs_oracle_on_the_family(family, k, p):
     assert np.array_equal(dist, bfs_distance_matrix(graph))
 
 
+def lifted_distances(graph: Graph) -> np.ndarray:
+    """The twin quotient's k x k class distances as the n x n vertex matrix."""
+    return graph.quotient.lift(graph.quotient.dist)
+
+
 def test_graph_dist_matches_the_bfs_oracle_on_the_random_corpora():
     graphs = [*random_graphs(seed=6, count=300), *blown_up_graphs(seed=5, count=100)]
     disconnected = 0
@@ -155,10 +160,10 @@ def test_graph_dist_matches_the_bfs_oracle_on_the_random_corpora():
         except DisconnectedGraphError:
             disconnected += 1
             with pytest.raises(DisconnectedGraphError, match="graph is disconnected"):
-                graph.dist
+                graph.quotient.dist
             continue
-        assert graph.dist.dtype == np.int64
-        assert np.array_equal(graph.dist, expected)
+        assert graph.quotient.dist.dtype == np.int64
+        assert np.array_equal(lifted_distances(graph), expected)
     assert 50 < disconnected < 250  # the corpus has both kinds
 
 
@@ -168,13 +173,13 @@ def test_graph_dist_rejects_an_edgeless_graph(n):
     graph = Graph(np.zeros((n, n), dtype=bool))
     assert graph.quotient.sizes == [n]
     with pytest.raises(DisconnectedGraphError, match="graph is disconnected"):
-        graph.dist
+        graph.quotient.dist
 
 
 @pytest.mark.parametrize("k,p", [(2, 3), (3, 5), (5, 5), (6, 5), (7, 7)])
 def test_graph_dist_equals_the_dense_distances_on_the_family(family, k, p):
     _, graph, _ = family(k, p)
-    assert np.array_equal(graph.dist, distance_matrix(graph))
+    assert np.array_equal(lifted_distances(graph), distance_matrix(graph))
 
 
 @pytest.mark.parametrize("make", [path_graph, cycle_graph])
@@ -215,45 +220,50 @@ def test_rt_is_row_sum(family):
 # detour ------------------------------------------------------------------
 
 
+def lifted_detour(graph: Graph) -> np.ndarray:
+    """The detour search's k x k class matrix as the n x n vertex matrix."""
+    return graph.quotient.lift(detour_matrix(graph))
+
+
 def test_detour_path3():
-    d = detour_matrix(path_graph(3))
+    d = lifted_detour(path_graph(3))
     assert d[0, 2] == 2
     assert d[0, 1] == 1
 
 
 def test_detour_k4():
-    d = detour_matrix(complete_graph(4))
+    d = lifted_detour(complete_graph(4))
     off = ~np.eye(4, dtype=bool)
     assert set(np.unique(d[off])) == {3}
 
 
 def test_detour_tree_equals_distance():
     g = path_graph(6)
-    assert np.array_equal(detour_matrix(g), distance_matrix(g))
+    assert np.array_equal(lifted_detour(g), distance_matrix(g))
 
 
 def test_detour_family_values(family):
     params, graph, classes = family(2, 3)
-    d = detour_matrix(graph)
+    d = lifted_detour(graph)
     h1 = min(classes.h1)
     h2 = sorted(classes.h2)
     assert d[classes.e, h2[0]] == 1
     assert d[classes.e, classes.u] == 11
     assert d[classes.e, h1] == 13
     assert d[h2[0], h2[1]] == 2
-    assert np.array_equal(d, family_detour_matrix(graph, classes, params))
+    assert np.array_equal(d, graph.quotient.lift(family_detour_matrix(graph, classes, params)))
 
 
 def test_detour_dominates_distance(family):
     _, graph, _ = family(2, 3)
-    d = detour_matrix(graph)
+    d = lifted_detour(graph)
     dist = distance_matrix(graph)
     assert (d >= dist).all()
     assert (d <= graph.n - 1).all()
 
 
 def test_detour_c4_crossing_pairs():
-    d = detour_matrix(Graph.from_edge_list("0 1\n1 2\n2 3\n3 0\n"))
+    d = lifted_detour(Graph.from_edge_list("0 1\n1 2\n2 3\n3 0\n"))
     assert d[0, 1] == 3  # go the long way around
     assert d[0, 2] == 2
 

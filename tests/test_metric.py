@@ -41,6 +41,8 @@ def test_full_vertex_set_always_resolves(family):
 def test_resolve_check_matches_the_sorting_oracle_on_random_graphs():
     rng = np.random.default_rng(19)
     connected = [graph for graph in random_graphs(seed=23, count=300) if is_connected(graph)]
+    # blown-up graphs have closed and open twin classes side by side
+    connected += list(blown_up_graphs(seed=29, count=100))
     verdicts = []
     for graph in connected:
         for _ in range(5):

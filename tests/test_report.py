@@ -10,8 +10,10 @@ import pytest
 import powergraph
 from powergraph import spectra
 from powergraph.cli import RunConfig, _Writer, run
+from powergraph.graphs import Graph
 from powergraph.groups import GroupParams
-from powergraph.report import Instance, build_report, check_detour
+from powergraph.report import Instance, build_report, check_detour, check_structure
+from powergraph.sequences import DegreeSequenceTable
 
 
 @pytest.fixture
@@ -37,8 +39,16 @@ def calls(monkeypatch):
         ("graphs", "twin_classes"),
         ("matrices", "distance_matrix"),
         ("detour", "detour_matrix"),
+        ("sequences", "detour_profile"),
     ):
         watch(home, name)
+    from_classes = DegreeSequenceTable.from_classes.__func__
+
+    def counted_table(cls, *args):
+        counts["from_classes"] += 1
+        return from_classes(cls, *args)
+
+    monkeypatch.setattr(DegreeSequenceTable, "from_classes", classmethod(counted_table))
     return counts
 
 
@@ -49,6 +59,9 @@ def test_cli_commands_share_one_computation(calls):
     assert calls["distance_matrix"] == 1
     assert calls["detour_matrix"] == 1
     assert calls["twin_classes"] == 2  # the power graph and its MMD graph
+    # the detour view and the report read one profile and one detour table
+    assert calls["detour_profile"] == 1
+    assert calls["from_classes"] == 2  # the distance table and the detour table
 
 
 def test_report_builds_each_object_once(calls):
@@ -57,6 +70,8 @@ def test_report_builds_each_object_once(calls):
     assert calls["distance_matrix"] == 1
     assert calls["twin_classes"] == 2  # the power graph and its MMD graph
     assert calls["detour_matrix"] == 1
+    assert calls["detour_profile"] == 1
+    assert calls["from_classes"] == 2
 
 
 def test_detour_budget_error_is_searched_once(calls):
@@ -124,3 +139,19 @@ def test_detour_past_the_recursion_limit_is_a_fail_with_an_error():
     assert not check["passed"]
     assert not check["details"]["oracle_verified"]
     assert "recursion" in check["details"]["error"]
+
+
+def test_partition_sizes_fails_when_the_twin_classes_differ_from_the_closed_forms():
+    checks = {c["name"]: c for c in check_structure(Instance(GroupParams(2, 3)))}
+    assert checks["partition_sizes"] == {"name": "partition_sizes", "passed": True, "details": {}}
+    # one extra edge between two involutions: the labels, and so the partition, are unchanged
+    inst = Instance(GroupParams(2, 3))
+    adj = inst.graph.adj.copy()
+    v, w = sorted(inst.partition.h2)[:2]
+    adj[v, w] = adj[w, v] = True
+    inst.graph = Graph(adj, labels=inst.graph.labels)
+    checks = {c["name"]: c for c in check_structure(inst)}
+    assert not checks["partition_sizes"]["passed"]
+    assert not checks["structure_decomposition"]["passed"]
+    detour = check_detour(inst)
+    assert not detour["passed"] and not detour["details"]["matrix_matches_closed_form"]

@@ -1,6 +1,14 @@
 import numpy as np
+import pytest
 
-from oracles import complete_graph, path_graph
+from oracles import (
+    blown_up_graphs,
+    complete_graph,
+    dds_rows_bincount,
+    is_connected,
+    path_graph,
+    random_graphs,
+)
 from powergraph.detour import detour_matrix
 from powergraph.matrices import distance_matrix
 from powergraph.sequences import (
@@ -18,22 +26,23 @@ from powergraph.sequences import (
 
 def test_eccentricities_family(family):
     _, graph, classes = family(2, 3)
-    ecc, radius, diameter = detour_profile(graph.dist)  # any distance matrix
+    ecc, radius, diameter = detour_profile(distance_matrix(graph))  # any distance matrix
     assert ecc[classes.e] == 1
     assert all(ecc[v] == 2 for v in range(graph.n) if v != classes.e)
     assert (radius, diameter) == (1, 2)
 
 
 def test_eccentricities_small():
-    ecc, radius, diameter = detour_profile(complete_graph(4).dist)
+    ecc, radius, diameter = detour_profile(distance_matrix(complete_graph(4)))
     assert set(ecc) == {1}
-    ecc, radius, diameter = detour_profile(path_graph(3).dist)
+    ecc, radius, diameter = detour_profile(distance_matrix(path_graph(3)))
     assert (radius, diameter) == (1, 2)
 
 
 def test_detour_profile_family(family):
     params, graph, classes = family(2, 3)
     ecc, radius, diameter = detour_profile(detour_matrix(graph))
+    ecc = ecc[graph.quotient.class_of]  # class rows to vertices
     predicted = family_detour_eccentricities(params)
     assert (radius, diameter) == (13, 15) == (predicted["radius"], predicted["diameter"])
     assert ecc[classes.e] == ecc[classes.u] == 13
@@ -46,7 +55,7 @@ def test_detour_profile_small():
     ecc, _, _ = detour_profile(detour_matrix(complete_graph(4)))
     assert set(ecc) == {3}
     path = path_graph(3)
-    assert np.array_equal(detour_matrix(path), distance_matrix(path))
+    assert np.array_equal(path.quotient.lift(detour_matrix(path)), distance_matrix(path))
 
 
 def test_dds_rows_family(family):
@@ -80,7 +89,7 @@ def test_dds_multiset_discrepancy_reported(family):
 
 def test_dds_detour_rows_family(family):
     params, graph, classes = family(2, 3)
-    table = DegreeSequenceTable.from_distances(detour_matrix(graph))
+    table = DegreeSequenceTable.from_classes(graph.quotient, detour_matrix(graph))
     rows = family_dds_detour_rows(params)
     assert table.rows[classes.e] == rows["e"] == (1, 6) + (0,) * 9 + (1, 0, 16)
     assert table.rows[classes.u] == rows["u"]
@@ -91,7 +100,7 @@ def test_dds_detour_rows_family(family):
 
 def test_dds_detour_grouping_matches(family):
     params, graph, _ = family(2, 3)
-    table = DegreeSequenceTable.from_distances(detour_matrix(graph))
+    table = DegreeSequenceTable.from_classes(graph.quotient, detour_matrix(graph))
     comparison = compare_groupings(table.groups, family_dds_detour_groups(params))
     assert comparison["matches"]
 
@@ -99,17 +108,17 @@ def test_dds_detour_grouping_matches(family):
 def test_dds_detour_last_nonzero_is_eccentricity(family):
     _, graph, _ = family(2, 3)
     detour = detour_matrix(graph)
-    table = DegreeSequenceTable.from_distances(detour)
+    table = DegreeSequenceTable.from_classes(graph.quotient, detour)
     ecc, _, _ = detour_profile(detour)
     for v, row in enumerate(table.rows):
         last = max(i for i, x in enumerate(row) if x)
-        assert last == ecc[v]
+        assert last == ecc[graph.quotient.class_of[v]]
 
 
 def test_twins_share_sequences(family):
     _, graph, classes = family(2, 3)
     table = dds(graph)
-    dtable = DegreeSequenceTable.from_distances(detour_matrix(graph))
+    dtable = DegreeSequenceTable.from_classes(graph.quotient, detour_matrix(graph))
     for group in (classes.h1, classes.h2, classes.h3):
         rows = {table.rows[v] for v in group}
         drows = {dtable.rows[v] for v in group}
@@ -120,7 +129,7 @@ def test_twins_share_sequences(family):
 
 def test_radius_diameter_metric_bound(family):
     _, graph, _ = family(2, 3)
-    _, radius, diameter = detour_profile(graph.dist)
+    _, radius, diameter = detour_profile(graph.quotient.dist)
     assert radius <= diameter <= 2 * radius
 
 
@@ -129,3 +138,17 @@ def test_text_and_csv_renderings(family):
     table = dds(graph)
     assert table.to_csv().count("\n") == graph.n
     assert "x (1, 11, 12)" in table.to_text()
+
+
+def test_dds_matches_the_bincount_oracle_on_the_random_corpora():
+    graphs = [g for g in random_graphs(seed=31, count=300) if is_connected(g)]
+    graphs += list(blown_up_graphs(seed=37, count=100))
+    assert len(graphs) > 200
+    for graph in graphs:
+        assert dds(graph).rows == dds_rows_bincount(graph), graph.edges()
+
+
+@pytest.mark.parametrize("kp", [(2, 3), (3, 3), (2, 5), (3, 5), (4, 5), (5, 5)])
+def test_dds_matches_the_bincount_oracle_on_the_family(family, kp):
+    _, graph, _ = family(*kp)
+    assert dds(graph).rows == dds_rows_bincount(graph)

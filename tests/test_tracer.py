@@ -22,9 +22,9 @@ def test_traced_function_exists(module, name):
 def test_tracer_sees_the_graphs_own_distances_and_quotient():
     with Tracer() as tracer:
         graph = graphs.build_power_graph(GroupParams(2, 3))
-        graph.dist, graph.quotient
+        graph.quotient.dist
     names = [span.name for span in tracer.spans]
-    # the quotient is built first: the graph's distances are lifted from its classes
+    # the quotient is built first: the distances are a BFS on its classes
     assert names == ["graphs.build_power_graph", "graphs.twin_classes", "matrices.distance_matrix"]
 
 
