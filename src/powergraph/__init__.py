@@ -16,7 +16,6 @@ from .graphs import (  # noqa: F401
     build_power_graph,
     classify_partition,
     twin_classes,
-    verify_decomposition,
 )
 from .matrices import (  # noqa: F401
     a_alpha,

@@ -276,7 +276,7 @@ def run(config: RunConfig, writer: _Writer | None = None, out=None) -> int:
                 "value": psi_report.psi,
             },
             "sdim": {"value": cover_size, "cover_witness": list(cover)},
-            "gsr_edges": [[i, j] for i, j in inst.gsr.edges()],
+            "gsr_edges": [[i, j] for i, j in Graph(graph.quotient.lift(inst.gsr)).edges()],
         }
         writer.emit(f"{stem}-metric.json", _dump(payload))
         print(f"metric dimension {psi_report.psi}, strong metric dimension {cover_size}", file=out)

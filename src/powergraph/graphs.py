@@ -1,4 +1,4 @@
-"""Power-graph construction, vertex-class partition, twins and the structure check.
+"""Power-graph construction, vertex-class partition, twin quotients and the predicted quotient.
 
 Vertex order for the family graph is fixed so that matrices and spectra are
 bit-for-bit reproducible: the identity first, then r^1 .. r^(2^k p - 1) by
@@ -71,7 +71,9 @@ class Graph:
 
     @cached_property
     def quotient(self) -> "TwinQuotient":
-        return TwinQuotient(self)
+        classes = twin_classes(self)
+        reps = [members[0] for members, _ in classes]
+        return TwinQuotient(classes, self.adj[np.ix_(reps, reps)])
 
     def degrees(self) -> np.ndarray:
         return self.adj.sum(axis=1).astype(np.int64)
@@ -82,7 +84,7 @@ class Graph:
         return sorted(zip(ii.tolist(), jj.tolist()))
 
     def edge_count(self) -> int:
-        return int(np.triu(self.adj).sum())
+        return int(self.adj.sum()) // 2
 
     # serialization ----------------------------------------------------
 
@@ -176,10 +178,6 @@ class PartitionClasses:
     e: int
     u: int
 
-    @property
-    def rotation_indices(self) -> frozenset[int]:
-        return self.h0 | self.h1
-
     def named(self) -> dict[str, frozenset[int]]:
         """Vertex sets by class name: e, u, h1, h2, h3."""
         singles = {"e": frozenset((self.e,)), "u": frozenset((self.u,))}
@@ -242,24 +240,23 @@ def twin_classes(graph: Graph) -> list[tuple[list[int], bool]]:
 class TwinQuotient:
     """Twin-class quotient of a graph: members, sizes, closedness, class adjacency and distances.
 
-    Classes keep the order of `twin_classes` (by smallest member).  Twin
+    Classes are ordered by smallest member, as in `twin_classes`.  Twin
     classes are modules, so for a != b `adj[a, b]` is the adjacency between
     any member of a and any member of b; `adj[a, a]` says whether two members
-    of a are adjacent (a closed class of size > 1).  `dist` reads the same
-    way, as does the detour search's class matrix; `lift` turns such a k x k
-    class matrix into the n x n vertex matrix.
+    of a are adjacent (a closed class of size > 1).  `dist` and the detour
+    and strong resolving class matrices read the same way; `lift` turns one
+    into the n x n vertex matrix, `degrees` gives the vertex degrees it implies.
     """
 
-    def __init__(self, graph: Graph):
-        classes = twin_classes(graph)
+    def __init__(self, classes: list[tuple[list[int], bool]], adj: np.ndarray):
+        """(members, closed) pairs as `twin_classes` gives them; `adj`'s diagonal is set here."""
         self.members = [members for members, _ in classes]
         self.sizes = [len(m) for m in self.members]
         self.closed = [closed for _, closed in classes]
-        self.class_of = np.zeros(graph.n, dtype=np.int64)
+        self.class_of = np.zeros(sum(self.sizes), dtype=np.int64)
         for idx, mem in enumerate(self.members):
             self.class_of[mem] = idx
-        reps = [m[0] for m in self.members]
-        adj = graph.adj[np.ix_(reps, reps)]
+        adj = np.array(adj, dtype=bool)
         np.fill_diagonal(adj, [c and s > 1 for c, s in zip(self.closed, self.sizes)])
         adj.setflags(write=False)
         self.adj = adj
@@ -286,41 +283,41 @@ class TwinQuotient:
         np.fill_diagonal(out, 0)
         return out
 
+    def degrees(self, matrix: np.ndarray) -> np.ndarray:
+        """Per-class vertex degrees in the graph a k x k 0/1 class matrix describes."""
+        matrix = matrix.astype(np.int64)
+        return matrix @ self.sizes - matrix.diagonal()
 
-def verify_decomposition(
-    graph: Graph, classes: PartitionClasses, params: GroupParams
-) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """(missing edges, extra edges) against clique(<r>) + pendant edges + K4 blades.
+    def edge_count(self, matrix: np.ndarray) -> int:
+        """Edge count of the graph a k x k 0/1 class matrix describes."""
+        return int(self.degrees(matrix) @ self.sizes) // 2
 
-    The three pieces share the vertices e and u, so the union is taken over
-    edge sets.  The blades pair s r^(2j+1) with s r^(2j+1 + 2^(k-1)p).
+
+# class types of the family, in the order of `PartitionClasses.named`
+CLASS_TYPES = ("e", "u", "h1", "h2", "h3")
+# adjacency of two distinct classes by type, in CLASS_TYPES order (two blades are not adjacent)
+_TYPE_ADJACENCY = np.array(
+    [[0, 1, 1, 1, 1], [1, 0, 1, 0, 1], [1, 1, 1, 0, 0], [1, 0, 0, 0, 0], [1, 1, 0, 0, 0]], dtype=bool
+)
+
+
+def predicted_quotient(labels: list, classes: PartitionClasses) -> tuple[TwinQuotient, np.ndarray]:
+    """The twin quotient the closed forms assume, read from the labels, and each class's type.
+
+    {e} and {u} are singletons, h1 is one closed class, h2 one open class and
+    each blade {s r^i, s r^(i + N/2)} a closed pair; the class adjacency is
+    clique(<r>) + pendant edges at e + K4 blades on {e, u}.  `types[a]`
+    indexes `CLASS_TYPES`.
     """
-    n = params.rotation_order
-    half = n // 2
-    expected = np.zeros((graph.n, graph.n), dtype=bool)
-    position = {}
-    for idx, label in enumerate(graph.labels):
-        if not isinstance(label, GroupElement):
-            raise ClassificationError("graph is not labeled by group elements")
-        position[(label.eps, label.i)] = idx
-    rot = sorted(classes.rotation_indices)
-    expected[np.ix_(rot, rot)] = True
-    pendant = sorted(classes.h2)
-    expected[classes.e, pendant] = expected[pendant, classes.e] = True
-    blades = np.array(
-        [
-            [classes.e, classes.u, position[(1, exp)], position[(1, exp + half)]]
-            for exp in range(1, half, 2)
-        ],
-        dtype=np.int64,
-    ).reshape(-1, 4)
-    expected[blades[:, :, None], blades[:, None, :]] = True
-    np.fill_diagonal(expected, False)
-    missing = np.triu(expected & ~graph.adj)
-    extra = np.triu(graph.adj & ~expected)
-    missing_edges = sorted(zip(*(idx.tolist() for idx in np.nonzero(missing))))
-    extra_edges = sorted(zip(*(idx.tolist() for idx in np.nonzero(extra))))
-    return missing_edges, extra_edges
+    blades: dict[int, list[int]] = {}
+    for v in sorted(classes.h3):
+        blades.setdefault(labels[v].i % len(classes.h2), []).append(v)  # |h2| = N/2
+    named = classes.named()
+    typed = [(sorted(named[name]), t) for t, name in enumerate(CLASS_TYPES[:4])]
+    typed = sorted(typed + [(blade, 4) for blade in blades.values()])  # by smallest member
+    types = np.array([t for _, t in typed])
+    pairs = [(members, CLASS_TYPES[t] in ("h1", "h3")) for members, t in typed]  # closed classes
+    return TwinQuotient(pairs, _TYPE_ADJACENCY[np.ix_(types, types)]), types
 
 
 def family_degree_multiset(params: GroupParams) -> dict[int, int]:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, TwinQuotient
 
 # largest graph the exhaustive metric-dimension search runs on
 EXHAUSTIVE_CAP = 12
@@ -94,8 +94,8 @@ def metric_dimension(graph: Graph) -> ResolvingReport:
     return ResolvingReport(bound, tuple(range(graph.n)), True, graph.n)
 
 
-def mmd_graph(graph: Graph) -> Graph:
-    """Strong resolving graph: edges are the mutually maximally distant pairs.
+def mmd_graph(graph: Graph) -> np.ndarray:
+    """Strong resolving graph as a k x k class matrix: the mutually maximally distant class pairs.
 
     u is maximally distant from v when no neighbor of u is farther from v
     than u itself.  Twin classes are modules, so on the quotient with class
@@ -103,7 +103,8 @@ def mmd_graph(graph: Graph) -> Graph:
     D[c, b] > D[a, b], b being v's class.  A neighbour in b lies at D[b, b]
     from v; one in a lies at D[a, b] and is never farther, so a's own entry of
     the quotient adjacency is dropped.  With F_t = (D >= t), one k x k product
-    `adj @ F_t` per level t = D[a, b] + 1 decides every class pair.
+    `adj @ F_t` per level t = D[a, b] + 1 decides every class pair.  It reads
+    like the quotient's `adj`; every twin class of size > 1 is a clique of it.
     """
     quotient = graph.quotient
     dist = quotient.dist
@@ -115,7 +116,7 @@ def mmd_graph(graph: Graph) -> Graph:
         level = dist == t - 1
         farther[level] = (nbrs @ (dist >= t).astype(np.float32) > 0)[level]
     md = ~farther
-    return Graph(quotient.lift(md & md.T), labels=graph.labels)
+    return md & md.T
 
 
 def max_independent_set(graph: Graph) -> tuple[int, ...]:
@@ -198,7 +199,22 @@ def min_vertex_cover(graph: Graph) -> tuple[int, tuple[int, ...]]:
     return len(cover), cover
 
 
+def strong_cover(quotient: TwinQuotient, gsr: np.ndarray) -> tuple[int, tuple[int, ...]]:
+    """Minimum vertex cover of the strong resolving graph given by its class matrix `gsr`.
+
+    Twins are mutually maximally distant, so each twin class is a clique and
+    a module of that graph: an independent set holds at most one member of a
+    class, and any one will do.  So the independent classes are those of the
+    k-vertex class graph, diagonal cleared, and the cover is every vertex but
+    the first member of each: n minus its independence number.
+    """
+    _, class_cover = min_vertex_cover(Graph(gsr & ~np.eye(len(gsr), dtype=bool)))
+    independent = set(range(len(gsr))) - set(class_cover)
+    kept = {quotient.members[a][0] for a in independent}
+    cover = tuple(v for v in range(len(quotient.class_of)) if v not in kept)
+    return len(cover), cover
+
+
 def strong_metric_dimension(graph: Graph) -> int:
     """Vertex cover number of the strong resolving graph."""
-    size, _ = min_vertex_cover(mmd_graph(graph))
-    return size
+    return strong_cover(graph.quotient, mmd_graph(graph))[0]

@@ -24,7 +24,7 @@ from .graphs import (
     build_power_graph,
     classify_partition,
     family_degree_multiset,
-    verify_decomposition,
+    predicted_quotient,
 )
 from .groups import GroupParams
 
@@ -36,14 +36,13 @@ DETOUR_ORACLE_MAX_N = 640
 class Instance:
     """The power graph of one G(k, p) and the objects derived from it, each built at most once.
 
-    `params`, `graph` and `partition` are built on construction (`GroupParams`
-    refuses an order above `groups.MAX_VERTICES`); everything else on first
-    use.  The graph holds its twin quotient, which holds the k x k class
-    distances; the detour search gives a k x k class matrix too.  Spectra,
-    the metric dimension witness, the MMD graph and both degree sequence
-    tables are computed from class matrices, so the only n x n arrays kept
-    are the graph's adjacency and the MMD graph's adjacency.  Nothing is
-    cached across instances.
+    `params`, `graph`, `partition` and the `predicted` twin quotient of the
+    closed forms, with its `predicted_types`, are built on construction
+    (`GroupParams` refuses an order above `groups.MAX_VERTICES`); everything
+    else on first use.  The graph holds its twin quotient, which holds the
+    k x k class distances; the detour search and the MMD graph give k x k
+    class matrices too.  Every check reads class matrices, so the only n x n
+    array is the graph's adjacency.  Nothing is cached across instances.
     """
 
     def __init__(
@@ -57,6 +56,7 @@ class Instance:
         self.detour_oracle_max_n = detour_oracle_max_n
         self.graph = build_power_graph(params)
         self.partition = classify_partition(self.graph, params)
+        self.predicted, self.predicted_types = predicted_quotient(self.graph.labels, self.partition)
         self._spectra: dict[tuple[str, float], tuple[spectra.Spectrum, np.ndarray]] = {}
 
     def spectrum(self, kind: str, alpha: float) -> tuple[spectra.Spectrum, np.ndarray]:
@@ -76,14 +76,14 @@ class Instance:
         return metric.metric_dimension(self.graph)
 
     @cached_property
-    def gsr(self) -> Graph:
-        """Strong resolving (MMD) graph."""
+    def gsr(self) -> np.ndarray:
+        """Strong resolving (MMD) graph as a k x k class matrix."""
         return metric.mmd_graph(self.graph)
 
     @cached_property
     def cover(self) -> tuple[int, tuple[int, ...]]:
         """Minimum vertex cover of the MMD graph; MetricSearchError past the search cap."""
-        return metric.min_vertex_cover(self.gsr)
+        return metric.strong_cover(self.graph.quotient, self.gsr)
 
     @cached_property
     def dds(self) -> sequences.DegreeSequenceTable:
@@ -131,20 +131,9 @@ class Instance:
 
     @cached_property
     def twins_as_predicted(self) -> bool:
-        """Whether the twin classes are the ones the closed forms assume, read from the labels.
-
-        {e} and {u} are singletons, h1 is one closed class, h2 one open class,
-        and each blade {s r^i, s r^(i + N/2)} is a closed pair.
-        """
-        classes, half = self.partition, self.params.rotation_order // 2
-        blades: dict[int, set[int]] = {}
-        for v in classes.h3:
-            blades.setdefault(self.graph.labels[v].i % half, set()).add(v)
-        predicted = {(frozenset((classes.e,)), False), (frozenset((classes.u,)), False)}
-        predicted |= {(classes.h1, True), (classes.h2, False)}
-        predicted |= {(frozenset(blade), True) for blade in blades.values()}
-        quotient = self.graph.quotient
-        return predicted == set(zip(map(frozenset, quotient.members), quotient.closed))
+        """Whether the twin classes, and their closedness, are the predicted ones."""
+        quotient, predicted = self.graph.quotient, self.predicted
+        return quotient.members == predicted.members and quotient.closed == predicted.closed
 
 
 def _check(name: str, passed: bool, **details) -> dict:
@@ -195,19 +184,26 @@ def spectrum_payload(
 
 
 def check_structure(inst: Instance) -> list[dict]:
-    graph, classes, params = inst.graph, inst.partition, inst.params
-    missing, extra = verify_decomposition(graph, classes, params)
-    counts = dict(Counter(graph.degrees().tolist()))
-    predicted = family_degree_multiset(params)
+    """The graph against the predicted quotient: equal members, closedness and class adjacency.
+
+    Only on a mismatch are the missing and extra edges listed, from the lifted prediction.
+    """
+    graph, quotient, predicted = inst.graph, inst.graph.quotient, inst.predicted
+    missing = extra = []
+    if not (inst.twins_as_predicted and np.array_equal(quotient.adj, predicted.adj)):
+        expected = predicted.lift(predicted.adj)
+        missing, extra = Graph(expected & ~graph.adj).edges(), Graph(graph.adj & ~expected).edges()
+    counts = dict(Counter(quotient.degrees(quotient.adj)[quotient.class_of].tolist()))
+    multiset = family_degree_multiset(inst.params)
     return [
         _check(
             "structure_decomposition",
             not missing and not extra,
-            edge_count=graph.edge_count(),
+            edge_count=quotient.edge_count(quotient.adj),
             missing=missing[:10],
             extra=extra[:10],
         ),
-        _check("degree_multiset", counts == predicted, computed=counts, predicted=predicted),
+        _check("degree_multiset", counts == multiset, computed=counts, predicted=multiset),
         _check("partition_sizes", inst.twins_as_predicted),
     ]
 
@@ -331,7 +327,7 @@ def check_metric(inst: Instance) -> list[dict]:
             cover_size == expected_sdim,
             sdim=cover_size,
             expected=expected_sdim,
-            gsr_edge_count=inst.gsr.edge_count(),
+            gsr_edge_count=inst.graph.quotient.edge_count(inst.gsr),
             cover_witness_size=len(cover),
         )
     )
@@ -352,8 +348,8 @@ def check_detour(inst: Instance) -> dict:
             note="closed-form prediction only; instance above the oracle size cap",
             predicted=predicted_ecc,
         )
-    # the class matrices are the vertex matrices exactly when the twin classes are as predicted
-    predicted = sequences.family_detour_matrix(inst.graph, classes, inst.params)
+    # the class matrices are over the same classes exactly when the twin classes are as predicted
+    predicted = sequences.family_detour_matrix(inst.predicted_types, inst.params)
     matrix_ok = inst.twins_as_predicted and bool(np.array_equal(computed, predicted))
     ecc, radius, diameter = inst.detour_profile
     profile_ok = radius == predicted_ecc["radius"] and diameter == predicted_ecc["diameter"]

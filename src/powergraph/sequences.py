@@ -4,7 +4,9 @@ Distances and detour distances are k x k matrices over the twin classes, with
 the within-class value on the diagonal (0 for a singleton), and every table is
 built from its k class rows.  A row stores the count of vertices at every
 distance 0 .. ec(v), interior zeros included, because the detour sequences of
-these graphs are identified by their positional zero runs.
+these graphs are identified by their positional zero runs.  The family's
+predicted detour matrix is a table over the class types of the predicted twin
+quotient (`graphs.predicted_quotient`).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, PartitionClasses, TwinQuotient
+from .graphs import Graph, TwinQuotient
 from .groups import GroupParams
 
 
@@ -91,13 +93,12 @@ def family_detour_eccentricities(params: GroupParams) -> dict[str, int]:
     }
 
 
-def family_detour_matrix(graph: Graph, classes: PartitionClasses, params: GroupParams) -> np.ndarray:
-    """Predicted k x k class detour matrix over the graph's twin classes, read from labels only.
+def family_detour_matrix(types: np.ndarray, params: GroupParams) -> np.ndarray:
+    """Predicted k x k class detour matrix over the classes of `graphs.predicted_quotient`.
 
-    Entries are the per-class-pair closed forms at the classes' first members,
-    the diagonal at a class's first and last members (0 for a singleton); a
-    blade's two order-4 vertices s r^i and s r^(i + N/2) are at N + 1.  Lifted,
-    it is the vertex prediction when each twin class lies in one vertex class.
+    `types` are that quotient's class types.  Off the diagonal an entry is
+    the closed form for the two types (two blades are at N + 3); the diagonal
+    is 0 for e and u, N + 1 in h1, 2 in h2 and N + 1 inside a blade.
     """
     n = params.rotation_order
     table = np.array([  # rows and columns e, u, h1, h2, h3
@@ -107,18 +108,8 @@ def family_detour_matrix(graph: Graph, classes: PartitionClasses, params: GroupP
         [1, n, n + 2, 2, n + 2],
         [n + 1, n + 1, n + 3, n + 2, n + 3],
     ])
-    kind = np.zeros(graph.n, dtype=np.int64)
-    for idx, members in enumerate(classes.named().values()):
-        kind[list(members)] = idx
-    exponent = np.array([label.i for label in graph.labels])
-
-    def predict(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        partners = (kind[u] == 4) & (kind[v] == 4) & ((exponent[u] + n // 2) % n == exponent[v])
-        return np.where(u == v, 0, np.where(partners, n + 1, table[kind[u], kind[v]]))
-
-    first, last = np.array([[members[0], members[-1]] for members in graph.quotient.members]).T
-    out = predict(first[:, None], first)
-    np.fill_diagonal(out, predict(first, last))
+    out = table[np.ix_(types, types)]
+    np.fill_diagonal(out, np.array([0, 0, n + 1, 2, n + 1])[types])
     return out
 
 

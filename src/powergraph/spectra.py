@@ -118,11 +118,10 @@ def _class_entries(graph: Graph, kind: str, alpha: float) -> tuple[np.ndarray, .
     alpha = check_alpha(alpha)
     quotient = graph.quotient
     if kind == "adjacency":
-        reps = [members[0] for members in quotient.members]
         adj = quotient.adj.astype(np.float64)
         within = (1.0 - alpha) * np.diag(adj)
         np.fill_diagonal(adj, 0.0)
-        return alpha * graph.degrees()[reps], within, (1.0 - alpha) * adj
+        return alpha * quotient.degrees(quotient.adj), within, (1.0 - alpha) * adj
     if kind == "reciprocal":
         between, within, transmissions = class_reciprocals(graph)
         return alpha * transmissions, (1.0 - alpha) * within, (1.0 - alpha) * between

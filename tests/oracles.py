@@ -159,6 +159,39 @@ def build_power_graph_from_table(table) -> Graph:
     return Graph(adj, labels=verts)
 
 
+def verify_decomposition(
+    graph: Graph, classes, params: GroupParams
+) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """(missing edges, extra edges) against clique(<r>) + pendant edges + K4 blades.
+
+    The reference for the report's class-level structure check: it builds
+    the expected n x n adjacency from the labels.  The three pieces share the
+    vertices e and u, so the union is taken over edge sets.  The blades pair
+    s r^(2j+1) with s r^(2j+1 + 2^(k-1)p).
+    """
+    half = params.rotation_order // 2
+    expected = np.zeros((graph.n, graph.n), dtype=bool)
+    position = {(label.eps, label.i): idx for idx, label in enumerate(graph.labels)}
+    rot = sorted(classes.h0 | classes.h1)
+    expected[np.ix_(rot, rot)] = True
+    pendant = sorted(classes.h2)
+    expected[classes.e, pendant] = expected[pendant, classes.e] = True
+    blades = np.array(
+        [
+            [classes.e, classes.u, position[(1, exp)], position[(1, exp + half)]]
+            for exp in range(1, half, 2)
+        ],
+        dtype=np.int64,
+    ).reshape(-1, 4)
+    expected[blades[:, :, None], blades[:, None, :]] = True
+    np.fill_diagonal(expected, False)
+    missing = np.triu(expected & ~graph.adj)
+    extra = np.triu(graph.adj & ~expected)
+    missing_edges = sorted(zip(*(idx.tolist() for idx in np.nonzero(missing))))
+    extra_edges = sorted(zip(*(idx.tolist() for idx in np.nonzero(extra))))
+    return missing_edges, extra_edges
+
+
 # distances and the strong resolving graph ---------------------------------
 
 

@@ -18,7 +18,7 @@ from oracles import (
     random_graphs,
     star_graph,
 )
-from powergraph.graphs import Graph
+from powergraph.graphs import Graph, TwinQuotient, predicted_quotient
 from powergraph.detour import detour_matrix, quotient_orbits
 from powergraph.sequences import DegreeSequenceTable, family_detour_matrix
 from powergraph.metric import strong_metric_dimension
@@ -26,6 +26,12 @@ from powergraph.metric import strong_metric_dimension
 
 def lifted(graph: Graph) -> np.ndarray:
     return graph.quotient.lift(detour_matrix(graph))
+
+
+def predicted_detour(graph, classes, params) -> tuple[TwinQuotient, np.ndarray]:
+    """(predicted twin quotient, predicted class detour matrix over its classes)."""
+    predicted, types = predicted_quotient(graph.labels, classes)
+    return predicted, family_detour_matrix(types, params)
 
 
 def random_connected_graph(rng: np.random.Generator, n: int) -> Graph:
@@ -91,7 +97,7 @@ def test_detour_matches_naive_on_open_twin_graphs():
 
 def test_detour_matches_the_family_closed_form_at_n56(family):
     params, graph, classes = family(2, 7)
-    predicted = family_detour_matrix(graph, classes, params)
+    _, predicted = predicted_detour(graph, classes, params)
     assert np.array_equal(detour_matrix(graph), predicted)
     assert np.array_equal(lifted(graph), family_detour_matrix_loop(graph, classes, params))
 
@@ -107,15 +113,15 @@ def test_detour_equals_the_unreduced_search_on_the_family(family, kp):
 @pytest.mark.parametrize("kp", [(3, 7), (4, 5), (5, 5), (6, 5)])
 def test_detour_equals_the_family_closed_form_past_the_unreduced_search(family, kp):
     params, graph, classes = family(*kp)
-    assert np.array_equal(detour_matrix(graph), family_detour_matrix(graph, classes, params))
+    assert np.array_equal(detour_matrix(graph), predicted_detour(graph, classes, params)[1])
     assert np.array_equal(lifted(graph), family_detour_matrix_loop(graph, classes, params))
 
 
 @pytest.mark.parametrize("kp", [(2, 3), (2, 5), (3, 3), (3, 5), (4, 5), (5, 5), (6, 5)])
 def test_family_detour_matrix_equals_the_pair_loop(family, kp):
     params, graph, classes = family(*kp)
-    predicted = graph.quotient.lift(family_detour_matrix(graph, classes, params))
-    assert np.array_equal(predicted, family_detour_matrix_loop(graph, classes, params))
+    predicted, matrix = predicted_detour(graph, classes, params)
+    assert np.array_equal(predicted.lift(matrix), family_detour_matrix_loop(graph, classes, params))
 
 
 def test_family_orbits_are_the_blade_classes(family):

@@ -13,15 +13,14 @@ from oracles import (
     complete_graph,
     path_graph,
     star_graph,
+    verify_decomposition,
 )
 from powergraph.graphs import (
     Graph,
     GraphFormatError,
-    TwinQuotient,
     build_power_graph,
     family_degree_multiset,
     twin_classes,
-    verify_decomposition,
 )
 from powergraph import graphs
 from powergraph.detour import detour_matrix
@@ -138,7 +137,7 @@ def test_blade_is_k4(family):
 
 def test_rotation_clique(family):
     _, graph, classes = family(2, 3)
-    rot = sorted(classes.rotation_indices)
+    rot = sorted(classes.h0 | classes.h1)
     for a_pos, a in enumerate(rot):
         for b in rot[a_pos + 1 :]:
             assert graph.adj[a, b]
@@ -292,7 +291,7 @@ def test_twin_quotient_is_the_graph_on_classes(seed, n):
     rng = np.random.default_rng(seed)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     g = Graph.from_edges(n, [pair for pair in pairs if rng.random() < 0.5])
-    quotient = TwinQuotient(g)
+    quotient = g.quotient
     assert quotient.members == [members for members, _ in twin_classes(g)]
     assert quotient.sizes == [len(m) for m in quotient.members]
     for a in range(n):

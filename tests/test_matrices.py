@@ -26,6 +26,7 @@ from powergraph.matrices import (
     reciprocal_distance,
     reciprocal_transmission,
 )
+from powergraph.graphs import predicted_quotient
 from powergraph.sequences import family_detour_matrix
 
 
@@ -251,7 +252,8 @@ def test_detour_family_values(family):
     assert d[classes.e, classes.u] == 11
     assert d[classes.e, h1] == 13
     assert d[h2[0], h2[1]] == 2
-    assert np.array_equal(d, graph.quotient.lift(family_detour_matrix(graph, classes, params)))
+    predicted, types = predicted_quotient(graph.labels, classes)
+    assert np.array_equal(d, predicted.lift(family_detour_matrix(types, params)))
 
 
 def test_detour_dominates_distance(family):

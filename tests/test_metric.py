@@ -14,16 +14,23 @@ from oracles import (
 )
 from powergraph.graphs import Graph, twin_classes
 from powergraph.metric import (
+    SEARCH_CAP,
     MetricSearchError,
     max_independent_set,
     metric_dimension,
     min_vertex_cover,
     mmd_graph,
     resolve_check,
+    strong_cover,
     strong_metric_dimension,
     twin_lower_bound,
     twin_witness,
 )
+
+
+def lifted_mmd(graph: Graph) -> Graph:
+    """The strong resolving graph on the vertices, lifted from its class matrix."""
+    return Graph(graph.quotient.lift(mmd_graph(graph)))
 
 
 def test_resolve_check_path_end():
@@ -102,11 +109,11 @@ def test_metric_dimension_refuses_large_uncertified():
 
 def test_mmd_complete():
     g = complete_graph(5)
-    assert np.array_equal(mmd_graph(g).adj, g.adj)
+    assert np.array_equal(lifted_mmd(g).adj, g.adj)
 
 
 def test_mmd_path():
-    gsr = mmd_graph(path_graph(3))
+    gsr = lifted_mmd(path_graph(3))
     assert gsr.edges() == [(0, 2)]
 
 
@@ -115,20 +122,18 @@ def test_mmd_graph_matches_the_loop_oracle_on_random_graphs():
     connected += blown_up_graphs(seed=7, count=100)
     assert len(connected) > 100
     for graph in connected:
-        assert np.array_equal(mmd_graph(graph).adj, mmd_graph_loop(graph).adj)
+        assert np.array_equal(graph.quotient.lift(mmd_graph(graph)), mmd_graph_loop(graph).adj)
 
 
 @pytest.mark.parametrize("k,p", [(2, 3), (3, 3), (2, 5), (4, 5), (5, 5)])
 def test_mmd_graph_matches_the_loop_oracle_on_the_family(family, k, p):
     _, graph, _ = family(k, p)
-    gsr = mmd_graph(graph)
-    assert np.array_equal(gsr.adj, mmd_graph_loop(graph).adj)
-    assert gsr.labels == graph.labels
+    assert np.array_equal(graph.quotient.lift(mmd_graph(graph)), mmd_graph_loop(graph).adj)
 
 
 def test_mmd_family_structure(family):
     _, graph, classes = family(2, 3)
-    gsr = mmd_graph(graph)
+    gsr = lifted_mmd(graph)
     # e takes part in no mutually-maximally-distant pair
     assert not gsr.adj[classes.e].any()
     # clique on everything except e and u, plus the star from u to the pendants
@@ -137,7 +142,7 @@ def test_mmd_family_structure(family):
         for b in others[a_pos + 1 :]:
             assert gsr.adj[a, b]
     assert set(np.nonzero(gsr.adj[classes.u])[0].tolist()) == classes.h2
-    assert gsr.edge_count() == 22 * 21 // 2 + 6
+    assert gsr.edge_count() == graph.quotient.edge_count(mmd_graph(graph)) == 22 * 21 // 2 + 6
 
 
 def test_mmd_invariant_under_relabeling(family):
@@ -145,8 +150,8 @@ def test_mmd_invariant_under_relabeling(family):
     rng = np.random.default_rng(5)
     perm = rng.permutation(graph.n)
     relabeled = Graph.from_edges(graph.n, [(int(perm[i]), int(perm[j])) for i, j in graph.edges()])
-    gsr = mmd_graph(graph)
-    gsr_perm = mmd_graph(relabeled)
+    gsr = lifted_mmd(graph)
+    gsr_perm = lifted_mmd(relabeled)
     expected = {(min(perm[i], perm[j]), max(perm[i], perm[j])) for i, j in gsr.edges()}
     assert expected == set(gsr_perm.edges())
 
@@ -157,15 +162,28 @@ def test_vertex_cover_values(family):
         assert size == n - 1
     assert min_vertex_cover(star_graph(6))[0] == 1
     _, graph, _ = family(2, 3)
-    assert min_vertex_cover(mmd_graph(graph))[0] == 21
+    assert min_vertex_cover(lifted_mmd(graph))[0] == 21
+    assert strong_cover(graph.quotient, mmd_graph(graph))[0] == 21
 
 
 def test_vertex_cover_witness_covers(family):
     _, graph, _ = family(2, 3)
-    gsr = mmd_graph(graph)
-    _, cover = min_vertex_cover(gsr)
+    gsr = lifted_mmd(graph)
+    _, cover = strong_cover(graph.quotient, mmd_graph(graph))
     chosen = set(cover)
     assert all(i in chosen or j in chosen for i, j in gsr.edges())
+
+
+def test_strong_cover_matches_the_cover_of_the_loop_oracle():
+    connected = [graph for graph in random_graphs(seed=7, count=300) if is_connected(graph)]
+    connected += blown_up_graphs(seed=7, count=100)
+    assert len(connected) > 100
+    for graph in connected:
+        oracle = mmd_graph_loop(graph)
+        assert oracle.n <= SEARCH_CAP
+        gsr = mmd_graph(graph)
+        assert strong_cover(graph.quotient, gsr) == min_vertex_cover(oracle)
+        assert graph.quotient.edge_count(gsr) == oracle.edge_count()
 
 
 def test_max_independent_set_cap():

@@ -8,9 +8,10 @@ from collections import Counter
 import pytest
 
 import powergraph
+from oracles import verify_decomposition
 from powergraph import spectra
 from powergraph.cli import RunConfig, _Writer, run
-from powergraph.graphs import Graph
+from powergraph.graphs import Graph, TwinQuotient
 from powergraph.groups import GroupParams
 from powergraph.report import Instance, build_report, check_detour, check_structure
 from powergraph.sequences import DegreeSequenceTable
@@ -58,7 +59,7 @@ def test_cli_commands_share_one_computation(calls):
     assert calls["build_power_graph"] == 1
     assert calls["distance_matrix"] == 1
     assert calls["detour_matrix"] == 1
-    assert calls["twin_classes"] == 2  # the power graph and its MMD graph
+    assert calls["twin_classes"] == 2  # the power graph and the k-vertex class MMD graph
     # the detour view and the report read one profile and one detour table
     assert calls["detour_profile"] == 1
     assert calls["from_classes"] == 2  # the distance table and the detour table
@@ -68,7 +69,7 @@ def test_report_builds_each_object_once(calls):
     payload = build_report(2, 3, (0.0, 0.25, 0.5, 0.75, 1.0))
     assert payload["passed"]
     assert calls["distance_matrix"] == 1
-    assert calls["twin_classes"] == 2  # the power graph and its MMD graph
+    assert calls["twin_classes"] == 2  # the power graph and the k-vertex class MMD graph
     assert calls["detour_matrix"] == 1
     assert calls["detour_profile"] == 1
     assert calls["from_classes"] == 2
@@ -155,3 +156,50 @@ def test_partition_sizes_fails_when_the_twin_classes_differ_from_the_closed_form
     assert not checks["structure_decomposition"]["passed"]
     detour = check_detour(inst)
     assert not detour["passed"] and not detour["details"]["matrix_matches_closed_form"]
+
+
+def test_report_lifts_no_class_matrix(monkeypatch):
+    def refuse(self, matrix):
+        raise AssertionError("a report lifted a class matrix to n x n")
+
+    monkeypatch.setattr(TwinQuotient, "lift", refuse)
+    payload = build_report(3, 5, (0.0, 0.5, 1.0))
+    checks = {c["name"]: c for c in payload["checks"]}
+    assert payload["passed"]
+    assert checks["detour_eccentricities"]["details"]["oracle_verified"]
+
+
+def assert_structure_matches_the_oracle(inst: Instance) -> None:
+    """check_structure's verdict, edge lists, edge count and degrees against n x n references."""
+    graph = inst.graph
+    checks = {c["name"]: c for c in check_structure(inst)}
+    missing, extra = verify_decomposition(graph, inst.partition, inst.params)
+    decomposition = checks["structure_decomposition"]
+    assert decomposition["passed"] == (not missing and not extra)
+    assert decomposition["details"]["missing"] == missing[:10]
+    assert decomposition["details"]["extra"] == extra[:10]
+    assert decomposition["details"]["edge_count"] == graph.edge_count()
+    computed = checks["degree_multiset"]["details"]["computed"]
+    assert list(computed.items()) == list(Counter(graph.degrees().tolist()).items())
+
+
+@pytest.mark.parametrize("k,p", [(2, 3), (3, 3), (2, 5), (2, 7), (3, 5), (4, 5), (5, 5)])
+def test_structure_check_matches_the_decomposition_oracle_on_the_family(k, p):
+    inst = Instance(GroupParams(k, p))
+    assert_structure_matches_the_oracle(inst)
+    assert all(c["passed"] for c in check_structure(inst))
+
+
+def test_structure_check_matches_the_decomposition_oracle_on_broken_graphs():
+    inst = Instance(GroupParams(2, 3))
+    classes, edges = inst.partition, inst.graph.edges()
+    v, w = sorted(classes.h2)[:2]
+    for changed in (
+        edges[1:],  # one missing edge
+        edges + [tuple(sorted((classes.u, v)))],  # an extra u - h2 edge
+        edges + [(v, w)],  # an extra edge between two involutions
+    ):
+        broken = Instance(GroupParams(2, 3))
+        broken.graph = Graph.from_edges(inst.graph.n, changed, labels=inst.graph.labels)
+        assert_structure_matches_the_oracle(broken)
+        assert not check_structure(broken)[0]["passed"]
