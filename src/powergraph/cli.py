@@ -19,7 +19,7 @@ from pathlib import Path
 from . import __version__, matrices, report, sequences
 from .detour import DetourBudgetError
 from .graphs import Graph, GraphFormatError
-from .groups import GroupParams, ParameterError
+from .groups import MAX_VERTICES, GroupParams, ParameterError
 from .metric import MetricSearchError
 
 COMMANDS = ("build", "spectra", "metric", "detour", "dds", "report", "ingest")
@@ -39,7 +39,7 @@ class RunConfig:
     fmt: str = "json"
     out_dir: Path | None = None
     detour_budget_s: float = 60.0
-    detour_oracle_max_n: int = report.DETOUR_ORACLE_MAX_N
+    detour_oracle_max_n: int = MAX_VERTICES
     tol: float = 1e-8
     seed: int = 0
     graph_path: Path | None = None

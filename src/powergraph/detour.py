@@ -8,7 +8,8 @@ count per class) states instead of individual vertices.  The same argument
 makes the detour distance a function of the endpoint classes only, so the
 result is a k x k class matrix.  The longest way on from a state depends on
 the target class alone, so the states of one target's search are memoised
-once and shared by every source class.
+once and shared by every source class.  The search walks the states with an
+explicit stack, not recursion, so no path is too long for it.
 
 The quotient has automorphisms of its own.  Call two classes a != b
 interchangeable when their size, closedness and `adj` diagonal are equal and
@@ -44,9 +45,7 @@ result stays exact.
 
 from __future__ import annotations
 
-import sys
 import time
-from functools import lru_cache
 
 import numpy as np
 
@@ -55,10 +54,6 @@ from .graphs import Graph, TwinQuotient
 
 class DetourBudgetError(RuntimeError):
     """Exact search exceeded its time budget; no approximation is substituted."""
-
-
-class DetourDepthError(DetourBudgetError):
-    """Exact search needs a deeper recursion (one frame per path step) than Python allows."""
 
 
 def quotient_orbits(quotient: TwinQuotient) -> list[list[int]]:
@@ -92,9 +87,8 @@ def detour_matrix(graph: Graph, time_budget_s: float = 60.0) -> np.ndarray:
     and any other member of class b; the diagonal is the within-class value,
     0 for a singleton.  `graph.quotient.lift` gives the vertex matrix.
     Raises DetourBudgetError when the quotient search cannot finish within
-    `time_budget_s` seconds, DetourDepthError when a path is longer than
-    Python's recursion limit allows (past about 1000 vertices on the family),
-    and ValueError when some pair has no path (the search marks it -1).
+    `time_budget_s` seconds, its only limit, and ValueError when some pair
+    has no path (the search marks it -1).
     """
     deadline = time.monotonic() + time_budget_s
     quotient = graph.quotient
@@ -132,23 +126,19 @@ def detour_matrix(graph: Graph, time_budget_s: float = 60.0) -> np.ndarray:
                     out += [(h, base[h] + count, count - 1) for count in range(1, size[h] + 1)]
             moves.append(out)
 
-        @lru_cache(maxsize=None)
-        def best(g: int, own: int, state: tuple[int, ...]) -> int:
-            """Longest path from the current class, in group `g`, to the target; -1 if none.
+        memo: dict[tuple, int] = {}
 
-            `own` is the current class's count of unvisited intermediate
-            vertices (endpoints excluded); `state` holds a slot per group, the
-            remaining count of a singleton group or, for a larger group, how
-            many of its classes other than the current one have 0, 1, ...
-            vertices left.  Stepping onto the target ends the path.
+        def frame(key: tuple[int, int, tuple[int, ...]]) -> list:
+            """[key, successors still to read, longest path to the target so far or -1].
+
+            In a key (g, own, state) the current class is in group `g` with `own`
+            unvisited intermediate vertices; `state` holds a slot per group, a
+            singleton's remaining count or a larger group's histogram of counts.
             """
             if time.monotonic() > deadline:
                 raise DetourBudgetError("detour search exceeded its time budget")
-            top = 1 if ends[g] else -1
-            if own and loops[g]:
-                rest = best(g, own - 1, state)
-                if rest >= 0 and rest + 1 > top:
-                    top = rest + 1
+            g, own, state = key
+            nexts = [(g, own - 1, state)] if own and loops[g] else []
             left = list(state)
             if not single[g]:
                 left[base[g] + own] += 1  # the class the path leaves rejoins its group
@@ -156,10 +146,8 @@ def detour_matrix(graph: Graph, time_budget_s: float = 60.0) -> np.ndarray:
                 if state[slot]:  # one step per distinct count left in a larger group
                     counts = left.copy()
                     counts[slot] -= 1
-                    rest = best(h, counts[slot] if keeps is None else keeps, tuple(counts))
-                    if rest >= 0 and rest + 1 > top:
-                        top = rest + 1
-            return top
+                    nexts.append((h, counts[slot] if keeps is None else keeps, tuple(counts)))
+            return [key, nexts, 1 if ends[g] else -1]
 
         # endpoints leave their classes; a singleton class has no pair with itself
         start[0] -= 1
@@ -168,14 +156,27 @@ def detour_matrix(graph: Graph, time_budget_s: float = 60.0) -> np.ndarray:
             at = base[g] if single[g] else base[g] + size[g]
             counts[at] -= 1
             own = counts[at] if single[g] else size[g] - 1
-            if own >= 0:
-                try:
-                    value[members, target] = best(g, own, tuple(counts))
-                except RecursionError:
-                    raise DetourDepthError(
-                        f"detour search on {graph.n} vertices exceeds Python's recursion "
-                        f"limit ({sys.getrecursionlimit()} frames, one per path step)"
-                    ) from None
+            if own < 0:
+                continue
+            # a frame waits while a successor not memoised yet is searched, then takes its
+            # length; a step visits one more vertex, so no state is ever on the stack twice
+            root = (g, own, tuple(counts))
+            stack = [frame(root)]
+            while stack:
+                top = stack[-1]
+                while top[1]:
+                    rest = memo.get(nxt := top[1].pop())
+                    if rest is None:
+                        stack.append(frame(nxt))
+                        break
+                    if rest >= 0 and rest + 1 > top[2]:
+                        top[2] = rest + 1
+                else:
+                    key, _, length = stack.pop()
+                    memo[key] = length
+                    if stack and length >= 0 and length + 1 > stack[-1][2]:
+                        stack[-1][2] = length + 1
+            value[members, target] = memo[root]
         for other in orbit[1:]:
             swap = list(range(k))
             swap[target], swap[other] = other, target

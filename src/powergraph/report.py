@@ -26,11 +26,9 @@ from .graphs import (
     family_degree_multiset,
     predicted_quotient,
 )
-from .groups import GroupParams
+from .groups import MAX_VERTICES, GroupParams
 
 SPECTRUM_KINDS = ("adjacency", "reciprocal")
-# the largest n the exact detour search runs on by default: (6, 5), n = 640
-DETOUR_ORACLE_MAX_N = 640
 
 
 class Instance:
@@ -49,7 +47,7 @@ class Instance:
         self,
         params: GroupParams,
         detour_budget_s: float = 60.0,
-        detour_oracle_max_n: int = DETOUR_ORACLE_MAX_N,
+        detour_oracle_max_n: int = MAX_VERTICES,
     ):
         self.params = params
         self.detour_budget_s = detour_budget_s
@@ -94,7 +92,8 @@ class Instance:
         """(k x k class detour matrix, budget error) of the exact search.
 
         The matrix is None when n exceeds `detour_oracle_max_n` (the search is
-        not run) or when the search ran out of `detour_budget_s` (the error is
+        not run; the default cap, `MAX_VERTICES`, runs it on every family
+        order) or when the search ran out of `detour_budget_s` (the error is
         returned, so no later reader runs it again).
         """
         if self.graph.n > self.detour_oracle_max_n:
@@ -451,7 +450,7 @@ def build_report(
     tol: float = 1e-8,
     seed: int = 0,
     detour_budget_s: float = 60.0,
-    detour_oracle_max_n: int = DETOUR_ORACLE_MAX_N,
+    detour_oracle_max_n: int = MAX_VERTICES,
     version: str = "0",
 ) -> dict:
     """Run every verification for one (k, p) instance and collect PASS/FAIL."""

@@ -270,19 +270,22 @@ def test_huge_prime_p_is_refused_before_the_primality_check():
     assert err.startswith("usage error: ") and "8192" in err
 
 
-def test_detour_past_the_recursion_limit_is_an_error_not_a_traceback():
+def test_default_detour_is_oracle_verified_past_n1000(tmp_path):
+    # (7, 5), n = 1280: paths longer than the interpreter's default frame limit
     src = str(Path(powergraph.__file__).resolve().parents[1])
     done = subprocess.run(
         [sys.executable, "-m", "powergraph", "detour", "--k", "7", "--p", "5",
-         "--detour-oracle-max-n", "2000"],
+         "--out", str(tmp_path)],
         capture_output=True,
         text=True,
         timeout=120,
         env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
     )
-    assert done.returncode == 1
-    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
-    assert "recursion" in done.stderr and "Traceback" not in done.stderr
+    assert done.returncode == 0 and done.stderr == ""
+    payload = json.loads((tmp_path / "k7-p5-detour.json").read_text(encoding="utf-8"))
+    assert payload["oracle_verified"] is True
+    assert (payload["radius"], payload["diameter"]) == (641, 643)
+    assert len(payload["eccentricities"]) == 1280
 
 
 def test_config_file_and_env_precedence(tmp_path, monkeypatch):

@@ -4,6 +4,10 @@ the search without quotient symmetry, and the family closed form.
 The search gives a k x k class matrix; `lifted` turns it into the vertex
 matrix the oracles give."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,6 +22,7 @@ from oracles import (
     random_graphs,
     star_graph,
 )
+import powergraph
 from powergraph.graphs import Graph, TwinQuotient, predicted_quotient
 from powergraph.detour import detour_matrix, quotient_orbits
 from powergraph.sequences import DegreeSequenceTable, family_detour_matrix
@@ -110,11 +115,38 @@ def test_detour_equals_the_unreduced_search_on_the_family(family, kp):
     assert np.array_equal(detour, family_detour_matrix_loop(graph, classes, params))
 
 
-@pytest.mark.parametrize("kp", [(3, 7), (4, 5), (5, 5), (6, 5)])
+@pytest.mark.parametrize("kp", [(3, 7), (4, 5), (5, 5), (6, 5), (7, 5), (7, 7)])
 def test_detour_equals_the_family_closed_form_past_the_unreduced_search(family, kp):
     params, graph, classes = family(*kp)
     assert np.array_equal(detour_matrix(graph), predicted_detour(graph, classes, params)[1])
     assert np.array_equal(lifted(graph), family_detour_matrix_loop(graph, classes, params))
+
+
+_SEARCH_UNDER_A_LOW_FRAME_LIMIT = (
+    "import sys\n"
+    "import numpy as np\n"
+    "from powergraph.detour import detour_matrix\n"
+    "from powergraph.groups import GroupParams\n"
+    "from powergraph.report import Instance\n"
+    "from powergraph.sequences import family_detour_matrix\n"
+    "inst = Instance(GroupParams(6, 5))\n"
+    "sys.setrecursionlimit(200)\n"
+    "matrix = detour_matrix(inst.graph)\n"
+    "print(np.array_equal(matrix, family_detour_matrix(inst.predicted_types, inst.params)))\n"
+)
+
+
+def test_detour_search_does_not_depend_on_the_recursion_limit():
+    # (6, 5): paths of 640 vertices against a limit of 200 interpreter frames
+    src = str(Path(powergraph.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", _SEARCH_UNDER_A_LOW_FRAME_LIMIT],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "True\n", "")
 
 
 @pytest.mark.parametrize("kp", [(2, 3), (2, 5), (3, 3), (3, 5), (4, 5), (5, 5), (6, 5)])

@@ -12,7 +12,7 @@ from oracles import verify_decomposition
 from powergraph import spectra
 from powergraph.cli import RunConfig, _Writer, run
 from powergraph.graphs import Graph, TwinQuotient
-from powergraph.groups import GroupParams
+from powergraph.groups import MAX_VERTICES, GroupParams
 from powergraph.report import Instance, build_report, check_detour, check_structure
 from powergraph.sequences import DegreeSequenceTable
 
@@ -92,12 +92,12 @@ def test_detour_oracle_cap_skips_the_search(calls):
 def test_default_detour_oracle_cap_covers_n160():
     payload = build_report(4, 5, (0.5,))
     checks = {c["name"]: c for c in payload["checks"]}
-    assert payload["config"]["detour_oracle_max_n"] == 640
+    assert payload["config"]["detour_oracle_max_n"] == MAX_VERTICES
     assert checks["detour_eccentricities"]["passed"]
     assert checks["detour_eccentricities"]["details"]["oracle_verified"] is True
 
 
-def test_default_detour_oracle_cap_covers_n640():
+def test_default_report_is_oracle_verified_at_n640():
     payload = build_report(6, 5, (0.5,))
     checks = {c["name"]: c for c in payload["checks"]}
     assert payload["passed"]
@@ -135,11 +135,11 @@ def test_twin_check_fails_when_the_closed_form_drops_a_family(monkeypatch, dropp
     assert not payload["passed"]
 
 
-def test_detour_past_the_recursion_limit_is_a_fail_with_an_error():
-    check = check_detour(Instance(GroupParams(7, 5), detour_oracle_max_n=2000))
-    assert not check["passed"]
-    assert not check["details"]["oracle_verified"]
-    assert "recursion" in check["details"]["error"]
+def test_default_detour_check_is_oracle_verified_at_n1280():
+    check = check_detour(Instance(GroupParams(7, 5)))
+    assert check["passed"]
+    assert check["details"]["oracle_verified"] is True
+    assert check["details"]["matrix_matches_closed_form"] is True
 
 
 def test_partition_sizes_fails_when_the_twin_classes_differ_from_the_closed_forms():
