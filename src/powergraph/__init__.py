@@ -31,10 +31,9 @@ from .spectra import (  # noqa: F401
     BlockForm,
     Spectrum,
     a_alpha_closed_form,
-    assemble_block_matrix,
     block_reduce,
-    quotient_spectrum,
     rd_alpha_closed_form,
+    solve_quotient,
     sym_eigenvalues,
     twin_eigenvalues,
 )

@@ -16,9 +16,11 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import __version__, matrices, report, sequences
+import numpy as np
+
+from . import __version__, report, sequences
 from .detour import DetourBudgetError
-from .graphs import Graph, GraphFormatError
+from .graphs import Graph, GraphFormatError, TwinQuotient
 from .groups import MAX_VERTICES, GroupParams, ParameterError
 from .metric import MetricSearchError
 
@@ -165,7 +167,7 @@ def parse_args(argv: list[str]) -> RunConfig:
     parser.add_argument("--detour-budget", type=float, help="detour search budget in seconds")
     parser.add_argument("--detour-oracle-max-n", type=int, help="largest n the detour oracle runs on")
     parser.add_argument("--tol", type=float, help="spectrum comparison tolerance")
-    parser.add_argument("--seed", type=int, help="seed for randomized verification")
+    parser.add_argument("--seed", type=int, help="recorded in the report config; no check reads it")
     parser.add_argument("--config", type=Path, help="key=value config file")
     parser.add_argument("--graph", type=Path, help="external graph file for ingest")
     parser.add_argument("--graph-format", choices=("edge-list", "json"), default=None)
@@ -214,6 +216,23 @@ def _spectra_csv(payloads: list[dict]) -> str:
         for fam in payload["families"]:
             lines.append(f"{alpha!r},{fam['value']!r},{fam['mult']},{fam['source']}")
     return "\n".join(lines) + "\n"
+
+
+def _lifted_csv(quotient: TwinQuotient, matrix: np.ndarray) -> str:
+    """`quotient.lift(matrix)` as CSV, one line per vertex, without forming the n x n lift.
+
+    Each class row's entries are formatted once; a vertex's line gathers its
+    class row through `class_of` and clears its own entry.
+    """
+    cells = np.array([[repr(float(x)) for x in row] for row in matrix], dtype=object)
+    lines = [""] * len(quotient.class_of)
+    for a, members in enumerate(quotient.members):
+        row = cells[a, quotient.class_of].tolist()
+        for v in members:
+            row[v] = "0.0"
+            lines[v] = ",".join(row) + "\n"
+            row[v] = cells[a, a]
+    return "".join(lines)
 
 
 def run(config: RunConfig, writer: _Writer | None = None, out=None) -> int:
@@ -292,7 +311,7 @@ def run(config: RunConfig, writer: _Writer | None = None, out=None) -> int:
                 "eccentricities": [int(x) for x in ecc],
             }
             if config.fmt == "csv":
-                csv = matrices.matrix_to_csv(graph.quotient.lift(mat))
+                csv = _lifted_csv(graph.quotient, mat)
                 writer.emit(f"{stem}-detour-matrix.csv", csv)
         else:
             payload = {

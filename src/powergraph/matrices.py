@@ -4,14 +4,13 @@ All matrices are dense float64 (int64 for distances) numpy arrays and exactly
 symmetric by construction; an n x n float64 matrix costs 8 n^2 bytes.  The
 pipeline runs `distance_matrix` once per graph, on its k-vertex twin quotient
 (`graphs.TwinQuotient.dist`, k about n/8 on the family), and takes its spectra
-from the quotient too (`spectra.quotient_spectrum`).  `a_alpha`, `rd_alpha`,
+from the quotient too (`spectra.solve_quotient`).  `a_alpha`, `rd_alpha`,
 `reciprocal_distance` and `reciprocal_transmission` are the dense n-vertex
 references the tests solve with `spectra.sym_eigenvalues` and compare it against.
 """
 
 from __future__ import annotations
 
-import io
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -95,12 +94,3 @@ def rd_alpha(graph: Graph, alpha: float) -> np.ndarray:
     rd = reciprocal_distance(graph)
     rt = np.diag(rd.sum(axis=1))
     return alpha * rt + (1.0 - alpha) * rd
-
-
-def matrix_to_csv(matrix: np.ndarray) -> str:
-    buf = io.StringIO()
-    for row in matrix:
-        buf.write(",".join(repr(float(x)) for x in row))
-        buf.write("\n")
-    return buf.getvalue()
-

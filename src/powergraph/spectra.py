@@ -4,9 +4,10 @@ Spectra follow the two-stage pattern used throughout: twin classes
 contribute eigenvalue families with known multiplicities, and the remaining
 eigenvalues come from a small quotient matrix over the vertex classes,
 assembled in symmetrized form with class-size weights sqrt(n_i) so a plain
-symmetric eigensolver applies.  `quotient_spectrum` does this for any graph
+symmetric eigensolver applies.  `solve_quotient` does this for any graph
 on its twin classes (k x k, about n/8 on the family); the closed forms do it
-for the family on its 5 vertex classes.
+for the family on its 5 vertex classes.  On the family that quotient has
+N/4 identical blade classes, so `block_reduce` solves it from one blade.
 """
 
 from __future__ import annotations
@@ -79,16 +80,22 @@ class Spectrum:
 
 
 def cluster_values(values: np.ndarray, tol: float) -> list[tuple[float, int]]:
-    """Group a descending value list into clusters separated by gaps > tol."""
+    """Group a descending value list into clusters separated by gaps > tol: (mean, size) each.
+
+    The runs are split where the gap exceeds tol.  A one-value run is its own
+    mean and only the few longer runs take `mean` of their slice, so each mean
+    is bit-for-bit that of a per-run `mean` (`np.add.reduceat` sums in another
+    order).
+    """
     values = np.sort(np.asarray(values, dtype=np.float64))[::-1]
-    clusters: list[tuple[float, int]] = []
-    start = 0
-    for stop in range(1, len(values) + 1):
-        if stop == len(values) or values[stop - 1] - values[stop] > tol:
-            chunk = values[start:stop]
-            clusters.append((float(chunk.mean()), len(chunk)))
-            start = stop
-    return clusters
+    if not values.size:
+        return []
+    splits = np.flatnonzero(values[:-1] - values[1:] > tol) + 1
+    starts, stops = np.concatenate(([0], splits)), np.append(splits, values.size)
+    means = values[starts]
+    for run in np.flatnonzero(stops - starts > 1):
+        means[run] = values[starts[run] : stops[run]].mean()
+    return list(zip(means.tolist(), (stops - starts).tolist()))
 
 
 def class_reciprocals(graph: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -144,7 +151,7 @@ def _twin_lines(graph: Graph, diagonal, within) -> list[tuple[float, int, str]]:
 
 
 def twin_eigenvalues(graph: Graph, kind: str, alpha: float) -> Spectrum:
-    """Eigenvalues of A_alpha or RD_alpha (`kind` as in `quotient_spectrum`) forced by twin classes.
+    """Eigenvalues of A_alpha or RD_alpha (`kind` as in `solve_quotient`) forced by twin classes.
 
     For A_alpha an open class of size l+1 contributes alpha*deg with
     multiplicity l, a closed class alpha*deg - (1 - alpha).
@@ -153,8 +160,27 @@ def twin_eigenvalues(graph: Graph, kind: str, alpha: float) -> Spectrum:
     return Spectrum.from_lines(_twin_lines(graph, diagonal, within))
 
 
-def quotient_spectrum(graph: Graph, kind: str, alpha: float) -> Spectrum:
-    """Full A_alpha or RD_alpha spectrum of a graph from its twin quotient.
+@dataclass(frozen=True)
+class QuotientSolve:
+    """One solve of a graph's A_alpha or RD_alpha twin quotient.
+
+    `twin_lines` are the (value, multiplicity, source) lines of the twin
+    classes, `matrix` the symmetrised k x k quotient over `graph.quotient`'s
+    classes in their order, and `roots` its k eigenvalues, descending.
+    """
+
+    twin_lines: list[tuple[float, int, str]]
+    matrix: np.ndarray
+    roots: np.ndarray
+
+    def spectrum(self) -> Spectrum:
+        """The graph's full spectrum: the twin lines plus the k roots."""
+        roots = [(float(v), 1, "quotient-root") for v in self.roots]
+        return Spectrum.from_lines(self.twin_lines + roots)
+
+
+def solve_quotient(graph: Graph, kind: str, alpha: float) -> QuotientSolve:
+    """A_alpha or RD_alpha of a graph on its twin quotient, solved once.
 
     The twin partition is equitable (twin classes are modules), so the n
     eigenvalues are the twin lines plus the k eigenvalues of the quotient
@@ -167,9 +193,7 @@ def quotient_spectrum(graph: Graph, kind: str, alpha: float) -> Spectrum:
     root = np.sqrt(sizes)
     matrix = between * np.outer(root, root)
     np.fill_diagonal(matrix, diagonal + (sizes - 1.0) * within)
-    lines = _twin_lines(graph, diagonal, within)
-    lines += [(float(v), 1, "quotient-root") for v in sym_eigenvalues(matrix)]
-    return Spectrum.from_lines(lines)
+    return QuotientSolve(_twin_lines(graph, diagonal, within), matrix, sym_eigenvalues(matrix))
 
 
 # family closed forms ---------------------------------------------------
@@ -354,23 +378,8 @@ class BlockForm:
         return self.m1 + self.copies * self.m2
 
 
-def assemble_block_matrix(form: BlockForm) -> np.ndarray:
-    """Materialize the full n x n matrix described by a BlockForm."""
-    m1, m2, c = form.m1, form.m2, form.copies
-    out = np.zeros((form.n, form.n))
-    out[:m1, :m1] = form.u
-    for i in range(c):
-        lo = m1 + i * m2
-        out[:m1, lo : lo + m2] = form.v
-        out[lo : lo + m2, :m1] = form.v.T
-        for j in range(c):
-            lo2 = m1 + j * m2
-            out[lo : lo + m2, lo2 : lo2 + m2] = form.x if i == j else form.w
-    return out
-
-
 def block_reduce(form: BlockForm) -> Spectrum:
-    """Spectrum of the assembled matrix without assembling it.
+    """Spectrum of the matrix a BlockForm describes, without assembling it.
 
     The border plus one aggregated copy gives the core matrix
     [[U, sqrt(c) V], [sqrt(c) V^T, X + (c-1) W]]; the remaining eigenvalues

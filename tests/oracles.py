@@ -1,5 +1,6 @@
 """Slow reference implementations the library routines are checked against, and small named graphs."""
 
+import io
 import itertools
 import random
 from functools import lru_cache
@@ -9,6 +10,7 @@ import numpy as np
 from powergraph.graphs import Graph, family_vertex_order
 from powergraph.groups import IDENTITY, GroupElement, GroupParams, ParameterError, multiply
 from powergraph.matrices import DisconnectedGraphError
+from powergraph.spectra import BlockForm
 
 
 # small graphs ------------------------------------------------------------
@@ -428,3 +430,43 @@ def blown_up_graphs(seed: int, count: int, max_n: int = 9):
         if is_connected(graph):
             made += 1
             yield graph
+
+
+# spectra and renderings -----------------------------------------------------
+
+
+def assemble_block_matrix(form: BlockForm) -> np.ndarray:
+    """Materialize the full n x n matrix described by a BlockForm."""
+    m1, m2, c = form.m1, form.m2, form.copies
+    out = np.zeros((form.n, form.n))
+    out[:m1, :m1] = form.u
+    for i in range(c):
+        lo = m1 + i * m2
+        out[:m1, lo : lo + m2] = form.v
+        out[lo : lo + m2, :m1] = form.v.T
+        for j in range(c):
+            lo2 = m1 + j * m2
+            out[lo : lo + m2, lo2 : lo2 + m2] = form.x if i == j else form.w
+    return out
+
+
+def cluster_values_loop(values: np.ndarray, tol: float) -> list[tuple[float, int]]:
+    """`spectra.cluster_values` one value at a time: a new cluster after each gap > tol."""
+    values = np.sort(np.asarray(values, dtype=np.float64))[::-1]
+    clusters: list[tuple[float, int]] = []
+    start = 0
+    for stop in range(1, len(values) + 1):
+        if stop == len(values) or values[stop - 1] - values[stop] > tol:
+            chunk = values[start:stop]
+            clusters.append((float(chunk.mean()), len(chunk)))
+            start = stop
+    return clusters
+
+
+def matrix_to_csv(matrix: np.ndarray) -> str:
+    """One CSV line per row, each entry as `repr(float(x))`."""
+    buf = io.StringIO()
+    for row in matrix:
+        buf.write(",".join(repr(float(x)) for x in row))
+        buf.write("\n")
+    return buf.getvalue()

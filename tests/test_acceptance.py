@@ -9,7 +9,7 @@ import numpy as np
 
 from powergraph import report as report_mod
 from powergraph.cli import RunConfig, _Writer, run
-from oracles import complete_graph, cycle_graph, path_graph, star_graph
+from oracles import assemble_block_matrix, complete_graph, cycle_graph, path_graph, star_graph
 from powergraph.detour import detour_matrix
 from powergraph.matrices import a_alpha, rd_alpha, reciprocal_transmission
 from powergraph.graphs import predicted_quotient
@@ -27,7 +27,6 @@ from powergraph.sequences import (
 from powergraph.spectra import (
     BlockForm,
     a_alpha_closed_form,
-    assemble_block_matrix,
     block_reduce,
     cluster_values,
     quintic_transcription_check,

@@ -7,9 +7,11 @@ from pathlib import Path
 import pytest
 
 import powergraph
+from oracles import matrix_to_csv
 from powergraph.cli import RunConfig, UsageError, ingest_graph, main, parse_args, run, _Writer
+from powergraph.groups import GroupParams
 from powergraph.metric import MetricSearchError
-from powergraph.report import build_report
+from powergraph.report import Instance, build_report
 
 
 def run_collect(config):
@@ -125,6 +127,15 @@ def test_detour_csv_rendering():
     _, artifacts, _ = run_collect(config)
     matrix = artifacts["k2-p3-detour-matrix.csv"]
     assert len(matrix.splitlines()) == 24
+
+
+@pytest.mark.parametrize("k,p", [(2, 3), (3, 5), (5, 5)])
+def test_detour_csv_equals_the_formatted_lift(k, p):
+    config = RunConfig(k=k, p=p, alphas=(0.5,), commands=("detour",), fmt="csv")
+    _, artifacts, _ = run_collect(config)
+    inst = Instance(GroupParams(k, p))
+    expected = matrix_to_csv(inst.graph.quotient.lift(inst.detour))
+    assert artifacts[f"k{k}-p{p}-detour-matrix.csv"] == expected
 
 
 def test_build_and_metric_and_dds_commands(tmp_path):

@@ -10,6 +10,7 @@ from oracles import (
     blown_up_graphs,
     complete_graph,
     cycle_graph,
+    matrix_to_csv,
     path_graph,
     random_graphs,
 )
@@ -271,8 +272,6 @@ def test_detour_c4_crossing_pairs():
 
 
 def test_matrix_exports():
-    from powergraph.matrices import matrix_to_csv
-
     g = complete_graph(2)
     assert matrix_to_csv(adjacency(g)) == "0.0,1.0\n1.0,0.0\n"
 

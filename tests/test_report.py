@@ -1,25 +1,37 @@
 """Every report check and CLI command is a view of one Instance per (k, p)."""
 
+import dataclasses
 import io
 import json
 import sys
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import powergraph
 from oracles import verify_decomposition
 from powergraph import spectra
 from powergraph.cli import RunConfig, _Writer, run
-from powergraph.graphs import Graph, TwinQuotient
+from powergraph.graphs import CLASS_TYPES, Graph, TwinQuotient
 from powergraph.groups import MAX_VERTICES, GroupParams
-from powergraph.report import Instance, build_report, check_detour, check_structure
+from powergraph.report import (
+    Instance,
+    build_report,
+    check_block_reduction,
+    check_detour,
+    check_structure,
+    report_payload,
+)
 from powergraph.sequences import DegreeSequenceTable
 
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Count calls of library functions, wrapped at every powergraph module that holds them."""
+    """Count calls of library functions, wrapped at every powergraph module that holds them.
+
+    A call whose first argument is an array is also counted under (name, its shape).
+    """
     counts = Counter()
 
     def watch(home: str, name: str) -> None:
@@ -27,6 +39,8 @@ def calls(monkeypatch):
 
         def counted(*args, **kwargs):
             counts[name] += 1
+            if args and isinstance(args[0], np.ndarray):
+                counts[name, args[0].shape] += 1
             return original(*args, **kwargs)
 
         for module_name, module in list(sys.modules.items()):
@@ -41,6 +55,7 @@ def calls(monkeypatch):
         ("matrices", "distance_matrix"),
         ("detour", "detour_matrix"),
         ("sequences", "detour_profile"),
+        ("spectra", "sym_eigenvalues"),
     ):
         watch(home, name)
     from_classes = DegreeSequenceTable.from_classes.__func__
@@ -73,6 +88,19 @@ def test_report_builds_each_object_once(calls):
     assert calls["detour_matrix"] == 1
     assert calls["detour_profile"] == 1
     assert calls["from_classes"] == 2
+
+
+def test_report_solves_each_quotient_once_whatever_the_seed(calls):
+    alphas = (0.0, 0.25, 0.5, 0.75, 1.0)
+    k = len(Instance(GroupParams(2, 3)).graph.quotient.sizes)
+    calls.clear()
+    assert build_report(2, 3, alphas, seed=0)["passed"]
+    # one k x k solve per (kind, alpha): the spectrum checks and the block check share it
+    assert calls["sym_eigenvalues", (k, k)] == 2 * len(alphas)
+    solves = calls["sym_eigenvalues"]
+    calls.clear()
+    assert build_report(2, 3, alphas, seed=12345)["passed"]
+    assert calls["sym_eigenvalues"] == solves
 
 
 def test_detour_budget_error_is_searched_once(calls):
@@ -203,3 +231,40 @@ def test_structure_check_matches_the_decomposition_oracle_on_broken_graphs():
         broken.graph = Graph.from_edges(inst.graph.n, changed, labels=inst.graph.labels)
         assert_structure_matches_the_oracle(broken)
         assert not check_structure(broken)[0]["passed"]
+
+
+def test_block_reduction_check_fails_when_the_roots_disagree(monkeypatch):
+    inst = Instance(GroupParams(3, 5))
+    check = check_block_reduction(inst, (0.0, 0.5, 1.0), 1e-8)
+    assert check["passed"]
+    assert check["details"]["copies"] == inst.params.rotation_order // 4
+    solve = spectra.solve_quotient
+
+    def shifted(graph, kind, alpha):
+        out = solve(graph, kind, alpha)
+        return dataclasses.replace(out, roots=out.roots + 1e-6)
+
+    monkeypatch.setattr(spectra, "solve_quotient", shifted)
+    check = check_block_reduction(Instance(GroupParams(2, 3)), (0.5,), 1e-8)
+    assert not check["passed"]
+    assert check["details"]["max_deviation"] > 1e-8
+
+
+def test_block_reduction_check_fails_on_broken_graphs():
+    inst = Instance(GroupParams(2, 3))
+    classes, edges = inst.partition, inst.graph.edges()
+    types = inst.predicted_types.tolist()
+    blade = set(inst.predicted.members[types.index(CLASS_TYPES.index("h3"))])
+    v, w = sorted(classes.h2)[:2]
+    for changed, reason in (
+        # no blade edges to u: the twin classes are unchanged, but that blade is no copy
+        ([e for e in edges if not (classes.u in e and blade & set(e))], "not identical copies"),
+        # an extra edge between two involutions: the twin classes differ from the prediction
+        (edges + [(v, w)], "not the predicted ones"),
+    ):
+        broken = Instance(GroupParams(2, 3))
+        broken.graph = Graph.from_edges(inst.graph.n, changed, labels=inst.graph.labels)
+        checks = {c["name"]: c for c in report_payload(broken, (0.25, 0.5))["checks"]}
+        block = checks["block_reduction_random"]
+        assert not block["passed"]
+        assert reason in block["details"]["reason"]

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import blown_up_graphs, complete_graph, is_connected, random_graphs
+from oracles import (
+    assemble_block_matrix,
+    blown_up_graphs,
+    cluster_values_loop,
+    complete_graph,
+    is_connected,
+    random_graphs,
+)
 from powergraph.groups import GroupParams
 from powergraph.matrices import (
     AlphaRangeError,
@@ -14,7 +21,13 @@ from powergraph.matrices import (
     rd_alpha,
     reciprocal_transmission,
 )
-from powergraph.report import _multisets_agree, spectrum_payload
+from powergraph.report import (
+    SPECTRUM_KINDS,
+    Instance,
+    _cluster_tol,
+    _multisets_agree,
+    spectrum_payload,
+)
 from powergraph.spectra import (
     BlockForm,
     BlockFormError,
@@ -23,14 +36,13 @@ from powergraph.spectra import (
     a_alpha_closed_form,
     a_alpha_families,
     a_alpha_quotient_matrix,
-    assemble_block_matrix,
     block_reduce,
     cluster_values,
     quintic_coefficients,
     quintic_transcription_check,
-    quotient_spectrum,
     rd_alpha_closed_form,
     rd_quotient_transcription_check,
+    solve_quotient,
     sym_eigenvalues,
     twin_eigenvalues,
 )
@@ -91,7 +103,7 @@ DENSE = {"adjacency": a_alpha, "reciprocal": rd_alpha}
 
 def assert_quotient_matches_dense(graph, kind):
     for alpha in ALPHAS:
-        spectrum = quotient_spectrum(graph, kind, alpha)
+        spectrum = solve_quotient(graph, kind, alpha).spectrum()
         dense = sym_eigenvalues(DENSE[kind](graph, alpha))
         assert sum(line.multiplicity for line in spectrum.lines) == graph.n
         assert np.abs(spectrum.values() - dense).max(initial=0.0) <= 1e-8
@@ -120,9 +132,9 @@ def test_quotient_spectrum_matches_dense_on_the_family(family, k, p, kind):
 def test_quotient_spectrum_rejects_bad_kind_or_alpha(family):
     _, graph, _ = family(2, 3)
     with pytest.raises(ValueError, match="kind"):
-        quotient_spectrum(graph, "laplacian", 0.5)
+        solve_quotient(graph, "laplacian", 0.5)
     with pytest.raises(AlphaRangeError):
-        quotient_spectrum(graph, "reciprocal", 1.5)
+        solve_quotient(graph, "reciprocal", 1.5)
 
 
 def test_minus_one_multiplicity_at_alpha_zero(family):
@@ -304,6 +316,27 @@ def test_clustering_recovers_multiplicities(family):
     mults = sorted(clustered.values(), reverse=True)
     # families 5, 9, 3, 2 plus five simple quotient roots
     assert mults == [9, 5, 3, 2, 1, 1, 1, 1, 1]
+
+
+@pytest.mark.parametrize("k,p", [(2, 3), (2, 5), (3, 3)])
+def test_cluster_values_equals_the_loop_on_family_spectra(k, p):
+    inst = Instance(GroupParams(k, p))
+    for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
+        for kind in SPECTRUM_KINDS:
+            closed, numeric = inst.spectrum(kind, alpha)
+            tol = _cluster_tol(numeric)
+            for values in (numeric, closed.values()):
+                assert cluster_values(values, tol) == cluster_values_loop(values, tol)
+
+
+def test_cluster_values_equals_the_loop_on_random_near_ties():
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        size = int(rng.integers(0, 60))
+        base = rng.standard_normal(int(rng.integers(1, 8)))
+        values = rng.choice(base, size) + 1e-7 * rng.standard_normal(size)
+        for tol in (0.0, 1e-7, 1e-6, 1.0):
+            assert cluster_values(values, tol) == cluster_values_loop(values, tol)
 
 
 def test_spectrum_json_round_trip(family):
