@@ -28,10 +28,9 @@ from .matrices import (  # noqa: F401
 )
 from .detour import detour_matrix  # noqa: F401
 from .spectra import (  # noqa: F401
-    BlockForm,
     Spectrum,
     a_alpha_closed_form,
-    block_reduce,
+    orbit_roots,
     rd_alpha_closed_form,
     solve_quotient,
     sym_eigenvalues,

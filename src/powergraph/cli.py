@@ -189,20 +189,21 @@ def parse_args(argv: list[str]) -> RunConfig:
 
 
 class _Writer:
-    """Collects artifacts; writes them under the output directory when given."""
+    """Writes artifacts under the output directory when given, else collects them in `artifacts`."""
 
     def __init__(self, out_dir: Path | None):
         self.out_dir = out_dir
         self.artifacts: dict[str, str] = {}
 
     def emit(self, name: str, content: str) -> None:
-        self.artifacts[name] = content
-        if self.out_dir is not None:
-            try:
-                self.out_dir.mkdir(parents=True, exist_ok=True)
-                (self.out_dir / name).write_text(content, encoding="utf-8")
-            except OSError as exc:
-                raise UsageError(f"cannot write output: {exc}") from None
+        if self.out_dir is None:
+            self.artifacts[name] = content
+            return
+        try:
+            self.out_dir.mkdir(parents=True, exist_ok=True)
+            (self.out_dir / name).write_text(content, encoding="utf-8")
+        except OSError as exc:
+            raise UsageError(f"cannot write output: {exc}") from None
 
 
 def _dump(payload: dict) -> str:
@@ -308,7 +309,7 @@ def run(config: RunConfig, writer: _Writer | None = None, out=None) -> int:
                 "oracle_verified": True,
                 "radius": radius,
                 "diameter": diameter,
-                "eccentricities": [int(x) for x in ecc],
+                "eccentricities": ecc[graph.quotient.class_of].tolist(),
             }
             if config.fmt == "csv":
                 csv = _lifted_csv(graph.quotient, mat)

@@ -11,13 +11,9 @@ the target class alone, so the states of one target's search are memoised
 once and shared by every source class.  The search walks the states with an
 explicit stack, not recursion, so no path is too long for it.
 
-The quotient has automorphisms of its own.  Call two classes a != b
-interchangeable when their size, closedness and `adj` diagonal are equal and
-they agree on every class other than a and b.  Mapping the members of a onto
-those of b and back then preserves every edge, so the transposition (a b) of
-classes is a graph automorphism.  Interchangeability is an equivalence
-relation; its classes are the orbits, and the transpositions inside an orbit
-generate every permutation of it.  Hence:
+The quotient has automorphisms of its own: a transposition of two classes
+in one orbit of `TwinQuotient.orbits` is a graph automorphism, and the
+transpositions inside an orbit generate every permutation of it.  Hence:
 
 * `value[s, t'] = value[sigma(s), t]` for the transposition sigma = (t t'), so
   one search per orbit of target classes gives the whole detour matrix;
@@ -49,35 +45,11 @@ import time
 
 import numpy as np
 
-from .graphs import Graph, TwinQuotient
+from .graphs import Graph
 
 
 class DetourBudgetError(RuntimeError):
     """Exact search exceeded its time budget; no approximation is substituted."""
-
-
-def quotient_orbits(quotient: TwinQuotient) -> list[list[int]]:
-    """Orbits of interchangeable quotient classes, each sorted, ordered by first member.
-
-    Classes are interchangeable when their size, closedness and `adj`
-    diagonal agree and so do their adjacencies to every other class.  As in
-    `twin_classes`, rows are grouped by an open fingerprint (own entry
-    cleared, for non-adjacent pairs) and a closed one (own entry set, for
-    adjacent pairs); no class is in a non-trivial group of both kinds.
-    """
-    k = len(quotient.sizes)
-    groups: dict[tuple, list[int]] = {}
-    for a, (size, closed) in enumerate(zip(quotient.sizes, quotient.closed)):
-        row = quotient.adj[a].copy()
-        label = (size, closed, quotient.adj[a, a])
-        for own in (False, True):
-            row[a] = own
-            groups.setdefault((label, own, row.tobytes()), []).append(a)
-    orbits = [members for members in groups.values() if len(members) > 1]
-    placed = {a for members in orbits for a in members}
-    orbits += [[a] for a in range(k) if a not in placed]
-    orbits.sort()
-    return orbits
 
 
 def detour_matrix(graph: Graph, time_budget_s: float = 60.0) -> np.ndarray:
@@ -94,7 +66,7 @@ def detour_matrix(graph: Graph, time_budget_s: float = 60.0) -> np.ndarray:
     quotient = graph.quotient
     adj, sizes = quotient.adj, quotient.sizes
     k = len(sizes)
-    orbits = quotient_orbits(quotient)
+    orbits = quotient.orbits
     value = np.zeros((k, k), dtype=np.int64)
     for orbit in orbits:
         target = orbit[0]

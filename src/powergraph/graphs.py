@@ -222,17 +222,22 @@ def twin_classes(graph: Graph) -> list[tuple[list[int], bool]]:
     separately yields the partition.  Returns (sorted members, closed) pairs
     ordered by smallest member; a singleton counts as open.
     """
-    open_groups: dict[bytes, list[int]] = {}
-    closed_groups: dict[bytes, list[int]] = {}
-    for v in range(graph.n):
-        row = graph.adj[v].copy()
-        open_groups.setdefault(row.tobytes(), []).append(v)
-        row[v] = True
-        closed_groups.setdefault(row.tobytes(), []).append(v)
+    return _twins(graph.adj, [None] * graph.n)
+
+
+def _twins(adj: np.ndarray, labels: list) -> list[tuple[list[int], bool]]:
+    """`twin_classes` of the graph whose adjacency is `adj` off the diagonal, among equal labels."""
+    open_groups: dict[tuple, list[int]] = {}
+    closed_groups: dict[tuple, list[int]] = {}
+    for v, label in enumerate(labels):
+        row = adj[v].copy()
+        for own, groups in ((False, open_groups), (True, closed_groups)):
+            row[v] = own
+            groups.setdefault((label, row.tobytes()), []).append(v)
     classes = [(members, False) for members in open_groups.values() if len(members) > 1]
     classes += [(members, True) for members in closed_groups.values() if len(members) > 1]
     placed = {v for members, _ in classes for v in members}
-    classes += [([v], False) for v in range(graph.n) if v not in placed]
+    classes += [([v], False) for v in range(len(labels)) if v not in placed]
     classes.sort(key=lambda c: c[0][0])
     return classes
 
@@ -246,6 +251,7 @@ class TwinQuotient:
     of a are adjacent (a closed class of size > 1).  `dist` and the detour
     and strong resolving class matrices read the same way; `lift` turns one
     into the n x n vertex matrix, `degrees` gives the vertex degrees it implies.
+    `orbits` groups the classes that the quotient's own automorphisms permute.
     """
 
     def __init__(self, classes: list[tuple[list[int], bool]], adj: np.ndarray):
@@ -276,6 +282,25 @@ class TwinQuotient:
         np.fill_diagonal(dist, 2 * (np.array(self.sizes) > 1) - within)
         dist.setflags(write=False)
         return dist
+
+    @cached_property
+    def orbits(self) -> tuple[tuple[int, ...], ...]:
+        """Orbits of interchangeable classes, each sorted, ordered by first member.
+
+        Call two classes a != b interchangeable when their size, closedness
+        and `adj` diagonal are equal and they agree on every class other than
+        a and b, i.e. when they are twins in the quotient graph among classes
+        with those three labels equal.  Mapping the members of a onto those of
+        b and back then preserves every edge, so the transposition (a b) of
+        classes is a graph automorphism.  It keeps the class sizes and
+        closedness too, so it is an automorphism of the weighted quotient and
+        maps `dist`, and every class matrix built from the quotient (A_alpha,
+        RD_alpha, detour), onto itself.  Like twinship, interchangeability is
+        an equivalence relation; its classes are the orbits, and the
+        transpositions inside an orbit generate every permutation of it.
+        """
+        labels = list(zip(self.sizes, self.closed, self.adj.diagonal()))
+        return tuple(tuple(members) for members, _ in _twins(self.adj, labels))
 
     def lift(self, matrix: np.ndarray) -> np.ndarray:
         """The n x n matrix whose (u, v) entry is `matrix` at their classes; diagonal cleared."""

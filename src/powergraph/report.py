@@ -2,10 +2,11 @@
 
 An `Instance` holds one (k, p) instance and every object derived from it;
 each check reads what it needs from there, so one report builds the graph,
-twin quotient, class distances and class detour matrix once.  Each check returns a
-name, a pass flag and enough detail to diagnose a failure.  Transcription
-checks (published polynomial / published quotient matrix) never fail the
-run: a mismatch emits a diagnostic and the numeric spectrum stays the arbiter.
+twin quotient, class distances, quotient orbits and class detour matrix
+once; the detour search and the blade reduction read the same orbits.  Each
+check returns a name, a pass flag and enough detail to diagnose a failure.
+Transcription checks (published polynomial / published quotient matrix) never
+fail the run: a mismatch emits a diagnostic and the numeric spectrum stays the arbiter.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ class Instance:
     closed forms, with its `predicted_types`, are built on construction
     (`GroupParams` refuses an order above `groups.MAX_VERTICES`); everything
     else on first use.  The graph holds its twin quotient, which holds the
-    k x k class distances; the detour search and the MMD graph give k x k
+    k x k class distances and the orbits; the detour search and the MMD graph give k x k
     class matrices too.  Every check reads class matrices, so the only n x n
     array is the graph's adjacency.  Nothing is cached across instances.
     """
@@ -121,12 +122,11 @@ class Instance:
 
     @cached_property
     def detour_profile(self) -> tuple[np.ndarray, int, int] | None:
-        """(per-vertex detour eccentricity, radius, diameter); None without a detour matrix."""
+        """(detour eccentricity per class, radius, diameter); None without a detour matrix."""
         matrix, _ = self.detour_search
         if matrix is None:
             return None
-        ecc, radius, diameter = sequences.detour_profile(matrix)
-        return ecc[self.graph.quotient.class_of], radius, diameter
+        return sequences.detour_profile(matrix)
 
     @cached_property
     def detour_dds(self) -> sequences.DegreeSequenceTable | None:
@@ -147,10 +147,11 @@ def _check(name: str, passed: bool, **details) -> dict:
     return {"name": name, "passed": bool(passed), "details": details}
 
 
-def _classes_match(values, classes: PartitionClasses, predicted: dict) -> bool:
-    """values[v] == predicted[c] for every vertex v of every class c that predicted names."""
+def _classes_match(values, class_of, classes: PartitionClasses, predicted: dict) -> bool:
+    """values[class_of[v]] == predicted[c] for each vertex v of each class c predicted names."""
     members = classes.named()
-    return all(values[v] == predicted[c] for c in members.keys() & predicted for v in members[c])
+    pairs = {(class_of[v], c) for c in members.keys() & predicted for v in members[c]}
+    return all(values[a] == predicted[c] for a, c in pairs)
 
 
 def _cluster_tol(values: np.ndarray) -> float:
@@ -282,39 +283,28 @@ def check_transcriptions(params: GroupParams, alphas) -> list[dict]:
 
 
 def check_block_reduction(inst: Instance, alphas, tol: float) -> dict:
-    """The paper's block reduction on each quotient the spectrum checks solved.
+    """The paper's blade reduction on each quotient the spectrum checks solved.
 
-    With the core classes (e, u, h1, h2) first, the symmetrised quotient is a
-    `BlockForm`: U over the core, V between the core and one blade, X a
-    blade's own entry and W the entry between two blades, with c = N/4
-    identical blade copies.  `block_reduce` of that form, Spec(core) plus
-    Spec(X - W) c - 1 times, must give the quotient's own k roots within tol.
-    The check FAILs, with a reason, when the twin classes are not the
-    predicted ones or the blades are not identical copies.  (The name is the
-    one the benchmark's gate expects.)
+    The graph's own orbits (`TwinQuotient.orbits`) must be its twin classes
+    grouped by predicted type: {e}, {u}, {h1}, {h2} and the c = N/4 blades.
+    On them `spectra.orbit_roots`, the 5 x 5 orbit quotient's roots plus a
+    blade's X - W c - 1 times, must give each quotient's own k roots within
+    tol.  The check FAILs, with a reason, when the twin classes or the orbits
+    are not the predicted ones.  (The name is the one the benchmark's gate
+    expects.)
     """
     name = "block_reduction_random"
     if not inst.twins_as_predicted:
         return _check(name, False, reason="the twin classes are not the predicted ones")
-    is_blade = inst.predicted_types == CLASS_TYPES.index("h3")
-    core, blades = np.flatnonzero(~is_blade), np.flatnonzero(is_blade)
-    copies = len(blades)
+    types, orbits = inst.predicted_types, inst.graph.quotient.orbits
+    grouped = tuple(sorted(tuple(np.flatnonzero(types == t).tolist()) for t in set(types)))
+    if orbits != grouped:
+        reason = "the blades are not identical copies: the orbits are not the predicted types"
+        return _check(name, False, reason=reason)
     worst = 0.0
-    for kind in SPECTRUM_KINDS:
-        for alpha in alphas:
-            solve = inst.quotient(kind, alpha)
-            matrix = solve.matrix
-            v = matrix[np.ix_(core, blades[:1])]
-            x, w = matrix[blades[0], blades[0]], matrix[blades[0], blades[1]]
-            identical = (matrix[np.ix_(core, blades)] == v).all() and (
-                matrix[np.ix_(blades, blades)] == np.where(np.eye(copies, dtype=bool), x, w)
-            ).all()
-            if not identical:
-                where = f"the {kind} quotient at alpha {alpha!r}"
-                return _check(name, False, reason=f"the blades of {where} are not identical copies")
-            form = spectra.BlockForm(matrix[np.ix_(core, core)], v, [[x]], [[w]], copies)
-            deviation = _max_deviation(spectra.block_reduce(form).values(), solve.roots)
-            worst = max(worst, deviation)
+    for solve in (inst.quotient(kind, alpha) for kind in SPECTRUM_KINDS for alpha in alphas):
+        worst = max(worst, _max_deviation(spectra.orbit_roots(solve.matrix, orbits), solve.roots))
+    copies = int(np.count_nonzero(types == CLASS_TYPES.index("h3")))
     return _check(name, worst <= tol, copies=copies, max_deviation=worst)
 
 
@@ -376,7 +366,7 @@ def check_detour(inst: Instance) -> dict:
     matrix_ok = inst.twins_as_predicted and bool(np.array_equal(computed, predicted))
     ecc, radius, diameter = inst.detour_profile
     profile_ok = radius == predicted_ecc["radius"] and diameter == predicted_ecc["diameter"]
-    per_class_ok = _classes_match(ecc, classes, predicted_ecc)
+    per_class_ok = _classes_match(ecc, inst.graph.quotient.class_of, classes, predicted_ecc)
     return _check(
         "detour_eccentricities",
         matrix_ok and profile_ok and per_class_ok,
@@ -392,23 +382,23 @@ def check_degree_sequences(inst: Instance) -> list[dict]:
     classes, params = inst.partition, inst.params
     table = inst.dds
     rows = sequences.family_dds_rows(params)
-    h1_rep = min(classes.h1)
-    rows_ok = _classes_match(table.rows, classes, rows)
+    class_rows, class_of = table.class_rows, table.class_of
+    rows_ok = _classes_match(class_rows, class_of, classes, rows)
     multiset_diff = sequences.compare_groupings(table.groups, sequences.family_dds_groups(params))
     checks = [
         _check(
             "distance_degree_sequences",
             rows_ok,
-            e_row=list(table.rows[classes.e]),
-            u_row=list(table.rows[classes.u]),
-            h1_row=list(table.rows[h1_rep]),
+            e_row=list(class_rows[class_of[classes.e]]),
+            u_row=list(class_rows[class_of[classes.u]]),
+            h1_row=list(class_rows[class_of[min(classes.h1)]]),
             printed_multiset_comparison=multiset_diff,
         )
     ]
     dtable = inst.detour_dds
     if dtable is not None:
         drows = sequences.family_dds_detour_rows(params)
-        shape_ok = _classes_match(dtable.rows, classes, drows)
+        shape_ok = _classes_match(dtable.class_rows, dtable.class_of, classes, drows)
         grouping_ok = sequences.compare_groupings(
             dtable.groups, sequences.family_dds_detour_groups(params)
         )["matches"]

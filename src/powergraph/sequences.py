@@ -1,12 +1,12 @@
 """Eccentricities, radius/diameter, and (detour) distance degree sequences.
 
 Distances and detour distances are k x k matrices over the twin classes, with
-the within-class value on the diagonal (0 for a singleton), and every table is
-built from its k class rows.  A row stores the count of vertices at every
-distance 0 .. ec(v), interior zeros included, because the detour sequences of
-these graphs are identified by their positional zero runs.  The family's
-predicted detour matrix is a table over the class types of the predicted twin
-quotient (`graphs.predicted_quotient`).
+the within-class value on the diagonal (0 for a singleton), and every table
+keeps its k class rows; its per-vertex rows are a view of them.  A row stores
+the count of vertices at every distance 0 .. ec(v), interior zeros included,
+because the detour sequences of these graphs are identified by their
+positional zero runs.  The family's predicted detour matrix is a table over
+the class types of the predicted twin quotient (`graphs.predicted_quotient`).
 """
 
 from __future__ import annotations
@@ -27,10 +27,20 @@ def detour_profile(detour: np.ndarray) -> tuple[np.ndarray, int, int]:
 
 @dataclass(frozen=True)
 class DegreeSequenceTable:
-    """Per-vertex distance count rows plus the grouped multiset of identical rows."""
+    """Distance count rows of the twin classes plus the grouped multiset of identical rows.
 
-    rows: tuple[tuple[int, ...], ...]
+    `class_rows[a]` is the row of every vertex of class a and `class_of[v]`
+    the class of vertex v; `rows` is the per-vertex view.
+    """
+
+    class_rows: tuple[tuple[int, ...], ...]
+    class_of: tuple[int, ...]
     groups: tuple[tuple[tuple[int, ...], int], ...]
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The row of each vertex, in vertex order."""
+        return tuple(self.class_rows[a] for a in self.class_of)
 
     def to_json_dict(self) -> dict:
         return {
@@ -58,9 +68,9 @@ class DegreeSequenceTable:
             counts = np.bincount(row, weights=sizes).astype(np.int64)
             counts[row[a]] -= 1
             counts[0] += 1
-            class_rows.append(tuple(int(c) for c in counts))
+            class_rows.append(tuple(counts.tolist()))
         groups = _grouped(zip(class_rows, quotient.sizes))
-        return cls(tuple(class_rows[a] for a in quotient.class_of), groups)
+        return cls(tuple(class_rows), tuple(quotient.class_of.tolist()), groups)
 
 
 def _grouped(pairs) -> tuple[tuple[tuple[int, ...], int], ...]:

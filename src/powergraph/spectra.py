@@ -1,4 +1,4 @@
-"""Symmetric eigensolving, spectra from the twin quotient, family closed forms, block reduction.
+"""Symmetric eigensolving, spectra from the twin quotient, orbit reduction, family closed forms.
 
 Spectra follow the two-stage pattern used throughout: twin classes
 contribute eigenvalue families with known multiplicities, and the remaining
@@ -6,8 +6,9 @@ eigenvalues come from a small quotient matrix over the vertex classes,
 assembled in symmetrized form with class-size weights sqrt(n_i) so a plain
 symmetric eigensolver applies.  `solve_quotient` does this for any graph
 on its twin classes (k x k, about n/8 on the family); the closed forms do it
-for the family on its 5 vertex classes.  On the family that quotient has
-N/4 identical blade classes, so `block_reduce` solves it from one blade.
+for the family on its 5 vertex classes.  The twin quotient reduces once more
+on its orbits of interchangeable classes (`orbit_roots`): on the family the
+N/4 blade classes form one orbit, so one blade and the core give all k roots.
 """
 
 from __future__ import annotations
@@ -196,6 +197,36 @@ def solve_quotient(graph: Graph, kind: str, alpha: float) -> QuotientSolve:
     return QuotientSolve(_twin_lines(graph, diagonal, within), matrix, sym_eigenvalues(matrix))
 
 
+def orbit_roots(matrix: np.ndarray, orbits) -> np.ndarray:
+    """The k eigenvalues of a symmetrised twin quotient, descending, from its orbits.
+
+    `orbits` partitions the k classes into orbits of interchangeable classes
+    (`TwinQuotient.orbits`), so every permutation inside an orbit maps
+    `matrix` onto itself.  Within an orbit O of c classes the diagonal is then
+    one value x and the entries between two classes one value w, and a class
+    outside O has one entry towards all of O.  So a vector on O that sums to
+    zero is an eigenvector for x - w: the rows outside O sum it to zero and
+    the rows in O give (x - w) times it.  That is c - 1 roots per orbit.
+
+    The orbit partition is equitable: the row sum B[i, j] over orbit j is the
+    same from every class of orbit i.  So the vectors constant on each orbit
+    are invariant, the matrix acts on them as the m x m orbit quotient B, and
+    its eigenvalues are the other m roots (m + sum(c - 1) = k).  B is solved
+    as sqrt(c_i / c_j) B[i, j], which is symmetric since c_i B[i, j] and
+    c_j B[j, i] both sum the (i, j) block; one triangle is mirrored, so it is
+    exactly symmetric.  Only the orbit representatives' rows enter the roots.
+    """
+    matrix = _require_symmetric(matrix)
+    member = np.zeros((len(matrix), len(orbits)))
+    for j, orbit in enumerate(orbits):
+        member[list(orbit), j] = 1.0
+    root = np.sqrt(member.sum(axis=0))
+    quotient = np.triu(matrix[[o[0] for o in orbits]] @ member * np.outer(root, 1.0 / root))
+    quotient += np.triu(quotient, 1).T
+    copies = [np.full(len(o) - 1, matrix[o[0], o[0]] - matrix[o[0], o[1]]) for o in orbits if o[1:]]
+    return np.sort(np.concatenate([sym_eigenvalues(quotient), *copies]))[::-1]
+
+
 # family closed forms ---------------------------------------------------
 
 
@@ -329,74 +360,6 @@ def quintic_transcription_check(
         f"quotient eigenvalues (max relative residual {worst:.3e}); "
         "the numeric spectrum is the arbiter",
     )
-
-
-# block reduction --------------------------------------------------------
-
-
-class BlockFormError(ValueError):
-    """Inconsistent block dimensions or asymmetric blocks."""
-
-
-@dataclass(frozen=True)
-class BlockForm:
-    """Symmetric matrix with one border block row and c identical diagonal copies."""
-
-    u: np.ndarray
-    v: np.ndarray
-    x: np.ndarray
-    w: np.ndarray
-    copies: int
-
-    def __post_init__(self) -> None:
-        u, v, x, w = (np.asarray(m, dtype=np.float64) for m in (self.u, self.v, self.x, self.w))
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "w", w)
-        m1, m2 = v.shape if v.ndim == 2 else (-1, -1)
-        if u.shape != (m1, m1) or x.shape != (m2, m2) or w.shape != (m2, m2):
-            raise BlockFormError(
-                f"inconsistent block shapes: U{u.shape} V{v.shape} X{x.shape} W{w.shape}"
-            )
-        for name, block in (("U", u), ("X", x), ("W", w)):
-            if not np.array_equal(block, block.T):
-                raise BlockFormError(f"block {name} is not symmetric")
-        if self.copies < 1:
-            raise BlockFormError(f"copy count must be >= 1, got {self.copies}")
-
-    @property
-    def m1(self) -> int:
-        return self.u.shape[0]
-
-    @property
-    def m2(self) -> int:
-        return self.x.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.m1 + self.copies * self.m2
-
-
-def block_reduce(form: BlockForm) -> Spectrum:
-    """Spectrum of the matrix a BlockForm describes, without assembling it.
-
-    The border plus one aggregated copy gives the core matrix
-    [[U, sqrt(c) V], [sqrt(c) V^T, X + (c-1) W]]; the remaining eigenvalues
-    are those of X - W, each repeated c - 1 times.
-    """
-    c = form.copies
-    m1, m2 = form.m1, form.m2
-    core = np.zeros((m1 + m2, m1 + m2))
-    core[:m1, :m1] = form.u
-    core[:m1, m1:] = math.sqrt(c) * form.v
-    core[m1:, :m1] = math.sqrt(c) * form.v.T
-    core[m1:, m1:] = form.x + (c - 1) * form.w
-    lines = [(float(v), 1, "block-core") for v in sym_eigenvalues(core)]
-    if c > 1:
-        for v in sym_eigenvalues(form.x - form.w):
-            lines.append((float(v), c - 1, "block-copies"))
-    return Spectrum.from_lines(lines)
 
 
 # reciprocal-distance closed forms ---------------------------------------

@@ -10,7 +10,6 @@ import numpy as np
 from powergraph.graphs import Graph, family_vertex_order
 from powergraph.groups import IDENTITY, GroupElement, GroupParams, ParameterError, multiply
 from powergraph.matrices import DisconnectedGraphError
-from powergraph.spectra import BlockForm
 
 
 # small graphs ------------------------------------------------------------
@@ -435,19 +434,21 @@ def blown_up_graphs(seed: int, count: int, max_n: int = 9):
 # spectra and renderings -----------------------------------------------------
 
 
-def assemble_block_matrix(form: BlockForm) -> np.ndarray:
-    """Materialize the full n x n matrix described by a BlockForm."""
-    m1, m2, c = form.m1, form.m2, form.copies
-    out = np.zeros((form.n, form.n))
-    out[:m1, :m1] = form.u
-    for i in range(c):
-        lo = m1 + i * m2
-        out[:m1, lo : lo + m2] = form.v
-        out[lo : lo + m2, :m1] = form.v.T
-        for j in range(c):
-            lo2 = m1 + j * m2
-            out[lo : lo + m2, lo2 : lo2 + m2] = form.x if i == j else form.w
-    return out
+def random_orbit_form(rng: np.random.Generator, max_orbits: int = 4, max_copies: int = 6):
+    """(symmetric matrix, orbits): every permutation inside an orbit maps the matrix onto itself.
+
+    Between 1 and `max_orbits` orbits of 1 .. `max_copies` classes each, with
+    random standard normal values per orbit pair, scattered over the classes
+    in a random order; each orbit is sorted.
+    """
+    m = int(rng.integers(1, max_orbits + 1))
+    copies = rng.integers(1, max_copies + 1, size=m)
+    orbit_of = rng.permutation(np.repeat(np.arange(m), copies))
+    between = rng.standard_normal((m, m))
+    between = (between + between.T) / 2
+    matrix = between[np.ix_(orbit_of, orbit_of)]
+    np.fill_diagonal(matrix, rng.standard_normal(m)[orbit_of])
+    return matrix, [np.flatnonzero(orbit_of == j).tolist() for j in range(m)]
 
 
 def cluster_values_loop(values: np.ndarray, tol: float) -> list[tuple[float, int]]:

@@ -9,7 +9,14 @@ import numpy as np
 
 from powergraph import report as report_mod
 from powergraph.cli import RunConfig, _Writer, run
-from oracles import assemble_block_matrix, complete_graph, cycle_graph, path_graph, star_graph
+from oracles import (
+    blown_up_graphs,
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    random_orbit_form,
+    star_graph,
+)
 from powergraph.detour import detour_matrix
 from powergraph.matrices import a_alpha, rd_alpha, reciprocal_transmission
 from powergraph.graphs import predicted_quotient
@@ -25,12 +32,12 @@ from powergraph.sequences import (
     family_detour_matrix,
 )
 from powergraph.spectra import (
-    BlockForm,
     a_alpha_closed_form,
-    block_reduce,
     cluster_values,
+    orbit_roots,
     quintic_transcription_check,
     rd_alpha_closed_form,
+    solve_quotient,
     sym_eigenvalues,
     twin_eigenvalues,
 )
@@ -98,21 +105,17 @@ def test_criterion_4_block_reduction():
     rng = np.random.default_rng(2024)
     worst = 0.0
     for _ in range(100):
-        m1 = int(rng.integers(1, 5))
-        m2 = int(rng.integers(1, 5))
-        copies = int(rng.integers(1, 7))
-        sym = lambda m: (m + m.T) / 2
-        form = BlockForm(
-            u=sym(rng.standard_normal((m1, m1))),
-            v=rng.standard_normal((m1, m2)),
-            x=sym(rng.standard_normal((m2, m2))),
-            w=sym(rng.standard_normal((m2, m2))),
-            copies=copies,
-        )
-        reduced = block_reduce(form).values()
-        direct = sym_eigenvalues(assemble_block_matrix(form))
-        worst = max(worst, float(np.abs(reduced - direct).max()))
-    announce(f"4 block reduction matches direct eigensolve (worst {worst:.2e})", worst <= 1e-9)
+        matrix, orbits = random_orbit_form(rng)
+        gap = np.abs(orbit_roots(matrix, orbits) - sym_eigenvalues(matrix)).max()
+        worst = max(worst, float(gap))
+    # the graph's own orbits on the seeded twin corpus, relative to the spectral radius
+    for graph in blown_up_graphs(8, 200):
+        for kind in report_mod.SPECTRUM_KINDS:
+            for alpha in GRID_ALPHA:
+                solve = solve_quotient(graph, kind, alpha)
+                gap = np.abs(orbit_roots(solve.matrix, graph.quotient.orbits) - solve.roots).max()
+                worst = max(worst, float(gap) / max(1.0, float(np.abs(solve.roots).max())))
+    announce(f"4 orbit reduction matches direct eigensolve (worst {worst:.2e})", worst <= 1e-9)
 
 
 def test_criterion_5_metric_dimension(family):

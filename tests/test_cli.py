@@ -161,6 +161,7 @@ def test_out_dir_files_written(tmp_path):
     writer = _Writer(tmp_path)
     assert run(config, writer=writer, out=io.StringIO()) == 0
     assert (tmp_path / "k2-p3-graph.json").exists()
+    assert writer.artifacts == {}  # a written artifact is not also kept in memory
 
 
 def test_ingest_round_trip(tmp_path):

@@ -24,7 +24,7 @@ from oracles import (
 )
 import powergraph
 from powergraph.graphs import Graph, TwinQuotient, predicted_quotient
-from powergraph.detour import detour_matrix, quotient_orbits
+from powergraph.detour import detour_matrix
 from powergraph.sequences import DegreeSequenceTable, family_detour_matrix
 from powergraph.metric import strong_metric_dimension
 
@@ -159,7 +159,7 @@ def test_family_detour_matrix_equals_the_pair_loop(family, kp):
 def test_family_orbits_are_the_blade_classes(family):
     params, graph, classes = family(3, 5)
     quotient = graph.quotient
-    orbits = [orbit for orbit in quotient_orbits(quotient) if len(orbit) > 1]
+    orbits = [orbit for orbit in quotient.orbits if len(orbit) > 1]
     blades = sorted(frozenset(quotient.members[c]) for c in orbits[0])
     expected = {frozenset((v, w)) for v in classes.h3 for w in classes.h3 if graph.adj[v, w]}
     assert len(orbits) == 1 and len(orbits[0]) == params.rotation_order // 4
@@ -177,7 +177,7 @@ def test_detour_matches_naive_on_graphs_with_quotient_symmetry():
         # the detour degree sequences from class rows equal the oracle's per-vertex counts
         rows = tuple(tuple(np.bincount(row).tolist()) for row in oracle)
         assert DegreeSequenceTable.from_classes(g.quotient, classes).rows == rows
-        symmetric += any(len(orbit) > 1 for orbit in quotient_orbits(g.quotient))
+        symmetric += any(len(orbit) > 1 for orbit in g.quotient.orbits)
     assert symmetric >= 40
 
 

@@ -5,12 +5,14 @@ import io
 import json
 import sys
 from collections import Counter
+from functools import cached_property
 
 import numpy as np
 import pytest
 
 import powergraph
 from oracles import verify_decomposition
+from perfbench.workloads import WORKLOADS
 from powergraph import spectra
 from powergraph.cli import RunConfig, _Writer, run
 from powergraph.graphs import CLASS_TYPES, Graph, TwinQuotient
@@ -65,6 +67,15 @@ def calls(monkeypatch):
         return from_classes(cls, *args)
 
     monkeypatch.setattr(DegreeSequenceTable, "from_classes", classmethod(counted_table))
+    orbits = TwinQuotient.orbits.func
+
+    def counted_orbits(quotient):
+        counts["orbits"] += 1
+        return orbits(quotient)
+
+    prop = cached_property(counted_orbits)
+    prop.__set_name__(TwinQuotient, "orbits")
+    monkeypatch.setattr(TwinQuotient, "orbits", prop)
     return counts
 
 
@@ -78,6 +89,7 @@ def test_cli_commands_share_one_computation(calls):
     # the detour view and the report read one profile and one detour table
     assert calls["detour_profile"] == 1
     assert calls["from_classes"] == 2  # the distance table and the detour table
+    assert calls["orbits"] == 1  # the detour search and the block check share them
 
 
 def test_report_builds_each_object_once(calls):
@@ -88,6 +100,7 @@ def test_report_builds_each_object_once(calls):
     assert calls["detour_matrix"] == 1
     assert calls["detour_profile"] == 1
     assert calls["from_classes"] == 2
+    assert calls["orbits"] == 1
 
 
 def test_report_solves_each_quotient_once_whatever_the_seed(calls):
@@ -248,6 +261,18 @@ def test_block_reduction_check_fails_when_the_roots_disagree(monkeypatch):
     check = check_block_reduction(Instance(GroupParams(2, 3)), (0.5,), 1e-8)
     assert not check["passed"]
     assert check["details"]["max_deviation"] > 1e-8
+
+
+@pytest.mark.parametrize(
+    "kp", sorted({kp for workload in WORKLOADS.values() for kp in workload.instances})
+)
+def test_orbits_are_the_predicted_type_groups_at_every_benchmark_order(kp):
+    inst = Instance(GroupParams(*kp))
+    types = inst.predicted_types
+    grouped = {tuple(np.flatnonzero(types == t)) for t in range(len(CLASS_TYPES))}
+    assert inst.twins_as_predicted and set(inst.graph.quotient.orbits) == grouped
+    check = check_block_reduction(inst, (0.0, 0.5, 1.0), 1e-8)
+    assert check["passed"] and check["details"]["copies"] == inst.params.rotation_order // 4
 
 
 def test_block_reduction_check_fails_on_broken_graphs():

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
-    assemble_block_matrix,
     blown_up_graphs,
     cluster_values_loop,
     complete_graph,
     is_connected,
     random_graphs,
+    random_orbit_form,
 )
 from powergraph.groups import GroupParams
 from powergraph.matrices import (
@@ -29,15 +29,13 @@ from powergraph.report import (
     spectrum_payload,
 )
 from powergraph.spectra import (
-    BlockForm,
-    BlockFormError,
     EigensolverError,
     Spectrum,
     a_alpha_closed_form,
     a_alpha_families,
     a_alpha_quotient_matrix,
-    block_reduce,
     cluster_values,
+    orbit_roots,
     quintic_coefficients,
     quintic_transcription_check,
     rd_alpha_closed_form,
@@ -192,65 +190,58 @@ def test_quintic_roots_agree_with_quotient_where_transcription_holds():
     assert np.abs(roots - quotient).max() <= 1e-6
 
 
-# block reduction ----------------------------------------------------------
+# orbit reduction ----------------------------------------------------------
 
 
-def test_block_reduce_degenerate_copy():
-    form = BlockForm(u=[[1.0]], v=[[2.0]], x=[[5.0]], w=[[0.0]], copies=1)
-    direct = sym_eigenvalues(assemble_block_matrix(form))
-    assert np.allclose(block_reduce(form).values(), direct)
+def test_orbit_roots_of_singleton_orbits():
+    matrix = np.array([[1.0, 2.0], [2.0, 5.0]])
+    assert np.allclose(orbit_roots(matrix, [[0], [1]]), sym_eigenvalues(matrix))
 
 
-def test_block_reduce_k3():
-    form = BlockForm(u=[[0.0]], v=[[1.0]], x=[[0.0]], w=[[1.0]], copies=2)
-    assert np.array_equal(assemble_block_matrix(form), complete_graph(3).adj.astype(float))
-    values = block_reduce(form).values()
+def test_orbit_roots_k3():
+    values = orbit_roots(complete_graph(3).adj.astype(float), [[0, 1, 2]])
     assert np.allclose(values, [2.0, -1.0, -1.0], atol=1e-12)
 
 
-def test_block_reduce_random_forms():
+def test_orbit_roots_random_forms():
     rng = np.random.default_rng(123)
     for _ in range(30):
-        m1 = int(rng.integers(1, 5))
-        m2 = int(rng.integers(1, 5))
-        c = int(rng.integers(1, 7))
-        sym = lambda m: (m + m.T) / 2
-        form = BlockForm(
-            u=sym(rng.standard_normal((m1, m1))),
-            v=rng.standard_normal((m1, m2)),
-            x=sym(rng.standard_normal((m2, m2))),
-            w=sym(rng.standard_normal((m2, m2))),
-            copies=c,
-        )
-        reduced = block_reduce(form).values()
-        direct = sym_eigenvalues(assemble_block_matrix(form))
-        assert np.abs(reduced - direct).max() <= 1e-9
+        matrix, orbits = random_orbit_form(rng)
+        assert np.abs(orbit_roots(matrix, orbits) - sym_eigenvalues(matrix)).max() <= 1e-9
 
 
-@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 4), st.integers(0, 2**31 - 1))
+@given(st.integers(1, 3), st.integers(1, 4), st.integers(0, 2**31 - 1))
 @settings(max_examples=40, deadline=None)
-def test_block_reduce_property(m1, m2, c, seed):
-    rng = np.random.default_rng(seed)
-    sym = lambda m: (m + m.T) / 2
-    form = BlockForm(
-        u=sym(rng.standard_normal((m1, m1))),
-        v=rng.standard_normal((m1, m2)),
-        x=sym(rng.standard_normal((m2, m2))),
-        w=sym(rng.standard_normal((m2, m2))),
-        copies=c,
-    )
-    reduced = block_reduce(form).values()
-    direct = sym_eigenvalues(assemble_block_matrix(form))
-    assert np.abs(reduced - direct).max() <= 1e-9
+def test_orbit_roots_property(max_orbits, max_copies, seed):
+    matrix, orbits = random_orbit_form(np.random.default_rng(seed), max_orbits, max_copies)
+    assert np.abs(orbit_roots(matrix, orbits) - sym_eigenvalues(matrix)).max() <= 1e-9
 
 
-def test_block_form_validation():
-    with pytest.raises(BlockFormError):
-        BlockForm(u=[[0.0, 1.0], [0.0, 0.0]], v=[[1.0], [1.0]], x=[[0.0]], w=[[0.0]], copies=2)
-    with pytest.raises(BlockFormError):
-        BlockForm(u=[[0.0]], v=[[1.0]], x=[[0.0]], w=[[0.0]], copies=0)
-    with pytest.raises(BlockFormError):
-        BlockForm(u=[[0.0]], v=[[1.0, 2.0]], x=[[0.0]], w=[[0.0]], copies=2)
+def test_orbit_roots_rejects_an_asymmetric_matrix():
+    with pytest.raises(EigensolverError):
+        orbit_roots(np.array([[0.0, 1.0], [0.0, 0.0]]), [[0], [1]])
+
+
+def assert_orbit_roots_match_the_quotient(graph, alphas=ALPHAS):
+    """orbit_roots on the graph's own orbits equal the k x k quotient roots, 1e-9 relative."""
+    for kind in SPECTRUM_KINDS:
+        for alpha in alphas:
+            solve = solve_quotient(graph, kind, alpha)
+            gap = np.abs(orbit_roots(solve.matrix, graph.quotient.orbits) - solve.roots).max()
+            assert gap <= 1e-9 * max(1.0, np.abs(solve.roots).max()), (kind, alpha)
+
+
+def test_orbit_roots_match_the_quotient_on_blown_up_graphs():
+    symmetric = 0
+    for graph in blown_up_graphs(8, 200):
+        assert_orbit_roots_match_the_quotient(graph)
+        symmetric += len(graph.quotient.orbits) < len(graph.quotient.sizes)
+    assert symmetric >= 40
+
+
+@pytest.mark.parametrize("kp", [(2, 3), (3, 3), (2, 5), (3, 5), (4, 5), (5, 5), (6, 5), (7, 7)])
+def test_orbit_roots_match_the_quotient_on_the_family(family, kp):
+    assert_orbit_roots_match_the_quotient(family(*kp)[1])
 
 
 # reciprocal-distance closed form -------------------------------------------
