@@ -30,7 +30,6 @@ from .detour import detour_matrix  # noqa: F401
 from .spectra import (  # noqa: F401
     Spectrum,
     a_alpha_closed_form,
-    orbit_roots,
     rd_alpha_closed_form,
     solve_quotient,
     sym_eigenvalues,

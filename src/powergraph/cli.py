@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -189,19 +190,26 @@ def parse_args(argv: list[str]) -> RunConfig:
 
 
 class _Writer:
-    """Writes artifacts under the output directory when given, else collects them in `artifacts`."""
+    """Writes artifacts under the output directory when given, else collects them in `artifacts`.
+
+    An artifact is a string or an iterable of lines; lines are streamed to
+    the file, so a large artifact is never held whole.
+    """
 
     def __init__(self, out_dir: Path | None):
         self.out_dir = out_dir
         self.artifacts: dict[str, str] = {}
 
-    def emit(self, name: str, content: str) -> None:
+    def emit(self, name: str, content: str | Iterable[str]) -> None:
+        if isinstance(content, str):
+            content = (content,)  # one write, not one per character
         if self.out_dir is None:
-            self.artifacts[name] = content
+            self.artifacts[name] = "".join(content)
             return
         try:
             self.out_dir.mkdir(parents=True, exist_ok=True)
-            (self.out_dir / name).write_text(content, encoding="utf-8")
+            with open(self.out_dir / name, "w", encoding="utf-8") as f:
+                f.writelines(content)
         except OSError as exc:
             raise UsageError(f"cannot write output: {exc}") from None
 
@@ -219,21 +227,21 @@ def _spectra_csv(payloads: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _lifted_csv(quotient: TwinQuotient, matrix: np.ndarray) -> str:
-    """`quotient.lift(matrix)` as CSV, one line per vertex, without forming the n x n lift.
+def _lifted_csv(quotient: TwinQuotient, matrix: np.ndarray) -> Iterator[str]:
+    """`quotient.lift(matrix)` as CSV lines, one per vertex, without forming the n x n lift.
 
     Each class row's entries are formatted once; a vertex's line gathers its
-    class row through `class_of` and clears its own entry.
+    class row through `class_of` (kept while the next vertex is in the same
+    class) and clears its own entry.
     """
     cells = np.array([[repr(float(x)) for x in row] for row in matrix], dtype=object)
-    lines = [""] * len(quotient.class_of)
-    for a, members in enumerate(quotient.members):
-        row = cells[a, quotient.class_of].tolist()
-        for v in members:
-            row[v] = "0.0"
-            lines[v] = ",".join(row) + "\n"
-            row[v] = cells[a, a]
-    return "".join(lines)
+    last = -1
+    for v, a in enumerate(quotient.class_of.tolist()):
+        if a != last:
+            row, last = cells[a, quotient.class_of].tolist(), a
+        row[v] = "0.0"
+        yield ",".join(row) + "\n"
+        row[v] = cells[a, a]
 
 
 def run(config: RunConfig, writer: _Writer | None = None, out=None) -> int:
@@ -277,7 +285,8 @@ def run(config: RunConfig, writer: _Writer | None = None, out=None) -> int:
         adjacency = []
         for alpha in config.alphas:
             for kind in report.SPECTRUM_KINDS:
-                payload = report.spectrum_payload(inst.params, alpha, *inst.spectrum(kind, alpha))
+                closed, numeric = inst.spectrum(kind, alpha)
+                payload = report.spectrum_payload(inst.params, alpha, closed, numeric.values())
                 writer.emit(f"{stem}-alpha{alpha!r}-{kind}-spectrum.json", _dump(payload))
                 if kind == "adjacency":
                     adjacency.append(payload)
@@ -312,8 +321,7 @@ def run(config: RunConfig, writer: _Writer | None = None, out=None) -> int:
                 "eccentricities": ecc[graph.quotient.class_of].tolist(),
             }
             if config.fmt == "csv":
-                csv = _lifted_csv(graph.quotient, mat)
-                writer.emit(f"{stem}-detour-matrix.csv", csv)
+                writer.emit(f"{stem}-detour-matrix.csv", _lifted_csv(graph.quotient, mat))
         else:
             payload = {
                 "oracle_verified": False,

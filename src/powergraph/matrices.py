@@ -4,9 +4,10 @@ All matrices are dense float64 (int64 for distances) numpy arrays and exactly
 symmetric by construction; an n x n float64 matrix costs 8 n^2 bytes.  The
 pipeline runs `distance_matrix` once per graph, on its k-vertex twin quotient
 (`graphs.TwinQuotient.dist`, k about n/8 on the family), and takes its spectra
-from the quotient too (`spectra.solve_quotient`).  `a_alpha`, `rd_alpha`,
-`reciprocal_distance` and `reciprocal_transmission` are the dense n-vertex
-references the tests solve with `spectra.sym_eigenvalues` and compare it against.
+from the quotient's orbits (`spectra.solve_quotient`, one m x m solve, m = 5 on
+the family).  `a_alpha`, `rd_alpha`, `reciprocal_distance` and
+`reciprocal_transmission` are the dense n-vertex references the tests solve
+with `spectra.sym_eigenvalues` and compare it against.
 """
 
 from __future__ import annotations

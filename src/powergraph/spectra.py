@@ -1,14 +1,14 @@
-"""Symmetric eigensolving, spectra from the twin quotient, orbit reduction, family closed forms.
+"""Symmetric eigensolving, spectra from the twin and orbit quotients, family closed forms.
 
 Spectra follow the two-stage pattern used throughout: twin classes
 contribute eigenvalue families with known multiplicities, and the remaining
 eigenvalues come from a small quotient matrix over the vertex classes,
 assembled in symmetrized form with class-size weights sqrt(n_i) so a plain
 symmetric eigensolver applies.  `solve_quotient` does this for any graph
-on its twin classes (k x k, about n/8 on the family); the closed forms do it
-for the family on its 5 vertex classes.  The twin quotient reduces once more
-on its orbits of interchangeable classes (`orbit_roots`): on the family the
-N/4 blade classes form one orbit, so one blade and the core give all k roots.
+twice over: on its twin classes, and then on their orbits of
+interchangeable classes, so it solves one m x m matrix, m the number of
+orbits (5 on the family, where the N/4 blade classes form one orbit).  The
+closed forms do it for the family on its 5 vertex classes.
 """
 
 from __future__ import annotations
@@ -161,70 +161,46 @@ def twin_eigenvalues(graph: Graph, kind: str, alpha: float) -> Spectrum:
     return Spectrum.from_lines(_twin_lines(graph, diagonal, within))
 
 
-@dataclass(frozen=True)
-class QuotientSolve:
-    """One solve of a graph's A_alpha or RD_alpha twin quotient.
+def solve_quotient(graph: Graph, kind: str, alpha: float) -> Spectrum:
+    """The A_alpha or RD_alpha spectrum of a graph, from its twin classes and then their orbits.
 
-    `twin_lines` are the (value, multiplicity, source) lines of the twin
-    classes, `matrix` the symmetrised k x k quotient over `graph.quotient`'s
-    classes in their order, and `roots` its k eigenvalues, descending.
-    """
+    Twins.  The twin partition is equitable (twin classes are modules), so
+    the n eigenvalues are the twin lines (`_twin_lines`: a class of size s
+    gives diagonal - within with multiplicity s - 1) plus the k eigenvalues of
+    the class quotient B[a, b] = s_b * between[a, b], B[a, a] = diagonal[a] +
+    (s_a - 1) * within[a], whose symmetric form is sqrt(s_a s_b) between[a, b].
 
-    twin_lines: list[tuple[float, int, str]]
-    matrix: np.ndarray
-    roots: np.ndarray
-
-    def spectrum(self) -> Spectrum:
-        """The graph's full spectrum: the twin lines plus the k roots."""
-        roots = [(float(v), 1, "quotient-root") for v in self.roots]
-        return Spectrum.from_lines(self.twin_lines + roots)
-
-
-def solve_quotient(graph: Graph, kind: str, alpha: float) -> QuotientSolve:
-    """A_alpha or RD_alpha of a graph on its twin quotient, solved once.
-
-    The twin partition is equitable (twin classes are modules), so the n
-    eigenvalues are the twin lines plus the k eigenvalues of the quotient
-    matrix B[a, b] = s_b * between[a, b], B[a, a] = diagonal[a] + (s_a - 1) *
-    within[a], solved in the symmetric form sqrt(s_a) B[a, b] / sqrt(s_b).
-    No n x n float matrix is formed; RD_alpha needs a connected graph.
+    Orbits.  A transposition of two classes in one orbit (`TwinQuotient.orbits`)
+    is an automorphism of the weighted quotient, so it maps that symmetric
+    form onto itself.  Within an orbit of c classes of size s the diagonal is
+    then one value B[a, a] and the entry between two classes one value
+    s * between[a, a'], and a class outside the orbit has one entry towards
+    all of it.  So a vector on the orbit that sums to zero is an eigenvector
+    for B[a, a] - s * between[a, a']: the rows outside the orbit sum it to
+    zero.  That is c - 1 roots per orbit.  The orbit partition is equitable
+    too, so the vectors constant on each orbit are invariant and give the
+    other m roots, one per orbit: those of the m x m orbit quotient,
+    symmetrised by the orbits' vertex counts W = c * s, with
+    sqrt(W_I W_J) between[a_I, a_J] off the diagonal and B[a, a] + (c - 1) *
+    s * between[a, a'] on it.  Only entries at the orbit representatives a,
+    a' are read; the eigensolve is m x m (5 x 5 on the family, whose N/4
+    blade classes form one orbit).  RD_alpha needs a connected graph.
     """
     diagonal, within, between = _class_entries(graph, kind, alpha)
-    sizes = np.array(graph.quotient.sizes, dtype=np.float64)
-    root = np.sqrt(sizes)
-    matrix = between * np.outer(root, root)
-    np.fill_diagonal(matrix, diagonal + (sizes - 1.0) * within)
-    return QuotientSolve(_twin_lines(graph, diagonal, within), matrix, sym_eigenvalues(matrix))
-
-
-def orbit_roots(matrix: np.ndarray, orbits) -> np.ndarray:
-    """The k eigenvalues of a symmetrised twin quotient, descending, from its orbits.
-
-    `orbits` partitions the k classes into orbits of interchangeable classes
-    (`TwinQuotient.orbits`), so every permutation inside an orbit maps
-    `matrix` onto itself.  Within an orbit O of c classes the diagonal is then
-    one value x and the entries between two classes one value w, and a class
-    outside O has one entry towards all of O.  So a vector on O that sums to
-    zero is an eigenvector for x - w: the rows outside O sum it to zero and
-    the rows in O give (x - w) times it.  That is c - 1 roots per orbit.
-
-    The orbit partition is equitable: the row sum B[i, j] over orbit j is the
-    same from every class of orbit i.  So the vectors constant on each orbit
-    are invariant, the matrix acts on them as the m x m orbit quotient B, and
-    its eigenvalues are the other m roots (m + sum(c - 1) = k).  B is solved
-    as sqrt(c_i / c_j) B[i, j], which is symmetric since c_i B[i, j] and
-    c_j B[j, i] both sum the (i, j) block; one triangle is mirrored, so it is
-    exactly symmetric.  Only the orbit representatives' rows enter the roots.
-    """
-    matrix = _require_symmetric(matrix)
-    member = np.zeros((len(matrix), len(orbits)))
-    for j, orbit in enumerate(orbits):
-        member[list(orbit), j] = 1.0
-    root = np.sqrt(member.sum(axis=0))
-    quotient = np.triu(matrix[[o[0] for o in orbits]] @ member * np.outer(root, 1.0 / root))
-    quotient += np.triu(quotient, 1).T
-    copies = [np.full(len(o) - 1, matrix[o[0], o[0]] - matrix[o[0], o[1]]) for o in orbits if o[1:]]
-    return np.sort(np.concatenate([sym_eigenvalues(quotient), *copies]))[::-1]
+    quotient = graph.quotient
+    reps = [orbit[0] for orbit in quotient.orbits]
+    mates = [orbit[-1] for orbit in quotient.orbits]  # the representative itself when c = 1
+    copies = np.array([len(orbit) for orbit in quotient.orbits], dtype=np.float64)
+    sizes = np.array(quotient.sizes, dtype=np.float64)[reps]
+    own = diagonal[reps] + (sizes - 1.0) * within[reps]
+    mate = sizes * between[reps, mates]  # zero when c = 1: `between` has a zero diagonal
+    weight = np.sqrt(copies * sizes)
+    matrix = between[np.ix_(reps, reps)] * np.outer(weight, weight)
+    np.fill_diagonal(matrix, own + (copies - 1.0) * mate)
+    lines = _twin_lines(graph, diagonal, within)
+    lines += [(v, len(o) - 1, "orbit") for v, o in zip((own - mate).tolist(), quotient.orbits)]
+    lines += [(v, 1, "quotient-root") for v in sym_eigenvalues(matrix).tolist()]
+    return Spectrum.from_lines(lines)
 
 
 # family closed forms ---------------------------------------------------

@@ -10,6 +10,7 @@ import numpy as np
 from powergraph.graphs import Graph, family_vertex_order
 from powergraph.groups import IDENTITY, GroupElement, GroupParams, ParameterError, multiply
 from powergraph.matrices import DisconnectedGraphError
+from powergraph.spectra import _class_entries, sym_eigenvalues
 
 
 # small graphs ------------------------------------------------------------
@@ -434,21 +435,19 @@ def blown_up_graphs(seed: int, count: int, max_n: int = 9):
 # spectra and renderings -----------------------------------------------------
 
 
-def random_orbit_form(rng: np.random.Generator, max_orbits: int = 4, max_copies: int = 6):
-    """(symmetric matrix, orbits): every permutation inside an orbit maps the matrix onto itself.
+def dense_quotient_roots(graph: Graph, kind: str, alpha: float) -> np.ndarray:
+    """The k eigenvalues of the graph's symmetrised k x k twin quotient, descending.
 
-    Between 1 and `max_orbits` orbits of 1 .. `max_copies` classes each, with
-    random standard normal values per orbit pair, scattered over the classes
-    in a random order; each orbit is sorted.
+    sqrt(s_a s_b) between[a, b] off the diagonal and diagonal[a] + (s_a - 1)
+    within[a] on it, solved whole: what `spectra.solve_quotient` reduces once
+    more on the quotient's orbits.
     """
-    m = int(rng.integers(1, max_orbits + 1))
-    copies = rng.integers(1, max_copies + 1, size=m)
-    orbit_of = rng.permutation(np.repeat(np.arange(m), copies))
-    between = rng.standard_normal((m, m))
-    between = (between + between.T) / 2
-    matrix = between[np.ix_(orbit_of, orbit_of)]
-    np.fill_diagonal(matrix, rng.standard_normal(m)[orbit_of])
-    return matrix, [np.flatnonzero(orbit_of == j).tolist() for j in range(m)]
+    diagonal, within, between = _class_entries(graph, kind, alpha)
+    sizes = np.array(graph.quotient.sizes, dtype=np.float64)
+    root = np.sqrt(sizes)
+    matrix = between * np.outer(root, root)
+    np.fill_diagonal(matrix, diagonal + (sizes - 1.0) * within)
+    return sym_eigenvalues(matrix)
 
 
 def cluster_values_loop(values: np.ndarray, tol: float) -> list[tuple[float, int]]:

@@ -138,6 +138,15 @@ def test_detour_csv_equals_the_formatted_lift(k, p):
     assert artifacts[f"k{k}-p{p}-detour-matrix.csv"] == expected
 
 
+def test_streamed_detour_csv_equals_the_collected_one(tmp_path):
+    config = RunConfig(k=3, p=5, alphas=(0.5,), commands=("detour",), fmt="csv")
+    _, artifacts, _ = run_collect(config)
+    config.out_dir = tmp_path
+    assert run(config, writer=_Writer(tmp_path), out=io.StringIO()) == 0
+    for name, text in artifacts.items():
+        assert (tmp_path / name).read_bytes() == text.encode("utf-8")
+
+
 def test_build_and_metric_and_dds_commands(tmp_path):
     config = RunConfig(
         k=2, p=3, alphas=(0.5,), commands=("build", "metric", "dds", "detour"), out_dir=tmp_path

@@ -1,6 +1,5 @@
 """Every report check and CLI command is a view of one Instance per (k, p)."""
 
-import dataclasses
 import io
 import json
 import sys
@@ -57,6 +56,7 @@ def calls(monkeypatch):
         ("matrices", "distance_matrix"),
         ("detour", "detour_matrix"),
         ("sequences", "detour_profile"),
+        ("spectra", "solve_quotient"),
         ("spectra", "sym_eigenvalues"),
     ):
         watch(home, name)
@@ -105,15 +105,20 @@ def test_report_builds_each_object_once(calls):
 
 def test_report_solves_each_quotient_once_whatever_the_seed(calls):
     alphas = (0.0, 0.25, 0.5, 0.75, 1.0)
-    k = len(Instance(GroupParams(2, 3)).graph.quotient.sizes)
-    calls.clear()
     assert build_report(2, 3, alphas, seed=0)["passed"]
-    # one k x k solve per (kind, alpha): the spectrum checks and the block check share it
-    assert calls["sym_eigenvalues", (k, k)] == 2 * len(alphas)
+    # one solve per (kind, alpha), which the spectrum and twin-eigenvalue checks share
+    assert calls["solve_quotient"] == 2 * len(alphas)
     solves = calls["sym_eigenvalues"]
     calls.clear()
     assert build_report(2, 3, alphas, seed=12345)["passed"]
     assert calls["sym_eigenvalues"] == solves
+
+
+def test_every_eigensolve_of_a_family_report_is_at_most_5_by_5(calls):
+    # the twin quotient has k = 44 classes at (5, 5); its 5 orbits are what is solved
+    assert build_report(5, 5, (0.0, 0.25, 0.5, 0.75, 1.0))["passed"]
+    shapes = [key[1] for key in calls if isinstance(key, tuple) and key[0] == "sym_eigenvalues"]
+    assert shapes and max(max(shape) for shape in shapes) == 5
 
 
 def test_detour_budget_error_is_searched_once(calls):
@@ -246,23 +251,6 @@ def test_structure_check_matches_the_decomposition_oracle_on_broken_graphs():
         assert not check_structure(broken)[0]["passed"]
 
 
-def test_block_reduction_check_fails_when_the_roots_disagree(monkeypatch):
-    inst = Instance(GroupParams(3, 5))
-    check = check_block_reduction(inst, (0.0, 0.5, 1.0), 1e-8)
-    assert check["passed"]
-    assert check["details"]["copies"] == inst.params.rotation_order // 4
-    solve = spectra.solve_quotient
-
-    def shifted(graph, kind, alpha):
-        out = solve(graph, kind, alpha)
-        return dataclasses.replace(out, roots=out.roots + 1e-6)
-
-    monkeypatch.setattr(spectra, "solve_quotient", shifted)
-    check = check_block_reduction(Instance(GroupParams(2, 3)), (0.5,), 1e-8)
-    assert not check["passed"]
-    assert check["details"]["max_deviation"] > 1e-8
-
-
 @pytest.mark.parametrize(
     "kp", sorted({kp for workload in WORKLOADS.values() for kp in workload.instances})
 )
@@ -271,7 +259,7 @@ def test_orbits_are_the_predicted_type_groups_at_every_benchmark_order(kp):
     types = inst.predicted_types
     grouped = {tuple(np.flatnonzero(types == t)) for t in range(len(CLASS_TYPES))}
     assert inst.twins_as_predicted and set(inst.graph.quotient.orbits) == grouped
-    check = check_block_reduction(inst, (0.0, 0.5, 1.0), 1e-8)
+    check = check_block_reduction(inst)
     assert check["passed"] and check["details"]["copies"] == inst.params.rotation_order // 4
 
 

@@ -9,10 +9,12 @@ from oracles import (
     blown_up_graphs,
     cluster_values_loop,
     complete_graph,
+    dense_quotient_roots,
     is_connected,
+    path_graph,
     random_graphs,
-    random_orbit_form,
 )
+from powergraph.graphs import Graph, build_power_graph
 from powergraph.groups import GroupParams
 from powergraph.matrices import (
     AlphaRangeError,
@@ -35,7 +37,6 @@ from powergraph.spectra import (
     a_alpha_families,
     a_alpha_quotient_matrix,
     cluster_values,
-    orbit_roots,
     quintic_coefficients,
     quintic_transcription_check,
     rd_alpha_closed_form,
@@ -101,7 +102,7 @@ DENSE = {"adjacency": a_alpha, "reciprocal": rd_alpha}
 
 def assert_quotient_matches_dense(graph, kind):
     for alpha in ALPHAS:
-        spectrum = solve_quotient(graph, kind, alpha).spectrum()
+        spectrum = solve_quotient(graph, kind, alpha)
         dense = sym_eigenvalues(DENSE[kind](graph, alpha))
         assert sum(line.multiplicity for line in spectrum.lines) == graph.n
         assert np.abs(spectrum.values() - dense).max(initial=0.0) <= 1e-8
@@ -190,45 +191,46 @@ def test_quintic_roots_agree_with_quotient_where_transcription_holds():
     assert np.abs(roots - quotient).max() <= 1e-6
 
 
-# orbit reduction ----------------------------------------------------------
+# orbit reduction, against the dense k x k twin quotient --------------------
+
+
+def orbit_roots(spectrum: Spectrum) -> np.ndarray:
+    """The k values of a `solve_quotient` spectrum that are not twin lines, descending."""
+    lines = [ln for ln in spectrum.lines if not ln.source.startswith("twin")]
+    return np.sort([ln.value for ln in lines for _ in range(ln.multiplicity)])[::-1]
+
+
+def assert_orbit_roots_match_the_quotient(graph, kinds=SPECTRUM_KINDS, alphas=ALPHAS):
+    """solve_quotient's orbit lines and m roots equal the dense k x k quotient roots (1e-9 rel)."""
+    for kind in kinds:
+        for alpha in alphas:
+            dense = dense_quotient_roots(graph, kind, alpha)
+            gap = np.abs(orbit_roots(solve_quotient(graph, kind, alpha)) - dense).max()
+            assert gap <= 1e-9 * max(1.0, np.abs(dense).max()), (kind, alpha)
 
 
 def test_orbit_roots_of_singleton_orbits():
-    matrix = np.array([[1.0, 2.0], [2.0, 5.0]])
-    assert np.allclose(orbit_roots(matrix, [[0], [1]]), sym_eigenvalues(matrix))
+    graph = path_graph(5)  # no twins, and no two classes interchangeable
+    assert graph.quotient.orbits == tuple((a,) for a in range(5))
+    assert_orbit_roots_match_the_quotient(graph)
 
 
 def test_orbit_roots_k3():
-    values = orbit_roots(complete_graph(3).adj.astype(float), [[0, 1, 2]])
-    assert np.allclose(values, [2.0, -1.0, -1.0], atol=1e-12)
+    # K3 is one closed twin class; the octahedron K_{2,2,2} blows each of its
+    # vertices up into an open pair, so its quotient is one orbit of 3 classes
+    assert np.allclose(solve_quotient(complete_graph(3), "adjacency", 0.0).values(), [2, -1, -1])
+    edges = [(i, j) for i in range(6) for j in range(i) if i // 2 != j // 2]
+    octahedron = Graph.from_edges(6, edges)
+    assert octahedron.quotient.orbits == ((0, 1, 2),)
+    values = solve_quotient(octahedron, "adjacency", 0.0).values()
+    assert np.allclose(values, [4, 0, 0, 0, -2, -2], atol=1e-12)
+    assert_orbit_roots_match_the_quotient(octahedron)
 
 
-def test_orbit_roots_random_forms():
-    rng = np.random.default_rng(123)
-    for _ in range(30):
-        matrix, orbits = random_orbit_form(rng)
-        assert np.abs(orbit_roots(matrix, orbits) - sym_eigenvalues(matrix)).max() <= 1e-9
-
-
-@given(st.integers(1, 3), st.integers(1, 4), st.integers(0, 2**31 - 1))
+@given(st.integers(0, 2**31 - 1), st.integers(6, 16))
 @settings(max_examples=40, deadline=None)
-def test_orbit_roots_property(max_orbits, max_copies, seed):
-    matrix, orbits = random_orbit_form(np.random.default_rng(seed), max_orbits, max_copies)
-    assert np.abs(orbit_roots(matrix, orbits) - sym_eigenvalues(matrix)).max() <= 1e-9
-
-
-def test_orbit_roots_rejects_an_asymmetric_matrix():
-    with pytest.raises(EigensolverError):
-        orbit_roots(np.array([[0.0, 1.0], [0.0, 0.0]]), [[0], [1]])
-
-
-def assert_orbit_roots_match_the_quotient(graph, alphas=ALPHAS):
-    """orbit_roots on the graph's own orbits equal the k x k quotient roots, 1e-9 relative."""
-    for kind in SPECTRUM_KINDS:
-        for alpha in alphas:
-            solve = solve_quotient(graph, kind, alpha)
-            gap = np.abs(orbit_roots(solve.matrix, graph.quotient.orbits) - solve.roots).max()
-            assert gap <= 1e-9 * max(1.0, np.abs(solve.roots).max()), (kind, alpha)
+def test_orbit_roots_property(seed, max_n):
+    assert_orbit_roots_match_the_quotient(next(blown_up_graphs(seed, 1, max_n)))
 
 
 def test_orbit_roots_match_the_quotient_on_blown_up_graphs():
@@ -242,6 +244,12 @@ def test_orbit_roots_match_the_quotient_on_blown_up_graphs():
 @pytest.mark.parametrize("kp", [(2, 3), (3, 3), (2, 5), (3, 5), (4, 5), (5, 5), (6, 5), (7, 7)])
 def test_orbit_roots_match_the_quotient_on_the_family(family, kp):
     assert_orbit_roots_match_the_quotient(family(*kp)[1])
+
+
+def test_orbit_roots_match_the_quotient_at_9_7():
+    graph = build_power_graph(GroupParams(9, 7))  # k = 900 classes in 5 orbits
+    for kind, alpha in zip(SPECTRUM_KINDS, (0.25, 0.75)):
+        assert_orbit_roots_match_the_quotient(graph, (kind,), (alpha,))
 
 
 # reciprocal-distance closed form -------------------------------------------
@@ -314,7 +322,8 @@ def test_cluster_values_equals_the_loop_on_family_spectra(k, p):
     inst = Instance(GroupParams(k, p))
     for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
         for kind in SPECTRUM_KINDS:
-            closed, numeric = inst.spectrum(kind, alpha)
+            closed, spectrum = inst.spectrum(kind, alpha)
+            numeric = spectrum.values()
             tol = _cluster_tol(numeric)
             for values in (numeric, closed.values()):
                 assert cluster_values(values, tol) == cluster_values_loop(values, tol)
