@@ -40,6 +40,20 @@ class Graph:
             raise ValueError(f"adjacency must be a square matrix, got shape {adj.shape}")
         if not np.array_equal(adj, adj.T):
             raise ValueError("adjacency must be symmetric")
+        self._keep(adj, labels)
+
+    @classmethod
+    def _symmetric(cls, adj: np.ndarray, labels: list) -> "Graph":
+        """A graph that takes ownership of a bool adjacency built symmetric by construction.
+
+        Skips the copy and the O(n^2) transposed comparison that `Graph(adj)`
+        makes on an adjacency from outside.
+        """
+        graph = cls.__new__(cls)
+        graph._keep(adj, labels)
+        return graph
+
+    def _keep(self, adj: np.ndarray, labels: list | None) -> None:
         if adj.diagonal().any():
             raise ValueError("self-loops are not allowed")
         adj.setflags(write=False)
@@ -164,7 +178,7 @@ def _union_of_cliques(verts: list[GroupElement], groups) -> Graph:
         idxs = [index[h] for h in group]
         adj[np.ix_(idxs, idxs)] = True
     np.fill_diagonal(adj, False)
-    return Graph(adj, labels=verts)
+    return Graph._symmetric(adj, verts)
 
 
 @dataclass(frozen=True)
@@ -251,7 +265,8 @@ class TwinQuotient:
     of a are adjacent (a closed class of size > 1).  `dist` and the detour
     and strong resolving class matrices read the same way; `lift` turns one
     into the n x n vertex matrix, `degrees` gives the vertex degrees it implies.
-    `orbits` groups the classes that the quotient's own automorphisms permute.
+    `orbits` groups the classes that the quotient's own automorphisms permute;
+    `cotree` is the graph's cotree over the classes, or None for a non-cograph.
     """
 
     def __init__(self, classes: list[tuple[list[int], bool]], adj: np.ndarray):
@@ -301,6 +316,49 @@ class TwinQuotient:
         """
         labels = list(zip(self.sizes, self.closed, self.adj.diagonal()))
         return tuple(tuple(members) for members, _ in _twins(self.adj, labels))
+
+    @cached_property
+    def cotree(self) -> tuple[tuple[bool, int, int], ...] | None:
+        """A binary cotree whose leaves are the twin classes, or None when the graph is not a cograph.
+
+        Node a < k is the leaf of class a: a clique of its size when
+        `adj[a, a]`, otherwise that many independent vertices.  Node k + i is
+        `cotree[i]` = (join, left, right) over two earlier nodes: the join
+        (every left vertex adjacent to every right one) or the disjoint union
+        of their graphs.  The last node is the root; a one-class graph has no
+        inner node.
+
+        Built by repeated twin reduction of the class graph (`adj` off the
+        diagonal): in each round a class of open twins becomes a union and a
+        class of closed twins a join, as a balanced binary tree over its
+        members, so that no leaf is deeper than it needs to be; the merged
+        nodes are modules, so the reduced graph is the quotient on one
+        representative each.  A graph is a cograph exactly when every induced
+        subgraph on two or more vertices has a twin pair, so a round that
+        merges nothing before one node is left means the graph is not one.
+        """
+        k = len(self.sizes)
+        nodes = list(range(k))
+        adj = self.adj & ~np.eye(k, dtype=bool)
+        inner: list[tuple[bool, int, int]] = []
+        while len(nodes) > 1:
+            classes = _twins(adj, [None] * len(nodes))
+            if len(classes) == len(nodes):
+                return None
+            merged = []
+            for members, closed in classes:
+                level = [nodes[m] for m in members]
+                while len(level) > 1:
+                    paired = []
+                    for left, right in zip(level[::2], level[1::2]):
+                        inner.append((closed, left, right))
+                        paired.append(k + len(inner) - 1)
+                    level = paired + level[2 * len(paired) :]
+                merged.append(level[0])
+            reps = [members[0] for members, _ in classes]
+            adj = adj[np.ix_(reps, reps)]
+            nodes = merged
+        return tuple(inner)
 
     def lift(self, matrix: np.ndarray) -> np.ndarray:
         """The n x n matrix whose (u, v) entry is `matrix` at their classes; diagonal cleared."""

@@ -33,6 +33,18 @@ def star_graph(leaves: int) -> Graph:
     return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
+def alternating_threshold_graph(n: int) -> Graph:
+    """Vertex v joins every earlier vertex when v is odd and none when v is even.
+
+    Each round of twin reduction merges one pair only, so the n - 2 inner
+    nodes of its cotree lie on one root path.
+    """
+    adj = np.zeros((n, n), dtype=bool)
+    for v in range(1, n, 2):
+        adj[v, :v] = adj[:v, v] = True
+    return Graph(adj)
+
+
 def is_connected(graph: Graph) -> bool:
     """Whether a search from vertex 0 reaches every vertex (true for no vertices)."""
     seen = {0} if graph.n else set()
@@ -289,6 +301,32 @@ def random_graphs(seed: int, count: int, max_n: int = 30):
         yield Graph(adj)
 
 
+# cographs ----------------------------------------------------------------
+
+
+def has_induced_p4(graph: Graph) -> bool:
+    """Whether some 4 vertices induce a path, the one obstruction to a cograph; O(n^4)."""
+    for quad in itertools.combinations(range(graph.n), 4):
+        degrees = sorted(graph.adj[np.ix_(quad, quad)].sum(axis=1).tolist())
+        if degrees == [1, 1, 2, 2]:  # 3 edges with this degree sequence: a P4
+            return True
+    return False
+
+
+def cotree_adjacency(quotient) -> np.ndarray:
+    """The n x n adjacency that `quotient.cotree` describes, expanded node by node."""
+    n = len(quotient.class_of)
+    adj = np.zeros((n, n), dtype=bool)
+    under = [list(members) for members in quotient.members]
+    for a, members in enumerate(under):
+        adj[np.ix_(members, members)] = quotient.adj[a, a]
+    for join, left, right in quotient.cotree:
+        adj[np.ix_(under[left], under[right])] = adj[np.ix_(under[right], under[left])] = join
+        under.append(under[left] + under[right])
+    np.fill_diagonal(adj, False)
+    return adj
+
+
 # detour ------------------------------------------------------------------
 
 
@@ -430,6 +468,31 @@ def blown_up_graphs(seed: int, count: int, max_n: int = 9):
         if is_connected(graph):
             made += 1
             yield graph
+
+
+def random_cographs(seed: int, count: int, min_n: int, max_n: int, split: float = 1.0):
+    """Seeded corpus of `count` connected cographs on min_n .. max_n vertices, from random cotrees.
+
+    The root joins 2 .. 4 parts of random sizes.  A part of two or more
+    vertices is, with probability `split`, the union (under a join) or the
+    join (under a union) of 2 .. 4 parts of its own, and otherwise one twin
+    class: a clique under a join, independent vertices under a union.  The
+    vertex ids are shuffled at the end.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(min_n, max_n + 1))
+        adj = np.zeros((n, n), dtype=bool)
+        parts = [(0, n, True)]
+        while parts:
+            lo, hi, join = parts.pop()
+            adj[lo:hi, lo:hi] = join  # between the parts; each part redraws its own block
+            cuts = rng.choice(np.arange(lo + 1, hi), size=min(int(rng.integers(1, 4)), hi - lo - 1), replace=False)
+            bounds = [lo, *sorted(cuts.tolist()), hi]
+            parts += [(a, b, not join) for a, b in zip(bounds, bounds[1:]) if b - a > 1 and rng.random() < split]
+        np.fill_diagonal(adj, False)
+        order = rng.permutation(n)
+        yield Graph(adj[np.ix_(order, order)])
 
 
 # spectra and renderings -----------------------------------------------------

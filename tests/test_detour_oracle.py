@@ -1,9 +1,13 @@
-"""Cross-check the histogram-state detour search against the per-vertex oracle,
-the search without quotient symmetry, and the family closed form.
+"""Cross-check the cotree and histogram-state detour searches against the
+per-vertex oracle, the search without quotient symmetry, each other and the
+family closed form.
 
-The search gives a k x k class matrix; `lifted` turns it into the vertex
+The searches give a k x k class matrix; `lifted` turns it into the vertex
 matrix the oracles give."""
 
+import itertools
+import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +16,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    alternating_threshold_graph,
     blown_up_graphs,
     complete_graph,
     cycle_graph,
@@ -19,12 +24,15 @@ from oracles import (
     family_detour_matrix_loop,
     is_connected,
     naive_detour,
+    path_graph,
+    random_cographs,
     random_graphs,
     star_graph,
 )
 import powergraph
-from powergraph.graphs import Graph, TwinQuotient, predicted_quotient
-from powergraph.detour import detour_matrix
+from powergraph.graphs import Graph, TwinQuotient, build_power_graph, classify_partition, predicted_quotient
+from powergraph.detour import cotree_search, detour_matrix, orbit_search
+from powergraph.groups import GroupParams
 from powergraph.sequences import DegreeSequenceTable, family_detour_matrix
 from powergraph.metric import strong_metric_dimension
 
@@ -122,31 +130,53 @@ def test_detour_equals_the_family_closed_form_past_the_unreduced_search(family, 
     assert np.array_equal(lifted(graph), family_detour_matrix_loop(graph, classes, params))
 
 
-_SEARCH_UNDER_A_LOW_FRAME_LIMIT = (
-    "import sys\n"
+_ORBIT_SEARCH_UNDER_A_LOW_FRAME_LIMIT = (
+    "import math, sys\n"
     "import numpy as np\n"
-    "from powergraph.detour import detour_matrix\n"
+    "from powergraph.detour import orbit_search\n"
     "from powergraph.groups import GroupParams\n"
     "from powergraph.report import Instance\n"
     "from powergraph.sequences import family_detour_matrix\n"
     "inst = Instance(GroupParams(6, 5))\n"
     "sys.setrecursionlimit(200)\n"
-    "matrix = detour_matrix(inst.graph)\n"
+    "matrix = orbit_search(inst.graph.quotient, math.inf)\n"
     "print(np.array_equal(matrix, family_detour_matrix(inst.predicted_types, inst.params)))\n"
 )
 
+_COTREE_SEARCH_UNDER_A_LOW_FRAME_LIMIT = (
+    "import sys\n"
+    "from oracles import alternating_threshold_graph\n"
+    "from powergraph.detour import detour_matrix\n"
+    "graph = alternating_threshold_graph(40)\n"
+    "sys.setrecursionlimit(30)\n"
+    "print(detour_matrix(graph).tolist())\n"
+)
 
-def test_detour_search_does_not_depend_on_the_recursion_limit():
-    # (6, 5): paths of 640 vertices against a limit of 200 interpreter frames
-    src = str(Path(powergraph.__file__).resolve().parents[1])
+
+def run_under_a_low_frame_limit(script: str) -> tuple[int, str, str]:
+    paths = [Path(powergraph.__file__).resolve().parents[1], Path(__file__).resolve().parent]
     done = subprocess.run(
-        [sys.executable, "-c", _SEARCH_UNDER_A_LOW_FRAME_LIMIT],
+        [sys.executable, "-c", script],
         capture_output=True,
         text=True,
         timeout=120,
-        env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+        env={"PYTHONPATH": os.pathsep.join(map(str, paths)), "OPENBLAS_NUM_THREADS": "1"},
     )
-    assert (done.returncode, done.stdout, done.stderr) == (0, "True\n", "")
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_detour_search_does_not_depend_on_the_recursion_limit():
+    # (6, 5) by the orbit search, the cotree search's oracle on the family:
+    # paths of 640 vertices against a limit of 200 interpreter frames
+    assert run_under_a_low_frame_limit(_ORBIT_SEARCH_UNDER_A_LOW_FRAME_LIMIT) == (0, "True\n", "")
+
+
+def test_cotree_search_does_not_depend_on_the_recursion_limit():
+    # a cotree 38 nodes deep against a limit of 30 interpreter frames
+    graph = alternating_threshold_graph(40)
+    assert graph.quotient.cotree is not None and len(graph.quotient.cotree) == 38
+    expected = f"{detour_matrix(graph).tolist()}\n"
+    assert run_under_a_low_frame_limit(_COTREE_SEARCH_UNDER_A_LOW_FRAME_LIMIT) == (0, expected, "")
 
 
 @pytest.mark.parametrize("kp", [(2, 3), (2, 5), (3, 3), (3, 5), (4, 5), (5, 5), (6, 5)])
@@ -179,6 +209,57 @@ def test_detour_matches_naive_on_graphs_with_quotient_symmetry():
         assert DegreeSequenceTable.from_classes(g.quotient, classes).rows == rows
         symmetric += any(len(orbit) > 1 for orbit in g.quotient.orbits)
     assert symmetric >= 40
+
+
+def test_cotree_search_matches_naive_on_every_small_cograph():
+    # every connected cograph of up to 12 vertices in the corpora
+    corpora = itertools.chain(
+        random_graphs(seed=7, count=300, max_n=12),
+        blown_up_graphs(8, 200),
+        random_cographs(seed=5, count=100, min_n=2, max_n=12),
+        (alternating_threshold_graph(n) for n in range(2, 13)),
+    )
+    checked = 0
+    for g in corpora:
+        if g.quotient.cotree is not None and is_connected(g):
+            detour = g.quotient.lift(cotree_search(g.quotient, math.inf))
+            assert np.array_equal(detour, naive_detour(g)), g.edges()
+            checked += 1
+    assert checked >= 400
+
+
+def test_cotree_search_matches_the_orbit_search_on_larger_cographs():
+    # 13 .. 30 vertices; the orbit search is exponential in the orbits, so at most 5
+    checked = 0
+    for g in random_cographs(seed=11, count=120, min_n=13, max_n=30, split=0.8):
+        quotient = g.quotient
+        if len(quotient.orbits) <= 5:
+            assert np.array_equal(cotree_search(quotient, math.inf), orbit_search(quotient, math.inf))
+            checked += len(quotient.sizes) >= 4
+    assert checked >= 25
+
+
+@pytest.mark.parametrize("kp", [(2, 3), (3, 3), (2, 5), (3, 5), (4, 5), (5, 5), (6, 5), (7, 7)])
+def test_cotree_search_matches_the_orbit_search_on_the_family(family, kp):
+    quotient = family(*kp)[1].quotient
+    assert quotient.cotree is not None
+    assert np.array_equal(cotree_search(quotient, math.inf), orbit_search(quotient, math.inf))
+
+
+@pytest.mark.parametrize("kp", [(8, 7), (9, 7)])
+def test_cotree_search_matches_the_family_closed_form_at_the_largest_orders(kp):
+    params = GroupParams(*kp)
+    graph = build_power_graph(params)
+    _, predicted = predicted_detour(graph, classify_partition(graph, params), params)
+    assert np.array_equal(cotree_search(graph.quotient, math.inf), predicted)
+
+
+def test_non_cographs_take_the_orbit_search():
+    circulant = Graph.from_edges(40, [(i, (i + step) % 40) for i in range(40) for step in (1, 3, 7)])
+    assert circulant.quotient.cotree is None
+    for g in (path_graph(4), cycle_graph(5)):
+        assert g.quotient.cotree is None
+        assert np.array_equal(lifted(g), naive_detour(g))
 
 
 def test_detour_small_named_graphs():

@@ -9,9 +9,15 @@ from hypothesis import strategies as st
 from oracles import (
     CayleyTable,
     RewritingProducts,
+    alternating_threshold_graph,
     build_power_graph_from_table,
     complete_graph,
+    cotree_adjacency,
+    cycle_graph,
+    has_induced_p4,
     path_graph,
+    random_cographs,
+    random_graphs,
     star_graph,
     verify_decomposition,
 )
@@ -147,6 +153,14 @@ def test_adjacency_symmetric_no_loops(family):
     _, graph, _ = family(2, 3)
     assert np.array_equal(graph.adj, graph.adj.T)
     assert not graph.adj.diagonal().any()
+
+
+@pytest.mark.parametrize("kp", [(2, 3), (3, 5), (5, 5), (7, 7)])
+def test_power_graph_is_symmetric_by_construction(family, kp):
+    # the builder skips the transposed comparison that Graph(adj) makes
+    _, graph, _ = family(*kp)
+    assert np.array_equal(graph.adj, graph.adj.T)
+    assert not graph.adj.diagonal().any() and not graph.adj.flags.writeable
 
 
 def test_vertex_order_is_canonical(family):
@@ -300,3 +314,43 @@ def test_twin_quotient_is_the_graph_on_classes(seed, n):
             assert a in quotient.members[ca]
             if a != b:
                 assert quotient.adj[ca, cb] == g.adj[a, b]
+
+
+def test_cotree_exists_exactly_for_cographs_and_expands_to_the_graph():
+    corpora = [
+        *random_graphs(seed=3, count=200, max_n=10),
+        *random_cographs(seed=4, count=40, min_n=1, max_n=10, split=0.7),
+        *(alternating_threshold_graph(n) for n in range(1, 11)),
+        path_graph(4),
+        cycle_graph(5),
+    ]
+    cographs = 0
+    for g in corpora:
+        cotree = g.quotient.cotree
+        assert (cotree is None) == has_induced_p4(g), g.edges()
+        if cotree is not None:
+            assert len(cotree) == max(len(g.quotient.sizes) - 1, 0)
+            assert np.array_equal(cotree_adjacency(g.quotient), g.adj), g.edges()
+            cographs += 1
+    assert 200 <= cographs < len(corpora)
+
+
+@pytest.mark.parametrize("kp", [(2, 3), (3, 5), (5, 5)])
+def test_family_cotree_is_four_rounds_of_twin_reduction(family, kp):
+    # join(e, union(h2, join(u, union(h1, blades)))), the blades under a balanced union
+    _, graph, classes = family(*kp)
+    quotient = graph.quotient
+    assert np.array_equal(cotree_adjacency(quotient), graph.adj)
+    e, u = (quotient.class_of[v] for v in (classes.e, classes.u))
+    h1, h2 = (quotient.class_of[min(members)] for members in (classes.h1, classes.h2))
+    k = len(quotient.sizes)
+    root = k + len(quotient.cotree) - 1
+    spine = quotient.cotree[-4:]
+    assert [join for join, _, _ in spine] == [False, True, False, True]
+    assert spine[-1][1:] == (e, root - 1) and spine[-2][1:] == (root - 2, h2)
+    assert spine[-3][1:] == (root - 3, u)
+    depth = {root: 0}
+    for node in range(root, k - 1, -1):
+        _, left, right = quotient.cotree[node - k]
+        depth[left] = depth[right] = depth[node] + 1
+    assert depth[h1] <= 4 + (k - 3).bit_length()
