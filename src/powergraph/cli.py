@@ -189,29 +189,22 @@ def parse_args(argv: list[str]) -> RunConfig:
     return config
 
 
-class _Writer:
-    """Writes artifacts under the output directory when given, else collects them in `artifacts`.
+def _emit(out_dir: Path | None, name: str, content: str | Iterable[str]) -> None:
+    """Stream an artifact, a string or an iterable of lines, to `out_dir / name`.
 
-    An artifact is a string or an iterable of lines; lines are streamed to
-    the file, so a large artifact is never held whole.
+    Without an output directory nothing is written and `content` is never
+    read, so a streamed artifact's lines are not even generated.
     """
-
-    def __init__(self, out_dir: Path | None):
-        self.out_dir = out_dir
-        self.artifacts: dict[str, str] = {}
-
-    def emit(self, name: str, content: str | Iterable[str]) -> None:
-        if isinstance(content, str):
-            content = (content,)  # one write, not one per character
-        if self.out_dir is None:
-            self.artifacts[name] = "".join(content)
-            return
-        try:
-            self.out_dir.mkdir(parents=True, exist_ok=True)
-            with open(self.out_dir / name, "w", encoding="utf-8") as f:
-                f.writelines(content)
-        except OSError as exc:
-            raise UsageError(f"cannot write output: {exc}") from None
+    if out_dir is None:
+        return
+    if isinstance(content, str):
+        content = (content,)  # one write, not one per character
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        with open(out_dir / name, "w", encoding="utf-8") as f:
+            f.writelines(content)
+    except OSError as exc:
+        raise UsageError(f"cannot write output: {exc}") from None
 
 
 def _dump(payload: dict) -> str:
@@ -244,18 +237,35 @@ def _lifted_csv(quotient: TwinQuotient, matrix: np.ndarray) -> Iterator[str]:
         row[v] = cells[a, a]
 
 
-def run(config: RunConfig, writer: _Writer | None = None, out=None) -> int:
+def _metric_json(payload: dict, quotient: TwinQuotient, gsr: np.ndarray) -> Iterator[str]:
+    """`_dump` of `payload` plus "gsr_edges", the lifted class MMD graph's edges, as lines.
+
+    The edge list, whose key sorts before the others, is written in `_dump`'s
+    layout vertex by vertex: vertex i's partners j > i are the vertices whose
+    class `gsr` joins to i's, so no n x n lift or edge list is formed.
+    """
+    class_of = quotient.class_of
+    yield '{\n  "gsr_edges": ['
+    sep = "\n"
+    for i, a in enumerate(class_of.tolist()):
+        partners = (np.flatnonzero(gsr[a, class_of[i + 1 :]]) + i + 1).tolist()
+        if partners:
+            yield sep + ",\n".join(f"    [\n      {i},\n      {j}\n    ]" for j in partners)
+            sep = ",\n"
+    yield ("\n  ]," if sep == ",\n" else "],") + _dump(payload)[1:]
+
+
+def run(config: RunConfig, out=None) -> int:
     """Execute the configured commands; 0 on success, 1 on verification failure."""
     config.validate()
     out = out if out is not None else sys.stdout
-    writer = writer or _Writer(config.out_dir)
     stem = f"k{config.k}-p{config.p}"
 
     if "ingest" in config.commands:
         graph = ingest_graph(config.graph_path, config.graph_format)
-        writer.emit("ingested-graph.json", _dump(graph.to_json_dict()))
+        _emit(config.out_dir, "ingested-graph.json", _dump(graph.to_json_dict()))
         if config.fmt == "text":
-            writer.emit("ingested-graph.edges.txt", graph.to_edge_list())
+            _emit(config.out_dir, "ingested-graph.edges.txt", graph.to_edge_list())
         print(f"ingested graph: n={graph.n}, edges={graph.edge_count()}", file=out)
 
     if not set(config.commands) - {"ingest"}:
@@ -276,9 +286,9 @@ def run(config: RunConfig, writer: _Writer | None = None, out=None) -> int:
             "h2": sorted(classes.h2),
             "h3": sorted(classes.h3),
         }
-        writer.emit(f"{stem}-graph.json", _dump(payload))
+        _emit(config.out_dir, f"{stem}-graph.json", _dump(payload))
         if config.fmt == "text":
-            writer.emit(f"{stem}-graph.edges.txt", graph.to_edge_list())
+            _emit(config.out_dir, f"{stem}-graph.edges.txt", graph.to_edge_list())
         print(f"built power graph: n={graph.n}, edges={graph.edge_count()}", file=out)
 
     if "spectra" in config.commands:
@@ -287,11 +297,11 @@ def run(config: RunConfig, writer: _Writer | None = None, out=None) -> int:
             for kind in report.SPECTRUM_KINDS:
                 closed, numeric = inst.spectrum(kind, alpha)
                 payload = report.spectrum_payload(inst.params, alpha, closed, numeric.values())
-                writer.emit(f"{stem}-alpha{alpha!r}-{kind}-spectrum.json", _dump(payload))
+                _emit(config.out_dir, f"{stem}-alpha{alpha!r}-{kind}-spectrum.json", _dump(payload))
                 if kind == "adjacency":
                     adjacency.append(payload)
         if config.fmt == "csv":
-            writer.emit(f"{stem}-adjacency-spectra.csv", _spectra_csv(adjacency))
+            _emit(config.out_dir, f"{stem}-adjacency-spectra.csv", _spectra_csv(adjacency))
         print(f"spectra computed for alphas {list(config.alphas)}", file=out)
 
     if "metric" in config.commands:
@@ -305,9 +315,9 @@ def run(config: RunConfig, writer: _Writer | None = None, out=None) -> int:
                 "value": psi_report.psi,
             },
             "sdim": {"value": cover_size, "cover_witness": list(cover)},
-            "gsr_edges": [[i, j] for i, j in Graph(graph.quotient.lift(inst.gsr)).edges()],
         }
-        writer.emit(f"{stem}-metric.json", _dump(payload))
+        metric_json = _metric_json(payload, graph.quotient, inst.gsr)
+        _emit(config.out_dir, f"{stem}-metric.json", metric_json)
         print(f"metric dimension {psi_report.psi}, strong metric dimension {cover_size}", file=out)
 
     if "detour" in config.commands:
@@ -321,14 +331,14 @@ def run(config: RunConfig, writer: _Writer | None = None, out=None) -> int:
                 "eccentricities": ecc[graph.quotient.class_of].tolist(),
             }
             if config.fmt == "csv":
-                writer.emit(f"{stem}-detour-matrix.csv", _lifted_csv(graph.quotient, mat))
+                _emit(config.out_dir, f"{stem}-detour-matrix.csv", _lifted_csv(graph.quotient, mat))
         else:
             payload = {
                 "oracle_verified": False,
                 "note": "closed-form prediction only; instance above the oracle size cap",
                 "predicted": sequences.family_detour_eccentricities(inst.params),
             }
-        writer.emit(f"{stem}-detour.json", _dump(payload))
+        _emit(config.out_dir, f"{stem}-detour.json", _dump(payload))
         print(f"detour profile: {payload}", file=out)
 
     if "dds" in config.commands:
@@ -345,11 +355,11 @@ def run(config: RunConfig, writer: _Writer | None = None, out=None) -> int:
             payload["printed_detour_comparison"] = sequences.compare_groupings(
                 dtable.groups, sequences.family_dds_detour_groups(inst.params)
             )
-        writer.emit(f"{stem}-dds.json", _dump(payload))
+        _emit(config.out_dir, f"{stem}-dds.json", _dump(payload))
         if config.fmt == "text":
-            writer.emit(f"{stem}-dds.txt", table.to_text())
+            _emit(config.out_dir, f"{stem}-dds.txt", table.to_text())
         if config.fmt == "csv":
-            writer.emit(f"{stem}-dds.csv", table.to_csv())
+            _emit(config.out_dir, f"{stem}-dds.csv", table.to_csv())
         print("distance degree sequences computed", file=out)
 
     if "report" in config.commands:
@@ -357,7 +367,7 @@ def run(config: RunConfig, writer: _Writer | None = None, out=None) -> int:
             inst, config.alphas, tol=config.tol, seed=config.seed, version=__version__
         )
         payload["config"].update({"format": config.fmt})
-        writer.emit(f"{stem}-report.json", _dump(payload))
+        _emit(config.out_dir, f"{stem}-report.json", _dump(payload))
         for check in payload["checks"]:
             print(f"{'PASS' if check['passed'] else 'FAIL'} {check['name']}", file=out)
         if not payload["passed"]:

@@ -269,7 +269,7 @@ def check_transcriptions(params: GroupParams, alphas) -> list[dict]:
         ("quintic_transcription", spectra.quintic_transcription_check),
         ("reciprocal_quotient_transcription", spectra.rd_quotient_transcription_check),
     ):
-        per_alpha = {repr(a): transcription_check(params, a).to_json_dict() for a in alphas}
+        per_alpha = {repr(a): transcription_check(params, a) for a in alphas}
         # a mismatch is reported, never fatal: the diagnostic must be present
         ok = all(v["matches"] or v["diagnostic"] for v in per_alpha.values())
         checks.append(_check(name, ok, per_alpha=per_alpha))
@@ -384,6 +384,7 @@ def check_degree_sequences(inst: Instance) -> list[dict]:
         )
     ]
     dtable = inst.detour_dds
+    _, error = inst.detour_search
     if dtable is not None:
         drows = sequences.family_dds_detour_rows(params)
         shape_ok = _classes_match(dtable.class_rows, dtable.class_of, classes, drows)
@@ -398,6 +399,10 @@ def check_degree_sequences(inst: Instance) -> list[dict]:
                 all_shapes_match=shape_ok,
                 grouping_matches=grouping_ok,
             )
+        )
+    elif error is not None:  # the search ran and ran out of its budget, as in check_detour
+        checks.append(
+            _check("detour_degree_sequences", False, oracle_verified=False, error=str(error))
         )
     else:
         checks.append(

@@ -296,30 +296,17 @@ def quintic_coefficients(params: GroupParams, alpha: float) -> np.ndarray:
     return np.array([1.0, -c4, -c3, -c2, -c1, c0])
 
 
-@dataclass(frozen=True)
-class TranscriptionCheck:
-    """Result of measuring a published formula against the derived values."""
-
-    max_relative_residual: float
-    matches: bool
-    diagnostic: str | None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "max_relative_residual": self.max_relative_residual,
-            "matches": self.matches,
-            "diagnostic": self.diagnostic,
-        }
+# largest relative residual (quintic) or entry gap (RD quotient) read as a match
+QUINTIC_REL_TOL = 1e-4
+RD_QUOTIENT_REL_TOL = 1e-8
 
 
-def quintic_transcription_check(
-    params: GroupParams, alpha: float, rel_tol: float = 1e-4
-) -> TranscriptionCheck:
+def quintic_transcription_check(params: GroupParams, alpha: float) -> dict:
     """Evaluate the printed quintic at the five quotient eigenvalues.
 
     A large residual means the published coefficients disagree with the
     quotient route; the numeric full-matrix spectrum is the arbiter, so a
-    mismatch is reported as a diagnostic rather than trusted either way.
+    mismatch is reported as a diagnostic (None on a match) rather than trusted either way.
     """
     coeffs = quintic_coefficients(params, alpha)
     xs = sym_eigenvalues(a_alpha_quotient_matrix(params, alpha))
@@ -327,15 +314,13 @@ def quintic_transcription_check(
     for x in xs:
         scale = max(1.0, float(np.polyval(np.abs(coeffs), abs(x))))
         worst = max(worst, abs(float(np.polyval(coeffs, x))) / scale)
-    if worst <= rel_tol:
-        return TranscriptionCheck(worst, True, None)
-    return TranscriptionCheck(
-        worst,
-        False,
+    matches = worst <= QUINTIC_REL_TOL
+    diagnostic = None if matches else (
         "published-coefficient mismatch: printed quintic does not vanish on the "
         f"quotient eigenvalues (max relative residual {worst:.3e}); "
-        "the numeric spectrum is the arbiter",
+        "the numeric spectrum is the arbiter"
     )
+    return {"max_relative_residual": worst, "matches": matches, "diagnostic": diagnostic}
 
 
 # reciprocal-distance closed forms ---------------------------------------
@@ -393,21 +378,17 @@ def rd_alpha_closed_form(params: GroupParams, alpha: float) -> Spectrum:
     return Spectrum.from_lines(lines)
 
 
-def rd_quotient_transcription_check(
-    params: GroupParams, alpha: float, tol: float = 1e-8
-) -> TranscriptionCheck:
+def rd_quotient_transcription_check(params: GroupParams, alpha: float) -> dict:
     """Compare the published 5x5 quotient against the derived one, entrywise."""
     derived = rd_alpha_quotient_matrix(params, alpha)
     printed = rd_alpha_quotient_matrix_printed(params, alpha)
     gap = float(np.abs(derived - printed).max())
     scale = max(1.0, float(np.abs(derived).max()))
     rel = gap / scale
-    if rel <= tol:
-        return TranscriptionCheck(rel, True, None)
-    return TranscriptionCheck(
-        rel,
-        False,
+    matches = rel <= RD_QUOTIENT_REL_TOL
+    diagnostic = None if matches else (
         "published-coefficient mismatch: published reciprocal-distance quotient "
         f"differs from the derived one by {gap:.3e} (H3 diagonal entry); "
-        "the numeric spectrum is the arbiter",
+        "the numeric spectrum is the arbiter"
     )
+    return {"max_relative_residual": rel, "matches": matches, "diagnostic": diagnostic}

@@ -533,3 +533,19 @@ def matrix_to_csv(matrix: np.ndarray) -> str:
         buf.write(",".join(repr(float(x)) for x in row))
         buf.write("\n")
     return buf.getvalue()
+
+
+def metric_payload(inst) -> dict:
+    """The CLI's `metric.json` payload built whole, with the MMD graph lifted to n x n."""
+    psi_report = inst.resolving
+    cover_size, cover = inst.cover
+    return {
+        "psi": {
+            "bound": psi_report.lower_bound,
+            "witness": list(psi_report.witness),
+            "certified": psi_report.resolved,
+            "value": psi_report.psi,
+        },
+        "sdim": {"value": cover_size, "cover_witness": list(cover)},
+        "gsr_edges": [[i, j] for i, j in Graph(inst.graph.quotient.lift(inst.gsr)).edges()],
+    }

@@ -3,12 +3,15 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the PASS lines.
 """
 
+import io
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 
 from powergraph import report as report_mod
-from powergraph.cli import RunConfig, _Writer, run
+from powergraph.cli import RunConfig, run
 from oracles import (
     blown_up_graphs,
     complete_graph,
@@ -80,10 +83,10 @@ def test_criterion_2_quintic_transcription(family):
     for k, p in GRID_KP:
         params, _, _ = family(k, p)
         for alpha in GRID_ALPHA:
-            check = quintic_transcription_check(params, alpha, rel_tol=1e-4)
+            check = quintic_transcription_check(params, alpha)
             # small residual passes outright; otherwise the mismatch diagnostic
             # must be emitted and the spectrum checks stay authoritative
-            ok = ok and (check.matches or check.diagnostic is not None)
+            ok = ok and (check["matches"] or check["diagnostic"] is not None)
     announce("2 printed quintic matches or mismatch diagnostic is emitted", ok)
 
 
@@ -218,11 +221,11 @@ def test_criterion_9_structure(family):
 
 def test_criterion_10_reproducibility():
     config = RunConfig(k=2, p=3, alphas=(0.0, 0.5, 1.0), commands=("report",), seed=7)
-    first = _Writer(None)
-    second = _Writer(None)
-    import io
-
-    code1 = run(config, writer=first, out=io.StringIO())
-    code2 = run(config, writer=second, out=io.StringIO())
-    ok = code1 == code2 == 0 and first.artifacts == second.artifacts
+    codes, artifacts = [], []
+    for _ in range(2):
+        with tempfile.TemporaryDirectory() as tmp:
+            config.out_dir = Path(tmp)
+            codes.append(run(config, out=io.StringIO()))
+            artifacts.append({path.name: path.read_bytes() for path in Path(tmp).iterdir()})
+    ok = codes == [0, 0] and artifacts[0] == artifacts[1] and len(artifacts[0]) == 1
     announce("10 identical config and seed give byte-identical reports", ok)

@@ -1,24 +1,30 @@
+import dataclasses
 import io
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import powergraph
-from oracles import matrix_to_csv
-from powergraph.cli import RunConfig, UsageError, ingest_graph, main, parse_args, run, _Writer
+from oracles import matrix_to_csv, metric_payload
+from powergraph import cli
+from powergraph.cli import RunConfig, UsageError, ingest_graph, main, parse_args, run
 from powergraph.groups import GroupParams
 from powergraph.metric import MetricSearchError
 from powergraph.report import Instance, build_report
 
 
 def run_collect(config):
-    writer = _Writer(None)
+    """(exit code, {file name: text} of what `run` wrote under a temporary --out, stdout)."""
     out = io.StringIO()
-    code = run(config, writer=writer, out=out)
-    return code, writer.artifacts, out.getvalue()
+    with tempfile.TemporaryDirectory() as tmp:
+        code = run(dataclasses.replace(config, out_dir=Path(tmp)), out=out)
+        artifacts = {path.name: path.read_text(encoding="utf-8") for path in Path(tmp).iterdir()}
+    return code, artifacts, out.getvalue()
 
 
 def test_parse_minimal():
@@ -141,10 +147,38 @@ def test_detour_csv_equals_the_formatted_lift(k, p):
 def test_streamed_detour_csv_equals_the_collected_one(tmp_path):
     config = RunConfig(k=3, p=5, alphas=(0.5,), commands=("detour",), fmt="csv")
     _, artifacts, _ = run_collect(config)
-    config.out_dir = tmp_path
-    assert run(config, writer=_Writer(tmp_path), out=io.StringIO()) == 0
+    argv = ["detour", "--k", "3", "--p", "5", "--format", "csv", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(artifacts)
     for name, text in artifacts.items():
         assert (tmp_path / name).read_bytes() == text.encode("utf-8")
+
+
+def test_run_without_out_writes_nothing_and_reads_no_streamed_artifact(tmp_path, monkeypatch):
+    def unread(quotient, matrix):
+        raise AssertionError("a streamed artifact was read without --out")
+        yield  # a generator: the error is raised only when it is read
+
+    monkeypatch.setattr(cli, "_lifted_csv", unread)
+    monkeypatch.chdir(tmp_path)
+    config = RunConfig(k=2, p=3, alphas=(0.5,), commands=("detour", "metric"), fmt="csv")
+    assert run(config, out=io.StringIO()) == 0
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("k,p", [(2, 3), (3, 5), (5, 5)])
+def test_streamed_metric_json_equals_the_dump_of_the_lifted_payload(k, p):
+    config = RunConfig(k=k, p=p, alphas=(0.5,), commands=("metric",))
+    _, artifacts, _ = run_collect(config)
+    expected = metric_payload(Instance(GroupParams(k, p)))
+    assert artifacts[f"k{k}-p{p}-metric.json"] == cli._dump(expected)
+
+
+def test_streamed_metric_json_without_gsr_edges():
+    quotient = Instance(GroupParams(2, 3)).graph.quotient
+    empty = np.zeros((len(quotient.sizes),) * 2, dtype=bool)
+    text = "".join(cli._metric_json({"psi": 1}, quotient, empty))
+    assert text == cli._dump({"psi": 1, "gsr_edges": []})
 
 
 def test_build_and_metric_and_dds_commands(tmp_path):
@@ -167,10 +201,8 @@ def test_build_and_metric_and_dds_commands(tmp_path):
 
 def test_out_dir_files_written(tmp_path):
     config = RunConfig(k=2, p=3, alphas=(0.5,), commands=("build",), out_dir=tmp_path)
-    writer = _Writer(tmp_path)
-    assert run(config, writer=writer, out=io.StringIO()) == 0
+    assert run(config, out=io.StringIO()) == 0
     assert (tmp_path / "k2-p3-graph.json").exists()
-    assert writer.artifacts == {}  # a written artifact is not also kept in memory
 
 
 def test_ingest_round_trip(tmp_path):
@@ -246,6 +278,16 @@ _MAIN_PEAK_RSS = (
     "code = main(json.loads(sys.argv[1]))\n"
     "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
 )
+
+
+def test_metric_view_streams_its_edges_at_n1792(tmp_path):
+    # (7, 7): the MMD graph joins almost every vertex pair, a 56 MB edge list
+    small_code, small_peak, _ = _main_in_subprocess(["build", "--k", "2", "--p", "3"])
+    argv = ["metric", "--k", "7", "--p", "7", "--out", str(tmp_path)]
+    code, peak, err = _main_in_subprocess(argv)
+    assert small_code == 0 and code == 0 and err == ""
+    assert (tmp_path / "k7-p7-metric.json").stat().st_size > 50_000_000
+    assert peak - small_peak < 64 * 1024  # ru_maxrss is in KiB on Linux
 
 
 def test_oversized_edge_list_is_refused_before_allocating(tmp_path):

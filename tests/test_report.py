@@ -13,7 +13,7 @@ import powergraph
 from oracles import verify_decomposition
 from perfbench.workloads import WORKLOADS
 from powergraph import spectra
-from powergraph.cli import RunConfig, _Writer, run
+from powergraph.cli import RunConfig, run
 from powergraph.graphs import CLASS_TYPES, Graph, TwinQuotient
 from powergraph.groups import MAX_VERTICES, GroupParams
 from powergraph.report import (
@@ -81,7 +81,7 @@ def calls(monkeypatch):
 
 def test_cli_commands_share_one_computation(calls):
     config = RunConfig(k=2, p=3, alphas=(0.0, 0.5, 1.0), commands=("detour", "dds", "report"))
-    assert run(config, writer=_Writer(None), out=io.StringIO()) == 0
+    assert run(config, out=io.StringIO()) == 0
     assert calls["build_power_graph"] == 1
     assert calls["distance_matrix"] == 1
     assert calls["detour_matrix"] == 1
@@ -125,7 +125,10 @@ def test_detour_budget_error_is_searched_once(calls):
     payload = build_report(2, 3, (0.5,), detour_budget_s=1e-9)
     checks = {c["name"]: c for c in payload["checks"]}
     assert not checks["detour_eccentricities"]["passed"]
-    assert not checks["detour_degree_sequences"]["details"]["oracle_verified"]
+    # the search ran and failed: both detour checks FAIL with its error, neither says "not run"
+    error = {"oracle_verified": False, "error": "detour search exceeded its time budget"}
+    for name in ("detour_eccentricities", "detour_degree_sequences"):
+        assert checks[name]["passed"] is False and checks[name]["details"] == error
     assert calls["detour_matrix"] == 1
 
 
@@ -152,16 +155,15 @@ def test_default_report_is_oracle_verified_at_n640():
         assert checks[name]["details"]["oracle_verified"] is True
 
 
-def test_spectra_command_matches_report_payload():
+def test_spectra_command_matches_report_payload(tmp_path):
     alphas = (0.0, 0.25, 1.0)
-    writer = _Writer(None)
-    config = RunConfig(k=2, p=3, alphas=alphas, commands=("spectra",))
-    assert run(config, writer=writer, out=io.StringIO()) == 0
+    config = RunConfig(k=2, p=3, alphas=alphas, commands=("spectra",), out_dir=tmp_path)
+    assert run(config, out=io.StringIO()) == 0
     report = build_report(2, 3, alphas, version=powergraph.__version__)
     for kind in ("adjacency", "reciprocal"):
         for alpha, entry in zip(alphas, report["spectra"][kind]):
-            artifact = writer.artifacts[f"k2-p3-alpha{alpha!r}-{kind}-spectrum.json"]
-            assert json.loads(artifact) == entry
+            artifact = tmp_path / f"k2-p3-alpha{alpha!r}-{kind}-spectrum.json"
+            assert json.loads(artifact.read_text(encoding="utf-8")) == entry
 
 
 @pytest.mark.parametrize("dropped", [0, 1, 2])

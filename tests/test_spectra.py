@@ -167,15 +167,15 @@ def test_quintic_root_sum_trace_identity(family):
 
 def test_quintic_transcription_matches_at_alpha_zero():
     check = quintic_transcription_check(P23, 0.0)
-    assert check.matches
-    assert check.diagnostic is None
+    assert check["matches"]
+    assert check["diagnostic"] is None
 
 
 def test_quintic_transcription_flags_published_typo():
     # the printed linear coefficient is off by 5 * 2^k p * alpha^3
     check = quintic_transcription_check(P23, 0.5)
-    assert not check.matches
-    assert "mismatch" in check.diagnostic
+    assert not check["matches"]
+    assert "mismatch" in check["diagnostic"]
 
 
 def test_quintic_roots_real_on_grid():
@@ -277,8 +277,8 @@ def test_rd_alpha_total_at_2_5():
 
 def test_rd_quotient_transcription_flags_published_diagonal():
     check = rd_quotient_transcription_check(P23, 0.5)
-    assert not check.matches
-    assert "diagonal" in check.diagnostic
+    assert not check["matches"]
+    assert "diagonal" in check["diagnostic"]
 
 
 # spectrum comparison and payload, as the report makes them -----------------
