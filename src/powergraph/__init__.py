@@ -11,10 +11,8 @@ from .groups import (  # noqa: F401
 )
 from .graphs import (  # noqa: F401
     Graph,
-    PartitionClasses,
     TwinQuotient,
     build_power_graph,
-    classify_partition,
     twin_classes,
 )
 from .matrices import (  # noqa: F401

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__, report, sequences
 from .detour import DetourBudgetError
-from .graphs import Graph, GraphFormatError, TwinQuotient
+from .graphs import CLASS_TYPES, Graph, GraphFormatError, TwinQuotient
 from .groups import MAX_VERTICES, GroupParams, ParameterError
 from .metric import MetricSearchError
 
@@ -55,9 +55,11 @@ class RunConfig:
             raise UsageError(str(exc)) from None
         if not self.alphas:
             raise UsageError("at least one --alpha is required")
-        for alpha in self.alphas:
+        for idx, alpha in enumerate(self.alphas):
             if not 0.0 <= alpha <= 1.0:
                 raise UsageError(f"alpha must lie in [0, 1], got {alpha}")
+            if alpha in self.alphas[:idx]:
+                raise UsageError(f"alpha {alpha} is given twice")
         for command in self.commands:
             if command not in COMMANDS:
                 raise UsageError(f"unknown command {command!r}; choose from {COMMANDS}")
@@ -144,7 +146,13 @@ _FLAG_FIELDS = {
 }
 
 
-def _apply_kv(config: RunConfig, values: dict[str, str]) -> None:
+def _apply_kv(config: RunConfig, values: dict[str, str], source: str) -> None:
+    """Set the config keys in `values`, read from `source`; two keys of one field are an error."""
+    field_keys: dict[str, str] = {}
+    for key in values:
+        other = field_keys.setdefault(_KEYS[key][0], key)
+        if other != key:
+            raise UsageError(f"{source} sets both {other!r} and {key!r}; give one of them")
     try:
         for key, (name, parse) in _KEYS.items():
             if key in values:
@@ -178,8 +186,8 @@ def parse_args(argv: list[str]) -> RunConfig:
     if args.config is not None:
         if not args.config.exists():
             raise UsageError(f"config file not found: {args.config}")
-        _apply_kv(config, _read_config_file(args.config))
-    _apply_kv(config, _env_overrides())
+        _apply_kv(config, _read_config_file(args.config), f"config file {args.config}")
+    _apply_kv(config, _env_overrides(), f"the environment ({ENV_PREFIX}<KEY>)")
     # flags override both; list-valued flags (commands, --alpha) become tuples
     for name, value in vars(args).items():
         if value is not None and name != "config":
@@ -237,22 +245,46 @@ def _lifted_csv(quotient: TwinQuotient, matrix: np.ndarray) -> Iterator[str]:
         row[v] = cells[a, a]
 
 
-def _metric_json(payload: dict, quotient: TwinQuotient, gsr: np.ndarray) -> Iterator[str]:
-    """`_dump` of `payload` plus "gsr_edges", the lifted class MMD graph's edges, as lines.
+def _partners(class_of: np.ndarray, matrix: np.ndarray) -> Iterator[tuple[int, list[int]]]:
+    """(i, its partners j > i) for each vertex i that has one, in the graph of a class matrix.
 
-    The edge list, whose key sorts before the others, is written in `_dump`'s
-    layout vertex by vertex: vertex i's partners j > i are the vertices whose
-    class `gsr` joins to i's, so no n x n lift or edge list is formed.
+    Vertex i's partners are the later vertices whose class `matrix` joins to
+    i's (`class_of` and `matrix` may be `arange(n)` and an n x n adjacency),
+    so no n x n lift or edge list is formed.
     """
-    class_of = quotient.class_of
-    yield '{\n  "gsr_edges": ['
-    sep = "\n"
     for i, a in enumerate(class_of.tolist()):
-        partners = (np.flatnonzero(gsr[a, class_of[i + 1 :]]) + i + 1).tolist()
+        partners = (np.flatnonzero(matrix[a, class_of[i + 1 :]]) + i + 1).tolist()
         if partners:
-            yield sep + ",\n".join(f"    [\n      {i},\n      {j}\n    ]" for j in partners)
-            sep = ",\n"
+            yield i, partners
+
+
+def _edges_json(payload: dict, key: str, class_of: np.ndarray, matrix: np.ndarray) -> Iterator[str]:
+    """`_dump` of `payload` plus the graph's edges under `key`, as lines.
+
+    The edge list is written first, in `_dump`'s layout, vertex by vertex
+    from `_partners`, so `key` must sort before every other payload key.
+    """
+    if not payload or key >= min(payload):
+        raise ValueError(f"{key!r} must sort before every key of a non-empty payload")
+    yield "{\n  " + json.dumps(key) + ": ["
+    sep = "\n"
+    for i, partners in _partners(class_of, matrix):
+        yield sep + ",\n".join(f"    [\n      {i},\n      {j}\n    ]" for j in partners)
+        sep = ",\n"
     yield ("\n  ]," if sep == ",\n" else "],") + _dump(payload)[1:]
+
+
+def _edge_list(class_of: np.ndarray, matrix: np.ndarray) -> Iterator[str]:
+    """The same edges as text: one "i j" line per edge, 0-based, i < j, sorted."""
+    for i, partners in _partners(class_of, matrix):
+        yield "".join(f"{i} {j}\n" for j in partners)
+
+
+def _emit_graph(config: RunConfig, name: str, payload: dict, class_of, matrix) -> None:
+    """`name`.json, and with --format text `name`.edges.txt, of a graph's edges and payload."""
+    _emit(config.out_dir, f"{name}.json", _edges_json(payload, "edges", class_of, matrix))
+    if config.fmt == "text":
+        _emit(config.out_dir, f"{name}.edges.txt", _edge_list(class_of, matrix))
 
 
 def run(config: RunConfig, out=None) -> int:
@@ -263,9 +295,8 @@ def run(config: RunConfig, out=None) -> int:
 
     if "ingest" in config.commands:
         graph = ingest_graph(config.graph_path, config.graph_format)
-        _emit(config.out_dir, "ingested-graph.json", _dump(graph.to_json_dict()))
-        if config.fmt == "text":
-            _emit(config.out_dir, "ingested-graph.edges.txt", graph.to_edge_list())
+        payload = {"n": graph.n, "labels": [str(label) for label in graph.labels]}
+        _emit_graph(config, "ingested-graph", payload, np.arange(graph.n), graph.adj)
         print(f"ingested graph: n={graph.n}, edges={graph.edge_count()}", file=out)
 
     if not set(config.commands) - {"ingest"}:
@@ -274,22 +305,21 @@ def run(config: RunConfig, out=None) -> int:
     inst = report.Instance(
         GroupParams(config.k, config.p), config.detour_budget_s, config.detour_oracle_max_n
     )
-    graph, classes = inst.graph, inst.partition
+    graph = inst.graph
 
     if "build" in config.commands:
-        payload = graph.to_json_dict()
-        payload["elements"] = [[label.eps, label.i] for label in graph.labels]
-        payload["partition"] = {
-            "e": classes.e,
-            "u": classes.u,
-            "h1": sorted(classes.h1),
-            "h2": sorted(classes.h2),
-            "h3": sorted(classes.h3),
+        quotient, types = graph.quotient, inst.vertex_types
+        partition = {c: np.flatnonzero(types == t).tolist() for t, c in enumerate(CLASS_TYPES)}
+        partition.update(e=partition["e"][0], u=partition["u"][0])
+        payload = {
+            "n": graph.n,
+            "labels": [str(label) for label in graph.labels],
+            "elements": [[label.eps, label.i] for label in graph.labels],
+            "partition": partition,
         }
-        _emit(config.out_dir, f"{stem}-graph.json", _dump(payload))
-        if config.fmt == "text":
-            _emit(config.out_dir, f"{stem}-graph.edges.txt", graph.to_edge_list())
-        print(f"built power graph: n={graph.n}, edges={graph.edge_count()}", file=out)
+        _emit_graph(config, f"{stem}-graph", payload, quotient.class_of, quotient.adj)
+        edge_count = quotient.edge_count(quotient.adj)
+        print(f"built power graph: n={graph.n}, edges={edge_count}", file=out)
 
     if "spectra" in config.commands:
         adjacency = []
@@ -316,7 +346,7 @@ def run(config: RunConfig, out=None) -> int:
             },
             "sdim": {"value": cover_size, "cover_witness": list(cover)},
         }
-        metric_json = _metric_json(payload, graph.quotient, inst.gsr)
+        metric_json = _edges_json(payload, "gsr_edges", graph.quotient.class_of, inst.gsr)
         _emit(config.out_dir, f"{stem}-metric.json", metric_json)
         print(f"metric dimension {psi_report.psi}, strong metric dimension {cover_size}", file=out)
 

@@ -1,15 +1,19 @@
-"""Power-graph construction, vertex-class partition, twin quotients and the predicted quotient.
+"""Power-graph construction, twin quotients and the family's predicted quotient.
 
 Vertex order for the family graph is fixed so that matrices and spectra are
 bit-for-bit reproducible: the identity first, then r^1 .. r^(2^k p - 1) by
 exponent, then the involutions s r^(even) by exponent, then the order-4
 elements s r^(odd) by exponent.
+
+A `Graph` reads an edge list or JSON but writes neither: the CLI streams
+every edge list from a class matrix.  `predicted_quotient` types each vertex
+by its group-element label alone, so it is the one encoding of the family's
+classes (e, u, h1, h2 and the h3 blades) that the closed forms rest on.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -20,10 +24,6 @@ from .matrices import DisconnectedGraphError, distance_matrix
 
 class GraphFormatError(ValueError):
     """Malformed graph serialization."""
-
-
-class ClassificationError(ValueError):
-    """Graph is not labeled by elements of the expected group."""
 
 
 class Graph:
@@ -75,7 +75,7 @@ class Graph:
             raise GraphFormatError(f"{n} vertices exceed the limit of {MAX_VERTICES}")
         adj = np.zeros((n, n), dtype=bool)
         for i, j in edges:
-            i, j = operator.index(i), operator.index(j)
+            i, j = _index(i), _index(j)
             if not (0 <= i < n and 0 <= j < n):
                 raise GraphFormatError(f"edge ({i}, {j}) has a vertex id outside [0, {n})")
             if i == j:
@@ -100,19 +100,6 @@ class Graph:
     def edge_count(self) -> int:
         return int(self.adj.sum()) // 2
 
-    # serialization ----------------------------------------------------
-
-    def to_edge_list(self) -> str:
-        """Canonical text form: one "i j" line per edge, 0-based, i < j, sorted."""
-        return "".join(f"{i} {j}\n" for i, j in self.edges())
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "labels": [str(label) for label in self.labels],
-            "edges": [[i, j] for i, j in self.edges()],
-        }
-
     @classmethod
     def from_edge_list(cls, text: str) -> "Graph":
         """Parse one "i j" pair per line; the vertex count is the largest id plus one."""
@@ -132,10 +119,21 @@ class Graph:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Graph":
+        """The graph of `{"n": ..., "edges": [[i, j], ...], "labels": [...]}`; labels optional."""
         try:
-            return cls.from_edges(operator.index(data["n"]), data["edges"], data.get("labels"))
+            n, edges, labels = _index(data["n"]), data["edges"], data.get("labels")
+            if labels is not None and not isinstance(labels, list):
+                raise TypeError(f"labels must be a list, got {type(labels).__name__}")
+            return cls.from_edges(n, edges, labels)
         except (KeyError, TypeError, ValueError) as exc:
             raise GraphFormatError(f"bad graph JSON: {exc}") from None
+
+
+def _index(value) -> int:
+    """`operator.index(value)`, refusing a bool: JSON true and false are not integers here."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not an integer")
+    return operator.index(value)
 
 
 # power graph of the family --------------------------------------------
@@ -179,52 +177,6 @@ def _union_of_cliques(verts: list[GroupElement], groups) -> Graph:
         adj[np.ix_(idxs, idxs)] = True
     np.fill_diagonal(adj, False)
     return Graph._symmetric(adj, verts)
-
-
-@dataclass(frozen=True)
-class PartitionClasses:
-    """Index sets of the four vertex classes, plus the special vertices e and u."""
-
-    h0: frozenset[int]
-    h1: frozenset[int]
-    h2: frozenset[int]
-    h3: frozenset[int]
-    e: int
-    u: int
-
-    def named(self) -> dict[str, frozenset[int]]:
-        """Vertex sets by class name: e, u, h1, h2, h3."""
-        singles = {"e": frozenset((self.e,)), "u": frozenset((self.u,))}
-        return {**singles, "h1": self.h1, "h2": self.h2, "h3": self.h3}
-
-
-def classify_partition(graph: Graph, params: GroupParams) -> PartitionClasses:
-    """Split vertices into {e,u} / other rotations / involutions / order-4 elements."""
-    n = params.rotation_order
-    half = n // 2
-    h0, h1, h2, h3 = set(), set(), set(), set()
-    e_idx = u_idx = -1
-    for idx, label in enumerate(graph.labels):
-        if not isinstance(label, GroupElement):
-            raise ClassificationError("graph is not labeled by group elements")
-        if label.eps == 0:
-            if label.i == 0:
-                h0.add(idx)
-                e_idx = idx
-            elif label.i == half:
-                h0.add(idx)
-                u_idx = idx
-            else:
-                h1.add(idx)
-        else:
-            (h2 if label.i % 2 == 0 else h3).add(idx)
-    sizes = (len(h0), len(h1), len(h2), len(h3))
-    expected = (2, n - 2, half, half)
-    if sizes != expected or e_idx < 0 or u_idx < 0:
-        raise ClassificationError(f"partition sizes {sizes} do not match expected {expected}")
-    return PartitionClasses(
-        frozenset(h0), frozenset(h1), frozenset(h2), frozenset(h3), e_idx, u_idx
-    )
 
 
 def twin_classes(graph: Graph) -> list[tuple[list[int], bool]]:
@@ -376,7 +328,8 @@ class TwinQuotient:
         return int(self.degrees(matrix) @ self.sizes) // 2
 
 
-# class types of the family, in the order of `PartitionClasses.named`
+# class types of the family: the identity e, the central involution u = r^(N/2), the other
+# rotations h1, the involutions h2 = {s r^even} and the order-4 elements h3 = {s r^odd}
 CLASS_TYPES = ("e", "u", "h1", "h2", "h3")
 # adjacency of two distinct classes by type, in CLASS_TYPES order (two blades are not adjacent)
 _TYPE_ADJACENCY = np.array(
@@ -384,20 +337,25 @@ _TYPE_ADJACENCY = np.array(
 )
 
 
-def predicted_quotient(labels: list, classes: PartitionClasses) -> tuple[TwinQuotient, np.ndarray]:
+def predicted_quotient(labels: list, params: GroupParams) -> tuple[TwinQuotient, np.ndarray]:
     """The twin quotient the closed forms assume, read from the labels, and each class's type.
 
+    Each label is typed by `CLASS_TYPES`, with N = 2^k p the rotation order:
+    r^0 is e, r^(N/2) is u, any other rotation h1, s r^even h2 and s r^odd h3.
     {e} and {u} are singletons, h1 is one closed class, h2 one open class and
-    each blade {s r^i, s r^(i + N/2)} a closed pair; the class adjacency is
-    clique(<r>) + pendant edges at e + K4 blades on {e, u}.  `types[a]`
-    indexes `CLASS_TYPES`.
+    each blade {s r^i, s r^(i + N/2)} of h3 a closed pair; classes are ordered
+    by smallest member.  The class adjacency is clique(<r>) + pendant edges at
+    e + K4 blades on {e, u}.  `types[a]` indexes `CLASS_TYPES`.
     """
-    blades: dict[int, list[int]] = {}
-    for v in sorted(classes.h3):
-        blades.setdefault(labels[v].i % len(classes.h2), []).append(v)  # |h2| = N/2
-    named = classes.named()
-    typed = [(sorted(named[name]), t) for t, name in enumerate(CLASS_TYPES[:4])]
-    typed = sorted(typed + [(blade, 4) for blade in blades.values()])  # by smallest member
+    half = params.rotation_order // 2
+    classes: dict[tuple[int, int], list[int]] = {}  # (type, blade) -> members
+    for v, g in enumerate(labels):
+        if g.eps == 0:
+            key = (0 if g.i == 0 else 1 if g.i == half else 2, 0)
+        else:
+            key = (3, 0) if g.i % 2 == 0 else (4, g.i % half)
+        classes.setdefault(key, []).append(v)
+    typed = sorted((members, t) for (t, _), members in classes.items())
     types = np.array([t for _, t in typed])
     pairs = [(members, CLASS_TYPES[t] in ("h1", "h3")) for members, t in typed]  # closed classes
     return TwinQuotient(pairs, _TYPE_ADJACENCY[np.ix_(types, types)]), types

@@ -23,9 +23,7 @@ from .detour import DetourBudgetError, detour_matrix
 from .graphs import (
     CLASS_TYPES,
     Graph,
-    PartitionClasses,
     build_power_graph,
-    classify_partition,
     family_degree_multiset,
     predicted_quotient,
 )
@@ -37,8 +35,8 @@ SPECTRUM_KINDS = ("adjacency", "reciprocal")
 class Instance:
     """The power graph of one G(k, p) and the objects derived from it, each built at most once.
 
-    `params`, `graph`, `partition` and the `predicted` twin quotient of the
-    closed forms, with its `predicted_types`, are built on construction
+    `params`, `graph` and the `predicted` twin quotient of the closed forms,
+    with its `predicted_types`, are built on construction
     (`GroupParams` refuses an order above `groups.MAX_VERTICES`); everything
     else on first use.  The graph holds its twin quotient, which holds the
     k x k class distances and the orbits; the detour search and the MMD graph give k x k
@@ -56,8 +54,7 @@ class Instance:
         self.detour_budget_s = detour_budget_s
         self.detour_oracle_max_n = detour_oracle_max_n
         self.graph = build_power_graph(params)
-        self.partition = classify_partition(self.graph, params)
-        self.predicted, self.predicted_types = predicted_quotient(self.graph.labels, self.partition)
+        self.predicted, self.predicted_types = predicted_quotient(self.graph.labels, params)
         self._spectra: dict[tuple[str, float], tuple[spectra.Spectrum, spectra.Spectrum]] = {}
 
     def spectrum(self, kind: str, alpha: float) -> tuple[spectra.Spectrum, spectra.Spectrum]:
@@ -130,6 +127,11 @@ class Instance:
         return sequences.DegreeSequenceTable.from_classes(self.graph.quotient, matrix)
 
     @cached_property
+    def vertex_types(self) -> np.ndarray:
+        """The predicted type of each vertex, an index into `CLASS_TYPES`."""
+        return self.predicted_types[self.predicted.class_of]
+
+    @cached_property
     def twins_as_predicted(self) -> bool:
         """Whether the twin classes, and their closedness, are the predicted ones."""
         quotient, predicted = self.graph.quotient, self.predicted
@@ -140,11 +142,14 @@ def _check(name: str, passed: bool, **details) -> dict:
     return {"name": name, "passed": bool(passed), "details": details}
 
 
-def _classes_match(values, class_of, classes: PartitionClasses, predicted: dict) -> bool:
-    """values[class_of[v]] == predicted[c] for each vertex v of each class c predicted names."""
-    members = classes.named()
-    pairs = {(class_of[v], c) for c in members.keys() & predicted for v in members[c]}
-    return all(values[a] == predicted[c] for a, c in pairs)
+def _classes_match(inst: Instance, values, predicted: dict) -> bool:
+    """values[a] == predicted[t] for each graph class a and predicted type t of a vertex in it.
+
+    Only the types that `predicted` names (by `CLASS_TYPES` name) are compared.
+    """
+    by_type = {t: predicted[name] for t, name in enumerate(CLASS_TYPES) if name in predicted}
+    pairs = set(zip(inst.graph.quotient.class_of.tolist(), inst.vertex_types.tolist()))
+    return all(values[a] == by_type[t] for a, t in pairs if t in by_type)
 
 
 def _cluster_tol(values: np.ndarray) -> float:
@@ -336,7 +341,6 @@ def check_metric(inst: Instance) -> list[dict]:
 
 
 def check_detour(inst: Instance) -> dict:
-    classes = inst.partition
     predicted_ecc = sequences.family_detour_eccentricities(inst.params)
     computed, error = inst.detour_search
     if error is not None:
@@ -354,7 +358,7 @@ def check_detour(inst: Instance) -> dict:
     matrix_ok = inst.twins_as_predicted and bool(np.array_equal(computed, predicted))
     ecc, radius, diameter = inst.detour_profile
     profile_ok = radius == predicted_ecc["radius"] and diameter == predicted_ecc["diameter"]
-    per_class_ok = _classes_match(ecc, inst.graph.quotient.class_of, classes, predicted_ecc)
+    per_class_ok = _classes_match(inst, ecc, predicted_ecc)
     return _check(
         "detour_eccentricities",
         matrix_ok and profile_ok and per_class_ok,
@@ -367,19 +371,19 @@ def check_detour(inst: Instance) -> dict:
 
 
 def check_degree_sequences(inst: Instance) -> list[dict]:
-    classes, params = inst.partition, inst.params
-    table = inst.dds
-    rows = sequences.family_dds_rows(params)
-    class_rows, class_of = table.class_rows, table.class_of
-    rows_ok = _classes_match(class_rows, class_of, classes, rows)
+    params, table = inst.params, inst.dds
+    rows_ok = _classes_match(inst, table.class_rows, sequences.family_dds_rows(params))
+    types = inst.vertex_types.tolist()
+    # the class of the first vertex of each type
+    first = {name: table.class_of[types.index(t)] for t, name in enumerate(CLASS_TYPES)}
     multiset_diff = sequences.compare_groupings(table.groups, sequences.family_dds_groups(params))
     checks = [
         _check(
             "distance_degree_sequences",
             rows_ok,
-            e_row=list(class_rows[class_of[classes.e]]),
-            u_row=list(class_rows[class_of[classes.u]]),
-            h1_row=list(class_rows[class_of[min(classes.h1)]]),
+            e_row=list(table.class_rows[first["e"]]),
+            u_row=list(table.class_rows[first["u"]]),
+            h1_row=list(table.class_rows[first["h1"]]),
             printed_multiset_comparison=multiset_diff,
         )
     ]
@@ -387,7 +391,7 @@ def check_degree_sequences(inst: Instance) -> list[dict]:
     _, error = inst.detour_search
     if dtable is not None:
         drows = sequences.family_dds_detour_rows(params)
-        shape_ok = _classes_match(dtable.class_rows, dtable.class_of, classes, drows)
+        shape_ok = _classes_match(inst, dtable.class_rows, drows)
         grouping_ok = sequences.compare_groupings(
             dtable.groups, sequences.family_dds_detour_groups(params)
         )["matches"]

@@ -1,6 +1,7 @@
 import pytest
 
-from powergraph.graphs import build_power_graph, classify_partition
+from oracles import classify_partition
+from powergraph.graphs import build_power_graph
 from powergraph.groups import GroupParams
 
 _cache = {}

@@ -3,6 +3,7 @@
 import io
 import itertools
 import random
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -171,6 +172,49 @@ def build_power_graph_from_table(table) -> Graph:
         adj[np.ix_(members, members)] = True
     np.fill_diagonal(adj, False)
     return Graph(adj, labels=verts)
+
+
+@dataclass(frozen=True)
+class PartitionClasses:
+    """Index sets of the four vertex classes, plus the special vertices e and u."""
+
+    h0: frozenset[int]
+    h1: frozenset[int]
+    h2: frozenset[int]
+    h3: frozenset[int]
+    e: int
+    u: int
+
+    def named(self) -> dict[str, frozenset[int]]:
+        """Vertex sets by class name: e, u, h1, h2, h3."""
+        singles = {"e": frozenset((self.e,)), "u": frozenset((self.u,))}
+        return {**singles, "h1": self.h1, "h2": self.h2, "h3": self.h3}
+
+
+def classify_partition(graph: Graph, params: GroupParams) -> PartitionClasses:
+    """Split the vertices by label into {e, u} / other rotations / involutions / order-4 elements."""
+    n = params.rotation_order
+    half = n // 2
+    h0, h1, h2, h3 = set(), set(), set(), set()
+    e_idx = u_idx = -1
+    for idx, label in enumerate(graph.labels):
+        assert isinstance(label, GroupElement), "graph is not labeled by group elements"
+        if label.eps == 0:
+            if label.i == 0:
+                h0.add(idx)
+                e_idx = idx
+            elif label.i == half:
+                h0.add(idx)
+                u_idx = idx
+            else:
+                h1.add(idx)
+        else:
+            (h2 if label.i % 2 == 0 else h3).add(idx)
+    sizes = (len(h0), len(h1), len(h2), len(h3))
+    assert sizes == (2, n - 2, half, half) and e_idx >= 0 and u_idx >= 0, sizes
+    return PartitionClasses(
+        frozenset(h0), frozenset(h1), frozenset(h2), frozenset(h3), e_idx, u_idx
+    )
 
 
 def verify_decomposition(
@@ -533,6 +577,29 @@ def matrix_to_csv(matrix: np.ndarray) -> str:
         buf.write(",".join(repr(float(x)) for x in row))
         buf.write("\n")
     return buf.getvalue()
+
+
+def graph_json_dict(graph: Graph) -> dict:
+    """A graph's JSON payload built whole: n, the labels as strings and the sorted edge list."""
+    return {
+        "n": graph.n,
+        "labels": [str(label) for label in graph.labels],
+        "edges": [[i, j] for i, j in graph.edges()],
+    }
+
+
+def edge_list_text(graph: Graph) -> str:
+    """One "i j" line per edge, 0-based, i < j, sorted."""
+    return "".join(f"{i} {j}\n" for i, j in graph.edges())
+
+
+def build_payload(graph: Graph, params: GroupParams) -> dict:
+    """The CLI's `graph.json` payload of a family graph built whole, partition from the labels."""
+    classes = classify_partition(graph, params)
+    partition = {name: sorted(members) for name, members in classes.named().items()}
+    partition.update(e=classes.e, u=classes.u)
+    elements = [[label.eps, label.i] for label in graph.labels]
+    return {**graph_json_dict(graph), "elements": elements, "partition": partition}
 
 
 def metric_payload(inst) -> dict:

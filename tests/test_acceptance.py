@@ -160,7 +160,7 @@ def test_criterion_7_detour(family):
     start = time.monotonic()
     computed = detour_matrix(graph, time_budget_s=60.0)
     elapsed = time.monotonic() - start
-    _, types = predicted_quotient(graph.labels, classes)
+    _, types = predicted_quotient(graph.labels, params)
     predicted = family_detour_matrix(types, params)
     ecc, radius, diameter = detour_profile(computed)
     ecc = ecc[graph.quotient.class_of]

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 import powergraph
-from oracles import matrix_to_csv, metric_payload
+from oracles import build_payload, edge_list_text, graph_json_dict, matrix_to_csv, metric_payload
 from powergraph import cli
 from powergraph.cli import RunConfig, UsageError, ingest_graph, main, parse_args, run
+from powergraph.graphs import Graph
 from powergraph.groups import GroupParams
 from powergraph.metric import MetricSearchError
 from powergraph.report import Instance, build_report
@@ -72,6 +73,53 @@ def test_non_finite_or_negative_settings_are_usage_errors(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("usage error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("source", ["flag", "config", "env"])
+def test_a_repeated_alpha_is_a_usage_error(tmp_path, capsys, monkeypatch, source):
+    argv = ["report", "spectra"]
+    if source == "flag":
+        argv += ["--alpha", "0.5", "--alpha", "0.5"]
+    elif source == "config":
+        (tmp_path / "run.cfg").write_text("alpha=0.5,0.25,0.5\n", encoding="utf-8")
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    else:
+        monkeypatch.setenv("POWERGRAPH_ALPHA", "0.5,0.5")
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: alpha 0.5 is given twice\n"
+
+
+@pytest.mark.parametrize(
+    "source, lines",
+    [
+        ("config", "detour_time_budget_s=5\ndetour_budget=7\n"),
+        ("config", "detour_budget=7\ndetour_time_budget_s=5\n"),
+        ("env", "detour_budget=7\ndetour_time_budget_s=5\n"),
+    ],
+)
+def test_one_source_setting_both_budget_keys_is_a_usage_error(
+    tmp_path, capsys, monkeypatch, source, lines
+):
+    argv = ["report"]
+    if source == "config":
+        (tmp_path / "run.cfg").write_text(lines, encoding="utf-8")
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    else:
+        for key, _, value in (line.partition("=") for line in lines.split()):
+            monkeypatch.setenv(f"POWERGRAPH_{key.upper()}", value)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ") and captured.err.count("\n") == 1
+    assert "'detour_budget'" in captured.err and "'detour_time_budget_s'" in captured.err
+
+
+def test_the_budget_alias_in_another_source_follows_the_precedence(tmp_path, monkeypatch):
+    (tmp_path / "run.cfg").write_text("detour_budget=7\n", encoding="utf-8")
+    monkeypatch.setenv("POWERGRAPH_DETOUR_TIME_BUDGET_S", "5")
+    assert parse_args(["report", "--config", str(tmp_path / "run.cfg")]).detour_budget_s == 5.0
 
 
 def test_parse_rejects_bad_command():
@@ -177,8 +225,60 @@ def test_streamed_metric_json_equals_the_dump_of_the_lifted_payload(k, p):
 def test_streamed_metric_json_without_gsr_edges():
     quotient = Instance(GroupParams(2, 3)).graph.quotient
     empty = np.zeros((len(quotient.sizes),) * 2, dtype=bool)
-    text = "".join(cli._metric_json({"psi": 1}, quotient, empty))
+    text = "".join(cli._edges_json({"psi": 1}, "gsr_edges", quotient.class_of, empty))
     assert text == cli._dump({"psi": 1, "gsr_edges": []})
+
+
+def test_streamed_edges_json_needs_a_key_that_sorts_first():
+    class_of, matrix = np.arange(2), np.ones((2, 2), dtype=bool)
+    for payload in ({"dges": 1}, {"edges": 1}, {}):
+        with pytest.raises(ValueError, match="sort before"):
+            "".join(cli._edges_json(payload, "edges", class_of, matrix))
+
+
+@pytest.mark.parametrize("k,p", [(2, 3), (3, 5), (5, 5)])
+def test_build_writes_the_eager_renderings(family, k, p):
+    params, graph, _ = family(k, p)
+    config = RunConfig(k=k, p=p, alphas=(0.5,), commands=("build",), fmt="text")
+    _, artifacts, output = run_collect(config)
+    assert artifacts[f"k{k}-p{p}-graph.json"] == cli._dump(build_payload(graph, params))
+    assert artifacts[f"k{k}-p{p}-graph.edges.txt"] == edge_list_text(graph)
+    assert f"n={graph.n}, edges={graph.edge_count()}\n" in output
+
+
+def ingest_collect(tmp_path, text, graph_format):
+    """(artifacts, stdout) of a text-format `ingest` of `text`."""
+    path = tmp_path / "graph.in"
+    path.write_text(text, encoding="utf-8")
+    config = RunConfig(commands=("ingest",), graph_path=path, graph_format=graph_format, fmt="text")
+    code, artifacts, output = run_collect(config)
+    assert code == 0
+    return artifacts, output
+
+
+@pytest.mark.parametrize("k,p", [(2, 3), (3, 5), (5, 5)])
+def test_ingest_writes_the_eager_renderings(tmp_path, family, k, p):
+    _, graph, _ = family(k, p)
+    for text, graph_format, expected in (
+        (json.dumps(graph_json_dict(graph)), "json", graph),
+        (edge_list_text(graph), "edge-list", Graph(graph.adj)),  # labels 0 .. n-1
+    ):
+        artifacts, _ = ingest_collect(tmp_path, text, graph_format)
+        assert artifacts["ingested-graph.json"] == cli._dump(graph_json_dict(expected))
+        assert artifacts["ingested-graph.edges.txt"] == edge_list_text(expected)
+
+
+@pytest.mark.parametrize(
+    "text, graph_format, n",
+    [("", "edge-list", 0), ('{"n": 3, "edges": []}', "json", 3)],
+    ids=["empty", "edgeless"],
+)
+def test_ingest_writes_the_eager_renderings_without_edges(tmp_path, text, graph_format, n):
+    artifacts, output = ingest_collect(tmp_path, text, graph_format)
+    expected = Graph(np.zeros((n, n), dtype=bool))
+    assert artifacts["ingested-graph.json"] == cli._dump(graph_json_dict(expected))
+    assert artifacts["ingested-graph.edges.txt"] == ""
+    assert output == f"ingested graph: n={n}, edges=0\n"
 
 
 def test_build_and_metric_and_dds_commands(tmp_path):
@@ -211,7 +311,7 @@ def test_ingest_round_trip(tmp_path):
     graph = ingest_graph(path, "edge-list")
     assert graph.n == 3 and graph.edge_count() == 3
     json_path = tmp_path / "triangle.json"
-    json_path.write_text(json.dumps(graph.to_json_dict()), encoding="utf-8")
+    json_path.write_text(json.dumps(graph_json_dict(graph)), encoding="utf-8")
     again = ingest_graph(json_path, "json")
     assert again.edges() == graph.edges()
 
@@ -237,6 +337,9 @@ def test_ingest_command_and_errors(tmp_path, capsys):
         '{"n": 3, "labels": ["a", "b"], "edges": [[0, 1]]}',
         "not json",
         '{"n": 100000, "edges": [[0, 1]]}',
+        '{"n": true, "edges": []}',
+        '{"n": 2, "edges": [[true, false]]}',
+        '{"n": 2, "labels": "ab", "edges": [[0, 1]]}',
     ],
     ids=[
         "self-loop",
@@ -246,6 +349,9 @@ def test_ingest_command_and_errors(tmp_path, capsys):
         "label-count",
         "not-json",
         "too-many-vertices",
+        "boolean-n",
+        "boolean-id",
+        "string-labels",
     ],
 )
 def test_malformed_json_graph_is_a_usage_error(tmp_path, capsys, text):
@@ -287,6 +393,16 @@ def test_metric_view_streams_its_edges_at_n1792(tmp_path):
     code, peak, err = _main_in_subprocess(argv)
     assert small_code == 0 and code == 0 and err == ""
     assert (tmp_path / "k7-p7-metric.json").stat().st_size > 50_000_000
+    assert peak - small_peak < 64 * 1024  # ru_maxrss is in KiB on Linux
+
+
+def test_build_view_streams_its_edges_at_n1792(tmp_path):
+    # (7, 7): 402 528 edges, a 13.7 MB graph.json
+    small_code, small_peak, _ = _main_in_subprocess(["build", "--k", "2", "--p", "3"])
+    argv = ["build", "--k", "7", "--p", "7", "--out", str(tmp_path)]
+    code, peak, err = _main_in_subprocess(argv)
+    assert small_code == 0 and code == 0 and err == ""
+    assert (tmp_path / "k7-p7-graph.json").stat().st_size > 13_000_000
     assert peak - small_peak < 64 * 1024  # ru_maxrss is in KiB on Linux
 
 

@@ -30,7 +30,7 @@ from oracles import (
     star_graph,
 )
 import powergraph
-from powergraph.graphs import Graph, TwinQuotient, build_power_graph, classify_partition, predicted_quotient
+from powergraph.graphs import Graph, TwinQuotient, build_power_graph, predicted_quotient
 from powergraph.detour import cotree_search, detour_matrix, orbit_search
 from powergraph.groups import GroupParams
 from powergraph.sequences import DegreeSequenceTable, family_detour_matrix
@@ -41,9 +41,9 @@ def lifted(graph: Graph) -> np.ndarray:
     return graph.quotient.lift(detour_matrix(graph))
 
 
-def predicted_detour(graph, classes, params) -> tuple[TwinQuotient, np.ndarray]:
+def predicted_detour(graph, params) -> tuple[TwinQuotient, np.ndarray]:
     """(predicted twin quotient, predicted class detour matrix over its classes)."""
-    predicted, types = predicted_quotient(graph.labels, classes)
+    predicted, types = predicted_quotient(graph.labels, params)
     return predicted, family_detour_matrix(types, params)
 
 
@@ -110,7 +110,7 @@ def test_detour_matches_naive_on_open_twin_graphs():
 
 def test_detour_matches_the_family_closed_form_at_n56(family):
     params, graph, classes = family(2, 7)
-    _, predicted = predicted_detour(graph, classes, params)
+    _, predicted = predicted_detour(graph, params)
     assert np.array_equal(detour_matrix(graph), predicted)
     assert np.array_equal(lifted(graph), family_detour_matrix_loop(graph, classes, params))
 
@@ -126,7 +126,7 @@ def test_detour_equals_the_unreduced_search_on_the_family(family, kp):
 @pytest.mark.parametrize("kp", [(3, 7), (4, 5), (5, 5), (6, 5), (7, 5), (7, 7)])
 def test_detour_equals_the_family_closed_form_past_the_unreduced_search(family, kp):
     params, graph, classes = family(*kp)
-    assert np.array_equal(detour_matrix(graph), predicted_detour(graph, classes, params)[1])
+    assert np.array_equal(detour_matrix(graph), predicted_detour(graph, params)[1])
     assert np.array_equal(lifted(graph), family_detour_matrix_loop(graph, classes, params))
 
 
@@ -182,7 +182,7 @@ def test_cotree_search_does_not_depend_on_the_recursion_limit():
 @pytest.mark.parametrize("kp", [(2, 3), (2, 5), (3, 3), (3, 5), (4, 5), (5, 5), (6, 5)])
 def test_family_detour_matrix_equals_the_pair_loop(family, kp):
     params, graph, classes = family(*kp)
-    predicted, matrix = predicted_detour(graph, classes, params)
+    predicted, matrix = predicted_detour(graph, params)
     assert np.array_equal(predicted.lift(matrix), family_detour_matrix_loop(graph, classes, params))
 
 
@@ -250,7 +250,7 @@ def test_cotree_search_matches_the_orbit_search_on_the_family(family, kp):
 def test_cotree_search_matches_the_family_closed_form_at_the_largest_orders(kp):
     params = GroupParams(*kp)
     graph = build_power_graph(params)
-    _, predicted = predicted_detour(graph, classify_partition(graph, params), params)
+    _, predicted = predicted_detour(graph, params)
     assert np.array_equal(cotree_search(graph.quotient, math.inf), predicted)
 
 

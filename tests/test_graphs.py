@@ -11,9 +11,12 @@ from oracles import (
     RewritingProducts,
     alternating_threshold_graph,
     build_power_graph_from_table,
+    classify_partition,
     complete_graph,
     cotree_adjacency,
     cycle_graph,
+    edge_list_text,
+    graph_json_dict,
     has_induced_p4,
     path_graph,
     random_cographs,
@@ -22,10 +25,12 @@ from oracles import (
     verify_decomposition,
 )
 from powergraph.graphs import (
+    CLASS_TYPES,
     Graph,
     GraphFormatError,
     build_power_graph,
     family_degree_multiset,
+    predicted_quotient,
     twin_classes,
 )
 from powergraph import graphs
@@ -69,6 +74,23 @@ def test_partition_sizes(family):
     params5, _, classes5 = family(2, 5)
     # |H2| = 2^(k-1) p
     assert len(classes5.h2) == 10
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_predicted_type_groups_are_the_label_classes(family, k, p):
+    # every family order up to (7, 7), n = 1792
+    params, graph, classes = family(k, p)
+    predicted, types = predicted_quotient(graph.labels, params)
+    named = classes.named()
+    for t, name in enumerate(CLASS_TYPES):
+        members = [v for a in np.flatnonzero(types == t) for v in predicted.members[a]]
+        assert sorted(members) == sorted(named[name]), name
+    # each h3 class is one blade {s r^i, s r^(i + N/2)}
+    half = params.rotation_order // 2
+    for a in np.flatnonzero(types == CLASS_TYPES.index("h3")):
+        v, w = predicted.members[a]
+        assert graph.labels[w].i - graph.labels[v].i == half
 
 
 def test_twin_classes_family(family):
@@ -189,7 +211,7 @@ def test_build_matches_the_word_rewriting_reference(family, k, p):
 
 def test_edge_list_round_trip():
     g = path_graph(3)
-    text = g.to_edge_list()
+    text = edge_list_text(g)
     assert text == "0 1\n1 2\n"
     again = Graph.from_edge_list(text)
     assert np.array_equal(again.adj, g.adj)
@@ -197,7 +219,7 @@ def test_edge_list_round_trip():
 
 def test_json_round_trip(family):
     _, graph, _ = family(2, 3)
-    payload = json.loads(json.dumps(graph.to_json_dict()))
+    payload = json.loads(json.dumps(graph_json_dict(graph)))
     again = Graph.from_json_dict(payload)
     assert np.array_equal(again.adj, graph.adj)
 
