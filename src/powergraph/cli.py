@@ -4,6 +4,9 @@ Settings resolve in precedence order: built-in defaults, then the --config
 key=value file, then POWERGRAPH_* environment variables, then flags.  All
 artifacts are JSON with sorted keys so identical config + seed reproduces
 byte-identical files; csv/text formats add renderings next to the JSON.
+The `build`, `metric`, `detour` and `dds` artifacts are class-level: the
+twin classes as `class_of` (n ints) and `closed` (k bools), and k x k class
+matrices or class rows, never a per-vertex lift; `ingest` writes nothing.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ import json
 import math
 import os
 import sys
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -102,6 +104,7 @@ def _read_config_file(path: Path) -> dict[str, str]:
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file: {exc}") from None
     values: dict[str, str] = {}
+    linenos: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -112,6 +115,9 @@ def _read_config_file(path: Path) -> dict[str, str]:
         key = key.strip()
         if key not in _KEYS:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+        first = linenos.setdefault(key, lineno)
+        if first != lineno:
+            raise UsageError(f"{path}: config key {key!r} is set on lines {first} and {lineno}")
         values[key] = value.strip()
     return values
 
@@ -197,20 +203,18 @@ def parse_args(argv: list[str]) -> RunConfig:
     return config
 
 
-def _emit(out_dir: Path | None, name: str, content: str | Iterable[str]) -> None:
-    """Stream an artifact, a string or an iterable of lines, to `out_dir / name`.
+def _emit(out_dir: Path | None, name: str, content: str | dict) -> None:
+    """Write an artifact, a string or a dict (as `_dump` renders it), to `out_dir / name`.
 
-    Without an output directory nothing is written and `content` is never
-    read, so a streamed artifact's lines are not even generated.
+    Without an output directory nothing is written and a dict is never rendered.
     """
     if out_dir is None:
         return
-    if isinstance(content, str):
-        content = (content,)  # one write, not one per character
+    if isinstance(content, dict):
+        content = _dump(content)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / name, "w", encoding="utf-8") as f:
-            f.writelines(content)
+        (out_dir / name).write_text(content, encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot write output: {exc}") from None
 
@@ -228,63 +232,9 @@ def _spectra_csv(payloads: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _lifted_csv(quotient: TwinQuotient, matrix: np.ndarray) -> Iterator[str]:
-    """`quotient.lift(matrix)` as CSV lines, one per vertex, without forming the n x n lift.
-
-    Each class row's entries are formatted once; a vertex's line gathers its
-    class row through `class_of` (kept while the next vertex is in the same
-    class) and clears its own entry.
-    """
-    cells = np.array([[repr(float(x)) for x in row] for row in matrix], dtype=object)
-    last = -1
-    for v, a in enumerate(quotient.class_of.tolist()):
-        if a != last:
-            row, last = cells[a, quotient.class_of].tolist(), a
-        row[v] = "0.0"
-        yield ",".join(row) + "\n"
-        row[v] = cells[a, a]
-
-
-def _partners(class_of: np.ndarray, matrix: np.ndarray) -> Iterator[tuple[int, list[int]]]:
-    """(i, its partners j > i) for each vertex i that has one, in the graph of a class matrix.
-
-    Vertex i's partners are the later vertices whose class `matrix` joins to
-    i's (`class_of` and `matrix` may be `arange(n)` and an n x n adjacency),
-    so no n x n lift or edge list is formed.
-    """
-    for i, a in enumerate(class_of.tolist()):
-        partners = (np.flatnonzero(matrix[a, class_of[i + 1 :]]) + i + 1).tolist()
-        if partners:
-            yield i, partners
-
-
-def _edges_json(payload: dict, key: str, class_of: np.ndarray, matrix: np.ndarray) -> Iterator[str]:
-    """`_dump` of `payload` plus the graph's edges under `key`, as lines.
-
-    The edge list is written first, in `_dump`'s layout, vertex by vertex
-    from `_partners`, so `key` must sort before every other payload key.
-    """
-    if not payload or key >= min(payload):
-        raise ValueError(f"{key!r} must sort before every key of a non-empty payload")
-    yield "{\n  " + json.dumps(key) + ": ["
-    sep = "\n"
-    for i, partners in _partners(class_of, matrix):
-        yield sep + ",\n".join(f"    [\n      {i},\n      {j}\n    ]" for j in partners)
-        sep = ",\n"
-    yield ("\n  ]," if sep == ",\n" else "],") + _dump(payload)[1:]
-
-
-def _edge_list(class_of: np.ndarray, matrix: np.ndarray) -> Iterator[str]:
-    """The same edges as text: one "i j" line per edge, 0-based, i < j, sorted."""
-    for i, partners in _partners(class_of, matrix):
-        yield "".join(f"{i} {j}\n" for j in partners)
-
-
-def _emit_graph(config: RunConfig, name: str, payload: dict, class_of, matrix) -> None:
-    """`name`.json, and with --format text `name`.edges.txt, of a graph's edges and payload."""
-    _emit(config.out_dir, f"{name}.json", _edges_json(payload, "edges", class_of, matrix))
-    if config.fmt == "text":
-        _emit(config.out_dir, f"{name}.edges.txt", _edge_list(class_of, matrix))
+def _classes(quotient: TwinQuotient) -> dict:
+    """The twin classes every class-level artifact carries: `class_of` and `closed`."""
+    return {"class_of": quotient.class_of.tolist(), "closed": quotient.closed}
 
 
 def run(config: RunConfig, out=None) -> int:
@@ -295,8 +245,6 @@ def run(config: RunConfig, out=None) -> int:
 
     if "ingest" in config.commands:
         graph = ingest_graph(config.graph_path, config.graph_format)
-        payload = {"n": graph.n, "labels": [str(label) for label in graph.labels]}
-        _emit_graph(config, "ingested-graph", payload, np.arange(graph.n), graph.adj)
         print(f"ingested graph: n={graph.n}, edges={graph.edge_count()}", file=out)
 
     if not set(config.commands) - {"ingest"}:
@@ -316,10 +264,11 @@ def run(config: RunConfig, out=None) -> int:
             "labels": [str(label) for label in graph.labels],
             "elements": [[label.eps, label.i] for label in graph.labels],
             "partition": partition,
+            "adjacency": quotient.adj.astype(int).tolist(),
+            **_classes(quotient),
         }
-        _emit_graph(config, f"{stem}-graph", payload, quotient.class_of, quotient.adj)
-        edge_count = quotient.edge_count(quotient.adj)
-        print(f"built power graph: n={graph.n}, edges={edge_count}", file=out)
+        _emit(config.out_dir, f"{stem}-graph.json", payload)
+        print(f"built power graph: n={graph.n}, edges={quotient.edge_count(quotient.adj)}", file=out)
 
     if "spectra" in config.commands:
         adjacency = []
@@ -327,7 +276,7 @@ def run(config: RunConfig, out=None) -> int:
             for kind in report.SPECTRUM_KINDS:
                 closed, numeric = inst.spectrum(kind, alpha)
                 payload = report.spectrum_payload(inst.params, alpha, closed, numeric.values())
-                _emit(config.out_dir, f"{stem}-alpha{alpha!r}-{kind}-spectrum.json", _dump(payload))
+                _emit(config.out_dir, f"{stem}-alpha{alpha!r}-{kind}-spectrum.json", payload)
                 if kind == "adjacency":
                     adjacency.append(payload)
         if config.fmt == "csv":
@@ -345,31 +294,28 @@ def run(config: RunConfig, out=None) -> int:
                 "value": psi_report.psi,
             },
             "sdim": {"value": cover_size, "cover_witness": list(cover)},
+            "gsr": inst.gsr.astype(int).tolist(),
+            **_classes(graph.quotient),
         }
-        metric_json = _edges_json(payload, "gsr_edges", graph.quotient.class_of, inst.gsr)
-        _emit(config.out_dir, f"{stem}-metric.json", metric_json)
+        _emit(config.out_dir, f"{stem}-metric.json", payload)
         print(f"metric dimension {psi_report.psi}, strong metric dimension {cover_size}", file=out)
 
     if "detour" in config.commands:
         mat = inst.detour
         if mat is not None:
             ecc, radius, diameter = inst.detour_profile
-            payload = {
-                "oracle_verified": True,
-                "radius": radius,
-                "diameter": diameter,
-                "eccentricities": ecc[graph.quotient.class_of].tolist(),
-            }
+            summary = {"oracle_verified": True, "radius": radius, "diameter": diameter}
+            payload = {**summary, "eccentricities": ecc.tolist(), **_classes(graph.quotient)}
             if config.fmt == "csv":
-                _emit(config.out_dir, f"{stem}-detour-matrix.csv", _lifted_csv(graph.quotient, mat))
+                csv = "".join(",".join(map(str, row)) + "\n" for row in mat.tolist())
+                _emit(config.out_dir, f"{stem}-detour-matrix.csv", csv)
         else:
-            payload = {
-                "oracle_verified": False,
-                "note": "closed-form prediction only; instance above the oracle size cap",
-                "predicted": sequences.family_detour_eccentricities(inst.params),
-            }
-        _emit(config.out_dir, f"{stem}-detour.json", _dump(payload))
-        print(f"detour profile: {payload}", file=out)
+            predicted = sequences.family_detour_eccentricities(inst.params)
+            summary = {"oracle_verified": False, "predicted": predicted}
+            note = "closed-form prediction only; instance above the oracle size cap"
+            payload = {**summary, "note": note}
+        _emit(config.out_dir, f"{stem}-detour.json", payload)
+        print(f"detour profile: {summary}", file=out)
 
     if "dds" in config.commands:
         table = inst.dds
@@ -378,6 +324,7 @@ def run(config: RunConfig, out=None) -> int:
             "printed_comparison": sequences.compare_groupings(
                 table.groups, sequences.family_dds_groups(inst.params)
             ),
+            **_classes(graph.quotient),
         }
         if inst.detour is not None:
             dtable = inst.detour_dds
@@ -385,7 +332,7 @@ def run(config: RunConfig, out=None) -> int:
             payload["printed_detour_comparison"] = sequences.compare_groupings(
                 dtable.groups, sequences.family_dds_detour_groups(inst.params)
             )
-        _emit(config.out_dir, f"{stem}-dds.json", _dump(payload))
+        _emit(config.out_dir, f"{stem}-dds.json", payload)
         if config.fmt == "text":
             _emit(config.out_dir, f"{stem}-dds.txt", table.to_text())
         if config.fmt == "csv":
@@ -397,7 +344,7 @@ def run(config: RunConfig, out=None) -> int:
             inst, config.alphas, tol=config.tol, seed=config.seed, version=__version__
         )
         payload["config"].update({"format": config.fmt})
-        _emit(config.out_dir, f"{stem}-report.json", _dump(payload))
+        _emit(config.out_dir, f"{stem}-report.json", payload)
         for check in payload["checks"]:
             print(f"{'PASS' if check['passed'] else 'FAIL'} {check['name']}", file=out)
         if not payload["passed"]:

@@ -5,10 +5,12 @@ bit-for-bit reproducible: the identity first, then r^1 .. r^(2^k p - 1) by
 exponent, then the involutions s r^(even) by exponent, then the order-4
 elements s r^(odd) by exponent.
 
-A `Graph` reads an edge list or JSON but writes neither: the CLI streams
-every edge list from a class matrix.  `predicted_quotient` types each vertex
-by its group-element label alone, so it is the one encoding of the family's
-classes (e, u, h1, h2 and the h3 blades) that the closed forms rest on.
+A `Graph` reads an edge list or JSON but writes neither: the CLI writes
+class-level data only (`class_of`, `closed` and k x k class matrices), and
+`TwinQuotient.lift` turns a class matrix into its vertex matrix.
+`predicted_quotient` types each vertex by its group-element label alone, so
+it is the one encoding of the family's classes (e, u, h1, h2 and the h3
+blades) that the closed forms rest on.
 """
 
 from __future__ import annotations

@@ -1,12 +1,13 @@
 """Eccentricities, radius/diameter, and (detour) distance degree sequences.
 
 Distances and detour distances are k x k matrices over the twin classes, with
-the within-class value on the diagonal (0 for a singleton), and every table
-keeps its k class rows; its per-vertex rows are a view of them.  A row stores
-the count of vertices at every distance 0 .. ec(v), interior zeros included,
-because the detour sequences of these graphs are identified by their
-positional zero runs.  The family's predicted detour matrix is a table over
-the class types of the predicted twin quotient (`graphs.predicted_quotient`).
+the within-class value on the diagonal (0 for a singleton).  Every table keeps
+its k class rows and `class_of`, and its renderings are per class, never per
+vertex.  A row stores the count of vertices at every distance 0 .. ec(v),
+interior zeros included, because the detour sequences of these graphs are
+identified by their positional zero runs.  The family's predicted detour
+matrix is a table over the class types of the predicted twin quotient
+(`graphs.predicted_quotient`).
 """
 
 from __future__ import annotations
@@ -30,22 +31,19 @@ class DegreeSequenceTable:
     """Distance count rows of the twin classes plus the grouped multiset of identical rows.
 
     `class_rows[a]` is the row of every vertex of class a and `class_of[v]`
-    the class of vertex v; `rows` is the per-vertex view.
+    the class of vertex v, so vertex v's row is `class_rows[class_of[v]]`.
     """
 
     class_rows: tuple[tuple[int, ...], ...]
     class_of: tuple[int, ...]
     groups: tuple[tuple[tuple[int, ...], int], ...]
 
-    @property
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        """The row of each vertex, in vertex order."""
-        return tuple(self.class_rows[a] for a in self.class_of)
-
     def to_json_dict(self) -> dict:
+        """The groups, and `group_of[a]`, the index in `groups` of class a's row."""
+        index = {seq: idx for idx, (seq, _) in enumerate(self.groups)}
         return {
-            "rows": [list(row) for row in self.rows],
             "groups": [{"sequence": list(seq), "count": count} for seq, count in self.groups],
+            "group_of": [index[row] for row in self.class_rows],
         }
 
     def to_text(self) -> str:
@@ -53,7 +51,8 @@ class DegreeSequenceTable:
         return "\n".join(lines) + "\n"
 
     def to_csv(self) -> str:
-        return "".join(",".join(str(x) for x in row) + "\n" for row in self.rows)
+        """One line per class row."""
+        return "".join(",".join(map(str, row)) + "\n" for row in self.class_rows)
 
     @classmethod
     def from_classes(cls, quotient: TwinQuotient, matrix: np.ndarray) -> "DegreeSequenceTable":

@@ -307,6 +307,11 @@ def dds_rows_bincount(graph: Graph) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(np.bincount(row).tolist()) for row in bfs_distance_matrix(graph))
 
 
+def vertex_rows(table) -> tuple[tuple[int, ...], ...]:
+    """A degree-sequence table's row of each vertex, `class_rows[class_of[v]]`."""
+    return tuple(table.class_rows[a] for a in table.class_of)
+
+
 class RewritingProducts:
     """The products of `CayleyTable`'s word rewriting, each computed on demand.
 

@@ -10,7 +10,14 @@ import numpy as np
 import pytest
 
 import powergraph
-from oracles import build_payload, edge_list_text, graph_json_dict, matrix_to_csv, metric_payload
+from oracles import (
+    build_payload,
+    dds_rows_bincount,
+    edge_list_text,
+    graph_json_dict,
+    matrix_to_csv,
+    metric_payload,
+)
 from powergraph import cli
 from powergraph.cli import RunConfig, UsageError, ingest_graph, main, parse_args, run
 from powergraph.graphs import Graph
@@ -26,6 +33,14 @@ def run_collect(config):
         code = run(dataclasses.replace(config, out_dir=Path(tmp)), out=out)
         artifacts = {path.name: path.read_text(encoding="utf-8") for path in Path(tmp).iterdir()}
     return code, artifacts, out.getvalue()
+
+
+def lift(artifact: dict, matrix) -> np.ndarray:
+    """The n x n vertex matrix of a k x k class matrix, `m[class_of][:, class_of]`, diagonal cleared."""
+    class_of = np.array(artifact["class_of"])
+    out = np.array(matrix)[np.ix_(class_of, class_of)]
+    np.fill_diagonal(out, 0)
+    return out
 
 
 def test_parse_minimal():
@@ -180,16 +195,46 @@ def test_detour_csv_rendering():
     config = RunConfig(k=2, p=3, alphas=(0.5,), commands=("detour",), fmt="csv")
     _, artifacts, _ = run_collect(config)
     matrix = artifacts["k2-p3-detour-matrix.csv"]
-    assert len(matrix.splitlines()) == 24
+    # one row per twin class: e, h1, u, h2 and three blades
+    assert matrix.splitlines()[:4] == ["0,13,11,1,13,13,13", "13,13,13,14,15,15,15",
+                                       "11,13,0,12,13,13,13", "1,14,12,2,14,14,14"]
+    assert len(matrix.splitlines()) == 7
 
 
 @pytest.mark.parametrize("k,p", [(2, 3), (3, 5), (5, 5)])
 def test_detour_csv_equals_the_formatted_lift(k, p):
+    # the class rows, lifted through detour.json's class_of, are the n x n matrix's bytes
     config = RunConfig(k=k, p=p, alphas=(0.5,), commands=("detour",), fmt="csv")
     _, artifacts, _ = run_collect(config)
     inst = Instance(GroupParams(k, p))
-    expected = matrix_to_csv(inst.graph.quotient.lift(inst.detour))
-    assert artifacts[f"k{k}-p{p}-detour-matrix.csv"] == expected
+    detour = json.loads(artifacts[f"k{k}-p{p}-detour.json"])
+    rows = [line.split(",") for line in artifacts[f"k{k}-p{p}-detour-matrix.csv"].splitlines()]
+    lifted = lift(detour, np.array(rows, dtype=np.int64))
+    assert matrix_to_csv(lifted) == matrix_to_csv(inst.graph.quotient.lift(inst.detour))
+    assert detour["closed"] == inst.graph.quotient.closed
+    ecc = np.array(detour["eccentricities"])[detour["class_of"]]
+    assert ecc.tolist() == lifted.max(axis=1).tolist()
+
+
+@pytest.mark.parametrize("k,p", [(2, 3), (3, 5), (5, 5)])
+def test_dds_artifacts_lift_to_the_vertex_rows(k, p):
+    # dds.json's groups through group_of and class_of, and dds.csv's class rows through
+    # class_of, are each vertex's distance and detour count rows
+    config = RunConfig(k=k, p=p, alphas=(0.5,), commands=("dds", "detour"), fmt="csv")
+    _, artifacts, _ = run_collect(config)
+    inst = Instance(GroupParams(k, p))
+    payload = json.loads(artifacts[f"k{k}-p{p}-dds.json"])
+
+    def vertex_rows(table):
+        return [tuple(table["groups"][table["group_of"][a]]["sequence"]) for a in payload["class_of"]]
+
+    expected = dds_rows_bincount(inst.graph)
+    assert vertex_rows(payload["dds"]) == list(expected)
+    detour = inst.graph.quotient.lift(inst.detour)
+    assert vertex_rows(payload["dds_detour"]) == [tuple(np.bincount(row).tolist()) for row in detour]
+    class_rows = artifacts[f"k{k}-p{p}-dds.csv"].splitlines()
+    lifted_csv = "".join(class_rows[a] + "\n" for a in payload["class_of"])
+    assert lifted_csv == "".join(",".join(map(str, row)) + "\n" for row in expected)
 
 
 def test_streamed_detour_csv_equals_the_collected_one(tmp_path):
@@ -203,51 +248,53 @@ def test_streamed_detour_csv_equals_the_collected_one(tmp_path):
 
 
 def test_run_without_out_writes_nothing_and_reads_no_streamed_artifact(tmp_path, monkeypatch):
-    def unread(quotient, matrix):
-        raise AssertionError("a streamed artifact was read without --out")
-        yield  # a generator: the error is raised only when it is read
+    def unread(payload):
+        raise AssertionError("an artifact was serialised without --out")
 
-    monkeypatch.setattr(cli, "_lifted_csv", unread)
-    monkeypatch.chdir(tmp_path)
-    config = RunConfig(k=2, p=3, alphas=(0.5,), commands=("detour", "metric"), fmt="csv")
-    assert run(config, out=io.StringIO()) == 0
-    assert list(tmp_path.iterdir()) == []
+    graph_path = tmp_path / "graph.txt"
+    graph_path.write_text("0 1\n", encoding="utf-8")
+    (tmp_path / "cwd").mkdir()
+    monkeypatch.setattr(cli, "_dump", unread)
+    monkeypatch.chdir(tmp_path / "cwd")
+    for fmt in ("json", "csv", "text"):  # every view, in every format
+        config = RunConfig(commands=cli.COMMANDS, fmt=fmt, graph_path=graph_path)
+        assert run(config, out=io.StringIO()) == 0
+    assert list((tmp_path / "cwd").iterdir()) == []
 
 
 @pytest.mark.parametrize("k,p", [(2, 3), (3, 5), (5, 5)])
 def test_streamed_metric_json_equals_the_dump_of_the_lifted_payload(k, p):
+    # metric.json's class MMD graph, lifted through class_of, is the vertex-level file's edge list
     config = RunConfig(k=k, p=p, alphas=(0.5,), commands=("metric",))
     _, artifacts, _ = run_collect(config)
-    expected = metric_payload(Instance(GroupParams(k, p)))
-    assert artifacts[f"k{k}-p{p}-metric.json"] == cli._dump(expected)
-
-
-def test_streamed_metric_json_without_gsr_edges():
-    quotient = Instance(GroupParams(2, 3)).graph.quotient
-    empty = np.zeros((len(quotient.sizes),) * 2, dtype=bool)
-    text = "".join(cli._edges_json({"psi": 1}, "gsr_edges", quotient.class_of, empty))
-    assert text == cli._dump({"psi": 1, "gsr_edges": []})
-
-
-def test_streamed_edges_json_needs_a_key_that_sorts_first():
-    class_of, matrix = np.arange(2), np.ones((2, 2), dtype=bool)
-    for payload in ({"dges": 1}, {"edges": 1}, {}):
-        with pytest.raises(ValueError, match="sort before"):
-            "".join(cli._edges_json(payload, "edges", class_of, matrix))
+    inst = Instance(GroupParams(k, p))
+    payload = json.loads(artifacts[f"k{k}-p{p}-metric.json"])
+    gsr = Graph(lift(payload, payload["gsr"]).astype(bool))
+    lifted = {"psi": payload["psi"], "sdim": payload["sdim"], "gsr_edges": graph_json_dict(gsr)["edges"]}
+    assert cli._dump(lifted) == cli._dump(metric_payload(inst))
+    assert payload["closed"] == inst.graph.quotient.closed
 
 
 @pytest.mark.parametrize("k,p", [(2, 3), (3, 5), (5, 5)])
 def test_build_writes_the_eager_renderings(family, k, p):
+    # graph.json's class adjacency, lifted through class_of, renders the vertex-level files
     params, graph, _ = family(k, p)
     config = RunConfig(k=k, p=p, alphas=(0.5,), commands=("build",), fmt="text")
     _, artifacts, output = run_collect(config)
-    assert artifacts[f"k{k}-p{p}-graph.json"] == cli._dump(build_payload(graph, params))
-    assert artifacts[f"k{k}-p{p}-graph.edges.txt"] == edge_list_text(graph)
+    assert sorted(artifacts) == [f"k{k}-p{p}-graph.json"]
+    payload = json.loads(artifacts[f"k{k}-p{p}-graph.json"])
+    lifted = Graph(lift(payload, payload["adjacency"]).astype(bool), labels=graph.labels)
+    vertex_level = {key: payload[key] for key in ("n", "labels", "elements", "partition")}
+    vertex_level["edges"] = graph_json_dict(lifted)["edges"]
+    assert cli._dump(vertex_level) == cli._dump(build_payload(graph, params))
+    assert cli._dump(build_payload(lifted, params)) == cli._dump(build_payload(graph, params))
+    assert edge_list_text(lifted) == edge_list_text(graph)
+    assert payload["closed"] == graph.quotient.closed
     assert f"n={graph.n}, edges={graph.edge_count()}\n" in output
 
 
 def ingest_collect(tmp_path, text, graph_format):
-    """(artifacts, stdout) of a text-format `ingest` of `text`."""
+    """(artifacts, stdout) of a text-format `ingest` of `text` with --out."""
     path = tmp_path / "graph.in"
     path.write_text(text, encoding="utf-8")
     config = RunConfig(commands=("ingest",), graph_path=path, graph_format=graph_format, fmt="text")
@@ -257,15 +304,15 @@ def ingest_collect(tmp_path, text, graph_format):
 
 
 @pytest.mark.parametrize("k,p", [(2, 3), (3, 5), (5, 5)])
-def test_ingest_writes_the_eager_renderings(tmp_path, family, k, p):
+def test_ingest_reads_the_eager_renderings_and_writes_no_file(tmp_path, family, k, p):
     _, graph, _ = family(k, p)
-    for text, graph_format, expected in (
-        (json.dumps(graph_json_dict(graph)), "json", graph),
-        (edge_list_text(graph), "edge-list", Graph(graph.adj)),  # labels 0 .. n-1
+    for text, graph_format in (
+        (json.dumps(graph_json_dict(graph)), "json"),
+        (edge_list_text(graph), "edge-list"),
     ):
-        artifacts, _ = ingest_collect(tmp_path, text, graph_format)
-        assert artifacts["ingested-graph.json"] == cli._dump(graph_json_dict(expected))
-        assert artifacts["ingested-graph.edges.txt"] == edge_list_text(expected)
+        artifacts, output = ingest_collect(tmp_path, text, graph_format)
+        assert artifacts == {}
+        assert output == f"ingested graph: n={graph.n}, edges={graph.edge_count()}\n"
 
 
 @pytest.mark.parametrize(
@@ -273,11 +320,9 @@ def test_ingest_writes_the_eager_renderings(tmp_path, family, k, p):
     [("", "edge-list", 0), ('{"n": 3, "edges": []}', "json", 3)],
     ids=["empty", "edgeless"],
 )
-def test_ingest_writes_the_eager_renderings_without_edges(tmp_path, text, graph_format, n):
+def test_ingest_without_edges_writes_no_file(tmp_path, text, graph_format, n):
     artifacts, output = ingest_collect(tmp_path, text, graph_format)
-    expected = Graph(np.zeros((n, n), dtype=bool))
-    assert artifacts["ingested-graph.json"] == cli._dump(graph_json_dict(expected))
-    assert artifacts["ingested-graph.edges.txt"] == ""
+    assert artifacts == {}
     assert output == f"ingested graph: n={n}, edges=0\n"
 
 
@@ -288,7 +333,7 @@ def test_build_and_metric_and_dds_commands(tmp_path):
     code, artifacts, _ = run_collect(config)
     assert code == 0
     graph = json.loads(artifacts["k2-p3-graph.json"])
-    assert graph["n"] == 24 and len(graph["edges"]) == 87
+    assert graph["n"] == 24 and lift(graph, graph["adjacency"]).sum() == 2 * 87
     metric = json.loads(artifacts["k2-p3-metric.json"])
     assert metric["psi"]["value"] == 17 and metric["psi"]["certified"]
     assert metric["sdim"]["value"] == 21
@@ -387,22 +432,23 @@ _MAIN_PEAK_RSS = (
 
 
 def test_metric_view_streams_its_edges_at_n1792(tmp_path):
-    # (7, 7): the MMD graph joins almost every vertex pair, a 56 MB edge list
+    # (7, 7): the MMD graph joins almost every vertex pair (56 MB as a vertex edge list),
+    # but metric.json holds its 228 x 228 class matrix
     small_code, small_peak, _ = _main_in_subprocess(["build", "--k", "2", "--p", "3"])
     argv = ["metric", "--k", "7", "--p", "7", "--out", str(tmp_path)]
     code, peak, err = _main_in_subprocess(argv)
     assert small_code == 0 and code == 0 and err == ""
-    assert (tmp_path / "k7-p7-metric.json").stat().st_size > 50_000_000
+    assert (tmp_path / "k7-p7-metric.json").stat().st_size < 1_000_000
     assert peak - small_peak < 64 * 1024  # ru_maxrss is in KiB on Linux
 
 
 def test_build_view_streams_its_edges_at_n1792(tmp_path):
-    # (7, 7): 402 528 edges, a 13.7 MB graph.json
+    # (7, 7): 402 528 edges (13.7 MB as a vertex edge list), a 228 x 228 class adjacency
     small_code, small_peak, _ = _main_in_subprocess(["build", "--k", "2", "--p", "3"])
     argv = ["build", "--k", "7", "--p", "7", "--out", str(tmp_path)]
     code, peak, err = _main_in_subprocess(argv)
     assert small_code == 0 and code == 0 and err == ""
-    assert (tmp_path / "k7-p7-graph.json").stat().st_size > 13_000_000
+    assert (tmp_path / "k7-p7-graph.json").stat().st_size < 1_000_000
     assert peak - small_peak < 64 * 1024  # ru_maxrss is in KiB on Linux
 
 
@@ -464,7 +510,8 @@ def test_default_detour_is_oracle_verified_past_n1000(tmp_path):
     payload = json.loads((tmp_path / "k7-p5-detour.json").read_text(encoding="utf-8"))
     assert payload["oracle_verified"] is True
     assert (payload["radius"], payload["diameter"]) == (641, 643)
-    assert len(payload["eccentricities"]) == 1280
+    assert len(payload["class_of"]) == 1280
+    assert len(payload["eccentricities"]) == len(payload["closed"]) == 164
 
 
 def test_config_file_and_env_precedence(tmp_path, monkeypatch):
@@ -509,6 +556,17 @@ def test_report_failure_exits_one():
     assert not payload["passed"]
 
 
+def test_detour_view_prints_a_summary_line():
+    config = RunConfig(k=2, p=3, alphas=(0.5,), commands=("detour",))
+    _, _, output = run_collect(config)
+    assert output == "detour profile: {'oracle_verified': True, 'radius': 13, 'diameter': 15}\n"
+    _, _, output = run_collect(dataclasses.replace(config, detour_oracle_max_n=0))
+    assert output == (
+        "detour profile: {'oracle_verified': False, 'predicted': {'e': 13, 'u': 13, "
+        "'h1': 15, 'h2': 14, 'h3': 15, 'radius': 13, 'diameter': 15}}\n"
+    )
+
+
 def test_detour_budget_config_key(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("detour_time_budget_s=12.5\n", encoding="utf-8")
@@ -531,6 +589,15 @@ def test_config_file_errors(tmp_path):
         parse_args(["report", "--config", str(cfg)])
     with pytest.raises(UsageError, match="not found"):
         parse_args(["report", "--config", str(tmp_path / "missing.cfg")])
+
+
+def test_a_repeated_config_key_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("k=3\np=5\n# k=4\nk=2\n", encoding="utf-8")
+    assert main(["report", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: {cfg}: config key 'k' is set on lines 1 and 4\n"
 
 
 @pytest.mark.parametrize("line", ["alpah=0.3", "graph=g.txt", "graph_format=json"])
