@@ -220,7 +220,22 @@ def _emit(out_dir: Path | None, name: str, content: str | dict) -> None:
 
 
 def _dump(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """A payload as JSON: sorted keys, one top-level key per line at a 2-space indent.
+
+    Each value is `json.dumps(value, sort_keys=True)` on one line, and a list
+    of lists one row per line.  Without `indent`, `json.dumps` runs its C
+    encoder, and a k x k class matrix takes k lines, not k^2.
+    """
+    lines = []
+    for key in sorted(payload):
+        value = payload[key]
+        if isinstance(value, list) and value and all(isinstance(row, list) for row in value):
+            rows = ",\n".join("    " + json.dumps(row, sort_keys=True) for row in value)
+            text = f"[\n{rows}\n  ]"
+        else:
+            text = json.dumps(value, sort_keys=True)
+        lines.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
 def _spectra_csv(payloads: list[dict]) -> str:
@@ -272,9 +287,8 @@ def run(config: RunConfig, out=None) -> int:
 
     if "spectra" in config.commands:
         adjacency = []
-        for alpha in config.alphas:
-            for kind in report.SPECTRUM_KINDS:
-                closed, numeric = inst.spectrum(kind, alpha)
+        for kind in report.SPECTRUM_KINDS:
+            for alpha, (closed, numeric) in zip(config.alphas, inst.spectra(kind, config.alphas)):
                 payload = report.spectrum_payload(inst.params, alpha, closed, numeric.values())
                 _emit(config.out_dir, f"{stem}-alpha{alpha!r}-{kind}-spectrum.json", payload)
                 if kind == "adjacency":

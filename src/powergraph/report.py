@@ -3,9 +3,11 @@
 An `Instance` holds one (k, p) instance and every object derived from it;
 each check reads what it needs from there, so one report builds the graph,
 twin quotient, class distances, quotient orbits and class detour matrix
-once; the spectra (one m x m solve each, m = 5 orbits on the family), the
-detour search and the blade-reduction check read the same orbits.  Each
-check returns a name, a pass flag and enough detail to diagnose a failure.
+once.  The spectra are one alpha sweep per kind: one stacked solve of the
+graph's m x m orbit quotients (m = 5 orbits on the family) and one of the
+closed form's 5 x 5 quotients, so a report makes 4 eigensolve calls.  The
+spectra, the detour search and the blade-reduction check read the same
+orbits.  Each check returns a name, a pass flag and enough detail to diagnose a failure.
 Transcription checks (published polynomial / published quotient matrix) never
 fail the run: a mismatch emits a diagnostic and the numeric spectrum stays the arbiter.
 """
@@ -57,16 +59,25 @@ class Instance:
         self.predicted, self.predicted_types = predicted_quotient(self.graph.labels, params)
         self._spectra: dict[tuple[str, float], tuple[spectra.Spectrum, spectra.Spectrum]] = {}
 
-    def spectrum(self, kind: str, alpha: float) -> tuple[spectra.Spectrum, spectra.Spectrum]:
-        """(closed form, the graph's own spectrum) of A_alpha or RD_alpha."""
-        key = (kind, alpha)
-        if key not in self._spectra:
+    def spectra(self, kind: str, alphas) -> list[tuple[spectra.Spectrum, spectra.Spectrum]]:
+        """(closed form, the graph's own spectrum) of A_alpha or RD_alpha at each alpha.
+
+        The alphas not held yet are solved as one sweep: one stacked
+        eigensolve of the graph's orbit quotients and one of the closed form's
+        5 x 5 quotients.  An RD_alpha sweep also holds alpha = 1, which the
+        transmission check reads.
+        """
+        new = [alpha for alpha in dict.fromkeys(alphas) if (kind, alpha) not in self._spectra]
+        if new:
             if kind == "adjacency":
-                closed = spectra.a_alpha_closed_form(self.params, alpha)
+                closed_form = spectra.a_alpha_closed_form
             else:
-                closed = spectra.rd_alpha_closed_form(self.params, alpha)
-            self._spectra[key] = closed, spectra.solve_quotient(self.graph, kind, alpha)
-        return self._spectra[key]
+                closed_form = spectra.rd_alpha_closed_form
+                new = list(dict.fromkeys([*new, 1.0]))
+            graph_spectra = spectra.solve_quotient(self.graph, kind, new)
+            pairs = zip(closed_form(self.params, new), graph_spectra)
+            self._spectra.update(zip([(kind, alpha) for alpha in new], pairs))
+        return [self._spectra[kind, alpha] for alpha in alphas]
 
     @cached_property
     def resolving(self) -> metric.ResolvingReport:
@@ -184,7 +195,7 @@ def spectrum_payload(
             {"value": ln.value, "mult": ln.multiplicity, "source": ln.source}
             for ln in closed.lines
         ],
-        "numeric": [float(v) for v in numeric],
+        "numeric": numeric.tolist(),
         "max_deviation": _max_deviation(closed.values(), numeric),
     }
 
@@ -218,14 +229,11 @@ def check_twin_eigenvalues(inst: Instance, alphas, tol: float) -> dict:
     """The graph's twin lines of A_alpha are contained in the closed-form spectrum."""
     per_alpha = {}
     ok = True
-    for alpha in alphas:
-        closed, numeric = inst.spectrum("adjacency", alpha)
-        predicted = closed.values()
-        present = all(
-            np.sum(np.abs(predicted - line.value) <= max(tol, 1e-9)) >= line.multiplicity
-            for line in numeric.lines
-            if line.source.startswith("twin")
-        )
+    for alpha, (closed, numeric) in zip(alphas, inst.spectra("adjacency", alphas)):
+        twins = [line for line in numeric.lines if line.source.startswith("twin")]
+        gaps = np.abs(closed.values() - np.array([line.value for line in twins])[:, None])
+        hits = np.count_nonzero(gaps <= max(tol, 1e-9), axis=1)
+        present = bool(np.all(hits >= [line.multiplicity for line in twins]))
         per_alpha[repr(alpha)] = present
         ok = ok and present
     return _check("twin_eigenvalues_in_spectrum", ok, per_alpha=per_alpha)
@@ -239,8 +247,7 @@ def check_spectrum_family(
     payloads = []
     per_alpha = {}
     ok = True
-    for alpha in alphas:
-        closed, spectrum = inst.spectrum(kind, alpha)
+    for alpha, (closed, spectrum) in zip(alphas, inst.spectra(kind, alphas)):
         numeric = spectrum.values()
         deviation = _max_deviation(closed.values(), numeric)
         ctol = _cluster_tol(numeric)
@@ -260,21 +267,27 @@ def check_spectrum_family(
     if kind == "reciprocal":
         _, _, transmissions = spectra.class_reciprocals(inst.graph)
         rt = np.sort(transmissions[inst.graph.quotient.class_of])[::-1]
-        at_one = spectra.rd_alpha_closed_form(inst.params, 1.0).values()
-        rt_deviation = _max_deviation(at_one, rt)
+        [(at_one, _)] = inst.spectra(kind, (1.0,))
+        rt_deviation = _max_deviation(at_one.values(), rt)
         details["alpha_one_equals_transmissions"] = rt_deviation == 0.0
         ok = ok and rt_deviation == 0.0
     name = f"{kind}_alpha_spectrum"
     return _check(name, ok, **details), payloads
 
 
-def check_transcriptions(params: GroupParams, alphas) -> list[dict]:
+def check_transcriptions(inst: Instance, alphas) -> list[dict]:
+    """The printed quintic at the closed form's quotient roots, and the printed RD quotient."""
+    params = inst.params
+    quintic = {
+        repr(alpha): spectra.quintic_transcription_check(params, alpha, closed)
+        for alpha, (closed, _) in zip(alphas, inst.spectra("adjacency", alphas))
+    }
+    printed = {repr(a): spectra.rd_quotient_transcription_check(params, a) for a in alphas}
     checks = []
-    for name, transcription_check in (
-        ("quintic_transcription", spectra.quintic_transcription_check),
-        ("reciprocal_quotient_transcription", spectra.rd_quotient_transcription_check),
+    for name, per_alpha in (
+        ("quintic_transcription", quintic),
+        ("reciprocal_quotient_transcription", printed),
     ):
-        per_alpha = {repr(a): transcription_check(params, a) for a in alphas}
         # a mismatch is reported, never fatal: the diagnostic must be present
         ok = all(v["matches"] or v["diagnostic"] for v in per_alpha.values())
         checks.append(_check(name, ok, per_alpha=per_alpha))
@@ -434,7 +447,7 @@ def report_payload(
     for kind in SPECTRUM_KINDS:
         check, payloads[kind] = check_spectrum_family(inst, alphas, tol, kind)
         checks.append(check)
-    checks.extend(check_transcriptions(inst.params, alphas))
+    checks.extend(check_transcriptions(inst, alphas))
     checks.append(check_block_reduction(inst))
     checks.extend(check_metric(inst))
     checks.append(check_detour(inst))

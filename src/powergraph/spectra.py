@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,31 +29,36 @@ class EigensolverError(RuntimeError):
     """Eigensolver failed to converge or input violated its contract."""
 
 
-def _require_symmetric(matrix: np.ndarray) -> np.ndarray:
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+def _require_symmetric(matrices: np.ndarray) -> np.ndarray:
+    matrices = np.asarray(matrices, dtype=np.float64)
+    if matrices.ndim < 2 or matrices.shape[-1] != matrices.shape[-2]:
         raise EigensolverError("matrix must be square")
-    if not np.array_equal(matrix, matrix.T):
+    if not np.array_equal(matrices, matrices.swapaxes(-1, -2)):
         raise EigensolverError("matrix is not symmetric")
-    return matrix
+    return matrices
 
 
-def sym_eigenvalues(matrix: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix, sorted descending.
+def sym_eigenvalues(matrices: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix, or of each matrix of a stack (..., m, m), descending.
 
-    Backed by LAPACK's orthogonal-similarity diagonalization (numpy eigvalsh);
+    Backed by LAPACK's orthogonal-similarity diagonalization (numpy eigvalsh),
+    one call for the whole stack; every matrix must be symmetric, and
     non-convergence surfaces as EigensolverError.
     """
-    matrix = _require_symmetric(matrix)
+    matrices = _require_symmetric(matrices)
     try:
-        values = np.linalg.eigvalsh(matrix)
+        values = np.linalg.eigvalsh(matrices)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"eigensolver did not converge: {exc}") from exc
-    return values[::-1].copy()
+    return values[..., ::-1].copy()
 
 
-@dataclass(frozen=True)
-class SpectralLine:
+def _checked(alphas) -> list[float]:
+    """The alphas as floats; AlphaRangeError if any lies outside [0, 1]."""
+    return [check_alpha(alpha) for alpha in alphas]
+
+
+class SpectralLine(NamedTuple):
     value: float
     multiplicity: int
     source: str
@@ -64,11 +71,17 @@ class Spectrum:
     lines: tuple[SpectralLine, ...]
 
     def values(self) -> np.ndarray:
-        """Expanded value list, sorted descending."""
+        """Expanded value list, sorted descending; built once and read-only."""
+        return self._values
+
+    @cached_property
+    def _values(self) -> np.ndarray:
         out: list[float] = []
         for line in self.lines:
             out.extend([line.value] * line.multiplicity)
-        return np.array(sorted(out, reverse=True))
+        values = np.array(sorted(out, reverse=True))
+        values.flags.writeable = False
+        return values
 
     def merged(self, tol: float) -> list[tuple[float, int]]:
         """(value, multiplicity) clusters after merging values closer than tol."""
@@ -84,19 +97,20 @@ def cluster_values(values: np.ndarray, tol: float) -> list[tuple[float, int]]:
     """Group a descending value list into clusters separated by gaps > tol: (mean, size) each.
 
     The runs are split where the gap exceeds tol.  A one-value run is its own
-    mean and only the few longer runs take `mean` of their slice, so each mean
-    is bit-for-bit that of a per-run `mean` (`np.add.reduceat` sums in another
-    order).
+    mean and a longer run takes `sum() / size` of its slice, the pairwise sum
+    and division that `ndarray.mean` makes, so each mean is bit-for-bit that
+    of a per-run `mean` (`np.add.reduceat` sums in another order).
     """
     values = np.sort(np.asarray(values, dtype=np.float64))[::-1]
     if not values.size:
         return []
-    splits = np.flatnonzero(values[:-1] - values[1:] > tol) + 1
-    starts, stops = np.concatenate(([0], splits)), np.append(splits, values.size)
-    means = values[starts]
-    for run in np.flatnonzero(stops - starts > 1):
-        means[run] = values[starts[run] : stops[run]].mean()
-    return list(zip(means.tolist(), (stops - starts).tolist()))
+    bounds = [0, *(np.flatnonzero(values[:-1] - values[1:] > tol) + 1).tolist(), values.size]
+    clusters = []
+    for start, stop in zip(bounds, bounds[1:]):
+        size = stop - start
+        mean = values[start:stop].sum() / size if size > 1 else values[start]
+        clusters.append((float(mean), size))
+    return clusters
 
 
 def class_reciprocals(graph: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -116,53 +130,60 @@ def class_reciprocals(graph: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return between, within, between @ sizes + (sizes - 1.0) * within
 
 
-def _class_entries(graph: Graph, kind: str, alpha: float) -> tuple[np.ndarray, ...]:
-    """(diagonal, within-class, between-class k x k) entries of A_alpha or RD_alpha.
+def _class_entries(graph: Graph, kind: str) -> tuple[np.ndarray, ...]:
+    """(diagonal, within-class, between-class k x k) parts of A_alpha or RD_alpha, free of alpha.
 
-    Twin classes are modules, so each entry depends on the classes of its row
-    and column only: `between[a, b]` is the entry for any member of a and any
-    member of b != a, `within[a]` the entry for two members of a.
+    Both matrices are alpha times a diagonal plus 1 - alpha times a zero-diagonal
+    matrix, and twin classes are modules, so each entry depends on alpha and
+    on the classes of its row and column only: alpha * diagonal[a] on the
+    diagonal, (1 - alpha) * within[a] for two members of a, and (1 - alpha) *
+    between[a, b] for a member of a and one of b != a.
     """
-    alpha = check_alpha(alpha)
     quotient = graph.quotient
     if kind == "adjacency":
         adj = quotient.adj.astype(np.float64)
-        within = (1.0 - alpha) * np.diag(adj)
+        within = np.diag(adj).copy()
         np.fill_diagonal(adj, 0.0)
-        return alpha * quotient.degrees(quotient.adj), within, (1.0 - alpha) * adj
+        return quotient.degrees(quotient.adj), within, adj
     if kind == "reciprocal":
         between, within, transmissions = class_reciprocals(graph)
-        return alpha * transmissions, (1.0 - alpha) * within, (1.0 - alpha) * between
+        return transmissions, within, between
     raise ValueError(f"unknown spectrum kind {kind!r}; choose adjacency or reciprocal")
 
 
-def _twin_lines(graph: Graph, diagonal, within) -> list[tuple[float, int, str]]:
-    """A class of size s contributes diagonal - within with multiplicity s - 1.
+def _twin_lines(quotient, diagonal, within, a) -> list[list[tuple[float, int, str]]]:
+    """Twin lines per alpha (a row of `a`): a class of size s gives diagonal - within, s - 1 times.
 
     The eigenvectors are the vectors on the class that sum to zero; equal
     values of one twin kind are merged into one line.
     """
-    merged: dict[tuple[float, str], int] = {}
-    quotient = graph.quotient
-    for size, closed, d, w in zip(quotient.sizes, quotient.closed, diagonal, within):
-        if size > 1:
-            key = (float(d - w), "twin-closed" if closed else "twin-open")
-            merged[key] = merged.get(key, 0) + size - 1
-    return [(v, m, s) for (v, s), m in merged.items()]
+    twins = [c for c, size in enumerate(quotient.sizes) if size > 1]
+    tags = ["twin-closed" if quotient.closed[c] else "twin-open" for c in twins]
+    counts = [quotient.sizes[c] - 1 for c in twins]
+    sweep = []
+    for row in (a * diagonal[twins] - (1.0 - a) * within[twins]).tolist():
+        merged: dict[tuple[float, str], int] = {}
+        for key, count in zip(zip(row, tags), counts):
+            merged[key] = merged.get(key, 0) + count
+        sweep.append([(v, m, s) for (v, s), m in merged.items()])
+    return sweep
 
 
-def twin_eigenvalues(graph: Graph, kind: str, alpha: float) -> Spectrum:
+def twin_eigenvalues(graph: Graph, kind: str, alphas) -> tuple[Spectrum, ...]:
     """Eigenvalues of A_alpha or RD_alpha (`kind` as in `solve_quotient`) forced by twin classes.
 
-    For A_alpha an open class of size l+1 contributes alpha*deg with
-    multiplicity l, a closed class alpha*deg - (1 - alpha).
+    One `Spectrum` per alpha.  For A_alpha an open class of size l+1
+    contributes alpha*deg with multiplicity l, a closed class alpha*deg - (1 - alpha).
     """
-    diagonal, within, _ = _class_entries(graph, kind, alpha)
-    return Spectrum.from_lines(_twin_lines(graph, diagonal, within))
+    a = np.array(_checked(alphas), dtype=np.float64)[:, None]
+    diagonal, within, _ = _class_entries(graph, kind)
+    return tuple(
+        Spectrum.from_lines(lines) for lines in _twin_lines(graph.quotient, diagonal, within, a)
+    )
 
 
-def solve_quotient(graph: Graph, kind: str, alpha: float) -> Spectrum:
-    """The A_alpha or RD_alpha spectrum of a graph, from its twin classes and then their orbits.
+def solve_quotient(graph: Graph, kind: str, alphas) -> tuple[Spectrum, ...]:
+    """The A_alpha or RD_alpha spectrum of a graph at each alpha, from its twin classes and orbits.
 
     Twins.  The twin partition is equitable (twin classes are modules), so
     the n eigenvalues are the twin lines (`_twin_lines`: a class of size s
@@ -185,22 +206,35 @@ def solve_quotient(graph: Graph, kind: str, alpha: float) -> Spectrum:
     s * between[a, a'] on it.  Only entries at the orbit representatives a,
     a' are read; the eigensolve is m x m (5 x 5 on the family, whose N/4
     blade classes form one orbit).  RD_alpha needs a connected graph.
+
+    Sweep.  The class entries and orbits do not depend on alpha, so they are
+    read once; every alpha's orbit quotient goes into one (A, m, m) stack,
+    solved by one `sym_eigenvalues` call.
     """
-    diagonal, within, between = _class_entries(graph, kind, alpha)
+    a = np.array(_checked(alphas), dtype=np.float64)[:, None]
+    b = 1.0 - a
+    diagonal, within, between = _class_entries(graph, kind)
     quotient = graph.quotient
     reps = [orbit[0] for orbit in quotient.orbits]
     mates = [orbit[-1] for orbit in quotient.orbits]  # the representative itself when c = 1
     copies = np.array([len(orbit) for orbit in quotient.orbits], dtype=np.float64)
     sizes = np.array(quotient.sizes, dtype=np.float64)[reps]
-    own = diagonal[reps] + (sizes - 1.0) * within[reps]
-    mate = sizes * between[reps, mates]  # zero when c = 1: `between` has a zero diagonal
+    own = a * diagonal[reps] + (sizes - 1.0) * (b * within[reps])
+    mate = sizes * (b * between[reps, mates])  # zero when c = 1: `between` has a zero diagonal
     weight = np.sqrt(copies * sizes)
-    matrix = between[np.ix_(reps, reps)] * np.outer(weight, weight)
-    np.fill_diagonal(matrix, own + (copies - 1.0) * mate)
-    lines = _twin_lines(graph, diagonal, within)
-    lines += [(v, len(o) - 1, "orbit") for v, o in zip((own - mate).tolist(), quotient.orbits)]
-    lines += [(v, 1, "quotient-root") for v in sym_eigenvalues(matrix).tolist()]
-    return Spectrum.from_lines(lines)
+    matrices = b[:, :, None] * between[np.ix_(reps, reps)] * np.outer(weight, weight)
+    diag = np.arange(len(reps))
+    matrices[:, diag, diag] = own + (copies - 1.0) * mate
+    roots = sym_eigenvalues(matrices).tolist()
+    multiplicities = [len(orbit) - 1 for orbit in quotient.orbits]
+    sweep = []
+    for lines, orbit_values, quotient_roots in zip(
+        _twin_lines(quotient, diagonal, within, a), (own - mate).tolist(), roots
+    ):
+        lines += [(v, m, "orbit") for v, m in zip(orbit_values, multiplicities)]
+        lines += [(v, 1, "quotient-root") for v in quotient_roots]
+        sweep.append(Spectrum.from_lines(lines))
+    return tuple(sweep)
 
 
 # family closed forms ---------------------------------------------------
@@ -222,34 +256,46 @@ def a_alpha_families(params: GroupParams, alpha: float) -> list[tuple[float, int
     ]
 
 
-def a_alpha_quotient_matrix(params: GroupParams, alpha: float) -> np.ndarray:
-    """Symmetrized 5x5 quotient of A_alpha over the classes [H2, e, T2, u, H3].
+def _closed_forms(params: GroupParams, alphas, families, quotient_matrix) -> tuple[Spectrum, ...]:
+    """Per alpha, the `families` lines plus the roots of the `quotient_matrix` stack, solved at once."""
+    alphas = _checked(alphas)
+    roots = sym_eigenvalues(quotient_matrix(params, alphas)).tolist()
+    return tuple(
+        Spectrum.from_lines(families(params, alpha) + [(v, 1, "quotient-root") for v in values])
+        for alpha, values in zip(alphas, roots)
+    )
+
+
+def a_alpha_quotient_matrix(params: GroupParams, alphas) -> np.ndarray:
+    """Symmetrized 5x5 quotients of A_alpha over the classes [H2, e, T2, u, H3], one per alpha.
 
     Entry (i, j) is the per-vertex block row sum scaled by sqrt(n_i / n_j);
     its eigenvalues are the five A_alpha eigenvalues outside the twin families.
+    Returns an (A, 5, 5) stack for A alphas.
     """
     n, half, _ = _family_counts(params)
-    b = 1.0 - alpha
     order = 2 * n
     sh = math.sqrt(half)
     st = math.sqrt(n - 2)
-    return np.array(
-        [
+
+    def matrix(alpha: float, b: float) -> list[list[float]]:
+        return [
             [alpha, sh * b, 0.0, 0.0, 0.0],
             [sh * b, alpha * (order - 1), st * b, b, sh * b],
             [0.0, st * b, alpha * (n - 1) + b * (n - 3), st * b, 0.0],
             [0.0, b, st * b, alpha * (3 * half - 1), sh * b],
             [0.0, sh * b, 0.0, sh * b, 2.0 * alpha + 1.0],
         ]
-    )
+
+    return np.array([matrix(a, 1.0 - a) for a in _checked(alphas)]).reshape(-1, 5, 5)
 
 
-def a_alpha_closed_form(params: GroupParams, alpha: float) -> Spectrum:
-    """Complete predicted A_alpha spectrum: four twin families plus the quotient."""
-    lines = a_alpha_families(params, alpha)
-    for value in sym_eigenvalues(a_alpha_quotient_matrix(params, alpha)):
-        lines.append((float(value), 1, "quotient-root"))
-    return Spectrum.from_lines(lines)
+def a_alpha_closed_form(params: GroupParams, alphas) -> tuple[Spectrum, ...]:
+    """Complete predicted A_alpha spectrum at each alpha: four twin families plus the quotient.
+
+    Every alpha's 5 x 5 quotient is solved in one stacked `sym_eigenvalues` call.
+    """
+    return _closed_forms(params, alphas, a_alpha_families, a_alpha_quotient_matrix)
 
 
 def quintic_coefficients(params: GroupParams, alpha: float) -> np.ndarray:
@@ -301,19 +347,17 @@ QUINTIC_REL_TOL = 1e-4
 RD_QUOTIENT_REL_TOL = 1e-8
 
 
-def quintic_transcription_check(params: GroupParams, alpha: float) -> dict:
-    """Evaluate the printed quintic at the five quotient eigenvalues.
+def quintic_transcription_check(params: GroupParams, alpha: float, closed: Spectrum) -> dict:
+    """Evaluate the printed quintic at the five quotient roots of the A_alpha closed form `closed`.
 
     A large residual means the published coefficients disagree with the
     quotient route; the numeric full-matrix spectrum is the arbiter, so a
     mismatch is reported as a diagnostic (None on a match) rather than trusted either way.
     """
     coeffs = quintic_coefficients(params, alpha)
-    xs = sym_eigenvalues(a_alpha_quotient_matrix(params, alpha))
-    worst = 0.0
-    for x in xs:
-        scale = max(1.0, float(np.polyval(np.abs(coeffs), abs(x))))
-        worst = max(worst, abs(float(np.polyval(coeffs, x))) / scale)
+    xs = np.array([line.value for line in closed.lines if line.source == "quotient-root"])
+    scale = np.maximum(1.0, np.polyval(np.abs(coeffs), np.abs(xs)))
+    worst = max([0.0, *(np.abs(np.polyval(coeffs, xs)) / scale).tolist()])
     matches = worst <= QUINTIC_REL_TOL
     diagnostic = None if matches else (
         "published-coefficient mismatch: printed quintic does not vanish on the "
@@ -338,50 +382,52 @@ def rd_alpha_families(params: GroupParams, alpha: float) -> list[tuple[float, in
     ]
 
 
-def rd_alpha_quotient_matrix(params: GroupParams, alpha: float) -> np.ndarray:
-    """Derived symmetrized 5x5 quotient of RD_alpha, classes [e, u, H2, H3, T2].
+def rd_alpha_quotient_matrix(params: GroupParams, alphas) -> np.ndarray:
+    """Derived symmetrized 5x5 quotients of RD_alpha over [e, u, H2, H3, T2], an (A, 5, 5) stack.
 
     Assembled from the reciprocal transmissions and the class distances (all
     1 or 2); matches the published matrix except for the H3 diagonal entry,
     where the published value repeats the H2 one (see the printed variant).
     """
     n, half, quarter = _family_counts(params)
-    b = 1.0 - alpha
     order = 2 * n
     sh = math.sqrt(half)
     st = math.sqrt(n - 2)
     sht = math.sqrt(half * (n - 2))
-    return np.array(
-        [
+
+    def matrix(alpha: float, b: float) -> list[list[float]]:
+        return [
             [alpha * (order - 1), b, sh * b, sh * b, st * b],
             [b, alpha * (7 * quarter - 1), sh * b / 2, sh * b, st * b],
             [sh * b, sh * b / 2, alpha * n + (half - 1) * b / 2, half * b / 2, sht * b / 2],
             [sh * b, sh * b, half * b / 2, alpha * (n + 1) + quarter * b, sht * b / 2],
             [st * b, st * b, sht * b / 2, sht * b / 2, alpha * (3 * half - 1) + (n - 3) * b],
         ]
-    )
+
+    return np.array([matrix(a, 1.0 - a) for a in _checked(alphas)]).reshape(-1, 5, 5)
 
 
-def rd_alpha_quotient_matrix_printed(params: GroupParams, alpha: float) -> np.ndarray:
-    """The published 5x5 quotient verbatim (H3 diagonal equal to the H2 one)."""
+def rd_alpha_quotient_matrix_printed(params: GroupParams, alphas) -> np.ndarray:
+    """The published 5x5 quotients verbatim (H3 diagonal equal to the H2 one), as a stack."""
     n, half, _ = _family_counts(params)
-    out = rd_alpha_quotient_matrix(params, alpha)
-    out[3, 3] = alpha * n + (half - 1) * (1.0 - alpha) / 2
+    alpha = np.array(_checked(alphas))
+    out = rd_alpha_quotient_matrix(params, alphas)
+    out[:, 3, 3] = alpha * n + (half - 1) * (1.0 - alpha) / 2
     return out
 
 
-def rd_alpha_closed_form(params: GroupParams, alpha: float) -> Spectrum:
-    """Complete predicted RD_alpha spectrum: five families plus the quotient."""
-    lines = rd_alpha_families(params, alpha)
-    for value in sym_eigenvalues(rd_alpha_quotient_matrix(params, alpha)):
-        lines.append((float(value), 1, "quotient-root"))
-    return Spectrum.from_lines(lines)
+def rd_alpha_closed_form(params: GroupParams, alphas) -> tuple[Spectrum, ...]:
+    """Complete predicted RD_alpha spectrum at each alpha: five families plus the quotient.
+
+    Every alpha's 5 x 5 quotient is solved in one stacked `sym_eigenvalues` call.
+    """
+    return _closed_forms(params, alphas, rd_alpha_families, rd_alpha_quotient_matrix)
 
 
 def rd_quotient_transcription_check(params: GroupParams, alpha: float) -> dict:
     """Compare the published 5x5 quotient against the derived one, entrywise."""
-    derived = rd_alpha_quotient_matrix(params, alpha)
-    printed = rd_alpha_quotient_matrix_printed(params, alpha)
+    derived = rd_alpha_quotient_matrix(params, (alpha,))
+    printed = rd_alpha_quotient_matrix_printed(params, (alpha,))
     gap = float(np.abs(derived - printed).max())
     scale = max(1.0, float(np.abs(derived).max()))
     rel = gap / scale

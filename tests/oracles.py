@@ -10,7 +10,7 @@ import numpy as np
 
 from powergraph.graphs import Graph, family_vertex_order
 from powergraph.groups import IDENTITY, GroupElement, GroupParams, ParameterError, multiply
-from powergraph.matrices import DisconnectedGraphError
+from powergraph.matrices import DisconnectedGraphError, check_alpha
 from powergraph.spectra import _class_entries, sym_eigenvalues
 
 
@@ -550,15 +550,16 @@ def random_cographs(seed: int, count: int, min_n: int, max_n: int, split: float 
 def dense_quotient_roots(graph: Graph, kind: str, alpha: float) -> np.ndarray:
     """The k eigenvalues of the graph's symmetrised k x k twin quotient, descending.
 
-    sqrt(s_a s_b) between[a, b] off the diagonal and diagonal[a] + (s_a - 1)
-    within[a] on it, solved whole: what `spectra.solve_quotient` reduces once
-    more on the quotient's orbits.
+    sqrt(s_a s_b) (1 - alpha) between[a, b] off the diagonal and alpha
+    diagonal[a] + (s_a - 1) (1 - alpha) within[a] on it, solved whole: what
+    `spectra.solve_quotient` reduces once more on the quotient's orbits.
     """
-    diagonal, within, between = _class_entries(graph, kind, alpha)
+    diagonal, within, between = _class_entries(graph, kind)
+    alpha = check_alpha(alpha)
     sizes = np.array(graph.quotient.sizes, dtype=np.float64)
     root = np.sqrt(sizes)
-    matrix = between * np.outer(root, root)
-    np.fill_diagonal(matrix, diagonal + (sizes - 1.0) * within)
+    matrix = (1.0 - alpha) * between * np.outer(root, root)
+    np.fill_diagonal(matrix, alpha * diagonal + (sizes - 1.0) * (1.0 - alpha) * within)
     return sym_eigenvalues(matrix)
 
 

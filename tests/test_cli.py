@@ -237,7 +237,7 @@ def test_dds_artifacts_lift_to_the_vertex_rows(k, p):
     assert lifted_csv == "".join(",".join(map(str, row)) + "\n" for row in expected)
 
 
-def test_streamed_detour_csv_equals_the_collected_one(tmp_path):
+def test_detour_csv_written_by_main_equals_the_collected_one(tmp_path):
     config = RunConfig(k=3, p=5, alphas=(0.5,), commands=("detour",), fmt="csv")
     _, artifacts, _ = run_collect(config)
     argv = ["detour", "--k", "3", "--p", "5", "--format", "csv", "--out", str(tmp_path)]
@@ -247,7 +247,7 @@ def test_streamed_detour_csv_equals_the_collected_one(tmp_path):
         assert (tmp_path / name).read_bytes() == text.encode("utf-8")
 
 
-def test_run_without_out_writes_nothing_and_reads_no_streamed_artifact(tmp_path, monkeypatch):
+def test_run_without_out_writes_nothing_and_renders_no_artifact(tmp_path, monkeypatch):
     def unread(payload):
         raise AssertionError("an artifact was serialised without --out")
 
@@ -262,8 +262,35 @@ def test_run_without_out_writes_nothing_and_reads_no_streamed_artifact(tmp_path,
     assert list((tmp_path / "cwd").iterdir()) == []
 
 
+@pytest.mark.parametrize("k,p", [(2, 3), (3, 5)])
+def test_dump_parses_back_to_every_views_payload(monkeypatch, k, p):
+    payloads = {}
+    emit = cli._emit
+
+    def keep(out_dir, name, content):
+        if isinstance(content, dict):
+            payloads[name] = content
+        emit(out_dir, name, content)
+
+    monkeypatch.setattr(cli, "_emit", keep)
+    commands = ("build", "spectra", "metric", "detour", "dds", "report")
+    config = RunConfig(k=k, p=p, alphas=(0.0, 0.3, 1.0), commands=commands, fmt="csv")
+    _, artifacts, _ = run_collect(config)
+    assert len(payloads) == 11  # graph, 6 spectra, metric, detour, dds and report
+    for name, payload in payloads.items():
+        text = cli._dump(payload)
+        assert text == artifacts[name]
+        # the report's degree counts have int keys, which JSON writes as strings
+        assert json.loads(text) == json.loads(json.dumps(payload))
+        # one line per top-level key, and one per row of a list of lists
+        tables = [v for v in payload.values() if isinstance(v, list) and v and type(v[0]) is list]
+        assert text.count("\n") == 2 + len(payload) + sum(len(table) + 1 for table in tables)
+    numeric = [payloads[name]["numeric"] for name in payloads if name.endswith("spectrum.json")]
+    assert len(numeric) == 6 and all(isinstance(x, float) for values in numeric for x in values)
+
+
 @pytest.mark.parametrize("k,p", [(2, 3), (3, 5), (5, 5)])
-def test_streamed_metric_json_equals_the_dump_of_the_lifted_payload(k, p):
+def test_metric_json_lifts_to_the_vertex_level_payload(k, p):
     # metric.json's class MMD graph, lifted through class_of, is the vertex-level file's edge list
     config = RunConfig(k=k, p=p, alphas=(0.5,), commands=("metric",))
     _, artifacts, _ = run_collect(config)
@@ -431,7 +458,7 @@ _MAIN_PEAK_RSS = (
 )
 
 
-def test_metric_view_streams_its_edges_at_n1792(tmp_path):
+def test_metric_view_writes_its_class_matrix_at_n1792(tmp_path):
     # (7, 7): the MMD graph joins almost every vertex pair (56 MB as a vertex edge list),
     # but metric.json holds its 228 x 228 class matrix
     small_code, small_peak, _ = _main_in_subprocess(["build", "--k", "2", "--p", "3"])
@@ -442,7 +469,7 @@ def test_metric_view_streams_its_edges_at_n1792(tmp_path):
     assert peak - small_peak < 64 * 1024  # ru_maxrss is in KiB on Linux
 
 
-def test_build_view_streams_its_edges_at_n1792(tmp_path):
+def test_build_view_writes_its_class_adjacency_at_n1792(tmp_path):
     # (7, 7): 402 528 edges (13.7 MB as a vertex edge list), a 228 x 228 class adjacency
     small_code, small_peak, _ = _main_in_subprocess(["build", "--k", "2", "--p", "3"])
     argv = ["build", "--k", "7", "--p", "7", "--out", str(tmp_path)]

@@ -249,7 +249,7 @@ def test_graph_computes_distances_and_quotient_once(monkeypatch):
     mmd_graph(graph)
     dds(graph)
     rd_alpha(graph, 0.5)
-    twin_eigenvalues(graph, "reciprocal", 0.5)
+    twin_eigenvalues(graph, "reciprocal", (0.5,))
     detour_matrix(graph)
     assert graph.quotient is graph.quotient and graph.quotient.dist is graph.quotient.dist
     assert calls == {"distance_matrix": 1, "twin_classes": 1}

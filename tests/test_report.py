@@ -106,19 +106,29 @@ def test_report_builds_each_object_once(calls):
 def test_report_solves_each_quotient_once_whatever_the_seed(calls):
     alphas = (0.0, 0.25, 0.5, 0.75, 1.0)
     assert build_report(2, 3, alphas, seed=0)["passed"]
-    # one solve per (kind, alpha), which the spectrum and twin-eigenvalue checks share
-    assert calls["solve_quotient"] == 2 * len(alphas)
-    solves = calls["sym_eigenvalues"]
+    # one sweep per kind, which the spectrum, twin-eigenvalue and transcription checks share:
+    # one stacked solve of the graph's quotients and one of the closed form's, per kind
+    assert calls["solve_quotient"] == 2
+    assert calls["sym_eigenvalues"] == 4
     calls.clear()
     assert build_report(2, 3, alphas, seed=12345)["passed"]
-    assert calls["sym_eigenvalues"] == solves
+    assert calls["solve_quotient"] == 2
+    assert calls["sym_eigenvalues"] == 4
 
 
 def test_every_eigensolve_of_a_family_report_is_at_most_5_by_5(calls):
     # the twin quotient has k = 44 classes at (5, 5); its 5 orbits are what is solved
     assert build_report(5, 5, (0.0, 0.25, 0.5, 0.75, 1.0))["passed"]
     shapes = [key[1] for key in calls if isinstance(key, tuple) and key[0] == "sym_eigenvalues"]
-    assert shapes and max(max(shape) for shape in shapes) == 5
+    assert shapes and max(max(shape[-2:]) for shape in shapes) == 5
+
+
+@pytest.mark.parametrize("alphas", [(0.5,), (0.0, 0.25, 1.0)])
+def test_spectra_and_report_views_make_four_eigensolves(calls, alphas):
+    # alpha = 1, which the transmission check reads, rides in the reciprocal sweep
+    config = RunConfig(k=3, p=5, alphas=alphas, commands=("spectra", "report"))
+    assert run(config, out=io.StringIO()) == 0
+    assert calls["sym_eigenvalues"] == 4
 
 
 def test_detour_budget_error_is_searched_once(calls):

@@ -87,7 +87,7 @@ def test_rd_trace_identity(family):
 def test_twin_eigenvalue_lines(family):
     _, graph, _ = family(2, 3)
     alpha = 0.3
-    twins = twin_eigenvalues(graph, "adjacency", alpha)
+    [twins] = twin_eigenvalues(graph, "adjacency", (alpha,))
     lines = {(round(ln.value, 12), ln.multiplicity) for ln in twins.lines}
     assert (round(alpha, 12), 5) in lines            # pendant class
     assert (round(12 * alpha - 1, 12), 9) in lines   # rotation clique class
@@ -101,8 +101,7 @@ DENSE = {"adjacency": a_alpha, "reciprocal": rd_alpha}
 
 
 def assert_quotient_matches_dense(graph, kind):
-    for alpha in ALPHAS:
-        spectrum = solve_quotient(graph, kind, alpha)
+    for alpha, spectrum in zip(ALPHAS, solve_quotient(graph, kind, ALPHAS)):
         dense = sym_eigenvalues(DENSE[kind](graph, alpha))
         assert sum(line.multiplicity for line in spectrum.lines) == graph.n
         assert np.abs(spectrum.values() - dense).max(initial=0.0) <= 1e-8
@@ -131,9 +130,9 @@ def test_quotient_spectrum_matches_dense_on_the_family(family, k, p, kind):
 def test_quotient_spectrum_rejects_bad_kind_or_alpha(family):
     _, graph, _ = family(2, 3)
     with pytest.raises(ValueError, match="kind"):
-        solve_quotient(graph, "laplacian", 0.5)
+        solve_quotient(graph, "laplacian", (0.5,))
     with pytest.raises(AlphaRangeError):
-        solve_quotient(graph, "reciprocal", 1.5)
+        solve_quotient(graph, "reciprocal", (1.5,))
 
 
 def test_minus_one_multiplicity_at_alpha_zero(family):
@@ -150,7 +149,7 @@ def test_a_alpha_family_values_at_half():
 @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 0.75, 1.0])
 def test_a_alpha_closed_form_matches_numeric(family, alpha):
     params, graph, _ = family(2, 3)
-    closed = a_alpha_closed_form(params, alpha)
+    [closed] = a_alpha_closed_form(params, (alpha,))
     numeric = sym_eigenvalues(a_alpha(graph, alpha))
     assert sum(line.multiplicity for line in closed.lines) == graph.n
     assert np.abs(closed.values() - numeric).max() <= 1e-8
@@ -159,21 +158,21 @@ def test_a_alpha_closed_form_matches_numeric(family, alpha):
 def test_quintic_root_sum_trace_identity(family):
     params, graph, _ = family(2, 3)
     alpha = 0.4
-    quotient_sum = sym_eigenvalues(a_alpha_quotient_matrix(params, alpha)).sum()
+    quotient_sum = sym_eigenvalues(a_alpha_quotient_matrix(params, (alpha,))).sum()
     family_sum = sum(v * m for v, m, _ in a_alpha_families(params, alpha))
     trace = np.trace(a_alpha(graph, alpha))
     assert abs(quotient_sum - (trace - family_sum)) <= 1e-9 * max(1.0, abs(trace))
 
 
 def test_quintic_transcription_matches_at_alpha_zero():
-    check = quintic_transcription_check(P23, 0.0)
+    check = quintic_transcription_check(P23, 0.0, a_alpha_closed_form(P23, (0.0,))[0])
     assert check["matches"]
     assert check["diagnostic"] is None
 
 
 def test_quintic_transcription_flags_published_typo():
     # the printed linear coefficient is off by 5 * 2^k p * alpha^3
-    check = quintic_transcription_check(P23, 0.5)
+    check = quintic_transcription_check(P23, 0.5, a_alpha_closed_form(P23, (0.5,))[0])
     assert not check["matches"]
     assert "mismatch" in check["diagnostic"]
 
@@ -187,8 +186,89 @@ def test_quintic_roots_real_on_grid():
 def test_quintic_roots_agree_with_quotient_where_transcription_holds():
     # at alpha = 0 the published polynomial is exact, so the two routes coincide
     roots = np.sort(np.roots(quintic_coefficients(P23, 0.0)).real)[::-1]
-    quotient = sym_eigenvalues(a_alpha_quotient_matrix(P23, 0.0))
+    [quotient] = sym_eigenvalues(a_alpha_quotient_matrix(P23, (0.0,)))
     assert np.abs(roots - quotient).max() <= 1e-6
+
+
+# alpha sweeps: one stacked eigensolve per call --------------------------------
+
+SWEEP = (0.0, 0.3, 1.0, 0.3, 0.75)  # both ends and a repeated alpha
+
+
+def test_sym_eigenvalues_of_a_stack_equal_the_one_by_one_solves():
+    rng = np.random.default_rng(5)
+    half = rng.standard_normal((7, 5, 5))
+    stack = half + half.swapaxes(-1, -2)
+    values = sym_eigenvalues(stack)
+    assert values.shape == (7, 5)
+    for matrix, row in zip(stack, values):
+        assert np.array_equal(sym_eigenvalues(matrix), row)
+
+
+def test_sym_eigenvalues_rejects_a_stack_with_one_asymmetric_or_non_square_matrix():
+    stack = np.stack([np.eye(3)] * 4)
+    stack[2, 0, 1] = 1.0
+    with pytest.raises(EigensolverError, match="symmetric"):
+        sym_eigenvalues(stack)
+    for bad in (np.zeros((4, 3, 2)), np.zeros(3)):
+        with pytest.raises(EigensolverError, match="square"):
+            sym_eigenvalues(bad)
+
+
+def assert_sweep_equals_single_alphas(sweep, alphas=SWEEP):
+    """Each spectrum of `sweep(alphas)` equals `sweep((alpha,))`, lines and values bit for bit."""
+    spectra_ = sweep(alphas)
+    assert len(spectra_) == len(alphas)
+    for alpha, spectrum in zip(alphas, spectra_):
+        [single] = sweep((alpha,))
+        assert spectrum.lines == single.lines
+        assert np.array_equal(spectrum.values(), single.values())
+
+
+@pytest.mark.parametrize("kind", ["adjacency", "reciprocal"])
+@pytest.mark.parametrize("k,p", [(2, 3), (3, 3), (2, 5), (2, 7), (3, 5), (4, 5), (5, 5)])
+def test_sweeps_equal_single_alpha_sweeps_on_the_family(family, k, p, kind):
+    params, graph, _ = family(k, p)
+    assert_sweep_equals_single_alphas(lambda alphas: solve_quotient(graph, kind, alphas))
+    assert_sweep_equals_single_alphas(lambda alphas: twin_eigenvalues(graph, kind, alphas))
+    closed_form = a_alpha_closed_form if kind == "adjacency" else rd_alpha_closed_form
+    assert_sweep_equals_single_alphas(lambda alphas: closed_form(params, alphas))
+
+
+@pytest.mark.parametrize("kind", ["adjacency", "reciprocal"])
+def test_sweeps_equal_single_alpha_sweeps_on_random_graphs_with_twins(kind):
+    corpus = [g for g in random_graphs(seed=29, count=60) if is_connected(g)]
+    corpus += list(blown_up_graphs(seed=31, count=60))
+    for graph in corpus:
+        assert_sweep_equals_single_alphas(lambda alphas: solve_quotient(graph, kind, alphas))
+        assert_sweep_equals_single_alphas(lambda alphas: twin_eigenvalues(graph, kind, alphas))
+    assert sum(max(g.quotient.sizes, default=1) > 1 for g in corpus) > 60
+
+
+def test_instance_spectra_share_one_sweep_per_kind_with_a_repeated_alpha():
+    inst = Instance(GroupParams(3, 5))
+    for kind in SPECTRUM_KINDS:
+        pairs = inst.spectra(kind, SWEEP)
+        assert pairs[1] is pairs[3]  # the repeated alpha reads the same spectra
+        assert inst.spectra(kind, SWEEP[::-1]) == pairs[::-1]
+
+
+def test_an_alpha_outside_the_unit_interval_is_refused_before_any_solve(family, monkeypatch):
+    def no_solve(matrices):
+        raise AssertionError("an eigensolve ran")
+
+    monkeypatch.setattr("powergraph.spectra.sym_eigenvalues", no_solve)
+    params, graph, _ = family(2, 3)
+    for alphas in ((1.5,), (0.0, 0.5, -0.25), (0.2, float("nan"))):
+        for sweep in (
+            lambda: solve_quotient(graph, "adjacency", alphas),
+            lambda: solve_quotient(graph, "reciprocal", alphas),
+            lambda: twin_eigenvalues(graph, "reciprocal", alphas),
+            lambda: a_alpha_closed_form(params, alphas),
+            lambda: rd_alpha_closed_form(params, alphas),
+        ):
+            with pytest.raises(AlphaRangeError):
+                sweep()
 
 
 # orbit reduction, against the dense k x k twin quotient --------------------
@@ -203,9 +283,9 @@ def orbit_roots(spectrum: Spectrum) -> np.ndarray:
 def assert_orbit_roots_match_the_quotient(graph, kinds=SPECTRUM_KINDS, alphas=ALPHAS):
     """solve_quotient's orbit lines and m roots equal the dense k x k quotient roots (1e-9 rel)."""
     for kind in kinds:
-        for alpha in alphas:
+        for alpha, spectrum in zip(alphas, solve_quotient(graph, kind, alphas)):
             dense = dense_quotient_roots(graph, kind, alpha)
-            gap = np.abs(orbit_roots(solve_quotient(graph, kind, alpha)) - dense).max()
+            gap = np.abs(orbit_roots(spectrum) - dense).max()
             assert gap <= 1e-9 * max(1.0, np.abs(dense).max()), (kind, alpha)
 
 
@@ -218,11 +298,12 @@ def test_orbit_roots_of_singleton_orbits():
 def test_orbit_roots_k3():
     # K3 is one closed twin class; the octahedron K_{2,2,2} blows each of its
     # vertices up into an open pair, so its quotient is one orbit of 3 classes
-    assert np.allclose(solve_quotient(complete_graph(3), "adjacency", 0.0).values(), [2, -1, -1])
+    [k3] = solve_quotient(complete_graph(3), "adjacency", (0.0,))
+    assert np.allclose(k3.values(), [2, -1, -1])
     edges = [(i, j) for i in range(6) for j in range(i) if i // 2 != j // 2]
     octahedron = Graph.from_edges(6, edges)
     assert octahedron.quotient.orbits == ((0, 1, 2),)
-    values = solve_quotient(octahedron, "adjacency", 0.0).values()
+    values = solve_quotient(octahedron, "adjacency", (0.0,))[0].values()
     assert np.allclose(values, [4, 0, 0, 0, -2, -2], atol=1e-12)
     assert_orbit_roots_match_the_quotient(octahedron)
 
@@ -258,20 +339,20 @@ def test_orbit_roots_match_the_quotient_at_9_7():
 @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 0.75, 1.0])
 def test_rd_alpha_closed_form_matches_numeric(family, alpha):
     params, graph, _ = family(2, 3)
-    closed = rd_alpha_closed_form(params, alpha)
+    [closed] = rd_alpha_closed_form(params, (alpha,))
     numeric = sym_eigenvalues(rd_alpha(graph, alpha))
     assert np.abs(closed.values() - numeric).max() <= 1e-8
 
 
 def test_rd_alpha_at_one_equals_transmissions(family):
     params, graph, _ = family(2, 3)
-    closed = rd_alpha_closed_form(params, 1.0).values()
+    closed = rd_alpha_closed_form(params, (1.0,))[0].values()
     rt = np.sort(np.diag(reciprocal_transmission(graph)))[::-1]
     assert np.array_equal(closed, rt)
 
 
 def test_rd_alpha_total_at_2_5():
-    lines = rd_alpha_closed_form(GroupParams(2, 5), 0.5).lines
+    lines = rd_alpha_closed_form(GroupParams(2, 5), (0.5,))[0].lines
     assert sum(line.multiplicity for line in lines) == 40
 
 
@@ -286,13 +367,13 @@ def test_rd_quotient_transcription_flags_published_diagonal():
 
 def test_compare_spectra_identical(family):
     params, _, _ = family(2, 3)
-    s = a_alpha_closed_form(params, 0.25)
+    [s] = a_alpha_closed_form(params, (0.25,))
     assert _multisets_agree(s.merged(1e-6), s.merged(1e-6), value_tol=0.0)
 
 
 def test_compare_spectra_detects_perturbation(family):
     params, _, _ = family(2, 3)
-    s = a_alpha_closed_form(params, 0.25)
+    [s] = a_alpha_closed_form(params, (0.25,))
     lines = [(ln.value, ln.multiplicity, ln.source) for ln in s.lines]
     lines[0] = (lines[0][0] + 1e-3, lines[0][1], lines[0][2])
     perturbed = Spectrum.from_lines(lines)
@@ -302,7 +383,7 @@ def test_compare_spectra_detects_perturbation(family):
 
 def test_compare_spectra_total_mismatch(family):
     params, _, _ = family(2, 3)
-    s = a_alpha_closed_form(params, 0.25)
+    [s] = a_alpha_closed_form(params, (0.25,))
     short = Spectrum.from_lines([(1.0, 3, "numeric")])
     assert not _multisets_agree(s.merged(1e-6), short.merged(1e-6), value_tol=1e-8)
 
@@ -320,9 +401,8 @@ def test_clustering_recovers_multiplicities(family):
 @pytest.mark.parametrize("k,p", [(2, 3), (2, 5), (3, 3)])
 def test_cluster_values_equals_the_loop_on_family_spectra(k, p):
     inst = Instance(GroupParams(k, p))
-    for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
-        for kind in SPECTRUM_KINDS:
-            closed, spectrum = inst.spectrum(kind, alpha)
+    for kind in SPECTRUM_KINDS:
+        for closed, spectrum in inst.spectra(kind, ALPHAS):
             numeric = spectrum.values()
             tol = _cluster_tol(numeric)
             for values in (numeric, closed.values()):
@@ -341,7 +421,7 @@ def test_cluster_values_equals_the_loop_on_random_near_ties():
 
 def test_spectrum_json_round_trip(family):
     params, graph, _ = family(2, 3)
-    closed = a_alpha_closed_form(params, 0.5)
+    [closed] = a_alpha_closed_form(params, (0.5,))
     numeric = sym_eigenvalues(a_alpha(graph, 0.5))
     payload = json.loads(json.dumps(spectrum_payload(params, 0.5, closed, numeric)))
     assert sum(line.multiplicity for line in closed.lines) == 24
