@@ -6,7 +6,6 @@ from .groups import (  # noqa: F401
     GroupElement,
     GroupParams,
     ParameterError,
-    cyclic_subgroup,
     multiply,
 )
 from .graphs import (  # noqa: F401

@@ -277,7 +277,7 @@ def run(config: RunConfig, out=None) -> int:
         payload = {
             "n": graph.n,
             "labels": [str(label) for label in graph.labels],
-            "elements": [[label.eps, label.i] for label in graph.labels],
+            "elements": np.stack(graph.elements, axis=1).tolist(),
             "partition": partition,
             "adjacency": quotient.adj.astype(int).tolist(),
             **_classes(quotient),

@@ -5,22 +5,28 @@ bit-for-bit reproducible: the identity first, then r^1 .. r^(2^k p - 1) by
 exponent, then the involutions s r^(even) by exponent, then the order-4
 elements s r^(odd) by exponent.
 
+The family graph is built as whole arrays: its vertices are the int arrays
+`elements` = (eps, i), the cliques come from `groups.cyclic_powers` and are
+filled by fancy indexing, and the `GroupElement` labels are made only when
+something reads `labels`.  `predicted_quotient` types each vertex by its
+element alone, so it is the one encoding of the family's classes (e, u, h1,
+h2 and the h3 blades) that the closed forms rest on.  Twin classes key each
+vertex by its adjacency row packed to bits.
+
 A `Graph` reads an edge list or JSON but writes neither: the CLI writes
 class-level data only (`class_of`, `closed` and k x k class matrices), and
 `TwinQuotient.lift` turns a class matrix into its vertex matrix.
-`predicted_quotient` types each vertex by its group-element label alone, so
-it is the one encoding of the family's classes (e, u, h1, h2 and the h3
-blades) that the closed forms rest on.
 """
 
 from __future__ import annotations
 
 import operator
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
-from .groups import MAX_VERTICES, GroupElement, GroupParams, cyclic_subgroup
+from .groups import MAX_VERTICES, GroupElement, GroupParams, cyclic_powers
 from .matrices import DisconnectedGraphError, distance_matrix
 
 
@@ -34,6 +40,8 @@ class Graph:
     A graph is a value: it is built once from a finished adjacency matrix,
     which it copies and keeps read-only.  Its twin quotient, which holds the
     class distances, is computed on first use and then shared by every analysis.
+    A family graph carries its vertices as `elements`, the read-only int64
+    arrays (eps, i); any other graph has `elements` None.
     """
 
     def __init__(self, adj, labels: list | None = None):
@@ -45,14 +53,18 @@ class Graph:
         self._keep(adj, labels)
 
     @classmethod
-    def _symmetric(cls, adj: np.ndarray, labels: list) -> "Graph":
+    def _symmetric(cls, adj: np.ndarray, elements: tuple[np.ndarray, np.ndarray]) -> "Graph":
         """A graph that takes ownership of a bool adjacency built symmetric by construction.
 
         Skips the copy and the O(n^2) transposed comparison that `Graph(adj)`
-        makes on an adjacency from outside.
+        makes on an adjacency from outside.  `elements` are the (eps, i)
+        arrays of its vertices.
         """
         graph = cls.__new__(cls)
-        graph._keep(adj, labels)
+        graph._keep(adj, None)
+        for part in elements:
+            part.setflags(write=False)
+        graph.elements = elements
         return graph
 
     def _keep(self, adj: np.ndarray, labels: list | None) -> None:
@@ -61,9 +73,18 @@ class Graph:
         adj.setflags(write=False)
         self.adj = adj
         self.n = adj.shape[0]
-        self.labels = list(labels) if labels is not None else [str(i) for i in range(self.n)]
-        if len(self.labels) != self.n:
-            raise ValueError("label count does not match vertex count")
+        self.elements = None
+        if labels is not None:
+            self.labels = list(labels)
+            if len(self.labels) != self.n:
+                raise ValueError("label count does not match vertex count")
+
+    @cached_property
+    def labels(self) -> list:
+        """Vertex labels: the `GroupElement`s of `elements`, else "0" .. "n-1" unless given."""
+        if self.elements is None:
+            return [str(v) for v in range(self.n)]
+        return [GroupElement(*pair) for pair in zip(*(part.tolist() for part in self.elements))]
 
     @classmethod
     def from_edges(cls, n: int, edges, labels: list | None = None) -> "Graph":
@@ -141,12 +162,12 @@ def _index(value) -> int:
 # power graph of the family --------------------------------------------
 
 
-def family_vertex_order(params: GroupParams) -> list[GroupElement]:
+def family_elements(params: GroupParams) -> tuple[np.ndarray, np.ndarray]:
+    """(eps, i) int64 arrays of the group's elements in the family vertex order."""
     n = params.rotation_order
-    rotations = [GroupElement(0, i) for i in range(n)]
-    involutions = [GroupElement(1, i) for i in range(0, n, 2)]
-    order4 = [GroupElement(1, i) for i in range(1, n, 2)]
-    return rotations + involutions + order4
+    rotations = np.arange(n)
+    eps = np.repeat(np.array([0, 1]), n)
+    return eps, np.concatenate([rotations, rotations[::2], rotations[1::2]])
 
 
 def build_power_graph(params: GroupParams) -> Graph:
@@ -159,26 +180,32 @@ def build_power_graph(params: GroupParams) -> Graph:
     the structure all the closed-form results below describe.  (The narrower
     mutual-power rule would leave <r> incomplete: at (k, p) = (2, 3), r^2 and
     r^3 are powers of r but not of each other.)
+
+    The subgroups come from the multiplication rule as whole arrays
+    (`groups.cyclic_powers`): the powers of r by doubling, and the powers of
+    all 2^k p reflections together.  Every power of a rotation is a rotation,
+    so <r> holds the cyclic subgroup of every rotation and is filled as the
+    outer product of its membership mask; each reflection adds its own
+    subgroup, of order 2 or 4, which an order-4 element shares with its
+    inverse x^3, so the sorted index rows are deduplicated before their
+    cliques are filled by fancy indexing.
     """
-    verts = family_vertex_order(params)
-    # every power of a rotation is a rotation, so <r> holds the cyclic subgroup
-    # of every rotation; each reflection adds its own (order 2 or 4) subgroup,
-    # which an order-4 element shares with its inverse x^3
-    reflections = verts[params.rotation_order :]
-    groups = {cyclic_subgroup(g, params) for g in reflections}
-    groups.add(cyclic_subgroup(GroupElement(0, 1), params))
-    return _union_of_cliques(verts, groups)
-
-
-def _union_of_cliques(verts: list[GroupElement], groups) -> Graph:
-    """Graph on `verts` with a clique on each set of elements in `groups`."""
-    index = {g: idx for idx, g in enumerate(verts)}
-    adj = np.zeros((len(verts), len(verts)), dtype=bool)
-    for group in groups:
-        idxs = [index[h] for h in group]
-        adj[np.ix_(idxs, idxs)] = True
+    n = params.rotation_order
+    eps, i = family_elements(params)
+    position = np.empty(2 * n, dtype=np.int64)  # vertex index of s^eps r^i at eps * n + i
+    position[eps * n + i] = np.arange(2 * n)
+    r_eps, r_i = cyclic_powers((0, 1), params)
+    in_r = np.zeros(2 * n, dtype=bool)
+    in_r[position[r_eps * n + r_i]] = True
+    adj = np.logical_and.outer(in_r, in_r)
+    reflection = eps == 1
+    s_eps, s_i = cyclic_powers((eps[reflection], i[reflection]), params)
+    cliques = np.sort(position[s_eps * n + s_i], axis=1)
+    cliques = cliques[np.lexsort(cliques.T[::-1])]
+    cliques = cliques[np.r_[True, (cliques[1:] != cliques[:-1]).any(axis=1)]]
+    adj[cliques[:, :, None], cliques[:, None, :]] = True
     np.fill_diagonal(adj, False)
-    return Graph._symmetric(adj, verts)
+    return Graph._symmetric(adj, (eps, i))
 
 
 def twin_classes(graph: Graph) -> list[tuple[list[int], bool]]:
@@ -190,24 +217,61 @@ def twin_classes(graph: Graph) -> list[tuple[list[int], bool]]:
     separately yields the partition.  Returns (sorted members, closed) pairs
     ordered by smallest member; a singleton counts as open.
     """
-    return _twins(graph.adj, [None] * graph.n)
+    return _twins(graph.adj)
 
 
-def _twins(adj: np.ndarray, labels: list) -> list[tuple[list[int], bool]]:
-    """`twin_classes` of the graph whose adjacency is `adj` off the diagonal, among equal labels."""
-    open_groups: dict[tuple, list[int]] = {}
-    closed_groups: dict[tuple, list[int]] = {}
-    for v, label in enumerate(labels):
-        row = adj[v].copy()
-        for own, groups in ((False, open_groups), (True, closed_groups)):
-            row[v] = own
-            groups.setdefault((label, row.tobytes()), []).append(v)
-    classes = [(members, False) for members in open_groups.values() if len(members) > 1]
-    classes += [(members, True) for members in closed_groups.values() if len(members) > 1]
-    placed = {v for members, _ in classes for v in members}
-    classes += [([v], False) for v in range(len(labels)) if v not in placed]
-    classes.sort(key=lambda c: c[0][0])
-    return classes
+def _twins(adj: np.ndarray, labels: np.ndarray | None = None) -> list[tuple[list[int], bool]]:
+    """`twin_classes` of the graph whose adjacency is `adj` off the diagonal, among equal labels.
+
+    The rows are packed to bits once, a label appended as 8 more bytes; the
+    diagonal bits are cleared for the open fingerprints N(v) and then set for
+    the closed ones N[v].  Each fingerprint is its packed row read as one void
+    scalar, and maps to the smallest vertex that has it.
+    """
+    n = len(adj)
+    if n == 0:
+        return []
+    packed = np.packbits(adj, axis=1)
+    if labels is not None:
+        labels = np.asarray(labels, dtype=np.int64).reshape(n, 1)
+        packed = np.hstack([packed, labels.view(np.uint8)])
+    vertices = np.arange(n)
+    diagonal = vertices * packed.shape[1] + (vertices >> 3)  # the byte of bit (v, v)
+    bits = _BITS[vertices & 7]
+    flat, fingerprints = packed.reshape(-1), packed.view(np.dtype((np.void, packed.shape[1])))
+    flat[diagonal] &= ~bits
+    open_first = _first_equal(fingerprints.ravel())
+    flat[diagonal] |= bits
+    closed_first = _first_equal(fingerprints.ravel())
+    # a vertex without an open twin is its own open first, so it takes its closed first
+    # (itself when it has no twin at all); no vertex has twins of both kinds
+    rep = np.where(np.bincount(open_first, minlength=n)[open_first] > 1, open_first, closed_first)
+    members, firsts = _classes(rep)
+    closed = np.bincount(closed_first, minlength=n)[firsts] > 1
+    return list(zip(members, closed.tolist()))
+
+
+_BITS = np.array([128, 64, 32, 16, 8, 4, 2, 1], dtype=np.uint8)  # bit j of a byte, big-endian
+
+
+def _first_equal(keys: np.ndarray) -> np.ndarray:
+    """For each key of a 1-d array, the smallest index holding an equal key."""
+    keys = keys.tolist()
+    smallest = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+    return np.fromiter(map(smallest.__getitem__, keys), dtype=np.int64, count=len(keys))
+
+
+def _classes(rep: np.ndarray) -> tuple[list[list[int]], np.ndarray]:
+    """The sorted member lists of the classes that `rep` gives, and their smallest members.
+
+    `rep[v]` is the smallest member of v's class; the classes are ordered by
+    smallest member.
+    """
+    counts = np.bincount(rep)
+    firsts = counts.nonzero()[0]
+    ends = counts[firsts].cumsum().tolist()
+    order = rep.argsort(kind="stable").tolist()
+    return [order[start:end] for start, end in zip([0, *ends], ends)], firsts
 
 
 class TwinQuotient:
@@ -229,8 +293,9 @@ class TwinQuotient:
         self.sizes = [len(m) for m in self.members]
         self.closed = [closed for _, closed in classes]
         self.class_of = np.zeros(sum(self.sizes), dtype=np.int64)
-        for idx, mem in enumerate(self.members):
-            self.class_of[mem] = idx
+        self.class_of[list(chain.from_iterable(self.members))] = np.repeat(
+            np.arange(len(self.sizes)), self.sizes
+        )
         adj = np.array(adj, dtype=bool)
         np.fill_diagonal(adj, [c and s > 1 for c, s in zip(self.closed, self.sizes)])
         adj.setflags(write=False)
@@ -268,7 +333,7 @@ class TwinQuotient:
         an equivalence relation; its classes are the orbits, and the
         transpositions inside an orbit generate every permutation of it.
         """
-        labels = list(zip(self.sizes, self.closed, self.adj.diagonal()))
+        labels = 4 * np.array(self.sizes) + 2 * np.array(self.closed) + self.adj.diagonal()
         return tuple(tuple(members) for members, _ in _twins(self.adj, labels))
 
     @cached_property
@@ -296,7 +361,7 @@ class TwinQuotient:
         adj = self.adj & ~np.eye(k, dtype=bool)
         inner: list[tuple[bool, int, int]] = []
         while len(nodes) > 1:
-            classes = _twins(adj, [None] * len(nodes))
+            classes = _twins(adj)
             if len(classes) == len(nodes):
                 return None
             merged = []
@@ -339,28 +404,32 @@ _TYPE_ADJACENCY = np.array(
 )
 
 
-def predicted_quotient(labels: list, params: GroupParams) -> tuple[TwinQuotient, np.ndarray]:
-    """The twin quotient the closed forms assume, read from the labels, and each class's type.
+def predicted_quotient(
+    elements: tuple[np.ndarray, np.ndarray], params: GroupParams
+) -> tuple[TwinQuotient, np.ndarray]:
+    """The twin quotient the closed forms assume, read from the vertex elements, and class types.
 
-    Each label is typed by `CLASS_TYPES`, with N = 2^k p the rotation order:
+    `elements` are the (eps, i) arrays of a family graph (`Graph.elements`).
+    Each vertex is typed by `CLASS_TYPES`, with N = 2^k p the rotation order:
     r^0 is e, r^(N/2) is u, any other rotation h1, s r^even h2 and s r^odd h3.
     {e} and {u} are singletons, h1 is one closed class, h2 one open class and
     each blade {s r^i, s r^(i + N/2)} of h3 a closed pair; classes are ordered
     by smallest member.  The class adjacency is clique(<r>) + pendant edges at
     e + K4 blades on {e, u}.  `types[a]` indexes `CLASS_TYPES`.
     """
+    eps, i = elements
     half = params.rotation_order // 2
-    classes: dict[tuple[int, int], list[int]] = {}  # (type, blade) -> members
-    for v, g in enumerate(labels):
-        if g.eps == 0:
-            key = (0 if g.i == 0 else 1 if g.i == half else 2, 0)
-        else:
-            key = (3, 0) if g.i % 2 == 0 else (4, g.i % half)
-        classes.setdefault(key, []).append(v)
-    typed = sorted((members, t) for (t, _), members in classes.items())
-    types = np.array([t for _, t in typed])
-    pairs = [(members, CLASS_TYPES[t] in ("h1", "h3")) for members, t in typed]  # closed classes
-    return TwinQuotient(pairs, _TYPE_ADJACENCY[np.ix_(types, types)]), types
+    rotation = np.where(i == 0, 0, np.where(i == half, 1, 2))
+    vertex_types = np.where(eps == 0, rotation, 3 + i % 2)
+    blade = np.where(vertex_types == 4, i % half, 0)
+    _, first, inverse = np.unique(
+        vertex_types * half + blade, return_index=True, return_inverse=True
+    )
+    members, firsts = _classes(first[inverse])
+    types = vertex_types[firsts]
+    closed = (types == 2) | (types == 4)  # h1 and h3
+    adj = _TYPE_ADJACENCY[np.ix_(types, types)]
+    return TwinQuotient(list(zip(members, closed.tolist())), adj), types
 
 
 def family_degree_multiset(params: GroupParams) -> dict[int, int]:

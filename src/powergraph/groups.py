@@ -3,12 +3,18 @@
 Elements are kept in the normal form s^eps r^i with eps in {0, 1} and
 0 <= i < 2^k p.  The defining relation gives r s = s r^m with
 m = 2^(k-1)p - 1, and m^2 = 1 mod 2^k p, so a single multiplier suffices
-for O(1) multiplication.
+for O(1) multiplication.  `product` is that rule on (eps, i) pairs of ints or
+of int arrays, so whole arrays of elements multiply in one step;
+`cyclic_powers` builds on it the powers of many elements at once, by
+doubling.  `GroupElement` and `multiply` are the one-element view of the
+same rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 
 # largest family order a report builds and vertex count an ingested graph may
@@ -82,20 +88,39 @@ class GroupElement:
 IDENTITY = GroupElement(0, 0)
 
 
+def product(a, b, params: GroupParams):
+    """(eps, i) of the product of a = (e1, i) and b = (e2, j): (e1 xor e2, i * m^e2 + j mod 2^k p).
+
+    Each part is an int or an int array (eps 0 or 1); arrays multiply
+    elementwise and broadcast, so one call multiplies whole arrays of elements.
+    """
+    (e1, i), (e2, j) = a, b
+    return e1 ^ e2, (i * (1 + (params.multiplier - 1) * e2) + j) % params.rotation_order
+
+
 def multiply(a: GroupElement, b: GroupElement, params: GroupParams) -> GroupElement:
-    """Product in normal form: (e1,i)(e2,j) = (e1 xor e2, i*m^e2 + j)."""
+    """`product` of two elements in normal form."""
     n = params.rotation_order
     if not (0 <= a.i < n and 0 <= b.i < n):
         raise ParameterError(f"element out of range for params (k={params.k}, p={params.p})")
-    i = a.i * params.multiplier % n if b.eps else a.i
-    return GroupElement(a.eps ^ b.eps, (i + b.i) % n)
+    return GroupElement(*product((a.eps, a.i), (b.eps, b.i), params))
 
 
-def cyclic_subgroup(a: GroupElement, params: GroupParams) -> frozenset[GroupElement]:
-    """All powers {a^t : t >= 0}; its size is the order of a."""
-    seen = {IDENTITY}
-    current = a
-    while current != IDENTITY:
-        seen.add(current)
-        current = multiply(current, a, params)
-    return frozenset(seen)
+def cyclic_powers(x, params: GroupParams) -> tuple[np.ndarray, np.ndarray]:
+    """(eps, i) int64 arrays of shape (g, t): x^0 .. x^(t-1) for each of g elements x = (eps, i).
+
+    Computed by doubling, one `product` over all g rows per step: x^t .. x^(2t-1)
+    are x^0 .. x^(t-1) times x^t, and x^(2t) is x^t squared.  The doubling stops
+    once every row has met e again, so t is the least power of two (at least
+    2) not below the largest order, and each row holds its cyclic subgroup, a
+    row of order o < t repeating its o powers.
+    """
+    step = tuple(np.asarray(part, dtype=np.int64).reshape(-1, 1) for part in x)  # x^t
+    eps, i = np.zeros_like(step[0]), np.zeros_like(step[1])  # x^0 .. x^(t-1)
+    met = np.zeros(len(eps), dtype=bool)  # whether x^s = e for some 0 < s <= t
+    while not met.all():
+        high_eps, high_i = product((eps, i), step, params)
+        eps, i = np.concatenate([eps, high_eps], axis=1), np.concatenate([i, high_i], axis=1)
+        step = product(step, step, params)
+        met |= ((high_eps | high_i) == 0).any(axis=1) | ((step[0] | step[1]) == 0)[:, 0]
+    return eps, i

@@ -210,9 +210,9 @@ def strong_cover(quotient: TwinQuotient, gsr: np.ndarray) -> tuple[int, tuple[in
     """
     _, class_cover = min_vertex_cover(Graph(gsr & ~np.eye(len(gsr), dtype=bool)))
     independent = set(range(len(gsr))) - set(class_cover)
-    kept = {quotient.members[a][0] for a in independent}
-    cover = tuple(v for v in range(len(quotient.class_of)) if v not in kept)
-    return len(cover), cover
+    kept = [quotient.members[a][0] for a in independent]
+    cover = np.delete(np.arange(len(quotient.class_of)), kept)
+    return len(cover), tuple(cover.tolist())
 
 
 def strong_metric_dimension(graph: Graph) -> int:

@@ -15,7 +15,6 @@ fail the run: a mismatch emits a diagnostic and the numeric spectrum stays the a
 from __future__ import annotations
 
 import math
-from collections import Counter
 from functools import cached_property
 
 import numpy as np
@@ -56,7 +55,7 @@ class Instance:
         self.detour_budget_s = detour_budget_s
         self.detour_oracle_max_n = detour_oracle_max_n
         self.graph = build_power_graph(params)
-        self.predicted, self.predicted_types = predicted_quotient(self.graph.labels, params)
+        self.predicted, self.predicted_types = predicted_quotient(self.graph.elements, params)
         self._spectra: dict[tuple[str, float], tuple[spectra.Spectrum, spectra.Spectrum]] = {}
 
     def spectra(self, kind: str, alphas) -> list[tuple[spectra.Spectrum, spectra.Spectrum]]:
@@ -159,7 +158,10 @@ def _classes_match(inst: Instance, values, predicted: dict) -> bool:
     Only the types that `predicted` names (by `CLASS_TYPES` name) are compared.
     """
     by_type = {t: predicted[name] for t, name in enumerate(CLASS_TYPES) if name in predicted}
-    pairs = set(zip(inst.graph.quotient.class_of.tolist(), inst.vertex_types.tolist()))
+    quotient = inst.graph.quotient
+    seen = np.zeros((len(quotient.sizes), len(CLASS_TYPES)), dtype=bool)
+    seen[quotient.class_of, inst.vertex_types] = True
+    pairs = zip(*(part.tolist() for part in np.nonzero(seen)))  # each (class, type) once
     return all(values[a] == by_type[t] for a, t in pairs if t in by_type)
 
 
@@ -210,7 +212,9 @@ def check_structure(inst: Instance) -> list[dict]:
     if not (inst.twins_as_predicted and np.array_equal(quotient.adj, predicted.adj)):
         expected = predicted.lift(predicted.adj)
         missing, extra = Graph(expected & ~graph.adj).edges(), Graph(graph.adj & ~expected).edges()
-    counts = dict(Counter(quotient.degrees(quotient.adj)[quotient.class_of].tolist()))
+    counts: dict[int, int] = {}  # in order of first vertex, as the classes are
+    for degree, size in zip(quotient.degrees(quotient.adj).tolist(), quotient.sizes):
+        counts[degree] = counts.get(degree, 0) + size
     multiset = family_degree_multiset(inst.params)
     return [
         _check(
@@ -276,13 +280,14 @@ def check_spectrum_family(
 
 
 def check_transcriptions(inst: Instance, alphas) -> list[dict]:
-    """The printed quintic at the closed form's quotient roots, and the printed RD quotient."""
-    params = inst.params
-    quintic = {
-        repr(alpha): spectra.quintic_transcription_check(params, alpha, closed)
-        for alpha, (closed, _) in zip(alphas, inst.spectra("adjacency", alphas))
-    }
-    printed = {repr(a): spectra.rd_quotient_transcription_check(params, a) for a in alphas}
+    """The printed quintic at the closed form's quotient roots, and the printed RD quotient.
+
+    Each is one sweep over the alphas.
+    """
+    params, keys = inst.params, [repr(alpha) for alpha in alphas]
+    closed = [closed for closed, _ in inst.spectra("adjacency", alphas)]
+    quintic = dict(zip(keys, spectra.quintic_transcription_check(params, alphas, closed)))
+    printed = dict(zip(keys, spectra.rd_quotient_transcription_check(params, alphas)))
     checks = []
     for name, per_alpha in (
         ("quintic_transcription", quintic),
@@ -386,9 +391,12 @@ def check_detour(inst: Instance) -> dict:
 def check_degree_sequences(inst: Instance) -> list[dict]:
     params, table = inst.params, inst.dds
     rows_ok = _classes_match(inst, table.class_rows, sequences.family_dds_rows(params))
-    types = inst.vertex_types.tolist()
-    # the class of the first vertex of each type
-    first = {name: table.class_of[types.index(t)] for t, name in enumerate(CLASS_TYPES)}
+    types = inst.predicted_types.tolist()
+    # the class of the first vertex of each type, the first member of its first predicted class
+    first = {
+        name: table.class_of[inst.predicted.members[types.index(t)][0]]
+        for t, name in enumerate(CLASS_TYPES)
+    }
     multiset_diff = sequences.compare_groupings(table.groups, sequences.family_dds_groups(params))
     checks = [
         _check(

@@ -76,10 +76,13 @@ class Spectrum:
 
     @cached_property
     def _values(self) -> np.ndarray:
-        out: list[float] = []
-        for line in self.lines:
-            out.extend([line.value] * line.multiplicity)
-        values = np.array(sorted(out, reverse=True))
+        # a stable ascending sort of the negated values: equal values, 0.0 and -0.0
+        # among them, keep their line order, as a stable descending sort keeps it
+        expanded = np.repeat(
+            np.array([line.value for line in self.lines], dtype=np.float64),
+            [line.multiplicity for line in self.lines],
+        )
+        values = -np.sort(-expanded, kind="stable")
         values.flags.writeable = False
         return values
 
@@ -298,48 +301,51 @@ def a_alpha_closed_form(params: GroupParams, alphas) -> tuple[Spectrum, ...]:
     return _closed_forms(params, alphas, a_alpha_families, a_alpha_quotient_matrix)
 
 
-def quintic_coefficients(params: GroupParams, alpha: float) -> np.ndarray:
-    """Printed degree-5 polynomial for the quotient eigenvalues, highest power first.
+def quintic_coefficients(params: GroupParams, alphas) -> np.ndarray:
+    """Printed degree-5 polynomial for the quotient eigenvalues, highest power first, per alpha.
 
     Transcribed exactly as published; `quintic_transcription_check` measures it
-    against the quotient eigenvalues instead of trusting it.
+    against the quotient eigenvalues instead of trusting it.  Returns an (A, 6)
+    array for A alphas.
     """
-    a = alpha
+    # the powers by float pow, one alpha at a time: numpy's array power rounds some differently
+    powers = [[float(x) ** e for e in (1, 2, 3, 4)] for x in alphas]
+    a, a2, a3, a4 = np.array(powers, dtype=np.float64).reshape(-1, 4).T
     K = float(1 << params.k)
     P = float(params.p)
     c4 = (7 * K / 2 * P + 3) * a + K * P - 2
     c3 = (
-        (-3 * K**2 * P**2 - 21 * K / 2 * P - 2) * a**2
+        (-3 * K**2 * P**2 - 21 * K / 2 * P - 2) * a2
         + (-7 * K**2 / 2 * P**2 - K * P + 8) * a
         + 5 * K / 2 * P
     )
     c2 = (
-        (9 * K**2 * P**2 + 7 * K * P) * a**3
-        + (3 * K**3 * P**3 + 23 * K**2 / 2 * P**2 - 6 * K * P - 6) * a**2
+        (9 * K**2 * P**2 + 7 * K * P) * a3
+        + (3 * K**3 * P**3 + 23 * K**2 / 2 * P**2 - 6 * K * P - 6) * a2
         + (K**2 / 2 * P**2 - 23 * K * P + 6) * a
         - 3 * K**2 / 2 * P**2
         + 4 * K * P
         + 2
     )
     c1 = (
-        -6 * K**2 * P**2 * a**4
-        + (-13 * K**3 / 2 * P**3 - 59 * K**2 / 4 * P**2 + 10 * K * P) * a**3
-        + (-8 * K**3 * P**3 + 105 * K**2 / 4 * P**2 + 45 * K / 2 * P - 6) * a**2
+        -6 * K**2 * P**2 * a4
+        + (-13 * K**3 / 2 * P**3 - 59 * K**2 / 4 * P**2 + 10 * K * P) * a3
+        + (-8 * K**3 * P**3 + 105 * K**2 / 4 * P**2 + 45 * K / 2 * P - 6) * a2
         + (5 * K**3 / 2 * P**3 + 9 * K**2 / 4 * P**2 - 20 * K * P) * a
         - 5 * K**2 / 4 * P**2
         + 3 * K / 2 * P
         + 1
     )
     c0 = (
-        -(3 * K**3 * P**3 + 15 * K**2 / 2 * P**2) * a**4
-        - (31 * K**3 / 4 * P**3 - 95 * K**2 / 4 * P**2 - 2 * K * P) * a**3
-        - (-(K**3) / 4 * P**3 - 37 * K**2 / 4 * P**2 + 18 * K * P - 2) * a**2
+        -(3 * K**3 * P**3 + 15 * K**2 / 2 * P**2) * a4
+        - (31 * K**3 / 4 * P**3 - 95 * K**2 / 4 * P**2 - 2 * K * P) * a3
+        - (-(K**3) / 4 * P**3 - 37 * K**2 / 4 * P**2 + 18 * K * P - 2) * a2
         - (-7 * K**3 / 4 * P**3 + 25 * K**2 / 4 * P**2 - 3 * K / 2 * P - 1) * a
         - K**3 / 4 * P**3
         + K**2 / 4 * P**2
         + K * P
     )
-    return np.array([1.0, -c4, -c3, -c2, -c1, c0])
+    return np.stack([np.ones_like(a), -c4, -c3, -c2, -c1, c0], axis=1)
 
 
 # largest relative residual (quintic) or entry gap (RD quotient) read as a match
@@ -347,24 +353,44 @@ QUINTIC_REL_TOL = 1e-4
 RD_QUOTIENT_REL_TOL = 1e-8
 
 
-def quintic_transcription_check(params: GroupParams, alpha: float, closed: Spectrum) -> dict:
-    """Evaluate the printed quintic at the five quotient roots of the A_alpha closed form `closed`.
+def _horner(coeffs: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Row a of `coeffs` (A, d + 1), highest power first, at each point of row a of `xs` (A, m).
 
-    A large residual means the published coefficients disagree with the
-    quotient route; the numeric full-matrix spectrum is the arbiter, so a
-    mismatch is reported as a diagnostic (None on a match) rather than trusted either way.
+    The steps and their order are `np.polyval`'s, for every row at once.
     """
-    coeffs = quintic_coefficients(params, alpha)
-    xs = np.array([line.value for line in closed.lines if line.source == "quotient-root"])
-    scale = np.maximum(1.0, np.polyval(np.abs(coeffs), np.abs(xs)))
-    worst = max([0.0, *(np.abs(np.polyval(coeffs, xs)) / scale).tolist()])
-    matches = worst <= QUINTIC_REL_TOL
-    diagnostic = None if matches else (
-        "published-coefficient mismatch: printed quintic does not vanish on the "
-        f"quotient eigenvalues (max relative residual {worst:.3e}); "
-        "the numeric spectrum is the arbiter"
-    )
-    return {"max_relative_residual": worst, "matches": matches, "diagnostic": diagnostic}
+    values = np.zeros_like(xs)
+    for column in coeffs.T:
+        values = values * xs + column[:, None]
+    return values
+
+
+def quintic_transcription_check(params: GroupParams, alphas, closed) -> list[dict]:
+    """Evaluate each alpha's printed quintic at the five quotient roots of its A_alpha closed form.
+
+    `closed` holds the closed-form `Spectrum` of each alpha.  Every quintic is
+    evaluated in one Horner pass over the (A, 5) roots.  A large residual means
+    the published coefficients disagree with the quotient route; the numeric
+    full-matrix spectrum is the arbiter, so a mismatch is reported as a
+    diagnostic (None on a match) rather than trusted either way.
+    """
+    coeffs = quintic_coefficients(params, alphas)
+    xs = np.array(
+        [[ln.value for ln in spectrum.lines if ln.source == "quotient-root"] for spectrum in closed]
+    ).reshape(len(coeffs), -1)
+    scale = np.maximum(1.0, _horner(np.abs(coeffs), np.abs(xs)))
+    residuals = np.abs(_horner(coeffs, xs)) / scale
+    checks = []
+    for worst in residuals.max(axis=1, initial=0.0).tolist():
+        matches = worst <= QUINTIC_REL_TOL
+        diagnostic = None if matches else (
+            "published-coefficient mismatch: printed quintic does not vanish on the "
+            f"quotient eigenvalues (max relative residual {worst:.3e}); "
+            "the numeric spectrum is the arbiter"
+        )
+        checks.append(
+            {"max_relative_residual": worst, "matches": matches, "diagnostic": diagnostic}
+        )
+    return checks
 
 
 # reciprocal-distance closed forms ---------------------------------------
@@ -387,7 +413,7 @@ def rd_alpha_quotient_matrix(params: GroupParams, alphas) -> np.ndarray:
 
     Assembled from the reciprocal transmissions and the class distances (all
     1 or 2); matches the published matrix except for the H3 diagonal entry,
-    where the published value repeats the H2 one (see the printed variant).
+    where the published value repeats the H2 one (`rd_quotient_transcription_check`).
     """
     n, half, quarter = _family_counts(params)
     order = 2 * n
@@ -407,15 +433,6 @@ def rd_alpha_quotient_matrix(params: GroupParams, alphas) -> np.ndarray:
     return np.array([matrix(a, 1.0 - a) for a in _checked(alphas)]).reshape(-1, 5, 5)
 
 
-def rd_alpha_quotient_matrix_printed(params: GroupParams, alphas) -> np.ndarray:
-    """The published 5x5 quotients verbatim (H3 diagonal equal to the H2 one), as a stack."""
-    n, half, _ = _family_counts(params)
-    alpha = np.array(_checked(alphas))
-    out = rd_alpha_quotient_matrix(params, alphas)
-    out[:, 3, 3] = alpha * n + (half - 1) * (1.0 - alpha) / 2
-    return out
-
-
 def rd_alpha_closed_form(params: GroupParams, alphas) -> tuple[Spectrum, ...]:
     """Complete predicted RD_alpha spectrum at each alpha: five families plus the quotient.
 
@@ -424,17 +441,24 @@ def rd_alpha_closed_form(params: GroupParams, alphas) -> tuple[Spectrum, ...]:
     return _closed_forms(params, alphas, rd_alpha_families, rd_alpha_quotient_matrix)
 
 
-def rd_quotient_transcription_check(params: GroupParams, alpha: float) -> dict:
-    """Compare the published 5x5 quotient against the derived one, entrywise."""
-    derived = rd_alpha_quotient_matrix(params, (alpha,))
-    printed = rd_alpha_quotient_matrix_printed(params, (alpha,))
-    gap = float(np.abs(derived - printed).max())
-    scale = max(1.0, float(np.abs(derived).max()))
-    rel = gap / scale
-    matches = rel <= RD_QUOTIENT_REL_TOL
-    diagnostic = None if matches else (
-        "published-coefficient mismatch: published reciprocal-distance quotient "
-        f"differs from the derived one by {gap:.3e} (H3 diagonal entry); "
-        "the numeric spectrum is the arbiter"
-    )
-    return {"max_relative_residual": rel, "matches": matches, "diagnostic": diagnostic}
+def rd_quotient_transcription_check(params: GroupParams, alphas) -> list[dict]:
+    """Compare each alpha's published 5x5 quotient against the derived one, entrywise.
+
+    The derived stack is built once.  The published quotients are the derived
+    ones verbatim except for the H3 diagonal entry, which repeats the H2 one.
+    """
+    derived = rd_alpha_quotient_matrix(params, alphas)
+    printed = derived.copy()
+    printed[:, 3, 3] = derived[:, 2, 2]
+    gaps = np.abs(derived - printed).max(axis=(1, 2))
+    scales = np.maximum(1.0, np.abs(derived).max(axis=(1, 2)))
+    checks = []
+    for gap, rel in zip(gaps.tolist(), (gaps / scales).tolist()):
+        matches = rel <= RD_QUOTIENT_REL_TOL
+        diagnostic = None if matches else (
+            "published-coefficient mismatch: published reciprocal-distance quotient "
+            f"differs from the derived one by {gap:.3e} (H3 diagonal entry); "
+            "the numeric spectrum is the arbiter"
+        )
+        checks.append({"max_relative_residual": rel, "matches": matches, "diagnostic": diagnostic})
+    return checks

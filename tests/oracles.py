@@ -8,7 +8,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from powergraph.graphs import Graph, family_vertex_order
+from powergraph.graphs import _TYPE_ADJACENCY, CLASS_TYPES, Graph, TwinQuotient
 from powergraph.groups import IDENTITY, GroupElement, GroupParams, ParameterError, multiply
 from powergraph.matrices import DisconnectedGraphError, check_alpha
 from powergraph.spectra import _class_entries, sym_eigenvalues
@@ -59,6 +59,25 @@ def is_connected(graph: Graph) -> bool:
 
 
 # group and power graph -----------------------------------------------------
+
+
+def cyclic_subgroup(a: GroupElement, params: GroupParams) -> frozenset[GroupElement]:
+    """All powers {a^t : t >= 0}, one `multiply` at a time; its size is the order of a."""
+    seen = {IDENTITY}
+    current = a
+    while current != IDENTITY:
+        seen.add(current)
+        current = multiply(current, a, params)
+    return frozenset(seen)
+
+
+def family_vertex_order(params: GroupParams) -> list[GroupElement]:
+    """The family vertex order as `GroupElement`s: rotations, then s r^even, then s r^odd."""
+    n = params.rotation_order
+    rotations = [GroupElement(0, i) for i in range(n)]
+    involutions = [GroupElement(1, i) for i in range(0, n, 2)]
+    order4 = [GroupElement(1, i) for i in range(1, n, 2)]
+    return rotations + involutions + order4
 
 
 def elements(params: GroupParams) -> list[GroupElement]:
@@ -217,6 +236,24 @@ def classify_partition(graph: Graph, params: GroupParams) -> PartitionClasses:
     )
 
 
+def predicted_quotient_from_labels(
+    labels: list[GroupElement], params: GroupParams
+) -> tuple[TwinQuotient, np.ndarray]:
+    """`graphs.predicted_quotient` by one pass over the `GroupElement` labels, keyed in a dict."""
+    half = params.rotation_order // 2
+    classes: dict[tuple[int, int], list[int]] = {}  # (type, blade) -> members
+    for v, g in enumerate(labels):
+        if g.eps == 0:
+            key = (0 if g.i == 0 else 1 if g.i == half else 2, 0)
+        else:
+            key = (3, 0) if g.i % 2 == 0 else (4, g.i % half)
+        classes.setdefault(key, []).append(v)
+    typed = sorted((members, t) for (t, _), members in classes.items())
+    types = np.array([t for _, t in typed])
+    pairs = [(members, CLASS_TYPES[t] in ("h1", "h3")) for members, t in typed]
+    return TwinQuotient(pairs, _TYPE_ADJACENCY[np.ix_(types, types)]), types
+
+
 def verify_decomposition(
     graph: Graph, classes, params: GroupParams
 ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
@@ -248,6 +285,31 @@ def verify_decomposition(
     missing_edges = sorted(zip(*(idx.tolist() for idx in np.nonzero(missing))))
     extra_edges = sorted(zip(*(idx.tolist() for idx in np.nonzero(extra))))
     return missing_edges, extra_edges
+
+
+# twin classes -------------------------------------------------------------
+
+
+def twins_by_row_bytes(adj: np.ndarray, labels: list | None = None) -> list[tuple[list[int], bool]]:
+    """`graphs._twins` keyed by each whole adjacency row's bytes, one vertex at a time.
+
+    Every row is copied, its diagonal entry set to False for the open key and
+    to True for the closed one, and grouped with its label in a dict.
+    """
+    labels = [None] * len(adj) if labels is None else list(labels)
+    open_groups: dict[tuple, list[int]] = {}
+    closed_groups: dict[tuple, list[int]] = {}
+    for v, label in enumerate(labels):
+        row = adj[v].copy()
+        for own, groups in ((False, open_groups), (True, closed_groups)):
+            row[v] = own
+            groups.setdefault((label, row.tobytes()), []).append(v)
+    classes = [(members, False) for members in open_groups.values() if len(members) > 1]
+    classes += [(members, True) for members in closed_groups.values() if len(members) > 1]
+    placed = {v for members, _ in classes for v in members}
+    classes += [([v], False) for v in range(len(labels)) if v not in placed]
+    classes.sort(key=lambda c: c[0][0])
+    return classes
 
 
 # distances and the strong resolving graph ---------------------------------

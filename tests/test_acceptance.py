@@ -82,8 +82,8 @@ def test_criterion_2_quintic_transcription(family):
     ok = True
     for k, p in GRID_KP:
         params, _, _ = family(k, p)
-        for alpha, closed in zip(GRID_ALPHA, a_alpha_closed_form(params, GRID_ALPHA)):
-            check = quintic_transcription_check(params, alpha, closed)
+        closed = a_alpha_closed_form(params, GRID_ALPHA)
+        for check in quintic_transcription_check(params, GRID_ALPHA, closed):
             # small residual passes outright; otherwise the mismatch diagnostic
             # must be emitted and the spectrum checks stay authoritative
             ok = ok and (check["matches"] or check["diagnostic"] is not None)
@@ -159,7 +159,7 @@ def test_criterion_7_detour(family):
     start = time.monotonic()
     computed = detour_matrix(graph, time_budget_s=60.0)
     elapsed = time.monotonic() - start
-    _, types = predicted_quotient(graph.labels, params)
+    _, types = predicted_quotient(graph.elements, params)
     predicted = family_detour_matrix(types, params)
     ecc, radius, diameter = detour_profile(computed)
     ecc = ecc[graph.quotient.class_of]

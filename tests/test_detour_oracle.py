@@ -44,7 +44,7 @@ def lifted(graph: Graph) -> np.ndarray:
 
 def predicted_detour(graph, params) -> tuple[TwinQuotient, np.ndarray]:
     """(predicted twin quotient, predicted class detour matrix over its classes)."""
-    predicted, types = predicted_quotient(graph.labels, params)
+    predicted, types = predicted_quotient(graph.elements, params)
     return predicted, family_detour_matrix(types, params)
 
 

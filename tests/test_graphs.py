@@ -16,12 +16,15 @@ from oracles import (
     cotree_adjacency,
     cycle_graph,
     edge_list_text,
+    family_vertex_order,
     graph_json_dict,
     has_induced_p4,
     path_graph,
+    predicted_quotient_from_labels,
     random_cographs,
     random_graphs,
     star_graph,
+    twins_by_row_bytes,
     verify_decomposition,
 )
 from powergraph.graphs import (
@@ -33,7 +36,7 @@ from powergraph.graphs import (
     predicted_quotient,
     twin_classes,
 )
-from powergraph import graphs
+from powergraph import graphs, groups, report
 from powergraph.detour import detour_matrix
 from powergraph.groups import GroupElement, GroupParams
 from powergraph.matrices import rd_alpha
@@ -81,7 +84,7 @@ def test_partition_sizes(family):
 def test_predicted_type_groups_are_the_label_classes(family, k, p):
     # every family order up to (7, 7), n = 1792
     params, graph, classes = family(k, p)
-    predicted, types = predicted_quotient(graph.labels, params)
+    predicted, types = predicted_quotient(graph.elements, params)
     named = classes.named()
     for t, name in enumerate(CLASS_TYPES):
         members = [v for a in np.flatnonzero(types == t) for v in predicted.members[a]]
@@ -91,6 +94,73 @@ def test_predicted_type_groups_are_the_label_classes(family, k, p):
     for a in np.flatnonzero(types == CLASS_TYPES.index("h3")):
         v, w = predicted.members[a]
         assert graph.labels[w].i - graph.labels[v].i == half
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_predicted_quotient_equals_the_label_pass(family, k, p):
+    params, graph, _ = family(k, p)
+    predicted, types = predicted_quotient(graph.elements, params)
+    expected, expected_types = predicted_quotient_from_labels(family_vertex_order(params), params)
+    assert predicted.members == expected.members and predicted.closed == expected.closed
+    assert np.array_equal(predicted.adj, expected.adj)
+    assert np.array_equal(types, expected_types)
+
+
+def test_family_graph_carries_its_elements_as_arrays(family):
+    params, graph, _ = family(3, 5)
+    eps, i = graph.elements
+    assert eps.dtype == i.dtype == np.int64 and not eps.flags.writeable
+    assert graph.labels == [groups.GroupElement(*pair) for pair in zip(eps.tolist(), i.tolist())]
+    assert graph.labels == family_vertex_order(params)
+    assert Graph(graph.adj).elements is None and Graph(graph.adj).labels[:2] == ["0", "1"]
+
+
+def test_a_default_report_constructs_no_group_element(monkeypatch):
+    def refuse(self, *args):
+        raise AssertionError("a GroupElement was constructed")
+
+    monkeypatch.setattr(groups.GroupElement, "__init__", refuse)
+    payload = report.build_report(5, 5, (0.0, 0.25, 0.5, 1.0))
+    assert payload["passed"]
+    with pytest.raises(AssertionError, match="constructed"):
+        build_power_graph(GroupParams(2, 3)).labels
+
+
+def _twins_agree(adj, labels=None):
+    assert graphs._twins(adj, labels) == twins_by_row_bytes(adj, labels)
+
+
+def test_twins_equal_the_row_bytes_routine_on_random_graphs():
+    rng = np.random.default_rng(11)
+    for g in random_graphs(seed=12, count=300, max_n=40):
+        _twins_agree(g.adj)
+        # few distinct labels, so that labels split some classes and not others
+        _twins_agree(g.adj, rng.integers(0, 3, size=g.n))
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_twins_of_the_smallest_graphs(n):
+    adj = np.zeros((n, n), dtype=bool)
+    _twins_agree(adj)
+    _twins_agree(adj, np.arange(n))
+    assert graphs._twins(adj) == [([0], False)] * n
+
+
+def test_twins_read_the_adjacency_off_the_diagonal():
+    # the orbits call passes a class adjacency whose diagonal is set
+    rng = np.random.default_rng(5)
+    for g in random_graphs(seed=13, count=100, max_n=20):
+        adj = g.adj.copy()
+        np.fill_diagonal(adj, rng.random(g.n) < 0.5)
+        assert graphs._twins(adj) == twins_by_row_bytes(g.adj)
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_twins_equal_the_row_bytes_routine_on_the_family(family, k, p):
+    _, graph, _ = family(k, p)
+    _twins_agree(graph.adj)
 
 
 def test_twin_classes_family(family):

@@ -2,14 +2,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import CayleyTable, elements
+import numpy as np
+
+from oracles import CayleyTable, cyclic_subgroup, elements
 from powergraph.groups import (
     IDENTITY,
     GroupElement,
     GroupParams,
     ParameterError,
-    cyclic_subgroup,
+    cyclic_powers,
     multiply,
+    product,
 )
 
 P23 = GroupParams(2, 3)
@@ -105,6 +108,28 @@ def test_inverse_and_identity(a):
     assert multiply(inverses[0], x, P23) == IDENTITY
     assert multiply(x, IDENTITY, P23) == x
     assert multiply(IDENTITY, x, P23) == x
+
+
+@pytest.mark.parametrize("params", [P23, GroupParams(3, 5)], ids=["2-3", "3-5"])
+def test_array_product_equals_multiply_on_every_pair(params):
+    group = elements(params)
+    eps, i = (np.array(part) for part in zip(*((g.eps, g.i) for g in group)))
+    # every pair at once: rows a, columns b
+    prod_eps, prod_i = product((eps[:, None], i[:, None]), (eps[None, :], i[None, :]), params)
+    expected = [[multiply(a, b, params) for b in group] for a in group]
+    assert prod_eps.tolist() == [[g.eps for g in row] for row in expected]
+    assert prod_i.tolist() == [[g.i for g in row] for row in expected]
+
+
+@pytest.mark.parametrize("params", [P23, GroupParams(3, 5)], ids=["2-3", "3-5"])
+def test_cyclic_powers_hold_each_cyclic_subgroup(params):
+    group = elements(params)
+    eps, i = cyclic_powers(([g.eps for g in group], [g.i for g in group]), params)
+    largest = max(len(cyclic_subgroup(g, params)) for g in group)
+    # the least power of two, at least 2, that is not below the largest order
+    assert eps.shape == i.shape == (len(group), max(2, 1 << (largest - 1).bit_length()))
+    for g, row_eps, row_i in zip(group, eps.tolist(), i.tolist()):
+        assert set(map(GroupElement, row_eps, row_i)) == cyclic_subgroup(g, params)
 
 
 def test_cayley_oracle_small():

@@ -253,7 +253,7 @@ def test_detour_family_values(family):
     assert d[classes.e, classes.u] == 11
     assert d[classes.e, h1] == 13
     assert d[h2[0], h2[1]] == 2
-    predicted, types = predicted_quotient(graph.labels, params)
+    predicted, types = predicted_quotient(graph.elements, params)
     assert np.array_equal(d, predicted.lift(family_detour_matrix(types, params)))
 
 

@@ -40,6 +40,7 @@ from powergraph.spectra import (
     quintic_coefficients,
     quintic_transcription_check,
     rd_alpha_closed_form,
+    rd_alpha_quotient_matrix,
     rd_quotient_transcription_check,
     solve_quotient,
     sym_eigenvalues,
@@ -165,29 +166,85 @@ def test_quintic_root_sum_trace_identity(family):
 
 
 def test_quintic_transcription_matches_at_alpha_zero():
-    check = quintic_transcription_check(P23, 0.0, a_alpha_closed_form(P23, (0.0,))[0])
+    [check] = quintic_transcription_check(P23, (0.0,), a_alpha_closed_form(P23, (0.0,)))
     assert check["matches"]
     assert check["diagnostic"] is None
 
 
 def test_quintic_transcription_flags_published_typo():
     # the printed linear coefficient is off by 5 * 2^k p * alpha^3
-    check = quintic_transcription_check(P23, 0.5, a_alpha_closed_form(P23, (0.5,))[0])
+    [check] = quintic_transcription_check(P23, (0.5,), a_alpha_closed_form(P23, (0.5,)))
     assert not check["matches"]
     assert "mismatch" in check["diagnostic"]
 
 
 def test_quintic_roots_real_on_grid():
-    for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
-        roots = np.roots(quintic_coefficients(P23, alpha))
+    for coefficients in quintic_coefficients(P23, (0.0, 0.25, 0.5, 0.75, 1.0)):
+        roots = np.roots(coefficients)
         assert np.abs(roots.imag).max() <= 1e-8
 
 
 def test_quintic_roots_agree_with_quotient_where_transcription_holds():
     # at alpha = 0 the published polynomial is exact, so the two routes coincide
-    roots = np.sort(np.roots(quintic_coefficients(P23, 0.0)).real)[::-1]
+    [coefficients] = quintic_coefficients(P23, (0.0,))
+    roots = np.sort(np.roots(coefficients).real)[::-1]
     [quotient] = sym_eigenvalues(a_alpha_quotient_matrix(P23, (0.0,)))
     assert np.abs(roots - quotient).max() <= 1e-6
+
+
+@pytest.mark.parametrize("k,p", [(2, 3), (3, 5), (5, 5)])
+def test_transcription_sweeps_equal_the_one_alpha_computations(k, p):
+    # the dyadic alphas, 1/3 and a repeat; each alpha's dict as one np.polyval or one
+    # derived and printed pair of 5 x 5 matrices gives it, bit for bit
+    params, alphas = GroupParams(k, p), (0.0, 0.25, 1 / 3, 0.5, 0.123456789, 1.0, 1 / 3)
+    closed = a_alpha_closed_form(params, alphas)
+    quintic = quintic_transcription_check(params, alphas, closed)
+    printed = rd_quotient_transcription_check(params, alphas)
+    for alpha, spectrum, check, rd_check in zip(alphas, closed, quintic, printed):
+        [coeffs] = quintic_coefficients(params, (alpha,))
+        xs = np.array([ln.value for ln in spectrum.lines if ln.source == "quotient-root"])
+        scale = np.maximum(1.0, np.polyval(np.abs(coeffs), np.abs(xs)))
+        worst = max([0.0, *(np.abs(np.polyval(coeffs, xs)) / scale).tolist()])
+        assert check["max_relative_residual"] == worst
+        assert check == quintic_transcription_check(params, (alpha,), (spectrum,))[0]
+        [derived] = rd_alpha_quotient_matrix(params, (alpha,))
+        printed = derived.copy()  # as published: the H3 diagonal entry is the H2 one
+        n, half = params.rotation_order, params.rotation_order // 2
+        printed[3, 3] = alpha * n + (half - 1) * (1.0 - alpha) / 2
+        gap = float(np.abs(derived - printed).max())
+        assert rd_check["max_relative_residual"] == gap / max(1.0, float(np.abs(derived).max()))
+        assert rd_check == rd_quotient_transcription_check(params, (alpha,))[0]
+
+
+def test_quintic_coefficients_take_the_powers_of_each_alpha_by_float_pow():
+    alphas = (0.1, 0.3, 0.7, 0.123456789)
+    for alpha, row in zip(alphas, quintic_coefficients(P23, alphas)):
+        K, P = 4.0, 3.0
+        c4 = (7 * K / 2 * P + 3) * alpha + K * P - 2
+        c1 = (
+            -6 * K**2 * P**2 * alpha**4
+            + (-13 * K**3 / 2 * P**3 - 59 * K**2 / 4 * P**2 + 10 * K * P) * alpha**3
+            + (-8 * K**3 * P**3 + 105 * K**2 / 4 * P**2 + 45 * K / 2 * P - 6) * alpha**2
+            + (5 * K**3 / 2 * P**3 + 9 * K**2 / 4 * P**2 - 20 * K * P) * alpha
+            - 5 * K**2 / 4 * P**2
+            + 3 * K / 2 * P
+            + 1
+        )
+        assert row[0] == 1.0 and row[1] == -c4 and row[4] == -c1
+
+
+def test_spectrum_values_keep_the_line_order_of_equal_values():
+    # 0.0 and -0.0 are equal: a stable descending sort keeps them in line order
+    lines = [(1.0, 2, "a"), (0.0, 1, "b"), (-0.0, 2, "c"), (0.0, 1, "d"), (-2.5, 1, "e")]
+    for order in (lines, lines[::-1], lines[1:] + lines[:1]):
+        spectrum = Spectrum.from_lines(order)
+        expected = sorted(
+            [v for v, m, _ in (tuple(ln) for ln in spectrum.lines) for _ in range(m)], reverse=True
+        )
+        values = spectrum.values()
+        assert values.tolist() == expected and json.dumps(values.tolist()) == json.dumps(expected)
+        assert not values.flags.writeable
+    assert Spectrum.from_lines([]).values().dtype == np.float64
 
 
 # alpha sweeps: one stacked eigensolve per call --------------------------------
@@ -357,7 +414,7 @@ def test_rd_alpha_total_at_2_5():
 
 
 def test_rd_quotient_transcription_flags_published_diagonal():
-    check = rd_quotient_transcription_check(P23, 0.5)
+    [check] = rd_quotient_transcription_check(P23, (0.5,))
     assert not check["matches"]
     assert "diagonal" in check["diagnostic"]
 
