@@ -6,7 +6,7 @@ artifacts are JSON with sorted keys so identical config + seed reproduces
 byte-identical files; csv/text formats add renderings next to the JSON.
 The `build`, `metric`, `detour` and `dds` artifacts are class-level: the
 twin classes as `class_of` (n ints) and `closed` (k bools), and k x k class
-matrices or class rows, never a per-vertex lift; `ingest` writes nothing.
+matrices or class rows, never a per-vertex lift.
 """
 
 from __future__ import annotations
@@ -23,11 +23,11 @@ import numpy as np
 
 from . import __version__, report, sequences
 from .detour import DetourBudgetError
-from .graphs import CLASS_TYPES, Graph, GraphFormatError, TwinQuotient
+from .graphs import CLASS_TYPES, TwinQuotient
 from .groups import MAX_VERTICES, GroupParams, ParameterError
 from .metric import MetricSearchError
 
-COMMANDS = ("build", "spectra", "metric", "detour", "dds", "report", "ingest")
+COMMANDS = ("build", "spectra", "metric", "detour", "dds", "report")
 ENV_PREFIX = "POWERGRAPH_"
 
 
@@ -47,8 +47,6 @@ class RunConfig:
     detour_oracle_max_n: int = MAX_VERTICES
     tol: float = 1e-8
     seed: int = 0
-    graph_path: Path | None = None
-    graph_format: str = "edge-list"
 
     def validate(self) -> None:
         try:
@@ -75,27 +73,6 @@ class RunConfig:
             raise UsageError(f"detour oracle cap must be >= 0, got {self.detour_oracle_max_n}")
         if self.seed < 0:
             raise UsageError(f"seed must be >= 0, got {self.seed}")
-        if "ingest" in self.commands and self.graph_path is None:
-            raise UsageError("ingest requires --graph PATH")
-        if self.graph_format not in ("edge-list", "json"):
-            raise UsageError("graph format must be edge-list or json")
-
-
-def ingest_graph(path: str | Path, fmt: str = "edge-list") -> Graph:
-    """Load an external graph as edge-list text or canonical JSON."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise UsageError(f"cannot read graph file: {exc}") from None
-    if fmt == "edge-list":
-        return Graph.from_edge_list(text)
-    if fmt == "json":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise GraphFormatError(f"bad graph JSON: {exc}") from None
-        return Graph.from_json_dict(data)
-    raise UsageError(f"unknown graph format {fmt!r}")
 
 
 def _read_config_file(path: Path) -> dict[str, str]:
@@ -148,7 +125,6 @@ _FLAG_FIELDS = {
     "alpha": "alphas",
     "out": "out_dir",
     "detour_budget": "detour_budget_s",
-    "graph": "graph_path",
 }
 
 
@@ -184,8 +160,6 @@ def parse_args(argv: list[str]) -> RunConfig:
     parser.add_argument("--tol", type=float, help="spectrum comparison tolerance")
     parser.add_argument("--seed", type=int, help="recorded in the report config; no check reads it")
     parser.add_argument("--config", type=Path, help="key=value config file")
-    parser.add_argument("--graph", type=Path, help="external graph file for ingest")
-    parser.add_argument("--graph-format", choices=("edge-list", "json"), default=None)
     args = parser.parse_args(argv)
 
     config = RunConfig()
@@ -257,13 +231,6 @@ def run(config: RunConfig, out=None) -> int:
     config.validate()
     out = out if out is not None else sys.stdout
     stem = f"k{config.k}-p{config.p}"
-
-    if "ingest" in config.commands:
-        graph = ingest_graph(config.graph_path, config.graph_format)
-        print(f"ingested graph: n={graph.n}, edges={graph.edge_count()}", file=out)
-
-    if not set(config.commands) - {"ingest"}:
-        return 0
 
     inst = report.Instance(
         GroupParams(config.k, config.p), config.detour_budget_s, config.detour_oracle_max_n
@@ -378,7 +345,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return run(config)
-    except (UsageError, ParameterError, GraphFormatError) as exc:
+    except (UsageError, ParameterError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (DetourBudgetError, MetricSearchError) as exc:

@@ -13,25 +13,20 @@ element alone, so it is the one encoding of the family's classes (e, u, h1,
 h2 and the h3 blades) that the closed forms rest on.  Twin classes key each
 vertex by its adjacency row packed to bits.
 
-A `Graph` reads an edge list or JSON but writes neither: the CLI writes
-class-level data only (`class_of`, `closed` and k x k class matrices), and
-`TwinQuotient.lift` turns a class matrix into its vertex matrix.
+A `Graph` is built from an adjacency matrix and writes no edge list: the CLI
+writes class-level data only (`class_of`, `closed` and k x k class matrices),
+and `TwinQuotient.lift` turns a class matrix into its vertex matrix.
 """
 
 from __future__ import annotations
 
-import operator
 from functools import cached_property
 from itertools import chain
 
 import numpy as np
 
-from .groups import MAX_VERTICES, GroupElement, GroupParams, cyclic_powers
+from .groups import GroupElement, GroupParams, cyclic_powers
 from .matrices import DisconnectedGraphError, distance_matrix
-
-
-class GraphFormatError(ValueError):
-    """Malformed graph serialization."""
 
 
 class Graph:
@@ -86,26 +81,6 @@ class Graph:
             return [str(v) for v in range(self.n)]
         return [GroupElement(*pair) for pair in zip(*(part.tolist() for part in self.elements))]
 
-    @classmethod
-    def from_edges(cls, n: int, edges, labels: list | None = None) -> "Graph":
-        """Graph on vertices 0 .. n-1 with the given (i, j) edges.
-
-        Raises GraphFormatError for n above MAX_VERTICES (before anything is
-        allocated), a vertex id outside [0, n) or a self-loop, and TypeError
-        for an id that is not an integer.
-        """
-        if n > MAX_VERTICES:
-            raise GraphFormatError(f"{n} vertices exceed the limit of {MAX_VERTICES}")
-        adj = np.zeros((n, n), dtype=bool)
-        for i, j in edges:
-            i, j = _index(i), _index(j)
-            if not (0 <= i < n and 0 <= j < n):
-                raise GraphFormatError(f"edge ({i}, {j}) has a vertex id outside [0, {n})")
-            if i == j:
-                raise GraphFormatError(f"self-loop {i}")
-            adj[i, j] = adj[j, i] = True
-        return cls(adj, labels)
-
     @cached_property
     def quotient(self) -> "TwinQuotient":
         classes = twin_classes(self)
@@ -122,41 +97,6 @@ class Graph:
 
     def edge_count(self) -> int:
         return int(self.adj.sum()) // 2
-
-    @classmethod
-    def from_edge_list(cls, text: str) -> "Graph":
-        """Parse one "i j" pair per line; the vertex count is the largest id plus one."""
-        pairs = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise GraphFormatError(f"line {lineno}: expected two vertex ids, got {raw!r}")
-            try:
-                pairs.append((int(parts[0]), int(parts[1])))
-            except ValueError:
-                raise GraphFormatError(f"line {lineno}: non-integer vertex id in {raw!r}") from None
-        return cls.from_edges(max((max(pair) for pair in pairs), default=-1) + 1, pairs)
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Graph":
-        """The graph of `{"n": ..., "edges": [[i, j], ...], "labels": [...]}`; labels optional."""
-        try:
-            n, edges, labels = _index(data["n"]), data["edges"], data.get("labels")
-            if labels is not None and not isinstance(labels, list):
-                raise TypeError(f"labels must be a list, got {type(labels).__name__}")
-            return cls.from_edges(n, edges, labels)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise GraphFormatError(f"bad graph JSON: {exc}") from None
-
-
-def _index(value) -> int:
-    """`operator.index(value)`, refusing a bool: JSON true and false are not integers here."""
-    if isinstance(value, bool):
-        raise TypeError(f"{value!r} is not an integer")
-    return operator.index(value)
 
 
 # power graph of the family --------------------------------------------

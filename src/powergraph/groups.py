@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 
-# largest family order a report builds and vertex count an ingested graph may
-# declare: adjacency is a dense n x n array, allocated after this check
+# largest family order a report builds: adjacency is a dense n x n array,
+# allocated after this check
 MAX_VERTICES = 8192
 
 

@@ -213,8 +213,3 @@ def strong_cover(quotient: TwinQuotient, gsr: np.ndarray) -> tuple[int, tuple[in
     kept = [quotient.members[a][0] for a in independent]
     cover = np.delete(np.arange(len(quotient.class_of)), kept)
     return len(cover), tuple(cover.tolist())
-
-
-def strong_metric_dimension(graph: Graph) -> int:
-    """Vertex cover number of the strong resolving graph."""
-    return strong_cover(graph.quotient, mmd_graph(graph))[0]

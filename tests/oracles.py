@@ -11,19 +11,28 @@ import numpy as np
 from powergraph.graphs import _TYPE_ADJACENCY, CLASS_TYPES, Graph, TwinQuotient
 from powergraph.groups import IDENTITY, GroupElement, GroupParams, ParameterError, multiply
 from powergraph.matrices import DisconnectedGraphError, check_alpha
+from powergraph.metric import mmd_graph, strong_cover
 from powergraph.spectra import _class_entries, sym_eigenvalues
 
 
 # small graphs ------------------------------------------------------------
 
 
+def from_edges(n: int, edges, labels: list | None = None) -> Graph:
+    """The graph on vertices 0 .. n-1 with the given (i, j) edges."""
+    adj = np.zeros((n, n), dtype=bool)
+    for i, j in edges:
+        adj[i, j] = adj[j, i] = True
+    return Graph(adj, labels)
+
+
 def path_graph(n: int) -> Graph:
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    return from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle_graph(n: int) -> Graph:
     closing = [(n - 1, 0)] if n > 2 else []
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)] + closing)
+    return from_edges(n, [(i, i + 1) for i in range(n - 1)] + closing)
 
 
 def complete_graph(n: int) -> Graph:
@@ -31,7 +40,7 @@ def complete_graph(n: int) -> Graph:
 
 
 def star_graph(leaves: int) -> Graph:
-    return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+    return from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
 def alternating_threshold_graph(n: int) -> Graph:
@@ -356,6 +365,11 @@ def mmd_graph_loop(graph: Graph) -> Graph:
     return Graph(adj, labels=graph.labels)
 
 
+def strong_metric_dimension(graph: Graph) -> int:
+    """Vertex cover number of the strong resolving graph, by the library's class-level cover."""
+    return strong_cover(graph.quotient, mmd_graph(graph))[0]
+
+
 def resolve_check_unique(graph: Graph, subset) -> bool:
     """Whether the distance vectors to `subset` are pairwise distinct, by sorting the rows."""
     cols = sorted(subset)
@@ -654,11 +668,6 @@ def graph_json_dict(graph: Graph) -> dict:
         "labels": [str(label) for label in graph.labels],
         "edges": [[i, j] for i, j in graph.edges()],
     }
-
-
-def edge_list_text(graph: Graph) -> str:
-    """One "i j" line per edge, 0-based, i < j, sorted."""
-    return "".join(f"{i} {j}\n" for i, j in graph.edges())
 
 
 def build_payload(graph: Graph, params: GroupParams) -> dict:

@@ -13,13 +13,12 @@ import powergraph
 from oracles import (
     build_payload,
     dds_rows_bincount,
-    edge_list_text,
     graph_json_dict,
     matrix_to_csv,
     metric_payload,
 )
 from powergraph import cli
-from powergraph.cli import RunConfig, UsageError, ingest_graph, main, parse_args, run
+from powergraph.cli import RunConfig, UsageError, main, parse_args, run
 from powergraph.graphs import Graph
 from powergraph.groups import GroupParams
 from powergraph.metric import MetricSearchError
@@ -251,13 +250,11 @@ def test_run_without_out_writes_nothing_and_renders_no_artifact(tmp_path, monkey
     def unread(payload):
         raise AssertionError("an artifact was serialised without --out")
 
-    graph_path = tmp_path / "graph.txt"
-    graph_path.write_text("0 1\n", encoding="utf-8")
     (tmp_path / "cwd").mkdir()
     monkeypatch.setattr(cli, "_dump", unread)
     monkeypatch.chdir(tmp_path / "cwd")
     for fmt in ("json", "csv", "text"):  # every view, in every format
-        config = RunConfig(commands=cli.COMMANDS, fmt=fmt, graph_path=graph_path)
+        config = RunConfig(commands=cli.COMMANDS, fmt=fmt)
         assert run(config, out=io.StringIO()) == 0
     assert list((tmp_path / "cwd").iterdir()) == []
 
@@ -315,42 +312,8 @@ def test_build_writes_the_eager_renderings(family, k, p):
     vertex_level["edges"] = graph_json_dict(lifted)["edges"]
     assert cli._dump(vertex_level) == cli._dump(build_payload(graph, params))
     assert cli._dump(build_payload(lifted, params)) == cli._dump(build_payload(graph, params))
-    assert edge_list_text(lifted) == edge_list_text(graph)
     assert payload["closed"] == graph.quotient.closed
     assert f"n={graph.n}, edges={graph.edge_count()}\n" in output
-
-
-def ingest_collect(tmp_path, text, graph_format):
-    """(artifacts, stdout) of a text-format `ingest` of `text` with --out."""
-    path = tmp_path / "graph.in"
-    path.write_text(text, encoding="utf-8")
-    config = RunConfig(commands=("ingest",), graph_path=path, graph_format=graph_format, fmt="text")
-    code, artifacts, output = run_collect(config)
-    assert code == 0
-    return artifacts, output
-
-
-@pytest.mark.parametrize("k,p", [(2, 3), (3, 5), (5, 5)])
-def test_ingest_reads_the_eager_renderings_and_writes_no_file(tmp_path, family, k, p):
-    _, graph, _ = family(k, p)
-    for text, graph_format in (
-        (json.dumps(graph_json_dict(graph)), "json"),
-        (edge_list_text(graph), "edge-list"),
-    ):
-        artifacts, output = ingest_collect(tmp_path, text, graph_format)
-        assert artifacts == {}
-        assert output == f"ingested graph: n={graph.n}, edges={graph.edge_count()}\n"
-
-
-@pytest.mark.parametrize(
-    "text, graph_format, n",
-    [("", "edge-list", 0), ('{"n": 3, "edges": []}', "json", 3)],
-    ids=["empty", "edgeless"],
-)
-def test_ingest_without_edges_writes_no_file(tmp_path, text, graph_format, n):
-    artifacts, output = ingest_collect(tmp_path, text, graph_format)
-    assert artifacts == {}
-    assert output == f"ingested graph: n={n}, edges=0\n"
 
 
 def test_build_and_metric_and_dds_commands(tmp_path):
@@ -375,65 +338,6 @@ def test_out_dir_files_written(tmp_path):
     config = RunConfig(k=2, p=3, alphas=(0.5,), commands=("build",), out_dir=tmp_path)
     assert run(config, out=io.StringIO()) == 0
     assert (tmp_path / "k2-p3-graph.json").exists()
-
-
-def test_ingest_round_trip(tmp_path):
-    path = tmp_path / "triangle.txt"
-    path.write_text("0 1\n1 2\n0 2\n", encoding="utf-8")
-    graph = ingest_graph(path, "edge-list")
-    assert graph.n == 3 and graph.edge_count() == 3
-    json_path = tmp_path / "triangle.json"
-    json_path.write_text(json.dumps(graph_json_dict(graph)), encoding="utf-8")
-    again = ingest_graph(json_path, "json")
-    assert again.edges() == graph.edges()
-
-
-def test_ingest_command_and_errors(tmp_path, capsys):
-    path = tmp_path / "bad.txt"
-    path.write_text("0 x\n", encoding="utf-8")
-    assert main(["ingest", "--graph", str(path)]) == 2
-    assert "line 1" in capsys.readouterr().err
-    good = tmp_path / "good.txt"
-    good.write_text("0 1\n", encoding="utf-8")
-    assert main(["ingest", "--graph", str(good)]) == 0
-    assert main(["ingest"]) == 2  # --graph required
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        '{"n": 3, "edges": [[0, 0]]}',
-        '{"n": 3, "edges": [[0, 9]]}',
-        '{"n": 3, "edges": [[-1, 0]]}',
-        '{"n": 3, "edges": [[0.5, 2]]}',
-        '{"n": 3, "labels": ["a", "b"], "edges": [[0, 1]]}',
-        "not json",
-        '{"n": 100000, "edges": [[0, 1]]}',
-        '{"n": true, "edges": []}',
-        '{"n": 2, "edges": [[true, false]]}',
-        '{"n": 2, "labels": "ab", "edges": [[0, 1]]}',
-    ],
-    ids=[
-        "self-loop",
-        "id-out-of-range",
-        "negative-id",
-        "non-integer-id",
-        "label-count",
-        "not-json",
-        "too-many-vertices",
-        "boolean-n",
-        "boolean-id",
-        "string-labels",
-    ],
-)
-def test_malformed_json_graph_is_a_usage_error(tmp_path, capsys, text):
-    path = tmp_path / "bad.json"
-    path.write_text(text, encoding="utf-8")
-    assert main(["ingest", "--graph", str(path), "--graph-format", "json"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("usage error: ") and captured.err.count("\n") == 1
-    assert "Traceback" not in captured.err
 
 
 def _main_in_subprocess(argv):
@@ -477,20 +381,6 @@ def test_build_view_writes_its_class_adjacency_at_n1792(tmp_path):
     assert small_code == 0 and code == 0 and err == ""
     assert (tmp_path / "k7-p7-graph.json").stat().st_size < 1_000_000
     assert peak - small_peak < 64 * 1024  # ru_maxrss is in KiB on Linux
-
-
-def test_oversized_edge_list_is_refused_before_allocating(tmp_path):
-    def ingest(text):
-        path = tmp_path / "graph.txt"
-        path.write_text(text, encoding="utf-8")
-        return _main_in_subprocess(["ingest", "--graph", str(path)])
-
-    small_code, small_peak, _ = ingest("0 1\n")
-    code, peak, err = ingest("0 100000\n")
-    assert small_code == 0 and code == 2
-    assert err.startswith("usage error: ") and err.count("\n") == 1
-    assert "Traceback" not in err and "8192" in err
-    assert peak - small_peak < 4 * 1024  # ru_maxrss is in KiB on Linux
 
 
 def test_negative_seed_is_a_usage_error_not_a_traceback():
@@ -639,6 +529,31 @@ def test_unknown_config_key_is_a_usage_error(tmp_path, capsys, line):
     assert f"{cfg}:2: unknown config key {key!r}" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["ingest"], "usage error: unknown command 'ingest'"),
+        (["report", "--graph", "g.txt"], "unrecognized arguments: --graph g.txt"),
+        (["report", "--graph-format", "json"], "unrecognized arguments: --graph-format json"),
+    ],
+    ids=["ingest", "graph", "graph-format"],
+)
+def test_external_graph_input_is_a_usage_error(argv, message):
+    # the CLI reads no graph file: the command and its two flags are unknown
+    src = str(Path(powergraph.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "powergraph", *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert done.returncode == 2 and done.stdout == ""
+    assert message in done.stderr and "Traceback" not in done.stderr
+    if argv == ["ingest"]:
+        assert done.stderr.startswith(message) and done.stderr.count("\n") == 1
+
+
 @pytest.mark.parametrize("case", ["config-is-a-directory", "config-not-utf8", "out-is-a-file"])
 def test_unreadable_input_or_unwritable_output_is_a_usage_error(tmp_path, capsys, case):
     target = tmp_path / "target"
@@ -685,10 +600,3 @@ def test_metric_dimension_search_error_is_a_fail_not_a_traceback(capsys, monkeyp
     assert "FAIL metric_dimension" in captured.out
     assert "Traceback" not in captured.err
 
-
-def test_ingest_missing_graph_file_is_a_usage_error(tmp_path, capsys):
-    assert main(["ingest", "--graph", str(tmp_path / "missing.txt")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("usage error: ") and "missing.txt" in err
-    with pytest.raises(UsageError):
-        run(RunConfig(commands=("ingest",), graph_path=tmp_path / "missing.txt"))

@@ -22,12 +22,14 @@ from oracles import (
     cycle_graph,
     detour_matrix_unreduced,
     family_detour_matrix_loop,
+    from_edges,
     is_connected,
     naive_detour,
     path_graph,
     random_cographs,
     random_graphs,
     star_graph,
+    strong_metric_dimension,
     vertex_rows,
 )
 import powergraph
@@ -35,7 +37,6 @@ from powergraph.graphs import Graph, TwinQuotient, build_power_graph, predicted_
 from powergraph.detour import cotree_search, detour_matrix, orbit_search
 from powergraph.groups import GroupParams
 from powergraph.sequences import DegreeSequenceTable, family_detour_matrix
-from powergraph.metric import strong_metric_dimension
 
 
 def lifted(graph: Graph) -> np.ndarray:
@@ -52,7 +53,7 @@ def random_connected_graph(rng: np.random.Generator, n: int) -> Graph:
     while True:
         prob = rng.uniform(0.25, 0.8)
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        g = Graph.from_edges(n, [pair for pair in pairs if rng.random() < prob])
+        g = from_edges(n, [pair for pair in pairs if rng.random() < prob])
         if is_connected(g):
             return g
 
@@ -86,7 +87,7 @@ def test_detour_matches_naive_on_twin_heavy_graphs():
                 edges.append((0, a))
                 edges.extend((a, b) for b in block[a_pos + 1 :])
             offset += size
-        g = Graph.from_edges(1 + sum(sizes), edges)
+        g = from_edges(1 + sum(sizes), edges)
         assert np.array_equal(lifted(g), naive_detour(g))
 
 
@@ -96,7 +97,7 @@ def test_detour_matches_naive_on_open_twin_graphs():
     for a in range(1, 4):
         for b in range(a, 5):
             edges = [(i, j) for i in range(a) for j in range(a, a + b)]
-            graphs.append(Graph.from_edges(a + b, edges))
+            graphs.append(from_edges(a + b, edges))
     for leaves in ([1, 2], [2, 2], [3, 1, 2], [2, 3, 3]):
         edges = []
         nxt = 1 + len(leaves)
@@ -104,7 +105,7 @@ def test_detour_matches_naive_on_open_twin_graphs():
             edges.append((0, centre))
             edges.extend((centre, leaf) for leaf in range(nxt, nxt + count))
             nxt += count
-        graphs.append(Graph.from_edges(nxt, edges))
+        graphs.append(from_edges(nxt, edges))
     for g in graphs:
         assert np.array_equal(lifted(g), naive_detour(g)), g.edges()
 
@@ -256,7 +257,7 @@ def test_cotree_search_matches_the_family_closed_form_at_the_largest_orders(kp):
 
 
 def test_non_cographs_take_the_orbit_search():
-    circulant = Graph.from_edges(40, [(i, (i + step) % 40) for i in range(40) for step in (1, 3, 7)])
+    circulant = from_edges(40, [(i, (i + step) % 40) for i in range(40) for step in (1, 3, 7)])
     assert circulant.quotient.cotree is None
     for g in (path_graph(4), cycle_graph(5)):
         assert g.quotient.cotree is None

@@ -1,4 +1,3 @@
-import json
 from collections import Counter
 
 import numpy as np
@@ -15,9 +14,8 @@ from oracles import (
     complete_graph,
     cotree_adjacency,
     cycle_graph,
-    edge_list_text,
     family_vertex_order,
-    graph_json_dict,
+    from_edges,
     has_induced_p4,
     path_graph,
     predicted_quotient_from_labels,
@@ -30,7 +28,6 @@ from oracles import (
 from powergraph.graphs import (
     CLASS_TYPES,
     Graph,
-    GraphFormatError,
     build_power_graph,
     family_degree_multiset,
     predicted_quotient,
@@ -210,7 +207,7 @@ def test_decomposition_verifies(family):
 def test_decomposition_reports_violations(family):
     params, graph, classes = family(2, 3)
     some_edge = graph.edges()[0]
-    broken = Graph.from_edges(graph.n, graph.edges()[1:], labels=graph.labels)
+    broken = from_edges(graph.n, graph.edges()[1:], labels=graph.labels)
     missing, extra = verify_decomposition(broken, classes, params)
     assert missing == [some_edge]
     assert extra == []
@@ -220,7 +217,7 @@ def test_decomposition_reports_an_extra_edge(family):
     params, graph, classes = family(2, 3)
     h2 = min(classes.h2)
     extra_edge = (classes.u, h2) if classes.u < h2 else (h2, classes.u)
-    broken = Graph.from_edges(graph.n, graph.edges() + [extra_edge], labels=graph.labels)
+    broken = from_edges(graph.n, graph.edges() + [extra_edge], labels=graph.labels)
     assert verify_decomposition(broken, classes, params) == ([], [extra_edge])
 
 
@@ -279,30 +276,6 @@ def test_build_matches_the_word_rewriting_reference(family, k, p):
     assert graph.labels == other.labels
 
 
-def test_edge_list_round_trip():
-    g = path_graph(3)
-    text = edge_list_text(g)
-    assert text == "0 1\n1 2\n"
-    again = Graph.from_edge_list(text)
-    assert np.array_equal(again.adj, g.adj)
-
-
-def test_json_round_trip(family):
-    _, graph, _ = family(2, 3)
-    payload = json.loads(json.dumps(graph_json_dict(graph)))
-    again = Graph.from_json_dict(payload)
-    assert np.array_equal(again.adj, graph.adj)
-
-
-def test_edge_list_parse_errors():
-    with pytest.raises(GraphFormatError, match="line 1"):
-        Graph.from_edge_list("0 x\n")
-    with pytest.raises(GraphFormatError, match="line 2"):
-        Graph.from_edge_list("0 1\n1\n")
-    with pytest.raises(GraphFormatError, match="self-loop"):
-        Graph.from_edge_list("2 2\n")
-
-
 def test_graph_computes_distances_and_quotient_once(monkeypatch):
     params = GroupParams(2, 3)
     graph = build_power_graph(params)
@@ -357,15 +330,6 @@ def test_constructor_rejects_bad_adjacency(adj, message):
         Graph(adj)
 
 
-@pytest.mark.parametrize(
-    "n, edges, message",
-    [(3, [(0, 3)], "outside"), (3, [(-1, 0)], "outside"), (3, [(1, 1)], "self-loop")],
-)
-def test_from_edges_rejects_bad_edges(n, edges, message):
-    with pytest.raises(GraphFormatError, match=message):
-        Graph.from_edges(n, edges)
-
-
 def test_small_constructors():
     assert complete_graph(4).edge_count() == 6
     assert star_graph(5).degrees()[0] == 5
@@ -377,7 +341,7 @@ def test_small_constructors():
 def test_twin_classes_partition_random_graphs(seed, n):
     rng = np.random.default_rng(seed)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    g = Graph.from_edges(n, [pair for pair in pairs if rng.random() < 0.5])
+    g = from_edges(n, [pair for pair in pairs if rng.random() < 0.5])
     classes = twin_classes(g)
     # a partition of V into pure open/closed classes
     assert sum(len(members) for members, _ in classes) == n
@@ -396,7 +360,7 @@ def test_twin_classes_partition_random_graphs(seed, n):
 def test_twin_quotient_is_the_graph_on_classes(seed, n):
     rng = np.random.default_rng(seed)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    g = Graph.from_edges(n, [pair for pair in pairs if rng.random() < 0.5])
+    g = from_edges(n, [pair for pair in pairs if rng.random() < 0.5])
     quotient = g.quotient
     assert quotient.members == [members for members, _ in twin_classes(g)]
     assert quotient.sizes == [len(m) for m in quotient.members]

@@ -10,6 +10,7 @@ from oracles import (
     blown_up_graphs,
     complete_graph,
     cycle_graph,
+    from_edges,
     matrix_to_csv,
     path_graph,
     random_graphs,
@@ -119,7 +120,7 @@ def test_triangle_inequality_exhaustive(family):
 
 
 def test_disconnected_rejected():
-    g = Graph.from_edges(3, [(0, 1)])
+    g = from_edges(3, [(0, 1)])
     with pytest.raises(DisconnectedGraphError):
         distance_matrix(g)
 
@@ -266,7 +267,7 @@ def test_detour_dominates_distance(family):
 
 
 def test_detour_c4_crossing_pairs():
-    d = lifted_detour(Graph.from_edge_list("0 1\n1 2\n2 3\n3 0\n"))
+    d = lifted_detour(cycle_graph(4))
     assert d[0, 1] == 3  # go the long way around
     assert d[0, 2] == 2
 
@@ -278,7 +279,7 @@ def test_matrix_exports():
 
 @pytest.mark.parametrize(
     "graph",
-    [Graph.from_edges(4, [(0, 1), (2, 3)]), Graph.from_edges(2, [])],
+    [from_edges(4, [(0, 1), (2, 3)]), from_edges(2, [])],
     ids=["two-disjoint-edges", "two-isolated-vertices"],
 )
 def test_detour_rejects_a_disconnected_graph(graph):
@@ -289,7 +290,7 @@ def test_detour_rejects_a_disconnected_graph(graph):
 def test_detour_budget_error():
     # twinless circulant: the quotient search degenerates to plain DFS
     n = 40
-    g = Graph.from_edges(n, [(i, (i + step) % n) for i in range(n) for step in (1, 3, 7)])
+    g = from_edges(n, [(i, (i + step) % n) for i in range(n) for step in (1, 3, 7)])
     with pytest.raises(DetourBudgetError):
         detour_matrix(g, time_budget_s=0.05)
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import powergraph
-from oracles import classify_partition, verify_decomposition
+from oracles import classify_partition, from_edges, verify_decomposition
 from perfbench.workloads import WORKLOADS
 from powergraph import spectra
 from powergraph.cli import RunConfig, run
@@ -258,7 +258,7 @@ def test_structure_check_matches_the_decomposition_oracle_on_broken_graphs():
         edges + [(v, w)],  # an extra edge between two involutions
     ):
         broken = Instance(GroupParams(2, 3))
-        broken.graph = Graph.from_edges(inst.graph.n, changed, labels=inst.graph.labels)
+        broken.graph = from_edges(inst.graph.n, changed, labels=inst.graph.labels)
         assert_structure_matches_the_oracle(broken)
         assert not check_structure(broken)[0]["passed"]
 
@@ -288,7 +288,7 @@ def test_block_reduction_check_fails_on_broken_graphs():
         (edges + [(v, w)], "not the predicted ones"),
     ):
         broken = Instance(GroupParams(2, 3))
-        broken.graph = Graph.from_edges(inst.graph.n, changed, labels=inst.graph.labels)
+        broken.graph = from_edges(inst.graph.n, changed, labels=inst.graph.labels)
         checks = {c["name"]: c for c in report_payload(broken, (0.25, 0.5))["checks"]}
         block = checks["block_reduction_random"]
         assert not block["passed"]

@@ -10,11 +10,12 @@ from oracles import (
     cluster_values_loop,
     complete_graph,
     dense_quotient_roots,
+    from_edges,
     is_connected,
     path_graph,
     random_graphs,
 )
-from powergraph.graphs import Graph, build_power_graph
+from powergraph.graphs import build_power_graph
 from powergraph.groups import GroupParams
 from powergraph.matrices import (
     AlphaRangeError,
@@ -358,7 +359,7 @@ def test_orbit_roots_k3():
     [k3] = solve_quotient(complete_graph(3), "adjacency", (0.0,))
     assert np.allclose(k3.values(), [2, -1, -1])
     edges = [(i, j) for i in range(6) for j in range(i) if i // 2 != j // 2]
-    octahedron = Graph.from_edges(6, edges)
+    octahedron = from_edges(6, edges)
     assert octahedron.quotient.orbits == ((0, 1, 2),)
     values = solve_quotient(octahedron, "adjacency", (0.0,))[0].values()
     assert np.allclose(values, [4, 0, 0, 0, -2, -2], atol=1e-12)

@@ -19,6 +19,30 @@ def test_traced_function_exists(module, name):
     assert callable(getattr(importlib.import_module(f"powergraph.{module}"), name, None))
 
 
+_TRACED_MODULES_LOADED = (
+    "import sys\n"
+    "from powergraph import cli, report\n"
+    "loaded = set(sys.modules)\n"
+    "from perfbench.spans import TRACED\n"
+    "print(sorted(m for m in TRACED if f'powergraph.{m}' not in loaded))\n"
+)
+
+
+def test_the_benchmarks_imports_load_every_traced_module():
+    # perfbench/workloads.py imports only `cli` and `report`, and the tracer finds
+    # each traced module in sys.modules, so those two must import all of them
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", _TRACED_MODULES_LOADED],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={"PYTHONPATH": f"{root / 'src'}:{root}", "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
 def test_tracer_sees_the_graphs_own_distances_and_quotient():
     with Tracer() as tracer:
         graph = graphs.build_power_graph(GroupParams(2, 3))
