@@ -35,6 +35,13 @@ class UsageError(ValueError):
     """Invalid configuration; maps to exit code 2."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose parse errors are `UsageError`s, one stderr line each."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 @dataclass
 class RunConfig:
     k: int = 2
@@ -144,7 +151,7 @@ def _apply_kv(config: RunConfig, values: dict[str, str], source: str) -> None:
 
 
 def parse_args(argv: list[str]) -> RunConfig:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="powergraph",
         description="Power-graph spectra, metric dimensions and detour distances "
         "for the two-generator group family, verified against oracles.",
@@ -253,13 +260,13 @@ def run(config: RunConfig, out=None) -> int:
         print(f"built power graph: n={graph.n}, edges={quotient.edge_count(quotient.adj)}", file=out)
 
     if "spectra" in config.commands:
-        adjacency = []
         for kind in report.SPECTRUM_KINDS:
-            for alpha, (closed, numeric) in zip(config.alphas, inst.spectra(kind, config.alphas)):
-                payload = report.spectrum_payload(inst.params, alpha, closed, numeric.values())
+            sweeps = inst.spectra(kind, config.alphas)
+            payloads = report.spectrum_payloads(inst.params, config.alphas, *sweeps)
+            for alpha, payload in zip(config.alphas, payloads):
                 _emit(config.out_dir, f"{stem}-alpha{alpha!r}-{kind}-spectrum.json", payload)
-                if kind == "adjacency":
-                    adjacency.append(payload)
+            if kind == "adjacency":
+                adjacency = payloads
         if config.fmt == "csv":
             _emit(config.out_dir, f"{stem}-adjacency-spectra.csv", _spectra_csv(adjacency))
         print(f"spectra computed for alphas {list(config.alphas)}", file=out)

@@ -39,13 +39,13 @@ class Graph:
     arrays (eps, i); any other graph has `elements` None.
     """
 
-    def __init__(self, adj, labels: list | None = None):
+    def __init__(self, adj):
         adj = np.array(adj, dtype=bool)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise ValueError(f"adjacency must be a square matrix, got shape {adj.shape}")
         if not np.array_equal(adj, adj.T):
             raise ValueError("adjacency must be symmetric")
-        self._keep(adj, labels)
+        self._keep(adj)
 
     @classmethod
     def _symmetric(cls, adj: np.ndarray, elements: tuple[np.ndarray, np.ndarray]) -> "Graph":
@@ -56,27 +56,23 @@ class Graph:
         arrays of its vertices.
         """
         graph = cls.__new__(cls)
-        graph._keep(adj, None)
+        graph._keep(adj)
         for part in elements:
             part.setflags(write=False)
         graph.elements = elements
         return graph
 
-    def _keep(self, adj: np.ndarray, labels: list | None) -> None:
+    def _keep(self, adj: np.ndarray) -> None:
         if adj.diagonal().any():
             raise ValueError("self-loops are not allowed")
         adj.setflags(write=False)
         self.adj = adj
         self.n = adj.shape[0]
         self.elements = None
-        if labels is not None:
-            self.labels = list(labels)
-            if len(self.labels) != self.n:
-                raise ValueError("label count does not match vertex count")
 
     @cached_property
     def labels(self) -> list:
-        """Vertex labels: the `GroupElement`s of `elements`, else "0" .. "n-1" unless given."""
+        """Vertex labels: the `GroupElement`s of `elements`, else "0" .. "n-1"."""
         if self.elements is None:
             return [str(v) for v in range(self.n)]
         return [GroupElement(*pair) for pair in zip(*(part.tolist() for part in self.elements))]
@@ -94,9 +90,6 @@ class Graph:
         """Sorted edge list with i < j."""
         ii, jj = np.nonzero(np.triu(self.adj))
         return sorted(zip(ii.tolist(), jj.tolist()))
-
-    def edge_count(self) -> int:
-        return int(self.adj.sum()) // 2
 
 
 # power graph of the family --------------------------------------------
@@ -256,6 +249,20 @@ class TwinQuotient:
         np.fill_diagonal(dist, 2 * (np.array(self.sizes) > 1) - within)
         dist.setflags(write=False)
         return dist
+
+    @cached_property
+    def reciprocals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(1/d between classes, with a zero diagonal; 1/d inside each class, 0 for a singleton;
+        reciprocal transmission per class), read-only, from `dist`."""
+        dist = self.dist.astype(np.float64)
+        sizes = np.array(self.sizes, dtype=np.float64)
+        within = np.divide(1.0, dist.diagonal(), out=np.zeros_like(sizes), where=sizes > 1)
+        np.fill_diagonal(dist, np.inf)
+        between = 1.0 / dist
+        parts = between, within, between @ sizes + (sizes - 1.0) * within
+        for part in parts:
+            part.setflags(write=False)
+        return parts
 
     @cached_property
     def orbits(self) -> tuple[tuple[int, ...], ...]:

@@ -3,13 +3,14 @@
 An `Instance` holds one (k, p) instance and every object derived from it;
 each check reads what it needs from there, so one report builds the graph,
 twin quotient, class distances, quotient orbits and class detour matrix
-once.  The spectra are one alpha sweep per kind: one stacked solve of the
-graph's m x m orbit quotients (m = 5 orbits on the family) and one of the
-closed form's 5 x 5 quotients, so a report makes 4 eigensolve calls.  The
-spectra, the detour search and the blade-reduction check read the same
-orbits.  Each check returns a name, a pass flag and enough detail to diagnose a failure.
-Transcription checks (published polynomial / published quotient matrix) never
-fail the run: a mismatch emits a diagnostic and the numeric spectrum stays the arbiter.
+once.  The spectra are array sweeps over the alphas (`spectra.Sweep`), one per kind and
+side; the graph's orbit quotients of both kinds are one stacked solve, and each closed
+form's 5 x 5 quotients one more, so a report makes 3 eigensolve calls.  Every spectrum
+check, its payload and the transcription checks read those arrays, all alphas at once.
+The spectra, the detour search and the blade-reduction check read the same orbits.  Each
+check returns a name, a pass flag and enough detail to diagnose a failure.  Transcription
+checks (published polynomial / published quotient matrix) never fail the run: a mismatch
+emits a diagnostic and the numeric spectrum stays the arbiter.
 """
 
 from __future__ import annotations
@@ -56,27 +57,29 @@ class Instance:
         self.detour_oracle_max_n = detour_oracle_max_n
         self.graph = build_power_graph(params)
         self.predicted, self.predicted_types = predicted_quotient(self.graph.elements, params)
-        self._spectra: dict[tuple[str, float], tuple[spectra.Spectrum, spectra.Spectrum]] = {}
+        self._alphas: list[float] = []
+        self._sweeps: dict[str, tuple[spectra.Sweep, spectra.Sweep]] = {}
 
-    def spectra(self, kind: str, alphas) -> list[tuple[spectra.Spectrum, spectra.Spectrum]]:
-        """(closed form, the graph's own spectrum) of A_alpha or RD_alpha at each alpha.
+    def spectra(self, kind: str, alphas) -> tuple[spectra.Sweep, spectra.Sweep]:
+        """(closed form, graph's own spectrum) sweeps of A_alpha or RD_alpha, row i at alphas[i].
 
-        The alphas not held yet are solved as one sweep: one stacked
-        eigensolve of the graph's orbit quotients and one of the closed form's
-        5 x 5 quotients.  An RD_alpha sweep also holds alpha = 1, which the
-        transmission check reads.
+        Both kinds are solved together over every alpha asked for so far and alpha = 1, which
+        the transmission check reads; an alpha not held yet re-solves them.
         """
-        new = [alpha for alpha in dict.fromkeys(alphas) if (kind, alpha) not in self._spectra]
-        if new:
-            if kind == "adjacency":
-                closed_form = spectra.a_alpha_closed_form
-            else:
-                closed_form = spectra.rd_alpha_closed_form
-                new = list(dict.fromkeys([*new, 1.0]))
-            graph_spectra = spectra.solve_quotient(self.graph, kind, new)
-            pairs = zip(closed_form(self.params, new), graph_spectra)
-            self._spectra.update(zip([(kind, alpha) for alpha in new], pairs))
-        return [self._spectra[kind, alpha] for alpha in alphas]
+        alphas = list(alphas)
+        if not set(alphas) <= set(self._alphas):
+            self._alphas = list(dict.fromkeys([*self._alphas, *alphas, 1.0]))
+            numeric = spectra.solve_quotient(self.graph, SPECTRUM_KINDS, self._alphas)
+            closed = [
+                spectra.a_alpha_closed_form(self.params, self._alphas),
+                spectra.rd_alpha_closed_form(self.params, self._alphas),
+            ]
+            self._sweeps = dict(zip(SPECTRUM_KINDS, zip(closed, numeric)))
+        closed, numeric = self._sweeps[kind]
+        if alphas == self._alphas:
+            return closed, numeric
+        rows = [self._alphas.index(alpha) for alpha in alphas]
+        return closed.rows(rows), numeric.rows(rows)
 
     @cached_property
     def resolving(self) -> metric.ResolvingReport:
@@ -165,41 +168,81 @@ def _classes_match(inst: Instance, values, predicted: dict) -> bool:
     return all(values[a] == by_type[t] for a, t in pairs if t in by_type)
 
 
-def _cluster_tol(values: np.ndarray) -> float:
-    radius = float(np.abs(values).max()) if values.size else 0.0
-    return 1e-6 * max(1.0, radius)
+def _cluster_tol(values: np.ndarray) -> np.ndarray:
+    """The clustering tolerance of each row of `values` (A, n), as an (A, 1) column."""
+    return 1e-6 * np.maximum(1.0, np.abs(values).max(axis=1, initial=0.0))[:, None]
 
 
-def _max_deviation(predicted: np.ndarray, numeric: np.ndarray) -> float:
-    """Largest gap between two descending value lists; inf when their lengths differ."""
+def _max_deviations(predicted: np.ndarray, numeric: np.ndarray) -> np.ndarray:
+    """Largest gap between two descending rows, per row; inf when their lengths differ."""
     if predicted.shape != numeric.shape:
-        return math.inf
-    return float(np.abs(predicted - numeric).max(initial=0.0))
+        return np.full(len(numeric), math.inf)
+    return np.abs(predicted - numeric).max(axis=1, initial=0.0)
 
 
-def _multisets_agree(
-    a: list[tuple[float, int]], b: list[tuple[float, int]], value_tol: float
-) -> bool:
-    if len(a) != len(b):
-        return False
-    return all(
-        abs(va - vb) <= value_tol and ma == mb for (va, ma), (vb, mb) in zip(a, b)
-    )
+def _runs(values: np.ndarray, tol: np.ndarray) -> np.ndarray:
+    """Where the runs of each descending row of `values` (A, n) start: past a gap > tol (A, 1)."""
+    first = np.ones(values.shape, dtype=bool)
+    first[:, 1:] = values[:, :-1] - values[:, 1:] > tol
+    return first
 
 
-def spectrum_payload(
-    params: GroupParams, alpha: float, closed: spectra.Spectrum, numeric: np.ndarray
-) -> dict:
-    """JSON payload for one (k, p, alpha) spectrum comparison."""
-    return {
-        "params": {"k": params.k, "p": params.p, "alpha": alpha},
-        "families": [
-            {"value": ln.value, "mult": ln.multiplicity, "source": ln.source}
-            for ln in closed.lines
-        ],
-        "numeric": numeric.tolist(),
-        "max_deviation": _max_deviation(closed.values(), numeric),
-    }
+def _multiplicities_recovered(predicted: np.ndarray, numeric: np.ndarray, tol: float) -> np.ndarray:
+    """Per row: both descending rows cluster alike, in runs split at gaps above the cluster tol.
+
+    The runs agree in number and size exactly when the split masks are equal; then each
+    run's mean gap between the rows must lie within the tolerance plus `tol`.
+    """
+    if predicted.shape != numeric.shape:
+        return np.zeros(len(numeric), dtype=bool)
+    ctol = _cluster_tol(numeric)
+    first = _runs(numeric, ctol)
+    alike = (first == _runs(predicted, ctol)).all(axis=1)
+    gaps = predicted - numeric
+    # a run's mean gap is at most its row's largest one, far below the bound when that one is
+    if (np.abs(gaps).max(axis=1) <= 0.5 * ctol[:, 0] + tol).all():
+        return alike
+    starts = first.ravel().nonzero()[0]
+    sizes = np.append(starts[1:], first.size) - starts
+    rows = starts // numeric.shape[1]
+    apart = np.abs(np.add.reduceat(gaps.ravel(), starts) / sizes) > (ctol[:, 0] + tol)[rows]
+    return alike & (np.bincount(rows[apart], minlength=len(numeric)) == 0)
+
+
+def _twins_present(closed: spectra.Sweep, numeric: spectra.Sweep, tol: float) -> np.ndarray:
+    """Per alpha: every twin line of `numeric` lies in `closed` as often as its multiplicity.
+
+    Twin lines of one value and tag are one line, whose multiplicity is
+    their sum; closed values within max(tol, 1e-9) of it count.
+    """
+    twin = (numeric.sources == "twin-open") | (numeric.sources == "twin-closed")
+    values, counts, tags = (part[..., twin] for part in numeric[:3])
+    near = np.abs(closed.values[:, :, None] - values[:, None, :]) <= max(tol, 1e-9)
+    hits = closed.multiplicities @ near
+    same_line = (values[:, :, None] == values[:, None, :]) & (tags[:, None] == tags)
+    return (hits >= same_line @ counts).all(axis=1)
+
+
+def spectrum_payloads(
+    params: GroupParams, alphas, closed: spectra.Sweep, numeric: spectra.Sweep
+) -> list[dict]:
+    """JSON payload of each (k, p, alpha) spectrum comparison; the sweeps' row i is alphas[i].
+
+    The closed form's lines are listed by descending value, equal values in line order.
+    """
+    order = (-closed.values).argsort(axis=1, kind="stable")
+    values = closed.values[np.arange(len(order))[:, None], order].tolist()
+    lines = zip(values, closed.multiplicities[order].tolist(), closed.sources[order].tolist())
+    deviations = _max_deviations(closed.expanded, numeric.expanded).tolist()
+    return [
+        {
+            "params": {"k": params.k, "p": params.p, "alpha": alpha},
+            "families": [{"value": v, "mult": m, "source": s} for v, m, s in zip(*line)],
+            "numeric": row,
+            "max_deviation": deviation,
+        }
+        for alpha, line, row, deviation in zip(alphas, lines, numeric.expanded.tolist(), deviations)
+    ]
 
 
 def check_structure(inst: Instance) -> list[dict]:
@@ -231,16 +274,9 @@ def check_structure(inst: Instance) -> list[dict]:
 
 def check_twin_eigenvalues(inst: Instance, alphas, tol: float) -> dict:
     """The graph's twin lines of A_alpha are contained in the closed-form spectrum."""
-    per_alpha = {}
-    ok = True
-    for alpha, (closed, numeric) in zip(alphas, inst.spectra("adjacency", alphas)):
-        twins = [line for line in numeric.lines if line.source.startswith("twin")]
-        gaps = np.abs(closed.values() - np.array([line.value for line in twins])[:, None])
-        hits = np.count_nonzero(gaps <= max(tol, 1e-9), axis=1)
-        present = bool(np.all(hits >= [line.multiplicity for line in twins]))
-        per_alpha[repr(alpha)] = present
-        ok = ok and present
-    return _check("twin_eigenvalues_in_spectrum", ok, per_alpha=per_alpha)
+    present = _twins_present(*inst.spectra("adjacency", alphas), tol).tolist()
+    per_alpha = {repr(alpha): ok for alpha, ok in zip(alphas, present)}
+    return _check("twin_eigenvalues_in_spectrum", all(present), per_alpha=per_alpha)
 
 
 def check_spectrum_family(
@@ -248,31 +284,21 @@ def check_spectrum_family(
 ) -> tuple[dict, list[dict]]:
     """Closed form vs numeric spectrum for A_alpha or RD_alpha over an alpha sweep."""
     assert kind in SPECTRUM_KINDS
-    payloads = []
+    closed, numeric = inst.spectra(kind, alphas)
+    payloads = spectrum_payloads(inst.params, alphas, closed, numeric)
+    recovered = _multiplicities_recovered(closed.expanded, numeric.expanded, tol).tolist()
     per_alpha = {}
     ok = True
-    for alpha, (closed, spectrum) in zip(alphas, inst.spectra(kind, alphas)):
-        numeric = spectrum.values()
-        deviation = _max_deviation(closed.values(), numeric)
-        ctol = _cluster_tol(numeric)
-        mult_ok = _multisets_agree(
-            closed.merged(ctol),
-            spectra.cluster_values(numeric, ctol),
-            value_tol=ctol + tol,
-        )
-        entry_ok = deviation <= tol and mult_ok
-        per_alpha[repr(alpha)] = {
-            "max_deviation": deviation,
-            "multiplicities_recovered": mult_ok,
-        }
-        ok = ok and entry_ok
-        payloads.append(spectrum_payload(inst.params, alpha, closed, numeric))
+    for alpha, payload, mult_ok in zip(alphas, payloads, recovered):
+        deviation = payload["max_deviation"]
+        per_alpha[repr(alpha)] = {"max_deviation": deviation, "multiplicities_recovered": mult_ok}
+        ok = ok and deviation <= tol and mult_ok
     details = {"per_alpha": per_alpha}
     if kind == "reciprocal":
-        _, _, transmissions = spectra.class_reciprocals(inst.graph)
+        _, _, transmissions = inst.graph.quotient.reciprocals
         rt = np.sort(transmissions[inst.graph.quotient.class_of])[::-1]
-        [(at_one, _)] = inst.spectra(kind, (1.0,))
-        rt_deviation = _max_deviation(at_one.values(), rt)
+        at_one, _ = inst.spectra(kind, (1.0,))
+        [rt_deviation] = _max_deviations(at_one.expanded, rt[None, :]).tolist()
         details["alpha_one_equals_transmissions"] = rt_deviation == 0.0
         ok = ok and rt_deviation == 0.0
     name = f"{kind}_alpha_spectrum"
@@ -282,21 +308,21 @@ def check_spectrum_family(
 def check_transcriptions(inst: Instance, alphas) -> list[dict]:
     """The printed quintic at the closed form's quotient roots, and the printed RD quotient.
 
-    Each is one sweep over the alphas.
+    Each reads the closed-form sweep of its kind.  A mismatch is reported,
+    never fatal: its diagnostic must be present.
     """
-    params, keys = inst.params, [repr(alpha) for alpha in alphas]
-    closed = [closed for closed, _ in inst.spectra("adjacency", alphas)]
-    quintic = dict(zip(keys, spectra.quintic_transcription_check(params, alphas, closed)))
-    printed = dict(zip(keys, spectra.rd_quotient_transcription_check(params, alphas)))
-    checks = []
-    for name, per_alpha in (
-        ("quintic_transcription", quintic),
-        ("reciprocal_quotient_transcription", printed),
-    ):
-        # a mismatch is reported, never fatal: the diagnostic must be present
-        ok = all(v["matches"] or v["diagnostic"] for v in per_alpha.values())
-        checks.append(_check(name, ok, per_alpha=per_alpha))
-    return checks
+    (a_closed, _), (rd_closed, _) = (inst.spectra(kind, alphas) for kind in SPECTRUM_KINDS)
+    checks = {
+        "quintic_transcription": spectra.quintic_transcription_check(inst.params, alphas, a_closed),
+        "reciprocal_quotient_transcription": spectra.rd_quotient_transcription_check(rd_closed),
+    }
+    keys = [repr(alpha) for alpha in alphas]
+    return [
+        _check(
+            name, all(c["matches"] or c["diagnostic"] for c in cs), per_alpha=dict(zip(keys, cs))
+        )
+        for name, cs in checks.items()
+    ]
 
 
 def check_block_reduction(inst: Instance) -> dict:

@@ -6,16 +6,15 @@ eigenvalues come from a small quotient matrix over the vertex classes,
 assembled in symmetrized form with class-size weights sqrt(n_i) so a plain
 symmetric eigensolver applies.  `solve_quotient` does this for any graph
 twice over: on its twin classes, and then on their orbits of
-interchangeable classes, so it solves one m x m matrix, m the number of
+interchangeable classes, so it solves m x m matrices, m the number of
 orbits (5 on the family, where the N/4 blade classes form one orbit).  The
-closed forms do it for the family on its 5 vertex classes.
+closed forms do it for the family on its 5 vertex classes.  Every spectrum
+is a `Sweep`: its lines at all alphas as arrays, and their expansion.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -33,7 +32,7 @@ def _require_symmetric(matrices: np.ndarray) -> np.ndarray:
     matrices = np.asarray(matrices, dtype=np.float64)
     if matrices.ndim < 2 or matrices.shape[-1] != matrices.shape[-2]:
         raise EigensolverError("matrix must be square")
-    if not np.array_equal(matrices, matrices.swapaxes(-1, -2)):
+    if not (matrices == matrices.swapaxes(-1, -2)).all():
         raise EigensolverError("matrix is not symmetric")
     return matrices
 
@@ -58,79 +57,36 @@ def _checked(alphas) -> list[float]:
     return [check_alpha(alpha) for alpha in alphas]
 
 
-class SpectralLine(NamedTuple):
-    value: float
-    multiplicity: int
-    source: str
+class Sweep(NamedTuple):
+    """A spectrum at A alphas as arrays: row a of `values` (A, L) holds alpha a's L line values.
 
+    Line l has multiplicity `multiplicities[l]` > 0 and tag `sources[l]`, free of alpha.
+    `expanded` (A, n) holds each alpha's eigenvalues, descending, equal values (0.0 and
+    -0.0 too) in line order; `quotients` (A, m, m) is the stack of the "quotient-root" lines.
+    """
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Multiset of eigenvalues with multiplicities and provenance tags."""
+    values: np.ndarray
+    multiplicities: np.ndarray
+    sources: np.ndarray
+    expanded: np.ndarray
+    quotients: np.ndarray
 
-    lines: tuple[SpectralLine, ...]
-
-    def values(self) -> np.ndarray:
-        """Expanded value list, sorted descending; built once and read-only."""
-        return self._values
-
-    @cached_property
-    def _values(self) -> np.ndarray:
-        # a stable ascending sort of the negated values: equal values, 0.0 and -0.0
-        # among them, keep their line order, as a stable descending sort keeps it
-        expanded = np.repeat(
-            np.array([line.value for line in self.lines], dtype=np.float64),
-            [line.multiplicity for line in self.lines],
+    def rows(self, i) -> "Sweep":
+        """The sweep at the alphas of rows `i` (an index or a slice), in that order."""
+        return self._replace(
+            values=self.values[i], expanded=self.expanded[i], quotients=self.quotients[i]
         )
-        values = -np.sort(-expanded, kind="stable")
-        values.flags.writeable = False
-        return values
-
-    def merged(self, tol: float) -> list[tuple[float, int]]:
-        """(value, multiplicity) clusters after merging values closer than tol."""
-        return cluster_values(self.values(), tol)
-
-    @classmethod
-    def from_lines(cls, lines: list[tuple[float, int, str]]) -> "Spectrum":
-        kept = tuple(SpectralLine(float(v), int(m), s) for v, m, s in lines if m > 0)
-        return cls(tuple(sorted(kept, key=lambda ln: -ln.value)))
 
 
-def cluster_values(values: np.ndarray, tol: float) -> list[tuple[float, int]]:
-    """Group a descending value list into clusters separated by gaps > tol: (mean, size) each.
-
-    The runs are split where the gap exceeds tol.  A one-value run is its own
-    mean and a longer run takes `sum() / size` of its slice, the pairwise sum
-    and division that `ndarray.mean` makes, so each mean is bit-for-bit that
-    of a per-run `mean` (`np.add.reduceat` sums in another order).
-    """
-    values = np.sort(np.asarray(values, dtype=np.float64))[::-1]
-    if not values.size:
-        return []
-    bounds = [0, *(np.flatnonzero(values[:-1] - values[1:] > tol) + 1).tolist(), values.size]
-    clusters = []
-    for start, stop in zip(bounds, bounds[1:]):
-        size = stop - start
-        mean = values[start:stop].sum() / size if size > 1 else values[start]
-        clusters.append((float(mean), size))
-    return clusters
-
-
-def class_reciprocals(graph: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(1/d between twin classes, 1/d inside each class, reciprocal transmission per class).
-
-    All three come from the twin quotient's k x k class distances: the off
-    diagonal gives the first array, whose own diagonal is zero, and the
-    diagonal gives the second, where a singleton class has no within-class
-    distance and gets 0.
-    """
-    quotient = graph.quotient
-    dist = quotient.dist.astype(np.float64)
-    sizes = np.array(quotient.sizes, dtype=np.float64)
-    within = np.divide(1.0, dist.diagonal(), out=np.zeros_like(sizes), where=sizes > 1)
-    np.fill_diagonal(dist, np.inf)
-    between = 1.0 / dist
-    return between, within, between @ sizes + (sizes - 1.0) * within
+def _sweep(values, multiplicities, sources, quotients) -> Sweep:
+    """A `Sweep` of the lines with multiplicity > 0, its expansion sorted once for every row."""
+    keep = multiplicities > 0
+    values, multiplicities, sources = values[:, keep], multiplicities[keep], np.array(sources)[keep]
+    # each row's lines stably by descending value, then repeated: the expansion sorted stably
+    order = (-values).argsort(axis=1, kind="stable")
+    lines = values[np.arange(len(values))[:, None], order]
+    expanded = np.repeat(lines, multiplicities[order].ravel()).reshape(len(values), -1)
+    return Sweep(values, multiplicities, sources, expanded, quotients)
 
 
 def _class_entries(graph: Graph, kind: str) -> tuple[np.ndarray, ...]:
@@ -146,47 +102,44 @@ def _class_entries(graph: Graph, kind: str) -> tuple[np.ndarray, ...]:
     if kind == "adjacency":
         adj = quotient.adj.astype(np.float64)
         within = np.diag(adj).copy()
-        np.fill_diagonal(adj, 0.0)
+        adj.flat[:: len(adj) + 1] = 0.0
         return quotient.degrees(quotient.adj), within, adj
     if kind == "reciprocal":
-        between, within, transmissions = class_reciprocals(graph)
+        between, within, transmissions = quotient.reciprocals
         return transmissions, within, between
     raise ValueError(f"unknown spectrum kind {kind!r}; choose adjacency or reciprocal")
 
 
-def _twin_lines(quotient, diagonal, within, a) -> list[list[tuple[float, int, str]]]:
-    """Twin lines per alpha (a row of `a`): a class of size s gives diagonal - within, s - 1 times.
+def _twin_lines(quotient, diagonal, within, a) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """Twin lines of K kinds (rows of `diagonal`, `within`, (K, k)) at each alpha (a row of `a`).
 
-    The eigenvectors are the vectors on the class that sum to zero; equal
-    values of one twin kind are merged into one line.
+    A class of size s gives diagonal - within, s - 1 times (its vectors that sum to zero);
+    classes alike in every entry and in closedness are one line: (values (K, A, G), mults, tags).
     """
-    twins = [c for c, size in enumerate(quotient.sizes) if size > 1]
-    tags = ["twin-closed" if quotient.closed[c] else "twin-open" for c in twins]
-    counts = [quotient.sizes[c] - 1 for c in twins]
-    sweep = []
-    for row in (a * diagonal[twins] - (1.0 - a) * within[twins]).tolist():
-        merged: dict[tuple[float, str], int] = {}
-        for key, count in zip(zip(row, tags), counts):
-            merged[key] = merged.get(key, 0) + count
-        sweep.append([(v, m, s) for (v, s), m in merged.items()])
-    return sweep
+    groups: dict[tuple, list[int]] = {}  # key -> [first class, multiplicity]
+    for c, key in enumerate(zip(*diagonal.tolist(), *within.tolist(), quotient.closed)):
+        if quotient.sizes[c] > 1:
+            groups.setdefault(key, [c, 0])[1] += quotient.sizes[c] - 1
+    firsts, counts = (list(part) for part in zip(*groups.values())) if groups else ([], [])
+    tags = ["twin-closed" if key[-1] else "twin-open" for key in groups]
+    values = a * diagonal[:, None, firsts] - (1.0 - a) * within[:, None, firsts]
+    return values, np.array(counts, dtype=np.int64), tags
 
 
-def twin_eigenvalues(graph: Graph, kind: str, alphas) -> tuple[Spectrum, ...]:
-    """Eigenvalues of A_alpha or RD_alpha (`kind` as in `solve_quotient`) forced by twin classes.
+def twin_eigenvalues(graph: Graph, kind: str, alphas) -> Sweep:
+    """Eigenvalues of A_alpha or RD_alpha (a kind of `solve_quotient`) forced by twin classes.
 
-    One `Spectrum` per alpha.  For A_alpha an open class of size l+1
-    contributes alpha*deg with multiplicity l, a closed class alpha*deg - (1 - alpha).
+    For A_alpha an open class of size l+1 contributes alpha*deg with
+    multiplicity l, a closed class alpha*deg - (1 - alpha).
     """
     a = np.array(_checked(alphas), dtype=np.float64)[:, None]
     diagonal, within, _ = _class_entries(graph, kind)
-    return tuple(
-        Spectrum.from_lines(lines) for lines in _twin_lines(graph.quotient, diagonal, within, a)
-    )
+    values, counts, tags = _twin_lines(graph.quotient, diagonal[None], within[None], a)
+    return _sweep(values[0], counts, tags, np.zeros((len(a), 0, 0)))
 
 
-def solve_quotient(graph: Graph, kind: str, alphas) -> tuple[Spectrum, ...]:
-    """The A_alpha or RD_alpha spectrum of a graph at each alpha, from its twin classes and orbits.
+def solve_quotient(graph: Graph, kinds, alphas) -> tuple[Sweep, ...]:
+    """The spectrum of each of `kinds` ("adjacency": A_alpha, "reciprocal": RD_alpha) at each alpha.
 
     Twins.  The twin partition is equitable (twin classes are modules), so
     the n eigenvalues are the twin lines (`_twin_lines`: a class of size s
@@ -210,34 +163,36 @@ def solve_quotient(graph: Graph, kind: str, alphas) -> tuple[Spectrum, ...]:
     a' are read; the eigensolve is m x m (5 x 5 on the family, whose N/4
     blade classes form one orbit).  RD_alpha needs a connected graph.
 
-    Sweep.  The class entries and orbits do not depend on alpha, so they are
-    read once; every alpha's orbit quotient goes into one (A, m, m) stack,
-    solved by one `sym_eigenvalues` call.
+    Sweep.  The class entries and orbits are read once; the orbit quotients of every kind
+    and alpha are one (K, A, m, m) stack and one `sym_eigenvalues` call.  The kinds share
+    their lines, and each kind's sweep is a view of the rows of one.
     """
     a = np.array(_checked(alphas), dtype=np.float64)[:, None]
     b = 1.0 - a
-    diagonal, within, between = _class_entries(graph, kind)
     quotient = graph.quotient
     reps = [orbit[0] for orbit in quotient.orbits]
-    mates = [orbit[-1] for orbit in quotient.orbits]  # the representative itself when c = 1
+    mates = [orbit[-1] for orbit in quotient.orbits]  # itself when c = 1, where between is 0
     copies = np.array([len(orbit) for orbit in quotient.orbits], dtype=np.float64)
-    sizes = np.array(quotient.sizes, dtype=np.float64)[reps]
-    own = a * diagonal[reps] + (sizes - 1.0) * (b * within[reps])
-    mate = sizes * (b * between[reps, mates])  # zero when c = 1: `between` has a zero diagonal
+    sizes = np.array([quotient.sizes[r] for r in reps], dtype=np.float64)
+    parts = [_class_entries(graph, kind) for kind in kinds]
+    diagonal, within = (np.stack([part[i] for part in parts]) for i in (0, 1))  # (K, k)
+    own = a * diagonal[:, None, reps] + (sizes - 1.0) * (b * within[:, None, reps])
+    mate = sizes * (b * np.stack([between[reps, mates] for _, _, between in parts])[:, None])
     weight = np.sqrt(copies * sizes)
-    matrices = b[:, :, None] * between[np.ix_(reps, reps)] * np.outer(weight, weight)
-    diag = np.arange(len(reps))
-    matrices[:, diag, diag] = own + (copies - 1.0) * mate
-    roots = sym_eigenvalues(matrices).tolist()
-    multiplicities = [len(orbit) - 1 for orbit in quotient.orbits]
-    sweep = []
-    for lines, orbit_values, quotient_roots in zip(
-        _twin_lines(quotient, diagonal, within, a), (own - mate).tolist(), roots
-    ):
-        lines += [(v, m, "orbit") for v, m in zip(orbit_values, multiplicities)]
-        lines += [(v, 1, "quotient-root") for v in quotient_roots]
-        sweep.append(Spectrum.from_lines(lines))
-    return tuple(sweep)
+    cross = np.stack([between[reps][:, reps] for _, _, between in parts])[:, None]
+    matrices = b[:, :, None] * cross * (weight[:, None] * weight)  # (K, A, m, m)
+    m = len(reps)
+    matrices[..., np.arange(m), np.arange(m)] = own + (copies - 1.0) * mate
+    twins, counts, tags = _twin_lines(quotient, diagonal, within, a)
+    lines = np.concatenate([twins, own - mate, sym_eigenvalues(matrices)], axis=-1)
+    rows = len(kinds) * len(a)
+    sweep = _sweep(
+        lines.reshape(rows, lines.shape[-1]),
+        np.concatenate([counts, copies.astype(np.int64) - 1, np.ones(m, dtype=np.int64)]),
+        tags + ["orbit"] * m + ["quotient-root"] * m,
+        matrices.reshape(rows, m, m),
+    )
+    return tuple(sweep.rows(slice(i * len(a), (i + 1) * len(a))) for i in range(len(kinds)))
 
 
 # family closed forms ---------------------------------------------------
@@ -249,7 +204,8 @@ def _family_counts(params: GroupParams) -> tuple[int, int, int]:
     return n, n // 2, n // 4
 
 
-def a_alpha_families(params: GroupParams, alpha: float) -> list[tuple[float, int, str]]:
+def a_alpha_families(params: GroupParams, alpha) -> list[tuple[float, int, str]]:
+    """The twin families of A_alpha as (value, multiplicity, source); `alpha` a float or array."""
     n, half, quarter = _family_counts(params)
     return [
         (alpha, half - 1, "family"),
@@ -259,13 +215,16 @@ def a_alpha_families(params: GroupParams, alpha: float) -> list[tuple[float, int
     ]
 
 
-def _closed_forms(params: GroupParams, alphas, families, quotient_matrix) -> tuple[Spectrum, ...]:
-    """Per alpha, the `families` lines plus the roots of the `quotient_matrix` stack, solved at once."""
-    alphas = _checked(alphas)
-    roots = sym_eigenvalues(quotient_matrix(params, alphas)).tolist()
-    return tuple(
-        Spectrum.from_lines(families(params, alpha) + [(v, 1, "quotient-root") for v in values])
-        for alpha, values in zip(alphas, roots)
+def _closed_forms(params: GroupParams, alphas, families, quotient_matrix) -> Sweep:
+    """The `families` lines at every alpha and the roots of the `quotient_matrix` stack."""
+    matrices = quotient_matrix(params, alphas)  # checks every alpha
+    lines = families(params, np.array(alphas, dtype=np.float64)[:, None])
+    roots = sym_eigenvalues(matrices)
+    return _sweep(
+        np.concatenate([*(v for v, _, _ in lines), roots], axis=1),
+        np.array([m for _, m, _ in lines] + [1] * roots.shape[1], dtype=np.int64),
+        [s for _, _, s in lines] + ["quotient-root"] * roots.shape[1],
+        matrices,
     )
 
 
@@ -293,7 +252,7 @@ def a_alpha_quotient_matrix(params: GroupParams, alphas) -> np.ndarray:
     return np.array([matrix(a, 1.0 - a) for a in _checked(alphas)]).reshape(-1, 5, 5)
 
 
-def a_alpha_closed_form(params: GroupParams, alphas) -> tuple[Spectrum, ...]:
+def a_alpha_closed_form(params: GroupParams, alphas) -> Sweep:
     """Complete predicted A_alpha spectrum at each alpha: four twin families plus the quotient.
 
     Every alpha's 5 x 5 quotient is solved in one stacked `sym_eigenvalues` call.
@@ -308,44 +267,46 @@ def quintic_coefficients(params: GroupParams, alphas) -> np.ndarray:
     against the quotient eigenvalues instead of trusting it.  Returns an (A, 6)
     array for A alphas.
     """
-    # the powers by float pow, one alpha at a time: numpy's array power rounds some differently
-    powers = [[float(x) ** e for e in (1, 2, 3, 4)] for x in alphas]
-    a, a2, a3, a4 = np.array(powers, dtype=np.float64).reshape(-1, 4).T
+    # one alpha at a time in floats, powers by float pow: numpy's array power rounds otherwise
     K = float(1 << params.k)
     P = float(params.p)
-    c4 = (7 * K / 2 * P + 3) * a + K * P - 2
-    c3 = (
-        (-3 * K**2 * P**2 - 21 * K / 2 * P - 2) * a2
-        + (-7 * K**2 / 2 * P**2 - K * P + 8) * a
-        + 5 * K / 2 * P
-    )
-    c2 = (
-        (9 * K**2 * P**2 + 7 * K * P) * a3
-        + (3 * K**3 * P**3 + 23 * K**2 / 2 * P**2 - 6 * K * P - 6) * a2
-        + (K**2 / 2 * P**2 - 23 * K * P + 6) * a
-        - 3 * K**2 / 2 * P**2
-        + 4 * K * P
-        + 2
-    )
-    c1 = (
-        -6 * K**2 * P**2 * a4
-        + (-13 * K**3 / 2 * P**3 - 59 * K**2 / 4 * P**2 + 10 * K * P) * a3
-        + (-8 * K**3 * P**3 + 105 * K**2 / 4 * P**2 + 45 * K / 2 * P - 6) * a2
-        + (5 * K**3 / 2 * P**3 + 9 * K**2 / 4 * P**2 - 20 * K * P) * a
-        - 5 * K**2 / 4 * P**2
-        + 3 * K / 2 * P
-        + 1
-    )
-    c0 = (
-        -(3 * K**3 * P**3 + 15 * K**2 / 2 * P**2) * a4
-        - (31 * K**3 / 4 * P**3 - 95 * K**2 / 4 * P**2 - 2 * K * P) * a3
-        - (-(K**3) / 4 * P**3 - 37 * K**2 / 4 * P**2 + 18 * K * P - 2) * a2
-        - (-7 * K**3 / 4 * P**3 + 25 * K**2 / 4 * P**2 - 3 * K / 2 * P - 1) * a
-        - K**3 / 4 * P**3
-        + K**2 / 4 * P**2
-        + K * P
-    )
-    return np.stack([np.ones_like(a), -c4, -c3, -c2, -c1, c0], axis=1)
+    rows = []
+    for x in alphas:
+        a, a2, a3, a4 = (float(x) ** e for e in (1, 2, 3, 4))
+        c4 = (7 * K / 2 * P + 3) * a + K * P - 2
+        c3 = (
+            (-3 * K**2 * P**2 - 21 * K / 2 * P - 2) * a2
+            + (-7 * K**2 / 2 * P**2 - K * P + 8) * a
+            + 5 * K / 2 * P
+        )
+        c2 = (
+            (9 * K**2 * P**2 + 7 * K * P) * a3
+            + (3 * K**3 * P**3 + 23 * K**2 / 2 * P**2 - 6 * K * P - 6) * a2
+            + (K**2 / 2 * P**2 - 23 * K * P + 6) * a
+            - 3 * K**2 / 2 * P**2
+            + 4 * K * P
+            + 2
+        )
+        c1 = (
+            -6 * K**2 * P**2 * a4
+            + (-13 * K**3 / 2 * P**3 - 59 * K**2 / 4 * P**2 + 10 * K * P) * a3
+            + (-8 * K**3 * P**3 + 105 * K**2 / 4 * P**2 + 45 * K / 2 * P - 6) * a2
+            + (5 * K**3 / 2 * P**3 + 9 * K**2 / 4 * P**2 - 20 * K * P) * a
+            - 5 * K**2 / 4 * P**2
+            + 3 * K / 2 * P
+            + 1
+        )
+        c0 = (
+            -(3 * K**3 * P**3 + 15 * K**2 / 2 * P**2) * a4
+            - (31 * K**3 / 4 * P**3 - 95 * K**2 / 4 * P**2 - 2 * K * P) * a3
+            - (-(K**3) / 4 * P**3 - 37 * K**2 / 4 * P**2 + 18 * K * P - 2) * a2
+            - (-7 * K**3 / 4 * P**3 + 25 * K**2 / 4 * P**2 - 3 * K / 2 * P - 1) * a
+            - K**3 / 4 * P**3
+            + K**2 / 4 * P**2
+            + K * P
+        )
+        rows.append([1.0, -c4, -c3, -c2, -c1, c0])
+    return np.array(rows, dtype=np.float64).reshape(-1, 6)
 
 
 # largest relative residual (quintic) or entry gap (RD quotient) read as a match
@@ -358,27 +319,26 @@ def _horner(coeffs: np.ndarray, xs: np.ndarray) -> np.ndarray:
 
     The steps and their order are `np.polyval`'s, for every row at once.
     """
-    values = np.zeros_like(xs)
-    for column in coeffs.T:
-        values = values * xs + column[:, None]
+    values = coeffs[:, :1]  # np.polyval's first step, 0 * x + c, gives c at a finite x
+    for column in coeffs[:, 1:, None].transpose(1, 0, 2):
+        values = values * xs + column
     return values
 
 
-def quintic_transcription_check(params: GroupParams, alphas, closed) -> list[dict]:
+def quintic_transcription_check(params: GroupParams, alphas, closed: Sweep) -> list[dict]:
     """Evaluate each alpha's printed quintic at the five quotient roots of its A_alpha closed form.
 
-    `closed` holds the closed-form `Spectrum` of each alpha.  Every quintic is
-    evaluated in one Horner pass over the (A, 5) roots.  A large residual means
+    `closed` is the A_alpha closed-form sweep at `alphas`.  Every quintic is
+    evaluated in one Horner pass over its (A, 5) roots.  A large residual means
     the published coefficients disagree with the quotient route; the numeric
     full-matrix spectrum is the arbiter, so a mismatch is reported as a
     diagnostic (None on a match) rather than trusted either way.
     """
     coeffs = quintic_coefficients(params, alphas)
-    xs = np.array(
-        [[ln.value for ln in spectrum.lines if ln.source == "quotient-root"] for spectrum in closed]
-    ).reshape(len(coeffs), -1)
-    scale = np.maximum(1.0, _horner(np.abs(coeffs), np.abs(xs)))
-    residuals = np.abs(_horner(coeffs, xs)) / scale
+    xs = closed.values[:, closed.sources == "quotient-root"]
+    # each quintic at its roots, then its bound: the absolute coefficients at the absolute roots
+    values = _horner(np.concatenate([coeffs, np.abs(coeffs)]), np.concatenate([xs, np.abs(xs)]))
+    residuals = np.abs(values[: len(xs)]) / np.maximum(1.0, values[len(xs) :])
     checks = []
     for worst in residuals.max(axis=1, initial=0.0).tolist():
         matches = worst <= QUINTIC_REL_TOL
@@ -396,7 +356,8 @@ def quintic_transcription_check(params: GroupParams, alphas, closed) -> list[dic
 # reciprocal-distance closed forms ---------------------------------------
 
 
-def rd_alpha_families(params: GroupParams, alpha: float) -> list[tuple[float, int, str]]:
+def rd_alpha_families(params: GroupParams, alpha) -> list[tuple[float, int, str]]:
+    """The twin families of RD_alpha as (value, multiplicity, source); `alpha` a float or array."""
     n, half, quarter = _family_counts(params)
     b = 1.0 - alpha
     return [
@@ -433,7 +394,7 @@ def rd_alpha_quotient_matrix(params: GroupParams, alphas) -> np.ndarray:
     return np.array([matrix(a, 1.0 - a) for a in _checked(alphas)]).reshape(-1, 5, 5)
 
 
-def rd_alpha_closed_form(params: GroupParams, alphas) -> tuple[Spectrum, ...]:
+def rd_alpha_closed_form(params: GroupParams, alphas) -> Sweep:
     """Complete predicted RD_alpha spectrum at each alpha: five families plus the quotient.
 
     Every alpha's 5 x 5 quotient is solved in one stacked `sym_eigenvalues` call.
@@ -441,16 +402,15 @@ def rd_alpha_closed_form(params: GroupParams, alphas) -> tuple[Spectrum, ...]:
     return _closed_forms(params, alphas, rd_alpha_families, rd_alpha_quotient_matrix)
 
 
-def rd_quotient_transcription_check(params: GroupParams, alphas) -> list[dict]:
+def rd_quotient_transcription_check(closed: Sweep) -> list[dict]:
     """Compare each alpha's published 5x5 quotient against the derived one, entrywise.
 
-    The derived stack is built once.  The published quotients are the derived
-    ones verbatim except for the H3 diagonal entry, which repeats the H2 one.
+    The derived stack is the one the RD_alpha closed-form sweep `closed` solved.
+    The published quotients are the derived ones verbatim except for the H3
+    diagonal entry, which repeats the H2 one, so that entry holds the largest gap.
     """
-    derived = rd_alpha_quotient_matrix(params, alphas)
-    printed = derived.copy()
-    printed[:, 3, 3] = derived[:, 2, 2]
-    gaps = np.abs(derived - printed).max(axis=(1, 2))
+    derived = closed.quotients
+    gaps = np.abs(derived[:, 3, 3] - derived[:, 2, 2])
     scales = np.maximum(1.0, np.abs(derived).max(axis=(1, 2)))
     checks = []
     for gap, rel in zip(gaps.tolist(), (gaps / scales).tolist()):

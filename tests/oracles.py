@@ -4,7 +4,8 @@ import io
 import itertools
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -12,10 +13,32 @@ from powergraph.graphs import _TYPE_ADJACENCY, CLASS_TYPES, Graph, TwinQuotient
 from powergraph.groups import IDENTITY, GroupElement, GroupParams, ParameterError, multiply
 from powergraph.matrices import DisconnectedGraphError, check_alpha
 from powergraph.metric import mmd_graph, strong_cover
-from powergraph.spectra import _class_entries, sym_eigenvalues
+from powergraph.spectra import (
+    _class_entries,
+    a_alpha_families,
+    a_alpha_quotient_matrix,
+    rd_alpha_families,
+    rd_alpha_quotient_matrix,
+    sym_eigenvalues,
+)
 
 
 # small graphs ------------------------------------------------------------
+
+
+def labelled(adj, labels: list | None) -> Graph:
+    """`Graph(adj)` whose vertex labels are `labels` (one per vertex), when given."""
+    graph = Graph(adj)
+    if labels is not None:
+        if len(labels) != graph.n:
+            raise ValueError("label count does not match vertex count")
+        graph.labels = list(labels)
+    return graph
+
+
+def edge_count(graph: Graph) -> int:
+    """The number of edges, read off the adjacency."""
+    return int(graph.adj.sum()) // 2
 
 
 def from_edges(n: int, edges, labels: list | None = None) -> Graph:
@@ -23,7 +46,7 @@ def from_edges(n: int, edges, labels: list | None = None) -> Graph:
     adj = np.zeros((n, n), dtype=bool)
     for i, j in edges:
         adj[i, j] = adj[j, i] = True
-    return Graph(adj, labels)
+    return labelled(adj, labels)
 
 
 def path_graph(n: int) -> Graph:
@@ -199,7 +222,7 @@ def build_power_graph_from_table(table) -> Graph:
             current = table.mul(current, g)
         adj[np.ix_(members, members)] = True
     np.fill_diagonal(adj, False)
-    return Graph(adj, labels=verts)
+    return labelled(adj, verts)
 
 
 @dataclass(frozen=True)
@@ -362,7 +385,7 @@ def mmd_graph_loop(graph: Graph) -> Graph:
             md[u] = farthest <= dist[u]
     adj = md & md.T
     np.fill_diagonal(adj, False)
-    return Graph(adj, labels=graph.labels)
+    return labelled(adj, graph.labels)
 
 
 def strong_metric_dimension(graph: Graph) -> int:
@@ -640,7 +663,7 @@ def dense_quotient_roots(graph: Graph, kind: str, alpha: float) -> np.ndarray:
 
 
 def cluster_values_loop(values: np.ndarray, tol: float) -> list[tuple[float, int]]:
-    """`spectra.cluster_values` one value at a time: a new cluster after each gap > tol."""
+    """`cluster_values` one value at a time: a new cluster after each gap > tol."""
     values = np.sort(np.asarray(values, dtype=np.float64))[::-1]
     clusters: list[tuple[float, int]] = []
     start = 0
@@ -693,3 +716,130 @@ def metric_payload(inst) -> dict:
         "sdim": {"value": cover_size, "cover_witness": list(cover)},
         "gsr_edges": [[i, j] for i, j in Graph(inst.graph.quotient.lift(inst.gsr)).edges()],
     }
+
+
+# per-alpha spectra: the oracle of the spectrum sweeps ------------------------
+
+
+class SpectralLine(NamedTuple):
+    value: float
+    multiplicity: int
+    source: str
+
+
+@dataclass(frozen=True)
+class Spectrum:
+    """Multiset of eigenvalues with multiplicities and provenance tags, at one alpha."""
+
+    lines: tuple[SpectralLine, ...]
+
+    def values(self) -> np.ndarray:
+        """Expanded value list, sorted descending; built once and read-only."""
+        return self._values
+
+    @cached_property
+    def _values(self) -> np.ndarray:
+        # a stable ascending sort of the negated values: equal values, 0.0 and -0.0
+        # among them, keep their line order, as a stable descending sort keeps it
+        expanded = np.repeat(
+            np.array([line.value for line in self.lines], dtype=np.float64),
+            [line.multiplicity for line in self.lines],
+        )
+        values = -np.sort(-expanded, kind="stable")
+        values.flags.writeable = False
+        return values
+
+    def merged(self, tol: float) -> list[tuple[float, int]]:
+        """(value, multiplicity) clusters after merging values closer than tol."""
+        return cluster_values(self.values(), tol)
+
+    @classmethod
+    def from_lines(cls, lines: list[tuple[float, int, str]]) -> "Spectrum":
+        kept = tuple(SpectralLine(float(v), int(m), s) for v, m, s in lines if m > 0)
+        return cls(tuple(sorted(kept, key=lambda ln: -ln.value)))
+
+
+def cluster_values(values: np.ndarray, tol: float) -> list[tuple[float, int]]:
+    """Group a descending value list into clusters separated by gaps > tol: (mean, size) each.
+
+    A one-value run is its own mean and a longer run takes `sum() / size` of
+    its slice, the pairwise sum and division that `ndarray.mean` makes.
+    """
+    values = np.sort(np.asarray(values, dtype=np.float64))[::-1]
+    if not values.size:
+        return []
+    bounds = [0, *(np.flatnonzero(values[:-1] - values[1:] > tol) + 1).tolist(), values.size]
+    clusters = []
+    for start, stop in zip(bounds, bounds[1:]):
+        size = stop - start
+        mean = values[start:stop].sum() / size if size > 1 else values[start]
+        clusters.append((float(mean), size))
+    return clusters
+
+
+def multisets_agree(a: list[tuple[float, int]], b: list[tuple[float, int]], value_tol: float) -> bool:
+    if len(a) != len(b):
+        return False
+    return all(abs(va - vb) <= value_tol and ma == mb for (va, ma), (vb, mb) in zip(a, b))
+
+
+def quotient_spectrum_oracle(graph: Graph, kind: str, alpha: float) -> Spectrum:
+    """The graph's A_alpha or RD_alpha spectrum at one alpha, lines as `Spectrum.from_lines` sorts them.
+
+    Twin lines per class, merged by (value, tag) in a dict; a line per orbit
+    of c >= 2 classes; the roots of the m x m orbit quotient, one matrix solved
+    alone.  Each entry is the one `spectra.solve_quotient` computes.
+    """
+    a = np.array([[check_alpha(alpha)]])
+    b = 1.0 - a
+    diagonal, within, between = _class_entries(graph, kind)
+    quotient = graph.quotient
+    twins = [c for c, size in enumerate(quotient.sizes) if size > 1]
+    merged: dict[tuple[float, str], int] = {}
+    values = (a * diagonal[twins] - (1.0 - a) * within[twins])[0].tolist()
+    for c, value in zip(twins, values):
+        key = (value, "twin-closed" if quotient.closed[c] else "twin-open")
+        merged[key] = merged.get(key, 0) + quotient.sizes[c] - 1
+    lines = [(v, m, s) for (v, s), m in merged.items()]
+    reps = [orbit[0] for orbit in quotient.orbits]
+    mates = [orbit[-1] for orbit in quotient.orbits]
+    copies = np.array([len(orbit) for orbit in quotient.orbits], dtype=np.float64)
+    sizes = np.array(quotient.sizes, dtype=np.float64)[reps]
+    own = a * diagonal[reps] + (sizes - 1.0) * (b * within[reps])
+    mate = sizes * (b * between[reps, mates])
+    weight = np.sqrt(copies * sizes)
+    matrices = b[:, :, None] * between[np.ix_(reps, reps)] * np.outer(weight, weight)
+    diag = np.arange(len(reps))
+    matrices[:, diag, diag] = own + (copies - 1.0) * mate
+    lines += [(v, len(o) - 1, "orbit") for v, o in zip((own - mate)[0].tolist(), quotient.orbits)]
+    lines += [(v, 1, "quotient-root") for v in sym_eigenvalues(matrices[0]).tolist()]
+    return Spectrum.from_lines(lines)
+
+
+CLOSED_FORMS = {
+    "adjacency": (a_alpha_families, a_alpha_quotient_matrix),
+    "reciprocal": (rd_alpha_families, rd_alpha_quotient_matrix),
+}
+
+
+def closed_form_oracle(params: GroupParams, kind: str, alpha: float) -> Spectrum:
+    """The family's predicted spectrum at one alpha: its families in floats and one 5 x 5 solve."""
+    families, quotient_matrix = CLOSED_FORMS[kind]
+    [roots] = sym_eigenvalues(quotient_matrix(params, (alpha,))[0][None])
+    lines = families(params, float(alpha)) + [(v, 1, "quotient-root") for v in roots.tolist()]
+    return Spectrum.from_lines(lines)
+
+
+def twin_verdict_oracle(closed: Spectrum, numeric: Spectrum, tol: float) -> bool:
+    """Each twin line of `numeric` meets as many closed values within max(tol, 1e-9) as it counts."""
+    twins = [line for line in numeric.lines if line.source.startswith("twin")]
+    gaps = np.abs(closed.values() - np.array([line.value for line in twins])[:, None])
+    hits = np.count_nonzero(gaps <= max(tol, 1e-9), axis=1)
+    return bool(np.all(hits >= [line.multiplicity for line in twins]))
+
+
+def multiplicity_verdict_oracle(closed: np.ndarray, numeric: np.ndarray, tol: float) -> bool:
+    """Both value lists cluster alike at the numeric list's cluster tolerance, means within it + tol."""
+    radius = float(np.abs(numeric).max()) if numeric.size else 0.0
+    ctol = 1e-6 * max(1.0, radius)
+    return multisets_agree(cluster_values(closed, ctol), cluster_values(numeric, ctol), ctol + tol)

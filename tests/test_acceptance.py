@@ -36,9 +36,9 @@ from powergraph.sequences import (
     family_dds_rows,
     family_detour_matrix,
 )
+from powergraph.report import _multiplicities_recovered
 from powergraph.spectra import (
     a_alpha_closed_form,
-    cluster_values,
     quintic_transcription_check,
     rd_alpha_closed_form,
     solve_quotient,
@@ -55,25 +55,15 @@ def announce(criterion, passed):
     assert passed
 
 
-def _multiplicities_match(closed, numeric, tol):
-    ctol = 1e-6 * max(1.0, float(np.abs(numeric).max()))
-    merged = closed.merged(ctol)
-    clustered = cluster_values(numeric, ctol)
-    return len(merged) == len(clustered) and all(
-        abs(va - vb) <= ctol + tol and ma == mb
-        for (va, ma), (vb, mb) in zip(merged, clustered)
-    )
-
-
 def test_criterion_1_adjacency_alpha_spectra(family):
     ok = True
     for k, p in GRID_KP:
         params, graph, _ = family(k, p)
         start = time.monotonic()
-        for alpha, closed in zip(GRID_ALPHA, a_alpha_closed_form(params, GRID_ALPHA)):
-            numeric = sym_eigenvalues(a_alpha(graph, alpha))
-            ok = ok and float(np.abs(closed.values() - numeric).max()) <= 1e-8
-            ok = ok and _multiplicities_match(closed, numeric, 1e-8)
+        closed = a_alpha_closed_form(params, GRID_ALPHA)
+        numeric = np.array([sym_eigenvalues(a_alpha(graph, alpha)) for alpha in GRID_ALPHA])
+        ok = ok and float(np.abs(closed.expanded - numeric).max()) <= 1e-8
+        ok = ok and bool(_multiplicities_recovered(closed.expanded, numeric, 1e-8).all())
         ok = ok and (time.monotonic() - start) < 5.0
     announce("1 adjacency alpha spectra match closed form on the grid", ok)
 
@@ -94,11 +84,12 @@ def test_criterion_3_reciprocal_alpha_spectra(family):
     ok = True
     for k, p in GRID_KP:
         params, graph, _ = family(k, p)
-        for alpha, closed in zip(GRID_ALPHA, rd_alpha_closed_form(params, GRID_ALPHA)):
+        closed = rd_alpha_closed_form(params, GRID_ALPHA)
+        for alpha, values in zip(GRID_ALPHA, closed.expanded):
             numeric = sym_eigenvalues(rd_alpha(graph, alpha))
-            ok = ok and float(np.abs(closed.values() - numeric).max()) <= 1e-8
+            ok = ok and float(np.abs(values - numeric).max()) <= 1e-8
         rt = np.sort(np.diag(reciprocal_transmission(graph)))[::-1]
-        at_one = rd_alpha_closed_form(params, (1.0,))[0].values()
+        at_one = rd_alpha_closed_form(params, (1.0,)).expanded[0]
         ok = ok and np.array_equal(at_one, rt)
     announce("3 reciprocal alpha spectra match; alpha=1 equals transmissions", ok)
 
@@ -108,9 +99,9 @@ def test_criterion_4_block_reduction(family):
         """solve_quotient's non-twin values against the dense k x k quotient roots, relative."""
         worst = 0.0
         for kind, alpha in cases:
-            lines = solve_quotient(graph, kind, (alpha,))[0].lines
-            lines = [ln for ln in lines if not ln.source.startswith("twin")]
-            values = [ln.value for ln in lines for _ in range(ln.multiplicity)]
+            [sweep] = solve_quotient(graph, (kind,), (alpha,))
+            keep = ~np.char.startswith(sweep.sources, "twin")
+            values = np.repeat(sweep.values[0, keep], sweep.multiplicities[keep])
             dense = dense_quotient_roots(graph, kind, alpha)
             gap = np.abs(np.sort(values)[::-1] - dense).max()
             worst = max(worst, float(gap) / max(1.0, float(np.abs(dense).max())))
@@ -210,11 +201,12 @@ def test_criterion_9_structure(family):
         for d in graph.degrees():
             counts[int(d)] = counts.get(int(d), 0) + 1
         ok = ok and counts == family_degree_multiset(params)
-        for alpha, twins in zip(GRID_ALPHA, twin_eigenvalues(graph, "adjacency", GRID_ALPHA)):
+        twins = twin_eigenvalues(graph, "adjacency", GRID_ALPHA)
+        for alpha, values in zip(GRID_ALPHA, twins.values):
             numeric = sym_eigenvalues(a_alpha(graph, alpha))
-            for line in twins.lines:
-                hits = int(np.sum(np.abs(numeric - line.value) <= 1e-8))
-                ok = ok and hits >= line.multiplicity
+            for value, multiplicity in zip(values.tolist(), twins.multiplicities):
+                hits = int(np.sum(np.abs(numeric - value) <= 1e-8))
+                ok = ok and hits >= multiplicity
     announce("9 structure decomposition, degrees and twin eigenvalues verified", ok)
 
 

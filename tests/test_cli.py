@@ -13,7 +13,9 @@ import powergraph
 from oracles import (
     build_payload,
     dds_rows_bincount,
+    edge_count,
     graph_json_dict,
+    labelled,
     matrix_to_csv,
     metric_payload,
 )
@@ -307,13 +309,13 @@ def test_build_writes_the_eager_renderings(family, k, p):
     _, artifacts, output = run_collect(config)
     assert sorted(artifacts) == [f"k{k}-p{p}-graph.json"]
     payload = json.loads(artifacts[f"k{k}-p{p}-graph.json"])
-    lifted = Graph(lift(payload, payload["adjacency"]).astype(bool), labels=graph.labels)
+    lifted = labelled(lift(payload, payload["adjacency"]).astype(bool), graph.labels)
     vertex_level = {key: payload[key] for key in ("n", "labels", "elements", "partition")}
     vertex_level["edges"] = graph_json_dict(lifted)["edges"]
     assert cli._dump(vertex_level) == cli._dump(build_payload(graph, params))
     assert cli._dump(build_payload(lifted, params)) == cli._dump(build_payload(graph, params))
     assert payload["closed"] == graph.quotient.closed
-    assert f"n={graph.n}, edges={graph.edge_count()}\n" in output
+    assert f"n={graph.n}, edges={edge_count(graph)}\n" in output
 
 
 def test_build_and_metric_and_dds_commands(tmp_path):
@@ -533,13 +535,18 @@ def test_unknown_config_key_is_a_usage_error(tmp_path, capsys, line):
     "argv, message",
     [
         (["ingest"], "usage error: unknown command 'ingest'"),
-        (["report", "--graph", "g.txt"], "unrecognized arguments: --graph g.txt"),
-        (["report", "--graph-format", "json"], "unrecognized arguments: --graph-format json"),
+        (["report", "--graph", "g.txt"], "usage error: unrecognized arguments: --graph g.txt"),
+        (
+            ["report", "--graph-format", "json"],
+            "usage error: unrecognized arguments: --graph-format json",
+        ),
+        (["report", "--k", "x"], "usage error: argument --k: invalid int value: 'x'"),
     ],
-    ids=["ingest", "graph", "graph-format"],
+    ids=["ingest", "graph", "graph-format", "k-not-an-int"],
 )
 def test_external_graph_input_is_a_usage_error(argv, message):
-    # the CLI reads no graph file: the command and its two flags are unknown
+    # the CLI reads no graph file: the command and its two flags are unknown; these and a
+    # flag value that does not parse are each one usage-error line, as every usage error is
     src = str(Path(powergraph.__file__).resolve().parents[1])
     done = subprocess.run(
         [sys.executable, "-m", "powergraph", *argv],
@@ -549,9 +556,7 @@ def test_external_graph_input_is_a_usage_error(argv, message):
         env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
     )
     assert done.returncode == 2 and done.stdout == ""
-    assert message in done.stderr and "Traceback" not in done.stderr
-    if argv == ["ingest"]:
-        assert done.stderr.startswith(message) and done.stderr.count("\n") == 1
+    assert done.stderr.startswith(message) and done.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("case", ["config-is-a-directory", "config-not-utf8", "out-is-a-file"])

@@ -6,14 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    Spectrum,
     blown_up_graphs,
+    closed_form_oracle,
+    cluster_values,
     cluster_values_loop,
     complete_graph,
     dense_quotient_roots,
     from_edges,
     is_connected,
+    multiplicity_verdict_oracle,
+    multisets_agree,
     path_graph,
+    quotient_spectrum_oracle,
     random_graphs,
+    twin_verdict_oracle,
 )
 from powergraph.graphs import build_power_graph
 from powergraph.groups import GroupParams
@@ -28,16 +35,18 @@ from powergraph.report import (
     SPECTRUM_KINDS,
     Instance,
     _cluster_tol,
-    _multisets_agree,
-    spectrum_payload,
+    _max_deviations,
+    _multiplicities_recovered,
+    _runs,
+    _twins_present,
+    spectrum_payloads,
 )
 from powergraph.spectra import (
     EigensolverError,
-    Spectrum,
+    _sweep,
     a_alpha_closed_form,
     a_alpha_families,
     a_alpha_quotient_matrix,
-    cluster_values,
     quintic_coefficients,
     quintic_transcription_check,
     rd_alpha_closed_form,
@@ -89,8 +98,8 @@ def test_rd_trace_identity(family):
 def test_twin_eigenvalue_lines(family):
     _, graph, _ = family(2, 3)
     alpha = 0.3
-    [twins] = twin_eigenvalues(graph, "adjacency", (alpha,))
-    lines = {(round(ln.value, 12), ln.multiplicity) for ln in twins.lines}
+    twins = twin_eigenvalues(graph, "adjacency", (alpha,))
+    lines = {(round(v, 12), m) for v, m in zip(twins.values[0].tolist(), twins.multiplicities)}
     assert (round(alpha, 12), 5) in lines            # pendant class
     assert (round(12 * alpha - 1, 12), 9) in lines   # rotation clique class
     assert (round(4 * alpha - 1, 12), 3) in lines    # the order-4 pairs
@@ -103,10 +112,11 @@ DENSE = {"adjacency": a_alpha, "reciprocal": rd_alpha}
 
 
 def assert_quotient_matches_dense(graph, kind):
-    for alpha, spectrum in zip(ALPHAS, solve_quotient(graph, kind, ALPHAS)):
+    [sweep] = solve_quotient(graph, (kind,), ALPHAS)
+    assert sweep.multiplicities.sum() == graph.n
+    for alpha, values in zip(ALPHAS, sweep.expanded):
         dense = sym_eigenvalues(DENSE[kind](graph, alpha))
-        assert sum(line.multiplicity for line in spectrum.lines) == graph.n
-        assert np.abs(spectrum.values() - dense).max(initial=0.0) <= 1e-8
+        assert np.abs(values - dense).max(initial=0.0) <= 1e-8
 
 
 @pytest.mark.parametrize("kind", ["adjacency", "reciprocal"])
@@ -132,9 +142,9 @@ def test_quotient_spectrum_matches_dense_on_the_family(family, k, p, kind):
 def test_quotient_spectrum_rejects_bad_kind_or_alpha(family):
     _, graph, _ = family(2, 3)
     with pytest.raises(ValueError, match="kind"):
-        solve_quotient(graph, "laplacian", (0.5,))
+        solve_quotient(graph, ("laplacian",), (0.5,))
     with pytest.raises(AlphaRangeError):
-        solve_quotient(graph, "reciprocal", (1.5,))
+        solve_quotient(graph, ("reciprocal",), (1.5,))
 
 
 def test_minus_one_multiplicity_at_alpha_zero(family):
@@ -151,10 +161,10 @@ def test_a_alpha_family_values_at_half():
 @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 0.75, 1.0])
 def test_a_alpha_closed_form_matches_numeric(family, alpha):
     params, graph, _ = family(2, 3)
-    [closed] = a_alpha_closed_form(params, (alpha,))
+    closed = a_alpha_closed_form(params, (alpha,))
     numeric = sym_eigenvalues(a_alpha(graph, alpha))
-    assert sum(line.multiplicity for line in closed.lines) == graph.n
-    assert np.abs(closed.values() - numeric).max() <= 1e-8
+    assert closed.multiplicities.sum() == graph.n
+    assert np.abs(closed.expanded[0] - numeric).max() <= 1e-8
 
 
 def test_quintic_root_sum_trace_identity(family):
@@ -200,21 +210,22 @@ def test_transcription_sweeps_equal_the_one_alpha_computations(k, p):
     params, alphas = GroupParams(k, p), (0.0, 0.25, 1 / 3, 0.5, 0.123456789, 1.0, 1 / 3)
     closed = a_alpha_closed_form(params, alphas)
     quintic = quintic_transcription_check(params, alphas, closed)
-    printed = rd_quotient_transcription_check(params, alphas)
-    for alpha, spectrum, check, rd_check in zip(alphas, closed, quintic, printed):
+    printed = rd_quotient_transcription_check(rd_alpha_closed_form(params, alphas))
+    for row, (alpha, check, rd_check) in enumerate(zip(alphas, quintic, printed)):
         [coeffs] = quintic_coefficients(params, (alpha,))
-        xs = np.array([ln.value for ln in spectrum.lines if ln.source == "quotient-root"])
+        lines = closed_form_oracle(params, "adjacency", alpha).lines
+        xs = np.array([ln.value for ln in lines if ln.source == "quotient-root"])
         scale = np.maximum(1.0, np.polyval(np.abs(coeffs), np.abs(xs)))
         worst = max([0.0, *(np.abs(np.polyval(coeffs, xs)) / scale).tolist()])
         assert check["max_relative_residual"] == worst
-        assert check == quintic_transcription_check(params, (alpha,), (spectrum,))[0]
+        assert check == quintic_transcription_check(params, (alpha,), closed.rows([row]))[0]
         [derived] = rd_alpha_quotient_matrix(params, (alpha,))
         printed = derived.copy()  # as published: the H3 diagonal entry is the H2 one
         n, half = params.rotation_order, params.rotation_order // 2
         printed[3, 3] = alpha * n + (half - 1) * (1.0 - alpha) / 2
         gap = float(np.abs(derived - printed).max())
         assert rd_check["max_relative_residual"] == gap / max(1.0, float(np.abs(derived).max()))
-        assert rd_check == rd_quotient_transcription_check(params, (alpha,))[0]
+        assert rd_check == rd_quotient_transcription_check(rd_alpha_closed_form(params, (alpha,)))[0]
 
 
 def test_quintic_coefficients_take_the_powers_of_each_alpha_by_float_pow():
@@ -235,8 +246,9 @@ def test_quintic_coefficients_take_the_powers_of_each_alpha_by_float_pow():
 
 
 def test_spectrum_values_keep_the_line_order_of_equal_values():
-    # 0.0 and -0.0 are equal: a stable descending sort keeps them in line order
-    lines = [(1.0, 2, "a"), (0.0, 1, "b"), (-0.0, 2, "c"), (0.0, 1, "d"), (-2.5, 1, "e")]
+    # 0.0 and -0.0 are equal: a stable descending sort keeps them in line order, in the
+    # per-alpha oracle and in a sweep's expansion, which drops a line of multiplicity 0
+    lines = [(1.0, 2, "a"), (0.0, 1, "b"), (-0.0, 2, "c"), (7.0, 0, "z"), (0.0, 1, "d"), (-2.5, 1, "e")]
     for order in (lines, lines[::-1], lines[1:] + lines[:1]):
         spectrum = Spectrum.from_lines(order)
         expected = sorted(
@@ -245,6 +257,10 @@ def test_spectrum_values_keep_the_line_order_of_equal_values():
         values = spectrum.values()
         assert values.tolist() == expected and json.dumps(values.tolist()) == json.dumps(expected)
         assert not values.flags.writeable
+        values_, mults, sources = zip(*order)
+        sweep = _sweep(np.array([values_]), np.array(mults), sources, np.zeros((1, 0, 0)))
+        assert json.dumps(sweep.expanded[0].tolist()) == json.dumps(expected)
+        assert "z" not in sweep.sources
     assert Spectrum.from_lines([]).values().dtype == np.float64
 
 
@@ -274,20 +290,22 @@ def test_sym_eigenvalues_rejects_a_stack_with_one_asymmetric_or_non_square_matri
 
 
 def assert_sweep_equals_single_alphas(sweep, alphas=SWEEP):
-    """Each spectrum of `sweep(alphas)` equals `sweep((alpha,))`, lines and values bit for bit."""
-    spectra_ = sweep(alphas)
-    assert len(spectra_) == len(alphas)
-    for alpha, spectrum in zip(alphas, spectra_):
-        [single] = sweep((alpha,))
-        assert spectrum.lines == single.lines
-        assert np.array_equal(spectrum.values(), single.values())
+    """Each row of `sweep(alphas)` equals `sweep((alpha,))`, lines and values bit for bit."""
+    whole = sweep(alphas)
+    assert len(whole.values) == len(whole.expanded) == len(whole.quotients) == len(alphas)
+    for row, alpha in enumerate(alphas):
+        single = sweep((alpha,))
+        assert np.array_equal(whole.multiplicities, single.multiplicities)
+        assert whole.sources.tolist() == single.sources.tolist()
+        for part in ("values", "expanded", "quotients"):
+            assert getattr(whole, part)[row].tobytes() == getattr(single, part)[0].tobytes()
 
 
 @pytest.mark.parametrize("kind", ["adjacency", "reciprocal"])
 @pytest.mark.parametrize("k,p", [(2, 3), (3, 3), (2, 5), (2, 7), (3, 5), (4, 5), (5, 5)])
 def test_sweeps_equal_single_alpha_sweeps_on_the_family(family, k, p, kind):
     params, graph, _ = family(k, p)
-    assert_sweep_equals_single_alphas(lambda alphas: solve_quotient(graph, kind, alphas))
+    assert_sweep_equals_single_alphas(lambda alphas: solve_quotient(graph, (kind,), alphas)[0])
     assert_sweep_equals_single_alphas(lambda alphas: twin_eigenvalues(graph, kind, alphas))
     closed_form = a_alpha_closed_form if kind == "adjacency" else rd_alpha_closed_form
     assert_sweep_equals_single_alphas(lambda alphas: closed_form(params, alphas))
@@ -298,17 +316,35 @@ def test_sweeps_equal_single_alpha_sweeps_on_random_graphs_with_twins(kind):
     corpus = [g for g in random_graphs(seed=29, count=60) if is_connected(g)]
     corpus += list(blown_up_graphs(seed=31, count=60))
     for graph in corpus:
-        assert_sweep_equals_single_alphas(lambda alphas: solve_quotient(graph, kind, alphas))
+        assert_sweep_equals_single_alphas(lambda alphas: solve_quotient(graph, (kind,), alphas)[0])
         assert_sweep_equals_single_alphas(lambda alphas: twin_eigenvalues(graph, kind, alphas))
     assert sum(max(g.quotient.sizes, default=1) > 1 for g in corpus) > 60
 
 
-def test_instance_spectra_share_one_sweep_per_kind_with_a_repeated_alpha():
+def test_instance_spectra_share_one_sweep_per_kind_with_a_repeated_alpha(monkeypatch):
+    solves = []
+    solve = sym_eigenvalues
+    monkeypatch.setattr("powergraph.spectra.sym_eigenvalues", lambda m: solves.append(1) or solve(m))
     inst = Instance(GroupParams(3, 5))
     for kind in SPECTRUM_KINDS:
-        pairs = inst.spectra(kind, SWEEP)
-        assert pairs[1] is pairs[3]  # the repeated alpha reads the same spectra
-        assert inst.spectra(kind, SWEEP[::-1]) == pairs[::-1]
+        sweeps = inst.spectra(kind, SWEEP)
+        backwards = inst.spectra(kind, SWEEP[::-1])
+        for sweep, reverse in zip(sweeps, backwards):
+            # the repeated alpha reads the same row, and every order reads the same sweep
+            assert sweep.expanded[1].tobytes() == sweep.expanded[3].tobytes()
+            assert sweep.expanded[::-1].tobytes() == reverse.expanded.tobytes()
+            assert sweep.values[::-1].tobytes() == reverse.values.tobytes()
+    assert len(solves) == 3  # the graph's quotients of both kinds, and each closed form's
+
+
+@pytest.mark.parametrize("k,p", [(2, 3), (3, 5), (5, 5)])
+def test_both_kinds_solved_together_equal_each_kind_alone(family, k, p):
+    _, graph, _ = family(k, p)
+    both = solve_quotient(graph, SPECTRUM_KINDS, SWEEP)
+    for kind, sweep in zip(SPECTRUM_KINDS, both):
+        [alone] = solve_quotient(graph, (kind,), SWEEP)
+        for part in ("expanded", "quotients"):
+            assert getattr(sweep, part).tobytes() == getattr(alone, part).tobytes()
 
 
 def test_an_alpha_outside_the_unit_interval_is_refused_before_any_solve(family, monkeypatch):
@@ -319,8 +355,9 @@ def test_an_alpha_outside_the_unit_interval_is_refused_before_any_solve(family, 
     params, graph, _ = family(2, 3)
     for alphas in ((1.5,), (0.0, 0.5, -0.25), (0.2, float("nan"))):
         for sweep in (
-            lambda: solve_quotient(graph, "adjacency", alphas),
-            lambda: solve_quotient(graph, "reciprocal", alphas),
+            lambda: solve_quotient(graph, ("adjacency",), alphas),
+            lambda: solve_quotient(graph, ("reciprocal",), alphas),
+            lambda: solve_quotient(graph, SPECTRUM_KINDS, alphas),
             lambda: twin_eigenvalues(graph, "reciprocal", alphas),
             lambda: a_alpha_closed_form(params, alphas),
             lambda: rd_alpha_closed_form(params, alphas),
@@ -332,18 +369,19 @@ def test_an_alpha_outside_the_unit_interval_is_refused_before_any_solve(family, 
 # orbit reduction, against the dense k x k twin quotient --------------------
 
 
-def orbit_roots(spectrum: Spectrum) -> np.ndarray:
-    """The k values of a `solve_quotient` spectrum that are not twin lines, descending."""
-    lines = [ln for ln in spectrum.lines if not ln.source.startswith("twin")]
-    return np.sort([ln.value for ln in lines for _ in range(ln.multiplicity)])[::-1]
+def orbit_roots(sweep, row: int) -> np.ndarray:
+    """The k values of row `row` of a `solve_quotient` sweep that are not twin lines, descending."""
+    keep = ~np.char.startswith(sweep.sources, "twin")
+    return np.sort(np.repeat(sweep.values[row, keep], sweep.multiplicities[keep]))[::-1]
 
 
 def assert_orbit_roots_match_the_quotient(graph, kinds=SPECTRUM_KINDS, alphas=ALPHAS):
     """solve_quotient's orbit lines and m roots equal the dense k x k quotient roots (1e-9 rel)."""
     for kind in kinds:
-        for alpha, spectrum in zip(alphas, solve_quotient(graph, kind, alphas)):
+        [sweep] = solve_quotient(graph, (kind,), alphas)
+        for row, alpha in enumerate(alphas):
             dense = dense_quotient_roots(graph, kind, alpha)
-            gap = np.abs(orbit_roots(spectrum) - dense).max()
+            gap = np.abs(orbit_roots(sweep, row) - dense).max()
             assert gap <= 1e-9 * max(1.0, np.abs(dense).max()), (kind, alpha)
 
 
@@ -356,12 +394,12 @@ def test_orbit_roots_of_singleton_orbits():
 def test_orbit_roots_k3():
     # K3 is one closed twin class; the octahedron K_{2,2,2} blows each of its
     # vertices up into an open pair, so its quotient is one orbit of 3 classes
-    [k3] = solve_quotient(complete_graph(3), "adjacency", (0.0,))
-    assert np.allclose(k3.values(), [2, -1, -1])
+    [k3] = solve_quotient(complete_graph(3), ("adjacency",), (0.0,))
+    assert np.allclose(k3.expanded[0], [2, -1, -1])
     edges = [(i, j) for i in range(6) for j in range(i) if i // 2 != j // 2]
     octahedron = from_edges(6, edges)
     assert octahedron.quotient.orbits == ((0, 1, 2),)
-    values = solve_quotient(octahedron, "adjacency", (0.0,))[0].values()
+    values = solve_quotient(octahedron, ("adjacency",), (0.0,))[0].expanded[0]
     assert np.allclose(values, [4, 0, 0, 0, -2, -2], atol=1e-12)
     assert_orbit_roots_match_the_quotient(octahedron)
 
@@ -397,25 +435,24 @@ def test_orbit_roots_match_the_quotient_at_9_7():
 @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 0.75, 1.0])
 def test_rd_alpha_closed_form_matches_numeric(family, alpha):
     params, graph, _ = family(2, 3)
-    [closed] = rd_alpha_closed_form(params, (alpha,))
+    closed = rd_alpha_closed_form(params, (alpha,))
     numeric = sym_eigenvalues(rd_alpha(graph, alpha))
-    assert np.abs(closed.values() - numeric).max() <= 1e-8
+    assert np.abs(closed.expanded[0] - numeric).max() <= 1e-8
 
 
 def test_rd_alpha_at_one_equals_transmissions(family):
     params, graph, _ = family(2, 3)
-    closed = rd_alpha_closed_form(params, (1.0,))[0].values()
+    closed = rd_alpha_closed_form(params, (1.0,)).expanded[0]
     rt = np.sort(np.diag(reciprocal_transmission(graph)))[::-1]
     assert np.array_equal(closed, rt)
 
 
 def test_rd_alpha_total_at_2_5():
-    lines = rd_alpha_closed_form(GroupParams(2, 5), (0.5,))[0].lines
-    assert sum(line.multiplicity for line in lines) == 40
+    assert rd_alpha_closed_form(GroupParams(2, 5), (0.5,)).multiplicities.sum() == 40
 
 
 def test_rd_quotient_transcription_flags_published_diagonal():
-    [check] = rd_quotient_transcription_check(P23, (0.5,))
+    [check] = rd_quotient_transcription_check(rd_alpha_closed_form(P23, (0.5,)))
     assert not check["matches"]
     assert "diagonal" in check["diagnostic"]
 
@@ -423,65 +460,207 @@ def test_rd_quotient_transcription_flags_published_diagonal():
 # spectrum comparison and payload, as the report makes them -----------------
 
 
+def with_line_moved(sweep, line: int, shift: float):
+    """The sweep with one line's value shifted at every alpha."""
+    values = sweep.values.copy()
+    values[:, line] += shift
+    return _sweep(values, sweep.multiplicities, sweep.sources, sweep.quotients)
+
+
 def test_compare_spectra_identical(family):
     params, _, _ = family(2, 3)
-    [s] = a_alpha_closed_form(params, (0.25,))
-    assert _multisets_agree(s.merged(1e-6), s.merged(1e-6), value_tol=0.0)
+    s = a_alpha_closed_form(params, (0.25,))
+    assert _multiplicities_recovered(s.expanded, s.expanded, 0.0).all()
+    assert multiplicity_verdict_oracle(s.expanded[0], s.expanded[0], 0.0)
 
 
 def test_compare_spectra_detects_perturbation(family):
     params, _, _ = family(2, 3)
-    [s] = a_alpha_closed_form(params, (0.25,))
-    lines = [(ln.value, ln.multiplicity, ln.source) for ln in s.lines]
-    lines[0] = (lines[0][0] + 1e-3, lines[0][1], lines[0][2])
-    perturbed = Spectrum.from_lines(lines)
-    assert np.abs(s.values() - perturbed.values()).max() >= 1e-3 - 1e-12
-    assert not _multisets_agree(s.merged(1e-6), perturbed.merged(1e-6), value_tol=1e-8)
+    s = a_alpha_closed_form(params, (0.25,))
+    perturbed = with_line_moved(s, 0, 1e-3)
+    assert _max_deviations(s.expanded, perturbed.expanded)[0] >= 1e-3 - 1e-12
+    assert not _multiplicities_recovered(s.expanded, perturbed.expanded, 1e-8)[0]
+    assert not multiplicity_verdict_oracle(s.expanded[0], perturbed.expanded[0], 1e-8)
 
 
 def test_compare_spectra_total_mismatch(family):
     params, _, _ = family(2, 3)
-    [s] = a_alpha_closed_form(params, (0.25,))
-    short = Spectrum.from_lines([(1.0, 3, "numeric")])
-    assert not _multisets_agree(s.merged(1e-6), short.merged(1e-6), value_tol=1e-8)
+    s = a_alpha_closed_form(params, (0.25,))
+    short = _sweep(np.array([[1.0]]), np.array([3]), ["numeric"], np.zeros((1, 0, 0)))
+    assert np.isinf(_max_deviations(s.expanded, short.expanded)).all()
+    assert not _multiplicities_recovered(s.expanded, short.expanded, 1e-8)[0]
+    assert not multisets_agree(
+        cluster_values(s.expanded[0], 1e-6), cluster_values(short.expanded[0], 1e-6), 1e-8
+    )
+
+
+def run_sizes(values: np.ndarray, tol: float) -> list[int]:
+    """The run sizes of one descending row, split where `report._runs` splits it."""
+    starts = np.flatnonzero(_runs(values[None], np.array([[tol]]))[0])
+    return np.diff(starts, append=values.size).tolist()
 
 
 def test_clustering_recovers_multiplicities(family):
     params, graph, _ = family(2, 3)
     numeric = sym_eigenvalues(a_alpha(graph, 0.25))
     tol = 1e-6 * max(1.0, float(np.abs(numeric).max()))
-    clustered = dict(cluster_values(numeric, tol))
-    mults = sorted(clustered.values(), reverse=True)
+    mults = sorted(dict(cluster_values(numeric, tol)).values(), reverse=True)
     # families 5, 9, 3, 2 plus five simple quotient roots
     assert mults == [9, 5, 3, 2, 1, 1, 1, 1, 1]
+    assert sorted(run_sizes(numeric, tol), reverse=True) == mults
+    closed = a_alpha_closed_form(params, (0.25,))
+    assert _multiplicities_recovered(closed.expanded, numeric[None], 1e-8).all()
 
 
 @pytest.mark.parametrize("k,p", [(2, 3), (2, 5), (3, 3)])
 def test_cluster_values_equals_the_loop_on_family_spectra(k, p):
     inst = Instance(GroupParams(k, p))
     for kind in SPECTRUM_KINDS:
-        for closed, spectrum in inst.spectra(kind, ALPHAS):
-            numeric = spectrum.values()
-            tol = _cluster_tol(numeric)
-            for values in (numeric, closed.values()):
+        closed, numeric = inst.spectra(kind, ALPHAS)
+        for tol, *rows in zip(_cluster_tol(numeric.expanded)[:, 0], numeric.expanded, closed.expanded):
+            for values in rows:
                 assert cluster_values(values, tol) == cluster_values_loop(values, tol)
+                assert run_sizes(values, tol) == [size for _, size in cluster_values_loop(values, tol)]
 
 
 def test_cluster_values_equals_the_loop_on_random_near_ties():
+    # the split mask gives the loop's runs exactly; its run means, summed by reduceat in
+    # another order than the loop's pairwise mean, agree to a few units in the last place
     rng = np.random.default_rng(7)
     for _ in range(300):
         size = int(rng.integers(0, 60))
         base = rng.standard_normal(int(rng.integers(1, 8)))
-        values = rng.choice(base, size) + 1e-7 * rng.standard_normal(size)
+        values = np.sort(rng.choice(base, size) + 1e-7 * rng.standard_normal(size))[::-1]
         for tol in (0.0, 1e-7, 1e-6, 1.0):
-            assert cluster_values(values, tol) == cluster_values_loop(values, tol)
+            loop = cluster_values_loop(values, tol)
+            assert cluster_values(values, tol) == loop
+            sizes = run_sizes(values, tol)
+            assert sizes == [size for _, size in loop]
+            if sizes:
+                starts = np.cumsum([0, *sizes[:-1]])
+                means = np.add.reduceat(values, starts) / sizes
+                bound = 4 * np.finfo(np.float64).eps * np.array(sizes) * np.abs(values).max()
+                assert (np.abs(means - [mean for mean, _ in loop]) <= bound).all()
 
 
 def test_spectrum_json_round_trip(family):
     params, graph, _ = family(2, 3)
-    [closed] = a_alpha_closed_form(params, (0.5,))
-    numeric = sym_eigenvalues(a_alpha(graph, 0.5))
-    payload = json.loads(json.dumps(spectrum_payload(params, 0.5, closed, numeric)))
-    assert sum(line.multiplicity for line in closed.lines) == 24
+    closed = a_alpha_closed_form(params, (0.5,))
+    [numeric] = solve_quotient(graph, ("adjacency",), (0.5,))
+    [payload] = spectrum_payloads(params, (0.5,), closed, numeric)
+    payload = json.loads(json.dumps(payload))
+    assert closed.multiplicities.sum() == 24
     assert sum(fam["mult"] for fam in payload["families"]) == 24
-    assert payload["numeric"] == numeric.tolist()
+    assert payload["numeric"] == numeric.expanded[0].tolist()
+
+
+# the sweeps against the per-alpha oracle ------------------------------------
+
+ORACLE_ALPHAS = (0.0, 0.3, 1.0, 0.3, 0.123456789, 0.59375, 1 / 3)  # a repeat, non-dyadic ones
+CLOSED_FORMS = {"adjacency": a_alpha_closed_form, "reciprocal": rd_alpha_closed_form}
+
+
+def oracle_payload(params, alpha, closed: Spectrum, numeric: Spectrum) -> dict:
+    """`spectrum_payloads`' entry as the per-alpha route made it, from the oracle's spectra."""
+    predicted, values = closed.values(), numeric.values()
+    deviation = (
+        float(np.abs(predicted - values).max(initial=0.0))
+        if predicted.shape == values.shape
+        else float("inf")
+    )
+    return {
+        "params": {"k": params.k, "p": params.p, "alpha": alpha},
+        "families": [
+            {"value": ln.value, "mult": ln.multiplicity, "source": ln.source} for ln in closed.lines
+        ],
+        "numeric": values.tolist(),
+        "max_deviation": deviation,
+    }
+
+
+def assert_graph_sweep_is_the_oracle(graph, kind, sweep, alphas) -> list[Spectrum]:
+    """Each row's expansion is the per-alpha oracle's, bit for bit; returns the oracle's spectra."""
+    oracles = [quotient_spectrum_oracle(graph, kind, alpha) for alpha in alphas]
+    for row, oracle in enumerate(oracles):
+        assert sweep.expanded[row].tobytes() == oracle.values().tobytes(), (kind, row)
+    return oracles
+
+
+@pytest.mark.parametrize("k,p", [(2, 3), (3, 3), (2, 5), (2, 7), (3, 5), (4, 5), (5, 5)])
+def test_sweeps_equal_the_per_alpha_oracle_on_the_family(family, k, p):
+    params, graph, _ = family(k, p)
+    inst = Instance(params)
+    for kind in SPECTRUM_KINDS:
+        closed, numeric = inst.spectra(kind, ORACLE_ALPHAS)
+        numerics = assert_graph_sweep_is_the_oracle(graph, kind, numeric, ORACLE_ALPHAS)
+        closeds = [closed_form_oracle(params, kind, alpha) for alpha in ORACLE_ALPHAS]
+        payloads = spectrum_payloads(params, ORACLE_ALPHAS, closed, numeric)
+        twins = _twins_present(closed, numeric, 1e-8)
+        recovered = _multiplicities_recovered(closed.expanded, numeric.expanded, 1e-8)
+        for row, alpha in enumerate(ORACLE_ALPHAS):
+            oc, on = closeds[row], numerics[row]
+            assert closed.expanded[row].tobytes() == oc.values().tobytes()
+            assert json.dumps(payloads[row]) == json.dumps(oracle_payload(params, alpha, oc, on))
+            assert twins[row] == twin_verdict_oracle(oc, on, 1e-8)
+            assert recovered[row] == multiplicity_verdict_oracle(oc.values(), on.values(), 1e-8)
+        assert twins.all() and recovered.all()
+
+
+def twin_corpus():
+    corpus = [g for g in random_graphs(seed=41, count=80) if is_connected(g)]
+    corpus += list(blown_up_graphs(seed=43, count=80))
+    return [g for g in corpus if max(g.quotient.sizes, default=1) > 1]
+
+
+@pytest.mark.parametrize("kind", ["adjacency", "reciprocal"])
+def test_sweeps_and_verdicts_equal_the_per_alpha_oracle_on_random_graphs_with_twins(kind):
+    # the closed side is the graph's own sweep with one line moved by a shift from none to
+    # far past the tolerances, so both verdicts come out both ways
+    outcomes = set()
+    corpus = twin_corpus()
+    for graph in corpus:
+        [numeric] = solve_quotient(graph, (kind,), ORACLE_ALPHAS)
+        numerics = assert_graph_sweep_is_the_oracle(graph, kind, numeric, ORACLE_ALPHAS)
+        for line in (0, len(numeric.sources) - 1):
+            for shift in (0.0, 1e-9, 3e-8, 1e-6, 1e-3):
+                closed = with_line_moved(numeric, line, shift)
+                twins = _twins_present(closed, numeric, 1e-8)
+                recovered = _multiplicities_recovered(closed.expanded, numeric.expanded, 1e-8)
+                for row, on in enumerate(numerics):
+                    oc = Spectrum.from_lines(
+                        list(zip(closed.values[row].tolist(), closed.multiplicities, closed.sources))
+                    )
+                    assert twins[row] == twin_verdict_oracle(oc, on, 1e-8)
+                    assert recovered[row] == multiplicity_verdict_oracle(
+                        oc.values(), on.values(), 1e-8
+                    )
+                    outcomes.add((bool(twins[row]), bool(recovered[row])))
+    assert len(corpus) > 80 and outcomes == {(True, True), (False, False), (True, False), (False, True)}
+
+
+def test_twin_counts_equal_the_broadcast_at_the_tolerance_edges():
+    # each twin line's closed copies at v - t or v + t, or one float past or short of either,
+    # for tolerances below and above the 1e-9 floor: counting closed lines weighted by their
+    # multiplicity agrees with the per-alpha broadcast over the expanded values every time
+    graph = next(g for g in blown_up_graphs(5, 50) if max(g.quotient.sizes, default=1) > 2)
+    [numeric] = solve_quotient(graph, ("adjacency",), (0.3, 0.7))
+    twin = np.char.startswith(numeric.sources, "twin")
+    on = [
+        Spectrum.from_lines(list(zip(row.tolist(), numeric.multiplicities, numeric.sources)))
+        for row in numeric.values
+    ]
+    mults = np.concatenate([numeric.multiplicities[twin], numeric.multiplicities[~twin]])
+    outcomes = set()
+    for tol in (1e-12, 1e-9, 1e-8, 0.1):
+        t = max(tol, 1e-9)
+        for side in (-1.0, 1.0):
+            edge = numeric.values[:, twin] + side * t
+            for moved in (edge, np.nextafter(edge, side * np.inf), np.nextafter(edge, -side * np.inf)):
+                values = np.column_stack([moved, numeric.values[:, ~twin]])
+                closed = _sweep(values, mults, ["edge"] * len(mults), numeric.quotients)
+                present = _twins_present(closed, numeric, tol)
+                for row in range(2):
+                    oc = Spectrum.from_lines(list(zip(values[row].tolist(), mults, closed.sources)))
+                    assert present[row] == twin_verdict_oracle(oc, on[row], tol)
+                    outcomes.add(bool(present[row]))
+    assert outcomes == {True, False}
