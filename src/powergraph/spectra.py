@@ -267,46 +267,44 @@ def quintic_coefficients(params: GroupParams, alphas) -> np.ndarray:
     against the quotient eigenvalues instead of trusting it.  Returns an (A, 6)
     array for A alphas.
     """
-    # one alpha at a time in floats, powers by float pow: numpy's array power rounds otherwise
+    # the powers by float pow, one alpha at a time: numpy's array power rounds some differently
+    powers = [[float(x) ** e for e in (1, 2, 3, 4)] for x in alphas]
+    a, a2, a3, a4 = np.array(powers, dtype=np.float64).reshape(-1, 4).T
     K = float(1 << params.k)
     P = float(params.p)
-    rows = []
-    for x in alphas:
-        a, a2, a3, a4 = (float(x) ** e for e in (1, 2, 3, 4))
-        c4 = (7 * K / 2 * P + 3) * a + K * P - 2
-        c3 = (
-            (-3 * K**2 * P**2 - 21 * K / 2 * P - 2) * a2
-            + (-7 * K**2 / 2 * P**2 - K * P + 8) * a
-            + 5 * K / 2 * P
-        )
-        c2 = (
-            (9 * K**2 * P**2 + 7 * K * P) * a3
-            + (3 * K**3 * P**3 + 23 * K**2 / 2 * P**2 - 6 * K * P - 6) * a2
-            + (K**2 / 2 * P**2 - 23 * K * P + 6) * a
-            - 3 * K**2 / 2 * P**2
-            + 4 * K * P
-            + 2
-        )
-        c1 = (
-            -6 * K**2 * P**2 * a4
-            + (-13 * K**3 / 2 * P**3 - 59 * K**2 / 4 * P**2 + 10 * K * P) * a3
-            + (-8 * K**3 * P**3 + 105 * K**2 / 4 * P**2 + 45 * K / 2 * P - 6) * a2
-            + (5 * K**3 / 2 * P**3 + 9 * K**2 / 4 * P**2 - 20 * K * P) * a
-            - 5 * K**2 / 4 * P**2
-            + 3 * K / 2 * P
-            + 1
-        )
-        c0 = (
-            -(3 * K**3 * P**3 + 15 * K**2 / 2 * P**2) * a4
-            - (31 * K**3 / 4 * P**3 - 95 * K**2 / 4 * P**2 - 2 * K * P) * a3
-            - (-(K**3) / 4 * P**3 - 37 * K**2 / 4 * P**2 + 18 * K * P - 2) * a2
-            - (-7 * K**3 / 4 * P**3 + 25 * K**2 / 4 * P**2 - 3 * K / 2 * P - 1) * a
-            - K**3 / 4 * P**3
-            + K**2 / 4 * P**2
-            + K * P
-        )
-        rows.append([1.0, -c4, -c3, -c2, -c1, c0])
-    return np.array(rows, dtype=np.float64).reshape(-1, 6)
+    c4 = (7 * K / 2 * P + 3) * a + K * P - 2
+    c3 = (
+        (-3 * K**2 * P**2 - 21 * K / 2 * P - 2) * a2
+        + (-7 * K**2 / 2 * P**2 - K * P + 8) * a
+        + 5 * K / 2 * P
+    )
+    c2 = (
+        (9 * K**2 * P**2 + 7 * K * P) * a3
+        + (3 * K**3 * P**3 + 23 * K**2 / 2 * P**2 - 6 * K * P - 6) * a2
+        + (K**2 / 2 * P**2 - 23 * K * P + 6) * a
+        - 3 * K**2 / 2 * P**2
+        + 4 * K * P
+        + 2
+    )
+    c1 = (
+        -6 * K**2 * P**2 * a4
+        + (-13 * K**3 / 2 * P**3 - 59 * K**2 / 4 * P**2 + 10 * K * P) * a3
+        + (-8 * K**3 * P**3 + 105 * K**2 / 4 * P**2 + 45 * K / 2 * P - 6) * a2
+        + (5 * K**3 / 2 * P**3 + 9 * K**2 / 4 * P**2 - 20 * K * P) * a
+        - 5 * K**2 / 4 * P**2
+        + 3 * K / 2 * P
+        + 1
+    )
+    c0 = (
+        -(3 * K**3 * P**3 + 15 * K**2 / 2 * P**2) * a4
+        - (31 * K**3 / 4 * P**3 - 95 * K**2 / 4 * P**2 - 2 * K * P) * a3
+        - (-(K**3) / 4 * P**3 - 37 * K**2 / 4 * P**2 + 18 * K * P - 2) * a2
+        - (-7 * K**3 / 4 * P**3 + 25 * K**2 / 4 * P**2 - 3 * K / 2 * P - 1) * a
+        - K**3 / 4 * P**3
+        + K**2 / 4 * P**2
+        + K * P
+    )
+    return np.stack([np.ones_like(a), -c4, -c3, -c2, -c1, c0], axis=1)
 
 
 # largest relative residual (quintic) or entry gap (RD quotient) read as a match
