@@ -256,8 +256,8 @@ class TwinQuotient:
         reciprocal transmission per class), read-only, from `dist`."""
         dist = self.dist.astype(np.float64)
         sizes = np.array(self.sizes, dtype=np.float64)
-        within = np.divide(1.0, dist.diagonal(), out=np.zeros_like(sizes), where=sizes > 1)
-        np.fill_diagonal(dist, np.inf)
+        within = np.divide(1.0, dist.diagonal(), out=np.zeros(len(sizes)), where=sizes > 1)
+        dist.flat[:: len(sizes) + 1] = np.inf
         between = 1.0 / dist
         parts = between, within, between @ sizes + (sizes - 1.0) * within
         for part in parts:

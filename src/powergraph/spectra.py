@@ -80,8 +80,9 @@ class Sweep(NamedTuple):
 
 def _sweep(values, multiplicities, sources, quotients) -> Sweep:
     """A `Sweep` of the lines with multiplicity > 0, its expansion sorted once for every row."""
-    keep = multiplicities > 0
-    values, multiplicities, sources = values[:, keep], multiplicities[keep], np.array(sources)[keep]
+    sources, keep = np.array(sources), multiplicities > 0
+    if not keep.all():
+        values, multiplicities, sources = values[:, keep], multiplicities[keep], sources[keep]
     # each row's lines stably by descending value, then repeated: the expansion sorted stably
     order = (-values).argsort(axis=1, kind="stable")
     lines = values[np.arange(len(values))[:, None], order]
@@ -175,14 +176,15 @@ def solve_quotient(graph: Graph, kinds, alphas) -> tuple[Sweep, ...]:
     copies = np.array([len(orbit) for orbit in quotient.orbits], dtype=np.float64)
     sizes = np.array([quotient.sizes[r] for r in reps], dtype=np.float64)
     parts = [_class_entries(graph, kind) for kind in kinds]
-    diagonal, within = (np.stack([part[i] for part in parts]) for i in (0, 1))  # (K, k)
+    diagonal, within = (np.array([part[i] for part in parts]) for i in (0, 1))  # (K, k)
     own = a * diagonal[:, None, reps] + (sizes - 1.0) * (b * within[:, None, reps])
-    mate = sizes * (b * np.stack([between[reps, mates] for _, _, between in parts])[:, None])
+    mate = sizes * (b * np.array([between[reps, mates] for _, _, between in parts])[:, None])
     weight = np.sqrt(copies * sizes)
-    cross = np.stack([between[reps][:, reps] for _, _, between in parts])[:, None]
+    cross = np.array([between[reps][:, reps] for _, _, between in parts])[:, None]
     matrices = b[:, :, None] * cross * (weight[:, None] * weight)  # (K, A, m, m)
     m = len(reps)
-    matrices[..., np.arange(m), np.arange(m)] = own + (copies - 1.0) * mate
+    diag = np.arange(m)
+    matrices[..., diag, diag] = own + (copies - 1.0) * mate
     twins, counts, tags = _twin_lines(quotient, diagonal, within, a)
     lines = np.concatenate([twins, own - mate, sym_eigenvalues(matrices)], axis=-1)
     rows = len(kinds) * len(a)
