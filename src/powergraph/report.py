@@ -199,7 +199,7 @@ def _multiplicities_recovered(predicted: np.ndarray, numeric: np.ndarray, tol: f
     first = _runs(numeric, ctol)
     alike = (first == _runs(predicted, ctol)).all(axis=1)
     gaps = predicted - numeric
-    # a run's mean gap is at most its row's largest one, far below the bound when that one is
+    # a run's mean gap is at most its row's largest gap (half a cluster tol covers rounding)
     if (np.abs(gaps).max(axis=1) <= 0.5 * ctol[:, 0] + tol).all():
         return alike
     starts = first.ravel().nonzero()[0]
@@ -216,11 +216,11 @@ def _twins_present(closed: spectra.Sweep, numeric: spectra.Sweep, tol: float) ->
     their sum; closed values within max(tol, 1e-9) of it count.
     """
     twin = (numeric.sources == "twin-open") | (numeric.sources == "twin-closed")
-    values, counts, tags = (part[..., twin] for part in numeric[:3])
+    values, tags = numeric.values[:, twin], numeric.sources[twin]
     near = np.abs(closed.values[:, :, None] - values[:, None, :]) <= max(tol, 1e-9)
     hits = closed.multiplicities @ near
     same_line = (values[:, :, None] == values[:, None, :]) & (tags[:, None] == tags)
-    return (hits >= same_line @ counts).all(axis=1)
+    return (hits >= same_line @ numeric.multiplicities[twin]).all(axis=1)
 
 
 def spectrum_payloads(

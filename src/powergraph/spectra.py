@@ -72,7 +72,7 @@ class Sweep(NamedTuple):
     quotients: np.ndarray
 
     def rows(self, i) -> "Sweep":
-        """The sweep at the alphas of rows `i` (an index or a slice), in that order."""
+        """The sweep at the alphas of rows `i` (a list of rows or a slice), in that order."""
         return self._replace(
             values=self.values[i], expanded=self.expanded[i], quotients=self.quotients[i]
         )
