@@ -825,8 +825,8 @@ CLOSED_FORMS = {
 def closed_form_oracle(params: GroupParams, kind: str, alpha: float) -> Spectrum:
     """The family's predicted spectrum at one alpha: its families in floats and one 5 x 5 solve."""
     families, quotient_matrix = CLOSED_FORMS[kind]
-    [roots] = sym_eigenvalues(quotient_matrix(params, (alpha,))[0][None])
-    lines = families(params, float(alpha)) + [(v, 1, "quotient-root") for v in roots.tolist()]
+    roots = sym_eigenvalues(quotient_matrix(params, (alpha,))[0]).tolist()
+    lines = families(params, float(alpha)) + [(v, 1, "quotient-root") for v in roots]
     return Spectrum.from_lines(lines)
 
 

@@ -557,7 +557,6 @@ def test_spectrum_json_round_trip(family):
 # the sweeps against the per-alpha oracle ------------------------------------
 
 ORACLE_ALPHAS = (0.0, 0.3, 1.0, 0.3, 0.123456789, 0.59375, 1 / 3)  # a repeat, non-dyadic ones
-CLOSED_FORMS = {"adjacency": a_alpha_closed_form, "reciprocal": rd_alpha_closed_form}
 
 
 def oracle_payload(params, alpha, closed: Spectrum, numeric: Spectrum) -> dict:
