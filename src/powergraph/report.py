@@ -67,7 +67,7 @@ class Instance:
         the transmission check reads; an alpha not held yet re-solves them.
         """
         alphas = list(alphas)
-        if not set(alphas) <= set(self._alphas):
+        if not self._sweeps or not set(alphas) <= set(self._alphas):
             self._alphas = list(dict.fromkeys([*self._alphas, *alphas, 1.0]))
             numeric = spectra.solve_quotient(self.graph, SPECTRUM_KINDS, self._alphas)
             closed = [
@@ -198,14 +198,11 @@ def _multiplicities_recovered(predicted: np.ndarray, numeric: np.ndarray, tol: f
     ctol = _cluster_tol(numeric)
     first = _runs(numeric, ctol)
     alike = (first == _runs(predicted, ctol)).all(axis=1)
-    gaps = predicted - numeric
-    # a run's mean gap is at most its row's largest gap (half a cluster tol covers rounding)
-    if (np.abs(gaps).max(axis=1) <= 0.5 * ctol[:, 0] + tol).all():
-        return alike
     starts = first.ravel().nonzero()[0]
     sizes = np.append(starts[1:], first.size) - starts
     rows = starts // numeric.shape[1]
-    apart = np.abs(np.add.reduceat(gaps.ravel(), starts) / sizes) > (ctol[:, 0] + tol)[rows]
+    means = np.add.reduceat((predicted - numeric).ravel(), starts) / sizes
+    apart = np.abs(means) > (ctol[:, 0] + tol)[rows]
     return alike & (np.bincount(rows[apart], minlength=len(numeric)) == 0)
 
 

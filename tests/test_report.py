@@ -117,6 +117,14 @@ def test_report_solves_each_quotient_once_whatever_the_seed(calls):
     assert calls["sym_eigenvalues"] == 3
 
 
+def test_report_without_alphas_still_checks_the_transmissions(calls):
+    payload = build_report(2, 3, ())
+    assert payload["passed"] and payload["spectra"] == {"adjacency": [], "reciprocal": []}
+    [reciprocal] = [c for c in payload["checks"] if c["name"] == "reciprocal_alpha_spectrum"]
+    assert reciprocal["details"] == {"per_alpha": {}, "alpha_one_equals_transmissions": True}
+    assert calls["solve_quotient"] == 1
+
+
 def test_every_eigensolve_of_a_family_report_is_at_most_5_by_5(calls):
     # the twin quotient has k = 44 classes at (5, 5); its 5 orbits are what is solved
     assert build_report(5, 5, (0.0, 0.25, 0.5, 0.75, 1.0))["passed"]
