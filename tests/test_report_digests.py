@@ -1,9 +1,12 @@
-"""Golden digests: reports and the (3, 5) spectra and report artifacts, byte for byte.
+"""Golden digests: reports and the spectra, report and detour-reading artifacts, byte for byte.
 
 `tests/data/report_digests.json` holds the sha256 of
 `json.dumps(build_report(k, p, alphas, version="x"), sort_keys=True)` over a
-grid of orders, alpha sets and detour caps, and of every file that `cli.run`
-writes for `spectra report` at (3, 5) in json and csv.  A change that keeps
+grid of orders, alpha sets and detour caps, of every file that `cli.run`
+writes for `spectra report` at (3, 5) in json and csv, and of every file it
+writes for `build metric detour dds` at (2, 3) and (3, 5) in json and csv at
+detour caps 24 and 80 (the csv runs write `detour-matrix.csv` and `dds.csv`
+where the detour search runs).  A change that keeps
 every report byte-identical keeps every digest.  The floats of a report can
 move in the last digit with another numpy, so on another numpy the test is
 skipped.  Rewrite the file, from the root of the repository, with
@@ -12,6 +15,7 @@ skipped.  Rewrite the file, from the root of the repository, with
 
 import hashlib
 import io
+import itertools
 import json
 import tempfile
 from pathlib import Path
@@ -33,6 +37,8 @@ ALPHA_SETS = (
 )
 DETOUR_CAPS = (24, 80)
 ARTIFACT_ALPHAS = (0.0, 0.123456789, 0.3, 0.5625, 1.0)
+DETOUR_ORDERS = ((2, 3), (3, 5))
+DETOUR_COMMANDS = ("build", "metric", "detour", "dds")
 
 
 def _sha(data: bytes) -> str:
@@ -64,8 +70,27 @@ def artifact_digests() -> dict[str, str]:
     return digests
 
 
+def detour_artifact_digests() -> dict[str, str]:
+    digests = {}
+    for (k, p), cap, fmt in itertools.product(DETOUR_ORDERS, DETOUR_CAPS, ("json", "csv")):
+        with tempfile.TemporaryDirectory() as tmp:
+            config = RunConfig(
+                k=k, p=p, commands=DETOUR_COMMANDS, fmt=fmt, detour_oracle_max_n=cap,
+                out_dir=Path(tmp),
+            )
+            assert run(config, out=io.StringIO()) == 0
+            for path in sorted(Path(tmp).iterdir()):
+                digests[f"cap{cap}/{fmt}/{path.name}"] = _sha(path.read_bytes())
+    return digests
+
+
 def current() -> dict:
-    return {"numpy": np.__version__, "reports": report_digests(), "artifacts": artifact_digests()}
+    return {
+        "numpy": np.__version__,
+        "reports": report_digests(),
+        "artifacts": artifact_digests(),
+        "detour_artifacts": detour_artifact_digests(),
+    }
 
 
 def test_reports_and_artifacts_match_their_golden_digests():
@@ -75,6 +100,15 @@ def test_reports_and_artifacts_match_their_golden_digests():
     assert len(recorded["reports"]) == len(ORDERS) * len(ALPHA_SETS) * len(DETOUR_CAPS)
     assert report_digests() == recorded["reports"]
     assert artifact_digests() == recorded["artifacts"]
+
+
+def test_detour_reading_artifacts_match_their_golden_digests():
+    recorded = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    if recorded["numpy"] != np.__version__:
+        pytest.skip(f"digests recorded with numpy {recorded['numpy']}, not {np.__version__}")
+    digests = detour_artifact_digests()
+    assert {"cap24/csv/k2-p3-detour-matrix.csv", "cap80/csv/k3-p5-dds.csv"} <= set(digests)
+    assert digests == recorded["detour_artifacts"]
 
 
 if __name__ == "__main__":
