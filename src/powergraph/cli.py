@@ -194,28 +194,34 @@ def _emit(out_dir: Path | None, name: str, content: str | dict) -> None:
     if isinstance(content, dict):
         content = _dump(content)
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / name).write_text(content, encoding="utf-8")
+        try:
+            (out_dir / name).write_text(content, encoding="utf-8")
+        except FileNotFoundError:  # made on the first artifact of a run, not before each
+            out_dir.mkdir(parents=True, exist_ok=True)
+            (out_dir / name).write_text(content, encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot write output: {exc}") from None
+
+
+_encode = json.JSONEncoder(sort_keys=True).encode  # one encoder for every value
 
 
 def _dump(payload: dict) -> str:
     """A payload as JSON: sorted keys, one top-level key per line at a 2-space indent.
 
     Each value is `json.dumps(value, sort_keys=True)` on one line, and a list
-    of lists one row per line.  Without `indent`, `json.dumps` runs its C
-    encoder, and a k x k class matrix takes k lines, not k^2.
+    of lists one row per line.  Without `indent`, the encoder runs in C, and
+    a k x k class matrix takes k lines, not k^2.
     """
     lines = []
     for key in sorted(payload):
         value = payload[key]
         if isinstance(value, list) and value and all(isinstance(row, list) for row in value):
-            rows = ",\n".join("    " + json.dumps(row, sort_keys=True) for row in value)
+            rows = ",\n".join("    " + _encode(row) for row in value)
             text = f"[\n{rows}\n  ]"
         else:
-            text = json.dumps(value, sort_keys=True)
-        lines.append(f"  {json.dumps(key)}: {text}")
+            text = _encode(value)
+        lines.append(f"  {_encode(key)}: {text}")
     return "{\n" + ",\n".join(lines) + "\n}\n"
 
 

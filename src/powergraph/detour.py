@@ -1,17 +1,18 @@
 """Exact detour (longest simple path) distances on the twin-class quotient.
 
-Vertices in one twin class are interchangeable (any transposition inside a
-class is a graph automorphism), so the detour distance is a function of the
-endpoint classes only and the result is a k x k class matrix.  The quotient
-has automorphisms of its own: a transposition of two classes in one orbit of
-`TwinQuotient.orbits` is a graph automorphism, so `value[s, t'] =
-value[sigma(s), t]` for the transposition sigma = (t t'), and one column per
-orbit of target classes gives the whole matrix.  Within a column, the orbits
-with the target removed (the groups, the target a group of its own) are
-interchangeable as sources too, so one source per group is searched.
+Vertices in one twin class are interchangeable (a transposition inside a
+class is a graph automorphism), and so are the classes of one orbit of
+`TwinQuotient.orbits` (a transposition of two is one too, and these generate
+every permutation of the orbit).  So the detour distance is one number per
+pair of orbits, per two classes of one orbit and per two members of one class
+(0 for a singleton): m(m - 1)/2 + 2m searches at most for m orbits fill an
+m x m orbit table, which `TwinQuotient.orbit_of` expands to the k x k class
+matrix with one fancy index.  The searches of orbit j share its first class
+as target; the sources are the first class of every earlier orbit, a second
+class of orbit j and the target itself.
 
-Two exact searches give a column, and the shape of the graph picks one: the
-cotree search when the graph is a cograph (`TwinQuotient.cotree` is not
+Two exact searches give these values, and the shape of the graph picks one:
+the cotree search when the graph is a cograph (`TwinQuotient.cotree` is not
 None; every family graph is one), polynomial in the size of the cotree, and
 the orbit state search otherwise, exponential in the number of orbits.
 
@@ -63,9 +64,11 @@ cotree.
 
 Tables of terminal-free nodes are computed once and shared by every pair; a
 pair recomputes only the ancestors of its two leaves, which the balanced
-merges of `TwinQuotient.cotree` keep few.  The walk is a loop over the
-nodes in order, never recursion, and checks the time budget at every
-combine.
+merges of `TwinQuotient.cotree` keep few.  A combine depends on the node's
+kind and cap and its children's states alone, so one search memoises it on
+(join, cap, left state, right state), tables kept as tuples.  The walk is a
+loop over the nodes in order, never recursion, and checks the time budget
+at every combine it computes.
 
 Orbit state search
 ------------------
@@ -73,7 +76,8 @@ A path is determined up to automorphism by its sequence of twin classes, so
 this search runs over (current class, remaining count per class) states
 instead of individual vertices.  The longest way on from a state depends on
 the target class alone, so the states of one target's search are memoised
-once and shared by every source.  Within it, every permutation of a group
+once and shared by every source.  The groups are the orbits with the target
+taken out, and the target a group of its own; every permutation of a group
 fixes the target and maps a state to one with the same longest way on.  A
 state is memoised as (group of the current class, the current class's own
 remaining count, one slot per group): a singleton group's slot is its
@@ -98,11 +102,14 @@ recursion, so no path is too long for the search.
 from __future__ import annotations
 
 import time
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
 
 from .graphs import Graph, TwinQuotient
+
+Column = Callable[[int, list[int]], list[int]]  # column(target, sources): a length per source
 
 class DetourBudgetError(RuntimeError):
     """Exact search exceeded its time budget; no approximation is substituted."""
@@ -128,43 +135,39 @@ def detour_matrix(graph: Graph, time_budget_s: float = 60.0) -> np.ndarray:
     return value
 
 
-def _by_target_orbits(
-    quotient: TwinQuotient, column: Callable[[int, list[list[int]]], list[int]]
-) -> np.ndarray:
-    """The class matrix from one column per orbit of target classes; -1 marks a pair with no path.
+def _by_orbit_pairs(quotient: TwinQuotient, column: Column) -> np.ndarray:
+    """The class matrix from the searches of each orbit's first class; -1 marks a pair with no path.
 
-    `column(target, groups)` gives the longest path length from a member of
-    each group to the target, 0 for a singleton target's own group.
+    `column(target, sources)` gives the longest path length from a member of
+    each source class to another member of the target class.
     """
-    k = len(quotient.sizes)
-    orbits = quotient.orbits
-    value = np.zeros((k, k), dtype=np.int64)
-    for orbit in orbits:
-        target = orbit[0]
-        # the orbits of the automorphisms that fix the target, the target first
-        groups = [[target]] + [o for o in ([c for c in orb if c != target] for orb in orbits) if o]
-        for members, length in zip(groups, column(target, groups)):
-            value[members, target] = length
-        for other in orbit[1:]:
-            swap = list(range(k))
-            swap[target], swap[other] = other, target
-            value[:, other] = value[swap, target]
+    orbits, sizes = quotient.orbits, quotient.sizes
+    table = np.zeros((len(orbits), len(orbits)), dtype=np.int64)
+    within = np.zeros(len(orbits), dtype=np.int64)  # two members of one class, 0 for a singleton
+    for j, orbit in enumerate(orbits):
+        inside = orbit[:1] if sizes[orbit[0]] > 1 else ()
+        lengths = column(orbit[0], [other[0] for other in orbits[:j]] + list(orbit[1:2] + inside))
+        table[j, :j] = table[:j, j] = lengths[:j]
+        table[j, j] = lengths[j] if len(orbit) > 1 else 0
+        within[j] = lengths[-1] if inside else 0
+    value = table[np.ix_(quotient.orbit_of, quotient.orbit_of)]
+    np.fill_diagonal(value, within[quotient.orbit_of])
     return value
 
 
-def _dominant(table: list[int]) -> list[int]:
+def _dominant(table: list[int]) -> tuple[int, ...]:
     """A budget table made non-decreasing and cut after its last rise."""
-    best, keep = table[0], 1
-    for v in range(1, len(table)):
-        if table[v] > best:
-            best, keep = table[v], v + 1
-        else:
-            table[v] = best
-    return table[:keep]
+    best = list(accumulate(table, max))
+    return tuple(best[: best.index(best[-1]) + 1])
 
 
 def cotree_search(quotient: TwinQuotient, deadline: float) -> np.ndarray:
-    """The class matrix of a cograph by the cotree search; -1 marks a pair with no path.
+    """The class matrix of a cograph by the cotree search; -1 marks a pair with no path."""
+    return _by_orbit_pairs(quotient, _cotree_column(quotient, deadline))
+
+
+def _cotree_column(quotient: TwinQuotient, deadline: float) -> Column:
+    """`column(target, sources)` of the cotree search, every call sharing one combine memo.
 
     A node's state for one pair is (terminals inside, table, joined): the
     table is `J` for the status with no terminal, one, or both in separate
@@ -185,18 +188,23 @@ def cotree_search(quotient: TwinQuotient, deadline: float) -> np.ndarray:
         cap[left] = cap[node] + (size[right] if join else 0)
         cap[right] = cap[node] + (size[left] if join else 0)
 
-    def leaf(a: int, terminals: int) -> tuple[int, list[int], int]:
+    def leaf(a: int, terminals: int) -> tuple[int, tuple[int, ...], int]:
         s = size[a]
         if clique[a]:
-            table = [0, s][: cap[a] + 1] if terminals == 0 else [s]
+            table = (0, s)[: cap[a] + 1] if terminals == 0 else (s,)
         else:
-            table = list(range(terminals, min(s, terminals + cap[a]) + 1))
+            table = tuple(range(terminals, min(s, terminals + cap[a]) + 1))
         return terminals, table, s if terminals == 2 and clique[a] else -1
 
-    def combine(node: int, left, right) -> tuple[int, list[int], int]:
+    memo: dict[tuple, tuple[int, tuple[int, ...], int]] = {}
+
+    def combine(node: int, left, right) -> tuple[int, tuple[int, ...], int]:
+        join, limit = inner[node - k][0], cap[node]
+        key = (join, limit, left, right)
+        if key in memo:
+            return memo[key]
         if time.monotonic() > deadline:
             raise DetourBudgetError("detour search exceeded its time budget")
-        join, limit = inner[node - k][0], cap[node]
         (terminals_l, table_l, joined_l), (terminals_r, table_r, joined_r) = left, right
         terminals, joined = terminals_l + terminals_r, max(joined_l, joined_r)
         out = [-1] * (limit + 1)
@@ -214,7 +222,8 @@ def cotree_search(quotient: TwinQuotient, deadline: float) -> np.ndarray:
                 jb = table_r[min(len(table_r), ja) - 1] if ja else 0
                 if a < jb and ja + jb > joined:
                     joined = ja + jb
-        return terminals, _dominant(out), joined
+        memo[key] = terminals, _dominant(out), joined
+        return memo[key]
 
     terminal_free = [leaf(a, 0) for a in range(k)]
     for node, (_, left, right) in enumerate(inner, start=k):
@@ -240,24 +249,22 @@ def cotree_search(quotient: TwinQuotient, deadline: float) -> np.ndarray:
         joined = state[len(size) - 1][2]
         return joined - 1 if joined > 0 else -1
 
-    def column(target: int, groups: list[list[int]]) -> list[int]:
-        # a singleton class has no pair with itself
-        return [
-            0 if members[0] == target and size[target] == 1 else longest(members[0], target)
-            for members in groups
-        ]
-
-    return _by_target_orbits(quotient, column)
+    return lambda target, sources: [longest(source, target) for source in sources]
 
 
 def orbit_search(quotient: TwinQuotient, deadline: float) -> np.ndarray:
-    """The class matrix of any graph by the orbit state search; -1 marks a pair with no path.
+    """The class matrix of any graph by the orbit state search; -1 marks a pair with no path."""
+    return _by_orbit_pairs(quotient, _orbit_column(quotient, deadline))
 
-    `deadline` is a `time.monotonic()` value, checked at every state.
-    """
-    adj, sizes = quotient.adj, quotient.sizes
 
-    def column(target: int, groups: list[list[int]]) -> list[int]:
+def _orbit_column(quotient: TwinQuotient, deadline: float) -> Column:
+    """`column(target, sources)` of the orbit state search, one memo per call and target."""
+    adj, sizes, orbits = quotient.adj, quotient.sizes, quotient.orbits
+
+    def column(target: int, sources: list[int]) -> list[int]:
+        # the orbits of the automorphisms that fix the target, the target first
+        groups = [[target]] + [o for o in ([c for c in orb if c != target] for orb in orbits) if o]
+        group_of = {c: g for g, members in enumerate(groups) for c in members}
         reps = [members[0] for members in groups]
         single = [len(members) == 1 for members in groups]
         size = [sizes[r] for r in reps]
@@ -307,17 +314,14 @@ def orbit_search(quotient: TwinQuotient, deadline: float) -> np.ndarray:
                     nexts.append((h, counts[slot] if keeps is None else keeps, tuple(counts)))
             return [key, nexts, 1 if ends[g] else -1]
 
-        # endpoints leave their classes; a singleton class has no pair with itself
+        # endpoints leave their classes
         start[0] -= 1
         lengths = []
-        for g, members in enumerate(groups):
+        for g in map(group_of.__getitem__, sources):
             counts = start.copy()
             at = base[g] if single[g] else base[g] + size[g]
             counts[at] -= 1
             own = counts[at] if single[g] else size[g] - 1
-            if own < 0:
-                lengths.append(0)
-                continue
             # a frame waits while a successor not memoised yet is searched, then takes its
             # length; a step visits one more vertex, so no state is ever on the stack twice
             root = (g, own, tuple(counts))
@@ -339,4 +343,4 @@ def orbit_search(quotient: TwinQuotient, deadline: float) -> np.ndarray:
             lengths.append(memo[root])
         return lengths
 
-    return _by_target_orbits(quotient, column)
+    return column

@@ -284,6 +284,15 @@ class TwinQuotient:
         return tuple(tuple(members) for members, _ in _twins(self.adj, labels))
 
     @cached_property
+    def orbit_of(self) -> np.ndarray:
+        """The index in `orbits` of each class's orbit (int64, read-only)."""
+        orbit_of = np.empty(len(self.sizes), dtype=np.int64)
+        for index, orbit in enumerate(self.orbits):
+            orbit_of[list(orbit)] = index
+        orbit_of.setflags(write=False)
+        return orbit_of
+
+    @cached_property
     def cotree(self) -> tuple[tuple[bool, int, int], ...] | None:
         """A binary cotree whose leaves are the twin classes, or None when the graph is not a cograph.
 
@@ -294,36 +303,52 @@ class TwinQuotient:
         of their graphs.  The last node is the root; a one-class graph has no
         inner node.
 
-        Built by repeated twin reduction of the class graph (`adj` off the
-        diagonal): in each round a class of open twins becomes a union and a
-        class of closed twins a join, as a balanced binary tree over its
-        members, so that no leaf is deeper than it needs to be; the merged
-        nodes are modules, so the reduced graph is the quotient on one
-        representative each.  A graph is a cograph exactly when every induced
-        subgraph on two or more vertices has a twin pair, so a round that
-        merges nothing before one node is left means the graph is not one.
+        Built on the orbits, which are modules: the classes of one are pairwise
+        twins, so each becomes a balanced join of its classes when they are
+        adjacent, else a balanced union.  Then the m-node orbit graph is twin
+        reduced, its nodes keyed by Python-int masks of their open and closed
+        neighbourhoods among the live nodes: in each round a class of open
+        twins becomes a union and a class of closed twins a join, again a
+        balanced binary tree, so that no leaf is deeper than it needs to be,
+        and its smallest member stays live.  A graph is a cograph exactly when
+        every induced subgraph on two or more vertices has a twin pair, so a
+        round that merges nothing before one node is left means the orbit
+        graph is not one; cographs are closed under substitution, so then
+        neither is the graph.
         """
         k = len(self.sizes)
-        nodes = list(range(k))
-        adj = self.adj & ~np.eye(k, dtype=bool)
         inner: list[tuple[bool, int, int]] = []
-        while len(nodes) > 1:
-            classes = _twins(adj)
-            if len(classes) == len(nodes):
+
+        def balanced(level: list[int], join: bool) -> int:  # the root of the tree over `level`
+            while len(level) > 1:
+                paired = []
+                for left, right in zip(level[::2], level[1::2]):
+                    inner.append((join, left, right))
+                    paired.append(k + len(inner) - 1)
+                level = paired + level[2 * len(paired) :]
+            return level[0]
+
+        orbits = self.orbits
+        node = [balanced(list(o), len(o) > 1 and bool(self.adj[o[:2]])) for o in orbits]
+        reps = [orbit[0] for orbit in orbits]
+        between = self.adj[reps][:, reps] & ~np.eye(len(reps), dtype=bool)
+        masks = [sum(1 << w for w, edge in enumerate(row) if edge) for row in between.tolist()]
+        live = list(range(len(orbits)))
+        while len(live) > 1:
+            alive = sum(1 << v for v in live)
+            neighbours = [masks[v] & alive for v in live]
+            ordered = sorted(neighbours)
+            shared = {a for a, b in zip(ordered, ordered[1:]) if a == b}  # N(v) of open twins
+            # a node with an open twin is keyed by N(v), any other by N[v]; no node has both
+            groups: dict[tuple[bool, int], list[int]] = {}
+            for v, mask in zip(live, neighbours):
+                key = (False, mask) if mask in shared else (True, mask | 1 << v)
+                groups.setdefault(key, []).append(v)
+            if len(groups) == len(live):
                 return None
-            merged = []
-            for members, closed in classes:
-                level = [nodes[m] for m in members]
-                while len(level) > 1:
-                    paired = []
-                    for left, right in zip(level[::2], level[1::2]):
-                        inner.append((closed, left, right))
-                        paired.append(k + len(inner) - 1)
-                    level = paired + level[2 * len(paired) :]
-                merged.append(level[0])
-            reps = [members[0] for members, _ in classes]
-            adj = adj[np.ix_(reps, reps)]
-            nodes = merged
+            for (closed, _), members in groups.items():
+                node[members[0]] = balanced([node[v] for v in members], closed)
+            live = [members[0] for members in groups.values()]
         return tuple(inner)
 
     def lift(self, matrix: np.ndarray) -> np.ndarray:

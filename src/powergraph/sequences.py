@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, TwinQuotient
+from .graphs import Graph, TwinQuotient, _first_equal
 from .groups import GroupParams
 
 
@@ -60,16 +60,28 @@ class DegreeSequenceTable:
 
         A vertex of class a sees `sizes[b]` vertices at `matrix[a, b]`, except
         in its own class: itself at 0 and the other members at `matrix[a, a]`.
+        The values present (and 0) are numbered, row a is counted at a * V +
+        number by one weighted bincount, and equal rows share one tuple.
         """
-        sizes = np.array(quotient.sizes)
-        class_rows = []
-        for a, row in enumerate(matrix):
-            counts = np.bincount(row, weights=sizes).astype(np.int64)
-            counts[row[a]] -= 1
-            counts[0] += 1
-            class_rows.append(tuple(counts.tolist()))
+        k = len(quotient.sizes)
+        present = np.zeros(int(matrix.max(initial=0)) + 1, dtype=bool)
+        present[0] = present[matrix] = True
+        values = np.flatnonzero(present)
+        width = len(values)
+        cells = np.arange(k)[:, None] * width + (np.cumsum(present) - 1)[matrix]
+        sizes = np.tile(np.array(quotient.sizes, dtype=np.float64), k)
+        counts = np.bincount(cells.ravel(), sizes, k * width).reshape(k, width)
+        counts.flat[cells.diagonal()] -= 1
+        counts[:, 0] += 1
+        first = _first_equal(counts.view(np.dtype((np.void, counts.itemsize * width))).ravel())
+        distinct = np.flatnonzero(first == np.arange(k))
+        rows = np.zeros((len(distinct), len(present)), dtype=np.int64)
+        rows[:, values] = counts[distinct]
+        ends = (matrix.max(axis=1, initial=0)[distinct] + 1).tolist()
+        shared = {a: tuple(r[:end]) for a, r, end in zip(distinct.tolist(), rows.tolist(), ends)}
+        class_rows = tuple(map(shared.__getitem__, first.tolist()))
         groups = _grouped(zip(class_rows, quotient.sizes))
-        return cls(tuple(class_rows), tuple(quotient.class_of.tolist()), groups)
+        return cls(class_rows, tuple(quotient.class_of.tolist()), groups)
 
 
 def _grouped(pairs) -> tuple[tuple[tuple[int, ...], int], ...]:

@@ -9,7 +9,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from powergraph.graphs import _TYPE_ADJACENCY, CLASS_TYPES, Graph, TwinQuotient
+from powergraph.graphs import _TYPE_ADJACENCY, CLASS_TYPES, Graph, TwinQuotient, _twins
 from powergraph.groups import IDENTITY, GroupElement, GroupParams, ParameterError, multiply
 from powergraph.matrices import DisconnectedGraphError, check_alpha
 from powergraph.metric import mmd_graph, strong_cover
@@ -406,6 +406,18 @@ def dds_rows_bincount(graph: Graph) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(np.bincount(row).tolist()) for row in bfs_distance_matrix(graph))
 
 
+def degree_rows_loop(quotient, matrix: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """`DegreeSequenceTable.from_classes`'s class rows, one weighted `np.bincount` per row."""
+    sizes = np.array(quotient.sizes)
+    class_rows = []
+    for a, row in enumerate(matrix):
+        counts = np.bincount(row, weights=sizes).astype(np.int64)
+        counts[row[a]] -= 1
+        counts[0] += 1
+        class_rows.append(tuple(counts.tolist()))
+    return tuple(class_rows)
+
+
 def vertex_rows(table) -> tuple[tuple[int, ...], ...]:
     """A degree-sequence table's row of each vertex, `class_rows[class_of[v]]`."""
     return tuple(table.class_rows[a] for a in table.class_of)
@@ -461,21 +473,92 @@ def has_induced_p4(graph: Graph) -> bool:
     return False
 
 
-def cotree_adjacency(quotient) -> np.ndarray:
-    """The n x n adjacency that `quotient.cotree` describes, expanded node by node."""
+def cotree_adjacency(quotient, cotree=None) -> np.ndarray:
+    """The n x n adjacency that `cotree` (default `quotient.cotree`) describes, expanded node by node."""
     n = len(quotient.class_of)
     adj = np.zeros((n, n), dtype=bool)
     under = [list(members) for members in quotient.members]
     for a, members in enumerate(under):
         adj[np.ix_(members, members)] = quotient.adj[a, a]
-    for join, left, right in quotient.cotree:
+    for join, left, right in quotient.cotree if cotree is None else cotree:
         adj[np.ix_(under[left], under[right])] = adj[np.ix_(under[right], under[left])] = join
         under.append(under[left] + under[right])
     np.fill_diagonal(adj, False)
     return adj
 
 
+def class_level_cotree(quotient) -> tuple[tuple[bool, int, int], ...] | None:
+    """`TwinQuotient.cotree` by repeated twin reduction of the whole class graph, one `_twins` pass a round.
+
+    In each round a class of open twins becomes a union and a class of
+    closed twins a join, as a balanced binary tree over its members; the
+    reduced graph is the quotient on one representative each.  A round that
+    merges nothing before one node is left means the graph is not a cograph.
+    """
+    k = len(quotient.sizes)
+    nodes = list(range(k))
+    adj = quotient.adj & ~np.eye(k, dtype=bool)
+    inner: list[tuple[bool, int, int]] = []
+    while len(nodes) > 1:
+        classes = _twins(adj)
+        if len(classes) == len(nodes):
+            return None
+        merged = []
+        for members, closed in classes:
+            level = [nodes[m] for m in members]
+            while len(level) > 1:
+                paired = []
+                for left, right in zip(level[::2], level[1::2]):
+                    inner.append((closed, left, right))
+                    paired.append(k + len(inner) - 1)
+                level = paired + level[2 * len(paired) :]
+            merged.append(level[0])
+        reps = [members[0] for members, _ in classes]
+        adj = adj[np.ix_(reps, reps)]
+        nodes = merged
+    return tuple(inner)
+
+
+def with_cotree(quotient, cotree) -> TwinQuotient:
+    """A copy of `quotient` whose `cotree` is the given one."""
+    copy = TwinQuotient(list(zip(quotient.members, quotient.closed)), quotient.adj)
+    copy.__dict__["cotree"] = cotree
+    return copy
+
+
 # detour ------------------------------------------------------------------
+
+
+def by_target_orbits(quotient, column) -> np.ndarray:
+    """The class matrix from one search per orbit of target classes and group of sources.
+
+    `column(target, sources)` is a search's column (`detour._cotree_column`,
+    `detour._orbit_column`).  For each orbit the target is its first class,
+    and one source is searched in each orbit of the automorphisms that fix
+    the target (the orbits with the target taken out, the target a group of
+    its own; 0 for a singleton target's own group).  The other columns of
+    the orbit are the target's under the transposition of the two classes,
+    filled one by one from swap lists.
+    """
+    k = len(quotient.sizes)
+    orbits = quotient.orbits
+    value = np.zeros((k, k), dtype=np.int64)
+    for orbit in orbits:
+        target = orbit[0]
+        groups = [[target]] + [o for o in ([c for c in orb if c != target] for orb in orbits) if o]
+        if quotient.sizes[target] > 1:
+            lengths = column(target, [members[0] for members in groups])
+        else:
+            lengths = [0] + column(target, [members[0] for members in groups[1:]])
+        for members, length in zip(groups, lengths):
+            value[members, target] = length
+        for other in orbit[1:]:
+            swap = list(range(k))
+            swap[target], swap[other] = other, target
+            value[:, other] = value[swap, target]
+    return value
+
+
 
 
 def naive_detour(graph: Graph) -> np.ndarray:

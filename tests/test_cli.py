@@ -261,6 +261,34 @@ def test_run_without_out_writes_nothing_and_renders_no_artifact(tmp_path, monkey
     assert list((tmp_path / "cwd").iterdir()) == []
 
 
+def test_a_run_makes_its_output_directory_once(tmp_path, monkeypatch):
+    made = []
+    mkdir = Path.mkdir
+
+    def counting(self, *args, **kwargs):
+        made.append(self)
+        return mkdir(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "mkdir", counting)
+    out_dir = tmp_path / "out"
+    config = RunConfig(k=2, p=3, alphas=(0.0, 1.0), commands=cli.COMMANDS, fmt="csv", out_dir=out_dir)
+    assert run(config, out=io.StringIO()) == 0
+    assert made == [out_dir] and len(list(out_dir.iterdir())) == 12
+    assert run(config, out=io.StringIO()) == 0  # the directory is there now
+    assert made == [out_dir]
+
+
+def test_dump_renders_with_one_encoder(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("_dump built an encoder for one value")
+
+    payload = {"rows": [[1, 2], [3, 4]], "b": {"y": 1.5, "x": "\u00e9"}, "a": [True, None]}
+    expected = cli._dump(payload)
+    monkeypatch.setattr(json, "dumps", refuse)
+    assert cli._dump(payload) == expected
+    assert expected == '{\n  "a": [true, null],\n  "b": {"x": "\\u00e9", "y": 1.5},\n  "rows": [\n    [1, 2],\n    [3, 4]\n  ]\n}\n'
+
+
 @pytest.mark.parametrize("k,p", [(2, 3), (3, 5)])
 def test_dump_parses_back_to_every_views_payload(monkeypatch, k, p):
     payloads = {}

@@ -18,6 +18,8 @@ import pytest
 from oracles import (
     alternating_threshold_graph,
     blown_up_graphs,
+    by_target_orbits,
+    class_level_cotree,
     complete_graph,
     cycle_graph,
     detour_matrix_unreduced,
@@ -31,10 +33,12 @@ from oracles import (
     star_graph,
     strong_metric_dimension,
     vertex_rows,
+    with_cotree,
 )
 import powergraph
 from powergraph.graphs import Graph, TwinQuotient, build_power_graph, predicted_quotient
-from powergraph.detour import cotree_search, detour_matrix, orbit_search
+from powergraph import detour
+from powergraph.detour import _cotree_column, _orbit_column, cotree_search, detour_matrix, orbit_search
 from powergraph.groups import GroupParams
 from powergraph.sequences import DegreeSequenceTable, family_detour_matrix
 
@@ -74,10 +78,10 @@ def test_detour_matches_naive_on_the_random_corpus():
         assert np.array_equal(lifted(g), naive_detour(g)), g.edges()
 
 
-def test_detour_matches_naive_on_twin_heavy_graphs():
-    # unions of cliques through a hub: many closed twins, several classes
+def twin_heavy_graphs(count: int = 10):
+    """Unions of cliques through a hub: many closed twins, several classes."""
     rng = np.random.default_rng(7)
-    for _ in range(10):
+    for _ in range(count):
         sizes = [int(rng.integers(1, 4)) for _ in range(3)]
         edges = []
         offset = 1
@@ -87,7 +91,11 @@ def test_detour_matches_naive_on_twin_heavy_graphs():
                 edges.append((0, a))
                 edges.extend((a, b) for b in block[a_pos + 1 :])
             offset += size
-        g = from_edges(1 + sum(sizes), edges)
+        yield from_edges(1 + sum(sizes), edges)
+
+
+def test_detour_matches_naive_on_twin_heavy_graphs():
+    for g in twin_heavy_graphs():
         assert np.array_equal(lifted(g), naive_detour(g))
 
 
@@ -279,3 +287,93 @@ def test_detour_small_named_graphs():
 def test_strong_metric_dimension_cycles(n):
     # classical value: ceil(n / 2)
     assert strong_metric_dimension(cycle_graph(n)) == (n + 1) // 2
+
+
+def assert_driver_equals_the_column_oracle(quotient) -> bool:
+    """Both searches through the orbit-pair driver against the per-target column oracle.
+
+    The orbit state search runs where the quotient has at most 5 orbits;
+    returns whether the cotree search ran (the graph is a cograph).
+    """
+    if len(quotient.orbits) <= 5:
+        expected = by_target_orbits(quotient, _orbit_column(quotient, math.inf))
+        assert np.array_equal(orbit_search(quotient, math.inf), expected)
+    if quotient.cotree is None:
+        return False
+    expected = by_target_orbits(quotient, _cotree_column(quotient, math.inf))
+    assert np.array_equal(cotree_search(quotient, math.inf), expected)
+    return True
+
+
+def test_orbit_pair_driver_equals_the_column_oracle_on_the_corpora():
+    corpora = itertools.chain(
+        random_cographs(seed=5, count=100, min_n=2, max_n=14),
+        twin_heavy_graphs(30),
+        blown_up_graphs(8, 200),
+    )
+    cographs = symmetric = 0
+    for g in corpora:
+        cographs += assert_driver_equals_the_column_oracle(g.quotient)
+        symmetric += any(len(orbit) > 1 for orbit in g.quotient.orbits)
+    assert cographs >= 150 and symmetric >= 100
+
+
+@pytest.mark.parametrize("kp", [(2, 3), (3, 3), (2, 5), (2, 7), (3, 5), (4, 5), (5, 5), (7, 7)])
+def test_orbit_pair_driver_equals_the_column_oracle_on_the_family(family, kp):
+    assert assert_driver_equals_the_column_oracle(family(*kp)[1].quotient)
+
+
+def test_cotree_search_equals_the_search_on_the_class_level_cotree():
+    # the orbit cotree against the twin rounds over every class, on cographs with symmetric quotients
+    checked = 0
+    for g in itertools.chain(blown_up_graphs(8, 200), random_cographs(seed=5, count=60, min_n=2, max_n=14)):
+        quotient = g.quotient
+        if quotient.cotree is not None:
+            rounds = with_cotree(quotient, class_level_cotree(quotient))
+            assert np.array_equal(cotree_search(quotient, math.inf), cotree_search(rounds, math.inf))
+            checked += 1
+    assert checked >= 100
+
+
+@pytest.mark.parametrize("kp", [(2, 3), (3, 3), (2, 5), (2, 7), (3, 5), (4, 5), (5, 5), (7, 7)])
+def test_the_family_takes_one_search_per_pair_of_orbits(monkeypatch, family, kp):
+    # m = 5 orbits: 10 pairs of orbits, two classes of the blade orbit, two members of h1, h2 and a blade
+    graph = family(*kp)[1]
+    searched = []
+    driver = detour._by_orbit_pairs
+
+    def counted(quotient, column):
+        def counting(target, sources):
+            searched.extend((source, target) for source in sources)
+            return column(target, sources)
+
+        return driver(quotient, counting)
+
+    monkeypatch.setattr(detour, "_by_orbit_pairs", counted)
+    detour_matrix(graph)
+    quotient = graph.quotient
+    m = len(quotient.orbits)
+    assert m == 5 and len(searched) == 14 <= m * (m - 1) // 2 + 2 * m
+    # every unordered pair of orbits is searched once
+    orbit_of = quotient.orbit_of
+    pairs = {frozenset((orbit_of[s], orbit_of[t])) for s, t in searched if orbit_of[s] != orbit_of[t]}
+    assert len(pairs) == 10
+
+
+def test_pair_searches_stay_within_the_orbit_bound_on_the_corpora(monkeypatch):
+    calls = []
+    driver = detour._by_orbit_pairs
+
+    def counted(quotient, column):
+        def counting(target, sources):
+            calls[-1] += len(sources)
+            return column(target, sources)
+
+        return driver(quotient, counting)
+
+    monkeypatch.setattr(detour, "_by_orbit_pairs", counted)
+    for g in itertools.chain(blown_up_graphs(8, 100), random_cographs(seed=5, count=50, min_n=2, max_n=14)):
+        calls.append(0)
+        detour_matrix(g)
+        m = len(g.quotient.orbits)
+        assert calls[-1] <= m * (m - 1) // 2 + 2 * m

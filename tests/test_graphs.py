@@ -9,7 +9,9 @@ from oracles import (
     CayleyTable,
     RewritingProducts,
     alternating_threshold_graph,
+    blown_up_graphs,
     build_power_graph_from_table,
+    class_level_cotree,
     classify_partition,
     complete_graph,
     cotree_adjacency,
@@ -390,6 +392,27 @@ def test_cotree_exists_exactly_for_cographs_and_expands_to_the_graph():
             assert np.array_equal(cotree_adjacency(g.quotient), g.adj), g.edges()
             cographs += 1
     assert 200 <= cographs < len(corpora)
+
+
+def test_orbit_cotree_and_the_class_level_cotree_agree():
+    # built on the orbits or by twin rounds over every class: None for the same graphs, both expand
+    corpora = [
+        *random_graphs(seed=3, count=200, max_n=10),
+        *random_cographs(seed=4, count=40, min_n=1, max_n=10, split=0.7),
+        *blown_up_graphs(8, 100),
+    ]
+    for g in corpora:
+        rounds = class_level_cotree(g.quotient)
+        assert (g.quotient.cotree is None) == (rounds is None), g.edges()
+        if rounds is not None:
+            assert np.array_equal(cotree_adjacency(g.quotient, rounds), g.adj), g.edges()
+
+
+def test_orbit_of_numbers_the_orbits():
+    for g in [*random_graphs(seed=3, count=50, max_n=10), *blown_up_graphs(8, 50)]:
+        quotient = g.quotient
+        expected = [next(i for i, orbit in enumerate(quotient.orbits) if a in orbit) for a in range(len(quotient.sizes))]
+        assert quotient.orbit_of.tolist() == expected and not quotient.orbit_of.flags.writeable
 
 
 @pytest.mark.parametrize("kp", [(2, 3), (3, 5), (5, 5)])

@@ -12,7 +12,7 @@ import pytest
 import powergraph
 from oracles import classify_partition, edge_count, from_edges, labelled, verify_decomposition
 from perfbench.workloads import WORKLOADS
-from powergraph import spectra
+from powergraph import graphs, spectra
 from powergraph.cli import RunConfig, run
 from powergraph.graphs import CLASS_TYPES, TwinQuotient
 from powergraph.groups import MAX_VERTICES, GroupParams
@@ -101,6 +101,22 @@ def test_report_builds_each_object_once(calls):
     assert calls["detour_profile"] == 1
     assert calls["from_classes"] == 2
     assert calls["orbits"] == 1
+
+
+def test_default_report_calls_twins_three_times(monkeypatch):
+    # the power graph, its orbits and the k-vertex class MMD graph; the cotree calls none
+    counted = []
+    twins = graphs._twins
+
+    def counting(adj, labels=None):
+        counted.append(len(adj))
+        return twins(adj, labels)
+
+    monkeypatch.setattr(graphs, "_twins", counting)
+    inst = Instance(GroupParams(3, 5))
+    payload = report_payload(inst, (0.5,))
+    assert payload["passed"] and inst.detour is not None
+    assert len(counted) <= 3 and counted[0] == inst.graph.n
 
 
 def test_report_solves_each_quotient_once_whatever_the_seed(calls):
