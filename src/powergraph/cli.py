@@ -29,6 +29,7 @@ from .metric import MetricSearchError
 
 COMMANDS = ("build", "spectra", "metric", "detour", "dds", "report")
 ENV_PREFIX = "POWERGRAPH_"
+_encode = json.JSONEncoder(sort_keys=True).encode  # one encoder for every value of `_dump`
 
 
 class UsageError(ValueError):
@@ -201,9 +202,6 @@ def _emit(out_dir: Path | None, name: str, content: str | dict) -> None:
             (out_dir / name).write_text(content, encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot write output: {exc}") from None
-
-
-_encode = json.JSONEncoder(sort_keys=True).encode  # one encoder for every value
 
 
 def _dump(payload: dict) -> str:

@@ -2,14 +2,13 @@
 
 Vertices in one twin class are interchangeable (a transposition inside a
 class is a graph automorphism), and so are the classes of one orbit of
-`TwinQuotient.orbits` (a transposition of two is one too, and these generate
-every permutation of the orbit).  So the detour distance is one number per
-pair of orbits, per two classes of one orbit and per two members of one class
-(0 for a singleton): m(m - 1)/2 + 2m searches at most for m orbits fill an
-m x m orbit table, which `TwinQuotient.orbit_of` expands to the k x k class
-matrix with one fancy index.  The searches of orbit j share its first class
-as target; the sources are the first class of every earlier orbit, a second
-class of orbit j and the target itself.
+`TwinQuotient.orbits` (their transpositions generate every permutation of the
+orbit).  So the detour distance is one number per pair of orbits, per two
+classes of one orbit and per two members of one class (0 for a singleton): at
+most m(m - 1)/2 + 2m searches fill an m x m orbit table, which
+`TwinQuotient.orbit_of` expands to the k x k class matrix with one fancy
+index.  Orbit j's searches take its first class as target, and as sources the
+first class of each earlier orbit, a second class of orbit j and the target.
 
 Two exact searches give these values, and the shape of the graph picks one:
 the cotree search when the graph is a cograph (`TwinQuotient.cotree` is not
@@ -62,13 +61,13 @@ cotree.
   Nothing else is pruned, so the search is exact: the detour distance is the
   joined count at the root less one.
 
-Tables of terminal-free nodes are computed once and shared by every pair; a
-pair recomputes only the ancestors of its two leaves, which the balanced
-merges of `TwinQuotient.cotree` keep few.  A combine depends on the node's
-kind and cap and its children's states alone, so one search memoises it on
-(join, cap, left state, right state), tables kept as tuples.  The walk is a
-loop over the nodes in order, never recursion, and checks the time budget
-at every combine it computes.
+Tables of terminal-free nodes are computed once and shared by every pair.  A
+pair carries each terminal's state up to their lowest common ancestor and the
+two-terminal state on to the root, on paths that the balanced merges of
+`TwinQuotient.cotree` keep short.  One search memoises each combine on (join,
+cap, left state, right state), tables as tuples; the x-y path a combine
+closes is returned beside its state, not kept in it.  The walk is a loop,
+never recursion, and checks the time budget at every combine it computes.
 
 Orbit state search
 ------------------
@@ -102,7 +101,6 @@ recursion, so no path is too long for the search.
 from __future__ import annotations
 
 import time
-from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -141,24 +139,17 @@ def _by_orbit_pairs(quotient: TwinQuotient, column: Column) -> np.ndarray:
     `column(target, sources)` gives the longest path length from a member of
     each source class to another member of the target class.
     """
-    orbits, sizes = quotient.orbits, quotient.sizes
-    table = np.zeros((len(orbits), len(orbits)), dtype=np.int64)
-    within = np.zeros(len(orbits), dtype=np.int64)  # two members of one class, 0 for a singleton
+    orbits, sizes, orbit_of = quotient.orbits, quotient.sizes, quotient.orbit_of
+    table = np.zeros((len(orbits), len(orbits) + 1), dtype=np.int64)  # column m: within a class
     for j, orbit in enumerate(orbits):
         inside = orbit[:1] if sizes[orbit[0]] > 1 else ()
         lengths = column(orbit[0], [other[0] for other in orbits[:j]] + list(orbit[1:2] + inside))
         table[j, :j] = table[:j, j] = lengths[:j]
         table[j, j] = lengths[j] if len(orbit) > 1 else 0
-        within[j] = lengths[-1] if inside else 0
-    value = table[np.ix_(quotient.orbit_of, quotient.orbit_of)]
-    np.fill_diagonal(value, within[quotient.orbit_of])
+        table[j, -1] = lengths[-1] if inside else 0
+    value = table[orbit_of[:, None], orbit_of]
+    value.flat[:: len(orbit_of) + 1] = table[orbit_of, -1]
     return value
-
-
-def _dominant(table: list[int]) -> tuple[int, ...]:
-    """A budget table made non-decreasing and cut after its last rise."""
-    best = list(accumulate(table, max))
-    return tuple(best[: best.index(best[-1]) + 1])
 
 
 def cotree_search(quotient: TwinQuotient, deadline: float) -> np.ndarray:
@@ -169,85 +160,94 @@ def cotree_search(quotient: TwinQuotient, deadline: float) -> np.ndarray:
 def _cotree_column(quotient: TwinQuotient, deadline: float) -> Column:
     """`column(target, sources)` of the cotree search, every call sharing one combine memo.
 
-    A node's state for one pair is (terminals inside, table, joined): the
-    table is `J` for the status with no terminal, one, or both in separate
-    pieces; `joined` is the vertex count of the best x-y path inside the
-    node, -1 when there is none.  `deadline` is a `time.monotonic()` value.
+    A node's state for one pair is (terminals inside, table): `J` for the
+    status with no terminal, one, or both in separate pieces.  The joined
+    count at the root is the largest x-y path that a combine on the pair's
+    way up closes.  `deadline` is a `time.monotonic()` value.
     """
-    inner = quotient.cotree
-    k = len(quotient.sizes)
+    inner, k = quotient.cotree, len(quotient.sizes)
     clique = quotient.adj.diagonal().tolist()
     size = list(quotient.sizes)
     parent = [-1] * (k + len(inner))
     for node, (_, left, right) in enumerate(inner, start=k):
         size.append(size[left] + size[right])
         parent[left] = parent[right] = node
-    cap = [0] * len(size)
+    cap, depth = [0] * len(size), [0] * len(size)
     for node in range(len(size) - 1, k - 1, -1):
         join, left, right = inner[node - k]
         cap[left] = cap[node] + (size[right] if join else 0)
         cap[right] = cap[node] + (size[left] if join else 0)
+        depth[left] = depth[right] = depth[node] + 1
 
-    def leaf(a: int, terminals: int) -> tuple[int, tuple[int, ...], int]:
-        s = size[a]
+    def leaf(a: int, terminals: int) -> tuple[int, tuple[int, ...]]:
         if clique[a]:
-            table = (0, s)[: cap[a] + 1] if terminals == 0 else (s,)
-        else:
-            table = tuple(range(terminals, min(s, terminals + cap[a]) + 1))
-        return terminals, table, s if terminals == 2 and clique[a] else -1
+            return terminals, (0, size[a])[: cap[a] + 1] if terminals == 0 else (size[a],)
+        return terminals, tuple(range(terminals, min(size[a], terminals + cap[a]) + 1))
 
-    memo: dict[tuple, tuple[int, tuple[int, ...], int]] = {}
+    memo: dict[tuple, tuple[tuple[int, tuple[int, ...]], int]] = {}
+    kind = [(join, cap[node]) for node, (join, _, _) in enumerate(inner, start=k)]
 
-    def combine(node: int, left, right) -> tuple[int, tuple[int, ...], int]:
-        join, limit = inner[node - k][0], cap[node]
-        key = (join, limit, left, right)
-        if key in memo:
-            return memo[key]
+    def combine(node: int, left, right) -> tuple[tuple[int, tuple[int, ...]], int]:
+        """(node's state, vertices of the best x-y path closing at the node or -1)."""
+        key = (kind[node - k], left, right)
+        done = memo.get(key)
+        if done is not None:
+            return done
         if time.monotonic() > deadline:
             raise DetourBudgetError("detour search exceeded its time budget")
-        (terminals_l, table_l, joined_l), (terminals_r, table_r, joined_r) = left, right
-        terminals, joined = terminals_l + terminals_r, max(joined_l, joined_r)
-        out = [-1] * (limit + 1)
+        (join, limit), (terminals_l, table_l), (terminals_r, table_r) = key
+        terminals, closed = terminals_l + terminals_r, -1
+        width = max(len(table_l), len(table_r), 2) - 1 if join else len(table_l) + len(table_r) - 2
+        top = min(limit, width)  # no pair of entries makes more pieces
+        out = [-1] * (top + 1)
         for a, ja in enumerate(table_l):
             for b, jb in enumerate(table_r):
                 if join:
                     pieces = max(a - jb, b - ja, 1 if terminals == 0 and ja and jb else 0)
                 else:
                     pieces = a + b
-                if pieces <= limit and ja + jb > out[pieces]:
+                if pieces <= top and ja + jb > out[pieces]:
                     out[pieces] = ja + jb
         if join and terminals == 2:
             # close x .. y: for each a the largest jb with b <= ja - 1, if also a <= jb - 1
             for a, ja in enumerate(table_l):
                 jb = table_r[min(len(table_r), ja) - 1] if ja else 0
-                if a < jb and ja + jb > joined:
-                    joined = ja + jb
-        memo[key] = terminals, _dominant(out), joined
-        return memo[key]
+                if a < jb and ja + jb > closed:
+                    closed = ja + jb
+        best, table = -1, []  # made non-decreasing and cut after its last rise
+        for covered in out:
+            best = covered if covered > best else best
+            table.append(best)
+        memo[key] = done = (terminals, tuple(table[: table.index(best) + 1])), closed
+        return done
 
     terminal_free = [leaf(a, 0) for a in range(k)]
     for node, (_, left, right) in enumerate(inner, start=k):
-        terminal_free.append(combine(node, terminal_free[left], terminal_free[right]))
+        terminal_free.append(combine(node, terminal_free[left], terminal_free[right])[0])
 
-    def ancestors(node: int) -> list[int]:
-        out = []
-        while parent[node] >= 0:
-            node = parent[node]
-            out.append(node)
-        return out
+    def rise(child: int, state) -> tuple[tuple[int, tuple[int, ...]], int]:
+        """`combine` at the parent of `child`, which has `state`, its sibling no terminal."""
+        node = parent[child]
+        _, left, right = inner[node - k]
+        sides = (state, terminal_free[right]) if left == child else (terminal_free[left], state)
+        return combine(node, *sides)
 
     def longest(source: int, target: int) -> int:
-        if source == target:
-            state = {source: leaf(source, 2)}
-        else:
-            state = {source: leaf(source, 1), target: leaf(target, 1)}
-        for node in sorted(set(ancestors(source)) | set(ancestors(target))):
-            _, left, right = inner[node - k]
-            state[node] = combine(
-                node, state.get(left, terminal_free[left]), state.get(right, terminal_free[right])
-            )
-        joined = state[len(size) - 1][2]
-        return joined - 1 if joined > 0 else -1
+        if source == target:  # both terminals in one class: a clique closes x .. y inside it
+            x, state, best = source, leaf(source, 2), size[source] if clique[source] else -1
+        else:  # carry each one-terminal state up to the children of the lowest common ancestor
+            x, y, state_x, state_y = source, target, leaf(source, 1), leaf(target, 1)
+            while parent[x] != parent[y]:
+                if depth[x] >= depth[y]:
+                    state_x, x = rise(x, state_x)[0], parent[x]
+                else:
+                    state_y, y = rise(y, state_y)[0], parent[y]
+            x, x_left = parent[x], inner[parent[x] - k][1] == x
+            state, best = combine(x, state_x, state_y) if x_left else combine(x, state_y, state_x)
+        while parent[x] >= 0:
+            (state, closed), x = rise(x, state), parent[x]
+            best = max(best, closed)
+        return best - 1 if best > 0 else -1
 
     return lambda target, sources: [longest(source, target) for source in sources]
 

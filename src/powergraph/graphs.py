@@ -303,18 +303,16 @@ class TwinQuotient:
         of their graphs.  The last node is the root; a one-class graph has no
         inner node.
 
-        Built on the orbits, which are modules: the classes of one are pairwise
-        twins, so each becomes a balanced join of its classes when they are
-        adjacent, else a balanced union.  Then the m-node orbit graph is twin
-        reduced, its nodes keyed by Python-int masks of their open and closed
-        neighbourhoods among the live nodes: in each round a class of open
-        twins becomes a union and a class of closed twins a join, again a
-        balanced binary tree, so that no leaf is deeper than it needs to be,
-        and its smallest member stays live.  A graph is a cograph exactly when
+        Built on the orbits, which are modules (their classes are pairwise
+        twins): each becomes a balanced join of its classes when they are
+        adjacent, else a balanced union.  The m-node orbit graph is then twin
+        reduced with Python-int neighbourhood masks, no twin pass per round:
+        each round makes a class of open twins a union and one of closed twins
+        a join, again balanced so that no leaf is deeper than it needs to be,
+        and keeps its smallest member live.  A graph is a cograph exactly when
         every induced subgraph on two or more vertices has a twin pair, so a
-        round that merges nothing before one node is left means the orbit
-        graph is not one; cographs are closed under substitution, so then
-        neither is the graph.
+        round that merges nothing means the orbit graph is not one, nor (as
+        cographs are closed under substitution) the graph.
         """
         k = len(self.sizes)
         inner: list[tuple[bool, int, int]] = []
@@ -328,12 +326,11 @@ class TwinQuotient:
                 level = paired + level[2 * len(paired) :]
             return level[0]
 
-        orbits = self.orbits
-        node = [balanced(list(o), len(o) > 1 and bool(self.adj[o[:2]])) for o in orbits]
-        reps = [orbit[0] for orbit in orbits]
+        node = [balanced(list(o), len(o) > 1 and bool(self.adj[o[:2]])) for o in self.orbits]
+        reps = [orbit[0] for orbit in self.orbits]
         between = self.adj[reps][:, reps] & ~np.eye(len(reps), dtype=bool)
         masks = [sum(1 << w for w, edge in enumerate(row) if edge) for row in between.tolist()]
-        live = list(range(len(orbits)))
+        live = list(range(len(reps)))
         while len(live) > 1:
             alive = sum(1 << v for v in live)
             neighbours = [masks[v] & alive for v in live]

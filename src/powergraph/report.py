@@ -424,11 +424,9 @@ def check_degree_sequences(inst: Instance) -> list[dict]:
     ]
     dtable, (_, error), name = inst.detour_dds, inst.detour_search, "detour_degree_sequences"
     if dtable is not None:
-        drows = sequences.family_dds_detour_rows(params)
-        shape_ok = _classes_match(inst, dtable.class_rows, drows)
-        grouping_ok = sequences.compare_groupings(
-            dtable.groups, sequences.family_dds_detour_groups(params)
-        )["matches"]
+        shape_ok = _classes_match(inst, dtable.class_rows, sequences.family_dds_detour_rows(params))
+        groups = sequences.family_dds_detour_groups(params)
+        grouping_ok = sequences.compare_groupings(dtable.groups, groups)["matches"]
         details = {"all_shapes_match": shape_ok, "grouping_matches": grouping_ok}
         checks.append(_check(name, shape_ok and grouping_ok, oracle_verified=True, **details))
     else:  # above the oracle cap, or the search ran out of its budget as in check_detour

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, TwinQuotient, _first_equal
+from .graphs import Graph, TwinQuotient
 from .groups import GroupParams
 
 
@@ -66,22 +66,29 @@ class DegreeSequenceTable:
         k = len(quotient.sizes)
         present = np.zeros(int(matrix.max(initial=0)) + 1, dtype=bool)
         present[0] = present[matrix] = True
-        values = np.flatnonzero(present)
+        values = present.nonzero()[0]
         width = len(values)
-        cells = np.arange(k)[:, None] * width + (np.cumsum(present) - 1)[matrix]
-        sizes = np.tile(np.array(quotient.sizes, dtype=np.float64), k)
-        counts = np.bincount(cells.ravel(), sizes, k * width).reshape(k, width)
-        counts.flat[cells.diagonal()] -= 1
-        counts[:, 0] += 1
-        first = _first_equal(counts.view(np.dtype((np.void, counts.itemsize * width))).ravel())
-        distinct = np.flatnonzero(first == np.arange(k))
-        rows = np.zeros((len(distinct), len(present)), dtype=np.int64)
-        rows[:, values] = counts[distinct]
-        ends = (matrix.max(axis=1, initial=0)[distinct] + 1).tolist()
-        shared = {a: tuple(r[:end]) for a, r, end in zip(distinct.tolist(), rows.tolist(), ends)}
-        class_rows = tuple(map(shared.__getitem__, first.tolist()))
+        cells = values.searchsorted(matrix) + np.arange(0, k * width, width)[:, None]
+        weights = np.repeat(np.array(quotient.sizes, dtype=np.float64)[None], k, axis=0).ravel()
+        weights[:: k + 1] -= 1  # a class's own members but itself, which is at 0
+        counts = np.bincount(cells.ravel(), weights, k * width).astype(np.int64)
+        counts[::width] += 1
+        keys = list(map(tuple, counts.reshape(k, width).tolist()))
+        shared = {key: _spread(values.tolist(), key) for key in dict.fromkeys(keys)}
+        class_rows = tuple(map(shared.__getitem__, keys))
         groups = _grouped(zip(class_rows, quotient.sizes))
         return cls(class_rows, tuple(quotient.class_of.tolist()), groups)
+
+
+def _spread(values: list[int], counts: tuple[int, ...]) -> tuple[int, ...]:
+    """Counts of `values` as a row over 0 .. the largest value counted, zero elsewhere."""
+    end = len(counts)
+    while not counts[end - 1]:  # counts[0] >= 1: every vertex sees itself at 0
+        end -= 1
+    row = [0] * (values[end - 1] + 1)
+    for value, count in zip(values, counts[:end]):
+        row[value] = count
+    return tuple(row)
 
 
 def _grouped(pairs) -> tuple[tuple[tuple[int, ...], int], ...]:
