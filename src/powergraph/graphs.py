@@ -287,8 +287,8 @@ class TwinQuotient:
     def orbit_of(self) -> np.ndarray:
         """The index in `orbits` of each class's orbit (int64, read-only)."""
         orbit_of = np.empty(len(self.sizes), dtype=np.int64)
-        for index, orbit in enumerate(self.orbits):
-            orbit_of[list(orbit)] = index
+        members = [c for orbit in self.orbits for c in orbit]
+        orbit_of[members] = [index for index, orbit in enumerate(self.orbits) for _ in orbit]
         orbit_of.setflags(write=False)
         return orbit_of
 
