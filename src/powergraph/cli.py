@@ -195,11 +195,9 @@ def _emit(out_dir: Path | None, name: str, content: str | dict) -> None:
     if isinstance(content, dict):
         content = _dump(content)
     try:
-        try:
-            (out_dir / name).write_text(content, encoding="utf-8")
-        except FileNotFoundError:  # made on the first artifact of a run, not before each
+        if not out_dir.is_dir():  # made on the first artifact of a run, not before each
             out_dir.mkdir(parents=True, exist_ok=True)
-            (out_dir / name).write_text(content, encoding="utf-8")
+        (out_dir / name).write_text(content, encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot write output: {exc}") from None
 
@@ -207,9 +205,9 @@ def _emit(out_dir: Path | None, name: str, content: str | dict) -> None:
 def _dump(payload: dict) -> str:
     """A payload as JSON: sorted keys, one top-level key per line at a 2-space indent.
 
-    Each value is `json.dumps(value, sort_keys=True)` on one line, and a list
-    of lists one row per line.  Without `indent`, the encoder runs in C, and
-    a k x k class matrix takes k lines, not k^2.
+    Each value is one line from one shared `JSONEncoder(sort_keys=True)`, and a
+    list of lists one row per line.  Without `indent`, the encoder runs in C,
+    and a k x k class matrix takes k lines, not k^2.
     """
     lines = []
     for key in sorted(payload):

@@ -5,10 +5,9 @@ class is a graph automorphism), and so are the classes of one orbit of
 `TwinQuotient.orbits` (their transpositions generate every permutation of the
 orbit).  So the detour distance is one number per pair of orbits, per two
 classes of one orbit and per two members of one class (0 for a singleton): at
-most m(m - 1)/2 + 2m searches fill an m x m orbit table, which
-`TwinQuotient.orbit_of` expands to the k x k class matrix with one fancy
-index.  Orbit j's searches take its first class as target, and as sources the
-first class of each earlier orbit, a second class of orbit j and the target.
+most m(m - 1)/2 + 2m searches, each to the first class of an orbit, fill an
+orbit table that `TwinQuotient.orbit_of` expands to the k x k class matrix
+with one fancy index.
 
 Two exact searches give these values, and the shape of the graph picks one:
 the cotree search when the graph is a cograph (`TwinQuotient.cotree` is not
@@ -101,13 +100,16 @@ recursion, so no path is too long for the search.
 from __future__ import annotations
 
 import time
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
 
 from .graphs import Graph, TwinQuotient
 
-Column = Callable[[int, list[int]], list[int]]  # column(target, sources): a length per source
+# column(target, sources): the longest path length from a member of each source class to
+# another member of the target class
+Column = Callable[[int, list[int]], list[int]]
 
 class DetourBudgetError(RuntimeError):
     """Exact search exceeded its time budget; no approximation is substituted."""
@@ -134,11 +136,7 @@ def detour_matrix(graph: Graph, time_budget_s: float = 60.0) -> np.ndarray:
 
 
 def _by_orbit_pairs(quotient: TwinQuotient, column: Column) -> np.ndarray:
-    """The class matrix from the searches of each orbit's first class; -1 marks a pair with no path.
-
-    `column(target, sources)` gives the longest path length from a member of
-    each source class to another member of the target class.
-    """
+    """The class matrix from the searches of each orbit's first class; -1 marks a pair with no path."""
     orbits, sizes, orbit_of = quotient.orbits, quotient.sizes, quotient.orbit_of
     table = np.zeros((len(orbits), len(orbits) + 1), dtype=np.int64)  # column m: within a class
     for j, orbit in enumerate(orbits):
@@ -185,17 +183,16 @@ def _cotree_column(quotient: TwinQuotient, deadline: float) -> Column:
         return terminals, tuple(range(terminals, min(size[a], terminals + cap[a]) + 1))
 
     memo: dict[tuple, tuple[tuple[int, tuple[int, ...]], int]] = {}
-    kind = [(join, cap[node]) for node, (join, _, _) in enumerate(inner, start=k)]
 
     def combine(node: int, left, right) -> tuple[tuple[int, tuple[int, ...]], int]:
         """(node's state, vertices of the best x-y path closing at the node or -1)."""
-        key = (kind[node - k], left, right)
+        key = (inner[node - k][0], cap[node], left, right)
         done = memo.get(key)
         if done is not None:
             return done
         if time.monotonic() > deadline:
             raise DetourBudgetError("detour search exceeded its time budget")
-        (join, limit), (terminals_l, table_l), (terminals_r, table_r) = key
+        join, limit, (terminals_l, table_l), (terminals_r, table_r) = key
         terminals, closed = terminals_l + terminals_r, -1
         width = max(len(table_l), len(table_r), 2) - 1 if join else len(table_l) + len(table_r) - 2
         top = min(limit, width)  # no pair of entries makes more pieces
@@ -214,11 +211,8 @@ def _cotree_column(quotient: TwinQuotient, deadline: float) -> Column:
                 jb = table_r[min(len(table_r), ja) - 1] if ja else 0
                 if a < jb and ja + jb > closed:
                     closed = ja + jb
-        best, table = -1, []  # made non-decreasing and cut after its last rise
-        for covered in out:
-            best = covered if covered > best else best
-            table.append(best)
-        memo[key] = done = (terminals, tuple(table[: table.index(best) + 1])), closed
+        table = list(accumulate(out, max))  # made non-decreasing, then cut after its last rise
+        memo[key] = done = (terminals, tuple(table[: table.index(table[-1]) + 1])), closed
         return done
 
     terminal_free = [leaf(a, 0) for a in range(k)]

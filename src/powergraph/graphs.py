@@ -306,13 +306,12 @@ class TwinQuotient:
         Built on the orbits, which are modules (their classes are pairwise
         twins): each becomes a balanced join of its classes when they are
         adjacent, else a balanced union.  The m-node orbit graph is then twin
-        reduced with Python-int neighbourhood masks, no twin pass per round:
-        each round makes a class of open twins a union and one of closed twins
-        a join, again balanced so that no leaf is deeper than it needs to be,
-        and keeps its smallest member live.  A graph is a cograph exactly when
-        every induced subgraph on two or more vertices has a twin pair, so a
-        round that merges nothing means the orbit graph is not one, nor (as
-        cographs are closed under substitution) the graph.
+        reduced on Python-int neighbourhood masks, with no twin pass: each
+        round makes every class of open twins a balanced union and every class
+        of closed twins a balanced join, so no leaf is deeper than it needs to
+        be.  A graph is a cograph exactly when every induced subgraph on two or
+        more vertices has a twin pair, so a round that merges nothing means
+        that neither the orbit graph nor, by substitution, the graph is one.
         """
         k = len(self.sizes)
         inner: list[tuple[bool, int, int]] = []

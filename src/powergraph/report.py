@@ -127,14 +127,17 @@ class Instance:
     def detour_profile(self) -> tuple[np.ndarray, int, int] | None:
         """(detour eccentricity per class, radius, diameter); None without a detour matrix."""
         matrix, _ = self.detour_search
-        return None if matrix is None else sequences.detour_profile(matrix)
+        if matrix is None:
+            return None
+        return sequences.detour_profile(matrix)
 
     @cached_property
     def detour_dds(self) -> sequences.DegreeSequenceTable | None:
         """Detour distance degree sequences; None without a detour matrix."""
         matrix, _ = self.detour_search
-        table = sequences.DegreeSequenceTable.from_classes
-        return None if matrix is None else table(self.graph.quotient, matrix)
+        if matrix is None:
+            return None
+        return sequences.DegreeSequenceTable.from_classes(self.graph.quotient, matrix)
 
     @cached_property
     def vertex_types(self) -> np.ndarray:
@@ -381,10 +384,16 @@ def check_metric(inst: Instance) -> list[dict]:
 def check_detour(inst: Instance) -> dict:
     predicted_ecc = sequences.family_detour_eccentricities(inst.params)
     computed, error = inst.detour_search
-    if computed is None:  # above the oracle cap, or the search ran out of its budget
-        note = "closed-form prediction only; instance above the oracle size cap"
-        extra = {"error": str(error)} if error else {"note": note, "predicted": predicted_ecc}
-        return _check("detour_eccentricities", error is None, oracle_verified=False, **extra)
+    if error is not None:
+        return _check("detour_eccentricities", False, oracle_verified=False, error=str(error))
+    if computed is None:
+        return _check(
+            "detour_eccentricities",
+            True,
+            oracle_verified=False,
+            note="closed-form prediction only; instance above the oracle size cap",
+            predicted=predicted_ecc,
+        )
     # the class matrices are over the same classes exactly when the twin classes are as predicted
     predicted = sequences.family_detour_matrix(inst.predicted_types, inst.params)
     matrix_ok = inst.twins_as_predicted and bool(np.array_equal(computed, predicted))
@@ -422,17 +431,36 @@ def check_degree_sequences(inst: Instance) -> list[dict]:
             printed_multiset_comparison=multiset_diff,
         )
     ]
-    dtable, (_, error), name = inst.detour_dds, inst.detour_search, "detour_degree_sequences"
+    dtable = inst.detour_dds
+    _, error = inst.detour_search
     if dtable is not None:
-        shape_ok = _classes_match(inst, dtable.class_rows, sequences.family_dds_detour_rows(params))
-        groups = sequences.family_dds_detour_groups(params)
-        grouping_ok = sequences.compare_groupings(dtable.groups, groups)["matches"]
-        details = {"all_shapes_match": shape_ok, "grouping_matches": grouping_ok}
-        checks.append(_check(name, shape_ok and grouping_ok, oracle_verified=True, **details))
-    else:  # above the oracle cap, or the search ran out of its budget as in check_detour
-        note = "closed-form prediction only; detour oracle not run"
-        details = {"note": note} if error is None else {"error": str(error)}
-        checks.append(_check(name, error is None, oracle_verified=False, **details))
+        drows = sequences.family_dds_detour_rows(params)
+        shape_ok = _classes_match(inst, dtable.class_rows, drows)
+        grouping_ok = sequences.compare_groupings(
+            dtable.groups, sequences.family_dds_detour_groups(params)
+        )["matches"]
+        checks.append(
+            _check(
+                "detour_degree_sequences",
+                shape_ok and grouping_ok,
+                oracle_verified=True,
+                all_shapes_match=shape_ok,
+                grouping_matches=grouping_ok,
+            )
+        )
+    elif error is not None:  # the search ran and ran out of its budget, as in check_detour
+        checks.append(
+            _check("detour_degree_sequences", False, oracle_verified=False, error=str(error))
+        )
+    else:
+        checks.append(
+            _check(
+                "detour_degree_sequences",
+                True,
+                oracle_verified=False,
+                note="closed-form prediction only; detour oracle not run",
+            )
+        )
     return checks
 
 

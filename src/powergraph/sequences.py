@@ -60,35 +60,16 @@ class DegreeSequenceTable:
 
         A vertex of class a sees `sizes[b]` vertices at `matrix[a, b]`, except
         in its own class: itself at 0 and the other members at `matrix[a, a]`.
-        The values present (and 0) are numbered, row a is counted at a * V +
-        number by one weighted bincount, and equal rows share one tuple.
         """
-        k = len(quotient.sizes)
-        present = np.zeros(int(matrix.max(initial=0)) + 1, dtype=bool)
-        present[0] = present[matrix] = True
-        values = present.nonzero()[0]
-        width = len(values)
-        cells = values.searchsorted(matrix) + np.arange(0, k * width, width)[:, None]
-        weights = np.repeat(np.array(quotient.sizes, dtype=np.float64)[None], k, axis=0).ravel()
-        weights[:: k + 1] -= 1  # a class's own members but itself, which is at 0
-        counts = np.bincount(cells.ravel(), weights, k * width).astype(np.int64)
-        counts[::width] += 1
-        keys = list(map(tuple, counts.reshape(k, width).tolist()))
-        shared = {key: _spread(values.tolist(), key) for key in dict.fromkeys(keys)}
-        class_rows = tuple(map(shared.__getitem__, keys))
+        sizes = np.array(quotient.sizes)
+        class_rows = []
+        for a, row in enumerate(matrix):
+            counts = np.bincount(row, weights=sizes).astype(np.int64)
+            counts[row[a]] -= 1
+            counts[0] += 1
+            class_rows.append(tuple(counts.tolist()))
         groups = _grouped(zip(class_rows, quotient.sizes))
-        return cls(class_rows, tuple(quotient.class_of.tolist()), groups)
-
-
-def _spread(values: list[int], counts: tuple[int, ...]) -> tuple[int, ...]:
-    """Counts of `values` as a row over 0 .. the largest value counted, zero elsewhere."""
-    end = len(counts)
-    while not counts[end - 1]:  # counts[0] >= 1: every vertex sees itself at 0
-        end -= 1
-    row = [0] * (values[end - 1] + 1)
-    for value, count in zip(values, counts[:end]):
-        row[value] = count
-    return tuple(row)
+        return cls(tuple(class_rows), tuple(quotient.class_of.tolist()), groups)
 
 
 def _grouped(pairs) -> tuple[tuple[tuple[int, ...], int], ...]:

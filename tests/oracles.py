@@ -406,18 +406,6 @@ def dds_rows_bincount(graph: Graph) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(np.bincount(row).tolist()) for row in bfs_distance_matrix(graph))
 
 
-def degree_rows_loop(quotient, matrix: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    """`DegreeSequenceTable.from_classes`'s class rows, one weighted `np.bincount` per row."""
-    sizes = np.array(quotient.sizes)
-    class_rows = []
-    for a, row in enumerate(matrix):
-        counts = np.bincount(row, weights=sizes).astype(np.int64)
-        counts[row[a]] -= 1
-        counts[0] += 1
-        class_rows.append(tuple(counts.tolist()))
-    return tuple(class_rows)
-
-
 def vertex_rows(table) -> tuple[tuple[int, ...], ...]:
     """A degree-sequence table's row of each vertex, `class_rows[class_of[v]]`."""
     return tuple(table.class_rows[a] for a in table.class_of)

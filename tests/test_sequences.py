@@ -5,7 +5,6 @@ from oracles import (
     blown_up_graphs,
     complete_graph,
     dds_rows_bincount,
-    degree_rows_loop,
     is_connected,
     path_graph,
     random_graphs,
@@ -153,28 +152,3 @@ def test_dds_matches_the_bincount_oracle_on_the_random_corpora():
 def test_dds_matches_the_bincount_oracle_on_the_family(family, kp):
     _, graph, _ = family(*kp)
     assert vertex_rows(dds(graph)) == dds_rows_bincount(graph)
-
-
-def assert_rows_equal_the_loop(quotient, matrix) -> None:
-    table = DegreeSequenceTable.from_classes(quotient, matrix)
-    expected = degree_rows_loop(quotient, matrix)
-    assert table.class_rows == expected
-    assert all(type(x) is int for row in table.class_rows for x in row)
-    assert table.to_csv() == "".join(",".join(map(str, row)) + "\n" for row in expected)
-
-
-@pytest.mark.parametrize("kp", [(2, 3), (3, 5), (4, 5), (5, 5), (7, 7)])
-def test_class_rows_equal_the_per_row_loop_on_the_family(family, kp):
-    quotient = family(*kp)[1].quotient
-    assert_rows_equal_the_loop(quotient, quotient.dist)
-    assert_rows_equal_the_loop(quotient, detour_matrix(family(*kp)[1]))
-
-
-def test_class_rows_equal_the_per_row_loop_on_random_graphs():
-    checked = 0
-    for g in [*random_graphs(seed=5, count=120, max_n=12), *blown_up_graphs(8, 100)]:
-        if g.n and is_connected(g):
-            assert_rows_equal_the_loop(g.quotient, g.quotient.dist)
-            assert_rows_equal_the_loop(g.quotient, detour_matrix(g))
-            checked += 1
-    assert checked >= 150
