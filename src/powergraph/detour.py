@@ -1,4 +1,4 @@
-"""Exact detour (longest simple path) distances on the twin-class quotient.
+"""Exact detour (longest simple path) distances on the twin-class quotient of a cograph.
 
 Vertices in one twin class are interchangeable (a transposition inside a
 class is a graph automorphism), and so are the classes of one orbit of
@@ -9,10 +9,9 @@ most m(m - 1)/2 + 2m searches, each to the first class of an orbit, fill an
 orbit table that `TwinQuotient.orbit_of` expands to the k x k class matrix
 with one fancy index.
 
-Two exact searches give these values, and the shape of the graph picks one:
-the cotree search when the graph is a cograph (`TwinQuotient.cotree` is not
-None; every family graph is one), polynomial in the size of the cotree, and
-the orbit state search otherwise, exponential in the number of orbits.
+One exact search gives these values: the cotree search, polynomial in the
+size of the cotree.  It needs `TwinQuotient.cotree`, which every family graph
+has; on any other graph `detour_matrix` refuses with `NotACographError`.
 
 Cotree search
 -------------
@@ -67,52 +66,24 @@ two-terminal state on to the root, on paths that the balanced merges of
 cap, left state, right state), tables as tuples; the x-y path a combine
 closes is returned beside its state, not kept in it.  The walk is a loop,
 never recursion, and checks the time budget at every combine it computes.
-
-Orbit state search
-------------------
-A path is determined up to automorphism by its sequence of twin classes, so
-this search runs over (current class, remaining count per class) states
-instead of individual vertices.  The longest way on from a state depends on
-the target class alone, so the states of one target's search are memoised
-once and shared by every source.  The groups are the orbits with the target
-taken out, and the target a group of its own; every permutation of a group
-fixes the target and maps a state to one with the same longest way on.  A
-state is memoised as (group of the current class, the current class's own
-remaining count, one slot per group): a singleton group's slot is its
-remaining count, a larger group's slot is the histogram of how many of its
-classes other than the current one have 0, 1, ..., s vertices left (all
-classes of an orbit have the same size s).  Two (class, remaining count per
-class) states have the same histogram state exactly when permutations inside
-the groups map one onto the other, so this is the canonical state under
-those automorphisms (the current class first in its group, the other counts
-sorted), kept without sorting anything.
-
-Interchangeable classes agree on every other class, and two classes of one
-orbit are all adjacent or all not, so adjacency is a function of the groups.
-A step onto a larger group takes one class with a given count, once per
-distinct count present; leaving a class returns its count to its group's
-histogram.  Each such step reaches exactly the states the per-class steps
-reach up to automorphism.  Nothing is pruned on a dominance argument, so the
-result stays exact.  The states are walked with an explicit stack, not
-recursion, so no path is too long for the search.
 """
 
 from __future__ import annotations
 
 import time
 from itertools import accumulate
-from typing import Callable
 
 import numpy as np
 
 from .graphs import Graph, TwinQuotient
 
-# column(target, sources): the longest path length from a member of each source class to
-# another member of the target class
-Column = Callable[[int, list[int]], list[int]]
 
 class DetourBudgetError(RuntimeError):
-    """Exact search exceeded its time budget; no approximation is substituted."""
+    """Exact search refused or past its time budget; no approximation is substituted."""
+
+
+class NotACographError(DetourBudgetError):
+    """The graph has no cotree, so the detour search does not apply to it."""
 
 
 def detour_matrix(graph: Graph, time_budget_s: float = 60.0) -> np.ndarray:
@@ -120,48 +91,48 @@ def detour_matrix(graph: Graph, time_budget_s: float = 60.0) -> np.ndarray:
 
     Entry (a, b) is the detour distance between any member of twin class a
     and any other member of class b; the diagonal is the within-class value,
-    0 for a singleton.  `graph.quotient.lift` gives the vertex matrix.  A
-    cograph takes the cotree search, any other graph the orbit state search.
-    Raises DetourBudgetError when the search cannot finish within
-    `time_budget_s` seconds, its only limit, and ValueError when some pair
-    has no path.
+    0 for a singleton.  `graph.quotient.lift` gives the vertex matrix.
+    Raises NotACographError on a graph that is not a cograph,
+    DetourBudgetError when the search cannot finish within `time_budget_s`
+    seconds, and ValueError when some pair has no path.
     """
     deadline = time.monotonic() + time_budget_s
     quotient = graph.quotient
-    search = orbit_search if quotient.cotree is None else cotree_search
-    value = search(quotient, deadline)
+    if quotient.cotree is None:
+        raise NotACographError("graph is not a cograph; the detour search needs its cotree")
+    value = cotree_search(quotient, deadline)
     if (value < 0).any():
         raise ValueError("graph is disconnected; detour distances are undefined")
     return value
 
 
-def _by_orbit_pairs(quotient: TwinQuotient, column: Column) -> np.ndarray:
-    """The class matrix from the searches of each orbit's first class; -1 marks a pair with no path."""
-    orbits, sizes, orbit_of = quotient.orbits, quotient.sizes, quotient.orbit_of
+def cotree_search(quotient: TwinQuotient, deadline: float) -> np.ndarray:
+    """The class matrix of a cograph from its orbit table; -1 marks a pair with no path."""
+    longest = _cotree_longest(quotient, deadline)
+    orbits, orbit_of = quotient.orbits, quotient.orbit_of
     table = np.zeros((len(orbits), len(orbits) + 1), dtype=np.int64)  # column m: within a class
     for j, orbit in enumerate(orbits):
-        inside = orbit[:1] if sizes[orbit[0]] > 1 else ()
-        lengths = column(orbit[0], [other[0] for other in orbits[:j]] + list(orbit[1:2] + inside))
-        table[j, :j] = table[:j, j] = lengths[:j]
-        table[j, j] = lengths[j] if len(orbit) > 1 else 0
-        table[j, -1] = lengths[-1] if inside else 0
+        target = orbit[0]
+        for i, other in enumerate(orbits[:j]):
+            table[i, j] = table[j, i] = longest(other[0], target)
+        if len(orbit) > 1:
+            table[j, j] = longest(orbit[1], target)
+        if quotient.sizes[target] > 1:
+            table[j, -1] = longest(target, target)
     value = table[orbit_of[:, None], orbit_of]
     value.flat[:: len(orbit_of) + 1] = table[orbit_of, -1]
     return value
 
 
-def cotree_search(quotient: TwinQuotient, deadline: float) -> np.ndarray:
-    """The class matrix of a cograph by the cotree search; -1 marks a pair with no path."""
-    return _by_orbit_pairs(quotient, _cotree_column(quotient, deadline))
+def _cotree_longest(quotient: TwinQuotient, deadline: float):
+    """`longest(source, target)` of the cotree search, every call sharing one combine memo.
 
-
-def _cotree_column(quotient: TwinQuotient, deadline: float) -> Column:
-    """`column(target, sources)` of the cotree search, every call sharing one combine memo.
-
-    A node's state for one pair is (terminals inside, table): `J` for the
-    status with no terminal, one, or both in separate pieces.  The joined
-    count at the root is the largest x-y path that a combine on the pair's
-    way up closes.  `deadline` is a `time.monotonic()` value.
+    `longest` is the detour distance from a member of class `source` to
+    another member of class `target`, -1 with no path.  A node's state for
+    one pair is (terminals inside, table): `J` for the status with no
+    terminal, one, or both in separate pieces.  The joined count at the root
+    is the largest x-y path that a combine on the pair's way up closes.
+    `deadline` is a `time.monotonic()` value.
     """
     inner, k = quotient.cotree, len(quotient.sizes)
     clique = quotient.adj.diagonal().tolist()
@@ -243,98 +214,4 @@ def _cotree_column(quotient: TwinQuotient, deadline: float) -> Column:
             best = max(best, closed)
         return best - 1 if best > 0 else -1
 
-    return lambda target, sources: [longest(source, target) for source in sources]
-
-
-def orbit_search(quotient: TwinQuotient, deadline: float) -> np.ndarray:
-    """The class matrix of any graph by the orbit state search; -1 marks a pair with no path."""
-    return _by_orbit_pairs(quotient, _orbit_column(quotient, deadline))
-
-
-def _orbit_column(quotient: TwinQuotient, deadline: float) -> Column:
-    """`column(target, sources)` of the orbit state search, one memo per call and target."""
-    adj, sizes, orbits = quotient.adj, quotient.sizes, quotient.orbits
-
-    def column(target: int, sources: list[int]) -> list[int]:
-        # the orbits of the automorphisms that fix the target, the target first
-        groups = [[target]] + [o for o in ([c for c in orb if c != target] for orb in orbits) if o]
-        group_of = {c: g for g, members in enumerate(groups) for c in members}
-        reps = [members[0] for members in groups]
-        single = [len(members) == 1 for members in groups]
-        size = [sizes[r] for r in reps]
-        base = [0] * len(groups)  # where each group's slot starts in the flat state
-        start: list[int] = []
-        for g, members in enumerate(groups):
-            base[g] = len(start)
-            start += [size[g]] if single[g] else [0] * size[g] + [len(members)]
-        ends = [bool(adj[r, target]) for r in reps]
-        # a step inside the current class keeps a larger group's state as it is
-        loops = [bool(adj[r, r]) and not single[g] for g, r in enumerate(reps)]
-        # every other step, as (group entered, slot taken from, count the entered class
-        # keeps or None for a singleton, whose slot is that count); members[-1] is a
-        # class other than r in r's own larger group, and r itself in a singleton
-        moves: list[list[tuple[int, int, int | None]]] = []
-        for r in reps:
-            out = []
-            for h, members in enumerate(groups):
-                if not adj[r, members[-1]]:
-                    continue
-                if single[h]:
-                    out.append((h, base[h], None))
-                else:
-                    out += [(h, base[h] + count, count - 1) for count in range(1, size[h] + 1)]
-            moves.append(out)
-
-        memo: dict[tuple, int] = {}
-
-        def frame(key: tuple[int, int, tuple[int, ...]]) -> list:
-            """[key, successors still to read, longest path to the target so far or -1].
-
-            In a key (g, own, state) the current class is in group `g` with `own`
-            unvisited intermediate vertices; `state` holds a slot per group, a
-            singleton's remaining count or a larger group's histogram of counts.
-            """
-            if time.monotonic() > deadline:
-                raise DetourBudgetError("detour search exceeded its time budget")
-            g, own, state = key
-            nexts = [(g, own - 1, state)] if own and loops[g] else []
-            left = list(state)
-            if not single[g]:
-                left[base[g] + own] += 1  # the class the path leaves rejoins its group
-            for h, slot, keeps in moves[g]:
-                if state[slot]:  # one step per distinct count left in a larger group
-                    counts = left.copy()
-                    counts[slot] -= 1
-                    nexts.append((h, counts[slot] if keeps is None else keeps, tuple(counts)))
-            return [key, nexts, 1 if ends[g] else -1]
-
-        # endpoints leave their classes
-        start[0] -= 1
-        lengths = []
-        for g in map(group_of.__getitem__, sources):
-            counts = start.copy()
-            at = base[g] if single[g] else base[g] + size[g]
-            counts[at] -= 1
-            own = counts[at] if single[g] else size[g] - 1
-            # a frame waits while a successor not memoised yet is searched, then takes its
-            # length; a step visits one more vertex, so no state is ever on the stack twice
-            root = (g, own, tuple(counts))
-            stack = [frame(root)]
-            while stack:
-                top = stack[-1]
-                while top[1]:
-                    rest = memo.get(nxt := top[1].pop())
-                    if rest is None:
-                        stack.append(frame(nxt))
-                        break
-                    if rest >= 0 and rest + 1 > top[2]:
-                        top[2] = rest + 1
-                else:
-                    key, _, length = stack.pop()
-                    memo[key] = length
-                    if stack and length >= 0 and length + 1 > stack[-1][2]:
-                        stack[-1][2] = length + 1
-            lengths.append(memo[root])
-        return lengths
-
-    return column
+    return longest

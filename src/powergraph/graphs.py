@@ -119,9 +119,9 @@ def build_power_graph(params: GroupParams) -> Graph:
     all 2^k p reflections together.  Every power of a rotation is a rotation,
     so <r> holds the cyclic subgroup of every rotation and is filled as the
     outer product of its membership mask; each reflection adds its own
-    subgroup, of order 2 or 4, which an order-4 element shares with its
-    inverse x^3, so the sorted index rows are deduplicated before their
-    cliques are filled by fancy indexing.
+    subgroup, of order 2 or 4, whose clique is filled by fancy indexing (an
+    order-4 element and its inverse x^3 fill the same clique twice, which
+    changes nothing).
     """
     n = params.rotation_order
     eps, i = family_elements(params)
@@ -133,9 +133,7 @@ def build_power_graph(params: GroupParams) -> Graph:
     adj = np.logical_and.outer(in_r, in_r)
     reflection = eps == 1
     s_eps, s_i = cyclic_powers((eps[reflection], i[reflection]), params)
-    cliques = np.sort(position[s_eps * n + s_i], axis=1)
-    cliques = cliques[np.lexsort(cliques.T[::-1])]
-    cliques = cliques[np.r_[True, (cliques[1:] != cliques[:-1]).any(axis=1)]]
+    cliques = position[s_eps * n + s_i]
     adj[cliques[:, :, None], cliques[:, None, :]] = True
     np.fill_diagonal(adj, False)
     return Graph._symmetric(adj, (eps, i))

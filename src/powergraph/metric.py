@@ -1,22 +1,19 @@
-"""Metric dimension via the twin bound, strong resolving graph, and exact vertex cover."""
+"""Metric dimension certified by the twin witness, the strong resolving graph, and exact vertex cover."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graphs import Graph, TwinQuotient
 
-# largest graph the exhaustive metric-dimension search runs on
-EXHAUSTIVE_CAP = 12
 # largest (collapsed) graph the independent-set branch and bound runs on
 SEARCH_CAP = 64
 
 
 class MetricSearchError(RuntimeError):
-    """Exact search refused: instance too large and no certificate available."""
+    """Exact search refused: no certificate, or an instance past the search cap."""
 
 
 def resolve_check(graph: Graph, subset) -> bool:
@@ -65,33 +62,20 @@ class ResolvingReport:
 
 
 def metric_dimension(graph: Graph) -> ResolvingReport:
-    """Exact metric dimension with a certificate.
+    """Exact metric dimension with a certificate, the twin witness.
 
-    First tries the twin witness: if it resolves, bound and witness size agree
-    and the dimension is exact.  Otherwise small graphs fall back to an
-    exhaustive search by subset size (pruned by the twin constraint); larger
-    graphs without a certificate are refused rather than answered heuristically.
+    When the twin witness resolves the graph, bound and witness size agree
+    and the dimension is exact; every family graph is such a graph.  Any
+    other graph is refused with MetricSearchError rather than answered
+    heuristically.
     """
     if graph.n <= 1:
         return ResolvingReport(0, (), True, 0)
-    bound = twin_lower_bound(graph)
     witness = twin_witness(graph)
-    if witness and resolve_check(graph, witness):
-        return ResolvingReport(bound, witness, True, bound)
-    if graph.n > EXHAUSTIVE_CAP:
-        raise MetricSearchError(
-            f"twin witness does not resolve and n={graph.n} exceeds the "
-            f"exhaustive cap {EXHAUSTIVE_CAP}"
-        )
-    classes = [members for members in graph.quotient.members if len(members) > 1]
-    for size in range(max(bound, 1), graph.n + 1):
-        for combo in itertools.combinations(range(graph.n), size):
-            chosen = set(combo)
-            if any(len(chosen.intersection(members)) < len(members) - 1 for members in classes):
-                continue
-            if resolve_check(graph, combo):
-                return ResolvingReport(bound, combo, True, size)
-    return ResolvingReport(bound, tuple(range(graph.n)), True, graph.n)
+    if not (witness and resolve_check(graph, witness)):
+        raise MetricSearchError(f"twin witness does not resolve the graph (n={graph.n})")
+    bound = twin_lower_bound(graph)
+    return ResolvingReport(bound, witness, True, bound)
 
 
 def mmd_graph(graph: Graph) -> np.ndarray:

@@ -105,8 +105,9 @@ class Instance:
 
         The matrix is None when n exceeds `detour_oracle_max_n` (the search is
         not run; the default cap, `MAX_VERTICES`, runs it on every family
-        order) or when the search ran out of `detour_budget_s` (the error is
-        returned, so no later reader runs it again).
+        order) or when the search refused a non-cograph or ran out of
+        `detour_budget_s` (the error is returned, so no later reader runs it
+        again).
         """
         if self.graph.n > self.detour_oracle_max_n:
             return None, None
@@ -448,7 +449,7 @@ def check_degree_sequences(inst: Instance) -> list[dict]:
                 grouping_matches=grouping_ok,
             )
         )
-    elif error is not None:  # the search ran and ran out of its budget, as in check_detour
+    elif error is not None:  # the search was refused or ran out of its budget, as in check_detour
         checks.append(
             _check("detour_degree_sequences", False, oracle_verified=False, error=str(error))
         )

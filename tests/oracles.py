@@ -12,7 +12,7 @@ import numpy as np
 from powergraph.graphs import _TYPE_ADJACENCY, CLASS_TYPES, Graph, TwinQuotient, _twins
 from powergraph.groups import IDENTITY, GroupElement, GroupParams, ParameterError, multiply
 from powergraph.matrices import DisconnectedGraphError, check_alpha
-from powergraph.metric import mmd_graph, strong_cover
+from powergraph.metric import mmd_graph, resolve_check, strong_cover, twin_lower_bound
 from powergraph.spectra import (
     _class_entries,
     a_alpha_families,
@@ -393,6 +393,23 @@ def strong_metric_dimension(graph: Graph) -> int:
     return strong_cover(graph.quotient, mmd_graph(graph))[0]
 
 
+def exhaustive_metric_dimension(graph: Graph) -> int:
+    """The metric dimension by trying every vertex subset, smallest first; exponential in n.
+
+    Only subsets that keep all but one vertex of every twin class are tried:
+    two left-out twins are never resolved.
+    """
+    classes = [members for members in graph.quotient.members if len(members) > 1]
+    for size in range(max(twin_lower_bound(graph), 1), graph.n + 1):
+        for combo in itertools.combinations(range(graph.n), size):
+            chosen = set(combo)
+            if any(len(chosen.intersection(members)) < len(members) - 1 for members in classes):
+                continue
+            if resolve_check(graph, combo):
+                return size
+    return graph.n
+
+
 def resolve_check_unique(graph: Graph, subset) -> bool:
     """Whether the distance vectors to `subset` are pairwise distinct, by sorting the rows."""
     cols = sorted(subset)
@@ -520,13 +537,13 @@ def with_cotree(quotient, cotree) -> TwinQuotient:
 def by_target_orbits(quotient, column) -> np.ndarray:
     """The class matrix from one search per orbit of target classes and group of sources.
 
-    `column(target, sources)` is a search's column (`detour._cotree_column`,
-    `detour._orbit_column`).  For each orbit the target is its first class,
-    and one source is searched in each orbit of the automorphisms that fix
-    the target (the orbits with the target taken out, the target a group of
-    its own; 0 for a singleton target's own group).  The other columns of
-    the orbit are the target's under the transposition of the two classes,
-    filled one by one from swap lists.
+    `column(target, sources)` is a search's column (`_orbit_column`, or
+    `detour._cotree_longest` once per source).  For each orbit the target is
+    its first class, and one source is searched in each orbit of the
+    automorphisms that fix the target (the orbits with the target taken out,
+    the target a group of its own; 0 for a singleton target's own group).
+    The other columns of the orbit are the target's under the transposition
+    of the two classes, filled one by one from swap lists.
     """
     k = len(quotient.sizes)
     orbits = quotient.orbits
@@ -547,6 +564,126 @@ def by_target_orbits(quotient, column) -> np.ndarray:
     return value
 
 
+def orbit_search(quotient) -> np.ndarray:
+    """The class matrix of any graph by the orbit state search; -1 marks a pair with no path.
+
+    The cotree search's oracle, exponential in the number of orbits; it has
+    no time budget.
+
+    A path is determined up to automorphism by its sequence of twin classes, so
+    this search runs over (current class, remaining count per class) states
+    instead of individual vertices.  The longest way on from a state depends on
+    the target class alone, so the states of one target's search are memoised
+    once and shared by every source.  The groups are the orbits with the target
+    taken out, and the target a group of its own; every permutation of a group
+    fixes the target and maps a state to one with the same longest way on.  A
+    state is memoised as (group of the current class, the current class's own
+    remaining count, one slot per group): a singleton group's slot is its
+    remaining count, a larger group's slot is the histogram of how many of its
+    classes other than the current one have 0, 1, ..., s vertices left (all
+    classes of an orbit have the same size s).  Two (class, remaining count per
+    class) states have the same histogram state exactly when permutations inside
+    the groups map one onto the other, so this is the canonical state under
+    those automorphisms (the current class first in its group, the other counts
+    sorted), kept without sorting anything.
+
+    Interchangeable classes agree on every other class, and two classes of one
+    orbit are all adjacent or all not, so adjacency is a function of the groups.
+    A step onto a larger group takes one class with a given count, once per
+    distinct count present; leaving a class returns its count to its group's
+    histogram.  Each such step reaches exactly the states the per-class steps
+    reach up to automorphism.  Nothing is pruned on a dominance argument, so the
+    result stays exact.  The states are walked with an explicit stack, not
+    recursion, so no path is too long for the search.
+    """
+    return by_target_orbits(quotient, _orbit_column(quotient))
+
+
+def _orbit_column(quotient):
+    """`column(target, sources)` of the orbit state search, one memo per call and target."""
+    adj, sizes, orbits = quotient.adj, quotient.sizes, quotient.orbits
+
+    def column(target: int, sources: list[int]) -> list[int]:
+        # the orbits of the automorphisms that fix the target, the target first
+        groups = [[target]] + [o for o in ([c for c in orb if c != target] for orb in orbits) if o]
+        group_of = {c: g for g, members in enumerate(groups) for c in members}
+        reps = [members[0] for members in groups]
+        single = [len(members) == 1 for members in groups]
+        size = [sizes[r] for r in reps]
+        base = [0] * len(groups)  # where each group's slot starts in the flat state
+        start: list[int] = []
+        for g, members in enumerate(groups):
+            base[g] = len(start)
+            start += [size[g]] if single[g] else [0] * size[g] + [len(members)]
+        ends = [bool(adj[r, target]) for r in reps]
+        # a step inside the current class keeps a larger group's state as it is
+        loops = [bool(adj[r, r]) and not single[g] for g, r in enumerate(reps)]
+        # every other step, as (group entered, slot taken from, count the entered class
+        # keeps or None for a singleton, whose slot is that count); members[-1] is a
+        # class other than r in r's own larger group, and r itself in a singleton
+        moves: list[list[tuple[int, int, int | None]]] = []
+        for r in reps:
+            out = []
+            for h, members in enumerate(groups):
+                if not adj[r, members[-1]]:
+                    continue
+                if single[h]:
+                    out.append((h, base[h], None))
+                else:
+                    out += [(h, base[h] + count, count - 1) for count in range(1, size[h] + 1)]
+            moves.append(out)
+
+        memo: dict[tuple, int] = {}
+
+        def frame(key: tuple[int, int, tuple[int, ...]]) -> list:
+            """[key, successors still to read, longest path to the target so far or -1].
+
+            In a key (g, own, state) the current class is in group `g` with `own`
+            unvisited intermediate vertices; `state` holds a slot per group, a
+            singleton's remaining count or a larger group's histogram of counts.
+            """
+            g, own, state = key
+            nexts = [(g, own - 1, state)] if own and loops[g] else []
+            left = list(state)
+            if not single[g]:
+                left[base[g] + own] += 1  # the class the path leaves rejoins its group
+            for h, slot, keeps in moves[g]:
+                if state[slot]:  # one step per distinct count left in a larger group
+                    counts = left.copy()
+                    counts[slot] -= 1
+                    nexts.append((h, counts[slot] if keeps is None else keeps, tuple(counts)))
+            return [key, nexts, 1 if ends[g] else -1]
+
+        # endpoints leave their classes
+        start[0] -= 1
+        lengths = []
+        for g in map(group_of.__getitem__, sources):
+            counts = start.copy()
+            at = base[g] if single[g] else base[g] + size[g]
+            counts[at] -= 1
+            own = counts[at] if single[g] else size[g] - 1
+            # a frame waits while a successor not memoised yet is searched, then takes its
+            # length; a step visits one more vertex, so no state is ever on the stack twice
+            root = (g, own, tuple(counts))
+            stack = [frame(root)]
+            while stack:
+                top = stack[-1]
+                while top[1]:
+                    rest = memo.get(nxt := top[1].pop())
+                    if rest is None:
+                        stack.append(frame(nxt))
+                        break
+                    if rest >= 0 and rest + 1 > top[2]:
+                        top[2] = rest + 1
+                else:
+                    key, _, length = stack.pop()
+                    memo[key] = length
+                    if stack and length >= 0 and length + 1 > stack[-1][2]:
+                        stack[-1][2] = length + 1
+            lengths.append(memo[root])
+        return lengths
+
+    return column
 
 
 def naive_detour(graph: Graph) -> np.ndarray:

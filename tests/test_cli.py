@@ -21,7 +21,7 @@ from oracles import (
 )
 from powergraph import cli
 from powergraph.cli import RunConfig, UsageError, main, parse_args, run
-from powergraph.graphs import Graph
+from powergraph.graphs import Graph, TwinQuotient
 from powergraph.groups import GroupParams
 from powergraph.metric import MetricSearchError
 from powergraph.report import Instance, build_report
@@ -619,14 +619,21 @@ def test_metric_past_the_cover_cap_is_an_error_not_a_traceback(capsys, monkeypat
     assert err.startswith("error: ") and "capped at 64" in err
 
 
+def test_a_non_cograph_detour_is_an_error_not_a_traceback(capsys, monkeypatch):
+    monkeypatch.setattr(TwinQuotient, "cotree", None)
+    assert main(["detour", "--k", "2", "--p", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: graph is not a cograph; the detour search needs its cotree\n"
+
+
 def test_metric_dimension_search_error_is_a_fail_not_a_traceback(capsys, monkeypatch):
     def refuse(graph):
-        raise MetricSearchError("twin witness does not resolve and n=24 exceeds the exhaustive cap 12")
+        raise MetricSearchError("twin witness does not resolve the graph (n=24)")
 
     monkeypatch.setattr("powergraph.metric.metric_dimension", refuse)
     payload = build_report(2, 3, (0.5,))
     check = next(c for c in payload["checks"] if c["name"] == "metric_dimension")
-    assert not check["passed"] and "exhaustive cap" in check["details"]["error"]
+    assert not check["passed"] and "does not resolve" in check["details"]["error"]
     assert not payload["passed"]
     assert main(["report", "--k", "2", "--p", "3", "--alpha", "0.5"]) == 1
     captured = capsys.readouterr()

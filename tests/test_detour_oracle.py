@@ -1,9 +1,11 @@
-"""Cross-check the cotree and histogram-state detour searches against the
-per-vertex oracle, the search without quotient symmetry, each other and the
-family closed form.
+"""Cross-check the cotree detour search against the per-vertex oracle, the
+search without quotient symmetry, the orbit state search and the family
+closed form.
 
-The searches give a k x k class matrix; `lifted` turns it into the vertex
-matrix the oracles give."""
+`detour_matrix` refuses a graph that is not a cograph; there the orbit state
+search, the cotree search's oracle, is checked against the per-vertex oracle
+instead.  The searches give a k x k class matrix; `lifted` turns it into the
+vertex matrix the oracles give."""
 
 import itertools
 import math
@@ -27,6 +29,7 @@ from oracles import (
     from_edges,
     is_connected,
     naive_detour,
+    orbit_search,
     path_graph,
     random_cographs,
     random_graphs,
@@ -38,13 +41,20 @@ from oracles import (
 import powergraph
 from powergraph.graphs import Graph, TwinQuotient, build_power_graph, predicted_quotient
 from powergraph import detour
-from powergraph.detour import _cotree_column, _orbit_column, cotree_search, detour_matrix, orbit_search
+from powergraph.detour import NotACographError, _cotree_longest, cotree_search, detour_matrix
 from powergraph.groups import GroupParams
 from powergraph.sequences import DegreeSequenceTable, family_detour_matrix
 
 
+def class_detour(graph: Graph) -> np.ndarray:
+    """`detour_matrix` of a cograph; the orbit state search on any other graph."""
+    if graph.quotient.cotree is None:
+        return orbit_search(graph.quotient)
+    return detour_matrix(graph)
+
+
 def lifted(graph: Graph) -> np.ndarray:
-    return graph.quotient.lift(detour_matrix(graph))
+    return graph.quotient.lift(class_detour(graph))
 
 
 def predicted_detour(graph, params) -> tuple[TwinQuotient, np.ndarray]:
@@ -141,15 +151,15 @@ def test_detour_equals_the_family_closed_form_past_the_unreduced_search(family, 
 
 
 _ORBIT_SEARCH_UNDER_A_LOW_FRAME_LIMIT = (
-    "import math, sys\n"
+    "import sys\n"
     "import numpy as np\n"
-    "from powergraph.detour import orbit_search\n"
+    "from oracles import orbit_search\n"
     "from powergraph.groups import GroupParams\n"
     "from powergraph.report import Instance\n"
     "from powergraph.sequences import family_detour_matrix\n"
     "inst = Instance(GroupParams(6, 5))\n"
     "sys.setrecursionlimit(200)\n"
-    "matrix = orbit_search(inst.graph.quotient, math.inf)\n"
+    "matrix = orbit_search(inst.graph.quotient)\n"
     "print(np.array_equal(matrix, family_detour_matrix(inst.predicted_types, inst.params)))\n"
 )
 
@@ -176,7 +186,7 @@ def run_under_a_low_frame_limit(script: str) -> tuple[int, str, str]:
 
 
 def test_detour_search_does_not_depend_on_the_recursion_limit():
-    # (6, 5) by the orbit search, the cotree search's oracle on the family:
+    # (6, 5) by the orbit state search, the cotree search's oracle on the family:
     # paths of 640 vertices against a limit of 200 interpreter frames
     assert run_under_a_low_frame_limit(_ORBIT_SEARCH_UNDER_A_LOW_FRAME_LIMIT) == (0, "True\n", "")
 
@@ -210,7 +220,7 @@ def test_detour_matches_naive_on_graphs_with_quotient_symmetry():
     # blown-up twins: interchangeable twin classes, so the orbit reduction is exercised
     symmetric = 0
     for g in blown_up_graphs(8, 200):
-        classes, oracle = detour_matrix(g), naive_detour(g)
+        classes, oracle = class_detour(g), naive_detour(g)
         detour = g.quotient.lift(classes)
         assert np.array_equal(detour, oracle), g.edges()
         assert np.array_equal(detour, detour_matrix_unreduced(g)), g.edges()
@@ -244,7 +254,7 @@ def test_cotree_search_matches_the_orbit_search_on_larger_cographs():
     for g in random_cographs(seed=11, count=120, min_n=13, max_n=30, split=0.8):
         quotient = g.quotient
         if len(quotient.orbits) <= 5:
-            assert np.array_equal(cotree_search(quotient, math.inf), orbit_search(quotient, math.inf))
+            assert np.array_equal(cotree_search(quotient, math.inf), orbit_search(quotient))
             checked += len(quotient.sizes) >= 4
     assert checked >= 25
 
@@ -253,7 +263,7 @@ def test_cotree_search_matches_the_orbit_search_on_larger_cographs():
 def test_cotree_search_matches_the_orbit_search_on_the_family(family, kp):
     quotient = family(*kp)[1].quotient
     assert quotient.cotree is not None
-    assert np.array_equal(cotree_search(quotient, math.inf), orbit_search(quotient, math.inf))
+    assert np.array_equal(cotree_search(quotient, math.inf), orbit_search(quotient))
 
 
 @pytest.mark.parametrize("kp", [(8, 7), (9, 7)])
@@ -265,11 +275,14 @@ def test_cotree_search_matches_the_family_closed_form_at_the_largest_orders(kp):
 
 
 def test_non_cographs_take_the_orbit_search():
+    # `detour_matrix` refuses them; the orbit state search, its oracle, still agrees with naive
     circulant = from_edges(40, [(i, (i + step) % 40) for i in range(40) for step in (1, 3, 7)])
     assert circulant.quotient.cotree is None
     for g in (path_graph(4), cycle_graph(5)):
         assert g.quotient.cotree is None
-        assert np.array_equal(lifted(g), naive_detour(g))
+        with pytest.raises(NotACographError, match="not a cograph"):
+            detour_matrix(g)
+        assert np.array_equal(g.quotient.lift(orbit_search(g.quotient)), naive_detour(g))
 
 
 def test_detour_small_named_graphs():
@@ -290,18 +303,22 @@ def test_strong_metric_dimension_cycles(n):
 
 
 def assert_driver_equals_the_column_oracle(quotient) -> bool:
-    """Both searches through the orbit-pair driver against the per-target column oracle.
+    """The cotree search against its pairs filled in per target and against the orbit state search.
 
     The orbit state search runs where the quotient has at most 5 orbits;
     returns whether the cotree search ran (the graph is a cograph).
     """
-    if len(quotient.orbits) <= 5:
-        expected = by_target_orbits(quotient, _orbit_column(quotient, math.inf))
-        assert np.array_equal(orbit_search(quotient, math.inf), expected)
     if quotient.cotree is None:
         return False
-    expected = by_target_orbits(quotient, _cotree_column(quotient, math.inf))
-    assert np.array_equal(cotree_search(quotient, math.inf), expected)
+    longest = _cotree_longest(quotient, math.inf)
+
+    def column(target: int, sources: list[int]) -> list[int]:
+        return [longest(source, target) for source in sources]
+
+    searched = cotree_search(quotient, math.inf)
+    assert np.array_equal(searched, by_target_orbits(quotient, column))
+    if len(quotient.orbits) <= 5:
+        assert np.array_equal(searched, orbit_search(quotient))
     return True
 
 
@@ -335,21 +352,29 @@ def test_cotree_search_equals_the_search_on_the_class_level_cotree():
     assert checked >= 100
 
 
+def record_pair_searches(monkeypatch) -> list[tuple[int, int]]:
+    """The list that every (source, target) pair the cotree search takes is appended to."""
+    searched = []
+    pairs = detour._cotree_longest
+
+    def counted(quotient, deadline):
+        longest = pairs(quotient, deadline)
+
+        def counting(source, target):
+            searched.append((source, target))
+            return longest(source, target)
+
+        return counting
+
+    monkeypatch.setattr(detour, "_cotree_longest", counted)
+    return searched
+
+
 @pytest.mark.parametrize("kp", [(2, 3), (3, 3), (2, 5), (2, 7), (3, 5), (4, 5), (5, 5), (7, 7)])
 def test_the_family_takes_one_search_per_pair_of_orbits(monkeypatch, family, kp):
     # m = 5 orbits: 10 pairs of orbits, two classes of the blade orbit, two members of h1, h2 and a blade
     graph = family(*kp)[1]
-    searched = []
-    driver = detour._by_orbit_pairs
-
-    def counted(quotient, column):
-        def counting(target, sources):
-            searched.extend((source, target) for source in sources)
-            return column(target, sources)
-
-        return driver(quotient, counting)
-
-    monkeypatch.setattr(detour, "_by_orbit_pairs", counted)
+    searched = record_pair_searches(monkeypatch)
     detour_matrix(graph)
     quotient = graph.quotient
     m = len(quotient.orbits)
@@ -361,19 +386,12 @@ def test_the_family_takes_one_search_per_pair_of_orbits(monkeypatch, family, kp)
 
 
 def test_pair_searches_stay_within_the_orbit_bound_on_the_corpora(monkeypatch):
-    calls = []
-    driver = detour._by_orbit_pairs
-
-    def counted(quotient, column):
-        def counting(target, sources):
-            calls[-1] += len(sources)
-            return column(target, sources)
-
-        return driver(quotient, counting)
-
-    monkeypatch.setattr(detour, "_by_orbit_pairs", counted)
-    for g in itertools.chain(blown_up_graphs(8, 100), random_cographs(seed=5, count=50, min_n=2, max_n=14)):
-        calls.append(0)
+    searched = record_pair_searches(monkeypatch)
+    corpora = itertools.chain(blown_up_graphs(8, 100), random_cographs(seed=5, count=50, min_n=2, max_n=14))
+    cographs = [g for g in corpora if g.quotient.cotree is not None]
+    assert len(cographs) >= 100
+    for g in cographs:
+        before = len(searched)
         detour_matrix(g)
         m = len(g.quotient.orbits)
-        assert calls[-1] <= m * (m - 1) // 2 + 2 * m
+        assert len(searched) - before <= m * (m - 1) // 2 + 2 * m

@@ -40,7 +40,7 @@ from powergraph import graphs, groups, report
 from powergraph.detour import detour_matrix
 from powergraph.groups import GroupElement, GroupParams
 from powergraph.matrices import rd_alpha
-from powergraph.metric import metric_dimension, mmd_graph
+from powergraph.metric import metric_dimension, mmd_graph, resolve_check, twin_witness
 from powergraph.sequences import dds
 from powergraph.spectra import twin_eigenvalues
 
@@ -434,3 +434,13 @@ def test_family_cotree_is_four_rounds_of_twin_reduction(family, kp):
         _, left, right = quotient.cotree[node - k]
         depth[left] = depth[right] = depth[node] + 1
     assert depth[h1] <= 4 + (k - 3).bit_length()
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_every_family_order_is_a_cograph_resolved_by_its_twin_witness(family, k, p):
+    # the detour search needs a cotree and the metric dimension a resolving twin witness;
+    # any other graph is refused
+    graph = family(k, p)[1]
+    assert graph.quotient.cotree is not None
+    assert resolve_check(graph, twin_witness(graph))

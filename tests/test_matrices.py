@@ -15,6 +15,7 @@ from oracles import (
     matrix_to_csv,
     path_graph,
     random_graphs,
+    star_graph,
 )
 from powergraph.detour import DetourBudgetError, detour_matrix
 from powergraph.graphs import Graph
@@ -242,7 +243,7 @@ def test_detour_k4():
 
 
 def test_detour_tree_equals_distance():
-    g = path_graph(6)
+    g = star_graph(5)  # a longer path is no cograph, and the search refuses it
     assert np.array_equal(lifted_detour(g), distance_matrix(g))
 
 
@@ -289,10 +290,10 @@ def test_detour_rejects_a_disconnected_graph(graph):
 
 
 def test_detour_budget_error():
-    # twinless circulant: the quotient search degenerates to plain DFS
+    # a twinless circulant is no cograph: refused as a limit, a DetourBudgetError
     n = 40
     g = from_edges(n, [(i, (i + step) % n) for i in range(n) for step in (1, 3, 7)])
-    with pytest.raises(DetourBudgetError):
+    with pytest.raises(DetourBudgetError, match="not a cograph"):
         detour_matrix(g, time_budget_s=0.05)
 
 

@@ -6,6 +6,7 @@ from oracles import (
     complete_graph,
     cycle_graph,
     edge_count,
+    exhaustive_metric_dimension,
     from_edges,
     is_connected,
     mmd_graph_loop,
@@ -88,25 +89,29 @@ def test_family_metric_dimension(family, k, p, expected):
 
 
 def test_metric_dimension_corpus():
+    # the exhaustive oracle; the twin witness certifies the complete graphs and stars alike
     for n in range(2, 9):
-        assert metric_dimension(path_graph(n)).psi == 1
+        assert exhaustive_metric_dimension(path_graph(n)) == 1
     for n in range(4, 9):
-        assert metric_dimension(cycle_graph(n)).psi == 2
+        assert exhaustive_metric_dimension(cycle_graph(n)) == 2
     for n in range(2, 9):
-        assert metric_dimension(complete_graph(n)).psi == n - 1
+        g = complete_graph(n)
+        assert exhaustive_metric_dimension(g) == metric_dimension(g).psi == n - 1
     for leaves in range(2, 8):
-        assert metric_dimension(star_graph(leaves)).psi == leaves - 1
+        g = star_graph(leaves)
+        assert exhaustive_metric_dimension(g) == metric_dimension(g).psi == leaves - 1
 
 
 def test_twin_bound_is_lower_bound_on_corpus():
     for g in [path_graph(6), cycle_graph(7), complete_graph(6), star_graph(5)]:
-        report = metric_dimension(g)
-        assert twin_lower_bound(g) <= report.psi
+        assert twin_lower_bound(g) <= exhaustive_metric_dimension(g)
 
 
 def test_metric_dimension_refuses_large_uncertified():
-    with pytest.raises(MetricSearchError):
-        metric_dimension(cycle_graph(13))
+    # at any order: P5 has metric dimension 1, but its twin witness is empty
+    for graph in (cycle_graph(13), path_graph(5)):
+        with pytest.raises(MetricSearchError, match="twin witness does not resolve"):
+            metric_dimension(graph)
 
 
 def test_mmd_complete():

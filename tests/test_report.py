@@ -167,6 +167,17 @@ def test_detour_budget_error_is_searched_once(calls):
     assert calls["detour_matrix"] == 1
 
 
+def test_a_non_cograph_fails_both_detour_checks_as_a_limit(calls, monkeypatch):
+    # with no cotree the search is refused: both checks FAIL, unverified, with the refusal
+    monkeypatch.setattr(TwinQuotient, "cotree", None)
+    payload = build_report(2, 3, (0.5,))
+    checks = {c["name"]: c for c in payload["checks"]}
+    error = {"oracle_verified": False, "error": "graph is not a cograph; the detour search needs its cotree"}
+    for name in ("detour_eccentricities", "detour_degree_sequences"):
+        assert checks[name]["passed"] is False and checks[name]["details"] == error
+    assert not payload["passed"] and calls["detour_matrix"] == 1
+
+
 def test_detour_oracle_cap_skips_the_search(calls):
     inst = Instance(GroupParams(2, 5), detour_oracle_max_n=24)
     assert inst.detour is None and inst.detour_search == (None, None)
