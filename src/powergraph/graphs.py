@@ -7,8 +7,8 @@ elements s r^(odd) by exponent.
 
 The family graph is built as whole arrays: its vertices are the int arrays
 `elements` = (eps, i), the cliques come from `groups.cyclic_powers` and are
-filled by fancy indexing, and the `GroupElement` labels are made only when
-something reads `labels`.  `predicted_quotient` types each vertex by its
+filled by fancy indexing, and the `s^eps r^i` label strings are made only
+when something reads `labels`.  `predicted_quotient` types each vertex by its
 element alone, so it is the one encoding of the family's classes (e, u, h1,
 h2 and the h3 blades) that the closed forms rest on.  Twin classes key each
 vertex by its adjacency row packed to bits.
@@ -25,7 +25,7 @@ from itertools import chain
 
 import numpy as np
 
-from .groups import GroupElement, GroupParams, cyclic_powers
+from .groups import GroupParams, cyclic_powers
 from .matrices import DisconnectedGraphError, distance_matrix
 
 
@@ -71,11 +71,11 @@ class Graph:
         self.elements = None
 
     @cached_property
-    def labels(self) -> list:
-        """Vertex labels: the `GroupElement`s of `elements`, else "0" .. "n-1"."""
+    def labels(self) -> list[str]:
+        """Vertex labels: "s^eps r^i" for each pair of `elements`, else "0" .. "n-1"."""
         if self.elements is None:
             return [str(v) for v in range(self.n)]
-        return [GroupElement(*pair) for pair in zip(*(part.tolist() for part in self.elements))]
+        return [f"s^{eps} r^{i}" for eps, i in zip(*(part.tolist() for part in self.elements))]
 
     @cached_property
     def quotient(self) -> "TwinQuotient":

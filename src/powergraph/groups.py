@@ -6,8 +6,8 @@ m = 2^(k-1)p - 1, and m^2 = 1 mod 2^k p, so a single multiplier suffices
 for O(1) multiplication.  `product` is that rule on (eps, i) pairs of ints or
 of int arrays, so whole arrays of elements multiply in one step;
 `cyclic_powers` builds on it the powers of many elements at once, by
-doubling.  `GroupElement` and `multiply` are the one-element view of the
-same rule.
+doubling.  One element is a pair of ints; the family graph formats its
+`s^eps r^i` labels from its arrays.
 """
 
 from __future__ import annotations
@@ -74,20 +74,6 @@ class GroupParams:
         return ((1 << (self.k - 1)) * self.p - 1) % self.rotation_order
 
 
-@dataclass(frozen=True, order=True)
-class GroupElement:
-    """Element s^eps r^i in normal form; unique per (eps, i) pair."""
-
-    eps: int
-    i: int
-
-    def __str__(self) -> str:
-        return f"s^{self.eps} r^{self.i}"
-
-
-IDENTITY = GroupElement(0, 0)
-
-
 def product(a, b, params: GroupParams):
     """(eps, i) of the product of a = (e1, i) and b = (e2, j): (e1 xor e2, i * m^e2 + j mod 2^k p).
 
@@ -96,14 +82,6 @@ def product(a, b, params: GroupParams):
     """
     (e1, i), (e2, j) = a, b
     return e1 ^ e2, (i * (1 + (params.multiplier - 1) * e2) + j) % params.rotation_order
-
-
-def multiply(a: GroupElement, b: GroupElement, params: GroupParams) -> GroupElement:
-    """`product` of two elements in normal form."""
-    n = params.rotation_order
-    if not (0 <= a.i < n and 0 <= b.i < n):
-        raise ParameterError(f"element out of range for params (k={params.k}, p={params.p})")
-    return GroupElement(*product((a.eps, a.i), (b.eps, b.i), params))
 
 
 def cyclic_powers(x, params: GroupParams) -> tuple[np.ndarray, np.ndarray]:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .graphs import Graph, TwinQuotient
@@ -36,16 +34,12 @@ def resolve_check(graph: Graph, subset) -> bool:
     return len({row.tobytes() for row in vectors}) == len(rows)
 
 
-def twin_lower_bound(graph: Graph) -> int:
-    """Sum of (size - 1) over twin classes; a resolving set keeps all but one twin."""
-    return sum(size - 1 for size in graph.quotient.sizes)
-
-
 def twin_witness(graph: Graph) -> tuple[int, ...]:
     """All-but-one vertex from every twin class (the largest index is dropped).
 
-    Twins are interchangeable, so when this set resolves the graph its size
-    equals the twin lower bound and the metric dimension is certified.
+    A resolving set keeps all but one twin, so its size, the sum of (size - 1)
+    over the twin classes, is a lower bound; twins are interchangeable, so when
+    this set resolves the graph the metric dimension is certified.
     """
     keep: list[int] = []
     for members in graph.quotient.members:
@@ -53,29 +47,20 @@ def twin_witness(graph: Graph) -> tuple[int, ...]:
     return tuple(sorted(keep))
 
 
-@dataclass(frozen=True)
-class ResolvingReport:
-    lower_bound: int
-    witness: tuple[int, ...]
-    resolved: bool
-    psi: int | None
+def metric_dimension(graph: Graph) -> tuple[int, ...]:
+    """A metric basis certified by the twin witness; the metric dimension is its length.
 
-
-def metric_dimension(graph: Graph) -> ResolvingReport:
-    """Exact metric dimension with a certificate, the twin witness.
-
-    When the twin witness resolves the graph, bound and witness size agree
-    and the dimension is exact; every family graph is such a graph.  Any
+    The twin witness always has the size of the twin lower bound, so when it
+    resolves the graph the dimension is exact; every family graph is such a graph.  Any
     other graph is refused with MetricSearchError rather than answered
     heuristically.
     """
     if graph.n <= 1:
-        return ResolvingReport(0, (), True, 0)
+        return ()
     witness = twin_witness(graph)
     if not (witness and resolve_check(graph, witness)):
         raise MetricSearchError(f"twin witness does not resolve the graph (n={graph.n})")
-    bound = twin_lower_bound(graph)
-    return ResolvingReport(bound, witness, True, bound)
+    return witness
 
 
 def mmd_graph(graph: Graph) -> np.ndarray:
@@ -116,12 +101,12 @@ def max_independent_set(graph: Graph) -> tuple[int, ...]:
         return ()
     full = (1 << n) - 1
     comp = []
-    for i in range(n):
-        row = 0
-        for j in range(n):
-            if i != j and not graph.adj[i, j]:
-                row |= 1 << j
-        comp.append(row)
+    for i, row in enumerate(graph.adj.tolist()):
+        bits = 0
+        for j, adjacent in enumerate(row):
+            if i != j and not adjacent:
+                bits |= 1 << j
+        comp.append(bits)
 
     best: list[int] = []
 

@@ -3,7 +3,11 @@
 An `Instance` holds one (k, p) instance and every object derived from it;
 each check reads what it needs from there, so one report builds the graph,
 twin quotient, class distances, quotient orbits and class detour matrix
-once.  The spectra are array sweeps over the alphas (`spectra.Sweep`), one per kind and
+once.  Each bounded search (detour, twin witness, strong cover) is a cached
+property that returns its value or raises its refusal; a check reads it once
+in one `try`, and a refusal FAILs the check with the reason (`check_detour`
+decides both detour checks in one branch).  The spectra are array sweeps over
+the alphas (`spectra.Sweep`), one per kind and
 side; the graph's orbit quotients of both kinds are one stacked solve, and each closed
 form's 5 x 5 quotients one more, so a report makes 3 eigensolve calls.  Every spectrum
 check, its payload and the transcription checks read those arrays, all alphas at once.
@@ -82,7 +86,8 @@ class Instance:
         return closed.rows(rows), numeric.rows(rows)
 
     @cached_property
-    def resolving(self) -> metric.ResolvingReport:
+    def resolving(self) -> tuple[int, ...]:
+        """A metric basis certified by the twin witness; MetricSearchError when it does not resolve."""
         return metric.metric_dimension(self.graph)
 
     @cached_property
@@ -100,45 +105,25 @@ class Instance:
         return sequences.dds(self.graph)
 
     @cached_property
-    def detour_search(self) -> tuple[np.ndarray | None, DetourBudgetError | None]:
-        """(k x k class detour matrix, budget error) of the exact search.
+    def detour(self) -> np.ndarray | None:
+        """k x k class detour matrix of the exact search; None when n exceeds `detour_oracle_max_n`.
 
-        The matrix is None when n exceeds `detour_oracle_max_n` (the search is
-        not run; the default cap, `MAX_VERTICES`, runs it on every family
-        order) or when the search refused a non-cograph or ran out of
-        `detour_budget_s` (the error is returned, so no later reader runs it
-        again).
+        The default cap, `MAX_VERTICES`, runs the search on every family order.  A refusal
+        (a non-cograph, or `detour_budget_s` spent) raises its DetourBudgetError, uncached.
         """
         if self.graph.n > self.detour_oracle_max_n:
-            return None, None
-        try:
-            return detour_matrix(self.graph, self.detour_budget_s), None
-        except DetourBudgetError as exc:
-            return None, exc.with_traceback(None)  # keep no search frames alive
-
-    @property
-    def detour(self) -> np.ndarray | None:
-        """Class detour matrix, None above the oracle cap; raises the search's DetourBudgetError."""
-        matrix, error = self.detour_search
-        if error is not None:
-            raise error
-        return matrix
+            return None
+        return detour_matrix(self.graph, self.detour_budget_s)
 
     @cached_property
-    def detour_profile(self) -> tuple[np.ndarray, int, int] | None:
-        """(detour eccentricity per class, radius, diameter); None without a detour matrix."""
-        matrix, _ = self.detour_search
-        if matrix is None:
-            return None
-        return sequences.detour_profile(matrix)
+    def detour_profile(self) -> tuple[np.ndarray, int, int]:
+        """(detour eccentricity per class, radius, diameter), read after a detour matrix."""
+        return sequences.detour_profile(self.detour)
 
     @cached_property
-    def detour_dds(self) -> sequences.DegreeSequenceTable | None:
-        """Detour distance degree sequences; None without a detour matrix."""
-        matrix, _ = self.detour_search
-        if matrix is None:
-            return None
-        return sequences.DegreeSequenceTable.from_classes(self.graph.quotient, matrix)
+    def detour_dds(self) -> sequences.DegreeSequenceTable:
+        """Detour distance degree sequences, read after a detour matrix."""
+        return sequences.DegreeSequenceTable.from_classes(self.graph.quotient, self.detour)
 
     @cached_property
     def vertex_types(self) -> np.ndarray:
@@ -348,18 +333,19 @@ def check_metric(inst: Instance) -> list[dict]:
     expected_psi = 7 * quarter - 4
     expected_sdim = inst.params.order - 3
     try:
-        psi_report = inst.resolving
+        witness = inst.resolving
     except metric.MetricSearchError as exc:
         checks = [_check("metric_dimension", False, expected=expected_psi, error=str(exc))]
     else:
+        psi = len(witness)  # a certified witness has the twin lower bound's size
         checks = [
             _check(
                 "metric_dimension",
-                psi_report.resolved and psi_report.psi == expected_psi,
-                psi=psi_report.psi,
+                psi == expected_psi,
+                psi=psi,
                 expected=expected_psi,
-                lower_bound=psi_report.lower_bound,
-                witness_size=len(psi_report.witness),
+                lower_bound=psi,
+                witness_size=psi,
             )
         ]
     try:
@@ -382,37 +368,67 @@ def check_metric(inst: Instance) -> list[dict]:
     return checks
 
 
-def check_detour(inst: Instance) -> dict:
+def check_detour(inst: Instance) -> list[dict]:
+    """The detour eccentricity and detour degree sequence checks, from one detour search.
+
+    A refused search FAILs both, unverified, with its reason; above the oracle
+    cap both PASS on the closed form alone, unverified.
+    """
+    names = ("detour_eccentricities", "detour_degree_sequences")
     predicted_ecc = sequences.family_detour_eccentricities(inst.params)
-    computed, error = inst.detour_search
-    if error is not None:
-        return _check("detour_eccentricities", False, oracle_verified=False, error=str(error))
+    try:
+        computed = inst.detour
+    except DetourBudgetError as exc:
+        return [_check(name, False, oracle_verified=False, error=str(exc)) for name in names]
     if computed is None:
-        return _check(
-            "detour_eccentricities",
-            True,
-            oracle_verified=False,
-            note="closed-form prediction only; instance above the oracle size cap",
-            predicted=predicted_ecc,
-        )
+        return [
+            _check(
+                names[0],
+                True,
+                oracle_verified=False,
+                note="closed-form prediction only; instance above the oracle size cap",
+                predicted=predicted_ecc,
+            ),
+            _check(
+                names[1],
+                True,
+                oracle_verified=False,
+                note="closed-form prediction only; detour oracle not run",
+            ),
+        ]
+    params = inst.params
     # the class matrices are over the same classes exactly when the twin classes are as predicted
-    predicted = sequences.family_detour_matrix(inst.predicted_types, inst.params)
+    predicted = sequences.family_detour_matrix(inst.predicted_types, params)
     matrix_ok = inst.twins_as_predicted and bool(np.array_equal(computed, predicted))
     ecc, radius, diameter = inst.detour_profile
     profile_ok = radius == predicted_ecc["radius"] and diameter == predicted_ecc["diameter"]
     per_class_ok = _classes_match(inst, ecc, predicted_ecc)
-    return _check(
-        "detour_eccentricities",
-        matrix_ok and profile_ok and per_class_ok,
-        oracle_verified=True,
-        matrix_matches_closed_form=matrix_ok,
-        radius=radius,
-        diameter=diameter,
-        predicted=predicted_ecc,
-    )
+    dtable = inst.detour_dds
+    shape_ok = _classes_match(inst, dtable.class_rows, sequences.family_dds_detour_rows(params))
+    grouping_ok = sequences.compare_groupings(
+        dtable.groups, sequences.family_dds_detour_groups(params)
+    )["matches"]
+    return [
+        _check(
+            names[0],
+            matrix_ok and profile_ok and per_class_ok,
+            oracle_verified=True,
+            matrix_matches_closed_form=matrix_ok,
+            radius=radius,
+            diameter=diameter,
+            predicted=predicted_ecc,
+        ),
+        _check(
+            names[1],
+            shape_ok and grouping_ok,
+            oracle_verified=True,
+            all_shapes_match=shape_ok,
+            grouping_matches=grouping_ok,
+        ),
+    ]
 
 
-def check_degree_sequences(inst: Instance) -> list[dict]:
+def check_degree_sequences(inst: Instance) -> dict:
     params, table = inst.params, inst.dds
     rows_ok = _classes_match(inst, table.class_rows, sequences.family_dds_rows(params))
     types = inst.predicted_types.tolist()
@@ -422,47 +438,14 @@ def check_degree_sequences(inst: Instance) -> list[dict]:
         for t, name in enumerate(CLASS_TYPES)
     }
     multiset_diff = sequences.compare_groupings(table.groups, sequences.family_dds_groups(params))
-    checks = [
-        _check(
-            "distance_degree_sequences",
-            rows_ok,
-            e_row=list(table.class_rows[first["e"]]),
-            u_row=list(table.class_rows[first["u"]]),
-            h1_row=list(table.class_rows[first["h1"]]),
-            printed_multiset_comparison=multiset_diff,
-        )
-    ]
-    dtable = inst.detour_dds
-    _, error = inst.detour_search
-    if dtable is not None:
-        drows = sequences.family_dds_detour_rows(params)
-        shape_ok = _classes_match(inst, dtable.class_rows, drows)
-        grouping_ok = sequences.compare_groupings(
-            dtable.groups, sequences.family_dds_detour_groups(params)
-        )["matches"]
-        checks.append(
-            _check(
-                "detour_degree_sequences",
-                shape_ok and grouping_ok,
-                oracle_verified=True,
-                all_shapes_match=shape_ok,
-                grouping_matches=grouping_ok,
-            )
-        )
-    elif error is not None:  # the search was refused or ran out of its budget, as in check_detour
-        checks.append(
-            _check("detour_degree_sequences", False, oracle_verified=False, error=str(error))
-        )
-    else:
-        checks.append(
-            _check(
-                "detour_degree_sequences",
-                True,
-                oracle_verified=False,
-                note="closed-form prediction only; detour oracle not run",
-            )
-        )
-    return checks
+    return _check(
+        "distance_degree_sequences",
+        rows_ok,
+        e_row=list(table.class_rows[first["e"]]),
+        u_row=list(table.class_rows[first["u"]]),
+        h1_row=list(table.class_rows[first["h1"]]),
+        printed_multiset_comparison=multiset_diff,
+    )
 
 
 def report_payload(
@@ -482,8 +465,8 @@ def report_payload(
     checks.extend(check_transcriptions(inst, alphas))
     checks.append(check_block_reduction(inst))
     checks.extend(check_metric(inst))
-    checks.append(check_detour(inst))
-    checks.extend(check_degree_sequences(inst))
+    eccentricities, detour_degree_sequences = check_detour(inst)
+    checks += [eccentricities, check_degree_sequences(inst), detour_degree_sequences]
     return {
         "version": version,
         "config": {

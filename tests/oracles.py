@@ -10,9 +10,9 @@ from typing import NamedTuple
 import numpy as np
 
 from powergraph.graphs import _TYPE_ADJACENCY, CLASS_TYPES, Graph, TwinQuotient, _twins
-from powergraph.groups import IDENTITY, GroupElement, GroupParams, ParameterError, multiply
+from powergraph.groups import GroupParams, ParameterError, product
 from powergraph.matrices import DisconnectedGraphError, check_alpha
-from powergraph.metric import mmd_graph, resolve_check, strong_cover, twin_lower_bound
+from powergraph.metric import mmd_graph, resolve_check, strong_cover
 from powergraph.spectra import (
     _class_entries,
     a_alpha_families,
@@ -26,13 +26,16 @@ from powergraph.spectra import (
 # small graphs ------------------------------------------------------------
 
 
-def labelled(adj, labels: list | None) -> Graph:
-    """`Graph(adj)` whose vertex labels are `labels` (one per vertex), when given."""
+def labelled(adj, elements: tuple[np.ndarray, np.ndarray] | None) -> Graph:
+    """`Graph(adj)` whose vertices are the group elements `elements` = (eps, i), when given.
+
+    Its `labels` are then formatted from them, as a family graph's are.
+    """
     graph = Graph(adj)
-    if labels is not None:
-        if len(labels) != graph.n:
-            raise ValueError("label count does not match vertex count")
-        graph.labels = list(labels)
+    if elements is not None:
+        if any(len(part) != graph.n for part in elements):
+            raise ValueError("element count does not match vertex count")
+        graph.elements = elements
     return graph
 
 
@@ -41,12 +44,12 @@ def edge_count(graph: Graph) -> int:
     return int(graph.adj.sum()) // 2
 
 
-def from_edges(n: int, edges, labels: list | None = None) -> Graph:
+def from_edges(n: int, edges, elements: tuple[np.ndarray, np.ndarray] | None = None) -> Graph:
     """The graph on vertices 0 .. n-1 with the given (i, j) edges."""
     adj = np.zeros((n, n), dtype=bool)
     for i, j in edges:
         adj[i, j] = adj[j, i] = True
-    return labelled(adj, labels)
+    return labelled(adj, elements)
 
 
 def path_graph(n: int) -> Graph:
@@ -93,29 +96,46 @@ def is_connected(graph: Graph) -> bool:
 # group and power graph -----------------------------------------------------
 
 
-def cyclic_subgroup(a: GroupElement, params: GroupParams) -> frozenset[GroupElement]:
-    """All powers {a^t : t >= 0}, one `multiply` at a time; its size is the order of a."""
+# an element s^eps r^i is the int pair (eps, i), as `groups.product` takes it
+Element = tuple[int, int]
+IDENTITY = (0, 0)
+
+
+def cyclic_subgroup(a: Element, params: GroupParams) -> frozenset[Element]:
+    """All powers {a^t : t >= 0}, one `product` at a time; its size is the order of a."""
     seen = {IDENTITY}
-    current = a
+    current = tuple(a)
     while current != IDENTITY:
         seen.add(current)
-        current = multiply(current, a, params)
+        current = product(current, a, params)
     return frozenset(seen)
 
 
-def family_vertex_order(params: GroupParams) -> list[GroupElement]:
-    """The family vertex order as `GroupElement`s: rotations, then s r^even, then s r^odd."""
+def family_vertex_order(params: GroupParams) -> list[Element]:
+    """The family vertex order as (eps, i) pairs: rotations, then s r^even, then s r^odd."""
     n = params.rotation_order
-    rotations = [GroupElement(0, i) for i in range(n)]
-    involutions = [GroupElement(1, i) for i in range(0, n, 2)]
-    order4 = [GroupElement(1, i) for i in range(1, n, 2)]
+    rotations = [(0, i) for i in range(n)]
+    involutions = [(1, i) for i in range(0, n, 2)]
+    order4 = [(1, i) for i in range(1, n, 2)]
     return rotations + involutions + order4
 
 
-def elements(params: GroupParams) -> list[GroupElement]:
+def elements(params: GroupParams) -> list[Element]:
     """All 2^(k+1) p elements: rotations first, then the reflections."""
     n = params.rotation_order
-    return [GroupElement(eps, i) for eps in (0, 1) for i in range(n)]
+    return [(eps, i) for eps in (0, 1) for i in range(n)]
+
+
+def element_arrays(pairs: list[Element]) -> tuple[np.ndarray, np.ndarray]:
+    """(eps, i) pairs as the int64 arrays a family graph's `elements` are."""
+    eps, i = zip(*pairs)
+    return np.array(eps, dtype=np.int64), np.array(i, dtype=np.int64)
+
+
+def element_pairs(graph: Graph) -> list[Element]:
+    """A family graph's vertices as (eps, i) pairs, read from its `elements`."""
+    assert graph.elements is not None, "graph has no group elements"
+    return list(zip(*(part.tolist() for part in graph.elements)))
 
 
 class CayleyTable:
@@ -123,9 +143,9 @@ class CayleyTable:
 
     Products are computed on token lists over {s, r} by repeatedly applying
     the rewriting rules r s -> s r^m, s s -> (empty), r^(2^k p) -> (empty),
-    never through the closed-form multiply().  The constructor checks the
+    never through the closed-form `product`.  The constructor checks the
     Latin-square property; `verify` adds identity, inverses, associativity
-    and agreement with multiply().
+    and agreement with `product`.
     """
 
     def __init__(self, params: GroupParams, max_order: int = 120):
@@ -148,10 +168,11 @@ class CayleyTable:
             if len({self.table[r][col] for r in range(n)}) != n:
                 raise AssertionError("Cayley table column is not a permutation")
 
-    def _reduce_word(self, a: GroupElement, b: GroupElement) -> GroupElement:
+    def _reduce_word(self, a: Element, b: Element) -> Element:
         n = self.params.rotation_order
         m = self.params.multiplier
-        word = ["s"] * a.eps + ["r"] * a.i + ["s"] * b.eps + ["r"] * b.i
+        (a_eps, a_i), (b_eps, b_i) = a, b
+        word = ["s"] * a_eps + ["r"] * a_i + ["s"] * b_eps + ["r"] * b_i
         changed = True
         while changed:
             changed = False
@@ -170,9 +191,9 @@ class CayleyTable:
                 word = ["s"] * (s_count % 2) + ["r"] * (r_count % n)
                 changed = True
         s_count = sum(1 for c in word if c == "s")
-        return GroupElement(s_count, len(word) - s_count)
+        return s_count, len(word) - s_count
 
-    def mul(self, a: GroupElement, b: GroupElement) -> GroupElement:
+    def mul(self, a: Element, b: Element) -> Element:
         return self.elements[self.table[self.index[a]][self.index[b]]]
 
     def verify(
@@ -204,14 +225,14 @@ class CayleyTable:
                 raise AssertionError("associativity fails in Cayley table")
         for a in self.elements:
             for b in self.elements:
-                if self.mul(a, b) != multiply(a, b, self.params):
+                if self.mul(a, b) != product(a, b, self.params):
                     raise AssertionError(
-                        f"Cayley oracle disagrees with multiply on {a} * {b}"
+                        f"Cayley oracle disagrees with product on {a} * {b}"
                     )
 
 
 def build_power_graph_from_table(table) -> Graph:
-    """The family power graph built from a Cayley-table oracle's products instead of `multiply`."""
+    """The family power graph built from a Cayley-table oracle's products instead of `product`."""
     verts = family_vertex_order(table.params)
     index = {g: idx for idx, g in enumerate(verts)}
     adj = np.zeros((len(verts), len(verts)), dtype=bool)
@@ -222,7 +243,7 @@ def build_power_graph_from_table(table) -> Graph:
             current = table.mul(current, g)
         adj[np.ix_(members, members)] = True
     np.fill_diagonal(adj, False)
-    return labelled(adj, verts)
+    return labelled(adj, element_arrays(verts))
 
 
 @dataclass(frozen=True)
@@ -248,19 +269,18 @@ def classify_partition(graph: Graph, params: GroupParams) -> PartitionClasses:
     half = n // 2
     h0, h1, h2, h3 = set(), set(), set(), set()
     e_idx = u_idx = -1
-    for idx, label in enumerate(graph.labels):
-        assert isinstance(label, GroupElement), "graph is not labeled by group elements"
-        if label.eps == 0:
-            if label.i == 0:
+    for idx, (eps, i) in enumerate(element_pairs(graph)):
+        if eps == 0:
+            if i == 0:
                 h0.add(idx)
                 e_idx = idx
-            elif label.i == half:
+            elif i == half:
                 h0.add(idx)
                 u_idx = idx
             else:
                 h1.add(idx)
         else:
-            (h2 if label.i % 2 == 0 else h3).add(idx)
+            (h2 if i % 2 == 0 else h3).add(idx)
     sizes = (len(h0), len(h1), len(h2), len(h3))
     assert sizes == (2, n - 2, half, half) and e_idx >= 0 and u_idx >= 0, sizes
     return PartitionClasses(
@@ -269,16 +289,16 @@ def classify_partition(graph: Graph, params: GroupParams) -> PartitionClasses:
 
 
 def predicted_quotient_from_labels(
-    labels: list[GroupElement], params: GroupParams
+    labels: list[Element], params: GroupParams
 ) -> tuple[TwinQuotient, np.ndarray]:
-    """`graphs.predicted_quotient` by one pass over the `GroupElement` labels, keyed in a dict."""
+    """`graphs.predicted_quotient` by one pass over the (eps, i) pairs, keyed in a dict."""
     half = params.rotation_order // 2
     classes: dict[tuple[int, int], list[int]] = {}  # (type, blade) -> members
-    for v, g in enumerate(labels):
-        if g.eps == 0:
-            key = (0 if g.i == 0 else 1 if g.i == half else 2, 0)
+    for v, (eps, i) in enumerate(labels):
+        if eps == 0:
+            key = (0 if i == 0 else 1 if i == half else 2, 0)
         else:
-            key = (3, 0) if g.i % 2 == 0 else (4, g.i % half)
+            key = (3, 0) if i % 2 == 0 else (4, i % half)
         classes.setdefault(key, []).append(v)
     typed = sorted((members, t) for (t, _), members in classes.items())
     types = np.array([t for _, t in typed])
@@ -298,7 +318,7 @@ def verify_decomposition(
     """
     half = params.rotation_order // 2
     expected = np.zeros((graph.n, graph.n), dtype=bool)
-    position = {(label.eps, label.i): idx for idx, label in enumerate(graph.labels)}
+    position = {pair: idx for idx, pair in enumerate(element_pairs(graph))}
     rot = sorted(classes.h0 | classes.h1)
     expected[np.ix_(rot, rot)] = True
     pendant = sorted(classes.h2)
@@ -385,7 +405,7 @@ def mmd_graph_loop(graph: Graph) -> Graph:
             md[u] = farthest <= dist[u]
     adj = md & md.T
     np.fill_diagonal(adj, False)
-    return labelled(adj, graph.labels)
+    return labelled(adj, graph.elements)
 
 
 def strong_metric_dimension(graph: Graph) -> int:
@@ -400,7 +420,8 @@ def exhaustive_metric_dimension(graph: Graph) -> int:
     two left-out twins are never resolved.
     """
     classes = [members for members in graph.quotient.members if len(members) > 1]
-    for size in range(max(twin_lower_bound(graph), 1), graph.n + 1):
+    twin_bound = sum(size - 1 for size in graph.quotient.sizes)
+    for size in range(max(twin_bound, 1), graph.n + 1):
         for combo in itertools.combinations(range(graph.n), size):
             chosen = set(combo)
             if any(len(chosen.intersection(members)) < len(members) - 1 for members in classes):
@@ -740,12 +761,12 @@ def family_detour_matrix_loop(graph: Graph, classes, params: GroupParams) -> np.
         frozenset(("h2", "h3")): n + 2,
     }
     out = np.zeros((graph.n, graph.n), dtype=np.int64)
-    labels = graph.labels
+    exponents = graph.elements[1].tolist()
     for i in range(graph.n):
         for j in range(i + 1, graph.n):
             ki, kj = kind[i], kind[j]
             if ki == "h3" and kj == "h3":
-                partner = (labels[i].i + half) % n == labels[j].i
+                partner = (exponents[i] + half) % n == exponents[j]
                 value = n + 1 if partner else n + 3
             else:
                 value = pair_values[frozenset((ki, kj))]
@@ -896,30 +917,30 @@ def graph_json_dict(graph: Graph) -> dict:
     """A graph's JSON payload built whole: n, the labels as strings and the sorted edge list."""
     return {
         "n": graph.n,
-        "labels": [str(label) for label in graph.labels],
+        "labels": graph.labels,
         "edges": [[i, j] for i, j in graph.edges()],
     }
 
 
 def build_payload(graph: Graph, params: GroupParams) -> dict:
-    """The CLI's `graph.json` payload of a family graph built whole, partition from the labels."""
+    """The CLI's `graph.json` payload of a family graph built whole, partition from the elements."""
     classes = classify_partition(graph, params)
     partition = {name: sorted(members) for name, members in classes.named().items()}
     partition.update(e=classes.e, u=classes.u)
-    elements = [[label.eps, label.i] for label in graph.labels]
+    elements = [list(pair) for pair in element_pairs(graph)]
     return {**graph_json_dict(graph), "elements": elements, "partition": partition}
 
 
 def metric_payload(inst) -> dict:
     """The CLI's `metric.json` payload built whole, with the MMD graph lifted to n x n."""
-    psi_report = inst.resolving
+    witness = inst.resolving
     cover_size, cover = inst.cover
     return {
         "psi": {
-            "bound": psi_report.lower_bound,
-            "witness": list(psi_report.witness),
-            "certified": psi_report.resolved,
-            "value": psi_report.psi,
+            "bound": sum(size - 1 for size in inst.graph.quotient.sizes),
+            "witness": list(witness),
+            "certified": resolve_check(inst.graph, witness),
+            "value": len(witness),
         },
         "sdim": {"value": cover_size, "cover_witness": list(cover)},
         "gsr_edges": [[i, j] for i, j in Graph(inst.graph.quotient.lift(inst.gsr)).edges()],

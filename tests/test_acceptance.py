@@ -27,7 +27,13 @@ from powergraph.detour import detour_matrix
 from powergraph.matrices import a_alpha, rd_alpha, reciprocal_transmission
 from powergraph.graphs import build_power_graph, predicted_quotient
 from powergraph.groups import GroupParams
-from powergraph.metric import metric_dimension, min_vertex_cover, mmd_graph, strong_cover
+from powergraph.metric import (
+    metric_dimension,
+    min_vertex_cover,
+    mmd_graph,
+    resolve_check,
+    strong_cover,
+)
 from powergraph.sequences import (
     DegreeSequenceTable,
     compare_groupings,
@@ -123,8 +129,9 @@ def test_criterion_5_metric_dimension(family):
     ok = True
     for (k, p), expected in zip(GRID_KP, (17, 31, 38)):
         _, graph, _ = family(k, p)
-        rep = metric_dimension(graph)
-        ok = ok and rep.resolved and rep.psi == expected and rep.lower_bound == len(rep.witness)
+        witness = metric_dimension(graph)
+        ok = ok and resolve_check(graph, witness) and len(witness) == expected
+        ok = ok and sum(size - 1 for size in graph.quotient.sizes) == expected
     for n in range(2, 11):
         ok = ok and exhaustive_metric_dimension(path_graph(n)) == 1
         ok = ok and exhaustive_metric_dimension(complete_graph(n)) == n - 1

@@ -107,37 +107,6 @@ def test_a_repeated_alpha_is_a_usage_error(tmp_path, capsys, monkeypatch, source
     assert captured.err == "usage error: alpha 0.5 is given twice\n"
 
 
-@pytest.mark.parametrize(
-    "source, lines",
-    [
-        ("config", "detour_time_budget_s=5\ndetour_budget=7\n"),
-        ("config", "detour_budget=7\ndetour_time_budget_s=5\n"),
-        ("env", "detour_budget=7\ndetour_time_budget_s=5\n"),
-    ],
-)
-def test_one_source_setting_both_budget_keys_is_a_usage_error(
-    tmp_path, capsys, monkeypatch, source, lines
-):
-    argv = ["report"]
-    if source == "config":
-        (tmp_path / "run.cfg").write_text(lines, encoding="utf-8")
-        argv += ["--config", str(tmp_path / "run.cfg")]
-    else:
-        for key, _, value in (line.partition("=") for line in lines.split()):
-            monkeypatch.setenv(f"POWERGRAPH_{key.upper()}", value)
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("usage error: ") and captured.err.count("\n") == 1
-    assert "'detour_budget'" in captured.err and "'detour_time_budget_s'" in captured.err
-
-
-def test_the_budget_alias_in_another_source_follows_the_precedence(tmp_path, monkeypatch):
-    (tmp_path / "run.cfg").write_text("detour_budget=7\n", encoding="utf-8")
-    monkeypatch.setenv("POWERGRAPH_DETOUR_TIME_BUDGET_S", "5")
-    assert parse_args(["report", "--config", str(tmp_path / "run.cfg")]).detour_budget_s == 5.0
-
-
 def test_parse_rejects_bad_command():
     with pytest.raises(UsageError):
         parse_args(["explode", "--k", "2", "--p", "3"]).validate()
@@ -337,7 +306,7 @@ def test_build_writes_the_eager_renderings(family, k, p):
     _, artifacts, output = run_collect(config)
     assert sorted(artifacts) == [f"k{k}-p{p}-graph.json"]
     payload = json.loads(artifacts[f"k{k}-p{p}-graph.json"])
-    lifted = labelled(lift(payload, payload["adjacency"]).astype(bool), graph.labels)
+    lifted = labelled(lift(payload, payload["adjacency"]).astype(bool), graph.elements)
     vertex_level = {key: payload[key] for key in ("n", "labels", "elements", "partition")}
     vertex_level["edges"] = graph_json_dict(lifted)["edges"]
     assert cli._dump(vertex_level) == cli._dump(build_payload(graph, params))
@@ -476,7 +445,7 @@ def test_config_file_and_env_precedence(tmp_path, monkeypatch):
 
 def test_env_accepts_every_config_key(monkeypatch):
     monkeypatch.setenv("POWERGRAPH_DETOUR_ORACLE_MAX_N", "48")
-    monkeypatch.setenv("POWERGRAPH_DETOUR_TIME_BUDGET_S", "12.5")
+    monkeypatch.setenv("POWERGRAPH_DETOUR_BUDGET", "12.5")
     config = parse_args(["report"])
     assert config.detour_oracle_max_n == 48
     assert config.detour_budget_s == 12.5
@@ -516,7 +485,7 @@ def test_detour_view_prints_a_summary_line():
 
 def test_detour_budget_config_key(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("detour_time_budget_s=12.5\n", encoding="utf-8")
+    cfg.write_text("detour_budget=12.5\n", encoding="utf-8")
     config = parse_args(["report", "--config", str(cfg)])
     assert config.detour_budget_s == 12.5
 
@@ -547,7 +516,9 @@ def test_a_repeated_config_key_is_a_usage_error(tmp_path, capsys):
     assert captured.err == f"usage error: {cfg}: config key 'k' is set on lines 1 and 4\n"
 
 
-@pytest.mark.parametrize("line", ["alpah=0.3", "graph=g.txt", "graph_format=json"])
+@pytest.mark.parametrize(
+    "line", ["alpah=0.3", "graph=g.txt", "graph_format=json", "detour_time_budget_s=5"]
+)
 def test_unknown_config_key_is_a_usage_error(tmp_path, capsys, line):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"k=2\n{line}\n", encoding="utf-8")

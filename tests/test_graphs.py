@@ -17,6 +17,7 @@ from oracles import (
     cotree_adjacency,
     cycle_graph,
     edge_count,
+    element_pairs,
     family_vertex_order,
     from_edges,
     has_induced_p4,
@@ -36,9 +37,9 @@ from powergraph.graphs import (
     predicted_quotient,
     twin_classes,
 )
-from powergraph import graphs, groups, report
+from powergraph import graphs, report
 from powergraph.detour import detour_matrix
-from powergraph.groups import GroupElement, GroupParams
+from powergraph.groups import GroupParams
 from powergraph.matrices import rd_alpha
 from powergraph.metric import metric_dimension, mmd_graph, resolve_check, twin_witness
 from powergraph.sequences import dds
@@ -73,7 +74,7 @@ def test_degree_multiset(family, k, p):
 def test_partition_sizes(family):
     params, graph, classes = family(2, 3)
     assert (len(classes.h0), len(classes.h1), len(classes.h2), len(classes.h3)) == (2, 10, 6, 6)
-    assert graph.labels[classes.u] == GroupElement(0, 6)
+    assert graph.labels[classes.u] == "s^0 r^6"
     params5, _, classes5 = family(2, 5)
     # |H2| = 2^(k-1) p
     assert len(classes5.h2) == 10
@@ -93,7 +94,7 @@ def test_predicted_type_groups_are_the_label_classes(family, k, p):
     half = params.rotation_order // 2
     for a in np.flatnonzero(types == CLASS_TYPES.index("h3")):
         v, w = predicted.members[a]
-        assert graph.labels[w].i - graph.labels[v].i == half
+        assert graph.elements[1][w] - graph.elements[1][v] == half
 
 
 @pytest.mark.parametrize("k", range(2, 8))
@@ -111,19 +112,19 @@ def test_family_graph_carries_its_elements_as_arrays(family):
     params, graph, _ = family(3, 5)
     eps, i = graph.elements
     assert eps.dtype == i.dtype == np.int64 and not eps.flags.writeable
-    assert graph.labels == [groups.GroupElement(*pair) for pair in zip(eps.tolist(), i.tolist())]
-    assert graph.labels == family_vertex_order(params)
+    assert graph.labels == [f"s^{e} r^{j}" for e, j in zip(eps.tolist(), i.tolist())]
+    assert element_pairs(graph) == family_vertex_order(params)
     assert Graph(graph.adj).elements is None and Graph(graph.adj).labels[:2] == ["0", "1"]
 
 
-def test_a_default_report_constructs_no_group_element(monkeypatch):
-    def refuse(self, *args):
-        raise AssertionError("a GroupElement was constructed")
+def test_a_default_report_formats_no_label(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a label was formatted")
 
-    monkeypatch.setattr(groups.GroupElement, "__init__", refuse)
+    monkeypatch.setattr(Graph, "labels", property(refuse))
     payload = report.build_report(5, 5, (0.0, 0.25, 0.5, 1.0))
     assert payload["passed"]
-    with pytest.raises(AssertionError, match="constructed"):
+    with pytest.raises(AssertionError, match="formatted"):
         build_power_graph(GroupParams(2, 3)).labels
 
 
@@ -210,7 +211,7 @@ def test_decomposition_verifies(family):
 def test_decomposition_reports_violations(family):
     params, graph, classes = family(2, 3)
     some_edge = graph.edges()[0]
-    broken = from_edges(graph.n, graph.edges()[1:], labels=graph.labels)
+    broken = from_edges(graph.n, graph.edges()[1:], elements=graph.elements)
     missing, extra = verify_decomposition(broken, classes, params)
     assert missing == [some_edge]
     assert extra == []
@@ -220,7 +221,7 @@ def test_decomposition_reports_an_extra_edge(family):
     params, graph, classes = family(2, 3)
     h2 = min(classes.h2)
     extra_edge = (classes.u, h2) if classes.u < h2 else (h2, classes.u)
-    broken = from_edges(graph.n, graph.edges() + [extra_edge], labels=graph.labels)
+    broken = from_edges(graph.n, graph.edges() + [extra_edge], elements=graph.elements)
     assert verify_decomposition(broken, classes, params) == ([], [extra_edge])
 
 

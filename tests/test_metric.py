@@ -26,7 +26,6 @@ from powergraph.metric import (
     mmd_graph,
     resolve_check,
     strong_cover,
-    twin_lower_bound,
     twin_witness,
 )
 
@@ -66,9 +65,10 @@ def test_resolve_check_matches_the_sorting_oracle_on_random_graphs():
 
 def test_twin_lower_bound_values(family):
     _, graph, _ = family(2, 3)
-    assert twin_lower_bound(graph) == (10 - 1) + (6 - 1) + 3 * (2 - 1) == 17
-    assert twin_lower_bound(complete_graph(5)) == 4
-    assert twin_lower_bound(path_graph(4)) == 0
+    # the twin witness keeps all but one vertex of each twin class: the twin lower bound
+    assert len(twin_witness(graph)) == (10 - 1) + (6 - 1) + 3 * (2 - 1) == 17
+    assert len(twin_witness(complete_graph(5))) == 4
+    assert len(twin_witness(path_graph(4))) == 0
 
 
 def test_family_witness_resolves(family):
@@ -77,15 +77,15 @@ def test_family_witness_resolves(family):
     assert len(witness) == 17
     assert resolve_check(graph, witness)
     # no 16-element set can resolve: the twin bound already exceeds it
-    assert twin_lower_bound(graph) > 16
+    assert sum(size - 1 for size in graph.quotient.sizes) > 16
 
 
 @pytest.mark.parametrize("k,p,expected", [(2, 3, 17), (2, 5, 31), (3, 3, 38)])
 def test_family_metric_dimension(family, k, p, expected):
     _, graph, _ = family(k, p)
-    report = metric_dimension(graph)
-    assert report.resolved
-    assert report.psi == expected == report.lower_bound == len(report.witness)
+    witness = metric_dimension(graph)
+    assert resolve_check(graph, witness)
+    assert len(witness) == expected == sum(size - 1 for size in graph.quotient.sizes)
 
 
 def test_metric_dimension_corpus():
@@ -96,15 +96,15 @@ def test_metric_dimension_corpus():
         assert exhaustive_metric_dimension(cycle_graph(n)) == 2
     for n in range(2, 9):
         g = complete_graph(n)
-        assert exhaustive_metric_dimension(g) == metric_dimension(g).psi == n - 1
+        assert exhaustive_metric_dimension(g) == len(metric_dimension(g)) == n - 1
     for leaves in range(2, 8):
         g = star_graph(leaves)
-        assert exhaustive_metric_dimension(g) == metric_dimension(g).psi == leaves - 1
+        assert exhaustive_metric_dimension(g) == len(metric_dimension(g)) == leaves - 1
 
 
 def test_twin_bound_is_lower_bound_on_corpus():
     for g in [path_graph(6), cycle_graph(7), complete_graph(6), star_graph(5)]:
-        assert twin_lower_bound(g) <= exhaustive_metric_dimension(g)
+        assert len(twin_witness(g)) <= exhaustive_metric_dimension(g)
 
 
 def test_metric_dimension_refuses_large_uncertified():

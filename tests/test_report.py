@@ -14,8 +14,10 @@ from oracles import classify_partition, edge_count, from_edges, labelled, verify
 from perfbench.workloads import WORKLOADS
 from powergraph import graphs, spectra
 from powergraph.cli import RunConfig, run
+from powergraph.detour import DetourBudgetError
 from powergraph.graphs import CLASS_TYPES, TwinQuotient
 from powergraph.groups import MAX_VERTICES, GroupParams
+from powergraph.metric import MetricSearchError
 from powergraph.report import (
     Instance,
     build_report,
@@ -156,7 +158,7 @@ def test_spectra_and_report_views_make_three_eigensolves(calls, alphas):
     assert calls["sym_eigenvalues"] == 3
 
 
-def test_detour_budget_error_is_searched_once(calls):
+def test_detour_budget_error_is_searched_once(calls, monkeypatch):
     payload = build_report(2, 3, (0.5,), detour_budget_s=1e-9)
     checks = {c["name"]: c for c in payload["checks"]}
     assert not checks["detour_eccentricities"]["passed"]
@@ -165,6 +167,39 @@ def test_detour_budget_error_is_searched_once(calls):
     for name in ("detour_eccentricities", "detour_degree_sequences"):
         assert checks[name]["passed"] is False and checks[name]["details"] == error
     assert calls["detour_matrix"] == 1
+    # a refusal is not cached: a report reads each bounded search once, and a CLI run stops
+    # at the refusal, so each search runs at most once per run, refused or not
+    searches = {
+        ("detour", "detour_matrix"): DetourBudgetError("detour search exceeded its time budget"),
+        ("metric", "metric_dimension"): MetricSearchError("twin witness does not resolve"),
+        ("metric", "min_vertex_cover"): MetricSearchError("independent-set search capped"),
+    }
+    for (_, refused), refusal in searches.items():
+        counts = Counter()
+        with monkeypatch.context() as patch:
+            for (search_home, name), _ in searches.items():
+                original = getattr(sys.modules[f"powergraph.{search_home}"], name)
+
+                def counted(*args, _name=name, _original=original, **kwargs):
+                    counts[_name] += 1
+                    if _name == refused:
+                        raise refusal
+                    return _original(*args, **kwargs)
+
+                for module_name, module in list(sys.modules.items()):
+                    if module_name == "powergraph" or module_name.startswith("powergraph."):
+                        for attr, value in list(vars(module).items()):
+                            if value is original:
+                                patch.setattr(module, attr, counted)
+            assert not build_report(2, 3, (0.5,))["passed"]
+            assert counts[refused] == 1 and max(counts.values()) == 1, (refused, counts)
+            for commands in (("detour", "dds", "report"), ("metric", "report")):
+                counts.clear()
+                try:
+                    assert run(RunConfig(k=2, p=3, commands=commands), out=io.StringIO()) == 1
+                except (DetourBudgetError, MetricSearchError) as exc:
+                    assert exc is refusal
+                assert counts[refused] == 1 and max(counts.values()) == 1, (commands, counts)
 
 
 def test_a_non_cograph_fails_both_detour_checks_as_a_limit(calls, monkeypatch):
@@ -180,7 +215,10 @@ def test_a_non_cograph_fails_both_detour_checks_as_a_limit(calls, monkeypatch):
 
 def test_detour_oracle_cap_skips_the_search(calls):
     inst = Instance(GroupParams(2, 5), detour_oracle_max_n=24)
-    assert inst.detour is None and inst.detour_search == (None, None)
+    assert inst.detour is None and calls["detour_matrix"] == 0
+    eccentricities, detour_dds = check_detour(inst)
+    assert eccentricities["passed"] and detour_dds["passed"]
+    assert eccentricities["details"]["oracle_verified"] is detour_dds["details"]["oracle_verified"] is False
     assert calls["detour_matrix"] == 0
 
 
@@ -230,9 +268,9 @@ def test_twin_check_fails_when_the_closed_form_drops_a_family(monkeypatch, dropp
 
 
 def test_default_detour_check_is_oracle_verified_at_n1280():
-    check = check_detour(Instance(GroupParams(7, 5)))
-    assert check["passed"]
-    assert check["details"]["oracle_verified"] is True
+    check, detour_dds = check_detour(Instance(GroupParams(7, 5)))
+    assert check["passed"] and detour_dds["passed"]
+    assert check["details"]["oracle_verified"] is detour_dds["details"]["oracle_verified"] is True
     assert check["details"]["matrix_matches_closed_form"] is True
 
 
@@ -244,11 +282,11 @@ def test_partition_sizes_fails_when_the_twin_classes_differ_from_the_closed_form
     adj = inst.graph.adj.copy()
     v, w = sorted(classify_partition(inst.graph, inst.params).h2)[:2]
     adj[v, w] = adj[w, v] = True
-    inst.graph = labelled(adj, inst.graph.labels)
+    inst.graph = labelled(adj, inst.graph.elements)
     checks = {c["name"]: c for c in check_structure(inst)}
     assert not checks["partition_sizes"]["passed"]
     assert not checks["structure_decomposition"]["passed"]
-    detour = check_detour(inst)
+    detour, _ = check_detour(inst)
     assert not detour["passed"] and not detour["details"]["matrix_matches_closed_form"]
 
 
@@ -294,7 +332,7 @@ def test_structure_check_matches_the_decomposition_oracle_on_broken_graphs():
         edges + [(v, w)],  # an extra edge between two involutions
     ):
         broken = Instance(GroupParams(2, 3))
-        broken.graph = from_edges(inst.graph.n, changed, labels=inst.graph.labels)
+        broken.graph = from_edges(inst.graph.n, changed, elements=inst.graph.elements)
         assert_structure_matches_the_oracle(broken)
         assert not check_structure(broken)[0]["passed"]
 
@@ -324,7 +362,7 @@ def test_block_reduction_check_fails_on_broken_graphs():
         (edges + [(v, w)], "not the predicted ones"),
     ):
         broken = Instance(GroupParams(2, 3))
-        broken.graph = from_edges(inst.graph.n, changed, labels=inst.graph.labels)
+        broken.graph = from_edges(inst.graph.n, changed, elements=inst.graph.elements)
         checks = {c["name"]: c for c in report_payload(broken, (0.25, 0.5))["checks"]}
         block = checks["block_reduction_random"]
         assert not block["passed"]
