@@ -310,17 +310,19 @@ def run(config: RunConfig, out=None) -> int:
             ),
             **_classes(graph.quotient),
         }
-        if inst.detour is not None:
-            dtable = inst.detour_dds
-            payload["dds_detour"] = dtable.to_json_dict()
-            payload["printed_detour_comparison"] = sequences.compare_groupings(
-                dtable.groups, sequences.family_dds_detour_groups(inst.params)
-            )
-        _emit(config.out_dir, f"{stem}-dds.json", payload)
         if config.fmt == "text":
             _emit(config.out_dir, f"{stem}-dds.txt", table.to_text())
         if config.fmt == "csv":
             _emit(config.out_dir, f"{stem}-dds.csv", table.to_csv())
+        try:  # a refused detour search still leaves the distance tables, without the detour half
+            if inst.detour is not None:
+                dtable = inst.detour_dds
+                payload["dds_detour"] = dtable.to_json_dict()
+                payload["printed_detour_comparison"] = sequences.compare_groupings(
+                    dtable.groups, sequences.family_dds_detour_groups(inst.params)
+                )
+        finally:
+            _emit(config.out_dir, f"{stem}-dds.json", payload)
         print("distance degree sequences computed", file=out)
 
     if "report" in config.commands:

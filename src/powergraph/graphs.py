@@ -26,7 +26,7 @@ from itertools import chain
 import numpy as np
 
 from .groups import GroupParams, cyclic_powers
-from .matrices import DisconnectedGraphError, distance_matrix
+from .matrices import NoUniversalVertexError, distance_matrix
 
 
 class Graph:
@@ -234,14 +234,15 @@ class TwinQuotient:
 
     @cached_property
     def dist(self) -> np.ndarray:
-        """k x k class distances (int64, read-only); DisconnectedGraphError when disconnected.
+        """k x k class distances (int64, read-only): 1 or 2 between classes (`distance_matrix`).
 
-        Off the diagonal these are the quotient graph's distances.  The diagonal
-        is the distance between two members of a class: 0 for a singleton, 1 for
-        a closed class, 2 for an open one (its members share a neighbour).
+        The diagonal is the distance between two members of a class: 0 for a
+        singleton, 1 for a closed class, 2 for an open one (its members share a
+        neighbour).  NoUniversalVertexError when no class is adjacent to every
+        other, or when one open class is the whole, edgeless, graph.
         """
         if len(self.sizes) == 1 and self.sizes[0] > 1 and not self.closed[0]:  # edgeless
-            raise DisconnectedGraphError("graph is disconnected; distances are undefined")
+            raise NoUniversalVertexError("no vertex is adjacent to every other; distances need one")
         within = self.adj.diagonal()
         dist = distance_matrix(Graph(self.adj & ~np.diag(within)))
         np.fill_diagonal(dist, 2 * (np.array(self.sizes) > 1) - within)

@@ -1,13 +1,16 @@
 """Matrix representations of a graph: adjacency family, distance and reciprocal-distance family.
 
 All matrices are dense float64 (int64 for distances) numpy arrays and exactly
-symmetric by construction; an n x n float64 matrix costs 8 n^2 bytes.  The
-pipeline runs `distance_matrix` once per graph, on its k-vertex twin quotient
+symmetric by construction; an n x n float64 matrix costs 8 n^2 bytes.  Every
+power graph has a universal vertex (the identity lies in every cyclic
+subgroup), so its diameter is at most 2 and `distance_matrix` is a closed
+expression of the adjacency; a graph without one is refused.  The pipeline
+runs it once per graph, on its k-vertex twin quotient
 (`graphs.TwinQuotient.dist`, k about n/8 on the family), and takes its spectra
 from the quotient's orbits (`spectra.solve_quotient`, one stacked solve of the
-m x m orbit quotients of an alpha sweep, m = 5 on the family).  `a_alpha`, `rd_alpha`, `reciprocal_distance` and
-`reciprocal_transmission` are the dense n-vertex references the tests solve
-with `spectra.sym_eigenvalues` and compare it against.
+m x m orbit quotients of an alpha sweep, m = 5 on the family).  `a_alpha`,
+`rd_alpha`, `reciprocal_distance` and `reciprocal_transmission` are the dense
+n-vertex references the tests solve with `spectra.sym_eigenvalues`.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ class AlphaRangeError(ValueError):
     """alpha outside the closed interval [0, 1]."""
 
 
-class DisconnectedGraphError(ValueError):
-    """Distance-based matrices require a connected graph."""
+class NoUniversalVertexError(ValueError):
+    """Distances are computed only for graphs with a vertex adjacent to every other."""
 
 
 def check_alpha(alpha: float) -> float:
@@ -49,29 +52,16 @@ def a_alpha(graph: Graph, alpha: float) -> np.ndarray:
 
 
 def distance_matrix(graph: Graph) -> np.ndarray:
-    """Shortest-path distances (int64) by one breadth-first search from every vertex at once.
+    """Shortest-path distances (int64) of a graph with a universal vertex: 1 on an edge, else 2.
 
-    Row s of `frontier` holds the vertices at distance d - 1 from s, so the
-    vertices first reached at distance d are `(frontier @ adj > 0) & ~seen`:
-    one n x n product per distance level.  The operands are 0/1 float32, so a
-    product entry is a count of at most n ones, exact below 2^24 vertices.
-    Raises DisconnectedGraphError when some pair is never reached.
+    A vertex adjacent to every other is a common neighbour of any two
+    non-adjacent vertices, so the diameter is at most 2.  Raises
+    NoUniversalVertexError when no vertex is adjacent to every other.
     """
-    n = graph.n
-    adj = graph.adj.astype(np.float32)
-    dist = np.zeros((n, n), dtype=np.int64)
-    seen = np.eye(n, dtype=bool)
-    frontier = seen
-    d = 0
-    while True:
-        d += 1
-        frontier = (frontier.astype(np.float32) @ adj > 0) & ~seen
-        if not frontier.any():
-            break
-        dist[frontier] = d
-        seen |= frontier
-    if not seen.all():
-        raise DisconnectedGraphError("graph is disconnected; distances are undefined")
+    if graph.n and not (graph.adj | np.eye(graph.n, dtype=bool)).all(axis=1).any():
+        raise NoUniversalVertexError("no vertex is adjacent to every other; distances need one")
+    dist = np.where(graph.adj, 1, 2)
+    np.fill_diagonal(dist, 0)
     return dist
 
 

@@ -1,17 +1,23 @@
-"""Metric dimension certified by the twin witness, the strong resolving graph, and exact vertex cover."""
+"""Metric dimension certified by the twin witness; strong metric dimension at diameter two.
+
+Every power graph has a universal vertex, so its diameter is at most 2
+(`matrices.distance_matrix`), and the strong resolving graph G_SR and its
+vertex cover number, the strong metric dimension (Oellermann and
+Peters-Fransen, Discrete Appl. Math. 155, 2007), are closed expressions of
+the twin quotient: `mmd_graph` reads the class distances, `min_vertex_cover`
+the cotree.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .graphs import Graph, TwinQuotient
-
-# largest (collapsed) graph the independent-set branch and bound runs on
-SEARCH_CAP = 64
+from .graphs import Graph
+from .groups import GroupParams
 
 
 class MetricSearchError(RuntimeError):
-    """Exact search refused: no certificate, or an instance past the search cap."""
+    """Exact search refused: no certificate, or no cotree."""
 
 
 def resolve_check(graph: Graph, subset) -> bool:
@@ -41,10 +47,7 @@ def twin_witness(graph: Graph) -> tuple[int, ...]:
     over the twin classes, is a lower bound; twins are interchangeable, so when
     this set resolves the graph the metric dimension is certified.
     """
-    keep: list[int] = []
-    for members in graph.quotient.members:
-        keep.extend(members[:-1])
-    return tuple(sorted(keep))
+    return tuple(sorted(v for members in graph.quotient.members for v in members[:-1]))
 
 
 def metric_dimension(graph: Graph) -> tuple[int, ...]:
@@ -64,121 +67,50 @@ def metric_dimension(graph: Graph) -> tuple[int, ...]:
 
 
 def mmd_graph(graph: Graph) -> np.ndarray:
-    """Strong resolving graph as a k x k class matrix: the mutually maximally distant class pairs.
+    """Strong resolving graph G_SR as a k x k class matrix: the mutually maximally distant pairs.
 
-    u is maximally distant from v when no neighbor of u is farther from v
-    than u itself.  Twin classes are modules, so on the quotient with class
-    distances D this holds unless a class c adjacent to u's class a has
-    D[c, b] > D[a, b], b being v's class.  A neighbour in b lies at D[b, b]
-    from v; one in a lies at D[a, b] and is never farther, so a's own entry of
-    the quotient adjacency is dropped.  With F_t = (D >= t), one k x k product
-    `adj @ F_t` per level t = D[a, b] + 1 decides every class pair.  It reads
-    like the quotient's `adj`; every twin class of size > 1 is a clique of it.
+    u is maximally distant from v when no neighbour of u is farther from v
+    than u itself.  At diameter two a pair at distance 2 always is.  An
+    adjacent pair u, v is mutually so exactly when N(u) lies in N[v] and N(v)
+    in N[u], that is N[u] = N[v]: closed twins, one class.  So two distinct
+    classes are joined exactly when they are not adjacent (at class distance
+    2), and a class of size > 1, whose members are twins, is a clique of G_SR.
     """
     quotient = graph.quotient
-    dist = quotient.dist
-    k = len(quotient.sizes)
-    nbrs = quotient.adj.astype(np.float32)
-    np.fill_diagonal(nbrs, 0.0)
-    farther = np.zeros((k, k), dtype=bool)
-    for t in range(1, int(dist.max(initial=0)) + 1):
-        level = dist == t - 1
-        farther[level] = (nbrs @ (dist >= t).astype(np.float32) > 0)[level]
-    md = ~farther
-    return md & md.T
-
-
-def max_independent_set(graph: Graph) -> tuple[int, ...]:
-    """Exact maximum independent set by branch and bound on bitsets.
-
-    Runs the classic clique search on the complement with a greedy-coloring
-    bound; vertex order is fixed so the witness is reproducible.
-    """
-    n = graph.n
-    if n > SEARCH_CAP:
-        raise MetricSearchError(f"independent-set search capped at {SEARCH_CAP} vertices, got {n}")
-    if n == 0:
-        return ()
-    full = (1 << n) - 1
-    comp = []
-    for i, row in enumerate(graph.adj.tolist()):
-        bits = 0
-        for j, adjacent in enumerate(row):
-            if i != j and not adjacent:
-                bits |= 1 << j
-        comp.append(bits)
-
-    best: list[int] = []
-
-    def color_sort(candidates: int) -> tuple[list[int], list[int]]:
-        order: list[int] = []
-        bounds: list[int] = []
-        color = 0
-        remaining = candidates
-        while remaining:
-            color += 1
-            available = remaining
-            while available:
-                v = (available & -available).bit_length() - 1
-                order.append(v)
-                bounds.append(color)
-                remaining &= ~(1 << v)
-                available &= ~(1 << v)
-                available &= ~comp[v]
-        return order, bounds
-
-    def expand(chosen: list[int], candidates: int) -> None:
-        nonlocal best
-        if not candidates:
-            if len(chosen) > len(best):
-                best = chosen.copy()
-            return
-        order, bounds = color_sort(candidates)
-        pool = candidates
-        for idx in range(len(order) - 1, -1, -1):
-            if len(chosen) + bounds[idx] <= len(best):
-                return
-            v = order[idx]
-            chosen.append(v)
-            expand(chosen, pool & comp[v])
-            chosen.pop()
-            pool &= ~(1 << v)
-
-    expand([], full)
-    return tuple(sorted(best))
+    gsr = quotient.dist == 2
+    np.fill_diagonal(gsr, np.array(quotient.sizes) > 1)
+    return gsr
 
 
 def min_vertex_cover(graph: Graph) -> tuple[int, tuple[int, ...]]:
-    """Exact vertex cover number with a witness (complement of a maximum independent set).
+    """The strong metric dimension and a minimum vertex cover of G_SR (`mmd_graph`).
 
-    A closed twin class is a clique with one shared neighbourhood, so an
-    independent set holds at most one of its members and any one will do.  The
-    search runs on the subgraph that keeps the first member of each closed
-    class; `SEARCH_CAP` bounds that subgraph, not the graph.
+    An independent set of G_SR holds at most one member of a class, and
+    members of two classes only when those are adjacent: one vertex per class
+    of a clique of the quotient graph Q.  So sdim = n - omega(Q), and the cover
+    is every vertex but the first member of each class of a largest clique,
+    found in one pass over the cotree (`TwinQuotient.cotree`): a leaf is its
+    class, a join unites its sides' cliques, a union keeps the larger (the
+    left one on a tie).  A non-cograph is refused with MetricSearchError.
     """
     quotient = graph.quotient
-    keep = sorted(
-        v
-        for members, closed in zip(quotient.members, quotient.closed)
-        for v in (members[:1] if closed else members)
-    )
-    collapsed = Graph(graph.adj[np.ix_(keep, keep)])
-    independent = {keep[v] for v in max_independent_set(collapsed)}
-    cover = tuple(v for v in range(graph.n) if v not in independent)
-    return len(cover), cover
-
-
-def strong_cover(quotient: TwinQuotient, gsr: np.ndarray) -> tuple[int, tuple[int, ...]]:
-    """Minimum vertex cover of the strong resolving graph given by its class matrix `gsr`.
-
-    Twins are mutually maximally distant, so each twin class is a clique and
-    a module of that graph: an independent set holds at most one member of a
-    class, and any one will do.  So the independent classes are those of the
-    k-vertex class graph, diagonal cleared, and the cover is every vertex but
-    the first member of each: n minus its independence number.
-    """
-    _, class_cover = min_vertex_cover(Graph(gsr & ~np.eye(len(gsr), dtype=bool)))
-    independent = set(range(len(gsr))) - set(class_cover)
-    kept = [quotient.members[a][0] for a in independent]
-    cover = np.delete(np.arange(len(quotient.class_of)), kept)
+    quotient.dist  # G_SR is read at diameter two; `dist` refuses any other graph
+    if quotient.cotree is None:
+        raise MetricSearchError("graph is not a cograph; the strong cover needs its cotree")
+    cliques = [[a] for a in range(len(quotient.sizes))]
+    for join, left, right in quotient.cotree:
+        sides = cliques[left], cliques[right]
+        cliques.append(sides[0] + sides[1] if join else max(sides, key=len))
+    kept = [quotient.members[a][0] for a in cliques[-1]] if cliques else []
+    cover = np.delete(np.arange(graph.n), kept)
     return len(cover), tuple(cover.tolist())
+
+
+def family_metric_dimension(params: GroupParams) -> int:
+    """Predicted psi = 7 N/4 - 4 = 7 * 2^(k-2) p - 4; N = 2^k p is the rotation order."""
+    return 7 * (params.rotation_order // 4) - 4
+
+
+def family_strong_metric_dimension(params: GroupParams) -> int:
+    """Predicted strong metric dimension sdim = 2N - 3 = 2^(k+1) p - 3, the group order less 3."""
+    return params.order - 3

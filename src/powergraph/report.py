@@ -3,8 +3,8 @@
 An `Instance` holds one (k, p) instance and every object derived from it;
 each check reads what it needs from there, so one report builds the graph,
 twin quotient, class distances, quotient orbits and class detour matrix
-once.  Each bounded search (detour, twin witness, strong cover) is a cached
-property that returns its value or raises its refusal; a check reads it once
+once.  Each refusable result (detour search, twin witness, strong cover) is a
+cached property that returns its value or raises its refusal; a check reads it once
 in one `try`, and a refusal FAILs the check with the reason (`check_detour`
 decides both detour checks in one branch).  The spectra are array sweeps over
 the alphas (`spectra.Sweep`), one per kind and
@@ -97,8 +97,8 @@ class Instance:
 
     @cached_property
     def cover(self) -> tuple[int, tuple[int, ...]]:
-        """Minimum vertex cover of the MMD graph; MetricSearchError past the search cap."""
-        return metric.strong_cover(self.graph.quotient, self.gsr)
+        """(sdim, a minimum vertex cover of the MMD graph); MetricSearchError on a non-cograph."""
+        return metric.min_vertex_cover(self.graph)
 
     @cached_property
     def dds(self) -> sequences.DegreeSequenceTable:
@@ -329,41 +329,26 @@ def check_block_reduction(inst: Instance) -> dict:
 
 
 def check_metric(inst: Instance) -> list[dict]:
-    quarter = inst.params.rotation_order // 4
-    expected_psi = 7 * quarter - 4
-    expected_sdim = inst.params.order - 3
+    """psi and sdim against the family predictions; a refusal FAILs its check with the reason."""
+    expected_psi = metric.family_metric_dimension(inst.params)
+    expected_sdim = metric.family_strong_metric_dimension(inst.params)
     try:
-        witness = inst.resolving
+        psi = len(inst.resolving)  # a certified witness has the twin lower bound's size
+        found = {"psi": psi, "lower_bound": psi, "witness_size": psi}
     except metric.MetricSearchError as exc:
-        checks = [_check("metric_dimension", False, expected=expected_psi, error=str(exc))]
-    else:
-        psi = len(witness)  # a certified witness has the twin lower bound's size
-        checks = [
-            _check(
-                "metric_dimension",
-                psi == expected_psi,
-                psi=psi,
-                expected=expected_psi,
-                lower_bound=psi,
-                witness_size=psi,
-            )
-        ]
+        psi, found = None, {"error": str(exc)}
+    checks = [_check("metric_dimension", psi == expected_psi, expected=expected_psi, **found)]
     try:
-        cover_size, cover = inst.cover
+        sdim, cover = inst.cover
+        found = {
+            "sdim": sdim,
+            "gsr_edge_count": inst.graph.quotient.edge_count(inst.gsr),
+            "cover_witness_size": len(cover),
+        }
     except metric.MetricSearchError as exc:
-        checks.append(
-            _check("strong_metric_dimension", False, expected=expected_sdim, error=str(exc))
-        )
-        return checks
+        sdim, found = None, {"error": str(exc)}
     checks.append(
-        _check(
-            "strong_metric_dimension",
-            cover_size == expected_sdim,
-            sdim=cover_size,
-            expected=expected_sdim,
-            gsr_edge_count=inst.graph.quotient.edge_count(inst.gsr),
-            cover_witness_size=len(cover),
-        )
+        _check("strong_metric_dimension", sdim == expected_sdim, expected=expected_sdim, **found)
     )
     return checks
 

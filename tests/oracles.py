@@ -11,8 +11,8 @@ import numpy as np
 
 from powergraph.graphs import _TYPE_ADJACENCY, CLASS_TYPES, Graph, TwinQuotient, _twins
 from powergraph.groups import GroupParams, ParameterError, product
-from powergraph.matrices import DisconnectedGraphError, check_alpha
-from powergraph.metric import mmd_graph, resolve_check, strong_cover
+from powergraph.matrices import check_alpha
+from powergraph.metric import resolve_check
 from powergraph.spectra import (
     _class_entries,
     a_alpha_families,
@@ -367,66 +367,168 @@ def twins_by_row_bytes(adj: np.ndarray, labels: list | None = None) -> list[tupl
 # distances and the strong resolving graph ---------------------------------
 
 
-def bfs_distance_matrix(graph: Graph) -> np.ndarray:
-    """Shortest-path distances (int64) by a breadth-first search from each vertex in turn."""
+class DisconnectedGraphError(ValueError):
+    """Some vertex pair has no path between them."""
+
+
+def with_universal_vertex(graph: Graph) -> Graph:
+    """The graph with one more vertex, the last, adjacent to every other: diameter at most 2."""
     n = graph.n
-    dist = np.full((n, n), -1, dtype=np.int64)
-    for s in range(n):
-        dist[s, s] = 0
-        frontier = [s]
+    adj = np.ones((n + 1, n + 1), dtype=bool)
+    adj[:n, :n] = graph.adj
+    adj[n, n] = False
+    return Graph(adj)
+
+
+def bfs_distance_matrix(graph: Graph, sources=None) -> np.ndarray:
+    """Shortest-path distances (int64) by a breadth-first search from each source in turn.
+
+    Row i holds the distances from `sources[i]`, every vertex by default.  A
+    level is the union of the adjacency rows of the previous one, less what
+    was reached before; the search stops once every vertex is reached.
+    """
+    n = graph.n
+    sources = range(n) if sources is None else sources
+    dist = np.full((len(sources), n), -1, dtype=np.int64)
+    for row, s in zip(dist, sources):
+        row[s] = 0
+        frontier = row == 0
         d = 0
-        while frontier:
+        while frontier.any() and (row < 0).any():
             d += 1
-            nxt = []
-            for v in frontier:
-                for w in np.nonzero(graph.adj[v])[0]:
-                    if dist[s, w] < 0:
-                        dist[s, w] = d
-                        nxt.append(int(w))
-            frontier = nxt
+            frontier = graph.adj[frontier].any(axis=0) & (row < 0)
+            row[frontier] = d
     if (dist < 0).any():
         raise DisconnectedGraphError("graph is disconnected; distances are undefined")
     return dist
 
 
-def mmd_graph_loop(graph: Graph) -> Graph:
-    """Strong resolving graph, one vertex u at a time: u is maximally distant
-    from v when no neighbor of u is farther from v than u itself."""
-    dist = bfs_distance_matrix(graph)
-    n = graph.n
-    md = np.zeros((n, n), dtype=bool)
-    for u in range(n):
+def reciprocal_distance_bfs(graph: Graph) -> np.ndarray:
+    """Entrywise 1/d(u, v) of the BFS distances off the diagonal, 0 on it."""
+    dist = bfs_distance_matrix(graph).astype(np.float64)
+    np.fill_diagonal(dist, np.inf)
+    return 1.0 / dist
+
+
+def rd_alpha_bfs(graph: Graph, alpha: float) -> np.ndarray:
+    """alpha * RT + (1 - alpha) * RD from the BFS distances, at any diameter."""
+    alpha = check_alpha(alpha)
+    rd = reciprocal_distance_bfs(graph)
+    return alpha * np.diag(rd.sum(axis=1)) + (1.0 - alpha) * rd
+
+
+def mmd_among(graph: Graph, sources) -> np.ndarray:
+    """Mutual maximal distance among `sources` from their BFS rows, one vertex u at a time.
+
+    u is maximally distant from v when no neighbor of u is farther from v than
+    u itself.  Entry (i, j) is for sources i and j; the diagonal is True.
+    """
+    dist = bfs_distance_matrix(graph, sources)
+    md = np.zeros((len(sources), len(sources)), dtype=bool)
+    for i, u in enumerate(sources):
         nbrs = np.nonzero(graph.adj[u])[0]
         if nbrs.size == 0:
-            md[u, :] = True
+            md[i, :] = True
         else:
-            # max_x in N(u) of d(v, x), as a vector over v
-            farthest = dist[:, nbrs].max(axis=1)
-            md[u] = farthest <= dist[u]
-    adj = md & md.T
+            # max_x in N(u) of d(v, x), as a vector over the sources v
+            md[i] = dist[:, nbrs].max(axis=1) <= dist[:, u]
+    md &= md.T
+    np.fill_diagonal(md, True)
+    return md
+
+
+def mmd_graph_loop(graph: Graph) -> Graph:
+    """Strong resolving graph: `mmd_among` every vertex, the diagonal cleared."""
+    adj = mmd_among(graph, range(graph.n))
     np.fill_diagonal(adj, False)
     return labelled(adj, graph.elements)
 
 
+def max_independent_set(graph: Graph) -> tuple[int, ...]:
+    """Exact maximum independent set by branch and bound on bitsets; exponential in n.
+
+    Runs the classic clique search on the complement with a greedy-coloring
+    bound; vertex order is fixed so the witness is reproducible.
+    """
+    n = graph.n
+    if n == 0:
+        return ()
+    full = (1 << n) - 1
+    comp = []
+    for i, row in enumerate(graph.adj.tolist()):
+        bits = 0
+        for j, adjacent in enumerate(row):
+            if i != j and not adjacent:
+                bits |= 1 << j
+        comp.append(bits)
+
+    best: list[int] = []
+
+    def color_sort(candidates: int) -> tuple[list[int], list[int]]:
+        order: list[int] = []
+        bounds: list[int] = []
+        color = 0
+        remaining = candidates
+        while remaining:
+            color += 1
+            available = remaining
+            while available:
+                v = (available & -available).bit_length() - 1
+                order.append(v)
+                bounds.append(color)
+                remaining &= ~(1 << v)
+                available &= ~(1 << v)
+                available &= ~comp[v]
+        return order, bounds
+
+    def expand(chosen: list[int], candidates: int) -> None:
+        nonlocal best
+        if not candidates:
+            if len(chosen) > len(best):
+                best = chosen.copy()
+            return
+        order, bounds = color_sort(candidates)
+        pool = candidates
+        for idx in range(len(order) - 1, -1, -1):
+            if len(chosen) + bounds[idx] <= len(best):
+                return
+            v = order[idx]
+            chosen.append(v)
+            expand(chosen, pool & comp[v])
+            chosen.pop()
+            pool &= ~(1 << v)
+
+    expand([], full)
+    return tuple(sorted(best))
+
+
+def vertex_cover(graph: Graph) -> tuple[int, tuple[int, ...]]:
+    """Exact vertex cover number with a witness: the complement of a maximum independent set."""
+    independent = set(max_independent_set(graph))
+    cover = tuple(v for v in range(graph.n) if v not in independent)
+    return len(cover), cover
+
+
 def strong_metric_dimension(graph: Graph) -> int:
-    """Vertex cover number of the strong resolving graph, by the library's class-level cover."""
-    return strong_cover(graph.quotient, mmd_graph(graph))[0]
+    """Vertex cover number of the loop oracle's strong resolving graph, by branch and bound."""
+    return vertex_cover(mmd_graph_loop(graph))[0]
 
 
 def exhaustive_metric_dimension(graph: Graph) -> int:
-    """The metric dimension by trying every vertex subset, smallest first; exponential in n.
+    """The metric dimension by trying vertex subsets on the BFS distances, smallest first.
 
-    Only subsets that keep all but one vertex of every twin class are tried:
-    two left-out twins are never resolved.
+    Exponential in n.  Only subsets that keep all but one vertex of every twin
+    class are tried: two left-out twins are never resolved.
     """
     classes = [members for members in graph.quotient.members if len(members) > 1]
     twin_bound = sum(size - 1 for size in graph.quotient.sizes)
+    dist = bfs_distance_matrix(graph)
     for size in range(max(twin_bound, 1), graph.n + 1):
         for combo in itertools.combinations(range(graph.n), size):
             chosen = set(combo)
             if any(len(chosen.intersection(members)) < len(members) - 1 for members in classes):
                 continue
-            if resolve_check(graph, combo):
+            if len(np.unique(dist[:, combo], axis=0)) == graph.n:
                 return size
     return graph.n
 

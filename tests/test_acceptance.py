@@ -20,20 +20,18 @@ from oracles import (
     exhaustive_metric_dimension,
     multiplicity_verdict_oracle,
     path_graph,
+    rd_alpha_bfs,
+    reciprocal_distance_bfs,
     star_graph,
+    strong_metric_dimension,
     vertex_rows,
+    with_universal_vertex,
 )
 from powergraph.detour import detour_matrix
-from powergraph.matrices import a_alpha, rd_alpha, reciprocal_transmission
+from powergraph.matrices import a_alpha
 from powergraph.graphs import build_power_graph, predicted_quotient
 from powergraph.groups import GroupParams
-from powergraph.metric import (
-    metric_dimension,
-    min_vertex_cover,
-    mmd_graph,
-    resolve_check,
-    strong_cover,
-)
+from powergraph.metric import metric_dimension, min_vertex_cover, resolve_check
 from powergraph.sequences import (
     DegreeSequenceTable,
     compare_groupings,
@@ -94,9 +92,9 @@ def test_criterion_3_reciprocal_alpha_spectra(family):
         params, graph, _ = family(k, p)
         closed = rd_alpha_closed_form(params, GRID_ALPHA)
         for alpha, values in zip(GRID_ALPHA, closed.expanded):
-            numeric = sym_eigenvalues(rd_alpha(graph, alpha))
+            numeric = sym_eigenvalues(rd_alpha_bfs(graph, alpha))
             ok = ok and float(np.abs(values - numeric).max()) <= 1e-8
-        rt = np.sort(np.diag(reciprocal_transmission(graph)))[::-1]
+        rt = np.sort(reciprocal_distance_bfs(graph).sum(axis=1))[::-1]
         at_one = rd_alpha_closed_form(params, (1.0,)).expanded[0]
         ok = ok and np.array_equal(at_one, rt)
     announce("3 reciprocal alpha spectra match; alpha=1 equals transmissions", ok)
@@ -117,7 +115,7 @@ def test_criterion_4_block_reduction(family):
 
     every = [(kind, alpha) for kind in report_mod.SPECTRUM_KINDS for alpha in GRID_ALPHA]
     # the graph's own orbits on the seeded twin corpus and on the family
-    worst = max(worst_gap(graph, every) for graph in blown_up_graphs(8, 200))
+    worst = max(worst_gap(with_universal_vertex(graph), every) for graph in blown_up_graphs(8, 200))
     for k, p in ((2, 3), (3, 5), (5, 5), (7, 7)):
         worst = max(worst, worst_gap(family(k, p)[1], every))
     one_alpha = [("adjacency", 0.5), ("reciprocal", 0.5)]
@@ -143,14 +141,17 @@ def test_criterion_5_metric_dimension(family):
 
 
 def test_criterion_6_strong_metric_dimension(family):
+    # the cover from the cotree against the branch and bound on the loop oracle's G_SR
     ok = True
     for (k, p), expected in [((2, 3), 21), ((2, 5), 37)]:
         _, graph, _ = family(k, p)
         start = time.monotonic()
-        size, _ = strong_cover(graph.quotient, mmd_graph(graph))
+        size, _ = min_vertex_cover(graph)
         ok = ok and size == expected and (time.monotonic() - start) < 60.0
+        ok = ok and strong_metric_dimension(graph) == expected
     for n in range(2, 11):
-        ok = ok and min_vertex_cover(complete_graph(n))[0] == n - 1
+        graph = complete_graph(n)
+        ok = ok and min_vertex_cover(graph)[0] == strong_metric_dimension(graph) == n - 1
     announce("6 strong metric dimension via MMD graph and exact cover", ok)
 
 

@@ -576,18 +576,30 @@ def test_unreadable_input_or_unwritable_output_is_a_usage_error(tmp_path, capsys
     assert "Traceback" not in err
 
 
-def test_metric_past_the_cover_cap_is_an_error_not_a_traceback(capsys, monkeypatch):
-    # (3, 5) has n = 80 > 64; its strong resolving graph collapses to 4 vertices
+def test_a_non_cograph_metric_is_an_error_not_a_traceback(capsys, monkeypatch):
+    # (3, 5) has n = 80; the strong cover comes from the cotree at any order
     assert main(["metric", "--k", "3", "--p", "5"]) == 0
     assert "strong metric dimension 77" in capsys.readouterr().out
-
-    def refuse(graph):
-        raise MetricSearchError("independent-set search capped at 64 vertices")
-
-    monkeypatch.setattr("powergraph.metric.min_vertex_cover", refuse)
+    monkeypatch.setattr(TwinQuotient, "cotree", None)
     assert main(["metric", "--k", "3", "--p", "5"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "capped at 64" in err
+    captured = capsys.readouterr()
+    assert captured.err == "error: graph is not a cograph; the strong cover needs its cotree\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_dds_writes_the_distance_tables_when_the_detour_search_is_refused(tmp_path, capsys, fmt):
+    # the files are those of a run whose detour search is not run at all
+    refused, skipped = tmp_path / "refused", tmp_path / "skipped"
+    argv = ["dds", "--format", fmt, "--out"]
+    assert main([*argv, str(refused), "--detour-budget", "1e-9"]) == 1
+    assert capsys.readouterr().err == "error: detour search exceeded its time budget\n"
+    assert main([*argv, str(skipped), "--detour-oracle-max-n", "0"]) == 0
+    written = sorted(path.name for path in refused.iterdir())
+    assert written == sorted(path.name for path in skipped.iterdir())
+    assert len(written) == (1 if fmt == "json" else 2)
+    for name in written:
+        assert (refused / name).read_bytes() == (skipped / name).read_bytes()
+    assert "dds_detour" not in json.loads((refused / "k2-p3-dds.json").read_text())
 
 
 def test_a_non_cograph_detour_is_an_error_not_a_traceback(capsys, monkeypatch):

@@ -16,12 +16,13 @@ from oracles import (
     path_graph,
     random_graphs,
     star_graph,
+    with_universal_vertex,
 )
 from powergraph.detour import DetourBudgetError, detour_matrix
 from powergraph.graphs import Graph
 from powergraph.matrices import (
     AlphaRangeError,
-    DisconnectedGraphError,
+    NoUniversalVertexError,
     a_alpha,
     adjacency,
     degree_diag,
@@ -123,24 +124,28 @@ def test_triangle_inequality_exhaustive(family):
 
 def test_disconnected_rejected():
     g = from_edges(3, [(0, 1)])
-    with pytest.raises(DisconnectedGraphError):
+    with pytest.raises(NoUniversalVertexError, match="no vertex is adjacent to every other"):
         distance_matrix(g)
 
 
+def has_universal_vertex(graph: Graph) -> bool:
+    """Whether some vertex is adjacent to every other; true for no vertices."""
+    return graph.n == 0 or any(graph.adj[v].sum() == graph.n - 1 for v in range(graph.n))
+
+
 def test_distance_matrix_matches_the_bfs_oracle_on_random_graphs():
-    disconnected = 0
+    # every graph once as it is, refused exactly without a universal vertex, and once with one
+    refused = 0
     for graph in random_graphs(seed=6, count=300):
-        try:
-            expected = bfs_distance_matrix(graph)
-        except DisconnectedGraphError:
-            disconnected += 1
-            with pytest.raises(DisconnectedGraphError, match="graph is disconnected"):
+        if not has_universal_vertex(graph):
+            refused += 1
+            with pytest.raises(NoUniversalVertexError):
                 distance_matrix(graph)
-            continue
+            graph = with_universal_vertex(graph)
         dist = distance_matrix(graph)
         assert dist.dtype == np.int64
-        assert np.array_equal(dist, expected)
-    assert 50 < disconnected < 250  # the corpus has both kinds
+        assert np.array_equal(dist, bfs_distance_matrix(graph))
+    assert 50 < refused < 250  # the corpus has both kinds
 
 
 @pytest.mark.parametrize("k,p", [(2, 3), (3, 3), (2, 5), (4, 5), (5, 5)])
@@ -157,19 +162,18 @@ def lifted_distances(graph: Graph) -> np.ndarray:
 
 
 def test_graph_dist_matches_the_bfs_oracle_on_the_random_corpora():
+    # as it is, a graph is refused or answered right; with a universal vertex, answered right
     graphs = [*random_graphs(seed=6, count=300), *blown_up_graphs(seed=5, count=100)]
-    disconnected = 0
+    refused = 0
     for graph in graphs:
         try:
-            expected = bfs_distance_matrix(graph)
-        except DisconnectedGraphError:
-            disconnected += 1
-            with pytest.raises(DisconnectedGraphError, match="graph is disconnected"):
-                graph.quotient.dist
-            continue
+            graph.quotient.dist
+        except NoUniversalVertexError:
+            refused += 1
+            graph = with_universal_vertex(graph)
         assert graph.quotient.dist.dtype == np.int64
-        assert np.array_equal(lifted_distances(graph), expected)
-    assert 50 < disconnected < 250  # the corpus has both kinds
+        assert np.array_equal(lifted_distances(graph), bfs_distance_matrix(graph))
+    assert 50 < refused < 350  # the corpus has both kinds
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -177,7 +181,7 @@ def test_graph_dist_rejects_an_edgeless_graph(n):
     # one open twin class and nothing else: the quotient is a single vertex
     graph = Graph(np.zeros((n, n), dtype=bool))
     assert graph.quotient.sizes == [n]
-    with pytest.raises(DisconnectedGraphError, match="graph is disconnected"):
+    with pytest.raises(NoUniversalVertexError, match="no vertex is adjacent to every other"):
         graph.quotient.dist
 
 
@@ -189,10 +193,14 @@ def test_graph_dist_equals_the_dense_distances_on_the_family(family, k, p):
 
 @pytest.mark.parametrize("make", [path_graph, cycle_graph])
 def test_distance_matrix_on_long_diameters(make):
+    # refused: a graph without a universal vertex may have any diameter, as the oracle shows
     graph = make(50)
-    dist = distance_matrix(graph)
-    assert dist.max() == (49 if make is path_graph else 25)
-    assert np.array_equal(dist, bfs_distance_matrix(graph))
+    with pytest.raises(NoUniversalVertexError):
+        distance_matrix(graph)
+    with pytest.raises(NoUniversalVertexError):
+        graph.quotient.dist
+    assert bfs_distance_matrix(graph).max() == (49 if make is path_graph else 25)
+    assert distance_matrix(with_universal_vertex(graph)).max() == 2
 
 
 def test_reciprocal_transmissions_at_2_3(family):

@@ -7,25 +7,31 @@ from oracles import (
     cycle_graph,
     edge_count,
     exhaustive_metric_dimension,
+    bfs_distance_matrix,
     from_edges,
-    is_connected,
+    has_induced_p4,
+    mmd_among,
     mmd_graph_loop,
     path_graph,
+    random_cographs,
     random_graphs,
     resolve_check_unique,
     star_graph,
     strong_metric_dimension,
+    vertex_cover,
+    with_universal_vertex,
 )
 from powergraph.graphs import Graph, twin_classes
+from powergraph.groups import GroupParams
+from powergraph.matrices import NoUniversalVertexError
 from powergraph.metric import (
-    SEARCH_CAP,
     MetricSearchError,
-    max_independent_set,
+    family_metric_dimension,
+    family_strong_metric_dimension,
     metric_dimension,
     min_vertex_cover,
     mmd_graph,
     resolve_check,
-    strong_cover,
     twin_witness,
 )
 
@@ -36,31 +42,34 @@ def lifted_mmd(graph: Graph) -> Graph:
 
 
 def test_resolve_check_path_end():
-    assert resolve_check(path_graph(4), {0})
-    assert not resolve_check(cycle_graph(5), {0})
+    assert resolve_check(path_graph(3), {0})  # the end of a path, whose middle is universal
+    assert not resolve_check(path_graph(3), {1})
+    assert not resolve_check(complete_graph(3), {0})
+    with pytest.raises(NoUniversalVertexError):
+        resolve_check(path_graph(4), {0})  # distances need a universal vertex
 
 
 def test_full_vertex_set_always_resolves(family):
     _, graph, _ = family(2, 3)
     assert resolve_check(graph, set(range(graph.n)))
-    for g in (path_graph(5), cycle_graph(6), star_graph(4)):
+    for g in (with_universal_vertex(path_graph(5)), complete_graph(6), star_graph(4)):
         assert resolve_check(g, set(range(g.n)))
 
 
 def test_resolve_check_matches_the_sorting_oracle_on_random_graphs():
     rng = np.random.default_rng(19)
-    connected = [graph for graph in random_graphs(seed=23, count=300) if is_connected(graph)]
+    corpus = [with_universal_vertex(graph) for graph in random_graphs(seed=23, count=300)]
     # blown-up graphs have closed and open twin classes side by side
-    connected += list(blown_up_graphs(seed=29, count=100))
+    corpus += [with_universal_vertex(graph) for graph in blown_up_graphs(seed=29, count=100)]
     verdicts = []
-    for graph in connected:
+    for graph in corpus:
         for _ in range(5):
             size = int(rng.integers(0, graph.n + 1))
             subset = rng.choice(graph.n, size=size, replace=False).tolist()
             verdict = resolve_check(graph, subset)
             assert verdict == resolve_check_unique(graph, subset)
             verdicts.append(verdict)
-    assert len(connected) > 100 and 100 < sum(verdicts) < len(verdicts) - 100
+    assert 100 < sum(verdicts) < len(verdicts) - 100
 
 
 def test_twin_lower_bound_values(family):
@@ -125,10 +134,9 @@ def test_mmd_path():
 
 
 def test_mmd_graph_matches_the_loop_oracle_on_random_graphs():
-    connected = [graph for graph in random_graphs(seed=7, count=300) if is_connected(graph)]
-    connected += blown_up_graphs(seed=7, count=100)
-    assert len(connected) > 100
-    for graph in connected:
+    corpus = [with_universal_vertex(graph) for graph in random_graphs(seed=7, count=300)]
+    corpus += [with_universal_vertex(graph) for graph in blown_up_graphs(seed=7, count=100)]
+    for graph in corpus:
         assert np.array_equal(graph.quotient.lift(mmd_graph(graph)), mmd_graph_loop(graph).adj)
 
 
@@ -136,6 +144,38 @@ def test_mmd_graph_matches_the_loop_oracle_on_random_graphs():
 def test_mmd_graph_matches_the_loop_oracle_on_the_family(family, k, p):
     _, graph, _ = family(k, p)
     assert np.array_equal(graph.quotient.lift(mmd_graph(graph)), mmd_graph_loop(graph).adj)
+
+
+@pytest.mark.parametrize("k,p", [(5, 5), (7, 7), (9, 7)])
+def test_distances_and_mmd_graph_match_the_oracles_on_two_members_of_each_class(family, k, p):
+    # the oracles' rows from the first and last member of every class cover every class pair,
+    # inside a class too, without an n x n matrix (n = 7200 at (9, 7))
+    _, graph, _ = family(k, p)
+    quotient = graph.quotient
+    sources = sorted({v for members in quotient.members for v in (members[0], members[-1])})
+    classes = quotient.class_of[sources]
+    rows = bfs_distance_matrix(graph, sources)
+    dist = quotient.dist[classes][:, quotient.class_of]
+    dist[np.arange(len(sources)), sources] = 0
+    assert np.array_equal(rows, dist)
+    gsr = mmd_graph(graph)[np.ix_(classes, classes)]
+    np.fill_diagonal(gsr, True)
+    assert np.array_equal(mmd_among(graph, sources), gsr)
+
+
+def test_mmd_graph_and_the_cover_refuse_a_graph_without_a_universal_vertex():
+    for graph in (path_graph(4), cycle_graph(5), from_edges(4, [(0, 1), (2, 3)])):
+        with pytest.raises(NoUniversalVertexError):
+            mmd_graph(graph)
+        with pytest.raises(NoUniversalVertexError):
+            min_vertex_cover(graph)
+
+
+def test_the_cover_refuses_a_non_cograph():
+    graph = with_universal_vertex(path_graph(4))  # diameter two, an induced P4
+    assert mmd_graph(graph).any()
+    with pytest.raises(MetricSearchError, match="not a cograph"):
+        min_vertex_cover(graph)
 
 
 def test_mmd_family_structure(family):
@@ -167,35 +207,37 @@ def test_vertex_cover_values(family):
     for n in range(2, 8):
         size, cover = min_vertex_cover(complete_graph(n))
         assert size == n - 1
-    assert min_vertex_cover(star_graph(6))[0] == 1
+    # the six leaves are open twins, a clique of G_SR; one of them and the centre are left out
+    assert min_vertex_cover(star_graph(6)) == (5, (2, 3, 4, 5, 6))
     _, graph, _ = family(2, 3)
-    assert min_vertex_cover(lifted_mmd(graph))[0] == 21
-    assert strong_cover(graph.quotient, mmd_graph(graph))[0] == 21
+    assert vertex_cover(lifted_mmd(graph))[0] == 21
+    assert min_vertex_cover(graph)[0] == 21
 
 
 def test_vertex_cover_witness_covers(family):
     _, graph, _ = family(2, 3)
     gsr = lifted_mmd(graph)
-    _, cover = strong_cover(graph.quotient, mmd_graph(graph))
+    _, cover = min_vertex_cover(graph)
     chosen = set(cover)
     assert all(i in chosen or j in chosen for i, j in gsr.edges())
 
 
-def test_strong_cover_matches_the_cover_of_the_loop_oracle():
-    connected = [graph for graph in random_graphs(seed=7, count=300) if is_connected(graph)]
-    connected += blown_up_graphs(seed=7, count=100)
-    assert len(connected) > 100
-    for graph in connected:
+def test_min_vertex_cover_matches_the_cover_of_the_loop_oracle():
+    # random graphs with a universal vertex: a cograph's cover is as small as the branch and
+    # bound's on the loop oracle's G_SR; any other graph is refused
+    corpus = [with_universal_vertex(graph) for graph in random_graphs(seed=7, count=300, max_n=12)]
+    corpus += [with_universal_vertex(graph) for graph in blown_up_graphs(seed=7, count=100)]
+    cographs = 0
+    for graph in corpus:
         oracle = mmd_graph_loop(graph)
-        assert oracle.n <= SEARCH_CAP
-        gsr = mmd_graph(graph)
-        assert strong_cover(graph.quotient, gsr) == min_vertex_cover(oracle)
-        assert graph.quotient.edge_count(gsr) == edge_count(oracle)
-
-
-def test_max_independent_set_cap():
-    with pytest.raises(MetricSearchError):
-        max_independent_set(path_graph(65))
+        assert graph.quotient.edge_count(mmd_graph(graph)) == edge_count(oracle)
+        if has_induced_p4(graph):
+            with pytest.raises(MetricSearchError, match="not a cograph"):
+                min_vertex_cover(graph)
+            continue
+        cographs += 1
+        assert min_vertex_cover(graph)[0] == vertex_cover(oracle)[0]
+    assert 100 < cographs < len(corpus) - 20  # both kinds
 
 
 @pytest.mark.parametrize("k,p,expected", [(2, 3, 21), (2, 5, 37)])
@@ -237,30 +279,32 @@ def test_twin_witness_matches_proof_shape(family):
 
 
 def test_collapsed_cover_matches_the_plain_search_on_random_graphs():
-    # closed twins are added on purpose, so the collapse has classes to merge
-    rng = np.random.default_rng(11)
-    for _ in range(300):
-        base = int(rng.integers(1, 9))
-        n = int(rng.integers(base, 13))
-        adj = np.zeros((n, n), dtype=bool)
-        prob = rng.uniform(0.1, 0.9)
-        for i in range(base):
-            for j in range(i + 1, base):
-                adj[i, j] = adj[j, i] = rng.random() < prob
-        for v in range(base, n):
-            twin = int(rng.integers(0, v))
-            adj[v, :v] = adj[:v, v] = adj[twin, :v]
-            if rng.random() < 0.7:
-                adj[v, twin] = adj[twin, v] = True
-        g = Graph(adj)
-        size, cover = min_vertex_cover(g)
-        assert size == len(cover) == g.n - len(max_independent_set(g))
-        rest = sorted(set(range(g.n)) - set(cover))
-        assert not g.adj[np.ix_(rest, rest)].any()
+    # one vertex per class of a largest clique is kept: the plain branch and bound on the
+    # loop oracle's G_SR leaves as many out, on 400 connected cographs with a universal vertex
+    corpus = [
+        with_universal_vertex(graph)
+        for seed in range(40)
+        for graph in random_cographs(seed, count=10, min_n=2, max_n=14)
+    ]
+    assert len(corpus) == 400
+    for graph in corpus:
+        oracle = mmd_graph_loop(graph)
+        size, cover = min_vertex_cover(graph)
+        assert size == len(cover) == strong_metric_dimension(graph) == vertex_cover(oracle)[0]
+        rest = sorted(set(range(graph.n)) - set(cover))
+        assert not oracle.adj[np.ix_(rest, rest)].any()
 
 
 @pytest.mark.parametrize("k,p", [(3, 5), (4, 5)])
 def test_strong_metric_dimension_past_the_search_cap(family, k, p):
+    # n = 80 and 160: the oracle's branch and bound on the n-vertex G_SR, no twin collapse
     params, graph, _ = family(k, p)
     assert graph.n > 64
-    assert strong_metric_dimension(graph) == params.order - 3
+    assert strong_metric_dimension(graph) == min_vertex_cover(graph)[0] == params.order - 3
+
+
+@pytest.mark.parametrize("k,p", [(2, 3), (2, 5), (3, 3), (7, 31)])
+def test_family_predictions_are_the_papers_formulas(k, p):
+    params = GroupParams(k, p)
+    assert family_metric_dimension(params) == 7 * 2 ** (k - 2) * p - 4
+    assert family_strong_metric_dimension(params) == 2 ** (k + 1) * p - 3

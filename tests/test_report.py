@@ -12,7 +12,7 @@ import pytest
 import powergraph
 from oracles import classify_partition, edge_count, from_edges, labelled, verify_decomposition
 from perfbench.workloads import WORKLOADS
-from powergraph import graphs, spectra
+from powergraph import graphs, metric, spectra
 from powergraph.cli import RunConfig, run
 from powergraph.detour import DetourBudgetError
 from powergraph.graphs import CLASS_TYPES, TwinQuotient
@@ -56,6 +56,8 @@ def calls(monkeypatch):
         ("graphs", "build_power_graph"),
         ("graphs", "twin_classes"),
         ("matrices", "distance_matrix"),
+        ("metric", "mmd_graph"),
+        ("metric", "min_vertex_cover"),
         ("detour", "detour_matrix"),
         ("sequences", "detour_profile"),
         ("spectra", "solve_quotient"),
@@ -69,15 +71,16 @@ def calls(monkeypatch):
         return from_classes(cls, *args)
 
     monkeypatch.setattr(DegreeSequenceTable, "from_classes", classmethod(counted_table))
-    orbits = TwinQuotient.orbits.func
+    for name in ("orbits", "cotree"):
+        build = getattr(TwinQuotient, name).func
 
-    def counted_orbits(quotient):
-        counts["orbits"] += 1
-        return orbits(quotient)
+        def counted_build(quotient, _name=name, _build=build):
+            counts[_name] += 1
+            return _build(quotient)
 
-    prop = cached_property(counted_orbits)
-    prop.__set_name__(TwinQuotient, "orbits")
-    monkeypatch.setattr(TwinQuotient, "orbits", prop)
+        prop = cached_property(counted_build)
+        prop.__set_name__(TwinQuotient, name)
+        monkeypatch.setattr(TwinQuotient, name, prop)
     return counts
 
 
@@ -87,7 +90,7 @@ def test_cli_commands_share_one_computation(calls):
     assert calls["build_power_graph"] == 1
     assert calls["distance_matrix"] == 1
     assert calls["detour_matrix"] == 1
-    assert calls["twin_classes"] == 2  # the power graph and the k-vertex class MMD graph
+    assert calls["twin_classes"] == 1  # the power graph's
     # the detour view and the report read one profile and one detour table
     assert calls["detour_profile"] == 1
     assert calls["from_classes"] == 2  # the distance table and the detour table
@@ -97,16 +100,18 @@ def test_cli_commands_share_one_computation(calls):
 def test_report_builds_each_object_once(calls):
     payload = build_report(2, 3, (0.0, 0.25, 0.5, 0.75, 1.0))
     assert payload["passed"]
-    assert calls["distance_matrix"] == 1
-    assert calls["twin_classes"] == 2  # the power graph and the k-vertex class MMD graph
+    assert calls["distance_matrix"] == calls["mmd_graph"] == calls["min_vertex_cover"] == 1
+    assert calls["twin_classes"] == 1  # the power graph's; G_SR and its cover build no graph
     assert calls["detour_matrix"] == 1
     assert calls["detour_profile"] == 1
     assert calls["from_classes"] == 2
     assert calls["orbits"] == 1
+    # the strong cover and the detour search both ran, on the one cotree
+    assert calls["cotree"] == 1
 
 
 def test_default_report_calls_twins_three_times(monkeypatch):
-    # the power graph, its orbits and the k-vertex class MMD graph; the cotree calls none
+    # the power graph and its orbits; the cotree, G_SR and the strong cover call none
     counted = []
     twins = graphs._twins
 
@@ -172,7 +177,7 @@ def test_detour_budget_error_is_searched_once(calls, monkeypatch):
     searches = {
         ("detour", "detour_matrix"): DetourBudgetError("detour search exceeded its time budget"),
         ("metric", "metric_dimension"): MetricSearchError("twin witness does not resolve"),
-        ("metric", "min_vertex_cover"): MetricSearchError("independent-set search capped"),
+        ("metric", "min_vertex_cover"): MetricSearchError("graph is not a cograph"),
     }
     for (_, refused), refusal in searches.items():
         counts = Counter()
@@ -367,3 +372,18 @@ def test_block_reduction_check_fails_on_broken_graphs():
         block = checks["block_reduction_random"]
         assert not block["passed"]
         assert reason in block["details"]["reason"]
+
+
+@pytest.mark.parametrize("k,p", [(2, 3), (3, 5)])
+@pytest.mark.parametrize(
+    "prediction,check",
+    [
+        ("family_metric_dimension", "metric_dimension"),
+        ("family_strong_metric_dimension", "strong_metric_dimension"),
+    ],
+)
+def test_a_metric_prediction_off_by_one_fails_its_own_check_only(monkeypatch, k, p, prediction, check):
+    original = getattr(metric, prediction)
+    monkeypatch.setattr(metric, prediction, lambda params: original(params) + 1)
+    payload = build_report(k, p, (0.5,))
+    assert [c["name"] for c in payload["checks"] if not c["passed"]] == [check]

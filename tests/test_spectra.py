@@ -14,13 +14,14 @@ from oracles import (
     complete_graph,
     dense_quotient_roots,
     from_edges,
-    is_connected,
     multiplicity_verdict_oracle,
     multisets_agree,
     path_graph,
     quotient_spectrum_oracle,
     random_graphs,
+    rd_alpha_bfs,
     twin_verdict_oracle,
+    with_universal_vertex,
 )
 from powergraph.graphs import build_power_graph
 from powergraph.groups import GroupParams
@@ -108,7 +109,7 @@ def test_twin_eigenvalue_lines(family):
 # spectra from the twin quotient, against the dense eigensolve -------------
 
 ALPHAS = (0.0, 0.25, 0.5, 0.75, 1.0)
-DENSE = {"adjacency": a_alpha, "reciprocal": rd_alpha}
+DENSE = {"adjacency": a_alpha, "reciprocal": rd_alpha_bfs}  # RD from the oracle's BFS distances
 
 
 def assert_quotient_matches_dense(graph, kind):
@@ -121,8 +122,8 @@ def assert_quotient_matches_dense(graph, kind):
 
 @pytest.mark.parametrize("kind", ["adjacency", "reciprocal"])
 def test_quotient_spectrum_matches_dense_on_random_graphs(kind):
-    corpus = [g for g in random_graphs(seed=13, count=200) if is_connected(g)]
-    corpus += list(blown_up_graphs(seed=17, count=100))
+    corpus = [with_universal_vertex(g) for g in random_graphs(seed=13, count=200)]
+    corpus += [with_universal_vertex(g) for g in blown_up_graphs(seed=17, count=100)]
     open_twins = closed_twins = 0
     for graph in corpus:
         assert_quotient_matches_dense(graph, kind)
@@ -313,8 +314,8 @@ def test_sweeps_equal_single_alpha_sweeps_on_the_family(family, k, p, kind):
 
 @pytest.mark.parametrize("kind", ["adjacency", "reciprocal"])
 def test_sweeps_equal_single_alpha_sweeps_on_random_graphs_with_twins(kind):
-    corpus = [g for g in random_graphs(seed=29, count=60) if is_connected(g)]
-    corpus += list(blown_up_graphs(seed=31, count=60))
+    corpus = [with_universal_vertex(g) for g in random_graphs(seed=29, count=60)]
+    corpus += [with_universal_vertex(g) for g in blown_up_graphs(seed=31, count=60)]
     for graph in corpus:
         assert_sweep_equals_single_alphas(lambda alphas: solve_quotient(graph, (kind,), alphas)[0])
         assert_sweep_equals_single_alphas(lambda alphas: twin_eigenvalues(graph, kind, alphas))
@@ -386,8 +387,8 @@ def assert_orbit_roots_match_the_quotient(graph, kinds=SPECTRUM_KINDS, alphas=AL
 
 
 def test_orbit_roots_of_singleton_orbits():
-    graph = path_graph(5)  # no twins, and no two classes interchangeable
-    assert graph.quotient.orbits == tuple((a,) for a in range(5))
+    graph = with_universal_vertex(path_graph(5))  # no twins, no two classes interchangeable
+    assert graph.quotient.orbits == tuple((a,) for a in range(6))
     assert_orbit_roots_match_the_quotient(graph)
 
 
@@ -407,12 +408,13 @@ def test_orbit_roots_k3():
 @given(st.integers(0, 2**31 - 1), st.integers(6, 16))
 @settings(max_examples=40, deadline=None)
 def test_orbit_roots_property(seed, max_n):
-    assert_orbit_roots_match_the_quotient(next(blown_up_graphs(seed, 1, max_n)))
+    graph = with_universal_vertex(next(blown_up_graphs(seed, 1, max_n)))
+    assert_orbit_roots_match_the_quotient(graph)
 
 
 def test_orbit_roots_match_the_quotient_on_blown_up_graphs():
     symmetric = 0
-    for graph in blown_up_graphs(8, 200):
+    for graph in map(with_universal_vertex, blown_up_graphs(8, 200)):
         assert_orbit_roots_match_the_quotient(graph)
         symmetric += len(graph.quotient.orbits) < len(graph.quotient.sizes)
     assert symmetric >= 40
@@ -436,7 +438,7 @@ def test_orbit_roots_match_the_quotient_at_9_7():
 def test_rd_alpha_closed_form_matches_numeric(family, alpha):
     params, graph, _ = family(2, 3)
     closed = rd_alpha_closed_form(params, (alpha,))
-    numeric = sym_eigenvalues(rd_alpha(graph, alpha))
+    numeric = sym_eigenvalues(rd_alpha_bfs(graph, alpha))
     assert np.abs(closed.expanded[0] - numeric).max() <= 1e-8
 
 
@@ -606,8 +608,8 @@ def test_sweeps_equal_the_per_alpha_oracle_on_the_family(family, k, p):
 
 
 def twin_corpus():
-    corpus = [g for g in random_graphs(seed=41, count=80) if is_connected(g)]
-    corpus += list(blown_up_graphs(seed=43, count=80))
+    corpus = [with_universal_vertex(g) for g in random_graphs(seed=41, count=80)]
+    corpus += [with_universal_vertex(g) for g in blown_up_graphs(seed=43, count=80)]
     return [g for g in corpus if max(g.quotient.sizes, default=1) > 1]
 
 
