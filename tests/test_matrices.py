@@ -170,7 +170,9 @@ def test_graph_dist_matches_the_bfs_oracle_on_the_random_corpora():
             graph.quotient.dist
         except NoUniversalVertexError:
             refused += 1
-            graph = with_universal_vertex(graph)
+        else:
+            assert np.array_equal(lifted_distances(graph), bfs_distance_matrix(graph))
+        graph = with_universal_vertex(graph)
         assert graph.quotient.dist.dtype == np.int64
         assert np.array_equal(lifted_distances(graph), bfs_distance_matrix(graph))
     assert 50 < refused < 350  # the corpus has both kinds
