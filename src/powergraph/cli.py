@@ -235,9 +235,8 @@ def run(config: RunConfig, out=None) -> int:
     out = out if out is not None else sys.stdout
     stem = f"k{config.k}-p{config.p}"
 
-    inst = report.Instance(
-        GroupParams(config.k, config.p), config.detour_budget_s, config.detour_oracle_max_n
-    )
+    budget, cap = config.detour_budget_s, config.detour_oracle_max_n
+    inst = report.Instance(GroupParams(config.k, config.p), config.alphas, budget, cap)
     graph = inst.graph
 
     if "build" in config.commands:
@@ -256,15 +255,12 @@ def run(config: RunConfig, out=None) -> int:
         print(f"built power graph: n={graph.n}, edges={quotient.edge_count(quotient.adj)}", file=out)
 
     if "spectra" in config.commands:
-        for kind in report.SPECTRUM_KINDS:
-            sweeps = inst.spectra(kind, config.alphas)
-            payloads = report.spectrum_payloads(inst.params, config.alphas, *sweeps)
+        for kind, payloads in inst.payloads.items():
             for alpha, payload in zip(config.alphas, payloads):
                 _emit(config.out_dir, f"{stem}-alpha{alpha!r}-{kind}-spectrum.json", payload)
-            if kind == "adjacency":
-                adjacency = payloads
         if config.fmt == "csv":
-            _emit(config.out_dir, f"{stem}-adjacency-spectra.csv", _spectra_csv(adjacency))
+            csv = _spectra_csv(inst.payloads["adjacency"])
+            _emit(config.out_dir, f"{stem}-adjacency-spectra.csv", csv)
         print(f"spectra computed for alphas {list(config.alphas)}", file=out)
 
     if "metric" in config.commands:
@@ -326,9 +322,7 @@ def run(config: RunConfig, out=None) -> int:
         print("distance degree sequences computed", file=out)
 
     if "report" in config.commands:
-        payload = report.report_payload(
-            inst, config.alphas, tol=config.tol, seed=config.seed, version=__version__
-        )
+        payload = report.report_payload(inst, config.tol, config.seed, __version__)
         payload["config"].update({"format": config.fmt})
         _emit(config.out_dir, f"{stem}-report.json", payload)
         for check in payload["checks"]:

@@ -244,7 +244,7 @@ class TwinQuotient:
         if len(self.sizes) == 1 and self.sizes[0] > 1 and not self.closed[0]:  # edgeless
             raise NoUniversalVertexError("no vertex is adjacent to every other; distances need one")
         within = self.adj.diagonal()
-        dist = distance_matrix(Graph(self.adj & ~np.diag(within)))
+        dist = distance_matrix(self.adj & ~np.diag(within))
         np.fill_diagonal(dist, 2 * (np.array(self.sizes) > 1) - within)
         dist.setflags(write=False)
         return dist

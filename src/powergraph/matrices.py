@@ -51,23 +51,24 @@ def a_alpha(graph: Graph, alpha: float) -> np.ndarray:
     return alpha * degree_diag(graph) + (1.0 - alpha) * adjacency(graph)
 
 
-def distance_matrix(graph: Graph) -> np.ndarray:
+def distance_matrix(adj: np.ndarray) -> np.ndarray:
     """Shortest-path distances (int64) of a graph with a universal vertex: 1 on an edge, else 2.
 
-    A vertex adjacent to every other is a common neighbour of any two
+    `adj` is the graph's bool adjacency, symmetric with a zero diagonal.  A
+    vertex adjacent to every other is a common neighbour of any two
     non-adjacent vertices, so the diameter is at most 2.  Raises
     NoUniversalVertexError when no vertex is adjacent to every other.
     """
-    if graph.n and not (graph.adj | np.eye(graph.n, dtype=bool)).all(axis=1).any():
+    if len(adj) and not (adj | np.eye(len(adj), dtype=bool)).all(axis=1).any():
         raise NoUniversalVertexError("no vertex is adjacent to every other; distances need one")
-    dist = np.where(graph.adj, 1, 2)
+    dist = np.where(adj, 1, 2)
     np.fill_diagonal(dist, 0)
     return dist
 
 
 def reciprocal_distance(graph: Graph) -> np.ndarray:
     """Entrywise 1/d(u, v) off the diagonal, 0 on it, from the dense n-vertex distances."""
-    dist = distance_matrix(graph)
+    dist = distance_matrix(graph.adj)
     rd = np.zeros(dist.shape, dtype=np.float64)
     off = dist > 0
     rd[off] = 1.0 / dist[off]

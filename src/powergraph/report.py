@@ -6,15 +6,16 @@ twin quotient, class distances, quotient orbits and class detour matrix
 once.  Each refusable result (detour search, twin witness, strong cover) is a
 cached property that returns its value or raises its refusal; a check reads it once
 in one `try`, and a refusal FAILs the check with the reason (`check_detour`
-decides both detour checks in one branch).  The spectra are array sweeps over
-the alphas (`spectra.Sweep`), one per kind and
-side; the graph's orbit quotients of both kinds are one stacked solve, and each closed
-form's 5 x 5 quotients one more, so a report makes 3 eigensolve calls.  Every spectrum
-check, its payload and the transcription checks read those arrays, all alphas at once.
-The spectra, the detour search and the blade-reduction check read the same orbits.  Each
-check returns a name, a pass flag and enough detail to diagnose a failure.  Transcription
-checks (published polynomial / published quotient matrix) never fail the run: a mismatch
-emits a diagnostic and the numeric spectrum stays the arbiter.
+decides both detour checks in one branch).  An `Instance` holds its alphas, and the
+spectra are array sweeps over them (`spectra.Sweep`), one per kind and side, solved once:
+the graph's orbit quotients of both kinds are one stacked solve, and both closed forms'
+5 x 5 quotients one more, so a report makes 2 eigensolve calls.  Each kind's payloads
+are built once from the sweeps, and `check_spectra` reads the sweeps and payloads for
+all five spectrum checks, all alphas at once; the CLI's `spectra` view writes the same
+payloads.  The spectra, the detour search and the blade-reduction check read the same
+orbits.  Each check returns a name, a pass flag and enough detail to diagnose a failure.
+Transcription checks (published polynomial / published quotient matrix) never fail the
+run: a mismatch emits a diagnostic and the numeric spectrum stays the arbiter.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ SPECTRUM_KINDS = ("adjacency", "reciprocal")
 class Instance:
     """The power graph of one G(k, p) and the objects derived from it, each built at most once.
 
-    `params`, `graph` and the `predicted` twin quotient of the closed forms,
-    with its `predicted_types`, are built on construction
+    `params`, `alphas`, `graph` and the `predicted` twin quotient of the closed
+    forms, with its `predicted_types`, are set on construction
     (`GroupParams` refuses an order above `groups.MAX_VERTICES`); everything
     else on first use.  The graph holds its twin quotient, which holds the
     k x k class distances and the orbits; the detour search and the MMD graph give k x k
@@ -53,37 +54,37 @@ class Instance:
     def __init__(
         self,
         params: GroupParams,
+        alphas=(),
         detour_budget_s: float = 60.0,
         detour_oracle_max_n: int = MAX_VERTICES,
     ):
         self.params = params
+        self.alphas = tuple(alphas)
         self.detour_budget_s = detour_budget_s
         self.detour_oracle_max_n = detour_oracle_max_n
         self.graph = build_power_graph(params)
         self.predicted, self.predicted_types = predicted_quotient(self.graph.elements, params)
-        self._alphas: list[float] = []
-        self._sweeps: dict[str, tuple[spectra.Sweep, spectra.Sweep]] = {}
 
-    def spectra(self, kind: str, alphas) -> tuple[spectra.Sweep, spectra.Sweep]:
-        """(closed form, graph's own spectrum) sweeps of A_alpha or RD_alpha, row i at alphas[i].
+    @cached_property
+    def spectra(self) -> dict[str, tuple[spectra.Sweep, spectra.Sweep]]:
+        """(closed form, graph's own spectrum) sweeps of A_alpha and RD_alpha, by kind.
 
-        Both kinds are solved together over every alpha asked for so far and alpha = 1, which
-        the transmission check reads; an alpha not held yet re-solves them.
+        Row i is at `alphas[i]`, and one more, the last, at alpha = 1, which the
+        transmission check reads.  Each side is solved once, in one call for both
+        kinds, at the distinct alphas and 1.0.
         """
-        alphas = list(alphas)
-        if not self._sweeps or not set(alphas) <= set(self._alphas):
-            self._alphas = list(dict.fromkeys([*self._alphas, *alphas, 1.0]))
-            numeric = spectra.solve_quotient(self.graph, SPECTRUM_KINDS, self._alphas)
-            closed = [
-                spectra.a_alpha_closed_form(self.params, self._alphas),
-                spectra.rd_alpha_closed_form(self.params, self._alphas),
-            ]
-            self._sweeps = dict(zip(SPECTRUM_KINDS, zip(closed, numeric)))
-        closed, numeric = self._sweeps[kind]
-        if alphas == self._alphas:
-            return closed, numeric
-        rows = [self._alphas.index(alpha) for alpha in alphas]
-        return closed.rows(rows), numeric.rows(rows)
+        solved = list(dict.fromkeys([*self.alphas, 1.0]))
+        numeric = spectra.solve_quotient(self.graph, SPECTRUM_KINDS, solved)
+        closed = spectra.closed_form(self.params, SPECTRUM_KINDS, solved)
+        rows = [solved.index(alpha) for alpha in [*self.alphas, 1.0]]
+        pairs = zip(SPECTRUM_KINDS, closed, numeric)
+        return {kind: (c.rows(rows), n.rows(rows)) for kind, c, n in pairs}
+
+    @cached_property
+    def payloads(self) -> dict[str, list[dict]]:
+        """Each kind's `spectrum_payloads`, written by the report and by the `spectra` view."""
+        sweeps = self.spectra.items()
+        return {kind: spectrum_payloads(self.params, self.alphas, *pair) for kind, pair in sweeps}
 
     @cached_property
     def resolving(self) -> tuple[int, ...]:
@@ -131,6 +132,14 @@ class Instance:
         return self.predicted_types[self.predicted.class_of]
 
     @cached_property
+    def class_types(self) -> list[tuple[int, int]]:
+        """Each (graph class, predicted type of a vertex in it) pair once, by class, then type."""
+        quotient = self.graph.quotient
+        seen = np.zeros((len(quotient.sizes), len(CLASS_TYPES)), dtype=bool)
+        seen[quotient.class_of, self.vertex_types] = True
+        return list(zip(*(part.tolist() for part in np.nonzero(seen))))
+
+    @cached_property
     def twins_as_predicted(self) -> bool:
         """Whether the twin classes, and their closedness, are the predicted ones."""
         quotient, predicted = self.graph.quotient, self.predicted
@@ -147,11 +156,7 @@ def _classes_match(inst: Instance, values, predicted: dict) -> bool:
     Only the types that `predicted` names (by `CLASS_TYPES` name) are compared.
     """
     by_type = {t: predicted[name] for t, name in enumerate(CLASS_TYPES) if name in predicted}
-    quotient = inst.graph.quotient
-    seen = np.zeros((len(quotient.sizes), len(CLASS_TYPES)), dtype=bool)
-    seen[quotient.class_of, inst.vertex_types] = True
-    pairs = zip(*(part.tolist() for part in np.nonzero(seen)))  # each (class, type) once
-    return all(values[a] == by_type[t] for a, t in pairs if t in by_type)
+    return all(values[a] == by_type[t] for a, t in inst.class_types if t in by_type)
 
 
 def _cluster_tol(values: np.ndarray) -> np.ndarray:
@@ -255,57 +260,46 @@ def check_structure(inst: Instance) -> list[dict]:
     ]
 
 
-def check_twin_eigenvalues(inst: Instance, alphas, tol: float) -> dict:
-    """The graph's twin lines of A_alpha are contained in the closed-form spectrum."""
-    present = _twins_present(*inst.spectra("adjacency", alphas), tol).tolist()
-    per_alpha = {repr(alpha): ok for alpha, ok in zip(alphas, present)}
-    return _check("twin_eigenvalues_in_spectrum", all(present), per_alpha=per_alpha)
+def check_spectra(inst: Instance, tol: float) -> list[dict]:
+    """The five spectrum checks in report order, from the instance's sweeps and payloads.
 
-
-def check_spectrum_family(
-    inst: Instance, alphas, tol: float, kind: str
-) -> tuple[dict, list[dict]]:
-    """Closed form vs numeric spectrum for A_alpha or RD_alpha over an alpha sweep."""
-    assert kind in SPECTRUM_KINDS
-    closed, numeric = inst.spectra(kind, alphas)
-    payloads = spectrum_payloads(inst.params, alphas, closed, numeric)
-    recovered = _multiplicities_recovered(closed.expanded, numeric.expanded, tol).tolist()
-    per_alpha = {}
-    ok = True
-    for alpha, payload, mult_ok in zip(alphas, payloads, recovered):
-        deviation = payload["max_deviation"]
-        per_alpha[repr(alpha)] = {"max_deviation": deviation, "multiplicities_recovered": mult_ok}
-        ok = ok and deviation <= tol and mult_ok
-    details = {"per_alpha": per_alpha}
-    if kind == "reciprocal":
-        _, _, transmissions = inst.graph.quotient.reciprocals
-        rt = np.sort(transmissions[inst.graph.quotient.class_of])[::-1]
-        at_one, _ = inst.spectra(kind, (1.0,))
-        [rt_deviation] = _max_deviations(at_one.expanded, rt[None, :]).tolist()
-        details["alpha_one_equals_transmissions"] = rt_deviation == 0.0
-        ok = ok and rt_deviation == 0.0
-    name = f"{kind}_alpha_spectrum"
-    return _check(name, ok, **details), payloads
-
-
-def check_transcriptions(inst: Instance, alphas) -> list[dict]:
-    """The printed quintic at the closed form's quotient roots, and the printed RD quotient.
-
-    Each reads the closed-form sweep of its kind.  A mismatch is reported,
-    never fatal: its diagnostic must be present.
+    The graph's twin lines of A_alpha lie in the closed form; each kind's closed
+    form is the graph's spectrum, and RD_1 is the reciprocal transmissions (the
+    sweeps' last row, compared exactly); the printed quintic at the closed
+    form's quotient roots, and the printed RD quotient.  A transcription
+    mismatch is reported, never fatal: its diagnostic must be present.
     """
-    (a_closed, _), (rd_closed, _) = (inst.spectra(kind, alphas) for kind in SPECTRUM_KINDS)
-    checks = {
-        "quintic_transcription": spectra.quintic_transcription_check(inst.params, alphas, a_closed),
-        "reciprocal_quotient_transcription": spectra.rd_quotient_transcription_check(rd_closed),
-    }
-    keys = [repr(alpha) for alpha in alphas]
-    return [
-        _check(
-            name, all(c["matches"] or c["diagnostic"] for c in cs), per_alpha=dict(zip(keys, cs))
-        )
-        for name, cs in checks.items()
+    keys = [repr(alpha) for alpha in inst.alphas]
+    (a_closed, a_numeric), (rd_closed, _) = inst.spectra.values()
+    present = _twins_present(a_closed, a_numeric, tol)[:-1].tolist()
+    checks = [
+        _check("twin_eigenvalues_in_spectrum", all(present), per_alpha=dict(zip(keys, present)))
     ]
+    for kind, (closed, numeric) in inst.spectra.items():
+        recovered = _multiplicities_recovered(closed.expanded, numeric.expanded, tol).tolist()
+        per_alpha = {}
+        ok = True
+        for key, payload, mult_ok in zip(keys, inst.payloads[kind], recovered):
+            deviation = payload["max_deviation"]
+            per_alpha[key] = {"max_deviation": deviation, "multiplicities_recovered": mult_ok}
+            ok = ok and deviation <= tol and mult_ok
+        details = {"per_alpha": per_alpha}
+        if kind == "reciprocal":
+            _, _, transmissions = inst.graph.quotient.reciprocals
+            rt = np.sort(transmissions[inst.graph.quotient.class_of])[::-1]
+            [rt_deviation] = _max_deviations(closed.expanded[-1:], rt[None, :]).tolist()
+            details["alpha_one_equals_transmissions"] = rt_deviation == 0.0
+            ok = ok and rt_deviation == 0.0
+        checks.append(_check(f"{kind}_alpha_spectrum", ok, **details))
+    a_at, rd_at = (sweep.rows(slice(len(keys))) for sweep in (a_closed, rd_closed))
+    quintic = spectra.quintic_transcription_check(inst.params, inst.alphas, a_at)
+    for name, cs in (
+        ("quintic_transcription", quintic),
+        ("reciprocal_quotient_transcription", spectra.rd_quotient_transcription_check(rd_at)),
+    ):
+        passed = all(c["matches"] or c["diagnostic"] for c in cs)
+        checks.append(_check(name, passed, per_alpha=dict(zip(keys, cs))))
+    return checks
 
 
 def check_block_reduction(inst: Instance) -> dict:
@@ -433,21 +427,14 @@ def check_degree_sequences(inst: Instance) -> dict:
     )
 
 
-def report_payload(
-    inst: Instance, alphas, tol: float = 1e-8, seed: int = 0, version: str = "0"
-) -> dict:
-    """Run every verification on one instance and collect PASS/FAIL.
+def report_payload(inst: Instance, tol: float = 1e-8, seed: int = 0, version: str = "0") -> dict:
+    """Run every verification on one instance, at its alphas, and collect PASS/FAIL.
 
     `seed` is only recorded in the config: no check is randomized.
     """
     checks: list[dict] = []
     checks.extend(check_structure(inst))
-    checks.append(check_twin_eigenvalues(inst, alphas, tol))
-    payloads = {}
-    for kind in SPECTRUM_KINDS:
-        check, payloads[kind] = check_spectrum_family(inst, alphas, tol, kind)
-        checks.append(check)
-    checks.extend(check_transcriptions(inst, alphas))
+    checks.extend(check_spectra(inst, tol))
     checks.append(check_block_reduction(inst))
     checks.extend(check_metric(inst))
     eccentricities, detour_degree_sequences = check_detour(inst)
@@ -457,7 +444,7 @@ def report_payload(
         "config": {
             "k": inst.params.k,
             "p": inst.params.p,
-            "alphas": list(alphas),
+            "alphas": list(inst.alphas),
             "tol": tol,
             "seed": seed,
             "detour_budget_s": inst.detour_budget_s,
@@ -466,7 +453,7 @@ def report_payload(
         "order": inst.params.order,
         "checks": checks,
         "passed": all(c["passed"] for c in checks),
-        "spectra": payloads,
+        "spectra": inst.payloads,
     }
 
 
@@ -481,5 +468,5 @@ def build_report(
     version: str = "0",
 ) -> dict:
     """Run every verification for one (k, p) instance and collect PASS/FAIL."""
-    inst = Instance(GroupParams(k, p), detour_budget_s, detour_oracle_max_n)
-    return report_payload(inst, alphas, tol, seed, version)
+    inst = Instance(GroupParams(k, p), alphas, detour_budget_s, detour_oracle_max_n)
+    return report_payload(inst, tol, seed, version)

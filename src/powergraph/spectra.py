@@ -8,8 +8,9 @@ symmetric eigensolver applies.  `solve_quotient` does this for any graph
 twice over: on its twin classes, and then on their orbits of
 interchangeable classes, so it solves m x m matrices, m the number of
 orbits (5 on the family, where the N/4 blade classes form one orbit).  The
-closed forms do it for the family on its 5 vertex classes.  Every spectrum
-is a `Sweep`: its lines at all alphas as arrays, and their expansion.
+closed forms (`closed_form`) do it for the family on its 5 vertex classes.
+Each solves the quotients of every kind and alpha in one stacked call.  Every
+spectrum is a `Sweep`: its lines at all alphas as arrays, and their expansion.
 """
 
 from __future__ import annotations
@@ -217,17 +218,33 @@ def a_alpha_families(params: GroupParams, alpha) -> list[tuple[float, int, str]]
     ]
 
 
-def _closed_forms(params: GroupParams, alphas, families, quotient_matrix) -> Sweep:
-    """The `families` lines at every alpha and the roots of the `quotient_matrix` stack."""
-    matrices = quotient_matrix(params, alphas)  # checks every alpha
-    lines = families(params, np.array(alphas, dtype=np.float64)[:, None])
-    roots = sym_eigenvalues(matrices)
-    return _sweep(
-        np.concatenate([*(v for v, _, _ in lines), roots], axis=1),
-        np.array([m for _, m, _ in lines] + [1] * roots.shape[1], dtype=np.int64),
-        [s for _, _, s in lines] + ["quotient-root"] * roots.shape[1],
-        matrices,
-    )
+def closed_form(params: GroupParams, kinds, alphas) -> tuple[Sweep, ...]:
+    """The predicted spectrum of each of `kinds` ("adjacency": A_alpha, "reciprocal": RD_alpha).
+
+    Each kind's twin families at every alpha, plus the roots of its 5 x 5
+    quotients; the (K, A, 5, 5) quotients of all kinds are one stacked
+    `sym_eigenvalues` call.  The family and quotient functions are looked up
+    by name at each call.
+    """
+    forms = {
+        "adjacency": (a_alpha_families, a_alpha_quotient_matrix),
+        "reciprocal": (rd_alpha_families, rd_alpha_quotient_matrix),
+    }
+    parts = [forms[kind] for kind in kinds]
+    matrices = np.array([quotient_matrix(params, alphas) for _, quotient_matrix in parts])
+    a = np.array(alphas, dtype=np.float64)[:, None]  # each alpha checked by the quotients
+    sweeps = []
+    for (families, _), quotients, roots in zip(parts, matrices, sym_eigenvalues(matrices)):
+        lines = families(params, a)
+        sweeps.append(
+            _sweep(
+                np.concatenate([*(v for v, _, _ in lines), roots], axis=1),
+                np.array([m for _, m, _ in lines] + [1] * roots.shape[1], dtype=np.int64),
+                [s for _, _, s in lines] + ["quotient-root"] * roots.shape[1],
+                quotients,
+            )
+        )
+    return tuple(sweeps)
 
 
 def a_alpha_quotient_matrix(params: GroupParams, alphas) -> np.ndarray:
@@ -255,11 +272,8 @@ def a_alpha_quotient_matrix(params: GroupParams, alphas) -> np.ndarray:
 
 
 def a_alpha_closed_form(params: GroupParams, alphas) -> Sweep:
-    """Complete predicted A_alpha spectrum at each alpha: four twin families plus the quotient.
-
-    Every alpha's 5 x 5 quotient is solved in one stacked `sym_eigenvalues` call.
-    """
-    return _closed_forms(params, alphas, a_alpha_families, a_alpha_quotient_matrix)
+    """Complete predicted A_alpha spectrum at each alpha: four twin families plus the quotient."""
+    return closed_form(params, ("adjacency",), alphas)[0]
 
 
 def quintic_coefficients(params: GroupParams, alphas) -> np.ndarray:
@@ -395,11 +409,8 @@ def rd_alpha_quotient_matrix(params: GroupParams, alphas) -> np.ndarray:
 
 
 def rd_alpha_closed_form(params: GroupParams, alphas) -> Sweep:
-    """Complete predicted RD_alpha spectrum at each alpha: five families plus the quotient.
-
-    Every alpha's 5 x 5 quotient is solved in one stacked `sym_eigenvalues` call.
-    """
-    return _closed_forms(params, alphas, rd_alpha_families, rd_alpha_quotient_matrix)
+    """Complete predicted RD_alpha spectrum at each alpha: five families plus the quotient."""
+    return closed_form(params, ("reciprocal",), alphas)[0]
 
 
 def rd_quotient_transcription_check(closed: Sweep) -> list[dict]:

@@ -97,7 +97,7 @@ def test_matrices_exactly_symmetric(family):
     for m in (
         adjacency(graph),
         a_alpha(graph, 0.3),
-        distance_matrix(graph),
+        distance_matrix(graph.adj),
         reciprocal_distance(graph),
         rd_alpha(graph, 0.7),
         detour_matrix(graph),
@@ -107,7 +107,7 @@ def test_matrices_exactly_symmetric(family):
 
 def test_distances_at_2_3(family):
     _, graph, classes = family(2, 3)
-    dist = distance_matrix(graph)
+    dist = distance_matrix(graph.adj)
     off = ~np.eye(graph.n, dtype=bool)
     assert set(np.unique(dist[off])) == {1, 2}
     assert all(dist[classes.e, v] == 1 for v in range(graph.n) if v != classes.e)
@@ -117,7 +117,7 @@ def test_distances_at_2_3(family):
 
 def test_triangle_inequality_exhaustive(family):
     _, graph, _ = family(2, 3)
-    dist = distance_matrix(graph)
+    dist = distance_matrix(graph.adj)
     for a, b, c in itertools.product(range(graph.n), repeat=3):
         assert dist[a, c] <= dist[a, b] + dist[b, c]
 
@@ -125,7 +125,7 @@ def test_triangle_inequality_exhaustive(family):
 def test_disconnected_rejected():
     g = from_edges(3, [(0, 1)])
     with pytest.raises(NoUniversalVertexError, match="no vertex is adjacent to every other"):
-        distance_matrix(g)
+        distance_matrix(g.adj)
 
 
 def has_universal_vertex(graph: Graph) -> bool:
@@ -140,9 +140,9 @@ def test_distance_matrix_matches_the_bfs_oracle_on_random_graphs():
         if not has_universal_vertex(graph):
             refused += 1
             with pytest.raises(NoUniversalVertexError):
-                distance_matrix(graph)
+                distance_matrix(graph.adj)
             graph = with_universal_vertex(graph)
-        dist = distance_matrix(graph)
+        dist = distance_matrix(graph.adj)
         assert dist.dtype == np.int64
         assert np.array_equal(dist, bfs_distance_matrix(graph))
     assert 50 < refused < 250  # the corpus has both kinds
@@ -151,7 +151,7 @@ def test_distance_matrix_matches_the_bfs_oracle_on_random_graphs():
 @pytest.mark.parametrize("k,p", [(2, 3), (3, 3), (2, 5), (4, 5), (5, 5)])
 def test_distance_matrix_matches_the_bfs_oracle_on_the_family(family, k, p):
     _, graph, _ = family(k, p)
-    dist = distance_matrix(graph)
+    dist = distance_matrix(graph.adj)
     assert dist.dtype == np.int64
     assert np.array_equal(dist, bfs_distance_matrix(graph))
 
@@ -190,7 +190,7 @@ def test_graph_dist_rejects_an_edgeless_graph(n):
 @pytest.mark.parametrize("k,p", [(2, 3), (3, 5), (5, 5), (6, 5), (7, 7)])
 def test_graph_dist_equals_the_dense_distances_on_the_family(family, k, p):
     _, graph, _ = family(k, p)
-    assert np.array_equal(lifted_distances(graph), distance_matrix(graph))
+    assert np.array_equal(lifted_distances(graph), distance_matrix(graph.adj))
 
 
 @pytest.mark.parametrize("make", [path_graph, cycle_graph])
@@ -198,11 +198,11 @@ def test_distance_matrix_on_long_diameters(make):
     # refused: a graph without a universal vertex may have any diameter, as the oracle shows
     graph = make(50)
     with pytest.raises(NoUniversalVertexError):
-        distance_matrix(graph)
+        distance_matrix(graph.adj)
     with pytest.raises(NoUniversalVertexError):
         graph.quotient.dist
     assert bfs_distance_matrix(graph).max() == (49 if make is path_graph else 25)
-    assert distance_matrix(with_universal_vertex(graph)).max() == 2
+    assert distance_matrix(with_universal_vertex(graph).adj).max() == 2
 
 
 def test_reciprocal_transmissions_at_2_3(family):
@@ -254,7 +254,7 @@ def test_detour_k4():
 
 def test_detour_tree_equals_distance():
     g = star_graph(5)  # a longer path is no cograph, and the search refuses it
-    assert np.array_equal(lifted_detour(g), distance_matrix(g))
+    assert np.array_equal(lifted_detour(g), distance_matrix(g.adj))
 
 
 def test_detour_family_values(family):
@@ -273,7 +273,7 @@ def test_detour_family_values(family):
 def test_detour_dominates_distance(family):
     _, graph, _ = family(2, 3)
     d = lifted_detour(graph)
-    dist = distance_matrix(graph)
+    dist = distance_matrix(graph.adj)
     assert (d >= dist).all()
     assert (d <= graph.n - 1).all()
 

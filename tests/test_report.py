@@ -61,7 +61,9 @@ def calls(monkeypatch):
         ("detour", "detour_matrix"),
         ("sequences", "detour_profile"),
         ("spectra", "solve_quotient"),
+        ("spectra", "closed_form"),
         ("spectra", "sym_eigenvalues"),
+        ("report", "spectrum_payloads"),
     ):
         watch(home, name)
     from_classes = DegreeSequenceTable.from_classes.__func__
@@ -71,16 +73,17 @@ def calls(monkeypatch):
         return from_classes(cls, *args)
 
     monkeypatch.setattr(DegreeSequenceTable, "from_classes", classmethod(counted_table))
-    for name in ("orbits", "cotree"):
-        build = getattr(TwinQuotient, name).func
+    cached = ((TwinQuotient, "orbits"), (TwinQuotient, "cotree"), (Instance, "class_types"))
+    for cls, name in cached:
+        build = getattr(cls, name).func
 
-        def counted_build(quotient, _name=name, _build=build):
+        def counted_build(owner, _name=name, _build=build):
             counts[_name] += 1
-            return _build(quotient)
+            return _build(owner)
 
         prop = cached_property(counted_build)
-        prop.__set_name__(TwinQuotient, name)
-        monkeypatch.setattr(TwinQuotient, name, prop)
+        prop.__set_name__(cls, name)
+        monkeypatch.setattr(cls, name, prop)
     return counts
 
 
@@ -108,6 +111,8 @@ def test_report_builds_each_object_once(calls):
     assert calls["orbits"] == 1
     # the strong cover and the detour search both ran, on the one cotree
     assert calls["cotree"] == 1
+    # the (class, type) pairs that the three class-row checks compare
+    assert calls["class_types"] == 1
 
 
 def test_default_report_calls_twins_three_times(monkeypatch):
@@ -120,8 +125,8 @@ def test_default_report_calls_twins_three_times(monkeypatch):
         return twins(adj, labels)
 
     monkeypatch.setattr(graphs, "_twins", counting)
-    inst = Instance(GroupParams(3, 5))
-    payload = report_payload(inst, (0.5,))
+    inst = Instance(GroupParams(3, 5), (0.5,))
+    payload = report_payload(inst)
     assert payload["passed"] and inst.detour is not None
     assert len(counted) <= 3 and counted[0] == inst.graph.n
 
@@ -129,15 +134,14 @@ def test_default_report_calls_twins_three_times(monkeypatch):
 def test_report_solves_each_quotient_once_whatever_the_seed(calls):
     alphas = (0.0, 0.25, 0.5, 0.75, 1.0)
     assert build_report(2, 3, alphas, seed=0)["passed"]
-    # one sweep per kind and side, which the spectrum, twin-eigenvalue and transcription
-    # checks share: one stacked solve of the graph's quotients of both kinds, and one of
-    # each closed form's
-    assert calls["solve_quotient"] == 1
-    assert calls["sym_eigenvalues"] == 3
+    # one sweep per kind and side, which the five spectrum checks share: one stacked solve
+    # of the graph's quotients of both kinds, and one of both closed forms'
+    assert calls["solve_quotient"] == calls["closed_form"] == 1
+    assert calls["sym_eigenvalues"] == 2
     calls.clear()
     assert build_report(2, 3, alphas, seed=12345)["passed"]
-    assert calls["solve_quotient"] == 1
-    assert calls["sym_eigenvalues"] == 3
+    assert calls["solve_quotient"] == calls["closed_form"] == 1
+    assert calls["sym_eigenvalues"] == 2
 
 
 def test_report_without_alphas_still_checks_the_transmissions(calls):
@@ -156,11 +160,22 @@ def test_every_eigensolve_of_a_family_report_is_at_most_5_by_5(calls):
 
 
 @pytest.mark.parametrize("alphas", [(0.5,), (0.0, 0.25, 1.0)])
-def test_spectra_and_report_views_make_three_eigensolves(calls, alphas):
+def test_spectra_and_report_views_make_two_eigensolves(calls, alphas):
     # alpha = 1, which the transmission check reads, rides in the sweeps
     config = RunConfig(k=3, p=5, alphas=alphas, commands=("spectra", "report"))
     assert run(config, out=io.StringIO()) == 0
-    assert calls["sym_eigenvalues"] == 3
+    assert calls["solve_quotient"] == calls["closed_form"] == 1
+    assert calls["sym_eigenvalues"] == 2
+
+
+def test_spectra_and_report_views_build_the_payloads_once_per_kind(calls, tmp_path):
+    # the spectrum files, the adjacency csv and the report all write the Instance's payloads
+    config = RunConfig(
+        k=2, p=3, alphas=(0.0, 0.5), commands=("spectra", "report"), fmt="csv", out_dir=tmp_path
+    )
+    assert run(config, out=io.StringIO()) == 0
+    assert (tmp_path / "k2-p3-adjacency-spectra.csv").is_file()
+    assert calls["spectrum_payloads"] == 2  # adjacency and reciprocal
 
 
 def test_detour_budget_error_is_searched_once(calls, monkeypatch):
@@ -366,9 +381,9 @@ def test_block_reduction_check_fails_on_broken_graphs():
         # an extra edge between two involutions: the twin classes differ from the prediction
         (edges + [(v, w)], "not the predicted ones"),
     ):
-        broken = Instance(GroupParams(2, 3))
+        broken = Instance(GroupParams(2, 3), (0.25, 0.5))
         broken.graph = from_edges(inst.graph.n, changed, elements=inst.graph.elements)
-        checks = {c["name"]: c for c in report_payload(broken, (0.25, 0.5))["checks"]}
+        checks = {c["name"]: c for c in report_payload(broken)["checks"]}
         block = checks["block_reduction_random"]
         assert not block["passed"]
         assert reason in block["details"]["reason"]

@@ -326,16 +326,22 @@ def test_instance_spectra_share_one_sweep_per_kind_with_a_repeated_alpha(monkeyp
     solves = []
     solve = sym_eigenvalues
     monkeypatch.setattr("powergraph.spectra.sym_eigenvalues", lambda m: solves.append(1) or solve(m))
-    inst = Instance(GroupParams(3, 5))
+    forwards, backwards = Instance(GroupParams(3, 5), SWEEP), Instance(GroupParams(3, 5), SWEEP[::-1])
+    for inst in (forwards, backwards):
+        for kind in SPECTRUM_KINDS:
+            inst.spectra[kind], inst.payloads[kind]
+        # every kind's sweeps and payloads from two solves: the graph's quotients of both
+        # kinds, and both closed forms' quotients
+        assert len(solves) == 2
+        solves.clear()
+    rows = slice(len(SWEEP))  # the last row is alpha = 1, for the transmission check
     for kind in SPECTRUM_KINDS:
-        sweeps = inst.spectra(kind, SWEEP)
-        backwards = inst.spectra(kind, SWEEP[::-1])
-        for sweep, reverse in zip(sweeps, backwards):
+        for sweep, reverse in zip(forwards.spectra[kind], backwards.spectra[kind]):
             # the repeated alpha reads the same row, and every order reads the same sweep
             assert sweep.expanded[1].tobytes() == sweep.expanded[3].tobytes()
-            assert sweep.expanded[::-1].tobytes() == reverse.expanded.tobytes()
-            assert sweep.values[::-1].tobytes() == reverse.values.tobytes()
-    assert len(solves) == 3  # the graph's quotients of both kinds, and each closed form's
+            assert sweep.expanded[rows][::-1].tobytes() == reverse.expanded[rows].tobytes()
+            assert sweep.values[rows][::-1].tobytes() == reverse.values[rows].tobytes()
+            assert sweep.expanded[-1].tobytes() == sweep.expanded[2].tobytes()
 
 
 @pytest.mark.parametrize("k,p", [(2, 3), (3, 5), (5, 5)])
@@ -516,9 +522,9 @@ def test_clustering_recovers_multiplicities(family):
 
 @pytest.mark.parametrize("k,p", [(2, 3), (2, 5), (3, 3)])
 def test_cluster_values_equals_the_loop_on_family_spectra(k, p):
-    inst = Instance(GroupParams(k, p))
+    inst = Instance(GroupParams(k, p), ALPHAS)
     for kind in SPECTRUM_KINDS:
-        closed, numeric = inst.spectra(kind, ALPHAS)
+        closed, numeric = inst.spectra[kind]
         for tol, *rows in zip(_cluster_tol(numeric.expanded)[:, 0], numeric.expanded, closed.expanded):
             for values in rows:
                 assert cluster_values(values, tol) == cluster_values_loop(values, tol)
@@ -590,12 +596,13 @@ def assert_graph_sweep_is_the_oracle(graph, kind, sweep, alphas) -> list[Spectru
 @pytest.mark.parametrize("k,p", [(2, 3), (3, 3), (2, 5), (2, 7), (3, 5), (4, 5), (5, 5)])
 def test_sweeps_equal_the_per_alpha_oracle_on_the_family(family, k, p):
     params, graph, _ = family(k, p)
-    inst = Instance(params)
+    inst = Instance(params, ORACLE_ALPHAS)
     for kind in SPECTRUM_KINDS:
-        closed, numeric = inst.spectra(kind, ORACLE_ALPHAS)
+        closed, numeric = inst.spectra[kind]
         numerics = assert_graph_sweep_is_the_oracle(graph, kind, numeric, ORACLE_ALPHAS)
         closeds = [closed_form_oracle(params, kind, alpha) for alpha in ORACLE_ALPHAS]
-        payloads = spectrum_payloads(params, ORACLE_ALPHAS, closed, numeric)
+        payloads = inst.payloads[kind]
+        assert len(payloads) == len(ORACLE_ALPHAS)
         twins = _twins_present(closed, numeric, 1e-8)
         recovered = _multiplicities_recovered(closed.expanded, numeric.expanded, 1e-8)
         for row, alpha in enumerate(ORACLE_ALPHAS):
